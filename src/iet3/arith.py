@@ -45,15 +45,14 @@ class ArithmeticMode:
     """
 
     tag: str  # "rational" | "f64"
-    tolerance: float
 
     def __post_init__(self):
         if self.tag not in ("rational", "f64"):
             raise ValueError(f"unknown arithmetic mode {self.tag!r}")
 
 
-MODE_F64 = ArithmeticMode("f64", 1e-9)
-MODE_RATIONAL = ArithmeticMode("rational", 0.0)
+MODE_F64 = ArithmeticMode("f64")
+MODE_RATIONAL = ArithmeticMode("rational")
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +209,6 @@ class RotationCounter:
         return np.array([int(v) % self.Q for v in np.floor(x * self.Q + 0.5)],
                         dtype=object)
 
-    def unlift(self, u) -> np.ndarray:
-        return np.asarray([int(v) for v in np.atleast_1d(u)], dtype=float) / self.Q
-
     # -- counting ----------------------------------------------------------
 
     def backward(self) -> "RotationCounter":
@@ -302,17 +298,18 @@ class RotationCounter:
         out[idx] = lo
         return out
 
-    def power_positions(self, u, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Integer positions of the |n|-th induced-map image of points u in the arc.
+    def power(self, u, n) -> np.ndarray:
+        """Exact positions on Z/Q of the n-th induced-map image of arc points u.
 
-        Returns (positions, rotation_times).  Positions are exact on Z/Q; u
-        must lie in the arc [0, C).  n may be negative (inverse map).
+        n is an int or a per-point array of any sign: negative exponents run
+        the inverse map, and a zero exponent leaves the point where it is.
         """
         u = np.asarray(u, dtype=object)
-        if n == 0:
-            return u.copy(), np.zeros(u.shape, dtype=object)
-        fwd = n > 0
-        N = self.visit_time(u, np.full(u.shape, abs(int(n)), dtype=object), forward=fwd)
-        step = self.P if fwd else self.Q - self.P
-        pos = (u + N * step) % self.Q
-        return pos, (N if fwd else -N)
+        n = np.broadcast_to(np.asarray(n, dtype=object), u.shape)
+        out = u.copy()
+        for sign, step in ((1, self.P), (-1, self.Q - self.P)):
+            mask = sign * n > 0
+            if np.any(mask):
+                N = self.visit_time(u[mask], sign * n[mask], forward=sign > 0)
+                out[mask] = (u[mask] + N * step) % self.Q
+        return out

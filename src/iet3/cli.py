@@ -97,7 +97,6 @@ def _common(p: _Parser):
                    help="continued fraction digits, or golden|doc-switch|doc-tower")
     p.add_argument("--kappa", help="induced interval length")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=["rational", "f64x"], default="f64x")
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--levels", type=int, default=2)
     p.add_argument("--samples", type=int, default=2000)

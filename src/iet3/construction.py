@@ -33,7 +33,7 @@ from .joinings import (DiscreteMeasure2D, TEST_FUNCTIONS_2D, disintegrate,
                        fiber_diameter_stats, kr_lower_witness, kr_upper_binned,
                        mix, product_sample, sample_power_joining,
                        _stratified_points)
-from .renorm import section_record_exact
+from .renorm import _generic_crossing_pair, section_record_exact
 
 __all__ = [
     "SwitchSpec",
@@ -169,29 +169,6 @@ class _SwitchEngine:
             ok &= np.array([not (0 <= int(v) < width) for v in shifted])
         return ok
 
-    def power_points(self, us, n: int) -> np.ndarray:
-        """Exact grid positions of T^n over slit points (cells)."""
-        us = np.asarray(us, dtype=object)
-        if n == 0:
-            return us.copy()
-        pos, _ = self.rc.power_positions(us, int(n))
-        return pos
-
-    def tower_point(self, us, heights) -> np.ndarray:
-        """T^(i) u for per-point signed exponents i (cells)."""
-        us = np.asarray(us, dtype=object)
-        heights = np.broadcast_to(np.asarray(heights, dtype=object), us.shape).copy()
-        out = us.copy()
-        for fwd in (True, False):
-            mask = heights > 0 if fwd else heights < 0
-            if not np.any(mask):
-                continue
-            ns = heights[mask] if fwd else -heights[mask]
-            N = self.rc.visit_time(us[mask], ns, forward=fwd)
-            step = self.P if fwd else self.Q - self.P
-            out[mask] = (us[mask] + N * step) % self.Q
-        return out
-
     def to_unit(self, us) -> np.ndarray:
         """Grid cells (slit coordinates) -> rescaled IET coordinates."""
         arr = np.array([int(v) for v in np.atleast_1d(np.asarray(us, dtype=object))],
@@ -242,19 +219,6 @@ def _pick_scale(eng: _SwitchEngine, spec: SwitchSpec,
             continue
         return N, rec
     raise SearchFailure(f"no admissible scale: {rejections[-6:]}")
-
-
-def _generic_m(eng: _SwitchEngine, N: int, samples: int = 256, seed: int = 77) -> tuple[int, float]:
-    us = eng.slit_samples(samples, seed)
-    counts = np.array([int(c) for c in eng.counts(us, N)])
-    vals, freq = np.unique(counts, return_counts=True)
-    best_m, best_w = int(vals[0]), -1
-    for v in vals:
-        w = freq[vals == v].sum() + freq[vals == v + 1].sum()
-        if w > best_w:
-            best_w, best_m = int(w), int(v)
-    f_m = float(np.count_nonzero(counts == best_m)) / samples
-    return best_m, f_m
 
 
 def _zone_hit_times(eng: _SwitchEngine, us, zones, forward: bool,
@@ -328,8 +292,8 @@ def _find_J(eng: _SwitchEngine, N: int, m: int, W: int, p_hat: int,
             steps_back = int(eng.rc.backward().visits(
                 np.array([(int(u) - 0) % eng.Q], dtype=object),
                 np.array([excess], dtype=object))[0])
-            y = int(eng.tower_point(np.array([int(u)], dtype=object),
-                                    np.array([-steps_back], dtype=object))[0])
+            y = int(eng.rc.power(np.array([int(u)], dtype=object),
+                                 np.array([-steps_back], dtype=object))[0])
         else:
             y = int(u)
         for frac_w in (93, 80, 60, 45):
@@ -417,7 +381,8 @@ def build_switch(iet: Iet3, spec: SwitchSpec,
     S_over, W_over = pair_scale if pair_scale is not None else (None, None)
     N, rec = _pick_scale(eng, spec, width_cap=width_cap, S_override=S_over)
     W = W_over if W_over is not None else abs(spec.a - spec.b)
-    m, f_m = _generic_m(eng, N)
+    m, f_m, _ = _generic_crossing_pair(
+        np.array([int(c) for c in eng.counts(eng.slit_samples(256, 77), N)]))
     rho = rec.rho
     p_hat = int(rec.V_len / rho) - 2 * (2 + W) - 3
     if p_hat < 1:
@@ -481,7 +446,7 @@ def _sample_A_points(eng: _SwitchEngine, res: SwitchResult, n_samples: int,
     # r may exceed int64; draw heights through floats
     heights = np.array([int(rng.random() * max(res.r, 1)) for _ in range(n_samples)],
                        dtype=object)
-    return eng.tower_point(base, heights)
+    return eng.rc.power(base, heights)
 
 
 def _mix_seed(seed, tag) -> int:
@@ -535,8 +500,8 @@ def verify_switch(iet: Iet3, res: SwitchResult, samples: int,
 
 
 def _shadow_gap(eng: _SwitchEngine, us, n: int, a: int) -> np.ndarray:
-    pn = eng.power_points(us, n)
-    pa = eng.power_points(us, a)
+    pn = eng.rc.power(us, n)
+    pa = eng.rc.power(us, a)
     d = np.array([abs(int(x) - int(y)) for x, y in zip(pn, pa)], dtype=float)
     d = np.minimum(d, eng.Q - d) / eng.Q
     return d / eng.kappa  # rescale to IET coordinates
@@ -555,8 +520,8 @@ def _orbit_joining_grid(eng: _SwitchEngine, u0: int, n: int, L: int,
         stride = L // cap
         idx = sorted({i * stride + int(rng.random() * stride) for i in range(cap)})
     us = np.full(len(idx), u0, dtype=object)
-    xi = eng.tower_point(us, np.array(idx, dtype=object))
-    yi = eng.tower_point(us, np.array([i + n for i in idx], dtype=object))
+    xi = eng.rc.power(us, np.array(idx, dtype=object))
+    yi = eng.rc.power(us, np.array([i + n for i in idx], dtype=object))
     return DiscreteMeasure2D.equal_weight(eng.to_unit(xi), eng.to_unit(yi))
 
 
@@ -751,7 +716,7 @@ def _random_graph_sample(eng: _SwitchEngine, expo: int, n: int,
     """Graph joining of T^expo sampled at uniformly random grid points."""
     rng = np.random.default_rng(seed)
     us = np.array([int(rng.random() * eng.C) for _ in range(n)], dtype=object)
-    ys = eng.tower_point(us, np.full(n, int(expo), dtype=object))
+    ys = eng.rc.power(us, np.full(n, int(expo), dtype=object))
     return DiscreteMeasure2D.equal_weight(eng.to_unit(us), eng.to_unit(ys))
 
 
@@ -773,7 +738,7 @@ def non_simplicity_witness(iet: Iet3, K_levels: int = 3, N: int = 100_000,
 
     A pilot schedule fixes the empirical decay constant; the accuracy budget
     is then derived from the displacement median and the final schedule (the
-    pilot is reused когда already within budget) feeds the four checks:
+    pilot is reused when already within budget) feeds the four checks:
     separation from the product, closeness to the half mixture, fat fibers,
     and Birkhoff agreement across starting atoms.
     """
@@ -922,8 +887,8 @@ def _birkhoff_agreement(iet: Iet3, sched: Schedule, n_atoms: int, seed,
         e = int(exps[i % len(exps)])
         u0 = int(rng.random() * eng.C)
         us = np.full(subsample, u0, dtype=object)
-        xi = eng.tower_point(us, idx)
-        yi = eng.tower_point(us, idx + e)
+        xi = eng.rc.power(us, idx)
+        yi = eng.rc.power(us, idx + e)
         xs, ys = eng.to_unit(xi), eng.to_unit(yi)
         for name, fn in TEST_FUNCTIONS_2D.items():
             av = float(np.mean(fn(xs, ys)))

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Union
 
 import numpy as np
 
+from . import intervals as iv
 from .arith import MODE_F64, MODE_RATIONAL, ArithmeticMode, RotationCounter
 
 __all__ = [
@@ -29,6 +31,7 @@ __all__ = [
     "apply",
     "apply_pow",
     "apply_pow_many",
+    "transport",
     "orbit",
     "to_rotation",
     "from_rotation",
@@ -90,12 +93,17 @@ class Iet3:
     def branch_displacements(self) -> tuple[Scalar, Scalar, Scalar]:
         return (self.l2 + self.l3, self.l3 - self.l1, -(self.l1 + self.l2))
 
+    @cached_property
+    def _branches(self) -> tuple:
+        """((b1, d1), (b2, d2)), d3: each break point with the displacement of
+        the branch left of it, then the last displacement.  Computed once, as
+        exact transport would otherwise redo this Fraction arithmetic per step."""
+        d1, d2, d3 = self.branch_displacements()
+        return ((self.b1, d1), (self.b2, d2)), d3
+
     def inverse(self) -> "Iet3":
         """The inverse 3-IET: lengths reversed."""
         return Iet3(self.l3, self.l2, self.l1, self.mode)
-
-    def discontinuities(self) -> tuple[Scalar, Scalar]:
-        return (self.b1, self.b2)
 
     def is_rational(self) -> bool:
         return self.mode.tag == "rational"
@@ -172,34 +180,37 @@ def apply(iet: Iet3, x):
     return y
 
 
-def _apply_inv(iet: Iet3, x):
-    """One step of the inverse exchange (exact branch inversion)."""
-    _check_domain(x)
-    c1 = iet.l3
-    c2 = iet.l3 + iet.l2
-    if isinstance(x, np.ndarray):
-        d1, d2, d3 = (float(v) for v in iet.branch_displacements())
-        out = np.where(x < float(c1), x - d3,
-                       np.where(x < float(c2), x - d2, x - d1))
-        return np.where(out >= 1.0, np.nextafter(1.0, 0.0), np.maximum(out, 0.0))
-    d1, d2, d3 = iet.branch_displacements()
-    if x < c1:
-        y = x - d3
-    elif x < c2:
-        y = x - d2
-    else:
-        y = x - d1
-    if not iet.is_rational():
-        y = min(max(y, 0.0), np.nextafter(1.0, 0.0))
-    return y
-
-
 def apply_pow(iet: Iet3, n: int, x):
-    """n-fold composition T^n, by stepwise iteration.  n may be negative."""
-    step = apply if n >= 0 else _apply_inv
+    """n-fold composition T^n, by stepwise iteration.  n may be negative:
+    T^-1 is the forward exchange of the inverse IET."""
+    if n < 0:
+        iet = iet.inverse()
     for _ in range(abs(int(n))):
-        x = step(iet, x)
+        x = apply(iet, x)
     return x
+
+
+def _use_counting(n: int, points: int, step_limit: int = 200_000) -> bool:
+    """Whether T^n over `points` points goes through exact rotation counting
+    rather than stepwise iteration."""
+    return abs(int(n)) > 4096 and abs(int(n)) * max(points, 1) > step_limit
+
+
+def _power_on_circle(iet: Iet3, xs, n) -> tuple[np.ndarray, np.ndarray, float]:
+    """T^n of points xs on the integer circle of the rotation representation.
+
+    Points are lifted to rotation coordinates x * kappa on [0, kappa) and
+    snapped to the 1/Q grid (exact for rational IETs, a deep-convergent
+    approximation otherwise); n is an int or a per-point array of any sign.
+    Returns (snapped points, their images, kappa), the points as floats in
+    rotation coordinates, so each caller applies its own rescaling.
+    """
+    kappa = float(to_rotation(iet).kappa)
+    rc = iet.rotation_counter()
+    u = rc.lift(np.asarray(xs, dtype=float) * kappa)
+    base, image = (np.array([int(v) for v in cells], dtype=float) / rc.Q
+                   for cells in (u, rc.power(u, n)))
+    return base, image, kappa
 
 
 def apply_pow_many(iet: Iet3, n: int, xs: np.ndarray,
@@ -207,21 +218,44 @@ def apply_pow_many(iet: Iet3, n: int, xs: np.ndarray,
     """T^n over an array of points, switching to exact rotation counting
     when |n| is too large for stepwise iteration.
 
-    The counting path lifts points to an integer circle (exact for rational
-    IETs, a deep-convergent approximation otherwise) and computes the n-th
-    return of the underlying rotation in O(log) per point.
+    The counting path computes the n-th return of the underlying rotation in
+    O(log) per point and keeps each point's offset within its grid cell.
     """
     xs = np.asarray(xs, dtype=float)
-    if abs(int(n)) * max(len(xs), 1) <= step_limit or abs(int(n)) <= 4096:
+    if not _use_counting(n, len(xs), step_limit):
         return apply_pow(iet, n, xs.copy())
-    rep = to_rotation(iet)
-    kappa = float(rep.kappa)
-    rc = iet.rotation_counter()
-    u = rc.lift(xs * kappa)
-    frac_off = xs * kappa - np.array([int(v) for v in u], dtype=float) / rc.Q
-    pos, _ = rc.power_positions(u, int(n))
-    out = (np.array([int(v) for v in pos], dtype=float) / rc.Q + frac_off) / kappa
+    base, image, kappa = _power_on_circle(iet, xs, int(n))
+    out = (image + (xs * kappa - base)) / kappa
     return np.clip(out, 0.0, np.nextafter(1.0, 0.0))
+
+
+def _branch_image(iet: Iet3, lo, hi) -> list[tuple]:
+    """One step of T on the interval [lo, hi): its image pieces, one per
+    branch of T the interval meets, in source order."""
+    cuts, d_last = iet._branches
+    out = []
+    for cut, d in cuts:
+        if lo < cut:
+            if hi <= cut:
+                out.append((lo + d, hi + d))
+                return out
+            out.append((lo + d, cut + d))
+            lo = cut
+    out.append((lo + d_last, hi + d_last))
+    return out
+
+
+def transport(iet: Iet3, pieces, steps: int) -> list[tuple]:
+    """Image of a union of intervals under T^steps, split at the
+    discontinuities of T and normalized after every step.
+
+    Exact with Fraction endpoints on a rational IET.  For T^-steps pass
+    ``iet.inverse()``: T^-1 is the forward exchange of the inverse IET.
+    """
+    pieces = list(pieces)
+    for _ in range(steps):
+        pieces = iv.normalize([p for a, b in pieces for p in _branch_image(iet, a, b)])
+    return pieces
 
 
 def orbit(iet: Iet3, x: float, L: int) -> OrbitSegment:
@@ -274,30 +308,11 @@ def min_return_time(iet: Iet3, J: tuple, n_max: int,
     lo, hi = J
     if not (0 <= lo < hi <= 1):
         raise ValueError("J must be a nondegenerate subinterval of [0, 1)")
-    d1, d2, d3 = iet.branch_displacements()
-    b1, b2 = iet.b1, iet.b2
-    one = Fraction(1) if iet.is_rational() else 1.0
     pieces = [(lo, hi)]
     for n in range(1, n_max + 1):
-        nxt = []
-        for (a, b) in pieces:
-            cuts = [c for c in (b1, b2) if a < c < b]
-            bounds = [a] + cuts + [b]
-            for lo2, hi2 in zip(bounds[:-1], bounds[1:]):
-                if lo2 < b1:
-                    dd = d1
-                elif lo2 < b2:
-                    dd = d2
-                else:
-                    dd = d3
-                na, nb = lo2 + dd, hi2 + dd
-                if na < 0:
-                    na, nb = na + one, nb + one  # defensive; cannot occur
-                nxt.append((na, nb))
-        if len(nxt) > max_pieces:
+        pieces = transport(iet, pieces, 1)
+        if len(pieces) > max_pieces:
             raise RuntimeError("interval split budget exceeded; use a return-time certificate")
-        pieces = nxt
-        for (a, b) in pieces:
-            if a < hi and lo < b:
-                return n
+        if any(a < hi and lo < b for a, b in pieces):
+            return n
     return None

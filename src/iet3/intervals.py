@@ -1,8 +1,8 @@
 """Half-open interval sets on [0, 1) (or on a circle of unit length).
 
 Small exact toolkit used by the tower and construction modules: unions keep
-sorted disjoint [a, b) pieces and support intersection, complement, measure
-and translation mod 1.  Works with floats or Fractions.
+sorted disjoint [a, b) pieces and support intersection, complement and
+measure.  Works with floats or Fractions.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import Iterable, List, Sequence, Tuple
 Interval = Tuple[float, float]
 
 __all__ = ["normalize", "measure", "intersect", "complement", "union",
-           "translate_mod1", "contains_point", "symdiff_measure"]
+           "contains_point", "symdiff_measure"]
 
 
 def normalize(pieces: Iterable[Interval]) -> List[Interval]:
@@ -63,22 +63,6 @@ def complement(xs: Sequence[Interval], lo=0.0, hi=1.0) -> List[Interval]:
 
 def union(xs: Sequence[Interval], ys: Sequence[Interval]) -> List[Interval]:
     return normalize(list(xs) + list(ys))
-
-
-def translate_mod1(xs: Sequence[Interval], t) -> List[Interval]:
-    """Translate every piece by t on the unit circle, splitting at the wrap."""
-    out = []
-    for a, b in xs:
-        a2, b2 = a + t, b + t
-        a2 -= int(a2) if a2 >= 0 else int(a2) - 1
-        width = b - a
-        b2 = a2 + width
-        if b2 <= 1:
-            out.append((a2, b2))
-        else:
-            out.append((a2, type(a2)(1)))
-            out.append((type(a2)(0), b2 - 1))
-    return normalize(out)
 
 
 def contains_point(xs: Sequence[Interval], x) -> bool:

@@ -30,8 +30,9 @@ import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial import cKDTree
 
-from .iet_core import Iet3, apply, apply_pow_many
-from .towers import Tower
+from .iet_core import (Iet3, _power_on_circle, _use_counting, apply, apply_pow,
+                       apply_pow_many)
+from .towers import Tower, _return_sets
 
 __all__ = [
     "DiscreteMeasure2D",
@@ -118,19 +119,11 @@ def sample_power_joining(iet: Iet3, a: int, N: int, seed=0) -> DiscreteMeasure2D
     if N < 1:
         raise ValueError("N must be >= 1")
     xs = _stratified_points(N, seed)
-    if abs(int(a)) > 4096 and abs(int(a)) * N > 200_000:
-        from .iet_core import to_rotation
-        rep = to_rotation(iet)
-        kappa = float(rep.kappa)
-        rc = iet.rotation_counter()
-        u = rc.lift(xs * kappa)
-        xs = np.clip(np.array([int(v) for v in u], dtype=float) / rc.Q / kappa,
-                     0.0, np.nextafter(1.0, 0.0))
-        pos, _ = rc.power_positions(u, int(a))
-        ys = np.clip(np.array([int(v) for v in pos], dtype=float) / rc.Q / kappa,
-                     0.0, np.nextafter(1.0, 0.0))
-        return DiscreteMeasure2D.equal_weight(xs, ys)
-    ys = apply_pow_many(iet, a, xs)
+    if _use_counting(a, N):
+        base, image, kappa = _power_on_circle(iet, xs, int(a))
+        xs, ys = (np.clip(v / kappa, 0.0, np.nextafter(1.0, 0.0)) for v in (base, image))
+    else:
+        ys = apply_pow_many(iet, a, xs)
     return DiscreteMeasure2D.equal_weight(xs, ys)
 
 
@@ -162,7 +155,6 @@ def _power_at_indices(iet: Iet3, x: float, idx: np.ndarray) -> np.ndarray:
     lo, hi = int(idx.min()), int(idx.max())
     if hi - min(lo, 0) + max(-lo, 0) <= 200_000:
         # direct sweep across the exponent range
-        from .iet_core import apply_pow
         out = np.empty(len(idx), dtype=float)
         order = np.argsort(idx, kind="stable")
         cur = apply_pow(iet, lo, x)
@@ -174,26 +166,11 @@ def _power_at_indices(iet: Iet3, x: float, idx: np.ndarray) -> np.ndarray:
                 cur_i += 1
             out[j] = cur
         return out
-    # counting path: one visit-time batch over the exponent array
-    from .iet_core import to_rotation
-    rep = to_rotation(iet)
-    kappa = float(rep.kappa)
-    rc = iet.rotation_counter()
-    u = rc.lift(np.full(len(idx), x * kappa))
-    pos_f = np.empty(len(idx), dtype=float)
-    for sign in (1, -1):
-        mask = (idx > 0) if sign > 0 else (idx < 0)
-        if not np.any(mask):
-            continue
-        ns = np.array([int(abs(v)) for v in idx[mask]], dtype=object)
-        N = rc.visit_time(u[mask], ns, forward=(sign > 0))
-        step = rc.P if sign > 0 else rc.Q - rc.P
-        p = (u[mask] + N * step) % rc.Q
-        pos_f[mask] = np.array([int(v) for v in p], dtype=float) / rc.Q
-    if np.any(idx == 0):
-        pos_f[idx == 0] = x * kappa
-    out = pos_f / kappa
-    return np.clip(out, 0.0, np.nextafter(1.0, 0.0))
+    # counting path: one power batch over the exponent array; index 0 keeps
+    # the unsnapped starting point
+    _, image, kappa = _power_on_circle(iet, np.full(len(idx), x), idx)
+    image[idx == 0] = x * kappa
+    return np.clip(image / kappa, 0.0, np.nextafter(1.0, 0.0))
 
 
 def product_sample(N: int, seed=0) -> DiscreteMeasure2D:
@@ -372,8 +349,9 @@ def kr_upper_binned(mu: DiscreteMeasure2D, nu: DiscreteMeasure2D,
         mcommon = min(wm, wn)
         if mcommon > 0:
             # quantile coupling of the (normalized) fiber conditionals,
-            # truncated to the common mass
-            total += _fiber_transport(mu.ys[mi], mu.ws[mi], nu.ys[ni], nu.ws[ni], mcommon)
+            # truncated to the common mass: y is the only coordinate
+            total += _paired_transport(mu.ys[mi], np.zeros(len(mi)), mu.ws[mi],
+                                       nu.ys[ni], np.zeros(len(ni)), nu.ws[ni], mcommon)
             total += mcommon / bins  # x displacement within the bin
             matched += mcommon
         if wm > wn:
@@ -395,20 +373,20 @@ def kr_upper_binned(mu: DiscreteMeasure2D, nu: DiscreteMeasure2D,
             return (np.concatenate(xs), np.concatenate(ys), np.concatenate(ws))
         xm, ym, wm = gather(excess_mu, mu, bx_mu)
         xn, yn, wn = gather(excess_nu, nu, bx_nu)
-        total += _paired_transport(xm, ym, wm, xn, yn, wn)
+        total += _paired_transport(xm, ym, wm, xn, yn, wn, min(wm.sum(), wn.sum()))
     return float(total)
 
 
-def _paired_transport(xm, ym, wm, xn, yn, wn) -> float:
-    """Cost of the x-quantile-order coupling between two weighted atom sets
-    of equal mass (taxicab cost on both coordinates)."""
+def _paired_transport(xm, ym, wm, xn, yn, wn, common: float) -> float:
+    """Cost of the x-quantile-order coupling of the first `common` mass of
+    two weighted atom sets (taxicab cost on both coordinates)."""
     om = np.argsort(xm, kind="stable")
     on = np.argsort(xn, kind="stable")
-    xm, ym, wm = xm[om], ym[om], wm[om].copy()
-    xn, yn, wn = xn[on], yn[on], wn[on].copy()
+    xm, ym, wm = xm[om], ym[om], wm[om]
+    xn, yn, wn = xn[on], yn[on], wn[on]
     i = j = 0
     cost = 0.0
-    left = min(wm.sum(), wn.sum())
+    left = common
     rm, rn = wm[0], wn[0]
     while left > 1e-18 and i < len(xm) and j < len(xn):
         step = min(rm, rn, left)
@@ -420,29 +398,6 @@ def _paired_transport(xm, ym, wm, xn, yn, wn) -> float:
         if rn <= 1e-18:
             j += 1
             rn = wn[j] if j < len(xn) else 0.0
-    return cost
-
-
-def _fiber_transport(ys_m, ws_m, ys_n, ws_n, common: float) -> float:
-    """Cost of quantile-coupling the first `common` mass of two fibers."""
-    om = np.argsort(ys_m, kind="stable")
-    on = np.argsort(ys_n, kind="stable")
-    ys_m, ws_m = ys_m[om], ws_m[om]
-    ys_n, ws_n = ys_n[on], ws_n[on]
-    i = j = 0
-    rm, rn = ws_m[0], ws_n[0]
-    left = common
-    cost = 0.0
-    while left > 1e-18 and i < len(ys_m) and j < len(ys_n):
-        step = min(rm, rn, left)
-        cost += step * abs(ys_m[i] - ys_n[j])
-        rm -= step; rn -= step; left -= step
-        if rm <= 1e-18:
-            i += 1
-            rm = ws_m[i] if i < len(ys_m) else 0.0
-        if rn <= 1e-18:
-            j += 1
-            rn = ws_n[j] if j < len(ys_n) else 0.0
     return cost
 
 
@@ -589,24 +544,13 @@ class CoefficientVector:
         return out
 
 
-def _hat_base(tower: Tower, iet: Iet3):
-    from . import intervals as iv
-    from .towers import _transport, _transport_back
-    I = (float(tower.base[0]), float(tower.base[1]))
-    n = tower.height
-    top = (float(tower.level_lows[-1]), float(tower.level_lows[-1]) + float(tower.width))
-    fwd = _transport(iet, top, 1)
-    back = _transport_back(iet, I, n)
-    return iv.intersect(iv.intersect([I], fwd), back)
-
-
 def _coefficients_from_fiber(tower: Tower, iet: Iet3, xs, ys, ws):
     """Coefficient indices are per atom: the number of levels the atom's y
     sits above its own x (mod height), restricted to the refined sub-tower.
     This is the convention under which pure power joinings recover a single
     coefficient exactly."""
     from . import intervals as iv
-    hat = _hat_base(tower, iet)
+    hat = _return_sets(tower, iet)[1]
     n = tower.height
     idx, wts = [], []
     outside = 0.0
@@ -731,7 +675,6 @@ def weak_closure_check(iet: Iet3, k: int, horizon: int, N: int,
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    from .iet_core import _apply_inv
     scan_bins = 128
     xs_scan = _stratified_points(scan_N, seed)
     yk = apply_pow_many(iet, k, xs_scan)
@@ -750,15 +693,13 @@ def weak_closure_check(iet: Iet3, k: int, horizon: int, N: int,
         if v < best_v:
             best_v, best_n = v, n
 
-    cur = xs_scan.copy()
-    consider(0, cur)
-    for n in range(1, horizon + 1):
-        cur = apply(iet, cur)
-        consider(n, cur)
-    cur = xs_scan.copy()
-    for n in range(1, horizon + 1):
-        cur = _apply_inv(iet, cur)
-        consider(-n, cur)
+    consider(0, xs_scan)
+    # forward, then backward: T^-1 is the forward exchange of the inverse IET
+    for exchange, sign in ((iet, 1), (iet.inverse(), -1)):
+        cur = xs_scan.copy()
+        for n in range(1, horizon + 1):
+            cur = apply(exchange, cur)
+            consider(sign * n, cur)
     # final evaluation at full size
     full = sample_power_joining(iet, best_n, N, seed=seed)
     ymix = apply_pow_many(iet, k, full.xs)

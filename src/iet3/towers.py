@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import intervals as iv
-from .iet_core import Iet3, to_rotation
+from .iet_core import Iet3, _branch_image, to_rotation, transport
 from .renorm import scan_renorm_times
 
 __all__ = ["Tower", "TowerStats", "TowerBuildError", "LevelSplitError",
@@ -54,10 +54,6 @@ class Tower:
     def width(self):
         return self.base[1] - self.base[0]
 
-    def level(self, i: int) -> tuple:
-        lo = self.level_lows[i]
-        return (lo, lo + float(self.width))
-
     def level_of_point(self, x: float) -> Optional[int]:
         """Index of the level containing x, or None."""
         idx = self._order[np.searchsorted(self._sorted_lows, x, side="right") - 1]
@@ -84,42 +80,6 @@ class TowerStats:
     tilde_measure: float   # same with the ±2n intersections added
 
 
-def _transport(iet: Iet3, piece: tuple, steps: int) -> list[tuple]:
-    """Images of an interval under repeated T, splitting at discontinuities."""
-    d1, d2, d3 = iet.branch_displacements()
-    b1, b2 = iet.b1, iet.b2
-    pieces = [piece]
-    for _ in range(steps):
-        nxt = []
-        for (a, b) in pieces:
-            cuts = [c for c in (b1, b2) if a < c < b]
-            bounds = [a] + cuts + [b]
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                dd = d1 if lo < b1 else (d2 if lo < b2 else d3)
-                nxt.append((lo + dd, hi + dd))
-        pieces = iv.normalize(nxt)
-    return pieces
-
-
-def _transport_back(iet: Iet3, piece: tuple, steps: int) -> list[tuple]:
-    inv = iet.inverse()
-    # conjugate by reflection: T^-1(x) = 1 - T_rev(1 - x) would also work;
-    # here we invert branches directly via the image partition
-    d1, d2, d3 = iet.branch_displacements()
-    c1, c2 = iet.l3, iet.l3 + iet.l2
-    pieces = [piece]
-    for _ in range(steps):
-        nxt = []
-        for (a, b) in pieces:
-            cuts = [c for c in (c1, c2) if a < c < b]
-            bounds = [a] + cuts + [b]
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                dd = d3 if lo < c1 else (d2 if lo < c2 else d1)
-                nxt.append((lo - dd, hi - dd))
-        pieces = iv.normalize(nxt)
-    return pieces
-
-
 def build_tower(iet: Iet3, I: tuple, n: int) -> Tower:
     """Transport I for n steps, certifying interval levels and disjointness.
 
@@ -133,8 +93,6 @@ def build_tower(iet: Iet3, I: tuple, n: int) -> Tower:
         raise ValueError("base must be a nondegenerate subinterval of [0, 1)")
     if n < 1:
         raise ValueError("height must be >= 1")
-    d1, d2, d3 = iet.branch_displacements()
-    b1, b2 = iet.b1, iet.b2
     lows_exact = []
     lows = np.empty(n, dtype=float)
     cur_lo, cur_hi = lo, hi
@@ -144,17 +102,10 @@ def build_tower(iet: Iet3, I: tuple, n: int) -> Tower:
             lows_exact.append(cur_lo)
         if i == n - 1:
             break
-        if cur_lo < b1:
-            if cur_hi > b1:
-                raise LevelSplitError("discontinuity inside level", i)
-            dd = d1
-        elif cur_lo < b2:
-            if cur_hi > b2:
-                raise LevelSplitError("discontinuity inside level", i)
-            dd = d2
-        else:
-            dd = d3
-        cur_lo, cur_hi = cur_lo + dd, cur_hi + dd
+        image = _branch_image(iet, cur_lo, cur_hi)
+        if len(image) > 1:
+            raise LevelSplitError("discontinuity inside level", i)
+        cur_lo, cur_hi = image[0]
     w = hi - lo
     if exact:
         s = sorted(range(n), key=lambda i: lows_exact[i])
@@ -170,19 +121,26 @@ def build_tower(iet: Iet3, I: tuple, n: int) -> Tower:
     return Tower(base=(lo, hi), height=n, level_lows=lows)
 
 
+def _return_sets(tower: Tower, iet: Iet3) -> tuple[list, list]:
+    """T^n I and the refined base I ∩ T^n I ∩ T^-n I of a height-n tower
+    over I, with float endpoints."""
+    I = [(float(tower.base[0]), float(tower.base[1]))]
+    top = (float(tower.level_lows[-1]), float(tower.level_lows[-1]) + float(tower.width))
+    TnI_fwd = transport(iet, [top], 1)  # = T^n I, one step past the top level
+    TnI_back = transport(iet.inverse(), I, tower.height)
+    return TnI_fwd, iv.intersect(iv.intersect(I, TnI_fwd), TnI_back)
+
+
 def tower_stats(tower: Tower, iet: Iet3) -> TowerStats:
     """Coverage, rigidity and the refined sub-tower measures."""
     I = [(float(tower.base[0]), float(tower.base[1]))]
     n = tower.height
     w = float(tower.width)
     coverage = float(iv.measure(tower.union()))
-    top = (float(tower.level_lows[-1]), float(tower.level_lows[-1]) + w)
-    TnI_fwd = _transport(iet, top, 1)  # = T^n I, one step past the top level
+    TnI_fwd, hat_base = _return_sets(tower, iet)
     rigidity = float(iv.symdiff_measure(TnI_fwd, I)) / w
-    TnI_back = _transport_back(iet, I[0], n)
-    hat_base = iv.intersect(iv.intersect(I, TnI_fwd), TnI_back)
-    T2nI_fwd = _transport(iet, I[0], 2 * n)
-    T2nI_back = _transport_back(iet, I[0], 2 * n)
+    T2nI_fwd = transport(iet, I, 2 * n)
+    T2nI_back = transport(iet.inverse(), I, 2 * n)
     tilde_base = iv.intersect(iv.intersect(hat_base, T2nI_fwd), T2nI_back)
     hat = n * (float(iv.measure(hat_base)) if hat_base else 0.0)
     tilde = n * (float(iv.measure(tilde_base)) if tilde_base else 0.0)
@@ -262,22 +220,13 @@ def _certified_height(iet: Iet3, I: tuple, cap: int) -> int:
     caught when the k-th level was produced.  Exact with Fraction input.
     """
     lo, hi = I
-    d1, d2, d3 = iet.branch_displacements()
-    b1, b2 = iet.b1, iet.b2
     cur_lo, cur_hi = lo, hi
     for i in range(cap):
         # does level i straddle a discontinuity? then height stops at i + 1
-        if cur_lo < b1:
-            if cur_hi > b1:
-                return i + 1
-            dd = d1
-        elif cur_lo < b2:
-            if cur_hi > b2:
-                return i + 1
-            dd = d2
-        else:
-            dd = d3
-        cur_lo, cur_hi = cur_lo + dd, cur_hi + dd
+        image = _branch_image(iet, cur_lo, cur_hi)
+        if len(image) > 1:
+            return i + 1
+        cur_lo, cur_hi = image[0]
         # level i+1 collides with the base? keep levels 0..i
         if cur_lo < hi and lo < cur_hi:
             return i + 1

@@ -1,0 +1,112 @@
+"""Property tests of the two exact primitives: the signed induced-map power
+on the integer circle (`RotationCounter.power`) and interval transport
+(`iet_core.transport`), each against a brute-force oracle or an exact
+invariant."""
+
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from iet3 import intervals as iv
+from iet3.arith import MODE_RATIONAL, RotationCounter
+from iet3.iet_core import Iet3, transport
+from iet3.params import documented_switch_iet
+
+# fixed example sequence: the suite stays deterministic run to run
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def small_circles(draw):
+    Q = draw(st.integers(2, 400))
+    return RotationCounter(draw(st.integers(1, Q - 1)), Q, draw(st.integers(1, Q)))
+
+
+@st.composite
+def arc_points(draw, rc, max_n):
+    k = draw(st.integers(1, 12))
+    us = draw(st.lists(st.integers(0, rc.C - 1), min_size=k, max_size=k))
+    ns = draw(st.lists(st.integers(-max_n, max_n), min_size=k, max_size=k))
+    return np.array(us, dtype=object), np.array(ns, dtype=object)
+
+
+def _brute_power(rc: RotationCounter, u: int, n: int) -> int:
+    """The n-th return to the arc, one rotation step at a time."""
+    step = rc.P if n > 0 else rc.Q - rc.P
+    for _ in range(abs(n)):
+        u = (u + step) % rc.Q
+        while u >= rc.C:
+            u = (u + step) % rc.Q
+    return u
+
+
+@PROPERTY
+@given(st.data())
+def test_power_matches_brute_stepping(data):
+    rc = data.draw(small_circles())
+    us, ns = data.draw(arc_points(rc, 40))
+    got = rc.power(us, ns)
+    for u, n, g in zip(us, ns, got):
+        assert int(g) == _brute_power(rc, int(u), int(n))
+    # a scalar exponent is the same as that exponent at every point
+    n0 = int(ns[0])
+    assert list(rc.power(us, n0)) == list(rc.power(us, np.full(len(us), n0, dtype=object)))
+
+
+@PROPERTY
+@given(st.data())
+def test_power_round_trip_small_circle(data):
+    rc = data.draw(small_circles())
+    us, ns = data.draw(arc_points(rc, 10**6))
+    assert list(rc.power(rc.power(us, ns), -ns)) == list(us)
+
+
+_DEEP = documented_switch_iet().rotation_counter()
+
+
+@settings(PROPERTY, max_examples=25)
+@given(st.lists(st.integers(0, _DEEP.C - 1), min_size=1, max_size=6),
+       st.integers(-10**12, 10**12))
+def test_power_round_trip_deep_circle(us, n):
+    us = np.array(us, dtype=object)
+    assert list(_DEEP.power(_DEEP.power(us, n), -n)) == list(us)
+
+
+@st.composite
+def rational_iets(draw):
+    ls = [Fraction(draw(st.integers(1, 60))) for _ in range(3)]
+    return Iet3(*ls, MODE_RATIONAL)
+
+
+@st.composite
+def interval_unions(draw):
+    D = draw(st.integers(2, 97))
+    ends = draw(st.lists(st.integers(0, D), min_size=2, max_size=8, unique=True))
+    ends.sort()
+    pieces = [(Fraction(a, D), Fraction(b, D)) for a, b in zip(ends[::2], ends[1::2])]
+    return iv.normalize(pieces)
+
+
+def _assert_normalized(pieces):
+    for a, b in pieces:
+        assert 0 <= a < b <= 1
+    for (_, b), (a2, _) in zip(pieces, pieces[1:]):
+        assert b < a2
+
+
+@PROPERTY
+@given(rational_iets(), interval_unions(), st.integers(1, 40))
+def test_transport_preserves_measure_and_disjointness(iet, pieces, steps):
+    out = transport(iet, pieces, steps)
+    _assert_normalized(out)
+    assert iv.measure(out) == iv.measure(pieces)
+
+
+@PROPERTY
+@given(rational_iets(), interval_unions(), st.integers(1, 40))
+def test_transport_inverse_round_trip(iet, pieces, steps):
+    I = pieces[:1]
+    assert transport(iet.inverse(), transport(iet, I, steps), steps) == I
+    assert transport(iet.inverse(), transport(iet, pieces, steps), steps) == pieces
