@@ -11,10 +11,19 @@ The floor-sum recursion follows the Euclidean algorithm on (P, Q), which is
 shared by every point; only the offsets differ.  That makes the counting
 vectorizable over large batches of points even when intermediate products
 exceed 64-bit range (object-dtype ndarrays carry Python ints).
+
+The inverse query, the rotation time of the n-th visit, counts once at the
+density guess n*Q/C and then solves only the residual window: the visits
+still missing after the guess, or the excess counted backward from it.  A
+residual is far smaller than n, so its floor sums descend less deep; small
+or stubborn residuals go to a monotone fixed-point loop.  Consecutive
+induced-map powers of one point (`RotationCounter.orbit`) need one such
+solve and then plain exact steps on Z/Q.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -217,8 +226,7 @@ class RotationCounter:
 
     def visits(self, u, n) -> np.ndarray:
         """Number of l in {1..n} with (u + l*P) mod Q < C, exact, vectorized."""
-        u = np.asarray(u, dtype=object)
-        n = np.broadcast_to(np.asarray(n, dtype=object), u.shape)
+        u, n = _exact_ints(u, n)
         n_eff = np.where(n > 0, n, 0)
         # indicator(y mod Q >= C) = floor((y + Q - C)/Q) - floor(y/Q); summing
         # over y = u + l*P, l = 1..n counts gap steps, visits are the rest.
@@ -238,39 +246,76 @@ class RotationCounter:
     # -- inverse query: time of the n-th visit -----------------------------
 
     def visit_time(self, u, n, forward: bool = True, max_iters: int = 48) -> np.ndarray:
-        """Smallest N >= 1 with visits(u, N) = n, exact, vectorized.
+        """Smallest N >= 1 with visits(u, N) = n (N = 0 for n = 0), exact,
+        vectorized.
 
-        Monotone fixed-point iteration N <- n + gaps(N) from N = n: iterates
-        increase and never overshoot the minimal solution, and the deficit
-        shrinks by the gap frequency each round.  For sparse arcs (where the
-        contraction is weak) the stragglers fall back to doubling plus
-        bisection on the monotone visit count.
+        Residual windows: the density guess N0 = n*Q // C is counted once.
+        An undershoot leaves the (n - visits)-th visit after N0, counted from
+        u + N0*P; an overshoot leaves the (excess + 1)-th visit backward from
+        u + (N0 + 1)*P, subtracted from N0 + 1.  That residual query is
+        solved the same way while it is at most half of n; indices n <= 8 and
+        residuals that do not halve go to `_visit_time_fixed_point`.
         """
         counter = self if forward else self.backward()
-        u = np.asarray(u, dtype=object)
-        n = np.broadcast_to(np.asarray(n, dtype=object), u.shape).copy()
+        u, n = _exact_ints(u, n)
         if bool(np.any(n < 0)):
             raise ValueError("visit index must be >= 0")
+        N = counter._visit_time_residual(u.reshape(-1), n.reshape(-1), max_iters)
+        return N.reshape(u.shape)
+
+    def _visit_time_residual(self, u, n, max_iters: int) -> np.ndarray:
+        N = np.zeros(len(u), dtype=object)
+        base = n <= 8
+        i = np.nonzero(~base)[0]
+        if len(i):
+            ui, ni = u[i], n[i]
+            N0 = ni * self.Q // self.C
+            v = self.visits(ui, N0)
+            under = v < ni
+            residual = np.where(under, ni - v, v - ni + 1)
+            halves = 2 * residual <= ni
+            for mask, counter, start, sign in (
+                    (halves & under, self, N0, 1),
+                    (halves & ~under, self.backward(), N0 + 1, -1)):
+                if np.any(mask):
+                    s = start[mask]
+                    t = counter._visit_time_residual((ui[mask] + s * self.P) % self.Q,
+                                                     residual[mask], max_iters)
+                    N[i[mask]] = s + sign * t
+            base[i[~halves]] = True
+        if np.any(base):
+            N[base] = self._visit_time_fixed_point(u[base], n[base], max_iters)
+        return N
+
+    def _visit_time_fixed_point(self, u, n, max_iters: int = 48) -> np.ndarray:
+        """`visit_time` by monotone fixed-point iteration, forward only.
+
+        N <- n + gaps(N) from N = n: iterates increase and never overshoot
+        the minimal solution, and the deficit shrinks by the gap frequency
+        each round.  For sparse arcs (where the contraction is weak) the
+        stragglers fall back to doubling plus bisection on the monotone
+        visit count.
+        """
         N = n.copy()
         for _ in range(max_iters):
-            deficit = n - counter.visits(u, N)
+            deficit = n - self.visits(u, N)
             if bool(np.all(deficit == 0)):
                 return N
             N = N + deficit
         # stragglers: exponential search then bisection
-        left = n - counter.visits(u, N) > 0
+        left = n - self.visits(u, N) > 0
         idx = np.nonzero(left)[0]
         uu, nn = u[idx], n[idx]
         hi = np.maximum(N[idx], 1)
         for _ in range(512):
-            short = counter.visits(uu, hi) < nn
+            short = self.visits(uu, hi) < nn
             if not bool(np.any(short)):
                 break
             hi[short] = hi[short] * 2
         lo = nn.copy()
         while bool(np.any(lo < hi)):
             mid = (lo + hi) // 2
-            ok = counter.visits(uu, mid) >= nn
+            ok = self.visits(uu, mid) >= nn
             hi = np.where(ok, mid, hi)
             lo = np.where(ok, lo, mid + 1)
         N[idx] = lo
@@ -304,8 +349,7 @@ class RotationCounter:
         n is an int or a per-point array of any sign: negative exponents run
         the inverse map, and a zero exponent leaves the point where it is.
         """
-        u = np.asarray(u, dtype=object)
-        n = np.broadcast_to(np.asarray(n, dtype=object), u.shape)
+        u, n = _exact_ints(u, n)
         out = u.copy()
         for sign, step in ((1, self.P), (-1, self.Q - self.P)):
             mask = sign * n > 0
@@ -313,3 +357,44 @@ class RotationCounter:
                 N = self.visit_time(u[mask], sign * n[mask], forward=sign > 0)
                 out[mask] = (u[mask] + N * step) % self.Q
         return out
+
+    def orbit(self, u0: int, start: int, length: int) -> np.ndarray:
+        """``power(u0, start + i)`` for i = 0..length-1, exact.
+
+        One `power` solve for the first point, then induced-map steps on Z/Q:
+        u <- (u + P) mod Q until u < C.  A point off the arc is its own
+        zeroth power but no image of its (-1)-th, so a stretch through
+        exponent 0 restarts the walk there.  Each step is bounded by Q
+        rotation steps: off the arc of a non-coprime circle an orbit can
+        miss the arc for good, and that raises ValueError.
+        """
+        u0, start, length = int(u0), int(start), int(length)
+        P, Q, C = self.P, self.Q, self.C
+        out = np.empty(max(length, 0), dtype=object)
+        cut = -start if start < 0 and not 0 <= u0 < C else length
+        for lo, hi in ((0, min(cut, length)), (cut, length)):
+            if lo >= hi:
+                continue
+            u = int(self.power(np.array([u0], dtype=object), start + lo)[0])
+            out[lo] = u
+            for j in range(lo + 1, hi):
+                for _ in range(Q):
+                    u = (u + P) % Q
+                    if u < C:
+                        break
+                else:
+                    raise ValueError(f"the orbit of {u0} never returns to the arc")
+                out[j] = u
+        return out
+
+
+_INDEX = np.frompyfunc(operator.index, 1, 1)
+
+
+def _exact_ints(u, n) -> tuple[np.ndarray, np.ndarray]:
+    """Points u and counts n broadcast to u's shape, as object arrays of
+    Python ints: a NumPy integer would run the floor sums in fixed width and
+    overflow on deep circles."""
+    u = np.asarray(_INDEX(np.asarray(u, dtype=object)), dtype=object)
+    n = np.broadcast_to(np.asarray(n, dtype=object), u.shape)
+    return u, np.asarray(_INDEX(n), dtype=object)

@@ -26,6 +26,10 @@ USAGE_ERROR = 1
 VERIFY_ERROR = 2
 
 
+class UsageError(Exception):
+    """Bad command-line input: reported in one line, exit code 1."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -64,9 +68,12 @@ def _write_report(out: Path, name: str, config: dict, body: dict) -> Path:
 
 def _resolve_iet(args) -> Iet3:
     if getattr(args, "l", None):
-        parts = [float(v) for v in args.l.split(",")]
+        try:
+            parts = [float(v) for v in args.l.split(",")]
+        except ValueError:
+            parts = []
         if len(parts) != 3:
-            raise SystemExit(USAGE_ERROR)
+            raise UsageError(f"--l needs three comma-separated numbers, got {args.l!r}")
         return Iet3(*parts)
     alpha = None
     if getattr(args, "alpha_cf", None):
@@ -85,7 +92,7 @@ def _resolve_iet(args) -> Iet3:
     if getattr(args, "alpha", None) is not None:
         alpha = float(args.alpha)
     if alpha is None:
-        raise SystemExit(USAGE_ERROR)
+        raise UsageError("give the IET by --l, --alpha or --alpha-cf")
     kappa = float(args.kappa) if getattr(args, "kappa", None) else (1 + alpha) / 2
     return from_rotation(RotationRep(alpha, kappa))
 
@@ -115,6 +122,10 @@ def cmd_iet_info(args) -> int:
 
 
 def cmd_orbit(args) -> int:
+    if args.length < 1:
+        raise UsageError(f"--length must be at least 1, got {args.length}")
+    if not 0 <= args.x < 1:
+        raise UsageError(f"--x must lie in [0, 1), got {args.x}")
     iet = _resolve_iet(args)
     seg = orbit(iet, args.x, args.length)
     out = Path(args.out)
@@ -350,8 +361,9 @@ def run_command(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit as e:
-        raise
+    except UsageError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return USAGE_ERROR
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return VERIFY_ERROR

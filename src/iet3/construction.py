@@ -450,9 +450,22 @@ def _sample_A_points(eng: _SwitchEngine, res: SwitchResult, n_samples: int,
 
 
 def _mix_seed(seed, tag) -> int:
+    """32-bit seed derived from ``(seed, tag)`` by SHA-256 of the repr of its
+    canonical form, where NumPy scalars become Python ints and floats, so
+    the derived seed does not follow NumPy's scalar repr."""
     import hashlib
-    digest = hashlib.sha256(repr((seed, tag)).encode()).digest()
+    digest = hashlib.sha256(repr(_canonical((seed, tag))).encode()).digest()
     return int.from_bytes(digest[:4], "big")
+
+
+def _canonical(v):
+    if type(v) in (tuple, list):
+        return type(v)(_canonical(x) for x in v)
+    if isinstance(v, np.integer):
+        return int(v)
+    if isinstance(v, np.floating):
+        return float(v)
+    return v
 
 
 def verify_switch(iet: Iet3, res: SwitchResult, samples: int,
@@ -519,9 +532,13 @@ def _orbit_joining_grid(eng: _SwitchEngine, u0: int, n: int, L: int,
         rng = np.random.default_rng(seed)
         stride = L // cap
         idx = sorted({i * stride + int(rng.random() * stride) for i in range(cap)})
-    us = np.full(len(idx), u0, dtype=object)
-    xi = eng.rc.power(us, np.array(idx, dtype=object))
-    yi = eng.rc.power(us, np.array([i + n for i in idx], dtype=object))
+    if idx == list(range(len(idx))):
+        xi = eng.rc.orbit(u0, 0, len(idx))
+        yi = eng.rc.orbit(u0, n, len(idx))
+    else:
+        us = np.full(len(idx), u0, dtype=object)
+        xi = eng.rc.power(us, np.array(idx, dtype=object))
+        yi = eng.rc.power(us, np.array([i + n for i in idx], dtype=object))
     return DiscreteMeasure2D.equal_weight(eng.to_unit(xi), eng.to_unit(yi))
 
 

@@ -116,3 +116,16 @@ def test_backward_counting():
     got = int(back.visits(np.array([u], dtype=object), np.array([777], dtype=object))[0])
     brute = sum(1 for l in range(1, 778) if (u - l * rc.P) % rc.Q < rc.C)
     assert got == brute
+
+
+def test_numpy_integer_counts_are_exact():
+    from iet3.params import documented_switch_iet
+    rc = documented_switch_iet().rotation_counter()
+    us = np.array([5, rc.C // 3], dtype=object)
+    n = 10**12
+    assert list(rc.visits(us, np.int64(n))) == list(rc.visits(us, n))
+    assert list(rc.visit_time(us, np.int64(n))) == list(rc.visit_time(us, n))
+    assert list(rc.power(us, np.int64(-n))) == list(rc.power(us, -n))
+    ns = np.array([n, -n])
+    assert list(rc.power(us, ns)) == list(rc.power(us, ns.astype(object)))
+    assert list(rc.power(np.array([5, rc.C // 3]), n)) == list(rc.power(us, n))

@@ -110,3 +110,31 @@ def test_golden_witness_deterministic_failure(tmp_path):
         assert code == 2
         outs.append((out / "witness.json").read_bytes())
     assert outs[0] == outs[1]
+
+
+def _usage_failure(args, tmp, capsys):
+    code = run(args, tmp)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    return err
+
+
+def test_orbit_zero_length_is_usage_error(tmp_path, capsys):
+    err = _usage_failure(["orbit", "--l", "0.2,0.3,0.5", "--length", "0"], tmp_path, capsys)
+    assert "--length" in err
+
+
+def test_two_lengths_is_usage_error(tmp_path, capsys):
+    err = _usage_failure(["iet-info", "--l", "0.2,0.3"], tmp_path, capsys)
+    assert "--l" in err
+
+
+def test_non_numeric_lengths_is_usage_error(tmp_path, capsys):
+    err = _usage_failure(["iet-info", "--l", "a,b,c"], tmp_path, capsys)
+    assert "--l" in err
+
+
+def test_orbit_point_outside_domain_is_usage_error(tmp_path, capsys):
+    err = _usage_failure(["orbit", "--l", "0.2,0.3,0.5", "--x", "1.5"], tmp_path, capsys)
+    assert "--x" in err

@@ -9,8 +9,8 @@ import pytest
 from iet3.arith import MODE_RATIONAL
 from iet3.iet_core import Iet3, apply
 from iet3.construction import (SearchFailure, SwitchError, SwitchSpec,
-                               build_switch, ksv_check, run_schedule,
-                               verify_switch)
+                               _mix_seed, build_switch, ksv_check,
+                               run_schedule, verify_switch)
 
 
 def test_n_formula_identity():
@@ -20,6 +20,15 @@ def test_n_formula_identity():
                 continue
             for m in (0, 1, 7, 100):
                 assert b + (m + 1) * (a - b) == a + m * (a - b)
+
+
+def test_mix_seed_pinned_and_numpy_invariant():
+    # pinned values: a change of encoding would move every derived seed
+    assert _mix_seed(7, "A") == 2366874878
+    assert _mix_seed(7, ("lvl", 1)) == 1134002132
+    assert _mix_seed(np.int64(7), "A") == _mix_seed(7, "A")
+    assert _mix_seed(7, ("lvl", np.int64(1))) == _mix_seed(7, ("lvl", 1))
+    assert _mix_seed(np.float64(0.5), "x") == _mix_seed(0.5, "x")
 
 
 def test_spec_rejects_equal_pair():

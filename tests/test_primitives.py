@@ -1,8 +1,10 @@
-"""Property tests of the two exact primitives: the signed induced-map power
-on the integer circle (`RotationCounter.power`) and interval transport
-(`iet_core.transport`), each against a brute-force oracle or an exact
-invariant."""
+"""Property tests of the exact primitives: the signed induced-map power
+on the integer circle (`RotationCounter.power`), its orbit walk
+(`RotationCounter.orbit`), the visit-time solve behind both, and interval
+transport (`iet_core.transport`), each against a brute-force oracle, the
+fixed-point solve or an exact invariant."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -72,6 +74,75 @@ _DEEP = documented_switch_iet().rotation_counter()
 def test_power_round_trip_deep_circle(us, n):
     us = np.array(us, dtype=object)
     assert list(_DEEP.power(_DEEP.power(us, n), -n)) == list(us)
+
+
+def _brute_visit_time(rc: RotationCounter, u: int, n: int, forward: bool) -> int:
+    """Rotation steps to the n-th visit of the arc, one step at a time."""
+    step = rc.P if forward else rc.Q - rc.P
+    t = 0
+    while n:
+        t += 1
+        u = (u + step) % rc.Q
+        n -= u < rc.C
+    return t
+
+
+@st.composite
+def coprime_circles(draw):
+    """Circles whose every orbit visits the arc, from dense arcs to C << Q."""
+    Q = draw(st.integers(2, 400))
+    P = draw(st.integers(1, Q - 1).filter(lambda p: math.gcd(p, Q) == 1))
+    C = draw(st.sampled_from([1, 2, max(1, Q // 50), max(1, Q // 7), Q - 1, Q])
+             | st.integers(1, Q))
+    return RotationCounter(P, Q, C)
+
+
+@PROPERTY
+@given(st.data())
+def test_visit_time_matches_oracle_and_brute(data):
+    rc = data.draw(coprime_circles())
+    forward = data.draw(st.booleans())
+    k = data.draw(st.integers(1, 8))
+    us = np.array(data.draw(st.lists(st.integers(0, rc.Q - 1), min_size=k, max_size=k)),
+                  dtype=object)
+    ns = np.array(data.draw(st.lists(st.integers(0, 60) | st.just(0), min_size=k,
+                                     max_size=k)), dtype=object)
+    got = rc.visit_time(us, ns, forward=forward)
+    counter = rc if forward else rc.backward()
+    assert list(got) == list(counter._visit_time_fixed_point(us, ns))
+    for u, n, t in zip(us, ns, got):
+        assert int(t) == _brute_visit_time(rc, int(u), int(n), forward)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(st.lists(st.integers(0, _DEEP.Q - 1), min_size=1, max_size=6),
+       st.integers(0, 10**15), st.booleans())
+def test_visit_time_matches_oracle_deep_circle(us, n, forward):
+    us = np.array(us, dtype=object)
+    counter = _DEEP if forward else _DEEP.backward()
+    ns = np.full(len(us), n, dtype=object)
+    assert (list(_DEEP.visit_time(us, ns, forward=forward))
+            == list(counter._visit_time_fixed_point(us, ns)))
+
+
+@PROPERTY
+@given(st.data())
+def test_orbit_matches_power(data):
+    rc = data.draw(coprime_circles())
+    u0 = data.draw(st.integers(0, rc.Q - 1))
+    start = data.draw(st.integers(-50, 50))
+    length = data.draw(st.integers(0, 40))
+    want = rc.power(np.full(length, u0, dtype=object),
+                    np.arange(start, start + length).astype(object))
+    assert list(rc.orbit(u0, start, length)) == list(want)
+
+
+@settings(PROPERTY, max_examples=10)
+@given(st.integers(0, _DEEP.C - 1), st.integers(-10**12, 10**12))
+def test_orbit_matches_power_deep_circle(u0, start):
+    want = _DEEP.power(np.full(300, u0, dtype=object),
+                       np.arange(start, start + 300).astype(object))
+    assert list(_DEEP.orbit(u0, start, 300)) == list(want)
 
 
 @st.composite
