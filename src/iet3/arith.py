@@ -294,7 +294,8 @@ class RotationCounter:
         the minimal solution, and the deficit shrinks by the gap frequency
         each round.  For sparse arcs (where the contraction is weak) the
         stragglers fall back to doubling plus bisection on the monotone
-        visit count.
+        visit count; 512 doublings that still fall short mean that the orbit
+        never meets the arc, and raise ValueError.
         """
         N = n.copy()
         for _ in range(max_iters):
@@ -312,6 +313,9 @@ class RotationCounter:
             if not bool(np.any(short)):
                 break
             hi[short] = hi[short] * 2
+        else:
+            # off the arc of a non-coprime circle an orbit can miss it for good
+            raise ValueError(f"the orbit of {uu[short][0]} never returns to the arc")
         lo = nn.copy()
         while bool(np.any(lo < hi)):
             mid = (lo + hi) // 2

@@ -67,6 +67,13 @@ def _write_report(out: Path, name: str, config: dict, body: dict) -> Path:
 
 
 def _resolve_iet(args) -> Iet3:
+    try:
+        return _build_iet(args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _build_iet(args) -> Iet3:
     if getattr(args, "l", None):
         try:
             parts = [float(v) for v in args.l.split(",")]
@@ -201,10 +208,19 @@ def cmd_joining_sample(args) -> int:
     return 0
 
 
+def _read_measure(path: str):
+    from .joinings import measure_from_csv
+    try:
+        return measure_from_csv(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except (ValueError, IndexError) as exc:
+        raise UsageError(f"{path} is not an x,y,w measure CSV: {exc}") from None
+
+
 def cmd_kr(args) -> int:
-    from .joinings import kr_distance_detailed, measure_from_csv
-    mu = measure_from_csv(Path(args.mu).read_text(encoding="utf-8"))
-    nu = measure_from_csv(Path(args.nu).read_text(encoding="utf-8"))
+    from .joinings import kr_distance_detailed
+    mu, nu = _read_measure(args.mu), _read_measure(args.nu)
     det = kr_distance_detailed(mu, nu, metric=args.metric)
     _write_report(Path(args.out), "kr", {"mu": args.mu, "nu": args.nu,
                                          "metric": args.metric}, det)

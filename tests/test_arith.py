@@ -1,7 +1,10 @@
 """Exact counting kernels against brute force."""
 
-import numpy as np
+import math
 from fractions import Fraction
+
+import numpy as np
+import pytest
 
 from iet3.arith import (RotationCounter, cf_convergents, cf_expansion,
                         cf_to_fraction, float_to_convergent, floor_sum,
@@ -129,3 +132,29 @@ def test_numpy_integer_counts_are_exact():
     ns = np.array([n, -n])
     assert list(rc.power(us, ns)) == list(rc.power(us, ns.astype(object)))
     assert list(rc.power(np.array([5, rc.C // 3]), n)) == list(rc.power(us, n))
+
+
+@pytest.mark.parametrize("rc", [RotationCounter(2, 4, 1),
+                                RotationCounter.from_fractions(Fraction(1, 2), Fraction(1, 3))],
+                         ids=["P2Q4C1", "alpha1/2-kappa1/3"])
+def test_orbit_missing_the_arc_raises(rc):
+    # non-coprime circle: the orbit of u stays in u + gcd(P, Q)Z, which may
+    # miss the arc [0, C) entirely
+    g = math.gcd(rc.P, rc.Q)
+    off = next(u for u in range(rc.Q) if u % g >= rc.C)
+    u = np.array([off], dtype=object)
+    for query in (lambda: rc.visit_time(u, [1]), lambda: rc.visit_time(u, [20]),
+                  lambda: rc.visit_time(u, [1], forward=False),
+                  lambda: rc.power(u, 1), lambda: rc.power(u, -1)):
+        with pytest.raises(ValueError, match="never returns"):
+            query()
+    with pytest.raises(ValueError, match="never returns"):
+        rc.orbit(off, 0, 3)
+    # orbits that do meet the arc are unaffected
+    for v in range(rc.C):
+        w = v
+        for _ in range(2):
+            w = (w + rc.P) % rc.Q
+            while w >= rc.C:
+                w = (w + rc.P) % rc.Q
+        assert int(rc.power(np.array([v], dtype=object), 2)[0]) == w

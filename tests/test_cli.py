@@ -138,3 +138,16 @@ def test_non_numeric_lengths_is_usage_error(tmp_path, capsys):
 def test_orbit_point_outside_domain_is_usage_error(tmp_path, capsys):
     err = _usage_failure(["orbit", "--l", "0.2,0.3,0.5", "--x", "1.5"], tmp_path, capsys)
     assert "--x" in err
+
+
+def test_invalid_rotation_parameters_is_usage_error(tmp_path, capsys):
+    err = _usage_failure(["iet-info", "--alpha", "0.3", "--kappa", "0.2"], tmp_path, capsys)
+    assert "rotation parameters" in err
+
+
+def test_missing_measure_file_is_usage_error(tmp_path, capsys):
+    nu = tmp_path / "b.csv"
+    nu.write_text("x,y,w\n0.4,0.2,1\n", encoding="utf-8")
+    missing = tmp_path / "absent.csv"
+    err = _usage_failure(["kr", "--mu", str(missing), "--nu", str(nu)], tmp_path, capsys)
+    assert str(missing) in err

@@ -7,7 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from iet3 import joinings
 from iet3.arith import MODE_RATIONAL
 from iet3.iet_core import Iet3, apply
 from iet3.joinings import (BaryState, DiscreteMeasure2D,
@@ -150,13 +153,124 @@ def test_kr_metric_axioms():
     assert kr_distance(same, same) < 1e-12
 
 
-def test_kr_grid_within_bound():
+def _grid_bound_instance():
     rng = np.random.default_rng(7)
-    a = _rand_measure(rng, 400, equal=True)
-    b = _rand_measure(rng, 400, equal=True)
+    return _rand_measure(rng, 400, equal=True), _rand_measure(rng, 400, equal=True)
+
+
+def test_kr_grid_within_bound():
+    a, b = _grid_bound_instance()
     exact = kr_distance(a, b, method="assignment")
     det = kr_distance_detailed(a, b, method="grid", grid=64)
     assert abs(det["value"] - exact) <= det["bound"] + 1e-9
+
+
+# -- grid flow against the cell transportation LP ---------------------------
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def grid_supplies(draw):
+    """Cell masses of mu - nu on a G x G grid, each measure on a few cells
+    or on every cell."""
+    G = draw(st.integers(2, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def cell_masses(k):
+        w = np.zeros(G * G)
+        w[rng.choice(G * G, size=min(k, G * G), replace=False)] = rng.random(min(k, G * G)) + 0.1
+        return w / w.sum()
+
+    sizes = [G * G if draw(st.booleans()) else draw(st.integers(1, 6)) for _ in range(2)]
+    return G, cell_masses(sizes[0]) - cell_masses(sizes[1])
+
+
+def _grid_lps(supply, G, metric):
+    return (joinings._cell_transport(supply, G, metric),
+            joinings._grid_flow(supply, G, metric))
+
+
+@PROPERTY
+@given(grid_supplies(), st.sampled_from(["interval", "circle"]))
+def test_cell_transport_equals_grid_flow(inst, metric):
+    G, supply = inst
+    cells, oracle = _grid_lps(supply, G, metric)
+    assert cells == pytest.approx(oracle, rel=1e-12, abs=1e-15)
+
+
+@PROPERTY
+@given(st.integers(2, 24), st.data(), st.sampled_from(["interval", "circle"]))
+def test_grid_single_atom_move_closed_form(G, data, metric):
+    i, j, i2, j2 = (data.draw(st.integers(0, G - 1)) for _ in range(4))
+    supply = np.zeros(G * G)
+    supply[i * G + j] += 1.0
+    supply[i2 * G + j2] -= 1.0
+
+    def steps(d):
+        return min(d, G - d) if metric == "circle" else d
+
+    expected = (steps(abs(i - i2)) + steps(abs(j - j2))) / G
+    for value in _grid_lps(supply, G, metric):
+        assert value == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+def test_grid_wraps_on_the_circle_only():
+    # one atom from the first to the last cell: across the wrap on the circle
+    G = 16
+    mu = DiscreteMeasure2D(np.array([0.5 / G]), np.array([0.5]), np.array([1.0]))
+    nu = DiscreteMeasure2D(np.array([1 - 0.5 / G]), np.array([0.5]), np.array([1.0]))
+    circle = kr_distance_detailed(mu, nu, metric="circle", method="grid", grid=G)
+    interval = kr_distance_detailed(mu, nu, metric="interval", method="grid", grid=G)
+    assert circle["value"] == pytest.approx(1 / G, rel=1e-12)
+    assert interval["value"] == pytest.approx((G - 1) / G, rel=1e-12)
+    assert circle["method"] == interval["method"] == f"grid{G}"
+
+
+def test_grid_equal_measures_cost_zero():
+    rng = np.random.default_rng(11)
+    m = _rand_measure(rng, 300)
+    supply, _ = joinings._grid_supply(m, m, 24)
+    assert not supply.any()
+    assert _grid_lps(supply, 24, "interval") == (0.0, 0.0)
+    assert kr_distance_detailed(m, m, method="grid", grid=24)["value"] == 0.0
+
+
+def _branch_spy(monkeypatch):
+    taken = []
+    for name in ("_cell_transport", "_grid_flow"):
+        real = getattr(joinings, name)
+        monkeypatch.setattr(joinings, name,
+                            lambda *a, _r=real, _n=name: taken.append(_n) or _r(*a))
+    return taken
+
+
+def test_grid_branch_selection(monkeypatch):
+    taken = _branch_spy(monkeypatch)
+    # random atoms fill most cells: P * M > 8 G^2, so the grid flow runs
+    a, b = _grid_bound_instance()
+    kr_distance_detailed(a, b, method="grid", grid=64)
+    assert taken == ["_grid_flow"]
+    # graph joinings occupy few cells: the cell transportation runs, and
+    # agrees with the grid-flow oracle
+    taken.clear()
+    g0, g1 = (sample_power_joining(IET, e, 4000, seed=e) for e in (0, 1))
+    for metric in ("interval", "circle"):
+        value = kr_distance_detailed(g1, mix(g0, g1), metric=metric, method="grid",
+                                     grid=48)["value"]
+        supply, _ = joinings._grid_supply(g1, mix(g0, g1), 48)
+        assert value == pytest.approx(joinings._grid_flow(supply, 48, metric), rel=1e-12)
+    assert taken == ["_cell_transport", "_grid_flow"] * 2
+    # the rule at its edge, P * M = 8 G^2 against one more excess cell
+    G = 8
+    for P, branch in ((16, "_cell_transport"), (17, "_grid_flow")):
+        taken.clear()
+        xs = (np.arange(P + 32) % G + 0.5) / G
+        ys = (np.arange(P + 32) // G + 0.5) / G
+        mu = DiscreteMeasure2D(xs[:P], ys[:P], np.full(P, 1 / P))
+        nu = DiscreteMeasure2D(xs[P:], ys[P:], np.full(32, 1 / 32))
+        kr_distance_detailed(mu, nu, method="grid", grid=G)
+        assert taken == [branch]
 
 
 def test_kr_bounds_bracket():
