@@ -10,14 +10,14 @@ as subcommands of the `iet3` executable.
 
 __version__ = "0.1.0"
 
-from .arith import ArithmeticMode, MODE_F64, MODE_RATIONAL, RotationCounter
+from .arith import RotationCounter
 from .iet_core import (Iet3, OrbitSegment, RotationRep, apply, apply_pow,
                        apply_pow_many, from_rotation, min_return_time, orbit,
                        psi_count, to_rotation)
 from .params import documented_switch_iet, documented_tower_iet, golden_iet
 
 __all__ = [
-    "ArithmeticMode", "MODE_F64", "MODE_RATIONAL", "RotationCounter",
+    "RotationCounter",
     "Iet3", "OrbitSegment", "RotationRep", "apply", "apply_pow",
     "apply_pow_many", "from_rotation", "min_return_time", "orbit",
     "psi_count", "to_rotation",

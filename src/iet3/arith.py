@@ -23,17 +23,14 @@ solve and then plain exact steps on Z/Q.
 
 from __future__ import annotations
 
+import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
-    "ArithmeticMode",
-    "MODE_F64",
-    "MODE_RATIONAL",
     "cf_expansion",
     "cf_convergents",
     "cf_to_fraction",
@@ -42,26 +39,6 @@ __all__ = [
     "floor_sum_vec",
     "RotationCounter",
 ]
-
-
-@dataclass(frozen=True)
-class ArithmeticMode:
-    """Declared arithmetic regime for IET computations.
-
-    ``rational`` requires all interval lengths to be exact fractions and makes
-    orbit computations exact; ``f64`` is IEEE binary64 with the stated
-    per-step error bound (4 ulp per branch application).
-    """
-
-    tag: str  # "rational" | "f64"
-
-    def __post_init__(self):
-        if self.tag not in ("rational", "f64"):
-            raise ValueError(f"unknown arithmetic mode {self.tag!r}")
-
-
-MODE_F64 = ArithmeticMode("f64")
-MODE_RATIONAL = ArithmeticMode("rational")
 
 
 # ---------------------------------------------------------------------------
@@ -198,17 +175,23 @@ class RotationCounter:
         self.C = int(C)
 
     @classmethod
-    def from_floats(cls, alpha: float, kappa: float, q_min: int = 10**12) -> "RotationCounter":
-        frac = float_to_convergent(alpha, q_min=q_min)
-        Q = frac.denominator
-        return cls(frac.numerator, Q, max(1, round(kappa * Q)))
+    def for_rotation(cls, alpha, kappa, q_min: int = 10**12) -> "RotationCounter":
+        """The integer circle of the rotation by alpha with the arc [0, kappa).
 
-    @classmethod
-    def from_fractions(cls, alpha: Fraction, kappa: Fraction) -> "RotationCounter":
-        import math
-        Q = alpha.denominator * kappa.denominator // math.gcd(alpha.denominator, kappa.denominator)
-        return cls(alpha.numerator * (Q // alpha.denominator), Q,
-                   kappa.numerator * (Q // kappa.denominator))
+        Two Fractions give the exact circle on their common denominator.
+        Otherwise alpha is lifted to a continued-fraction convergent p/q with
+        q >= q_min; an expansion that ends earlier (a dyadic alpha) has its
+        grid refined m = ceil(q_min / q) times, so that kappa is still
+        resolved to 1/(m q) and not snapped to the coarse grid 1/q.
+        """
+        if isinstance(alpha, Fraction) and isinstance(kappa, Fraction):
+            Q = math.lcm(alpha.denominator, kappa.denominator)
+            return cls(alpha.numerator * (Q // alpha.denominator), Q,
+                       kappa.numerator * (Q // kappa.denominator))
+        frac = float_to_convergent(float(alpha), q_min=q_min)
+        m = -(-q_min // frac.denominator)
+        Q = m * frac.denominator
+        return cls(m * frac.numerator, Q, max(1, round(float(kappa) * Q)))
 
     # -- lifting -----------------------------------------------------------
 
@@ -238,14 +221,13 @@ class RotationCounter:
 
     def psi(self, u, n) -> np.ndarray:
         """Number of l in {0..n-1} with (u + l*P) mod Q < C (count includes l=0)."""
-        u_arr = np.asarray(u, dtype=object)
-        n_arr = np.broadcast_to(np.asarray(n, dtype=object), u_arr.shape)
-        at_zero = np.where((n_arr > 0) & ((u_arr % self.Q) < self.C), 1, 0)
-        return self.visits(u_arr, n_arr - 1) + at_zero
+        u, n = _exact_ints(u, n)
+        at_zero = np.where((n > 0) & (u % self.Q < self.C), 1, 0)
+        return self.visits(u, n - 1) + at_zero
 
     # -- inverse query: time of the n-th visit -----------------------------
 
-    def visit_time(self, u, n, forward: bool = True, max_iters: int = 48) -> np.ndarray:
+    def visit_time(self, u, n, forward: bool = True) -> np.ndarray:
         """Smallest N >= 1 with visits(u, N) = n (N = 0 for n = 0), exact,
         vectorized.
 
@@ -260,10 +242,10 @@ class RotationCounter:
         u, n = _exact_ints(u, n)
         if bool(np.any(n < 0)):
             raise ValueError("visit index must be >= 0")
-        N = counter._visit_time_residual(u.reshape(-1), n.reshape(-1), max_iters)
+        N = counter._visit_time_residual(u.reshape(-1), n.reshape(-1))
         return N.reshape(u.shape)
 
-    def _visit_time_residual(self, u, n, max_iters: int) -> np.ndarray:
+    def _visit_time_residual(self, u, n) -> np.ndarray:
         N = np.zeros(len(u), dtype=object)
         base = n <= 8
         i = np.nonzero(~base)[0]
@@ -280,25 +262,25 @@ class RotationCounter:
                 if np.any(mask):
                     s = start[mask]
                     t = counter._visit_time_residual((ui[mask] + s * self.P) % self.Q,
-                                                     residual[mask], max_iters)
+                                                     residual[mask])
                     N[i[mask]] = s + sign * t
             base[i[~halves]] = True
         if np.any(base):
-            N[base] = self._visit_time_fixed_point(u[base], n[base], max_iters)
+            N[base] = self._visit_time_fixed_point(u[base], n[base])
         return N
 
-    def _visit_time_fixed_point(self, u, n, max_iters: int = 48) -> np.ndarray:
+    def _visit_time_fixed_point(self, u, n) -> np.ndarray:
         """`visit_time` by monotone fixed-point iteration, forward only.
 
         N <- n + gaps(N) from N = n: iterates increase and never overshoot
         the minimal solution, and the deficit shrinks by the gap frequency
         each round.  For sparse arcs (where the contraction is weak) the
-        stragglers fall back to doubling plus bisection on the monotone
-        visit count; 512 doublings that still fall short mean that the orbit
-        never meets the arc, and raise ValueError.
+        stragglers left after 48 rounds fall back to doubling plus bisection
+        on the monotone visit count; 512 doublings that still fall short mean
+        that the orbit never meets the arc, and raise ValueError.
         """
         N = n.copy()
-        for _ in range(max_iters):
+        for _ in range(48):
             deficit = n - self.visits(u, N)
             if bool(np.all(deficit == 0)):
                 return N

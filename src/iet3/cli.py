@@ -104,17 +104,16 @@ def _build_iet(args) -> Iet3:
     return from_rotation(RotationRep(alpha, kappa))
 
 
-def _common(p: _Parser):
-    p.add_argument("--l", help="three comma-separated lengths")
-    p.add_argument("--alpha", type=float, help="rotation number")
-    p.add_argument("--alpha-cf",
-                   help="continued fraction digits, or golden|doc-switch|doc-tower")
-    p.add_argument("--kappa", help="induced interval length")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--levels", type=int, default=2)
-    p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--out", default="iet3-out", help="output directory")
+# flags that several subcommands take; each subcommand declares only those it reads
+_FLAGS = {"--l": {"help": "three comma-separated lengths"},
+          "--alpha": {"type": float, "help": "rotation number"},
+          "--alpha-cf": {"help": "continued fraction digits, or golden|doc-switch|doc-tower"},
+          "--kappa": {"help": "induced interval length"},
+          "--seed": {"type": int, "default": 0},
+          "--eps": {"type": float, "default": 0.05},
+          "--levels": {"type": int, "default": 2},
+          "--samples": {"type": int, "default": 2000}}
+_IET = ("--l", "--alpha", "--alpha-cf", "--kappa")
 
 
 def cmd_iet_info(args) -> int:
@@ -327,9 +326,11 @@ def build_parser() -> _Parser:
     p = _Parser(prog="iet3", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def add(name, fn, extra=None):
+    def add(name, fn, extra=None, flags=_IET):
         q = sub.add_parser(name)
-        _common(q)
+        for flag in flags:
+            q.add_argument(flag, **_FLAGS[flag])
+        q.add_argument("--out", default="iet3-out", help="output directory")
         if extra:
             extra(q)
         q.set_defaults(fn=fn)
@@ -348,28 +349,35 @@ def build_parser() -> _Parser:
         lambda q: (q.add_argument("--power", type=int, default=1),
                    q.add_argument("--atoms", type=int, default=10000),
                    q.add_argument("--heatmap", type=int, default=0,
-                                  help="also write a grid histogram CSV")))
+                                  help="also write a grid histogram CSV")),
+        flags=_IET + ("--seed",))
     add("kr", cmd_kr, lambda q: (q.add_argument("--mu", required=True),
                                  q.add_argument("--nu", required=True),
                                  q.add_argument("--metric", default="interval",
-                                                choices=["interval", "circle"])))
+                                                choices=["interval", "circle"])),
+        flags=())
     add("approx-powers", cmd_approx_powers,
         lambda q: (q.add_argument("--power", type=int, default=None),
                    q.add_argument("--atoms", type=int, default=100000),
                    q.add_argument("--bins", type=int, default=128),
                    q.add_argument("--k-max", type=int, default=20),
-                   q.add_argument("--t-max", type=float, default=11.0)))
+                   q.add_argument("--t-max", type=float, default=11.0)),
+        flags=_IET + ("--seed",))
     add("weak-closure", cmd_weak_closure,
         lambda q: (q.add_argument("--k", type=int, default=1),
                    q.add_argument("--horizon", type=int, default=200),
-                   q.add_argument("--atoms", type=int, default=20000)))
+                   q.add_argument("--atoms", type=int, default=20000)),
+        flags=_IET + ("--seed",))
     add("switch", cmd_switch,
         lambda q: (q.add_argument("--a", type=int, default=0),
-                   q.add_argument("--b", type=int, default=1)))
+                   q.add_argument("--b", type=int, default=1)),
+        flags=_IET + ("--seed", "--eps", "--samples"))
     add("schedule", cmd_schedule,
-        lambda q: q.add_argument("--atoms", type=int, default=20000))
+        lambda q: q.add_argument("--atoms", type=int, default=20000),
+        flags=_IET + ("--seed", "--eps", "--levels", "--samples"))
     add("witness", cmd_witness,
-        lambda q: q.add_argument("--atoms", type=int, default=100000))
+        lambda q: q.add_argument("--atoms", type=int, default=100000),
+        flags=_IET + ("--seed", "--levels"))
     return p
 
 

@@ -113,11 +113,11 @@ class SwitchResult:
 class _SwitchEngine:
     """Integer-exact queries for one IET at one renormalization scale."""
 
-    def __init__(self, iet: Iet3, rc: Optional[RotationCounter] = None):
+    def __init__(self, iet: Iet3):
         self.iet = iet
         rep = to_rotation(iet)
         self.kappa = float(rep.kappa)
-        self.rc = rc if rc is not None else iet.rotation_counter(q_min=10**13)
+        self.rc = iet.rotation_counter(q_min=10**13)
         self.P, self.Q, self.C = self.rc.P, self.rc.Q, self.rc.C
         digits = cf_expansion(Fraction(self.P, self.Q), max_terms=256)
         self.denoms = [q for _, q in cf_convergents(digits)]
@@ -185,7 +185,7 @@ class _SwitchEngine:
 
 def _pick_scale(eng: _SwitchEngine, spec: SwitchSpec,
                 width_cap: Optional[float] = None,
-                n_min: int = 2, S_override: Optional[int] = None) -> tuple[int, object]:
+                S_override: Optional[int] = None) -> tuple[int, object]:
     """Smallest admissible scale: small rho, near the half-marked square
     torus, balanced closing fraction, and (optionally) a cap on lambda(J)."""
     S = S_override if S_override is not None else max(1, abs(spec.a) + abs(spec.b))
@@ -194,7 +194,7 @@ def _pick_scale(eng: _SwitchEngine, spec: SwitchSpec,
     if spec.t is not None:
         cands = [round(math.exp(spec.t))]
     else:
-        cands = [q for q in eng.denoms if n_min <= q]
+        cands = [q for q in eng.denoms if 2 <= q]
     for N in cands:
         rec = eng.record(N)
         if rec.rho == 0:
@@ -258,8 +258,7 @@ def _certify_interval(eng: _SwitchEngine, lo: int, hi: int, zones,
     return int(cc[0]) == m and int(cc[1]) == m
 
 
-def _find_J(eng: _SwitchEngine, N: int, m: int, W: int, p_hat: int,
-            seed: int = 101, candidates: int = 64) -> tuple[int, int]:
+def _find_J(eng: _SwitchEngine, N: int, m: int, W: int, p_hat: int) -> tuple[int, int]:
     """A base interval of m-type points whose whole tower keeps the crossing
     pattern.
 
@@ -273,7 +272,7 @@ def _find_J(eng: _SwitchEngine, N: int, m: int, W: int, p_hat: int,
     zones = eng.zones(N)
     back_need = (2 + W) * N + 2
     fwd_need = (p_hat + 2 + W) * N + 2
-    us_all = eng.slit_samples(candidates, seed)
+    us_all = eng.slit_samples(64, 303)
     counts = np.array([int(c) for c in eng.counts(us_all, N)])
     cand = us_all[counts == m]
     if len(cand) == 0:
@@ -304,12 +303,11 @@ def _find_J(eng: _SwitchEngine, N: int, m: int, W: int, p_hat: int,
     raise SearchFailure("no tower base certified at this scale")
 
 
-def _materialize_B(eng: _SwitchEngine, N: int, m: int, W: int,
-                   max_translates: int = 400_000) -> Optional[list]:
+def _materialize_B(eng: _SwitchEngine, N: int, m: int, W: int) -> Optional[list]:
     """Union of intervals of (m+1)-type points with window-clear pattern,
     exact, when the translate count is affordable."""
     window = (3 + W) * N
-    if 2 * window > max_translates:
+    if 2 * window > 400_000:
         return None
     zones = eng.zones(N)
     alpha = eng.P / eng.Q
@@ -404,7 +402,7 @@ def build_switch(iet: Iet3, spec: SwitchSpec,
         p_hat = max(1, int(return_lo / (1.5 * m)) - 1)
         r = m * p_hat
     n = spec.b + (m + 1) * (spec.a - spec.b)
-    j_lo, j_hi = _find_J(eng, N, m, W, p_hat, seed=303)
+    j_lo, j_hi = _find_J(eng, N, m, W, p_hat)
     lam_J = (j_hi - j_lo) / eng.Q
     lam_A = r * lam_J / eng.kappa          # fraction of the IET domain
     B_iv = _materialize_B(eng, N, m, W)
@@ -644,11 +642,11 @@ def run_schedule(iet: Iet3, exponents, eps, K_levels: int,
 
 
 def _measured_U(eng: _SwitchEngine, sw: SwitchResult, pairs, eps_k: float,
-                n_samples: int = 2000, seed=0) -> float:
+                seed=0) -> float:
     """Fraction of uniform slit points where no strand's switching shadow
     holds at accuracy eps_k."""
-    us = eng.slit_samples(n_samples, seed)
-    bad = np.ones(n_samples, dtype=bool)
+    us = eng.slit_samples(2000, seed)
+    bad = np.ones(len(us), dtype=bool)
     for (a, b) in pairs:
         n = b + (sw.m + 1) * (a - b)
         ga = _shadow_gap(eng, us, n, a)
@@ -741,8 +739,8 @@ def _random_graph_sample(eng: _SwitchEngine, expo: int, n: int,
 # the witness
 # ---------------------------------------------------------------------------
 
-def _median_displacement(iet: Iet3, n_samples: int = 20001) -> float:
-    xs = _stratified_points(n_samples, 13)
+def _median_displacement(iet: Iet3) -> float:
+    xs = _stratified_points(20001, 13)
     from .iet_core import apply
     ys = apply(iet, xs.copy())
     d = np.abs(ys - xs)
@@ -883,8 +881,7 @@ def _functional_gap(m1: DiscreteMeasure2D, m2: DiscreteMeasure2D) -> float:
     return worst
 
 
-def _birkhoff_agreement(iet: Iet3, sched: Schedule, n_atoms: int, seed,
-                        window: int = 10**12, subsample: int = 12000) -> float:
+def _birkhoff_agreement(iet: Iet3, sched: Schedule, n_atoms: int, seed) -> float:
     """Max spread of long-window orbit averages of the 2-D test family over
     starting atoms of the final strand joinings.
 
@@ -897,6 +894,7 @@ def _birkhoff_agreement(iet: Iet3, sched: Schedule, n_atoms: int, seed,
     exps = (sched.levels[-1].exponents if sched.levels
             else sched.initial_exponents)
     eng = _SwitchEngine(iet)
+    window, subsample = 10**12, 12000
     strata = (np.arange(subsample) + rng.random(subsample)) * (window / subsample)
     idx = np.array([int(v) for v in np.floor(strata)], dtype=object)
     worst = {name: (math.inf, -math.inf) for name in TEST_FUNCTIONS_2D}

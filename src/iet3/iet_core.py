@@ -7,14 +7,16 @@ Equivalently it is the rescaled first-return map of the circle rotation by
 alpha = (l2+l3)/(l1+2*l2+l3) to the interval [0, kappa), kappa =
 1/(l1+2*l2+l3); both directions of that correspondence live here.
 
-Two arithmetic regimes: plain binary64, and exact rationals (Fraction
-lengths) for periodic cases and drift-free oracles.
+The arithmetic is decided once, from the lengths: three Fraction lengths
+make the IET exact (periodic cases, drift-free oracles, the documented
+sets); any other lengths run in plain binary64.  Large powers and visit
+counts go through the integer circle of `RotationCounter.for_rotation`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Union
@@ -22,7 +24,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import intervals as iv
-from .arith import MODE_F64, MODE_RATIONAL, ArithmeticMode, RotationCounter
+from .arith import RotationCounter
 
 __all__ = [
     "Iet3",
@@ -46,40 +48,32 @@ Scalar = Union[float, Fraction]
 class Iet3:
     """Three exchanged lengths, normalized to l1 + l2 + l3 = 1.
 
-    In rational mode the lengths are exact Fractions and every orbit
-    computation is exact; in f64 mode they are floats with per-step error
-    bounded by 4 ulp.
+    ``exact`` is set once, from the lengths: three Fractions stay exact and
+    make every orbit computation exact; any other lengths (ints, floats,
+    mixed) become floats with per-step error bounded by 4 ulp.  l1 + l2 = 0
+    or l2 + l3 = 0 is rejected: T is then the identity (alpha is 1 or 0)
+    and has no rotation counter.
     """
 
     l1: Scalar
     l2: Scalar
     l3: Scalar
-    mode: ArithmeticMode = MODE_F64
+    exact: bool = field(init=False)
 
     def __post_init__(self):
         ls = (self.l1, self.l2, self.l3)
-        if self.mode.tag == "rational":
-            if not all(isinstance(l, Fraction) for l in ls):
-                raise TypeError("rational mode requires Fraction lengths")
+        object.__setattr__(self, "exact", all(isinstance(l, Fraction) for l in ls))
         if any(l < 0 for l in ls):
             raise ValueError("lengths must be non-negative")
+        if self.l1 + self.l2 == 0 or self.l2 + self.l3 == 0:
+            raise ValueError("degenerate lengths: l1 + l2 and l2 + l3 must be "
+                             "positive, otherwise T is the identity")
         total = self.l1 + self.l2 + self.l3
-        if total <= 0:
-            raise ValueError("lengths must have positive sum")
-        if self.mode.tag == "rational":
-            if total != 1:
-                object.__setattr__(self, "l1", self.l1 / total)
-                object.__setattr__(self, "l2", self.l2 / total)
-                object.__setattr__(self, "l3", self.l3 / total)
-        else:
-            if abs(float(total) - 1.0) > 1e-12:
-                object.__setattr__(self, "l1", float(self.l1) / float(total))
-                object.__setattr__(self, "l2", float(self.l2) / float(total))
-                object.__setattr__(self, "l3", float(self.l3) / float(total))
-            else:
-                object.__setattr__(self, "l1", float(self.l1))
-                object.__setattr__(self, "l2", float(self.l2))
-                object.__setattr__(self, "l3", float(self.l3))
+        if not self.exact:
+            ls = [float(l) for l in ls]
+            total = float(total) if abs(float(total) - 1.0) > 1e-12 else 1.0
+        for name, l in zip(("l1", "l2", "l3"), ls):
+            object.__setattr__(self, name, l / total)
 
     # break points of T and of its inverse
     @property
@@ -103,27 +97,25 @@ class Iet3:
 
     def inverse(self) -> "Iet3":
         """The inverse 3-IET: lengths reversed."""
-        return Iet3(self.l3, self.l2, self.l1, self.mode)
-
-    def is_rational(self) -> bool:
-        return self.mode.tag == "rational"
+        return Iet3(self.l3, self.l2, self.l1)
 
     def rotation_counter(self, q_min: int = 10**12) -> RotationCounter:
         """Exact rotation counter for this IET's rotation representation."""
         rep = to_rotation(self)
-        if self.is_rational():
-            return RotationCounter.from_fractions(rep.alpha, rep.kappa)
-        return RotationCounter.from_floats(float(rep.alpha), float(rep.kappa), q_min=q_min)
+        return RotationCounter.for_rotation(rep.alpha, rep.kappa, q_min=q_min)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"l1": f"{float(self.l1):.17g}", "l2": f"{float(self.l2):.17g}",
-             "l3": f"{float(self.l3):.17g}"})
+        """The lengths as strings: "p/q" for an exact IET, so that `from_json`
+        gives it back exact, and 17 significant digits otherwise."""
+        ls = {"l1": self.l1, "l2": self.l2, "l3": self.l3}
+        return json.dumps({k: f"{l.numerator}/{l.denominator}" if self.exact
+                           else f"{float(l):.17g}" for k, l in ls.items()})
 
     @classmethod
     def from_json(cls, s: str) -> "Iet3":
         d = json.loads(s)
-        return cls(float(d["l1"]), float(d["l2"]), float(d["l3"]))
+        return cls(*(Fraction(d[k]) if "/" in d[k] else float(d[k])
+                     for k in ("l1", "l2", "l3")))
 
 
 @dataclass(frozen=True)
@@ -160,22 +152,16 @@ def _check_domain(x) -> None:
 
 
 def apply(iet: Iet3, x):
-    """One step of the exchange.  Accepts scalars (both modes) or float arrays."""
+    """One step of the exchange.  Accepts scalars (exact or not) or float arrays."""
     _check_domain(x)
+    ((b1, d1), (b2, d2)), d3 = iet._branches
     if isinstance(x, np.ndarray):
-        d1, d2, d3 = (float(v) for v in iet.branch_displacements())
-        out = np.where(x < float(iet.b1), x + d1,
-                       np.where(x < float(iet.b2), x + d2, x + d3))
+        out = np.where(x < float(b1), x + float(d1),
+                       np.where(x < float(b2), x + float(d2), x + float(d3)))
         # guard against float spill at the right edge
         return np.where(out >= 1.0, np.nextafter(1.0, 0.0), np.maximum(out, 0.0))
-    d1, d2, d3 = iet.branch_displacements()
-    if x < iet.b1:
-        y = x + d1
-    elif x < iet.b2:
-        y = x + d2
-    else:
-        y = x + d3
-    if not iet.is_rational():
+    y = x + (d1 if x < b1 else d2 if x < b2 else d3)
+    if not iet.exact:
         y = min(max(y, 0.0), np.nextafter(1.0, 0.0))
     return y
 
@@ -200,7 +186,7 @@ def _power_on_circle(iet: Iet3, xs, n) -> tuple[np.ndarray, np.ndarray, float]:
     """T^n of points xs on the integer circle of the rotation representation.
 
     Points are lifted to rotation coordinates x * kappa on [0, kappa) and
-    snapped to the 1/Q grid (exact for rational IETs, a deep-convergent
+    snapped to the 1/Q grid (exact for an exact IET, a deep-convergent
     approximation otherwise); n is an int or a per-point array of any sign.
     Returns (snapped points, their images, kappa), the points as floats in
     rotation coordinates, so each caller applies its own rescaling.
@@ -249,7 +235,7 @@ def transport(iet: Iet3, pieces, steps: int) -> list[tuple]:
     """Image of a union of intervals under T^steps, split at the
     discontinuities of T and normalized after every step.
 
-    Exact with Fraction endpoints on a rational IET.  For T^-steps pass
+    Exact with Fraction endpoints on an exact IET.  For T^-steps pass
     ``iet.inverse()``: T^-1 is the forward exchange of the inverse IET.
     """
     pieces = list(pieces)
@@ -283,18 +269,15 @@ def from_rotation(rep: RotationRep) -> Iet3:
     a, k = rep.alpha, rep.kappa
     if not (k > a and a + k > 1 and k <= 1 and a > 0):
         raise ValueError(f"invalid rotation parameters alpha={a}, kappa={k}")
-    exact = isinstance(a, Fraction) and isinstance(k, Fraction)
-    mode = MODE_RATIONAL if exact else MODE_F64
-    return Iet3(k - a, 1 - k, a + k - 1, mode)
+    return Iet3(k - a, 1 - k, a + k - 1)
 
 
 def psi_count(rep: RotationRep, x: float, M: int) -> int:
-    """Number of l in {0..M-1} with R_alpha^l x in [0, kappa)."""
-    if M <= 0:
-        return 0
-    a, k = float(rep.alpha), float(rep.kappa)
-    pts = (float(x) + a * np.arange(M)) % 1.0
-    return int(np.count_nonzero(pts < k))
+    """Number of l in {0..M-1} with R_alpha^l x in [0, kappa), counted
+    exactly in O(log) on the integer circle of `RotationCounter.for_rotation`
+    (x snapped to its grid)."""
+    rc = RotationCounter.for_rotation(rep.alpha, rep.kappa)
+    return int(rc.psi(rc.lift([x]), M)[0])
 
 
 def min_return_time(iet: Iet3, J: tuple, n_max: int,
@@ -302,8 +285,8 @@ def min_return_time(iet: Iet3, J: tuple, n_max: int,
     """Smallest n in [1, n_max] with T^n J meeting J, or None.
 
     Transports J forward as a set of intervals, splitting at branch
-    discontinuities, and checks overlap with J after each step.  Exact in
-    rational mode; in f64 the endpoints carry ordinary float error.
+    discontinuities, and checks overlap with J after each step.  Exact on an
+    exact IET; in binary64 the endpoints carry ordinary float error.
     """
     lo, hi = J
     if not (0 <= lo < hi <= 1):

@@ -66,7 +66,7 @@ def switch_kappa() -> Fraction:
 
 
 def documented_switch_iet() -> Iet3:
-    """The documented 3-IET for tower/switch/witness runs (rational mode)."""
+    """The documented 3-IET for tower/switch/witness runs (exact Fraction lengths)."""
     return from_rotation(RotationRep(switch_alpha(), switch_kappa()))
 
 
@@ -83,7 +83,7 @@ def tower_alpha() -> Fraction:
 
 
 def documented_tower_iet() -> Iet3:
-    """The documented 3-IET for Rokhlin-tower runs (rational mode)."""
+    """The documented 3-IET for Rokhlin-tower runs (exact Fraction lengths)."""
     a = tower_alpha()
     return from_rotation(RotationRep(a, 2 * a))
 
@@ -92,7 +92,7 @@ GOLDEN_CF = [0] + [1] * 40
 
 
 def golden_iet(kappa: float = 1 / 1.3) -> Iet3:
-    """Golden-mean rotation number with the given induced length (f64 mode).
+    """Golden-mean rotation number with the given induced length (binary64).
 
     Useful for rotation-side checks; the switch construction is not
     admissible here (N ||N alpha|| never drops below ~0.447).

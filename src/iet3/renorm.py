@@ -203,23 +203,15 @@ def vertical_return_offset(torus: MarkedTorus) -> tuple[float, float, float]:
 def crossing_count(iet: Iet3, t: float, x: float) -> int:
     """Crossings of the slit by a vertical segment of length e^t from the
     rotation-circle point x in [0, kappa): visits at heights 1..floor(e^t)."""
-    rep = to_rotation(iet)
-    a, k = float(rep.alpha), float(rep.kappa)
+    k = float(to_rotation(iet).kappa)
     if not (0 <= x < k):
         raise ValueError(f"x = {x} outside the slit [0, {k})")
-    M = int(math.floor(math.exp(t)))
-    if M <= 0:
-        return 0
-    if M <= 100_000:
-        pts = (x + a * np.arange(1, M + 1)) % 1.0
-        return int(np.count_nonzero(pts < k))
     rc = iet.rotation_counter()
-    return int(rc.visits(rc.lift([x]), np.array([M], dtype=object))[0])
+    return int(rc.visits(rc.lift([x]), math.floor(math.exp(t)))[0])
 
 
 def _crossing_samples(iet: Iet3, n_steps: int, samples: int = 128,
-                      rc: Optional[RotationCounter] = None,
-                      seed: int = 1301) -> np.ndarray:
+                      rc: Optional[RotationCounter] = None) -> np.ndarray:
     """Crossing counts at a jittered stratified grid of slit points.
 
     Jitter breaks resonance between the sample grid and the near-rational
@@ -227,7 +219,7 @@ def _crossing_samples(iet: Iet3, n_steps: int, samples: int = 128,
     """
     rep = to_rotation(iet)
     k = float(rep.kappa)
-    jit = np.random.default_rng(seed).random(samples)
+    jit = np.random.default_rng(1301).random(samples)
     xs = (np.arange(samples) + jit) / samples * k
     if rc is None:
         rc = iet.rotation_counter()
@@ -259,7 +251,7 @@ def rho_of(iet: Iet3, t: float, tol: float = 1e-6) -> float:
     v1, v2, _ = vertical_return_offset(torus)
     if abs(v2) > tol:
         raise ValueError(f"g_t torus not in section: v2 = {v2}")
-    if iet.is_rational():
+    if iet.exact:
         rc = iet.rotation_counter()
         N = round(math.exp(t))
         if abs(math.exp(t) - N) < tol and (N * rc.P) % rc.Q == 0:
@@ -380,11 +372,10 @@ def _candidate_steps(iet: Iet3, t_max: float, grid_step: float) -> tuple[list[in
     """Candidate integer step counts: continued-fraction denominators with
     small multiples, plus grid times refined into the section."""
     rep = to_rotation(iet)
-    alpha = float(rep.alpha)
     n_cap = int(math.exp(min(t_max, 80.0)))
     cands: set[int] = set()
     rejections: list[tuple[float, str]] = []
-    for _, q in cf_convergents(cf_expansion(rep.alpha if iet.is_rational() else alpha)):
+    for _, q in cf_convergents(cf_expansion(rep.alpha)):
         if q > n_cap:
             break
         for k in range(1, 7):

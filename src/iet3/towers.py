@@ -83,12 +83,12 @@ class TowerStats:
 def build_tower(iet: Iet3, I: tuple, n: int) -> Tower:
     """Transport I for n steps, certifying interval levels and disjointness.
 
-    With Fraction endpoints on a rational IET the certification is exact;
+    With Fraction endpoints on an exact IET the certification is exact;
     adjacent levels (which arise naturally at resonant scales) then pass the
     half-open disjointness test without tolerance games.
     """
     lo, hi = I
-    exact = iet.is_rational() and isinstance(lo, Fraction) and isinstance(hi, Fraction)
+    exact = iet.exact and isinstance(lo, Fraction) and isinstance(hi, Fraction)
     if not (0 <= lo < hi <= 1):
         raise ValueError("base must be a nondegenerate subinterval of [0, 1)")
     if n < 1:
@@ -161,7 +161,6 @@ def suggest_towers(iet: Iet3, k_max: int, t_max: float = 14.0,
     """
     rep = to_rotation(iet)
     kappa = rep.kappa
-    exact = iet.is_rational()
     scan = scan_renorm_times(iet, delta=delta, t_max=t_max, with_dichotomy=False)
     out = []
     seen = set()
@@ -170,7 +169,7 @@ def suggest_towers(iet: Iet3, k_max: int, t_max: float = 14.0,
         if len(out) >= k_max:
             break
         N = rt.n_steps
-        if exact:
+        if iet.exact:
             rc = iet.rotation_counter()
             s = (N * rc.P) % rc.Q
             s = min(s, rc.Q - s)

@@ -134,8 +134,23 @@ def test_numpy_integer_counts_are_exact():
     assert list(rc.power(np.array([5, rc.C // 3]), n)) == list(rc.power(us, n))
 
 
+def test_for_rotation_lifts():
+    rc = RotationCounter.for_rotation(Fraction(1, 2), Fraction(1, 3))
+    assert (rc.P, rc.Q, rc.C) == (3, 6, 2)
+    # a float expansion that ends before q_min refines its grid rather than
+    # snapping kappa to 1/q (which gave Q = 4, C = 2 here)
+    rc = RotationCounter.for_rotation(0.25, 0.6)
+    assert (rc.P, rc.Q, rc.C) == (25 * 10**10, 10**12, 6 * 10**11)
+    # past q_min the convergent's own grid is kept
+    g = (math.sqrt(5) - 1) / 2
+    frac = float_to_convergent(g)
+    rc = RotationCounter.for_rotation(g, 0.7)
+    assert (rc.P, rc.Q, rc.C) == (frac.numerator, frac.denominator,
+                                  round(0.7 * frac.denominator))
+
+
 @pytest.mark.parametrize("rc", [RotationCounter(2, 4, 1),
-                                RotationCounter.from_fractions(Fraction(1, 2), Fraction(1, 3))],
+                                RotationCounter.for_rotation(Fraction(1, 2), Fraction(1, 3))],
                          ids=["P2Q4C1", "alpha1/2-kappa1/3"])
 def test_orbit_missing_the_arc_raises(rc):
     # non-coprime circle: the orbit of u stays in u + gcd(P, Q)Z, which may

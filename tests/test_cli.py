@@ -151,3 +151,26 @@ def test_missing_measure_file_is_usage_error(tmp_path, capsys):
     missing = tmp_path / "absent.csv"
     err = _usage_failure(["kr", "--mu", str(missing), "--nu", str(nu)], tmp_path, capsys)
     assert str(missing) in err
+
+
+@pytest.mark.parametrize("lengths", ["0,0,1", "1,0,0"])
+def test_degenerate_lengths_is_usage_error(tmp_path, capsys, lengths):
+    err = _usage_failure(["joining-sample", "--l", lengths, "--power", "1000000",
+                          "--atoms", "10"], tmp_path, capsys)
+    assert "degenerate" in err
+
+
+def test_two_interval_lengths_run(tmp_path):
+    assert run(["joining-sample", "--l", "0,1,0", "--power", "1000000",
+                "--atoms", "10"], tmp_path) == 0
+
+
+@pytest.mark.parametrize("args", [["iet-info", "--l", "0.2,0.3,0.5", "--seed", "1"],
+                                  ["kr", "--alpha-cf", "golden", "--mu", "a.csv",
+                                   "--nu", "b.csv"],
+                                  ["switch", "--alpha-cf", "doc-switch", "--levels", "2"]])
+def test_undeclared_flag_is_usage_error(tmp_path, args):
+    # each subcommand declares only the flags it reads
+    with pytest.raises(SystemExit) as exc:
+        run(args, tmp_path)
+    assert exc.value.code == 1

@@ -6,7 +6,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from iet3.arith import MODE_RATIONAL
 from iet3.iet_core import Iet3, apply
 from iet3.construction import (SearchFailure, SwitchError, SwitchSpec,
                                _mix_seed, build_switch, ksv_check,
@@ -138,7 +137,7 @@ def test_witness_schedule_conditions(doc_witness, switch_iet):
 def test_witness_degenerate_rational_control():
     # periodic system: the strands collapse onto the diagonal and the fiber
     # criterion flags a non-witness
-    iet = Iet3(Fraction(1, 5), Fraction(2, 5), Fraction(2, 5), MODE_RATIONAL)
+    iet = Iet3(Fraction(1, 5), Fraction(2, 5), Fraction(2, 5))
     x = Fraction(3, 1000)
     cur, p = x, 0
     for i in range(1, 5000):

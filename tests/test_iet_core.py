@@ -1,5 +1,6 @@
 """Core exchange map: worked examples, round trips, and invariants."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from iet3 import intervals as iv_mod
 from iet3.iet_core import (Iet3, OrbitSegment, RotationRep, apply, apply_pow,
                            apply_pow_many, from_rotation, min_return_time,
                            orbit, psi_count, to_rotation)
-from iet3.arith import MODE_RATIONAL
+from iet3.params import documented_switch_iet, documented_tower_iet
 
 
 IET = Iet3(0.2, 0.3, 0.5)
@@ -44,7 +45,7 @@ def test_apply_pow_round_trip_binary64():
 
 
 def test_apply_pow_round_trip_rational():
-    iet = Iet3(Fraction(1, 5), Fraction(3, 10), Fraction(1, 2), MODE_RATIONAL)
+    iet = Iet3(Fraction(1, 5), Fraction(3, 10), Fraction(1, 2))
     x = Fraction(1, 7)
     y = apply_pow(iet, 1000, x)
     assert apply_pow(iet, -1000, y) == x
@@ -91,11 +92,23 @@ def test_psi_count_examples():
     rep = RotationRep(alpha=0.25, kappa=0.6)
     assert psi_count(rep, 0.0, 4) == 3
     assert psi_count(rep, 0.3, 0) == 0
-    # golden brute-force oracle
+    # brute-force oracle on the dyadic and the golden rotation
     g = RotationRep(alpha=(math.sqrt(5) - 1) / 2, kappa=0.7)
-    count = psi_count(g, 0.1, 1000)
-    brute = sum(1 for l in range(1000) if (0.1 + l * g.alpha) % 1.0 < 0.7)
-    assert count == brute
+    for r, x in ((rep, 0.0), (rep, 0.3), (rep, 0.55), (g, 0.1), (g, 0.65)):
+        for M in (0, 1, 4, 7, 1000):
+            brute = sum(1 for l in range(M) if (x + l * r.alpha) % 1.0 < r.kappa)
+            assert psi_count(r, x, M) == brute, (r, x, M)
+
+
+@pytest.mark.parametrize("ls", [(0.25, 0.5, 0.25), (1, 1, 1)])
+def test_counting_power_on_dyadic_rotation(ls):
+    # alpha = 1/2: the continued fraction ends at q = 2, far below q_min, and
+    # the counting path must still resolve kappa (2/3 and 3/4 here)
+    iet = Iet3(*ls)
+    xs = np.random.default_rng(5).random(64)
+    for n in (5001, -5001):
+        fast = apply_pow_many(iet, n, xs, step_limit=0)
+        assert np.max(np.abs(fast - apply_pow(iet, n, xs.copy()))) < 1e-12
 
 
 def test_min_return_full_space():
@@ -103,7 +116,7 @@ def test_min_return_full_space():
 
 
 def test_min_return_rational_period():
-    iet = Iet3(Fraction(1, 5), Fraction(2, 5), Fraction(2, 5), MODE_RATIONAL)
+    iet = Iet3(Fraction(1, 5), Fraction(2, 5), Fraction(2, 5))
     # brute-force the period of a point, returns must come within it
     x = Fraction(1, 11)
     seen = x
@@ -190,8 +203,38 @@ def test_json_round_trip():
     s = IET.to_json()
     back = Iet3.from_json(s)
     assert back.l1 == pytest.approx(IET.l1, abs=1e-16)
+    assert not back.exact
 
 
-def test_rational_mode_requires_fractions():
-    with pytest.raises(TypeError):
-        Iet3(0.2, 0.3, 0.5, MODE_RATIONAL)
+def test_json_round_trip_exact():
+    for iet in (documented_switch_iet(), documented_tower_iet()):
+        back = Iet3.from_json(iet.to_json())
+        assert back == iet and back.exact
+    assert json.loads(Iet3(Fraction(0), Fraction(1), Fraction(0)).to_json()) == \
+        {"l1": "0/1", "l2": "1/1", "l3": "0/1"}
+
+
+def test_exact_only_for_fraction_lengths():
+    assert Iet3(Fraction(1, 5), Fraction(2, 5), Fraction(2, 5)).exact
+    for ls in [(0.2, 0.3, 0.5), (1, 2, 2), (Fraction(1, 5), Fraction(2, 5), 0.4),
+               (Fraction(1, 5), Fraction(2, 5), 2)]:
+        iet = Iet3(*ls)
+        assert not iet.exact and all(isinstance(l, float) for l in (iet.l1, iet.l2, iet.l3))
+    assert from_rotation(RotationRep(Fraction(1, 3), Fraction(3, 4))).exact
+    assert not from_rotation(RotationRep(Fraction(1, 3), 0.75)).exact
+    assert not Iet3(0.2, 0.3, 0.5).inverse().exact
+    assert documented_switch_iet().inverse().exact
+
+
+@pytest.mark.parametrize("ls", [(0, 0, 1), (1, 0, 0), (Fraction(0), Fraction(0), Fraction(1))])
+def test_degenerate_lengths_rejected(ls):
+    # l1 + l2 = 0 or l2 + l3 = 0: alpha is 1 or 0 and T is the identity
+    with pytest.raises(ValueError, match="degenerate"):
+        Iet3(*ls)
+
+
+def test_two_interval_lengths_accepted():
+    for ls in [(0.5, 0, 0.5), (0, 1, 0)]:
+        iet = Iet3(*ls)
+        rc = iet.rotation_counter()
+        assert 0 < rc.P < rc.Q and 0 < rc.C <= rc.Q

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iet3 import joinings
-from iet3.arith import MODE_RATIONAL
 from iet3.iet_core import Iet3, apply
 from iet3.joinings import (BaryState, DiscreteMeasure2D,
                            apply_Asigma, approx_by_powers, bary_recursion,
@@ -41,7 +40,7 @@ def test_power_joining_diagonal():
 
 
 def test_power_joining_periodic_diagonal():
-    iet = Iet3(Fraction(1, 5), Fraction(2, 5), Fraction(2, 5), MODE_RATIONAL)
+    iet = Iet3(Fraction(1, 5), Fraction(2, 5), Fraction(2, 5))
     # find the period of the rational exchange, then T^p gives the diagonal
     x = Fraction(3, 1000)
     cur, p = x, 0
@@ -394,7 +393,7 @@ def test_approx_by_powers_cases(tower_iet, doc_towers):
 # -- weak closure -----------------------------------------------------------
 
 def test_weak_closure_rational_periodic():
-    iet = Iet3(Fraction(1, 5), Fraction(2, 5), Fraction(2, 5), MODE_RATIONAL)
+    iet = Iet3(Fraction(1, 5), Fraction(2, 5), Fraction(2, 5))
     x = Fraction(3, 1000)
     cur, p = x, 0
     for i in range(1, 5000):

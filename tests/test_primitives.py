@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iet3 import intervals as iv
-from iet3.arith import MODE_RATIONAL, RotationCounter
+from iet3.arith import RotationCounter
 from iet3.iet_core import Iet3, transport
 from iet3.params import documented_switch_iet
 
@@ -148,7 +148,7 @@ def test_orbit_matches_power_deep_circle(u0, start):
 @st.composite
 def rational_iets(draw):
     ls = [Fraction(draw(st.integers(1, 60))) for _ in range(3)]
-    return Iet3(*ls, MODE_RATIONAL)
+    return Iet3(*ls)
 
 
 @st.composite

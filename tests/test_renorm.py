@@ -159,8 +159,7 @@ def test_rho_of_examples(switch_iet):
 
 def test_rho_degenerate_rational():
     from fractions import Fraction
-    from iet3.arith import MODE_RATIONAL
-    iet = Iet3(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2), MODE_RATIONAL)
+    iet = Iet3(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
     # alpha = 3/5: the rotation closes at denominator 5 exactly
     with pytest.raises((DegenerateRotationError, ValueError)):
         rho_of(iet, math.log(5.0))

@@ -5,12 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from iet3.arith import MODE_RATIONAL
 from iet3.iet_core import Iet3, apply, apply_pow
 from iet3.towers import (LevelSplitError, TowerBuildError, build_tower,
                          tower_stats)
 
-RATIONAL = Iet3(Fraction(1, 5), Fraction(2, 5), Fraction(2, 5), MODE_RATIONAL)
+RATIONAL = Iet3(Fraction(1, 5), Fraction(2, 5), Fraction(2, 5))
 
 
 def _period(iet, x, cap=10000):
