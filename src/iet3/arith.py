@@ -8,25 +8,33 @@ to a deep continued-fraction convergent), points are snapped to the 1/Q grid,
 and visit counts come from classical floor sums evaluated in O(log Q).
 
 The floor-sum recursion follows the Euclidean algorithm on (P, Q), which is
-shared by every point; only the offsets differ.  That makes the counting
-vectorizable over large batches of points even when intermediate products
-exceed 64-bit range (object-dtype ndarrays carry Python ints).
+shared by every point; only the offsets differ, so the counting is
+vectorized over batches of points.  A visit count needs only the difference
+of two floor sums, which lies in [0, n]: both sums run at native width, in
+int64 lanes that wrap modulo 2^64, with the offsets held as 30-bit limbs and
+every quotient estimated in float64 and made exact from the limb remainder.
+That kernel covers circles of up to 118 bits and counts below 2^48;
+`floor_sum_vec` runs the same descent on Python ints (object-dtype arrays)
+for everything else, and is the kernel's test oracle.
 
 The inverse query, the rotation time of the n-th visit, counts once at the
 density guess n*Q/C and then solves only the residual window: the visits
 still missing after the guess, or the excess counted backward from it.  A
-residual is far smaller than n, so its floor sums descend less deep; small
-or stubborn residuals go to a monotone fixed-point loop.  Consecutive
+backward count is a forward count from a shifted start, so each residual
+level is one count over all points, whatever their direction.  A residual
+is far smaller than n, so its floor sums descend less deep; small or
+stubborn residuals go to a monotone fixed-point loop.  Consecutive
 induced-map powers of one point (`RotationCounter.orbit`) need one such
 solve and then plain exact steps on Z/Q.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -156,6 +164,172 @@ def floor_sum_vec(n, m: int, a, b: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# floor sums at native width
+# ---------------------------------------------------------------------------
+#
+# `RotationCounter.visits` needs only the difference of two floor sums, which
+# lies in [0, n].  Both sums therefore run in int64 lanes that wrap modulo
+# 2^64 (their difference is exact), with each lane's offset held as 30-bit
+# limbs.  Every quotient is estimated in float64 from below, within one of
+# the exact quotient while it is under 2^48, and made exact by one
+# comparison of the limb remainder with the modulus.  Once a level's values
+# fit in 63 bits the limbs collapse into plain int64 division.
+
+_LIMB = 30
+_MASK = (1 << _LIMB) - 1
+_NATIVE_BITS = 118                 # offsets below 4Q fit in four limbs
+_NATIVE_QUOTIENT = 1 << 48         # counts and partial quotients stay below
+# lanes hold at most five limbs: four for Q, one for the carry above them
+_F64_WEIGHTS = np.ldexp(1.0, _LIMB * np.arange(5))
+_SIGN_WEIGHTS = 3 ** np.arange(5, dtype=np.int64)   # sign of the top differing limb
+_WRAP_WEIGHTS = np.array([1, 1 << _LIMB, 1 << 2 * _LIMB, 0, 0], dtype=np.int64)
+# quotient estimates are scaled down by 16 unit roundoffs (u = 2^-53): more
+# than the rounding of a float sum of at most five limbs, the reciprocal and
+# one product (under 9u), so an estimate never exceeds the quotient, and
+# with it under 25u, which costs less than 1 below quotients of 2^48
+_UNDER = 1.0 - 8 * np.finfo(float).eps
+
+
+def _limbs(x: int, k: int) -> np.ndarray:
+    """The k low 30-bit limbs of x >= 0, as an int64 column."""
+    return np.array([(x >> _LIMB * j) & _MASK for j in range(k)],
+                    dtype=np.int64).reshape(k, 1)
+
+
+class _Level:
+    """One level of the floor-sum descent: modulus m, slope quotient q and
+    remainder r, with the limb and float forms the kernel uses."""
+
+    __slots__ = ("m", "q", "r", "k", "M", "top", "R", "scale", "q64")
+
+    def __init__(self, m: int, b: int):
+        self.m = m
+        self.q, self.r = divmod(b, m)
+        self.k = -(-m.bit_length() // _LIMB)
+        self.M = _limbs(m, self.k)
+        self.top = int(self.M[-1, 0])
+        self.R = _limbs(self.r, self.k)
+        self.scale = _UNDER / m
+        q64 = self.q % (1 << 64)
+        self.q64 = np.int64(q64 - (1 << 64) if q64 >> 63 else q64)
+
+
+@functools.lru_cache(maxsize=128)
+def _euclid_chain(P: int, Q: int) -> Optional[tuple]:
+    """The levels of the floor-sum descent with slope P and modulus Q, or
+    None when the native kernel cannot run them: Q of more than 118 bits,
+    or a partial quotient too large for the float estimate."""
+    if Q.bit_length() > _NATIVE_BITS:
+        return None
+    levels, m, b = [], Q, P
+    while m:
+        lv = _Level(m, b)
+        if lv.q >= _NATIVE_QUOTIENT:
+            return None
+        levels.append(lv)
+        b, m = m, lv.r
+    return tuple(levels)
+
+
+def _carry(x: np.ndarray, k: int) -> np.ndarray:
+    """Propagate carries through the k low limbs of x, in place: they end in
+    [0, 2^30) and row k absorbs the carry out."""
+    for j in range(k):
+        c = x[j] >> _LIMB
+        x[j] &= _MASK
+        x[j + 1] += c
+    return x
+
+
+def _divmod_limbs(x: np.ndarray, lv: _Level) -> np.ndarray:
+    """x // m for lanes x >= 0 held in at least k + 1 limbs below 2^62 each,
+    for quotients below 2^48.  x is overwritten with x % m in normalized
+    limbs, zero from row k up.
+
+    The scaled-down float estimate is the exact quotient or one below it, so
+    x - est * m lies in [0, 2m).  Its rows from k up then hold 0 or 1, read
+    from their wrapped int64 sum, and the estimate is raised where the
+    remainder is not below m: decided by the top limb, and by the lower
+    limbs only where the top limbs tie.
+    """
+    k = lv.k
+    q = ((_F64_WEIGHTS[:len(x)] @ x) * lv.scale).astype(np.int64)
+    x[:k] -= lv.M * (q & _MASK)
+    if q.max() >> _LIMB:
+        x[1:k + 1] -= lv.M * (q >> _LIMB)
+    _carry(x, k)
+    high = x[k] if len(x) == k + 1 else _WRAP_WEIGHTS[:len(x) - k] @ x[k:]
+    top = x[k - 1] + (high << _LIMB)
+    ge = top > lv.top
+    tie = np.flatnonzero(top == lv.top)
+    if tie.size:
+        # sign of the highest differing lower limb, as a base-3 number
+        cmp = _SIGN_WEIGHTS[:k - 1] @ np.sign(x[:k - 1, tie] - lv.M[:k - 1])
+        ge[tie] = cmp >= 0
+    hit = np.flatnonzero(ge)
+    if hit.size:
+        fix = x[:k, hit] - lv.M
+        fix[k - 1] += high[hit] << _LIMB
+        x[:k, hit] = _carry(fix, k - 1)
+        q[hit] += 1
+    x[k:] = 0
+    return q
+
+
+def _floor_sums_native(a: np.ndarray, n: np.ndarray, chain) -> np.ndarray:
+    """sum_{i<n} floor((a + P i) / Q) modulo 2^64 (wrapped int64) per lane,
+    along the chain of (P, Q), for offsets 0 <= a < 4Q held in the chain's
+    first k + 1 limbs and counts 0 <= n < 2^48.  The offsets are
+    overwritten."""
+    acc = np.zeros(n.shape, dtype=np.int64)
+    prev = 4 * chain[0].m             # bound on the offsets entering a level
+    wide = True
+    for lv in chain:
+        n_max = int(n.max())
+        if n_max == 0:
+            break
+        if wide and prev < 1 << 62 and lv.m * (n_max + 1) < 1 << 62:
+            a, wide = _WRAP_WEIGHTS[:len(a)] @ a, False
+        if lv.q:
+            # q * n(n-1)/2, with the even factor halved before the product wraps
+            acc += lv.q64 * ((n >> 1) * ((n - 1) | 1))
+        if wide:
+            acc += _divmod_limbs(a, lv) * n
+            a[:lv.k] += lv.R * (n & _MASK)
+            if n_max >> _LIMB:
+                a[1:lv.k + 1] += lv.R * (n >> _LIMB)
+            n = _divmod_limbs(a, lv)
+            a = a[:lv.k + 1]
+        else:
+            t, a = np.divmod(a, lv.m)
+            acc += t * n
+            n, a = np.divmod(a + lv.r * n, lv.m)
+        prev = lv.m
+    return acc
+
+
+def _floor_sums_mod64(n, m: int, a, b: int) -> Optional[np.ndarray]:
+    """`floor_sum_vec(n, m, a, b)` modulo 2^64, as wrapped int64, on the
+    native kernel, for object arrays n and 0 <= a < 4m.  None when the input
+    is outside the kernel's bounds: m of more than 118 bits, a partial
+    quotient of b/m or a count of 2^48 or more."""
+    chain = _euclid_chain(b, m)
+    if chain is None:
+        return None
+    try:
+        n64 = np.maximum(n.astype(np.int64), 0)
+    except OverflowError:
+        return None
+    if n64.size == 0 or int(n64.max()) >= _NATIVE_QUOTIENT:
+        return None
+    lo = (a & ((1 << 2 * _LIMB) - 1)).astype(np.int64)
+    hi = (a >> 2 * _LIMB).astype(np.int64)
+    limbs = np.vstack((lo & _MASK, lo >> _LIMB, hi & _MASK, hi >> _LIMB,
+                       np.zeros_like(lo)))
+    return _floor_sums_native(limbs[:chain[0].k + 1], n64, chain)
+
+
+# ---------------------------------------------------------------------------
 # rotation visit counting on the exact circle Z/Q
 # ---------------------------------------------------------------------------
 
@@ -213,11 +387,18 @@ class RotationCounter:
         n_eff = np.where(n > 0, n, 0)
         # indicator(y mod Q >= C) = floor((y + Q - C)/Q) - floor(y/Q); summing
         # over y = u + l*P, l = 1..n counts gap steps, visits are the rest.
-        shift = self.Q - self.C
-        s_hi = floor_sum_vec(n_eff, self.Q, u + shift + self.P, self.P)
-        s_lo = floor_sum_vec(n_eff, self.Q, u + self.P, self.P)
-        gaps = s_hi - s_lo
-        return n_eff - gaps
+        ns = n_eff.reshape(-1)
+        lo = u.reshape(-1) % self.Q + self.P
+        hi = lo + (self.Q - self.C)
+        both = _floor_sums_mod64(np.concatenate([ns, ns]), self.Q,
+                                 np.concatenate([hi, lo]), self.P)
+        if both is not None:
+            # the wrapped difference is exact: it lies in [0, n]
+            gaps = (both[:len(ns)] - both[len(ns):]).astype(object)
+        else:
+            gaps = (floor_sum_vec(ns, self.Q, hi, self.P)
+                    - floor_sum_vec(ns, self.Q, lo, self.P))
+        return n_eff - gaps.reshape(u.shape)
 
     def psi(self, u, n) -> np.ndarray:
         """Number of l in {0..n-1} with (u + l*P) mod Q < C (count includes l=0)."""
@@ -227,50 +408,63 @@ class RotationCounter:
 
     # -- inverse query: time of the n-th visit -----------------------------
 
-    def visit_time(self, u, n, forward: bool = True) -> np.ndarray:
+    def visit_time(self, u, n, forward=True) -> np.ndarray:
         """Smallest N >= 1 with visits(u, N) = n (N = 0 for n = 0), exact,
-        vectorized.
+        vectorized; ``forward`` is a bool or one per point, and counts
+        backward where false.
 
         Residual windows: the density guess N0 = n*Q // C is counted once.
         An undershoot leaves the (n - visits)-th visit after N0, counted from
-        u + N0*P; an overshoot leaves the (excess + 1)-th visit backward from
-        u + (N0 + 1)*P, subtracted from N0 + 1.  That residual query is
-        solved the same way while it is at most half of n; indices n <= 8 and
-        residuals that do not halve go to `_visit_time_fixed_point`.
+        u + N0*P; an overshoot leaves the (excess + 1)-th visit in the other
+        direction from u + (N0 + 1)*P, subtracted from N0 + 1.  That residual
+        query is solved the same way while it is at most half of n, all
+        directions in one batch; indices n <= 8 and residuals that do not
+        halve go to `_visit_time_fixed_point`.
         """
-        counter = self if forward else self.backward()
         u, n = _exact_ints(u, n)
         if bool(np.any(n < 0)):
             raise ValueError("visit index must be >= 0")
-        N = counter._visit_time_residual(u.reshape(-1), n.reshape(-1))
+        back = ~np.broadcast_to(np.asarray(forward, dtype=bool), u.shape)
+        N = self._visit_time_residual(u.reshape(-1), n.reshape(-1), back.reshape(-1))
         return N.reshape(u.shape)
 
-    def _visit_time_residual(self, u, n) -> np.ndarray:
+    def _visits_toward(self, u, n, back) -> np.ndarray:
+        """`visits` forward, or backward where ``back``: the l-th backward
+        step from u is the (n - l)-th forward step from v = u - n*P, so a
+        backward count is [v in the arc] + visits(v, n - 1)."""
+        if not back.any():
+            return self.visits(u, n)
+        v = np.where(back, (u - n * self.P) % self.Q, u)
+        at_v = back & (n > 0) & (v < self.C)
+        return self.visits(v, np.where(back, n - 1, n)) + at_v
+
+    def _visit_time_residual(self, u, n, back) -> np.ndarray:
         N = np.zeros(len(u), dtype=object)
         base = n <= 8
         i = np.nonzero(~base)[0]
         if len(i):
-            ui, ni = u[i], n[i]
+            ui, ni, bi = u[i], n[i], back[i]
             N0 = ni * self.Q // self.C
-            v = self.visits(ui, N0)
+            v = self._visits_toward(ui, N0, bi)
             under = v < ni
             residual = np.where(under, ni - v, v - ni + 1)
             halves = 2 * residual <= ni
-            for mask, counter, start, sign in (
-                    (halves & under, self, N0, 1),
-                    (halves & ~under, self.backward(), N0 + 1, -1)):
-                if np.any(mask):
-                    s = start[mask]
-                    t = counter._visit_time_residual((ui[mask] + s * self.P) % self.Q,
-                                                     residual[mask])
-                    N[i[mask]] = s + sign * t
+            j = np.nonzero(halves)[0]
+            if len(j):
+                uj, bj = under[j], bi[j]
+                start = np.where(uj, N0[j], N0[j] + 1)
+                t = self._visit_time_residual(
+                    (ui[j] + np.where(bj, -start, start) * self.P) % self.Q,
+                    residual[j], bj ^ ~uj)
+                N[i[j]] = np.where(uj, start + t, start - t)
             base[i[~halves]] = True
         if np.any(base):
-            N[base] = self._visit_time_fixed_point(u[base], n[base])
+            N[base] = self._visit_time_fixed_point(u[base], n[base], back[base])
         return N
 
-    def _visit_time_fixed_point(self, u, n) -> np.ndarray:
-        """`visit_time` by monotone fixed-point iteration, forward only.
+    def _visit_time_fixed_point(self, u, n, back=None) -> np.ndarray:
+        """`visit_time` by monotone fixed-point iteration, backward where
+        ``back`` (default: forward at every point).
 
         N <- n + gaps(N) from N = n: iterates increase and never overshoot
         the minimal solution, and the deficit shrinks by the gap frequency
@@ -279,19 +473,22 @@ class RotationCounter:
         on the monotone visit count; 512 doublings that still fall short mean
         that the orbit never meets the arc, and raise ValueError.
         """
+        back = np.zeros(len(u), dtype=bool) if back is None else back
         N = n.copy()
+        idx = np.arange(len(u))           # points short of their solution
         for _ in range(48):
-            deficit = n - self.visits(u, N)
-            if bool(np.all(deficit == 0)):
+            deficit = n[idx] - self._visits_toward(u[idx], N[idx], back[idx])
+            idx, deficit = idx[deficit != 0], deficit[deficit != 0]
+            if not len(idx):
                 return N
-            N = N + deficit
+            N[idx] = N[idx] + deficit
         # stragglers: exponential search then bisection
-        left = n - self.visits(u, N) > 0
-        idx = np.nonzero(left)[0]
-        uu, nn = u[idx], n[idx]
+        left = n[idx] - self._visits_toward(u[idx], N[idx], back[idx]) > 0
+        idx = idx[left]
+        uu, nn, bb = u[idx], n[idx], back[idx]
         hi = np.maximum(N[idx], 1)
         for _ in range(512):
-            short = self.visits(uu, hi) < nn
+            short = self._visits_toward(uu, hi, bb) < nn
             if not bool(np.any(short)):
                 break
             hi[short] = hi[short] * 2
@@ -301,7 +498,7 @@ class RotationCounter:
         lo = nn.copy()
         while bool(np.any(lo < hi)):
             mid = (lo + hi) // 2
-            ok = self.visits(uu, mid) >= nn
+            ok = self._visits_toward(uu, mid, bb) >= nn
             hi = np.where(ok, mid, hi)
             lo = np.where(ok, lo, mid + 1)
         N[idx] = lo
@@ -337,11 +534,12 @@ class RotationCounter:
         """
         u, n = _exact_ints(u, n)
         out = u.copy()
-        for sign, step in ((1, self.P), (-1, self.Q - self.P)):
-            mask = sign * n > 0
-            if np.any(mask):
-                N = self.visit_time(u[mask], sign * n[mask], forward=sign > 0)
-                out[mask] = (u[mask] + N * step) % self.Q
+        mask = n != 0
+        if np.any(mask):
+            um, nm = u[mask], n[mask]
+            ahead = nm > 0
+            N = self.visit_time(um, np.where(ahead, nm, -nm), forward=ahead)
+            out[mask] = (um + np.where(ahead, N, -N) * self.P) % self.Q
         return out
 
     def orbit(self, u0: int, start: int, length: int) -> np.ndarray:

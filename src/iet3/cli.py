@@ -74,6 +74,15 @@ def _resolve_iet(args) -> Iet3:
 
 
 def _build_iet(args) -> Iet3:
+    given = [flag for flag, attr in (("--l", "l"), ("--alpha", "alpha"),
+                                     ("--alpha-cf", "alpha_cf"), ("--kappa", "kappa"))
+             if getattr(args, attr, None) is not None]
+    if "--l" in given and len(given) > 1:
+        raise UsageError(f"--l gives the whole IET; drop {', '.join(given[1:])}")
+    if "--alpha" in given and "--alpha-cf" in given:
+        raise UsageError("give the rotation number by --alpha or --alpha-cf, not both")
+    if "--kappa" in given and args.alpha_cf in ("doc-switch", "doc-tower"):
+        raise UsageError(f"--alpha-cf {args.alpha_cf} fixes kappa; drop --kappa")
     if getattr(args, "l", None):
         try:
             parts = [float(v) for v in args.l.split(",")]
@@ -261,8 +270,14 @@ def cmd_weak_closure(args) -> int:
     return 0
 
 
+def _require_samples(args) -> None:
+    if args.samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {args.samples}")
+
+
 def cmd_switch(args) -> int:
     from .construction import SwitchSpec, build_switch
+    _require_samples(args)
     iet = _resolve_iet(args)
     spec = SwitchSpec(a=args.a, b=args.b, epsilon=args.eps)
     res = build_switch(iet, spec, verify_samples=args.samples, seed=args.seed)
@@ -280,6 +295,7 @@ def cmd_switch(args) -> int:
 
 def cmd_schedule(args) -> int:
     from .construction import ksv_check, run_schedule
+    _require_samples(args)
     iet = _resolve_iet(args)
     eps = [args.eps / 2 ** i for i in range(args.levels)]
     sched = run_schedule(iet, (0, 1), eps, args.levels, N_atoms=args.atoms,

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -371,9 +371,11 @@ def build_switch(iet: Iet3, spec: SwitchSpec,
     Follows the flow-box recipe: at an admissible scale the m-type points
     tile a tower over a slit interval J of width ||N alpha||; the power
     n = b + (m+1)(a-b) shadows T^a there and T^b on the complementary
-    (m+1)-type set.  All claims are re-verified on samples and recorded.
-    ``pair_scale`` = (S, W) overrides the admissibility scale and window
-    width when the geometry is shared among several strand pairs.
+    (m+1)-type set.  All claims are re-verified on ``verify_samples``
+    samples and recorded; with fewer than one the switch is returned
+    constructed-but-unverified.  ``pair_scale`` = (S, W) overrides the
+    admissibility scale and window width when the geometry is shared among
+    several strand pairs.
     """
     eng = engine if engine is not None else _SwitchEngine(iet)
     S_over, W_over = pair_scale if pair_scale is not None else (None, None)
@@ -422,12 +424,21 @@ def build_switch(iet: Iet3, spec: SwitchSpec,
         n_steps=N, J=(j_lo / eng.C, j_hi / eng.C), J_cells=(j_lo, j_hi),
         B_intervals=B_rescaled, lambda_A=lam_A, lambda_B=lam_B,
         lambda_B_exact=lam_B_exact, return_lo=return_lo,
-        status="constructed", diagnostics={
+        status="constructed-but-unverified", diagnostics={
             "dist_hat": rec.dist_hat, "f_m_sampled": f_m, "p_hat": p_hat,
             "sigma_cells": sigma, "lambda_J": lam_J, "q_next": q_next,
             "epsilon": spec.epsilon, "window_W": W,
         })
-    report = verify_switch(iet, res, verify_samples, engine=eng, seed=seed)
+    return _verified(iet, res, verify_samples, eng, seed)
+
+
+def _verified(iet: Iet3, res: SwitchResult, samples: int, eng: _SwitchEngine,
+              seed) -> SwitchResult:
+    """The switch with its `verify_switch` report and status; with fewer
+    than one sample it stays constructed-but-unverified."""
+    if samples < 1:
+        return res
+    report = verify_switch(iet, res, samples, engine=eng, seed=seed)
     diags = dict(res.diagnostics)
     diags["verification"] = report
     status = "verified" if report["all_pass"] else "constructed-but-unverified"
@@ -572,6 +583,26 @@ class Schedule:
     abort_reason: str = ""
 
 
+class _PlannedLevel(NamedTuple):
+    k: int
+    epsilon: float
+    pairs: list
+    switch: SwitchResult             # constructed, not yet verified
+    exponents: tuple
+
+
+class _Plan(NamedTuple):
+    """The levels of a schedule, built but neither verified nor sampled."""
+
+    iet: Iet3
+    eng: _SwitchEngine
+    initial_exponents: tuple
+    eps: tuple
+    levels: list
+    aborted: bool
+    abort_reason: str
+
+
 def run_schedule(iet: Iet3, exponents, eps, K_levels: int,
                  N_atoms: int = 20000, seed=7,
                  verify_samples: int = 1500) -> Schedule:
@@ -582,6 +613,13 @@ def run_schedule(iet: Iet3, exponents, eps, K_levels: int,
     per-strand exponents n_k.  Returns the per-level records plus the
     level-K strand joinings sampled at N_atoms.
     """
+    return _finish_schedule(_plan_schedule(iet, exponents, eps, K_levels, seed),
+                            N_atoms, seed, verify_samples)
+
+
+def _plan_schedule(iet: Iet3, exponents, eps, K_levels: int, seed) -> _Plan:
+    """The levels of `run_schedule`, constructed only: nothing in them reads
+    a verification, so `_finish_schedule` can verify the plan it keeps."""
     exps = [int(e) for e in exponents]
     d = len(exps)
     if d < 2:
@@ -610,33 +648,55 @@ def run_schedule(iet: Iet3, exponents, eps, K_levels: int,
             spec = SwitchSpec(a=pairs[0][0], b=pairs[0][1], epsilon=eps_k,
                               require_half=False)
             sw = build_switch(iet, spec, engine=eng, width_cap=width_cap,
-                              verify_samples=verify_samples, pair_scale=(S, W),
+                              verify_samples=0, pair_scale=(S, W),
                               seed=_mix_seed(seed, ("lvl", k)))
         except SwitchError as exc:
             aborted = True
             reason = f"level {k}: {exc}"
             break
-        new_exps = [b + (sw.m + 1) * (a - b) for a, b in pairs]
+        exps = [b + (sw.m + 1) * (a - b) for a, b in pairs]
+        levels.append(_PlannedLevel(k, eps_k, pairs, sw, tuple(exps)))
+        prev_r = sw.r
+    return _Plan(iet=iet, eng=eng, initial_exponents=tuple(int(e) for e in exponents),
+                 eps=tuple(eps), levels=levels, aborted=aborted, abort_reason=reason)
+
+
+def _finish_schedule(plan: _Plan, N_atoms: int, seed,
+                     verify_samples: int = 1500) -> Schedule:
+    """Verify the planned levels in order, measure their exceptional sets
+    and sample the strands.  A level whose verification raises ends the
+    schedule there, as an aborted construction does."""
+    eng = plan.eng
+    exps = list(plan.initial_exponents)
+    levels = []
+    aborted, reason = plan.aborted, plan.abort_reason
+    for lv in plan.levels:
+        try:
+            sw = _verified(plan.iet, lv.switch, verify_samples, eng,
+                           _mix_seed(seed, ("lvl", lv.k)))
+        except SwitchError as exc:
+            aborted, reason = True, f"level {lv.k}: {exc}"
+            break
         ver = sw.diagnostics.get("verification", {}).get("checks", {})
         shadow_frac = min(ver.get("shadow_A_frac_ok", 0.0),
                           ver.get("shadow_B_frac_ok", 0.0))
         # exceptional set, measured: points where neither switching shadow
         # holds (the set-theoretic gap 1 - lambda_A - lambda_B is dominated
         # by tower granularity and is reported separately in diagnostics)
-        u_mass = _measured_U(eng, sw, pairs, eps_k,
-                             seed=_mix_seed(seed, ("U", k)))
+        u_mass = _measured_U(eng, sw, lv.pairs, lv.epsilon,
+                             seed=_mix_seed(seed, ("U", lv.k)))
         levels.append(ScheduleLevel(
-            k=k, epsilon=eps_k, n_steps=sw.n_steps, m=sw.m, r=sw.r,
-            lambda_J=sw.diagnostics["lambda_J"], exponents=tuple(new_exps),
+            k=lv.k, epsilon=lv.epsilon, n_steps=sw.n_steps, m=sw.m, r=sw.r,
+            lambda_J=sw.diagnostics["lambda_J"], exponents=lv.exponents,
             lambda_A=sw.lambda_A, lambda_B=sw.lambda_B, U_mass=u_mass,
             shadow_ok_frac=shadow_frac, switch=sw))
-        exps = new_exps
-        prev_r = sw.r
-    strand_measures = [sample_power_joining(iet, e, N_atoms, seed=_mix_seed(seed, ("strand", i)))
+        exps = list(lv.exponents)
+    strand_measures = [sample_power_joining(plan.iet, e, N_atoms,
+                                            seed=_mix_seed(seed, ("strand", i)))
                        for i, e in enumerate(exps)]
     avg = mix(*strand_measures)
-    return Schedule(d=d, initial_exponents=tuple(int(e) for e in exponents),
-                    eps=tuple(eps), levels=levels,
+    return Schedule(d=len(plan.initial_exponents), initial_exponents=plan.initial_exponents,
+                    eps=plan.eps, levels=levels,
                     strand_measures=strand_measures, average=avg,
                     aborted=aborted, abort_reason=reason)
 
@@ -753,7 +813,8 @@ def non_simplicity_witness(iet: Iet3, K_levels: int = 3, N: int = 100_000,
 
     A pilot schedule fixes the empirical decay constant; the accuracy budget
     is then derived from the displacement median and the final schedule (the
-    pilot is reused when already within budget) feeds the four checks:
+    pilot is reused when already within budget, and verified only then)
+    feeds the four checks:
     separation from the product, closeness to the half mixture, fat fibers,
     and Birkhoff agreement across starting atoms.
     """
@@ -765,9 +826,11 @@ def non_simplicity_witness(iet: Iet3, K_levels: int = 3, N: int = 100_000,
             sample_power_joining(iet, 1, N, seed=_mix_seed(seed, "b1"))]
     base_mix = mix(*base)
 
-    sched = run_schedule(iet, (0, 1), eps_pilot, K_levels,
-                         N_atoms=N, seed=seed)
-    if sched.aborted:
+    # the pilot is only planned: it is verified and sampled when it is the
+    # schedule the report keeps
+    pilot = _plan_schedule(iet, (0, 1), eps_pilot, K_levels, seed)
+    if pilot.aborted:
+        sched = _finish_schedule(pilot, N, seed)
         return {"passed": False, "aborted": True, "reason": sched.abort_reason,
                 "schedule": sched, "median_displacement": med}
 
@@ -778,7 +841,7 @@ def non_simplicity_witness(iet: Iet3, K_levels: int = 3, N: int = 100_000,
     divs, gaps = [], []
     fit_N = min(N, 20000)
     for k in range(K_levels + 1):
-        exps = sched.initial_exponents if k == 0 else sched.levels[k - 1].exponents
+        exps = pilot.initial_exponents if k == 0 else pilot.levels[k - 1].exponents
         ms = [sample_power_joining(iet, e, fit_N, seed=_mix_seed(seed, ("div", k, i)))
               for i, e in enumerate(exps)]
         d = max(kr_distance_detailed(m_, base_mix_small(base, fit_N), method="grid",
@@ -806,6 +869,11 @@ def non_simplicity_witness(iet: Iet3, K_levels: int = 3, N: int = 100_000,
             return {"passed": False, "aborted": True, "reason": sched.abort_reason,
                     "schedule": sched, "median_displacement": med,
                     "C_fit": C_fit}
+    else:
+        sched = _finish_schedule(pilot, N, seed)
+        if sched.aborted:
+            return {"passed": False, "aborted": True, "reason": sched.abort_reason,
+                    "schedule": sched, "median_displacement": med}
 
     budget = C_fit * (sum(eps_used) + rho_fit ** K_levels)
     # final strands and base strands re-sampled on one shared stratified

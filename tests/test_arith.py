@@ -5,10 +5,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from iet3.arith import (RotationCounter, cf_convergents, cf_expansion,
-                        cf_to_fraction, float_to_convergent, floor_sum,
-                        floor_sum_vec)
+from iet3.arith import (RotationCounter, _floor_sums_mod64, cf_convergents,
+                        cf_expansion, cf_to_fraction, float_to_convergent,
+                        floor_sum, floor_sum_vec)
+from iet3.params import documented_switch_iet
+
+# fixed example sequence: the suite stays deterministic run to run
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+NATIVE_N = 1 << 48        # counts from here on take the object path
 
 
 def test_floor_sum_brute():
@@ -173,3 +180,96 @@ def test_orbit_missing_the_arc_raises(rc):
             while w >= rc.C:
                 w = (w + rc.P) % rc.Q
         assert int(rc.power(np.array([v], dtype=object), 2)[0]) == w
+
+
+@st.composite
+def wide_floor_sums(draw):
+    """Floor sums on 60-130-bit moduli: slopes and offsets on both sides of
+    m (exact multiples of m among them), and one batch of counts from 0 to
+    the native bound, so lanes leave the descent at different levels."""
+    bits = draw(st.integers(60, 130))
+    m = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+    b = draw(st.integers(0, 3 * m))
+    k = draw(st.integers(1, 8))
+    a = draw(st.lists(st.integers(0, 4 * m - 1) | st.sampled_from([m, 2 * m, 3 * m]),
+                      min_size=k, max_size=k))
+    n = draw(st.lists(st.sampled_from([0, 1, 2, NATIVE_N - 1]) | st.integers(0, 1000)
+                      | st.integers(1 << 40, NATIVE_N - 1), min_size=k, max_size=k))
+    # and a seeded batch of long sums, whose float quotient estimates fall
+    # one short often enough to exercise the exact correction
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a += [int(v) * 4 * m // 2**62 for v in rng.integers(0, 2**62, 32)]
+    n += [int(v) for v in rng.integers(1 << 40, NATIVE_N, 32)]
+    return m, b, a, n
+
+
+@PROPERTY
+@given(wide_floor_sums())
+def test_native_floor_sums_match_floor_sum(inst):
+    m, b, a, n = inst
+    got = _floor_sums_mod64(np.array(n, dtype=object), m, np.array(a, dtype=object), b)
+    native = (m.bit_length() <= 118
+              and max(cf_expansion(Fraction(b, m), max_terms=10**4)) < NATIVE_N)
+    assert (got is not None) == native
+    if native:
+        for ni, ai, g in zip(n, a, got):
+            assert int(g) % 2**64 == floor_sum(ni, m, ai, b) % 2**64
+
+
+_SWITCH = documented_switch_iet().rotation_counter()
+
+
+@settings(PROPERTY, max_examples=30)
+@given(st.lists(st.integers(0, 2**82), min_size=1, max_size=6), st.booleans())
+def test_visits_at_the_native_bound(us, past):
+    # the largest native count and the first count past it, which takes the
+    # object path: both agree with the object floor sums
+    rc = _SWITCH
+    us = np.array(us, dtype=object)
+    n = np.full(len(us), NATIVE_N if past else NATIVE_N - 1, dtype=object)
+    assert (_floor_sums_mod64(n, rc.Q, us % rc.Q, rc.P) is None) == past
+    lo = us % rc.Q + rc.P
+    gaps = (floor_sum_vec(n, rc.Q, lo + rc.Q - rc.C, rc.P)
+            - floor_sum_vec(n, rc.Q, lo, rc.P))
+    assert list(rc.visits(us, n)) == list(n - gaps)
+
+
+@PROPERTY
+@given(st.integers(1, 50), st.integers(0, 120),
+       st.lists(st.tuples(st.integers(0, 200), st.integers(-5, 40)),
+                min_size=1, max_size=10),
+       st.booleans())
+def test_floor_sum_vec_brute(m, b, lanes, numpy_input):
+    a = [x for x, _ in lanes]
+    n = [k for _, k in lanes]
+
+    def brute(ai, ni):
+        return sum((ai + b * i) // m for i in range(max(ni, 0)))
+
+    dtype = np.int64 if numpy_input else object
+    got = floor_sum_vec(np.array(n, dtype=dtype), m, np.array(a, dtype=dtype), b)
+    assert list(got) == [brute(ai, ni) for ai, ni in zip(a, n)]
+    # one NumPy integer count for every offset
+    got = floor_sum_vec(np.int64(n[0]), m, np.array(a, dtype=dtype), b)
+    assert list(got) == [brute(ai, n[0]) for ai in a]
+
+
+@st.composite
+def circles_with_points(draw):
+    Q = draw(st.integers(2, 300))
+    rc = RotationCounter(draw(st.integers(1, Q - 1)), Q, draw(st.integers(1, Q)))
+    us = draw(st.lists(st.integers(0, Q - 1), min_size=1, max_size=8))
+    return rc, us
+
+
+@PROPERTY
+@given(circles_with_points(), st.integers(0, 200), st.booleans())
+def test_first_hit_matches_stepping(inst, horizon, forward):
+    rc, us = inst
+    step = rc.P if forward else rc.Q - rc.P
+    got = rc.first_hit(np.array(us, dtype=object),
+                       np.full(len(us), horizon, dtype=object), forward=forward)
+    for u, g in zip(us, got):
+        brute = next((l for l in range(1, horizon + 1)
+                      if (u + l * step) % rc.Q < rc.C), horizon + 1)
+        assert int(g) == brute

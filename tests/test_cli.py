@@ -174,3 +174,28 @@ def test_undeclared_flag_is_usage_error(tmp_path, args):
     with pytest.raises(SystemExit) as exc:
         run(args, tmp_path)
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("command", ["switch", "schedule"])
+def test_zero_samples_is_usage_error(tmp_path, capsys, command):
+    # a switch checked on no samples is not verified
+    err = _usage_failure([command, "--alpha-cf", "doc-switch", "--samples", "0"],
+                         tmp_path, capsys)
+    assert "--samples" in err
+
+
+@pytest.mark.parametrize("flags", [["--l", "0.2,0.3,0.5", "--alpha", "0.9"],
+                                   ["--l", "0.2,0.3,0.5", "--alpha-cf", "golden"],
+                                   ["--l", "0.2,0.3,0.5", "--kappa", "0.1"],
+                                   ["--alpha", "0.3", "--alpha-cf", "0,2,3"],
+                                   ["--alpha-cf", "doc-switch", "--kappa", "0.9"],
+                                   ["--alpha-cf", "doc-tower", "--kappa", "0.9"]],
+                         ids=["l-alpha", "l-alpha-cf", "l-kappa", "alpha-alpha-cf",
+                              "doc-switch-kappa", "doc-tower-kappa"])
+def test_conflicting_iet_flags_is_usage_error(tmp_path, capsys, flags):
+    _usage_failure(["iet-info"] + flags, tmp_path, capsys)
+
+
+def test_golden_reads_kappa(tmp_path, capsys):
+    assert run(["iet-info", "--alpha-cf", "golden", "--kappa", "0.7"], tmp_path) == 0
+    assert json.loads(capsys.readouterr().out)["kappa"] == pytest.approx(0.7)

@@ -73,6 +73,31 @@ def test_verify_zero_samples(switch_iet, doc_switch):
     assert rep["samples"] == 0
 
 
+def test_switch_without_samples_is_unverified(switch_iet):
+    res = build_switch(switch_iet, SwitchSpec(a=0, b=1, epsilon=0.05),
+                       verify_samples=0, seed=2024)
+    assert res.status == "constructed-but-unverified"
+    assert "verification" not in res.diagnostics
+
+
+def test_planned_levels_are_verified_only_when_finished(switch_iet, monkeypatch):
+    import iet3.construction as construction
+    calls = []
+    verify = construction.verify_switch
+    monkeypatch.setattr(construction, "verify_switch",
+                        lambda *a, **kw: calls.append(kw["seed"]) or verify(*a, **kw))
+    plan = construction._plan_schedule(switch_iet, (0, 1), [0.025], 1, seed=5)
+    assert not calls
+    assert [lv.switch.status for lv in plan.levels] == ["constructed-but-unverified"]
+    sched = construction._finish_schedule(plan, 500, seed=5, verify_samples=200)
+    assert calls == [_mix_seed(5, ("lvl", 1))]
+    lv = sched.levels[0]
+    report = lv.switch.diagnostics["verification"]
+    assert lv.switch.status == ("verified" if report["all_pass"]
+                                else "constructed-but-unverified")
+    assert lv.exponents == plan.levels[0].exponents
+
+
 def test_golden_switch_not_admissible(golden):
     # badly approximable rotation numbers never satisfy the displacement
     # bound: N ||N alpha|| stays above ~0.447
