@@ -17,15 +17,18 @@ That kernel covers circles of up to 118 bits and counts below 2^48;
 `floor_sum_vec` runs the same descent on Python ints (object-dtype arrays)
 for everything else, and is the kernel's test oracle.
 
+Every count takes a direction per point: a backward count is a forward
+count from a shifted start (`RotationCounter.visits`), so one count serves
+both directions and the inverse rotation needs no counter of its own.
+
 The inverse query, the rotation time of the n-th visit, counts once at the
 density guess n*Q/C and then solves only the residual window: the visits
-still missing after the guess, or the excess counted backward from it.  A
-backward count is a forward count from a shifted start, so each residual
-level is one count over all points, whatever their direction.  A residual
-is far smaller than n, so its floor sums descend less deep; small or
-stubborn residuals go to a monotone fixed-point loop.  Consecutive
-induced-map powers of one point (`RotationCounter.orbit`) need one such
-solve and then plain exact steps on Z/Q.
+still missing after the guess, or the excess counted backward from it;
+each residual level is one count over all points, whatever their
+direction.  A residual is far smaller than n, so its floor sums descend
+less deep; small or stubborn residuals go to a monotone fixed-point loop.
+Consecutive induced-map powers of one point (`RotationCounter.orbit`) need
+one such solve and then plain exact steps on Z/Q.
 """
 
 from __future__ import annotations
@@ -88,12 +91,13 @@ def cf_to_fraction(digits: Sequence[int]) -> Fraction:
     p, q = list(cf_convergents(digits))[-1]
     return Fraction(p, q)
 
-def float_to_convergent(x: float, q_min: int = 10**12, q_max: int = 10**17) -> Fraction:
-    """Best rational approximation of x with denominator in [q_min, q_max].
+def float_to_convergent(x: float, q_min: int = 10**12) -> Fraction:
+    """Best rational approximation of x with denominator in [q_min, 10^17].
 
     Used to lift a float rotation number onto an exact integer circle; the
     approximation error is below 1/q_min^2, invisible at desk-scale horizons.
     """
+    q_max = 10**17
     digits = cf_expansion(Fraction(x).limit_denominator(q_max))
     best = None
     for p, q in cf_convergents(digits):
@@ -377,13 +381,23 @@ class RotationCounter:
 
     # -- counting ----------------------------------------------------------
 
-    def backward(self) -> "RotationCounter":
-        """Counter for the inverse rotation."""
-        return RotationCounter(self.Q - self.P, self.Q, self.C)
+    def visits(self, u, n, forward=True) -> np.ndarray:
+        """Number of l in {1..n} with (u + l*P) mod Q < C, or (u - l*P) mod Q
+        < C where not ``forward`` (a bool or one per point); exact,
+        vectorized, 0 for n <= 0.
 
-    def visits(self, u, n) -> np.ndarray:
-        """Number of l in {1..n} with (u + l*P) mod Q < C, exact, vectorized."""
+        The l-th backward step from u is the (n - l)-th forward step from
+        v = u - n*P, so a backward count is [v in the arc] plus the forward
+        count of n - 1 steps from v: one count over all points, whatever
+        their direction.
+        """
         u, n = _exact_ints(u, n)
+        back = ~np.broadcast_to(np.asarray(forward, dtype=bool), u.shape)
+        at_v = None
+        if back.any():
+            u = np.where(back, (u - n * self.P) % self.Q, u)
+            at_v = back & (n > 0) & (u < self.C)
+            n = np.where(back, n - 1, n)
         n_eff = np.where(n > 0, n, 0)
         # indicator(y mod Q >= C) = floor((y + Q - C)/Q) - floor(y/Q); summing
         # over y = u + l*P, l = 1..n counts gap steps, visits are the rest.
@@ -398,7 +412,8 @@ class RotationCounter:
         else:
             gaps = (floor_sum_vec(ns, self.Q, hi, self.P)
                     - floor_sum_vec(ns, self.Q, lo, self.P))
-        return n_eff - gaps.reshape(u.shape)
+        count = n_eff - gaps.reshape(u.shape)
+        return count if at_v is None else count + at_v
 
     def psi(self, u, n) -> np.ndarray:
         """Number of l in {0..n-1} with (u + l*P) mod Q < C (count includes l=0)."""
@@ -409,9 +424,8 @@ class RotationCounter:
     # -- inverse query: time of the n-th visit -----------------------------
 
     def visit_time(self, u, n, forward=True) -> np.ndarray:
-        """Smallest N >= 1 with visits(u, N) = n (N = 0 for n = 0), exact,
-        vectorized; ``forward`` is a bool or one per point, and counts
-        backward where false.
+        """Smallest N >= 1 with visits(u, N, forward) = n (N = 0 for n = 0),
+        exact, vectorized; ``forward`` is a bool or one per point.
 
         Residual windows: the density guess N0 = n*Q // C is counted once.
         An undershoot leaves the (n - visits)-th visit after N0, counted from
@@ -424,47 +438,36 @@ class RotationCounter:
         u, n = _exact_ints(u, n)
         if bool(np.any(n < 0)):
             raise ValueError("visit index must be >= 0")
-        back = ~np.broadcast_to(np.asarray(forward, dtype=bool), u.shape)
-        N = self._visit_time_residual(u.reshape(-1), n.reshape(-1), back.reshape(-1))
+        fwd = np.broadcast_to(np.asarray(forward, dtype=bool), u.shape)
+        N = self._visit_time_residual(u.reshape(-1), n.reshape(-1), fwd.reshape(-1))
         return N.reshape(u.shape)
 
-    def _visits_toward(self, u, n, back) -> np.ndarray:
-        """`visits` forward, or backward where ``back``: the l-th backward
-        step from u is the (n - l)-th forward step from v = u - n*P, so a
-        backward count is [v in the arc] + visits(v, n - 1)."""
-        if not back.any():
-            return self.visits(u, n)
-        v = np.where(back, (u - n * self.P) % self.Q, u)
-        at_v = back & (n > 0) & (v < self.C)
-        return self.visits(v, np.where(back, n - 1, n)) + at_v
-
-    def _visit_time_residual(self, u, n, back) -> np.ndarray:
+    def _visit_time_residual(self, u, n, fwd) -> np.ndarray:
         N = np.zeros(len(u), dtype=object)
         base = n <= 8
         i = np.nonzero(~base)[0]
         if len(i):
-            ui, ni, bi = u[i], n[i], back[i]
+            ui, ni, fi = u[i], n[i], fwd[i]
             N0 = ni * self.Q // self.C
-            v = self._visits_toward(ui, N0, bi)
+            v = self.visits(ui, N0, fi)
             under = v < ni
             residual = np.where(under, ni - v, v - ni + 1)
             halves = 2 * residual <= ni
             j = np.nonzero(halves)[0]
             if len(j):
-                uj, bj = under[j], bi[j]
+                uj, fj = under[j], fi[j]
                 start = np.where(uj, N0[j], N0[j] + 1)
                 t = self._visit_time_residual(
-                    (ui[j] + np.where(bj, -start, start) * self.P) % self.Q,
-                    residual[j], bj ^ ~uj)
+                    (ui[j] + np.where(fj, start, -start) * self.P) % self.Q,
+                    residual[j], fj == uj)
                 N[i[j]] = np.where(uj, start + t, start - t)
             base[i[~halves]] = True
         if np.any(base):
-            N[base] = self._visit_time_fixed_point(u[base], n[base], back[base])
+            N[base] = self._visit_time_fixed_point(u[base], n[base], fwd[base])
         return N
 
-    def _visit_time_fixed_point(self, u, n, back=None) -> np.ndarray:
-        """`visit_time` by monotone fixed-point iteration, backward where
-        ``back`` (default: forward at every point).
+    def _visit_time_fixed_point(self, u, n, forward=True) -> np.ndarray:
+        """`visit_time` by monotone fixed-point iteration.
 
         N <- n + gaps(N) from N = n: iterates increase and never overshoot
         the minimal solution, and the deficit shrinks by the gap frequency
@@ -473,22 +476,22 @@ class RotationCounter:
         on the monotone visit count; 512 doublings that still fall short mean
         that the orbit never meets the arc, and raise ValueError.
         """
-        back = np.zeros(len(u), dtype=bool) if back is None else back
+        fwd = np.broadcast_to(np.asarray(forward, dtype=bool), u.shape)
         N = n.copy()
         idx = np.arange(len(u))           # points short of their solution
         for _ in range(48):
-            deficit = n[idx] - self._visits_toward(u[idx], N[idx], back[idx])
+            deficit = n[idx] - self.visits(u[idx], N[idx], fwd[idx])
             idx, deficit = idx[deficit != 0], deficit[deficit != 0]
             if not len(idx):
                 return N
             N[idx] = N[idx] + deficit
         # stragglers: exponential search then bisection
-        left = n[idx] - self._visits_toward(u[idx], N[idx], back[idx]) > 0
+        left = n[idx] - self.visits(u[idx], N[idx], fwd[idx]) > 0
         idx = idx[left]
-        uu, nn, bb = u[idx], n[idx], back[idx]
+        uu, nn, ff = u[idx], n[idx], fwd[idx]
         hi = np.maximum(N[idx], 1)
         for _ in range(512):
-            short = self._visits_toward(uu, hi, bb) < nn
+            short = self.visits(uu, hi, ff) < nn
             if not bool(np.any(short)):
                 break
             hi[short] = hi[short] * 2
@@ -498,7 +501,7 @@ class RotationCounter:
         lo = nn.copy()
         while bool(np.any(lo < hi)):
             mid = (lo + hi) // 2
-            ok = self._visits_toward(uu, mid, bb) >= nn
+            ok = self.visits(uu, mid, ff) >= nn
             hi = np.where(ok, mid, hi)
             lo = np.where(ok, lo, mid + 1)
         N[idx] = lo
@@ -507,10 +510,9 @@ class RotationCounter:
     def first_hit(self, u, horizon, forward: bool = True) -> np.ndarray:
         """Smallest N in [1, horizon] with (u +- N P) mod Q in the arc, or
         horizon + 1 if the orbit misses the arc over the whole window."""
-        counter = self if forward else self.backward()
         u = np.asarray(u, dtype=object)
         horizon = np.broadcast_to(np.asarray(horizon, dtype=object), u.shape)
-        total = counter.visits(u, horizon)
+        total = self.visits(u, horizon, forward)
         out = np.asarray(horizon + 1, dtype=object).copy()
         hit = np.array([int(t) > 0 for t in total])
         if not np.any(hit):
@@ -520,7 +522,7 @@ class RotationCounter:
         hi = horizon[idx].copy()
         while bool(np.any(lo < hi)):
             mid = (lo + hi) // 2
-            ok = counter.visits(u[idx], mid) >= 1
+            ok = self.visits(u[idx], mid, forward) >= 1
             hi = np.where(ok, mid, hi)
             lo = np.where(ok, lo, mid + 1)
         out[idx] = lo

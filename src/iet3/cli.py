@@ -37,6 +37,18 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_ERROR)
 
 
+def _at_least(flag: str, low: int):
+    """The argparse type of an integer flag whose values below ``low`` are
+    a usage error."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise UsageError(f"{flag} must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"            # argparse's name for a non-number
+    return parse
+
+
 def _fmt(x):
     if isinstance(x, float):
         return float(f"{x:.17g}")
@@ -120,8 +132,7 @@ _FLAGS = {"--l": {"help": "three comma-separated lengths"},
           "--kappa": {"help": "induced interval length"},
           "--seed": {"type": int, "default": 0},
           "--eps": {"type": float, "default": 0.05},
-          "--levels": {"type": int, "default": 2},
-          "--samples": {"type": int, "default": 2000}}
+          "--samples": {"type": _at_least("--samples", 1), "default": 2000}}
 _IET = ("--l", "--alpha", "--alpha-cf", "--kappa")
 
 
@@ -137,8 +148,6 @@ def cmd_iet_info(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    if args.length < 1:
-        raise UsageError(f"--length must be at least 1, got {args.length}")
     if not 0 <= args.x < 1:
         raise UsageError(f"--x must lie in [0, 1), got {args.x}")
     iet = _resolve_iet(args)
@@ -270,16 +279,13 @@ def cmd_weak_closure(args) -> int:
     return 0
 
 
-def _require_samples(args) -> None:
-    if args.samples < 1:
-        raise UsageError(f"--samples must be at least 1, got {args.samples}")
-
-
 def cmd_switch(args) -> int:
-    from .construction import SwitchSpec, build_switch
-    _require_samples(args)
+    from .construction import SwitchError, SwitchSpec, build_switch
     iet = _resolve_iet(args)
-    spec = SwitchSpec(a=args.a, b=args.b, epsilon=args.eps)
+    try:
+        spec = SwitchSpec(a=args.a, b=args.b, epsilon=args.eps)
+    except SwitchError as exc:
+        raise UsageError(str(exc)) from None
     res = build_switch(iet, spec, verify_samples=args.samples, seed=args.seed)
     checks = res.diagnostics.get("verification", {}).get("checks", {})
     body = {"n": res.n, "m": res.m, "r": res.r, "L": res.L, "rho": res.rho,
@@ -295,7 +301,6 @@ def cmd_switch(args) -> int:
 
 def cmd_schedule(args) -> int:
     from .construction import ksv_check, run_schedule
-    _require_samples(args)
     iet = _resolve_iet(args)
     eps = [args.eps / 2 ** i for i in range(args.levels)]
     sched = run_schedule(iet, (0, 1), eps, args.levels, N_atoms=args.atoms,
@@ -354,17 +359,18 @@ def build_parser() -> _Parser:
 
     add("iet-info", cmd_iet_info)
     add("orbit", cmd_orbit, lambda q: (q.add_argument("--x", type=float, default=0.1),
-                                       q.add_argument("--length", type=int, default=100)))
+                                       q.add_argument("--length", type=_at_least("--length", 1),
+                                                      default=100)))
     add("renorm-find", cmd_renorm_find,
         lambda q: (q.add_argument("--delta", type=float, default=0.3),
                    q.add_argument("--t-max", type=float, default=11.0)))
     add("tower", cmd_tower,
-        lambda q: (q.add_argument("--k-max", type=int, default=20),
+        lambda q: (q.add_argument("--k-max", type=_at_least("--k-max", 1), default=20),
                    q.add_argument("--t-max", type=float, default=11.0)))
     add("joining-sample", cmd_joining_sample,
         lambda q: (q.add_argument("--power", type=int, default=1),
-                   q.add_argument("--atoms", type=int, default=10000),
-                   q.add_argument("--heatmap", type=int, default=0,
+                   q.add_argument("--atoms", type=_at_least("--atoms", 1), default=10000),
+                   q.add_argument("--heatmap", type=_at_least("--heatmap", 0), default=0,
                                   help="also write a grid histogram CSV")),
         flags=_IET + ("--seed",))
     add("kr", cmd_kr, lambda q: (q.add_argument("--mu", required=True),
@@ -374,32 +380,34 @@ def build_parser() -> _Parser:
         flags=())
     add("approx-powers", cmd_approx_powers,
         lambda q: (q.add_argument("--power", type=int, default=None),
-                   q.add_argument("--atoms", type=int, default=100000),
-                   q.add_argument("--bins", type=int, default=128),
-                   q.add_argument("--k-max", type=int, default=20),
+                   q.add_argument("--atoms", type=_at_least("--atoms", 1), default=100000),
+                   q.add_argument("--bins", type=_at_least("--bins", 1), default=128),
+                   q.add_argument("--k-max", type=_at_least("--k-max", 1), default=20),
                    q.add_argument("--t-max", type=float, default=11.0)),
         flags=_IET + ("--seed",))
     add("weak-closure", cmd_weak_closure,
         lambda q: (q.add_argument("--k", type=int, default=1),
-                   q.add_argument("--horizon", type=int, default=200),
-                   q.add_argument("--atoms", type=int, default=20000)),
+                   q.add_argument("--horizon", type=_at_least("--horizon", 1), default=200),
+                   q.add_argument("--atoms", type=_at_least("--atoms", 1), default=20000)),
         flags=_IET + ("--seed",))
     add("switch", cmd_switch,
         lambda q: (q.add_argument("--a", type=int, default=0),
                    q.add_argument("--b", type=int, default=1)),
         flags=_IET + ("--seed", "--eps", "--samples"))
     add("schedule", cmd_schedule,
-        lambda q: q.add_argument("--atoms", type=int, default=20000),
-        flags=_IET + ("--seed", "--eps", "--levels", "--samples"))
+        lambda q: (q.add_argument("--levels", type=_at_least("--levels", 1), default=2),
+                   q.add_argument("--atoms", type=_at_least("--atoms", 1), default=20000)),
+        flags=_IET + ("--seed", "--eps", "--samples"))
     add("witness", cmd_witness,
-        lambda q: q.add_argument("--atoms", type=int, default=100000),
-        flags=_IET + ("--seed", "--levels"))
+        lambda q: (q.add_argument("--levels", type=_at_least("--levels", 2), default=2),
+                   q.add_argument("--atoms", type=_at_least("--atoms", 1), default=100000)),
+        flags=_IET + ("--seed",))
     return p
 
 
 def run_command(argv) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

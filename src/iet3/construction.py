@@ -12,9 +12,12 @@ drives the strand joinings toward an ergodic limit near the strand average.
 
 All interval data at deep scales is held in exact integer grid coordinates
 (the documented rotation numbers are rationals with astronomically large
-denominators); membership and first-hitting queries go through the rotation
-counting kernel, so no step-by-step orbit iteration ever happens at tower
-scale.
+denominators).  Every question about an arc of the circle is a visit count
+on that arc, shifted to start at 0 (`_SwitchEngine.arc`): whether a point
+and its orbit stay clear of arcs over a window back and forth
+(`_SwitchEngine.clear`, one count per arc), or, where the hit times
+themselves are needed, the first hit.  So no step-by-step orbit iteration
+ever happens at tower scale.
 """
 
 from __future__ import annotations
@@ -65,14 +68,11 @@ class GeometryTooCoarse(SwitchError):
 
 @dataclass(frozen=True)
 class SwitchSpec:
-    """Parameters of one switch: the exponent pair, the accuracy, and an
-    optional renormalization time (searched if absent)."""
+    """Parameters of one switch: the exponent pair and the accuracy."""
 
     a: int
     b: int
     epsilon: float
-    t: Optional[float] = None
-    delta: float = 0.35
     require_half: bool = True  # gate scales so lambda(A) reaches V - epsilon
 
     def __post_init__(self):
@@ -153,20 +153,24 @@ class _SwitchEngine:
             return [((self.Q - w) % self.Q, self.Q), (self.C - w, self.C)]
         return [(0, w), (self.C, self.C + w)]
 
-    def first_hit_exceeds(self, us, zones, window: int, pad: int) -> np.ndarray:
-        """True where the orbit avoids every (padded) zone for |j| <= window
-        and the point itself sits outside the padded zones."""
-        us = np.asarray(us, dtype=object)
-        ok = np.ones(len(us), dtype=bool)
-        n_arr = np.full(len(us), window, dtype=object)
-        for (z_lo, z_hi) in zones:
-            width = int((z_hi - z_lo) + 2 * pad)
-            shifted = (us - (z_lo - pad)) % self.Q
-            fwd = RotationCounter(self.P, self.Q, width)
-            bwd = RotationCounter(self.Q - self.P, self.Q, width)
-            ok &= np.array([int(h) == 0 for h in fwd.visits(shifted, n_arr)])
-            ok &= np.array([int(h) == 0 for h in bwd.visits(shifted, n_arr)])
-            ok &= np.array([not (0 <= int(v) < width) for v in shifted])
+    def arc(self, us, lo: int, hi: int) -> tuple[RotationCounter, np.ndarray]:
+        """The counter of the arc [lo, hi) of Z/Q, and the points shifted
+        by -lo, so that the arc starts at 0."""
+        return (RotationCounter(self.P, self.Q, int(hi - lo)),
+                (np.asarray(us, dtype=object) - lo) % self.Q)
+
+    def clear(self, us, arcs, back: int, fwd: int) -> np.ndarray:
+        """True where a point lies outside every arc [lo, hi) and its orbit
+        visits none of them within ``back`` steps backward or ``fwd`` steps
+        forward: one count per arc, both directions in one batch."""
+        k = len(us)
+        steps = np.repeat(np.array([back, fwd], dtype=object), k)
+        ok = np.ones(k, dtype=bool)
+        for lo, hi in arcs:
+            rc, rel = self.arc(us, lo, hi)
+            hits = rc.visits(np.concatenate([rel, rel]), steps,
+                             forward=np.repeat([False, True], k))
+            ok &= (rel >= rc.C) & (hits[:k] == 0) & (hits[k:] == 0)
         return ok
 
     def to_unit(self, us) -> np.ndarray:
@@ -191,11 +195,7 @@ def _pick_scale(eng: _SwitchEngine, spec: SwitchSpec,
     S = S_override if S_override is not None else max(1, abs(spec.a) + abs(spec.b))
     rho_max = spec.epsilon / (10 * max(1, S))
     rejections = []
-    if spec.t is not None:
-        cands = [round(math.exp(spec.t))]
-    else:
-        cands = [q for q in eng.denoms if 2 <= q]
-    for N in cands:
+    for N in (q for q in eng.denoms if 2 <= q):
         rec = eng.record(N)
         if rec.rho == 0:
             rejections.append((N, "closes up"))
@@ -203,7 +203,7 @@ def _pick_scale(eng: _SwitchEngine, spec: SwitchSpec,
         if rec.rho > rho_max:
             rejections.append((N, f"rho {rec.rho:.2e} > {rho_max:.2e}"))
             continue
-        if rec.dist_hat >= spec.delta:
+        if rec.dist_hat >= 0.35:
             rejections.append((N, f"dist {rec.dist_hat:.3f} >= delta"))
             continue
         if not (0.2 <= rec.V_len <= 0.8):
@@ -224,14 +224,10 @@ def _pick_scale(eng: _SwitchEngine, spec: SwitchSpec,
 def _zone_hit_times(eng: _SwitchEngine, us, zones, forward: bool,
                     horizon) -> np.ndarray:
     """First orbit time in [1, horizon] hitting any zone (horizon+1 if none)."""
-    us = np.asarray(us, dtype=object)
     best = np.full(len(us), horizon + 1, dtype=object)
     for (z_lo, z_hi) in zones:
-        zc = RotationCounter(eng.P, eng.Q, int(z_hi - z_lo))
-        shifted = (us - z_lo) % eng.Q
-        t = zc.first_hit(shifted, np.full(len(us), horizon, dtype=object),
-                         forward=forward)
-        best = np.minimum(best, t)
+        zc, shifted = eng.arc(us, z_lo, z_hi)
+        best = np.minimum(best, zc.first_hit(shifted, horizon, forward))
     return best
 
 
@@ -240,19 +236,9 @@ def _certify_interval(eng: _SwitchEngine, lo: int, hi: int, zones,
     """Exact certificate: every point of [lo, hi) has crossing count m and
     its orbit avoids the zones over the asymmetric window.  Queried from the
     left endpoint against left-dilated zones, which covers the interval."""
-    w = hi - lo
-    dil = [((z_lo - w) % eng.Q, (z_lo - w) % eng.Q + (z_hi - z_lo) + w)
-           for (z_lo, z_hi) in zones]
-    u = np.array([lo], dtype=object)
-    fwd_hit = _zone_hit_times(eng, u, dil, True, fwd_win)
-    bwd_hit = _zone_hit_times(eng, u, dil, False, back_win)
-    if int(fwd_hit[0]) <= fwd_win or int(bwd_hit[0]) <= back_win:
+    dil = [(z_lo - (hi - lo), z_hi) for (z_lo, z_hi) in zones]
+    if not eng.clear([lo], dil, back_win, fwd_win)[0]:
         return False
-    # the interval itself must be clear of the (dilated) zones
-    for (z_lo, z_hi) in dil:
-        rel = (lo - z_lo) % eng.Q
-        if rel < (z_hi - z_lo):
-            return False
     # crossing count at both ends
     cc = eng.counts(np.array([lo, hi - 1], dtype=object), N)
     return int(cc[0]) == m and int(cc[1]) == m
@@ -288,11 +274,8 @@ def _find_J(eng: _SwitchEngine, N: int, m: int, W: int, p_hat: int) -> tuple[int
         # slide back along the induced orbit to backward clearance ~back_need
         excess = int(jb) - (back_need + 4)
         if excess > 0:
-            steps_back = int(eng.rc.backward().visits(
-                np.array([(int(u) - 0) % eng.Q], dtype=object),
-                np.array([excess], dtype=object))[0])
-            y = int(eng.rc.power(np.array([int(u)], dtype=object),
-                                 np.array([-steps_back], dtype=object))[0])
+            steps_back = int(eng.rc.visits([u], excess, forward=False)[0])
+            y = int(eng.rc.power([u], -steps_back)[0])
         else:
             y = int(u)
         for frac_w in (93, 80, 60, 45):
@@ -334,7 +317,8 @@ def _sample_B(eng: _SwitchEngine, N: int, m: int, W: int, n_samples: int,
               seed) -> tuple[np.ndarray, float]:
     """Rejection-sample (m+1)-type window-clear points; also return the
     Monte-Carlo estimate of the B fraction within the slit."""
-    zones = eng.zones(N)
+    # the zones padded by one cell on each side
+    arcs = [(z_lo - 1, z_hi + 1) for (z_lo, z_hi) in eng.zones(N)]
     window = (3 + W) * N
     got: list = []
     tried = accepted = 0
@@ -345,7 +329,7 @@ def _sample_B(eng: _SwitchEngine, N: int, m: int, W: int, n_samples: int,
         mask = counts == m + 1
         ok = np.zeros(len(us), dtype=bool)
         if np.any(mask):
-            ok[mask] = eng.first_hit_exceeds(us[mask], zones, window, pad=1)
+            ok[mask] = eng.clear(us[mask], arcs, window, window)
         tried += len(us)
         accepted += int(ok.sum())
         got.extend(int(u) for u in us[ok])
@@ -715,8 +699,7 @@ def _measured_U(eng: _SwitchEngine, sw: SwitchResult, pairs, eps_k: float,
     return float(np.mean(bad))
 
 
-def ksv_check(s: Schedule, iet: Optional[Iet3] = None, seed=11,
-              birkhoff_cap: int = 20000) -> dict:
+def ksv_check(s: Schedule, iet: Optional[Iet3] = None, seed=11) -> dict:
     """Margins for the abstract-criterion conditions (a)-(e), (A), (B)."""
     rep = {"conditions": {}, "all_pass": True}
     if not s.levels:
@@ -773,7 +756,7 @@ def ksv_check(s: Schedule, iet: Optional[Iet3] = None, seed=11,
             u0 = int(_sample_A_points(eng, lv.switch, 1, _mix_seed(seed, ("bk", lv.k)))[0])
             for l in range(s.d):
                 emp = _orbit_joining_grid(eng, u0, lv.exponents[l], L,
-                                          cap=birkhoff_cap, seed=_mix_seed(seed, ("B", lv.k, l)))
+                                          cap=20000, seed=_mix_seed(seed, ("B", lv.k, l)))
                 ref = sample_power_joining(iet, lv.exponents[l], len(emp.ws),
                                            seed=_mix_seed(seed, ("Bref", lv.k, l)))
                 null = _random_graph_sample(eng, lv.exponents[l], len(emp.ws),
@@ -808,7 +791,7 @@ def _median_displacement(iet: Iet3) -> float:
 
 
 def non_simplicity_witness(iet: Iet3, K_levels: int = 3, N: int = 100_000,
-                           seed=7, pilot_eps0: float = 0.025) -> dict:
+                           seed=7) -> dict:
     """Run the full pipeline and report the four witness items.
 
     A pilot schedule fixes the empirical decay constant; the accuracy budget
@@ -821,7 +804,7 @@ def non_simplicity_witness(iet: Iet3, K_levels: int = 3, N: int = 100_000,
     if K_levels < 2:
         raise SwitchError("witness needs K_levels >= 2")
     med = _median_displacement(iet)
-    eps_pilot = [pilot_eps0 / 2 ** i for i in range(K_levels)]
+    eps_pilot = [0.025 / 2 ** i for i in range(K_levels)]
     base = [sample_power_joining(iet, 0, N, seed=_mix_seed(seed, "b0")),
             sample_power_joining(iet, 1, N, seed=_mix_seed(seed, "b1"))]
     base_mix = mix(*base)

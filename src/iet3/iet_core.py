@@ -280,8 +280,7 @@ def psi_count(rep: RotationRep, x: float, M: int) -> int:
     return int(rc.psi(rc.lift([x]), M)[0])
 
 
-def min_return_time(iet: Iet3, J: tuple, n_max: int,
-                    max_pieces: int = 4096) -> Optional[int]:
+def min_return_time(iet: Iet3, J: tuple, n_max: int) -> Optional[int]:
     """Smallest n in [1, n_max] with T^n J meeting J, or None.
 
     Transports J forward as a set of intervals, splitting at branch
@@ -294,7 +293,7 @@ def min_return_time(iet: Iet3, J: tuple, n_max: int,
     pieces = [(lo, hi)]
     for n in range(1, n_max + 1):
         pieces = transport(iet, pieces, 1)
-        if len(pieces) > max_pieces:
+        if len(pieces) > 4096:
             raise RuntimeError("interval split budget exceeded; use a return-time certificate")
         if any(a < hi and lo < b for a, b in pieces):
             return n

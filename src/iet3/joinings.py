@@ -691,20 +691,19 @@ def _mixture_gap_fast(bin_ids: np.ndarray, ys_cand: np.ndarray,
 
 
 def weak_closure_check(iet: Iet3, k: int, horizon: int, N: int,
-                       seed=0, bins: int = 1024,
-                       scan_N: int = 2000) -> tuple[int, float, dict]:
+                       seed=0) -> tuple[int, float, dict]:
     """Find the power T^n closest (in KR) to the half mixture of the identity
     and T^k joinings.
 
-    The scan walks n = -horizon..horizon incrementally on a reduced atom set,
-    then re-evaluates the best candidate at full N.  Reported distances are
-    certified upper bounds (binned fiber coupling); the mixture and the
-    candidates share the same stratified base points, so bin imbalance
-    vanishes and the bound is tight to the bin width.
+    The scan walks n = -horizon..horizon incrementally on a reduced set of
+    2000 atoms, then re-evaluates the best candidate at full N.  Reported
+    distances are certified upper bounds (binned fiber coupling); the
+    mixture and the candidates share the same stratified base points, so bin
+    imbalance vanishes and the bound is tight to the bin width.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    scan_bins = 128
+    scan_N, scan_bins = 2000, 128
     xs_scan = _stratified_points(scan_N, seed)
     yk = apply_pow_many(iet, k, xs_scan)
     bin_ids = np.minimum((xs_scan * scan_bins).astype(np.int64), scan_bins - 1)
@@ -735,7 +734,7 @@ def weak_closure_check(iet: Iet3, k: int, horizon: int, N: int,
     mix_full = DiscreteMeasure2D(
         np.concatenate([full.xs, full.xs]), np.concatenate([full.xs, ymix]),
         np.full(2 * N, 0.5 / N))
-    err = kr_upper_binned(full, mix_full, bins=bins)
+    err = kr_upper_binned(full, mix_full, bins=1024)
     return best_n, float(err), {"scan": table, "scan_N": scan_N}
 
 

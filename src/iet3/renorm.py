@@ -241,12 +241,13 @@ def _generic_crossing_pair(counts: np.ndarray) -> tuple[int, float, float]:
     return best_m, f_m, f_m1
 
 
-def rho_of(iet: Iet3, t: float, tol: float = 1e-6) -> float:
+def rho_of(iet: Iet3, t: float) -> float:
     """Horizontal displacement of the time-1 vertical return on g_t(omega_T).
 
-    Requires the flowed torus to lie in the section within tolerance; a zero
+    Requires the flowed torus to lie in the section within 1e-6; a zero
     displacement (rational closing) is degenerate.
     """
+    tol = 1e-6
     torus = apply_gt(torus_of_iet(iet), t)
     v1, v2, _ = vertical_return_offset(torus)
     if abs(v2) > tol:
@@ -368,9 +369,10 @@ def section_record_exact(P: int, Q: int, C: int, N: int) -> _SectionRecord:
                           V_len=v_len, w2=float(w_red[1]))
 
 
-def _candidate_steps(iet: Iet3, t_max: float, grid_step: float) -> tuple[list[int], list[tuple[float, str]]]:
+def _candidate_steps(iet: Iet3, t_max: float) -> tuple[list[int], list[tuple[float, str]]]:
     """Candidate integer step counts: continued-fraction denominators with
-    small multiples, plus grid times refined into the section."""
+    small multiples, plus grid times (step 0.01) refined into the section."""
+    grid_step = 0.01
     rep = to_rotation(iet)
     n_cap = int(math.exp(min(t_max, 80.0)))
     cands: set[int] = set()
@@ -402,15 +404,13 @@ def _candidate_steps(iet: Iet3, t_max: float, grid_step: float) -> tuple[list[in
 
 
 def scan_renorm_times(iet: Iet3, delta: float, t_max: float,
-                      grid_step: float = 0.01, rho_max: Optional[float] = None,
-                      dichotomy_samples: int = 128,
                       with_dichotomy: bool = True) -> RenormScan:
     """Scan for renormalization times: near the half-marked square torus
     (dist < delta) and in the section.  Returns accepted times ascending
     plus rejection diagnostics."""
     rc = iet.rotation_counter()
     P, Q, C = rc.P, rc.Q, rc.C
-    cands, rejections = _candidate_steps(iet, t_max, grid_step)
+    cands, rejections = _candidate_steps(iet, t_max)
     # cheap pre-filter on the exact unit-return displacement (one bigint
     # multiply per candidate); candidates far from the section cannot be
     # adjusted into it, and the full record evaluation is much costlier
@@ -434,14 +434,11 @@ def scan_renorm_times(iet: Iet3, delta: float, t_max: float,
         if rec.rho > 0.5 + SECTION_V2_TOL:
             rejections.append((t, f"N={N} not in section (|v1|={rec.rho:.3g} > 1/2)"))
             continue
-        if rho_max is not None and rec.rho > rho_max:
-            rejections.append((t, f"N={N} rho={rec.rho:.3g} > rho_max"))
-            continue
         if rec.dist_hat >= delta:
             rejections.append((t, f"N={N} dist_hat={rec.dist_hat:.3g} >= delta"))
             continue
         if with_dichotomy:
-            counts = _crossing_samples(iet, N, dichotomy_samples, rc=rc)
+            counts = _crossing_samples(iet, N, 128, rc=rc)
             m, f_m, f_m1 = _generic_crossing_pair(counts)
         else:
             m, f_m, f_m1 = 0, 0.0, 0.0
@@ -453,7 +450,6 @@ def scan_renorm_times(iet: Iet3, delta: float, t_max: float,
     return RenormScan(times=times, rejections=rejections)
 
 
-def find_renorm_times(iet: Iet3, delta: float, t_max: float,
-                      grid_step: float = 0.01) -> list[RenormTime]:
+def find_renorm_times(iet: Iet3, delta: float, t_max: float) -> list[RenormTime]:
     """Renormalization times with dist_to_hat < delta, in the section."""
-    return scan_renorm_times(iet, delta, t_max, grid_step=grid_step).times
+    return scan_renorm_times(iet, delta, t_max).times

@@ -149,9 +149,7 @@ def tower_stats(tower: Tower, iet: Iet3) -> TowerStats:
                       hat_measure=hat, tilde_measure=min(tilde, hat))
 
 
-def suggest_towers(iet: Iet3, k_max: int, t_max: float = 14.0,
-                   height_cap: int = 100_000,
-                   delta: float = 1.2) -> list[tuple[tuple, int]]:
+def suggest_towers(iet: Iet3, k_max: int, t_max: float = 14.0) -> list[tuple[tuple, int]]:
     """Candidate (base, height) pairs from the renormalization geometry.
 
     Each accepted section time with step count N yields the slit pullback
@@ -161,7 +159,7 @@ def suggest_towers(iet: Iet3, k_max: int, t_max: float = 14.0,
     """
     rep = to_rotation(iet)
     kappa = rep.kappa
-    scan = scan_renorm_times(iet, delta=delta, t_max=t_max, with_dichotomy=False)
+    scan = scan_renorm_times(iet, delta=1.2, t_max=t_max, with_dichotomy=False)
     out = []
     seen = set()
     best_cov = 0.0
@@ -191,7 +189,7 @@ def suggest_towers(iet: Iet3, k_max: int, t_max: float = 14.0,
         for x0 in anchors:
             if x0 < 0 or x0 + bw > 1:
                 continue
-            h = _certified_height(iet, (x0, x0 + bw), height_cap)
+            h = _certified_height(iet, (x0, x0 + bw), 100_000)
             if best_here is None or h > best_here[1]:
                 best_here = (x0, h)
         if best_here is None or best_here[1] < 1:

@@ -121,11 +121,11 @@ def test_first_hit_brute():
 
 def test_backward_counting():
     rc = RotationCounter(P=314159, Q=1000003, C=875000)
-    back = rc.backward()
-    u = 123456
-    got = int(back.visits(np.array([u], dtype=object), np.array([777], dtype=object))[0])
-    brute = sum(1 for l in range(1, 778) if (u - l * rc.P) % rc.Q < rc.C)
-    assert got == brute
+    inverse = RotationCounter(rc.Q - rc.P, rc.Q, rc.C)
+    u = np.array([123456], dtype=object)
+    got = int(rc.visits(u, 777, forward=False)[0])
+    brute = sum(1 for l in range(1, 778) if (123456 - l * rc.P) % rc.Q < rc.C)
+    assert got == brute == int(inverse.visits(u, 777)[0])
 
 
 def test_numpy_integer_counts_are_exact():
@@ -273,3 +273,20 @@ def test_first_hit_matches_stepping(inst, horizon, forward):
         brute = next((l for l in range(1, horizon + 1)
                       if (u + l * step) % rc.Q < rc.C), horizon + 1)
         assert int(g) == brute
+
+
+@PROPERTY
+@given(circles_with_points(), st.data())
+def test_visits_per_point_direction_matches_stepping(inst, data):
+    rc, us = inst
+    k = len(us)
+    ns = data.draw(st.lists(st.integers(-3, 60), min_size=k, max_size=k))
+    forward = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    got = rc.visits(np.array(us, dtype=object), np.array(ns, dtype=object), forward)
+    for u, n, f, g in zip(us, ns, forward, got):
+        step = rc.P if f else rc.Q - rc.P
+        assert int(g) == sum(1 for l in range(1, n + 1) if (u + l * step) % rc.Q < rc.C)
+    # one direction for every point is the same as that direction at each
+    for f in (True, False):
+        assert (list(rc.visits(np.array(us, dtype=object), ns[0], f))
+                == list(rc.visits(np.array(us, dtype=object), ns[0], [f] * k)))

@@ -184,6 +184,25 @@ def test_zero_samples_is_usage_error(tmp_path, capsys, command):
     assert "--samples" in err
 
 
+@pytest.mark.parametrize("args, names", [
+    (["witness", "--levels", "1"], "--levels"),
+    (["joining-sample", "--atoms", "0"], "--atoms"),
+    (["schedule", "--atoms", "0"], "--atoms"),
+    (["switch", "--eps", "0.5"], "epsilon"),
+    (["switch", "--a", "1", "--b", "1"], "a != b"),
+    (["weak-closure", "--horizon", "0"], "--horizon"),
+    (["approx-powers", "--bins", "0"], "--bins"),
+    (["joining-sample", "--heatmap", "-1"], "--heatmap"),
+    (["tower", "--k-max", "0"], "--k-max")],
+    ids=["witness-levels", "joining-sample-atoms", "schedule-atoms", "switch-eps",
+         "switch-equal-pair", "weak-closure-horizon", "approx-powers-bins",
+         "joining-sample-heatmap", "tower-k-max"])
+def test_bad_numeric_input_is_usage_error(tmp_path, capsys, args, names):
+    # a value outside its flag's range is bad input, not a failed verification
+    err = _usage_failure(args + ["--alpha-cf", "golden"], tmp_path, capsys)
+    assert names in err
+
+
 @pytest.mark.parametrize("flags", [["--l", "0.2,0.3,0.5", "--alpha", "0.9"],
                                    ["--l", "0.2,0.3,0.5", "--alpha-cf", "golden"],
                                    ["--l", "0.2,0.3,0.5", "--kappa", "0.1"],

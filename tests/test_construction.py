@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iet3.iet_core import Iet3, apply
 from iet3.construction import (SearchFailure, SwitchError, SwitchSpec,
-                               _mix_seed, build_switch, ksv_check,
+                               _SwitchEngine, _mix_seed, build_switch, ksv_check,
                                run_schedule, verify_switch)
 
 
@@ -180,3 +182,28 @@ def test_witness_degenerate_rational_control():
                          verify_samples=0)
     assert sched.aborted
     assert "level 1" in sched.abort_reason
+
+
+@st.composite
+def small_exact_engines(draw):
+    """Switch engines of exact IETs whose integer circles have at most a few
+    hundred cells."""
+    d = draw(st.integers(3, 80))
+    l1 = draw(st.integers(1, d - 2))
+    l2 = draw(st.integers(1, d - 1 - l1))
+    return _SwitchEngine(Iet3(Fraction(l1, d), Fraction(l2, d), Fraction(d - l1 - l2, d)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(small_exact_engines(), st.data())
+def test_clear_matches_stepping(eng, data):
+    Q = eng.Q
+    us = data.draw(st.lists(st.integers(0, Q - 1), min_size=1, max_size=6))
+    # arcs [lo, hi) may start below 0 or end past Q: they wrap around the circle
+    arcs = data.draw(st.lists(st.tuples(st.integers(-Q, Q - 1), st.integers(1, Q))
+                              .map(lambda t: (t[0], t[0] + t[1])), min_size=1, max_size=3))
+    back, fwd = data.draw(st.integers(0, 40)), data.draw(st.integers(0, 40))
+    got = eng.clear(us, arcs, back, fwd)
+    for u, g in zip(us, got):
+        orbit = [(u + j * eng.P) % Q for j in range(-back, fwd + 1)]
+        assert bool(g) == all((x - lo) % Q >= hi - lo for x in orbit for lo, hi in arcs)
