@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -46,6 +47,18 @@ def _at_least(flag: str, low: int):
             raise UsageError(f"{flag} must be at least {low}, got {value}")
         return value
     parse.__name__ = "int"            # argparse's name for a non-number
+    return parse
+
+
+def _between(flag: str, low: float, high: float = math.inf):
+    """The argparse type of a float flag whose values outside the open
+    interval (low, high) are a usage error (NaN among them)."""
+    def parse(text: str) -> float:
+        value = float(text)
+        if not low < value < high:
+            raise UsageError(f"{flag} must lie in ({low:g}, {high:g}), got {text}")
+        return value
+    parse.__name__ = "float"          # argparse's name for a non-number
     return parse
 
 
@@ -131,7 +144,7 @@ _FLAGS = {"--l": {"help": "three comma-separated lengths"},
           "--alpha-cf": {"help": "continued fraction digits, or golden|doc-switch|doc-tower"},
           "--kappa": {"help": "induced interval length"},
           "--seed": {"type": int, "default": 0},
-          "--eps": {"type": float, "default": 0.05},
+          "--eps": {"type": _between("--eps (the switch epsilon)", 0, 0.2), "default": 0.05},
           "--samples": {"type": _at_least("--samples", 1), "default": 2000}}
 _IET = ("--l", "--alpha", "--alpha-cf", "--kappa")
 
@@ -362,11 +375,11 @@ def build_parser() -> _Parser:
                                        q.add_argument("--length", type=_at_least("--length", 1),
                                                       default=100)))
     add("renorm-find", cmd_renorm_find,
-        lambda q: (q.add_argument("--delta", type=float, default=0.3),
-                   q.add_argument("--t-max", type=float, default=11.0)))
+        lambda q: (q.add_argument("--delta", type=_between("--delta", 0), default=0.3),
+                   q.add_argument("--t-max", type=_between("--t-max", 0), default=11.0)))
     add("tower", cmd_tower,
         lambda q: (q.add_argument("--k-max", type=_at_least("--k-max", 1), default=20),
-                   q.add_argument("--t-max", type=float, default=11.0)))
+                   q.add_argument("--t-max", type=_between("--t-max", 0), default=11.0)))
     add("joining-sample", cmd_joining_sample,
         lambda q: (q.add_argument("--power", type=int, default=1),
                    q.add_argument("--atoms", type=_at_least("--atoms", 1), default=10000),
@@ -383,7 +396,7 @@ def build_parser() -> _Parser:
                    q.add_argument("--atoms", type=_at_least("--atoms", 1), default=100000),
                    q.add_argument("--bins", type=_at_least("--bins", 1), default=128),
                    q.add_argument("--k-max", type=_at_least("--k-max", 1), default=20),
-                   q.add_argument("--t-max", type=float, default=11.0)),
+                   q.add_argument("--t-max", type=_between("--t-max", 0), default=11.0)),
         flags=_IET + ("--seed",))
     add("weak-closure", cmd_weak_closure,
         lambda q: (q.add_argument("--k", type=int, default=1),

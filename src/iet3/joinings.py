@@ -8,9 +8,13 @@ either go through an exact min-cost flow on a grid quantization (solved as
 the transportation LP between excess and deficit cells when that is the
 smaller problem), which carries a certified snap-cost error interval.  For
 the graph-supported measures this package produces, two cheap certified
-bounds are also provided: a coupling upper bound from binned
-one-dimensional fiber transport, and a duality lower bound from an explicit
-1-Lipschitz witness.
+bounds are also provided, both array sweeps whose cost does not depend on
+the geometry: a coupling upper bound (binned fiber quantile coupling, by
+sorts, segmented sums and merged breakpoints) and a duality lower bound (an
+explicit 1-Lipschitz witness, from exact taxicab nearest-support distances
+found by four quadrant dominance sweeps).  Each carries a stated rounding
+allowance, derived in its docstring, that moves it in its conservative
+direction only: the upper bound up, the lower bound down.
 
 The module also houses the disintegration toolkit (conditional measures on
 vertical fibers, the averaging operator they induce on test functions, and
@@ -30,7 +34,6 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment, linprog
-from scipy.spatial import cKDTree
 
 from .iet_core import (Iet3, _power_on_circle, _use_counting, apply, apply_pow,
                        apply_pow_many)
@@ -359,86 +362,290 @@ def w1_1d(xs, ws, ys, vs) -> float:
     return float(np.sum(np.abs(cdf) * np.diff(pts)))
 
 
+_U = 2.0 ** -53   # unit roundoff of binary64
+
+
+def _tree_sum(v: np.ndarray) -> float:
+    """Sum by pairwise halving: a tree of depth ceil(log2 len(v)), so the
+    relative error on non-negative terms is at most that depth times u."""
+    while len(v) > 1:
+        if len(v) % 2:
+            v = np.append(v, 0.0)
+        v = v[0::2] + v[1::2]
+    return float(v[0]) if len(v) else 0.0
+
+
+def _grouped_order(key: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """Indices ordering by (group, key).  The groups are sorted stably in
+    the smallest unsigned type that holds them, which lets NumPy use its
+    radix sort."""
+    o = np.argsort(key)
+    g = group[o]
+    return o[np.argsort(g.astype(np.min_scalar_type(int(g.max(initial=0)))), kind="stable")]
+
+
+def _segmented_cumsum(w: np.ndarray, group: np.ndarray) -> tuple[np.ndarray, int]:
+    """Running sums of ``w`` within each run of equal ``group``, by doubling
+    passes; also returns the number of passes, which bounds the depth of the
+    tree of additions behind every sum."""
+    idx = np.arange(len(w))
+    pos = idx - np.maximum.accumulate(np.where(np.r_[True, group[1:] != group[:-1]], idx, 0))
+    c = w.copy()
+    d, passes, longest = 1, 0, int(pos.max()) + 1
+    while d < longest:
+        c[d:] = c[d:] + np.where(pos[d:] >= d, c[:-d], 0.0)
+        d *= 2
+        passes += 1
+    return c, passes
+
+
+def _quantile_coupling(gm, wm, zm, gn, wn, zn, mass, slack):
+    """Quantile coupling, group by group, of two weighted atom lists.
+
+    Both sides come sorted by (group, key); zm and zn hold the coordinates
+    that the taxicab cost reads (y alone, or x and y).  Each group's two
+    conditionals are normalized and coupled in key order at mass[g]: the
+    cost is mass[g] * sum_t dt * cost(zm at t, zn at t) over the merged normalized
+    cumulative weights t of both sides, dt being the gap to the previous
+    breakpoint and each side's atom at t the first whose cumulative weight
+    reaches t (counted as that side's breakpoints before t in the merged
+    order).
+
+    Returns (value, allowance).  Each breakpoint, in mass units, is off by
+    at most slack[g] (the error of the inputs' masses) plus mass[g] * beta,
+    beta = (2 passes + 2) u for the two segmented sums and the division;
+    moving a breakpoint changes the cost by at most that error times the
+    taxicab step between the two atoms it separates, and moving the end by
+    at most the error times the largest cost, len(zm).  The allowance is
+    therefore the error times the path lengths of both sides plus len(zm),
+    summed over groups.
+    The rounding of the returned sum is left to the caller.
+    """
+    if len(wm) == 0:
+        return 0.0, 0.0
+    fm, pm = _segmented_cumsum(wm, gm)
+    fn, pn = _segmented_cumsum(wn, gn)
+    for f, g in ((fm, gm), (fn, gn)):
+        last = np.r_[g[1:] != g[:-1], True]
+        f /= np.repeat(f[last], np.diff(np.r_[-1, np.flatnonzero(last)]))
+    t = np.concatenate([fm, fn])
+    g = np.concatenate([gm, gn])
+    from_m = np.r_[np.ones(len(fm), dtype=np.int64), np.zeros(len(fn), dtype=np.int64)]
+    order = _grouped_order(t, g)
+    t, g, from_m = t[order], g[order], from_m[order]
+    dt = np.diff(t, prepend=0.0)
+    restart = np.r_[True, g[1:] != g[:-1]]
+    dt[restart] = t[restart]
+    im = np.minimum(np.cumsum(from_m) - from_m, len(fm) - 1)
+    jn = np.minimum(np.cumsum(1 - from_m) - (1 - from_m), len(fn) - 1)
+    cost = sum(np.abs(a[im] - b[jn]) for a, b in zip(zm, zn))
+    value = _tree_sum(mass[g] * dt * cost)
+
+    def path(z, grp):
+        step = np.zeros(len(grp))
+        same = grp[1:] == grp[:-1]
+        step[1:][same] = sum(np.abs(np.diff(c))[same] for c in z)
+        return np.bincount(grp, weights=step, minlength=len(mass))
+
+    beta = (2 * max(pm, pn) + 2) * _U
+    paths = path(zm, gm) + path(zn, gn) + len(zm)
+    return value, float(np.sum((slack + mass * beta) * paths))
+
+
+def _binned_coupling(mu: DiscreteMeasure2D, nu: DiscreteMeasure2D,
+                     bins: int) -> tuple[float, float]:
+    """Cost of the binned coupling and its rounding allowance (see
+    `kr_upper_binned`)."""
+    b_mu = np.minimum((mu.xs * bins).astype(np.int64), bins - 1)
+    b_nu = np.minimum((nu.xs * bins).astype(np.int64), bins - 1)
+    w_mu = np.bincount(b_mu, weights=mu.ws, minlength=bins)
+    w_nu = np.bincount(b_nu, weights=nu.ws, minlength=bins)
+    common = np.minimum(w_mu, w_nu)
+    # a bin mass summed from p atoms is off by at most 1.01 p u of itself
+    omega = 1.01 * _U * np.maximum(np.bincount(b_mu, minlength=bins) * w_mu,
+                                   np.bincount(b_nu, minlength=bins) * w_nu)
+    # matched mass: both fiber conditionals at the bin's common mass, in
+    # y-order; the x-cost is at most the bin width
+    om = _grouped_order(mu.ys, b_mu)
+    on = _grouped_order(nu.ys, b_nu)
+    om = om[common[b_mu[om]] > 0]
+    on = on[common[b_nu[on]] > 0]
+    matched, allowance = _quantile_coupling(
+        b_mu[om], mu.ws[om], (mu.ys[om],), b_nu[on], nu.ws[on], (nu.ys[on],),
+        common, omega)
+    # leftover mass: each bin's remainder, its atoms in proportion, all
+    # bins in one x-order at taxicab cost
+    left = []
+    for m, b, w in ((mu, b_mu, w_mu), (nu, b_nu, w_nu)):
+        share = np.where(w > common, (w - common) / np.where(w > 0, w, 1.0), 0.0)[b]
+        keep = np.flatnonzero(share > 0)
+        keep = keep[np.argsort(m.xs[keep], kind="stable")]
+        left.append((m.ws[keep] * share[keep], (m.xs[keep], m.ys[keep])))
+    (lw_m, z_m), (lw_n, z_n) = left
+    rest = max(_tree_sum(lw_m), _tree_sum(lw_n))
+    depth = max(1, len(mu) + len(nu)).bit_length()
+    total_omega = float(np.sum(omega))
+    slack = 9 * total_omega + (depth + 9) * _U * rest
+    if len(lw_m) and len(lw_n):
+        zero_m, zero_n = np.zeros(len(lw_m), dtype=np.int64), np.zeros(len(lw_n), dtype=np.int64)
+        extra, extra_allowance = _quantile_coupling(
+            zero_m, lw_m, z_m, zero_n, lw_n, z_n, np.array([rest]), np.array([slack]))
+    else:
+        extra, extra_allowance = 2 * rest, 2 * slack
+    value = matched + _tree_sum(common) / bins + extra
+    allowance += extra_allowance + total_omega + (2 * depth + 10) * _U * value
+    return value, 2 * allowance
+
+
 def kr_upper_binned(mu: DiscreteMeasure2D, nu: DiscreteMeasure2D,
                     bins: int = 512) -> float:
-    """Certified upper bound on the KR distance via an explicit coupling:
-    quantile matching of the fiber measures within each x-bin (y-cost exact,
-    x-cost at most the bin width), plus 1-D transport of the bin imbalances
-    with worst-case y-cost."""
-    bx_mu = np.minimum((mu.xs * bins).astype(np.int64), bins - 1)
-    bx_nu = np.minimum((nu.xs * bins).astype(np.int64), bins - 1)
-    total = 0.0
-    matched = 0.0
-    excess_mu, excess_nu = [], []
-    for b in range(bins):
-        mi = np.nonzero(bx_mu == b)[0]
-        ni = np.nonzero(bx_nu == b)[0]
-        wm = mu.ws[mi].sum() if len(mi) else 0.0
-        wn = nu.ws[ni].sum() if len(ni) else 0.0
-        mcommon = min(wm, wn)
-        if mcommon > 0:
-            # quantile coupling of the (normalized) fiber conditionals,
-            # truncated to the common mass: y is the only coordinate
-            total += _paired_transport(mu.ys[mi], np.zeros(len(mi)), mu.ws[mi],
-                                       nu.ys[ni], np.zeros(len(ni)), nu.ws[ni], mcommon)
-            total += mcommon / bins  # x displacement within the bin
-            matched += mcommon
-        if wm > wn:
-            excess_mu.append((b, wm - wn))
-        elif wn > wm:
-            excess_nu.append((b, wn - wm))
-    rest = 1.0 - matched
-    if rest > 1e-15 and excess_mu and excess_nu:
-        # one explicit coupling of the leftover mass: excess atoms taken
-        # proportionally within their bins, paired in x-quantile order, both
-        # coordinate costs accumulated along the same pairing
-        def gather(side_excess, m, bx):
-            xs, ys, ws = [], [], []
-            for b, wex in side_excess:
-                sel = bx == b
-                wbin = m.ws[sel]
-                scale = wex / wbin.sum()
-                xs.append(m.xs[sel]); ys.append(m.ys[sel]); ws.append(wbin * scale)
-            return (np.concatenate(xs), np.concatenate(ys), np.concatenate(ws))
-        xm, ym, wm = gather(excess_mu, mu, bx_mu)
-        xn, yn, wn = gather(excess_nu, nu, bx_nu)
-        total += _paired_transport(xm, ym, wm, xn, yn, wn, min(wm.sum(), wn.sum()))
-    return float(total)
+    """Certified upper bound on the KR distance: the cost of one explicit
+    coupling of mu and nu, plus an allowance for its floating-point
+    evaluation.
+
+    The coupling works in equal x-bins.  In each bin both fiber conditionals
+    are normalized and matched in y-quantile order at the bin's common mass
+    min(mu(bin), nu(bin)); the y-cost of this matching is exact and its
+    x-cost is at most the bin width.  What is left of each bin (its atoms in
+    proportion to their weights) is matched across all bins in x-quantile
+    order at taxicab cost.  Every atom's mass is used exactly once, so this
+    is a coupling of mu and nu and its cost bounds the distance.
+
+    Both matchings run through one array primitive (`_quantile_coupling`):
+    a sort by (group, key), segmented cumulative weights and the merged
+    breakpoints between them.  The value returned is the computed
+    cost V plus an allowance that bounds |V - exact cost|, so the bound can
+    only move up (u = 2^-53):
+
+    - a bin mass summed from p atoms is off by at most omega = 1.01 p u of
+      itself, and so is the bin's common mass; with Omega the sum of omega
+      over the bins and R the leftover mass, the leftover shares, their
+      normalization and their total put each leftover breakpoint at most
+      9 Omega + (D + 9) u R away, in mass units (D below);
+    - a breakpoint is a segmented sum of depth d and a division, off by at
+      most (2 d + 2) u of its group's mass, plus the group's mass error.
+      Moving a breakpoint changes the cost by at most its error times the
+      taxicab step between the two atoms it separates, so every group adds
+      its breakpoint error times the path lengths through both sides'
+      points (plus the largest cost, for the end), and Omega covers the
+      bin-width term;
+    - each term of the final sums has at most six roundings and every sum
+      is a pairwise tree of depth at most D = bit length of the atom count,
+      so (2 D + 10) u V covers the evaluation.
+
+    The allowance is doubled to absorb the rounding of its own terms; on the
+    fast witness's calls it is below 6e-12.
+    """
+    value, allowance = _binned_coupling(mu, nu, bins)
+    return value + allowance
 
 
-def _paired_transport(xm, ym, wm, xn, yn, wn, common: float) -> float:
-    """Cost of the x-quantile-order coupling of the first `common` mass of
-    two weighted atom sets (taxicab cost on both coordinates)."""
-    om = np.argsort(xm, kind="stable")
-    on = np.argsort(xn, kind="stable")
-    xm, ym, wm = xm[om], ym[om], wm[om]
-    xn, yn, wn = xn[on], yn[on], wn[on]
-    i = j = 0
-    cost = 0.0
-    left = common
-    rm, rn = wm[0], wn[0]
-    while left > 1e-18 and i < len(xm) and j < len(xn):
-        step = min(rm, rn, left)
-        cost += step * (abs(xm[i] - xn[j]) + abs(ym[i] - yn[j]))
-        rm -= step; rn -= step; left -= step
-        if rm <= 1e-18:
-            i += 1
-            rm = wm[i] if i < len(xm) else 0.0
-        if rn <= 1e-18:
-            j += 1
-            rn = wn[j] if j < len(xn) else 0.0
-    return cost
+_LEAF = 3   # the quadrant sweeps stop at blocks of 2^_LEAF points
+
+
+def _nearest_taxicab(qx, qy, sx, sy) -> np.ndarray:
+    """Taxicab distance from each query point to the nearest support point,
+    by four quadrant dominance sweeps.
+
+    Around a query q the support splits into four quadrants; in each the
+    distance is a fixed linear key of the support point minus the same key
+    of q (in x_j >= x_q, y_j >= y_q it is (x_j + y_j) - (x_q + y_q)), so the
+    nearest point there is the one of least key among those the quadrant
+    holds, a 2-D dominance minimum.  Ordering all points by descending x and,
+    separately, by descending y (support first on ties) turns the quadrants
+    into "before/after q in both orders".  A divide and conquer over the x
+    order answers all four at once: at level k every block of 2^(k+1)
+    positions pairs its halves, and a segmented running minimum of integer
+    key ranks along the y order (shifted per block so that it cannot carry
+    over a block boundary) gives each query the best support point of the
+    other half.  The winners' distances are recomputed as |dx| + |dy|, and
+    the pairs left inside blocks of 2^_LEAF positions are compared directly.
+    """
+    ns, nq = len(sx), len(qx)
+    n = ns + nq
+    # positions along descending x; the support is listed first, so the
+    # stable sort puts it first on ties
+    pos_x = np.empty(n, dtype=np.int64)
+    pos_x[np.argsort(-np.concatenate([sx, qx]), kind="stable")] = np.arange(n)
+    order = np.argsort(-np.concatenate([sy, qy]), kind="stable")
+    none = np.int64(1) << 62
+    by = (np.argsort(sx + sy), np.argsort(sx - sy))
+    by = by + (by[0][::-1], by[1][::-1])
+
+    def ranks(b):                 # key rank per point, none for queries
+        r = np.full(n, none)
+        r[b] = np.arange(ns)
+        return r
+
+    # support in the half before q in x: least x + y before q in y (the
+    # quadrant x_j >= x_q, y_j >= y_q), least x - y after it; support in the
+    # half after q: greatest x + y after q in y, greatest x - y before it
+    halves = ((False, ((0, True), (1, False))), (True, ((2, False), (3, True))))
+    rank = [ranks(b) for b in by]
+    best = np.full((4, nq), none)
+    for k in range((n - 1).bit_length() - 1, _LEAF - 1, -1):
+        px = pos_x[order]
+        block = px >> (k + 1)
+        upper = (px >> k) & 1
+        support = order < ns
+        for sup_upper, quads in halves:
+            pair = support != (upper.astype(bool) != sup_upper)
+            items, shift = order[pair], block[pair] * n
+            reads = items >= ns
+            qi, shift_q = items[reads] - ns, shift[reads]
+            for q, before in quads:
+                # a running minimum that cannot carry over a block boundary:
+                # earlier blocks sit higher, so their values read >= n
+                if before:
+                    run = np.minimum.accumulate(rank[q][items] - shift)[reads] + shift_q
+                else:
+                    run = np.minimum.accumulate((rank[q][items] + shift)[::-1])[::-1][reads] - shift_q
+                best[q, qi] = np.minimum(best[q, qi], run)
+        # stable partition of every block by bit k: order by (pos_x >> k, y)
+        start = block << (k + 1)
+        ups = np.cumsum(upper) - upper
+        ups -= ups[start]
+        order_next = np.empty_like(order)
+        order_next[np.where(upper, start + (1 << k) + ups, np.arange(n) - ups)] = order
+        order = order_next
+    dist = np.full(nq, np.inf)
+    for q in range(4):
+        has = best[q] < n
+        j = by[q][best[q][has]]
+        dist[has] = np.minimum(dist[has], np.abs(sx[j] - qx[has]) + np.abs(sy[j] - qy[has]))
+    # the pairs inside each leaf of 2^_LEAF consecutive x positions, directly
+    leaf = np.full(-(-n >> _LEAF) << _LEAF, n)
+    leaf[pos_x] = np.arange(n)
+    leaf = leaf.reshape(-1, 1 << _LEAF)
+    lx, ly = np.r_[sx, qx, np.nan][leaf], np.r_[sy, qy, np.nan][leaf]
+    d = np.abs(lx[:, :, None] - lx[:, None, :]) + np.abs(ly[:, :, None] - ly[:, None, :])
+    is_q = (leaf >= ns) & (leaf < n)
+    d[~is_q[:, :, None] | (leaf >= ns)[:, None, :]] = np.inf
+    dist[leaf[is_q] - ns] = np.minimum(dist[leaf[is_q] - ns], d.min(axis=2)[is_q])
+    return dist
 
 
 def kr_lower_witness(mu: DiscreteMeasure2D, nu: DiscreteMeasure2D,
                      cap: float = 0.25) -> float:
     """Certified lower bound: integrate the 1-Lipschitz witness
     f(z) = min(cap, taxicab distance to nu's support) against mu - nu.
-    The nu-integral vanishes on nu's own atoms, so the bound is
-    sum of mu-weighted witness values."""
-    tree = cKDTree(np.column_stack([nu.xs, nu.ys]))
-    d, _ = tree.query(np.column_stack([mu.xs, mu.ys]), k=1, p=1)
-    return float(np.sum(mu.ws * np.minimum(d, cap)))
+    The nu-integral vanishes on nu's own atoms, so the bound is the
+    mu-weighted sum of witness values.
+
+    The distances come from `_nearest_taxicab`.  Each quadrant's winner has
+    the least rounded key; keys lie in (-1, 2), where rounding moves them by
+    at most 2^-53, so the winner's exact distance exceeds the quadrant's
+    least by at most 2^-52, and recomputing it as |dx| + |dy| adds at most
+    2^-52 more (a pair compared directly has only the latter error).  With V = min(cap, 2) the largest clipped distance, the
+    subtraction below, the product with the weight and the correctly
+    rounded sum (math.fsum) add at most 3 u V per unit weight (u = 2^-53).
+    Subtracting delta = 2^-51 + 4 u V from every clipped distance therefore
+    keeps each term, and the sum, at or below the exact witness integral:
+    the bound can only move down.
+    """
+    d = _nearest_taxicab(mu.xs, mu.ys, nu.xs, nu.ys)
+    delta = 2.0 ** -51 + 4 * _U * min(cap, 2.0)
+    return math.fsum(mu.ws * np.maximum(np.minimum(d, cap) - delta, 0.0))
 
 
 # ---------------------------------------------------------------------------

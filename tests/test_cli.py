@@ -203,6 +203,26 @@ def test_bad_numeric_input_is_usage_error(tmp_path, capsys, args, names):
     assert names in err
 
 
+@pytest.mark.parametrize("args, names", [
+    (["schedule", "--alpha-cf", "doc-switch", "--eps", "0.5", "--levels", "1",
+      "--atoms", "10", "--samples", "1"], "--eps"),
+    (["switch", "--alpha-cf", "doc-switch", "--eps", "0"], "--eps"),
+    (["renorm-find", "--alpha-cf", "golden", "--delta", "-1"], "--delta"),
+    (["renorm-find", "--alpha-cf", "golden", "--t-max", "-5"], "--t-max"),
+    (["renorm-find", "--alpha-cf", "golden", "--delta", "nan"], "--delta"),
+    (["tower", "--alpha-cf", "golden", "--t-max", "0"], "--t-max"),
+    (["approx-powers", "--alpha-cf", "golden", "--t-max", "inf"], "--t-max")],
+    ids=["schedule-eps", "switch-eps-zero", "renorm-find-delta", "renorm-find-t-max",
+         "renorm-find-delta-nan", "tower-t-max", "approx-powers-t-max-inf"])
+def test_float_flag_out_of_range_is_usage_error(tmp_path, capsys, args, names):
+    # each float flag declares its open range; outside it the command does
+    # not run (a schedule no longer reports the rejected epsilon as a failed
+    # verification, renorm-find no longer scans with a negative delta)
+    err = _usage_failure(args, tmp_path, capsys)
+    assert names in err
+    assert not (tmp_path / f"{args[0]}.json").exists()
+
+
 @pytest.mark.parametrize("flags", [["--l", "0.2,0.3,0.5", "--alpha", "0.9"],
                                    ["--l", "0.2,0.3,0.5", "--alpha-cf", "golden"],
                                    ["--l", "0.2,0.3,0.5", "--kappa", "0.1"],

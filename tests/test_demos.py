@@ -11,7 +11,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("demo", ["01_exchange_basics", "02_renormalization_scan",
-                                  "05_switch", "derive_parameters", "golden_limits"])
+                                  "04_kr_distances", "05_switch", "derive_parameters",
+                                  "golden_limits"])
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

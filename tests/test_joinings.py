@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from iet3 import joinings
 from iet3.iet_core import Iet3, apply
@@ -279,6 +280,249 @@ def test_kr_bounds_bracket():
     exact = kr_distance(a, b)
     assert kr_lower_witness(a, b) <= exact + 1e-9
     assert exact <= kr_upper_binned(a, b, bins=64) + 1e-9
+
+
+# -- certified bounds: oracles ----------------------------------------------
+
+def _loop_transport(xm, ym, wm, xn, yn, wn, common):
+    """Per-atom pairing loop: the cost of the x-quantile-order coupling of
+    the first `common` mass of two weighted atom sets (taxicab cost on both
+    coordinates)."""
+    om = np.argsort(xm, kind="stable")
+    on = np.argsort(xn, kind="stable")
+    xm, ym, wm = xm[om], ym[om], wm[om]
+    xn, yn, wn = xn[on], yn[on], wn[on]
+    i = j = 0
+    cost = 0.0
+    left = common
+    rm, rn = wm[0], wn[0]
+    while left > 1e-18 and i < len(xm) and j < len(xn):
+        step = min(rm, rn, left)
+        cost += step * (abs(xm[i] - xn[j]) + abs(ym[i] - yn[j]))
+        rm -= step; rn -= step; left -= step
+        if rm <= 1e-18:
+            i += 1
+            rm = wm[i] if i < len(xm) else 0.0
+        if rn <= 1e-18:
+            j += 1
+            rn = wn[j] if j < len(xn) else 0.0
+    return cost
+
+
+def _loop_binned_coupling(mu, nu, bins, normalize=True):
+    """Per-bin loop oracle of the binned coupling.  With normalize=False the
+    bins' larger fiber is truncated to its lowest common mass instead of
+    being scaled to it, while the leftover is still taken in proportion;
+    that is not a coupling of mu and nu."""
+    bx_mu = np.minimum((mu.xs * bins).astype(np.int64), bins - 1)
+    bx_nu = np.minimum((nu.xs * bins).astype(np.int64), bins - 1)
+    total = 0.0
+    excess_mu, excess_nu = [], []
+    for b in range(bins):
+        mi = np.nonzero(bx_mu == b)[0]
+        ni = np.nonzero(bx_nu == b)[0]
+        wm = mu.ws[mi].sum() if len(mi) else 0.0
+        wn = nu.ws[ni].sum() if len(ni) else 0.0
+        mcommon = min(wm, wn)
+        if mcommon > 0:
+            sm, sn = (mcommon / wm, mcommon / wn) if normalize else (1.0, 1.0)
+            total += _loop_transport(mu.ys[mi], np.zeros(len(mi)), mu.ws[mi] * sm,
+                                     nu.ys[ni], np.zeros(len(ni)), nu.ws[ni] * sn, mcommon)
+            total += mcommon / bins
+        if wm > wn:
+            excess_mu.append((b, wm - wn))
+        elif wn > wm:
+            excess_nu.append((b, wn - wm))
+    if excess_mu and excess_nu:
+        def gather(side_excess, m, bx):
+            xs, ys, ws = [], [], []
+            for b, wex in side_excess:
+                sel = bx == b
+                wbin = m.ws[sel]
+                xs.append(m.xs[sel]); ys.append(m.ys[sel]); ws.append(wbin * (wex / wbin.sum()))
+            return np.concatenate(xs), np.concatenate(ys), np.concatenate(ws)
+        xm, ym, wm = gather(excess_mu, mu, bx_mu)
+        xn, yn, wn = gather(excess_nu, nu, bx_nu)
+        total += _loop_transport(xm, ym, wm, xn, yn, wn, min(wm.sum(), wn.sum()))
+    return total
+
+
+def _exact_quantile(a, b, cost):
+    """Exact quantile coupling of two equal-mass lists of (Fraction weight,
+    point, ...), each in coupling order."""
+    total, i, j = Fraction(0), 0, 0
+    ra, rb = a[0][0], b[0][0]
+    while i < len(a) and j < len(b):
+        step = min(ra, rb)
+        total += step * cost(a[i][1], b[j][1])
+        ra, rb = ra - step, rb - step
+        if ra == 0:
+            i += 1
+            ra = a[i][0] if i < len(a) else 0
+        if rb == 0:
+            j += 1
+            rb = b[j][0] if j < len(b) else 0
+    assert i == len(a) and j == len(b)
+    return total
+
+
+def _exact_binned_coupling(mu, nu, bins):
+    """The binned coupling's cost in exact rational arithmetic on the
+    measures' binary64 atoms (the weights must sum to the same rational)."""
+    F = Fraction
+    atoms = []
+    for m in (mu, nu):
+        bx = np.minimum((m.xs * bins).astype(np.int64), bins - 1)
+        atoms.append([(int(b), F(x), F(y), F(w), i)
+                      for i, (b, x, y, w) in enumerate(zip(bx, m.xs, m.ys, m.ws))])
+    mass = [[sum((a[3] for a in side if a[0] == b), F(0)) for b in range(bins)] for side in atoms]
+    total, left = F(0), ([], [])
+    for b in range(bins):
+        c = min(mass[0][b], mass[1][b])
+        fibers = [sorted((a for a in side if a[0] == b), key=lambda a: a[2]) for side in atoms]
+        if c > 0:
+            a, bb = ([(w * c / mass[k][b], y) for _, _, y, w, _ in fibers[k]] for k in (0, 1))
+            total += _exact_quantile(a, bb, lambda y, z: abs(y - z)) + c / bins
+        for k in (0, 1):
+            share = (mass[k][b] - c) / mass[k][b] if mass[k][b] else 0
+            if share:
+                left[k].extend((w * share, (x, y), i) for _, x, y, w, i in fibers[k])
+    if left[0]:
+        # x-order, ties in the atoms' order
+        a, bb = (sorted(side, key=lambda t: (t[1][0], t[2])) for side in left)
+        total += _exact_quantile(a, bb, lambda p, q: abs(p[0] - q[0]) + abs(p[1] - q[1]))
+    return total
+
+
+def _tree_distances(mu, nu):
+    """The p=1 k-d tree query the sweep replaced: the lower bound's oracle."""
+    d, _ = cKDTree(np.column_stack([nu.xs, nu.ys])).query(np.column_stack([mu.xs, mu.ys]), p=1)
+    return d
+
+
+# inputs on a dyadic grid, so that every distance and every cumulative weight
+# below is exact in binary64: free points, or points on one slope +1 or -1
+# line (exact distance ties); weights k / 2^j of unequal sizes
+@st.composite
+def dyadic_measures(draw, sizes=st.integers(1, 8), weighted=True):
+    grid = 2 ** draw(st.integers(2, 5))
+    k = draw(sizes)
+    cells = st.integers(0, grid - 1)
+    xs = np.array(draw(st.lists(cells, min_size=k, max_size=k)))
+    line = draw(st.sampled_from(["free", "slope+1", "slope-1"]))
+    if line == "free":
+        ys = np.array(draw(st.lists(cells, min_size=k, max_size=k)))
+    else:
+        c = draw(cells)
+        ys = (xs + c) % grid if line == "slope+1" else (c - xs) % grid
+    if weighted:
+        ks = np.array(draw(st.lists(st.integers(1, 8), min_size=k, max_size=k)))
+        ks[-1] += 2 ** int(ks.sum() - 1).bit_length() - ks.sum()
+        ws = ks / ks.sum()
+    else:
+        ws = np.full(k, 1.0 / k)
+    return DiscreteMeasure2D(xs / grid, ys / grid, ws)
+
+
+@st.composite
+def bound_pairs(draw):
+    """Two weighted measures, or N atoms of weight 1/N against 2N of weight
+    1/(2N) at other x (weak_closure_check's shape, with bin imbalance)."""
+    if draw(st.booleans()):
+        return draw(dyadic_measures()), draw(dyadic_measures())
+    n = 2 ** draw(st.integers(0, 3))
+    sizes = st.sampled_from([n])
+    a = draw(dyadic_measures(sizes, weighted=False))
+    halves = [draw(dyadic_measures(sizes, weighted=False)) for _ in range(2)]
+    return a, mix(*halves)
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from(["lp", "assignment"]))
+def test_kr_metric_axioms_property(data, method):
+    if method == "lp":
+        a, b, c = (data.draw(dyadic_measures()) for _ in range(3))
+    else:
+        sizes = st.sampled_from([data.draw(st.integers(1, 8))])
+        a, b, c = (data.draw(dyadic_measures(sizes, weighted=False)) for _ in range(3))
+    d = lambda m, n: kr_distance(m, n, method=method)  # noqa: E731
+    assert abs(d(a, b) - d(b, a)) <= 1e-9
+    assert d(a, b) <= d(a, c) + d(c, b) + 1e-9
+    assert d(a, a) <= 1e-12
+
+
+# -- certified bounds: the binned coupling ----------------------------------
+
+@PROPERTY
+@given(bound_pairs(), st.sampled_from([1, 7, 64]))
+def test_kr_bounds_sandwich(pair, bins):
+    a, b = pair
+    exact = kr_distance(a, b, method="lp")
+    assert kr_lower_witness(a, b) <= exact + 1e-9
+    assert exact <= kr_upper_binned(a, b, bins) + 1e-9
+
+
+@PROPERTY
+@given(bound_pairs(), st.sampled_from([1, 2, 7, 64]))
+def test_binned_coupling_exact_and_loop_oracles(pair, bins):
+    a, b = pair
+    value, allowance = joinings._binned_coupling(a, b, bins)
+    exact = _exact_binned_coupling(a, b, bins)
+    upper = kr_upper_binned(a, b, bins)
+    assert Fraction(upper) >= exact
+    assert Fraction(upper) - exact <= 2 * Fraction(allowance)
+    assert abs(value - _loop_binned_coupling(a, b, bins)) <= allowance
+
+
+def test_binned_coupling_matches_loop_on_graph_joinings():
+    rng = np.random.default_rng(11)
+    shared = sample_power_joining(IET, 0, 3000, seed=4)
+    for bins in (16, 128, 1024):
+        # shared base points (no bin imbalance), then independent ones
+        for a, b in ((sample_power_joining(IET, 3, 3000, seed=4), mix(shared, shared)),
+                     (sample_power_joining(IET, 5, 3000, seed=5), _rand_measure(rng, 2000))):
+            value, allowance = joinings._binned_coupling(a, b, bins)
+            assert 0 < allowance < 1e-9
+            assert abs(value - _loop_binned_coupling(a, b, bins)) <= allowance
+    # with equal bin masses the truncated and the normalized matchings agree
+    a, b = sample_power_joining(IET, 2, 3000, seed=6), sample_power_joining(IET, 7, 3000, seed=6)
+    value, allowance = joinings._binned_coupling(a, b, 128)
+    assert abs(value - _loop_binned_coupling(a, b, 128, normalize=False)) <= allowance
+
+
+def test_binned_upper_covers_the_exact_distance_under_imbalance():
+    # the truncated matching with proportional leftovers gave 1.08984375 here,
+    # below the exact distance 1.109375
+    mu = DiscreteMeasure2D(np.array([5, 3]) / 8, np.array([2, 1]) / 8, np.array([1, 7]) / 8)
+    nu = DiscreteMeasure2D(np.array([7, 7]) / 8, np.array([1, 7]) / 8, np.array([1, 7]) / 8)
+    exact = kr_distance(mu, nu, method="lp")
+    assert exact == pytest.approx(1.109375, abs=1e-12)
+    assert _loop_binned_coupling(mu, nu, 2, normalize=False) < exact - 0.01
+    assert _exact_binned_coupling(mu, nu, 2) >= Fraction(exact)
+    assert kr_upper_binned(mu, nu, bins=2) >= exact
+
+
+# -- certified bounds: the quadrant sweep -----------------------------------
+
+@PROPERTY
+@given(dyadic_measures(st.integers(1, 40)), dyadic_measures(st.integers(1, 40)))
+def test_nearest_taxicab_equals_brute_force_with_ties(q, s):
+    brute = (np.abs(q.xs[:, None] - s.xs[None, :])
+             + np.abs(q.ys[:, None] - s.ys[None, :])).min(axis=1)
+    assert np.array_equal(joinings._nearest_taxicab(q.xs, q.ys, s.xs, s.ys), brute)
+
+
+def test_lower_witness_moves_down_from_the_tree_query():
+    rng = np.random.default_rng(12)
+    graph = mix(*(sample_power_joining(IET, e, 4000, seed=e) for e in (0, 1)))
+    for mu, nu in ((product_sample(3000, seed=1), graph),
+                   (sample_power_joining(IET, 2, 3000, seed=2), graph),
+                   (_rand_measure(rng, 500), _rand_measure(rng, 700))):
+        d = joinings._nearest_taxicab(mu.xs, mu.ys, nu.xs, nu.ys)
+        assert np.max(np.abs(d - _tree_distances(mu, nu))) <= 2.0 ** -51
+        tree = float(np.sum(mu.ws * np.minimum(_tree_distances(mu, nu), 0.25)))
+        lower = kr_lower_witness(mu, nu)
+        assert tree - 2.0 ** -49 <= lower <= tree
 
 
 def test_kr_circle_metric():
