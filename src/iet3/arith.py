@@ -371,6 +371,12 @@ class RotationCounter:
         Q = m * frac.denominator
         return cls(m * frac.numerator, Q, max(1, round(float(kappa) * Q)))
 
+    def signed_residue(self, n: int) -> int:
+        """The displacement of n rotation steps, n*P mod Q, as the
+        representative in (-Q/2, Q/2]."""
+        r = (int(n) * self.P) % self.Q
+        return r - self.Q if 2 * r > self.Q else r
+
     # -- lifting -----------------------------------------------------------
 
     def lift(self, x) -> np.ndarray:
@@ -507,11 +513,13 @@ class RotationCounter:
         N[idx] = lo
         return N
 
-    def first_hit(self, u, horizon, forward: bool = True) -> np.ndarray:
+    def first_hit(self, u, horizon, forward=True) -> np.ndarray:
         """Smallest N in [1, horizon] with (u +- N P) mod Q in the arc, or
-        horizon + 1 if the orbit misses the arc over the whole window."""
+        horizon + 1 if the orbit misses the arc over the whole window;
+        ``forward`` is a bool or one per point."""
         u = np.asarray(u, dtype=object)
         horizon = np.broadcast_to(np.asarray(horizon, dtype=object), u.shape)
+        forward = np.broadcast_to(np.asarray(forward, dtype=bool), u.shape)
         total = self.visits(u, horizon, forward)
         out = np.asarray(horizon + 1, dtype=object).copy()
         hit = np.array([int(t) > 0 for t in total])
@@ -522,7 +530,7 @@ class RotationCounter:
         hi = horizon[idx].copy()
         while bool(np.any(lo < hi)):
             mid = (lo + hi) // 2
-            ok = self.visits(u[idx], mid, forward) >= 1
+            ok = self.visits(u[idx], mid, forward[idx]) >= 1
             hi = np.where(ok, mid, hi)
             lo = np.where(ok, lo, mid + 1)
         out[idx] = lo

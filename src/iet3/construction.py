@@ -12,12 +12,13 @@ drives the strand joinings toward an ergodic limit near the strand average.
 
 All interval data at deep scales is held in exact integer grid coordinates
 (the documented rotation numbers are rationals with astronomically large
-denominators).  Every question about an arc of the circle is a visit count
-on that arc, shifted to start at 0 (`_SwitchEngine.arc`): whether a point
-and its orbit stay clear of arcs over a window back and forth
-(`_SwitchEngine.clear`, one count per arc), or, where the hit times
-themselves are needed, the first hit.  So no step-by-step orbit iteration
-ever happens at tower scale.
+denominators), on the IET's own circle `Iet3.rotation_counter()`.  Every
+question about an arc of the circle is a visit count on that arc, shifted to
+start at 0: whether a point and its orbit stay clear of arcs over a window
+back and forth (`_SwitchEngine.clear`, one count per arc), or, where the hit
+times themselves are needed, the first hit (`_find_J`, both zones and both
+directions in one query).  So no
+step-by-step orbit iteration ever happens at tower scale.
 """
 
 from __future__ import annotations
@@ -111,53 +112,39 @@ class SwitchResult:
 # ---------------------------------------------------------------------------
 
 class _SwitchEngine:
-    """Integer-exact queries for one IET at one renormalization scale."""
+    """Integer-exact queries on one IET's own circle, `Iet3.rotation_counter()`;
+    the renormalization scale is an argument of each query."""
 
     def __init__(self, iet: Iet3):
-        self.iet = iet
-        rep = to_rotation(iet)
-        self.kappa = float(rep.kappa)
-        self.rc = iet.rotation_counter(q_min=10**13)
+        self.kappa = float(to_rotation(iet).kappa)
+        self.rc = iet.rotation_counter()
         self.P, self.Q, self.C = self.rc.P, self.rc.Q, self.rc.C
         digits = cf_expansion(Fraction(self.P, self.Q), max_terms=256)
         self.denoms = [q for _, q in cf_convergents(digits)]
 
     # -- scale data ---------------------------------------------------------
 
-    def signed_residue(self, N: int) -> int:
-        r = (N * self.P) % self.Q
-        return r - self.Q if 2 * r > self.Q else r
-
-    def record(self, N: int):
-        return section_record_exact(self.P, self.Q, self.C, N)
-
     def next_denominator(self, width_cells: int) -> int:
         """First continued-fraction denominator with residue below width."""
         for q in self.denoms:
-            if abs(self.signed_residue(q)) < width_cells:
+            if abs(self.rc.signed_residue(q)) < width_cells:
                 return q
         raise SearchFailure("rational resolution exhausted at this width")
 
     # -- count and zone queries ---------------------------------------------
 
     def counts(self, us, N: int) -> np.ndarray:
-        return self.rc.visits(np.asarray(us, dtype=object),
-                              np.full(len(us), N, dtype=object))
+        """Crossing counts of the length-N orbits of grid points, as ints."""
+        return np.array([int(c) for c in self.rc.visits(us, N)])
 
     def zones(self, N: int) -> list[tuple[int, int]]:
         """The two boundary arcs (grid cells) where the length-N crossing
         count changes: orbit points there flip chi_K under the N-step shift."""
-        s = self.signed_residue(N)
+        s = self.rc.signed_residue(N)
         w = abs(s)
         if s > 0:
             return [((self.Q - w) % self.Q, self.Q), (self.C - w, self.C)]
         return [(0, w), (self.C, self.C + w)]
-
-    def arc(self, us, lo: int, hi: int) -> tuple[RotationCounter, np.ndarray]:
-        """The counter of the arc [lo, hi) of Z/Q, and the points shifted
-        by -lo, so that the arc starts at 0."""
-        return (RotationCounter(self.P, self.Q, int(hi - lo)),
-                (np.asarray(us, dtype=object) - lo) % self.Q)
 
     def clear(self, us, arcs, back: int, fwd: int) -> np.ndarray:
         """True where a point lies outside every arc [lo, hi) and its orbit
@@ -167,7 +154,9 @@ class _SwitchEngine:
         steps = np.repeat(np.array([back, fwd], dtype=object), k)
         ok = np.ones(k, dtype=bool)
         for lo, hi in arcs:
-            rc, rel = self.arc(us, lo, hi)
+            # the arc and the points shifted by -lo: the arc starts at 0
+            rc = RotationCounter(self.P, self.Q, int(hi - lo))
+            rel = (np.asarray(us, dtype=object) - lo) % self.Q
             hits = rc.visits(np.concatenate([rel, rel]), steps,
                              forward=np.repeat([False, True], k))
             ok &= (rel >= rc.C) & (hits[:k] == 0) & (hits[k:] == 0)
@@ -196,7 +185,7 @@ def _pick_scale(eng: _SwitchEngine, spec: SwitchSpec,
     rho_max = spec.epsilon / (10 * max(1, S))
     rejections = []
     for N in (q for q in eng.denoms if 2 <= q):
-        rec = eng.record(N)
+        rec = section_record_exact(eng.P, eng.Q, eng.C, N)
         if rec.rho == 0:
             rejections.append((N, "closes up"))
             continue
@@ -209,7 +198,7 @@ def _pick_scale(eng: _SwitchEngine, spec: SwitchSpec,
         if not (0.2 <= rec.V_len <= 0.8):
             rejections.append((N, f"V {rec.V_len:.3f} unbalanced"))
             continue
-        if width_cap is not None and abs(eng.signed_residue(N)) / eng.Q > width_cap:
+        if width_cap is not None and abs(eng.rc.signed_residue(N)) / eng.Q > width_cap:
             rejections.append((N, "lambda(J) above schedule cap"))
             continue
         # the tower measure loses ~V/(kappa N) to crossing-count granularity;
@@ -219,16 +208,6 @@ def _pick_scale(eng: _SwitchEngine, spec: SwitchSpec,
             continue
         return N, rec
     raise SearchFailure(f"no admissible scale: {rejections[-6:]}")
-
-
-def _zone_hit_times(eng: _SwitchEngine, us, zones, forward: bool,
-                    horizon) -> np.ndarray:
-    """First orbit time in [1, horizon] hitting any zone (horizon+1 if none)."""
-    best = np.full(len(us), horizon + 1, dtype=object)
-    for (z_lo, z_hi) in zones:
-        zc, shifted = eng.arc(us, z_lo, z_hi)
-        best = np.minimum(best, zc.first_hit(shifted, horizon, forward))
-    return best
 
 
 def _certify_interval(eng: _SwitchEngine, lo: int, hi: int, zones,
@@ -254,19 +233,21 @@ def _find_J(eng: _SwitchEngine, N: int, m: int, W: int, p_hat: int) -> tuple[int
     back along the induced orbit to just past the start of its run, and
     certify the resulting base interval exactly.
     """
-    s = abs(eng.signed_residue(N))
+    s = abs(eng.rc.signed_residue(N))
     zones = eng.zones(N)
     back_need = (2 + W) * N + 2
     fwd_need = (p_hat + 2 + W) * N + 2
     us_all = eng.slit_samples(64, 303)
-    counts = np.array([int(c) for c in eng.counts(us_all, N)])
-    cand = us_all[counts == m]
+    cand = us_all[eng.counts(us_all, N) == m]
     if len(cand) == 0:
         raise SearchFailure("no m-type candidate centers")
     horizon = fwd_need + back_need + 4 * N
-    j_back = _zone_hit_times(eng, cand, zones, False, horizon)
-    j_fwd = _zone_hit_times(eng, cand, zones, True, horizon)
-    width_target = max(2, (s * 93) // 100)
+    # both zones are arcs of width s: one counter gives the first hit of
+    # each zone, backward and forward, in one query
+    rel = np.concatenate([(cand - z_lo) % eng.Q for z_lo, _ in zones] * 2)
+    hits = RotationCounter(eng.P, eng.Q, s).first_hit(
+        rel, horizon, np.repeat([False, True], 2 * len(cand)))
+    j_back, j_fwd = hits.reshape(2, 2, len(cand)).min(axis=1)
     for u, jb, jf in zip(cand, j_back, j_fwd):
         run = int(jb) + int(jf)
         if run < back_need + fwd_need + 4:
@@ -308,9 +289,7 @@ def _materialize_B(eng: _SwitchEngine, N: int, m: int, W: int) -> Optional[list]
     if not clear:
         return []
     mids = np.array([int((a + b) / 2 * eng.Q) for a, b in clear], dtype=object)
-    counts = np.array([int(c) for c in eng.counts(mids, N)])
-    keep = [piece for piece, c in zip(clear, counts) if c == m + 1]
-    return keep
+    return [piece for piece, c in zip(clear, eng.counts(mids, N)) if c == m + 1]
 
 
 def _sample_B(eng: _SwitchEngine, N: int, m: int, W: int, n_samples: int,
@@ -325,8 +304,7 @@ def _sample_B(eng: _SwitchEngine, N: int, m: int, W: int, n_samples: int,
     round_i = 0
     while len(got) < n_samples and round_i < 12:
         us = eng.slit_samples(max(2 * n_samples, 1024), _mix_seed(seed, round_i))
-        counts = np.array([int(c) for c in eng.counts(us, N)])
-        mask = counts == m + 1
+        mask = eng.counts(us, N) == m + 1
         ok = np.zeros(len(us), dtype=bool)
         if np.any(mask):
             ok[mask] = eng.clear(us[mask], arcs, window, window)
@@ -345,7 +323,6 @@ def _sample_B(eng: _SwitchEngine, N: int, m: int, W: int, n_samples: int,
 # ---------------------------------------------------------------------------
 
 def build_switch(iet: Iet3, spec: SwitchSpec,
-                 engine: Optional[_SwitchEngine] = None,
                  width_cap: Optional[float] = None,
                  verify_samples: int = 2000,
                  pair_scale: Optional[tuple[int, int]] = None,
@@ -361,17 +338,16 @@ def build_switch(iet: Iet3, spec: SwitchSpec,
     admissibility scale and window width when the geometry is shared among
     several strand pairs.
     """
-    eng = engine if engine is not None else _SwitchEngine(iet)
+    eng = _SwitchEngine(iet)
     S_over, W_over = pair_scale if pair_scale is not None else (None, None)
     N, rec = _pick_scale(eng, spec, width_cap=width_cap, S_override=S_over)
     W = W_over if W_over is not None else abs(spec.a - spec.b)
-    m, f_m, _ = _generic_crossing_pair(
-        np.array([int(c) for c in eng.counts(eng.slit_samples(256, 77), N)]))
+    m, f_m, _ = _generic_crossing_pair(eng.counts(eng.slit_samples(256, 77), N))
     rho = rec.rho
     p_hat = int(rec.V_len / rho) - 2 * (2 + W) - 3
     if p_hat < 1:
         raise GeometryTooCoarse(f"p_hat = {p_hat} < 1 at scale N={N}")
-    sigma = abs(eng.signed_residue(N))
+    sigma = abs(eng.rc.signed_residue(N))
 
     # certified return-time bound for width-sigma intervals
     q_next = eng.next_denominator(sigma)
@@ -413,16 +389,15 @@ def build_switch(iet: Iet3, spec: SwitchSpec,
             "sigma_cells": sigma, "lambda_J": lam_J, "q_next": q_next,
             "epsilon": spec.epsilon, "window_W": W,
         })
-    return _verified(iet, res, verify_samples, eng, seed)
+    return _verified(iet, res, verify_samples, seed)
 
 
-def _verified(iet: Iet3, res: SwitchResult, samples: int, eng: _SwitchEngine,
-              seed) -> SwitchResult:
+def _verified(iet: Iet3, res: SwitchResult, samples: int, seed) -> SwitchResult:
     """The switch with its `verify_switch` report and status; with fewer
     than one sample it stays constructed-but-unverified."""
     if samples < 1:
         return res
-    report = verify_switch(iet, res, samples, engine=eng, seed=seed)
+    report = verify_switch(iet, res, samples, seed=seed)
     diags = dict(res.diagnostics)
     diags["verification"] = report
     status = "verified" if report["all_pass"] else "constructed-but-unverified"
@@ -462,12 +437,15 @@ def _canonical(v):
 
 
 def verify_switch(iet: Iet3, res: SwitchResult, samples: int,
-                  engine: Optional[_SwitchEngine] = None,
                   seed=5150) -> dict:
-    """Re-check the switch postconditions on fresh samples."""
+    """Re-check the switch postconditions on fresh samples.
+
+    The KR window check compares kr_A and kr_B with 2 eps + 4/sqrt(L) (L
+    capped at 20000).  For L <= 4 that bound is at least 2, the taxicab
+    diameter of the unit square, so the check cannot fail there."""
     if samples <= 0:
         return {"all_pass": True, "checks": {}, "samples": 0}
-    eng = engine if engine is not None else _SwitchEngine(iet)
+    eng = _SwitchEngine(iet)
     eps = float(res.diagnostics.get("epsilon", 0.05))
     W = int(res.diagnostics.get("window_W", abs(res.a - res.b)))
     checks = {}
@@ -579,7 +557,6 @@ class _Plan(NamedTuple):
     """The levels of a schedule, built but neither verified nor sampled."""
 
     iet: Iet3
-    eng: _SwitchEngine
     initial_exponents: tuple
     eps: tuple
     levels: list
@@ -611,7 +588,6 @@ def _plan_schedule(iet: Iet3, exponents, eps, K_levels: int, seed) -> _Plan:
     eps = [float(e) for e in eps]
     if any(e2 > e1 + 1e-15 for e1, e2 in zip(eps, eps[1:])):
         raise SwitchError("eps must be non-increasing")
-    eng = _SwitchEngine(iet)
     levels = []
     prev_r = None
     aborted = False
@@ -631,7 +607,7 @@ def _plan_schedule(iet: Iet3, exponents, eps, K_levels: int, seed) -> _Plan:
             # coarse scales with granular towers are allowed.
             spec = SwitchSpec(a=pairs[0][0], b=pairs[0][1], epsilon=eps_k,
                               require_half=False)
-            sw = build_switch(iet, spec, engine=eng, width_cap=width_cap,
+            sw = build_switch(iet, spec, width_cap=width_cap,
                               verify_samples=0, pair_scale=(S, W),
                               seed=_mix_seed(seed, ("lvl", k)))
         except SwitchError as exc:
@@ -641,7 +617,7 @@ def _plan_schedule(iet: Iet3, exponents, eps, K_levels: int, seed) -> _Plan:
         exps = [b + (sw.m + 1) * (a - b) for a, b in pairs]
         levels.append(_PlannedLevel(k, eps_k, pairs, sw, tuple(exps)))
         prev_r = sw.r
-    return _Plan(iet=iet, eng=eng, initial_exponents=tuple(int(e) for e in exponents),
+    return _Plan(iet=iet, initial_exponents=tuple(int(e) for e in exponents),
                  eps=tuple(eps), levels=levels, aborted=aborted, abort_reason=reason)
 
 
@@ -650,13 +626,13 @@ def _finish_schedule(plan: _Plan, N_atoms: int, seed,
     """Verify the planned levels in order, measure their exceptional sets
     and sample the strands.  A level whose verification raises ends the
     schedule there, as an aborted construction does."""
-    eng = plan.eng
+    eng = _SwitchEngine(plan.iet)
     exps = list(plan.initial_exponents)
     levels = []
     aborted, reason = plan.aborted, plan.abort_reason
     for lv in plan.levels:
         try:
-            sw = _verified(plan.iet, lv.switch, verify_samples, eng,
+            sw = _verified(plan.iet, lv.switch, verify_samples,
                            _mix_seed(seed, ("lvl", lv.k)))
         except SwitchError as exc:
             aborted, reason = True, f"level {lv.k}: {exc}"
@@ -823,12 +799,13 @@ def non_simplicity_witness(iet: Iet3, K_levels: int = 3, N: int = 100_000,
     from .joinings import kr_distance_detailed
     divs, gaps = [], []
     fit_N = min(N, 20000)
+    base_small = _base_mix_small(base, fit_N)
     for k in range(K_levels + 1):
         exps = pilot.initial_exponents if k == 0 else pilot.levels[k - 1].exponents
         ms = [sample_power_joining(iet, e, fit_N, seed=_mix_seed(seed, ("div", k, i)))
               for i, e in enumerate(exps)]
-        d = max(kr_distance_detailed(m_, base_mix_small(base, fit_N), method="grid",
-                                     grid=96)["value"] for m_ in ms)
+        d = max(kr_distance_detailed(m_, base_small, method="grid", grid=96)["value"]
+                for m_ in ms)
         divs.append(d)
         gaps.append(_functional_gap(ms[0], ms[1]))
     ratios = [g2 / g1 for g1, g2 in zip(gaps, gaps[1:]) if g1 > 1e-9]
@@ -907,7 +884,7 @@ def non_simplicity_witness(iet: Iet3, K_levels: int = 3, N: int = 100_000,
     }
 
 
-def base_mix_small(base, fit_N):
+def _base_mix_small(base, fit_N):
     """The half mixture of the initial strands, thinned for fit solves.
 
     Stratified atom lists are ordered by position, so thinning must stride

@@ -63,6 +63,7 @@ __all__ = [
     "bary_recursion",
     "measure_to_csv",
     "measure_from_csv",
+    "measure_histogram_csv",
 ]
 
 
@@ -158,8 +159,9 @@ def _power_at_indices(iet: Iet3, x: float, idx: np.ndarray) -> np.ndarray:
     """T^i x for an array of exponents i (possibly negative or huge)."""
     idx = np.asarray(idx)
     lo, hi = int(idx.min()), int(idx.max())
-    if hi - min(lo, 0) + max(-lo, 0) <= 200_000:
-        # direct sweep across the exponent range
+    if not _use_counting(abs(lo) + hi - lo, 1):
+        # direct sweep across the exponent range: |lo| steps to reach T^lo x,
+        # then hi - lo more
         out = np.empty(len(idx), dtype=float)
         order = np.argsort(idx, kind="stable")
         cur = apply_pow(iet, lo, x)

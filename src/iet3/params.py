@@ -29,7 +29,6 @@ __all__ = [
     "TOWER_CF_PLAN",
     "tower_alpha",
     "documented_tower_iet",
-    "GOLDEN_CF",
     "golden_iet",
 ]
 
@@ -86,9 +85,6 @@ def documented_tower_iet() -> Iet3:
     """The documented 3-IET for Rokhlin-tower runs (exact Fraction lengths)."""
     a = tower_alpha()
     return from_rotation(RotationRep(a, 2 * a))
-
-
-GOLDEN_CF = [0] + [1] * 40
 
 
 def golden_iet(kappa: float = 1 / 1.3) -> Iet3:

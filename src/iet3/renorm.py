@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -41,6 +40,7 @@ __all__ = [
     "rho_of",
     "find_renorm_times",
     "scan_renorm_times",
+    "section_record_exact",
 ]
 
 # weights of the component terms in the distance to the half-marked square
@@ -210,20 +210,17 @@ def crossing_count(iet: Iet3, t: float, x: float) -> int:
     return int(rc.visits(rc.lift([x]), math.floor(math.exp(t)))[0])
 
 
-def _crossing_samples(iet: Iet3, n_steps: int, samples: int = 128,
-                      rc: Optional[RotationCounter] = None) -> np.ndarray:
+def _crossing_samples(iet: Iet3, n_steps: int, samples: int = 128) -> np.ndarray:
     """Crossing counts at a jittered stratified grid of slit points.
 
     Jitter breaks resonance between the sample grid and the near-rational
     cell structure at section times, which would otherwise alias the counts.
     """
-    rep = to_rotation(iet)
-    k = float(rep.kappa)
+    k = float(to_rotation(iet).kappa)
     jit = np.random.default_rng(1301).random(samples)
     xs = (np.arange(samples) + jit) / samples * k
-    if rc is None:
-        rc = iet.rotation_counter()
-    counts = rc.visits(rc.lift(xs), np.full(samples, n_steps, dtype=object))
+    rc = iet.rotation_counter()
+    counts = rc.visits(rc.lift(xs), n_steps)
     return np.array([int(c) for c in counts])
 
 
@@ -265,12 +262,6 @@ def rho_of(iet: Iet3, t: float) -> float:
 # ---------------------------------------------------------------------------
 # exact candidate evaluation
 # ---------------------------------------------------------------------------
-
-def _signed_mod(a: int, q: int) -> int:
-    """Representative of a mod q in (-q/2, q/2]."""
-    r = a % q
-    return r - q if 2 * r > q else r
-
 
 def _lagrange_int(u, v, norm) -> tuple:
     """Lagrange reduction of an integer lattice basis under a scaled norm.
@@ -318,7 +309,7 @@ def section_record_exact(P: int, Q: int, C: int, N: int) -> _SectionRecord:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    sN = _signed_mod(N * P, Q)
+    sN = RotationCounter(P, Q, C).signed_residue(N)
     v1 = -sN * N / Q  # displacement = (0,1) - ((N alpha - round) N, 1)
     rho = abs(v1)
 
@@ -416,8 +407,7 @@ def scan_renorm_times(iet: Iet3, delta: float, t_max: float,
     # adjusted into it, and the full record evaluation is much costlier
     kept = []
     for N in cands:
-        r = _signed_mod(N * P, Q)
-        if N * abs(r) > 0.75 * Q:
+        if N * abs(rc.signed_residue(N)) > 0.75 * Q:
             rejections.append((math.log(N), f"N={N} far from section"))
             continue
         kept.append(N)
@@ -438,8 +428,7 @@ def scan_renorm_times(iet: Iet3, delta: float, t_max: float,
             rejections.append((t, f"N={N} dist_hat={rec.dist_hat:.3g} >= delta"))
             continue
         if with_dichotomy:
-            counts = _crossing_samples(iet, N, 128, rc=rc)
-            m, f_m, f_m1 = _generic_crossing_pair(counts)
+            m, f_m, f_m1 = _generic_crossing_pair(_crossing_samples(iet, N))
         else:
             m, f_m, f_m1 = 0, 0.0, 0.0
         times.append(RenormTime(t=t, dist_hat=rec.dist_hat, in_S=True,

@@ -169,9 +169,7 @@ def suggest_towers(iet: Iet3, k_max: int, t_max: float = 14.0) -> list[tuple[tup
         N = rt.n_steps
         if iet.exact:
             rc = iet.rotation_counter()
-            s = (N * rc.P) % rc.Q
-            s = min(s, rc.Q - s)
-            bw = Fraction(s, rc.Q) / kappa
+            bw = Fraction(abs(rc.signed_residue(N)), rc.Q) / kappa
         else:
             bw = (rt.rho / N) / float(kappa)  # ||N alpha|| rescaled
         if bw <= 0 or bw >= 1:

@@ -263,16 +263,35 @@ def circles_with_points(draw):
 
 
 @PROPERTY
-@given(circles_with_points(), st.integers(0, 200), st.booleans())
-def test_first_hit_matches_stepping(inst, horizon, forward):
+@given(circles_with_points(), st.integers(0, 200), st.data())
+def test_first_hit_matches_stepping(inst, horizon, data):
     rc, us = inst
-    step = rc.P if forward else rc.Q - rc.P
+    # one direction for every point, or one per point
+    forward = data.draw(st.one_of(
+        st.booleans(), st.lists(st.booleans(), min_size=len(us), max_size=len(us))))
     got = rc.first_hit(np.array(us, dtype=object),
                        np.full(len(us), horizon, dtype=object), forward=forward)
-    for u, g in zip(us, got):
+    for u, f, g in zip(us, np.broadcast_to(forward, len(us)), got):
+        step = rc.P if f else rc.Q - rc.P
         brute = next((l for l in range(1, horizon + 1)
                       if (u + l * step) % rc.Q < rc.C), horizon + 1)
         assert int(g) == brute
+
+
+@PROPERTY
+@given(circles_with_points(), st.integers(-10**6, 10**6))
+def test_signed_residue_matches_brute_force(inst, n):
+    rc, _ = inst
+    # the one integer of (-Q/2, Q/2] congruent to n*P, found by search
+    brute = next(r for r in range(-((rc.Q - 1) // 2), rc.Q // 2 + 1)
+                 if (r - n * rc.P) % rc.Q == 0)
+    assert rc.signed_residue(n) == brute
+
+
+def test_signed_residue_ties():
+    # 2r = Q: the tie goes to +Q/2, the representative in (-Q/2, Q/2]
+    rc = RotationCounter(3, 10, 4)
+    assert [rc.signed_residue(n) for n in range(10)] == [0, 3, -4, -1, 2, 5, -2, 1, 4, -3]
 
 
 @PROPERTY

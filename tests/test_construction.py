@@ -184,6 +184,13 @@ def test_witness_degenerate_rational_control():
     assert "level 1" in sched.abort_reason
 
 
+def test_switch_engine_uses_the_iets_circle(golden):
+    # the switch engine counts on the same integer circle as sampling,
+    # renormalization and towers: a float IET is lifted once, one way
+    rc, circle = _SwitchEngine(golden).rc, golden.rotation_counter()
+    assert (rc.P, rc.Q, rc.C) == (circle.P, circle.Q, circle.C)
+
+
 @st.composite
 def small_exact_engines(draw):
     """Switch engines of exact IETs whose integer circles have at most a few
