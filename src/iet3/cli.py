@@ -196,12 +196,12 @@ def cmd_tower(args) -> int:
     from .towers import build_tower, suggest_towers, tower_stats
     iet = _resolve_iet(args)
     cands = suggest_towers(iet, k_max=args.k_max, t_max=args.t_max)
+    towers = [build_tower(iet, I, n) for I, n in cands]
     rows = []
     out = Path(args.out)
-    for I, n in cands:
-        tw = build_tower(iet, I, n)
+    for tw in towers:
         st = tower_stats(tw, iet)
-        rows.append({"base": [float(I[0]), float(I[1])], "height": n,
+        rows.append({"base": [float(tw.base[0]), float(tw.base[1])], "height": tw.height,
                      "coverage": st.coverage, "rigidity": st.rigidity,
                      "hat": st.hat_measure, "tilde": st.tilde_measure})
     body = {"candidates": rows}
@@ -209,7 +209,7 @@ def cmd_tower(args) -> int:
     if rows:
         best = rows[-1]
         lines = ["a,b"]
-        tw = build_tower(iet, cands[-1][0], cands[-1][1])
+        tw = towers[-1]
         w = float(tw.width)
         for lo in tw.level_lows:
             lines.append(f"{float(lo):.17g},{float(lo)+w:.17g}")
@@ -314,6 +314,7 @@ def cmd_switch(args) -> int:
 
 def cmd_schedule(args) -> int:
     from .construction import ksv_check, run_schedule
+    from .joinings import measure_to_csv
     iet = _resolve_iet(args)
     eps = [args.eps / 2 ** i for i in range(args.levels)]
     sched = run_schedule(iet, (0, 1), eps, args.levels, N_atoms=args.atoms,
@@ -328,7 +329,10 @@ def cmd_schedule(args) -> int:
                     "U_mass": lv.U_mass} for lv in sched.levels],
         "ksv": rep,
     }
-    _write_report(Path(args.out), "schedule", vars(args), body)
+    out = Path(args.out)
+    _write_report(out, "schedule", vars(args), body)
+    (out / "final_average.csv").write_text(measure_to_csv(sched.average),
+                                           encoding="utf-8")
     ok = (not sched.aborted) and rep["all_pass"]
     print(f"levels: {len(sched.levels)}; conditions pass: {rep['all_pass']}")
     return 0 if ok else VERIFY_ERROR

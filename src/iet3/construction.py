@@ -98,7 +98,6 @@ class SwitchResult:
     n_steps: int
     J: tuple[float, float]
     J_cells: tuple[int, int]          # exact grid endpoints of J in the slit
-    B_intervals: Optional[list]       # rescaled interval union, if materialized
     lambda_A: float
     lambda_B: float
     lambda_B_exact: bool
@@ -121,6 +120,9 @@ class _SwitchEngine:
         self.P, self.Q, self.C = self.rc.P, self.rc.Q, self.rc.C
         digits = cf_expansion(Fraction(self.P, self.Q), max_terms=256)
         self.denoms = [q for _, q in cf_convergents(digits)]
+        # the last denominator is the lift's own period: only an exact
+        # rotation closes up there, a binary64 one's finite lift does
+        self.scales = self.denoms if iet.exact else self.denoms[:-1]
 
     # -- scale data ---------------------------------------------------------
 
@@ -184,7 +186,7 @@ def _pick_scale(eng: _SwitchEngine, spec: SwitchSpec,
     S = S_override if S_override is not None else max(1, abs(spec.a) + abs(spec.b))
     rho_max = spec.epsilon / (10 * max(1, S))
     rejections = []
-    for N in (q for q in eng.denoms if 2 <= q):
+    for N in (q for q in eng.scales if 2 <= q):
         rec = section_record_exact(eng.P, eng.Q, eng.C, N)
         if rec.rho == 0:
             rejections.append((N, "closes up"))
@@ -371,18 +373,15 @@ def build_switch(iet: Iet3, spec: SwitchSpec,
     if B_iv is not None:
         lam_B = float(iv.measure(B_iv)) / eng.kappa if B_iv else 0.0
         lam_B_exact = True
-        B_rescaled = [(a / (eng.C / eng.Q), min(b / (eng.C / eng.Q), 1.0))
-                      for a, b in B_iv]
     else:
         _, frac = _sample_B(eng, N, m, W, 64, (seed, "bfrac"))
         lam_B = float(frac)
         lam_B_exact = False
-        B_rescaled = None
 
     res = SwitchResult(
         a=spec.a, b=spec.b, n=n, m=m, r=r, L=m, rho=rho, V_len=rec.V_len,
         n_steps=N, J=(j_lo / eng.C, j_hi / eng.C), J_cells=(j_lo, j_hi),
-        B_intervals=B_rescaled, lambda_A=lam_A, lambda_B=lam_B,
+        lambda_A=lam_A, lambda_B=lam_B,
         lambda_B_exact=lam_B_exact, return_lo=return_lo,
         status="constructed-but-unverified", diagnostics={
             "dist_hat": rec.dist_hat, "f_m_sampled": f_m, "p_hat": p_hat,
@@ -460,20 +459,21 @@ def verify_switch(iet: Iet3, res: SwitchResult, samples: int,
     checks["shadow_B_q95"] = float(np.quantile(gap_B, 0.95))
     checks["shadow_A_frac_ok"] = float(np.mean(gap_A < eps))
     checks["shadow_B_frac_ok"] = float(np.mean(gap_B < eps))
-    # KR window condition on a few sampled points per side
+    # KR window condition on a few sampled points per side, each orbit
+    # joining (min(L, cap) atoms) against one reference joining of the side
+    cap = 20000
     for side, us, expo in (("A", uA[:6], res.a), ("B", uB[:6], res.b)):
-        vals = []
-        for u in us:
-            emp = _orbit_joining_grid(eng, int(u), res.n, res.L, cap=20000,
-                                      seed=_mix_seed(seed, (side, int(u) % 997)))
-            ref = sample_power_joining(iet, expo, len(emp.ws),
-                                       seed=_mix_seed(seed, ("ref", side)))
-            vals.append(kr_upper_binned(emp, ref, bins=128))
+        ref = sample_power_joining(iet, expo, min(res.L, cap),
+                                   seed=_mix_seed(seed, ("ref", side)))
+        vals = [kr_upper_binned(_orbit_joining_grid(
+                    eng, int(u), res.n, res.L, cap=cap,
+                    seed=_mix_seed(seed, (side, int(u) % 997))), ref, bins=128)
+                for u in us]
         checks[f"kr_{side}"] = float(np.max(vals)) if vals else float("nan")
     checks["return_margin"] = float(res.return_lo - 1.5 * res.r)
     checks["lambda_A"] = res.lambda_A
     checks["lambda_B"] = res.lambda_B
-    slack = 4 / math.sqrt(max(min(res.L, 20000), 1))
+    slack = 4 / math.sqrt(max(min(res.L, cap), 1))
     checks["kr_bound"] = 2 * eps + slack
     ok = (checks["shadow_A_frac_ok"] >= 0.95 and checks["shadow_B_frac_ok"] >= 0.95
           and checks["return_margin"] >= 0
@@ -529,7 +529,6 @@ class ScheduleLevel:
     lambda_A: float
     lambda_B: float
     U_mass: float
-    shadow_ok_frac: float
     switch: SwitchResult
 
 
@@ -624,8 +623,8 @@ def _plan_schedule(iet: Iet3, exponents, eps, K_levels: int, seed) -> _Plan:
 def _finish_schedule(plan: _Plan, N_atoms: int, seed,
                      verify_samples: int = 1500) -> Schedule:
     """Verify the planned levels in order, measure their exceptional sets
-    and sample the strands.  A level whose verification raises ends the
-    schedule there, as an aborted construction does."""
+    and sample the strands on the shared grid.  A level whose verification
+    raises ends the schedule there, as an aborted construction does."""
     eng = _SwitchEngine(plan.iet)
     exps = list(plan.initial_exponents)
     levels = []
@@ -637,9 +636,6 @@ def _finish_schedule(plan: _Plan, N_atoms: int, seed,
         except SwitchError as exc:
             aborted, reason = True, f"level {lv.k}: {exc}"
             break
-        ver = sw.diagnostics.get("verification", {}).get("checks", {})
-        shadow_frac = min(ver.get("shadow_A_frac_ok", 0.0),
-                          ver.get("shadow_B_frac_ok", 0.0))
         # exceptional set, measured: points where neither switching shadow
         # holds (the set-theoretic gap 1 - lambda_A - lambda_B is dominated
         # by tower granularity and is reported separately in diagnostics)
@@ -649,11 +645,13 @@ def _finish_schedule(plan: _Plan, N_atoms: int, seed,
             k=lv.k, epsilon=lv.epsilon, n_steps=sw.n_steps, m=sw.m, r=sw.r,
             lambda_J=sw.diagnostics["lambda_J"], exponents=lv.exponents,
             lambda_A=sw.lambda_A, lambda_B=sw.lambda_B, U_mass=u_mass,
-            shadow_ok_frac=shadow_frac, switch=sw))
+            switch=sw))
         exps = list(lv.exponents)
-    strand_measures = [sample_power_joining(plan.iet, e, N_atoms,
-                                            seed=_mix_seed(seed, ("strand", i)))
-                       for i, e in enumerate(exps)]
+    # every strand on one shared stratified grid (common random numbers),
+    # the grid the witness compares the base strands on
+    gseed = _mix_seed(seed, "sharedgrid")
+    strand_measures = [sample_power_joining(plan.iet, int(e), N_atoms, seed=gseed)
+                       for e in exps]
     avg = mix(*strand_measures)
     return Schedule(d=len(plan.initial_exponents), initial_exponents=plan.initial_exponents,
                     eps=plan.eps, levels=levels,
@@ -783,7 +781,6 @@ def non_simplicity_witness(iet: Iet3, K_levels: int = 3, N: int = 100_000,
     eps_pilot = [0.025 / 2 ** i for i in range(K_levels)]
     base = [sample_power_joining(iet, 0, N, seed=_mix_seed(seed, "b0")),
             sample_power_joining(iet, 1, N, seed=_mix_seed(seed, "b1"))]
-    base_mix = mix(*base)
 
     # the pilot is only planned: it is verified and sampled when it is the
     # schedule the report keeps
@@ -836,14 +833,11 @@ def non_simplicity_witness(iet: Iet3, K_levels: int = 3, N: int = 100_000,
                     "schedule": sched, "median_displacement": med}
 
     budget = C_fit * (sum(eps_used) + rho_fit ** K_levels)
-    # final strands and base strands re-sampled on one shared stratified
+    # the schedule's strands and the base strands on one shared stratified
     # grid (common random numbers): the coupling bound then matches fibers
     # bin-for-bin with no imbalance noise
-    final_exps = (sched.levels[-1].exponents if sched.levels
-                  else sched.initial_exponents)
+    avg = sched.average
     gseed = _mix_seed(seed, "sharedgrid")
-    strands = [sample_power_joining(iet, int(e), N, seed=gseed) for e in final_exps]
-    avg = mix(*strands)
     base_shared = [sample_power_joining(iet, e, N, seed=gseed)
                    for e in sched.initial_exponents]
     base_mix_shared = mix(*base_shared)

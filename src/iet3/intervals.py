@@ -11,7 +11,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 Interval = Tuple[float, float]
 
-__all__ = ["normalize", "measure", "intersect", "complement", "union",
+__all__ = ["normalize", "measure", "intersect", "complement",
            "contains_point", "symdiff_measure"]
 
 
@@ -59,10 +59,6 @@ def complement(xs: Sequence[Interval], lo=0.0, hi=1.0) -> List[Interval]:
     if hi > cur:
         out.append((cur, hi))
     return out
-
-
-def union(xs: Sequence[Interval], ys: Sequence[Interval]) -> List[Interval]:
-    return normalize(list(xs) + list(ys))
 
 
 def contains_point(xs: Sequence[Interval], x) -> bool:

@@ -771,7 +771,6 @@ class CoefficientVector:
     n: int
     indices: np.ndarray
     weights: np.ndarray
-    base_bin: int
 
     def total(self) -> float:
         return float(self.weights.sum())
@@ -788,7 +787,7 @@ def _coefficients_from_fiber(tower: Tower, iet: Iet3, xs, ys, ws):
     This is the convention under which pure power joinings recover a single
     coefficient exactly."""
     from . import intervals as iv
-    hat = _return_sets(tower, iet)[1]
+    hat = _return_sets(tower, iet)[2]
     n = tower.height
     idx, wts = [], []
     outside = 0.0
@@ -848,8 +847,7 @@ def approx_by_powers(iet: Iet3, m: DiscreteMeasure2D, tower: Tower,
     centers = (np.arange(bins) + 0.5) / bins
     indices, weights, outside = _coefficients_from_fiber(
         tower, iet, d.fiber_xs[b0], d.fiber_ys[b0], d.fiber_ws[b0])
-    coeff = CoefficientVector(n=tower.height, indices=indices, weights=weights,
-                              base_bin=b0)
+    coeff = CoefficientVector(n=tower.height, indices=indices, weights=weights)
     if coeff.total() > 1 + 1e-12:
         raise AssertionError("coefficient mass exceeds 1")
 

@@ -3,8 +3,8 @@
 A tower is a base interval I and a height n such that I, T I, ..., T^(n-1) I
 are pairwise disjoint intervals.  Towers here are certified by exact interval
 transport (endpoints tracked through branch itineraries), never by sampling:
-a level that straddles a discontinuity or collides with an earlier level
-raises with the offending index.
+one walk from the base stops at the first level that straddles a
+discontinuity or meets the base, and `build_tower` raises with that index.
 
 Good towers come from the renormalization geometry: at a section time with
 step count N, the slit pullback has width ||N alpha|| and its tower height
@@ -84,51 +84,54 @@ def build_tower(iet: Iet3, I: tuple, n: int) -> Tower:
     """Transport I for n steps, certifying interval levels and disjointness.
 
     With Fraction endpoints on an exact IET the certification is exact;
-    adjacent levels (which arise naturally at resonant scales) then pass the
-    half-open disjointness test without tolerance games.
+    adjacent levels (which arise naturally at resonant scales) pass the
+    half-open disjointness test without tolerance.
     """
     lo, hi = I
-    exact = iet.exact and isinstance(lo, Fraction) and isinstance(hi, Fraction)
     if not (0 <= lo < hi <= 1):
         raise ValueError("base must be a nondegenerate subinterval of [0, 1)")
     if n < 1:
         raise ValueError("height must be >= 1")
-    lows_exact = []
-    lows = np.empty(n, dtype=float)
+    lows, stop = _walk(iet, I, n)
+    if stop is not None:
+        raise stop
+    return Tower(base=(lo, hi), height=n,
+                 level_lows=np.array([float(v) for v in lows]))
+
+
+def _walk(iet: Iet3, I: tuple, cap: int) -> tuple[list, Optional[TowerBuildError]]:
+    """Left ends of the levels I, T I, ..., at most ``cap`` of them, and the
+    error that stopped the walk short of the cap (None if it did not).
+
+    The walk stops at the first level whose image straddles a discontinuity
+    or meets the base.  New levels are checked against the base only: by
+    invertibility a lag-k collision between any two levels is a collision
+    with the base at lag k, caught when the k-th level was produced.  The
+    test is strict half-open overlap in the endpoints' own arithmetic, so it
+    is exact with Fraction endpoints on an exact IET.
+    """
+    lo, hi = I
+    lows = [lo]
     cur_lo, cur_hi = lo, hi
-    for i in range(n):
-        lows[i] = float(cur_lo)
-        if exact:
-            lows_exact.append(cur_lo)
-        if i == n - 1:
-            break
+    while len(lows) < cap:
         image = _branch_image(iet, cur_lo, cur_hi)
         if len(image) > 1:
-            raise LevelSplitError("discontinuity inside level", i)
+            return lows, LevelSplitError("discontinuity inside level", len(lows) - 1)
         cur_lo, cur_hi = image[0]
-    w = hi - lo
-    if exact:
-        s = sorted(range(n), key=lambda i: lows_exact[i])
-        for a, b in zip(s[:-1], s[1:]):
-            if lows_exact[b] - lows_exact[a] < w:
-                raise LevelOverlapError("levels overlap", int(b))
-    else:
-        order = np.argsort(lows, kind="stable")
-        gaps = np.diff(lows[order])
-        bad = np.nonzero(gaps < float(w) * (1 - 1e-9))[0]
-        if len(bad):
-            raise LevelOverlapError("levels overlap", int(order[bad[0] + 1]))
-    return Tower(base=(lo, hi), height=n, level_lows=lows)
+        if cur_lo < hi and lo < cur_hi:
+            return lows, LevelOverlapError("level meets the base", len(lows))
+        lows.append(cur_lo)
+    return lows, None
 
 
-def _return_sets(tower: Tower, iet: Iet3) -> tuple[list, list]:
-    """T^n I and the refined base I ∩ T^n I ∩ T^-n I of a height-n tower
-    over I, with float endpoints."""
+def _return_sets(tower: Tower, iet: Iet3) -> tuple[list, list, list]:
+    """T^n I, T^-n I and the refined base I ∩ T^n I ∩ T^-n I of a height-n
+    tower over I, with float endpoints."""
     I = [(float(tower.base[0]), float(tower.base[1]))]
     top = (float(tower.level_lows[-1]), float(tower.level_lows[-1]) + float(tower.width))
     TnI_fwd = transport(iet, [top], 1)  # = T^n I, one step past the top level
     TnI_back = transport(iet.inverse(), I, tower.height)
-    return TnI_fwd, iv.intersect(iv.intersect(I, TnI_fwd), TnI_back)
+    return TnI_fwd, TnI_back, iv.intersect(iv.intersect(I, TnI_fwd), TnI_back)
 
 
 def tower_stats(tower: Tower, iet: Iet3) -> TowerStats:
@@ -137,10 +140,10 @@ def tower_stats(tower: Tower, iet: Iet3) -> TowerStats:
     n = tower.height
     w = float(tower.width)
     coverage = float(iv.measure(tower.union()))
-    TnI_fwd, hat_base = _return_sets(tower, iet)
+    TnI_fwd, TnI_back, hat_base = _return_sets(tower, iet)
     rigidity = float(iv.symdiff_measure(TnI_fwd, I)) / w
     T2nI_fwd = transport(iet, I, 2 * n)
-    T2nI_back = transport(iet.inverse(), I, 2 * n)
+    T2nI_back = transport(iet.inverse(), TnI_back, n)
     tilde_base = iv.intersect(iv.intersect(hat_base, T2nI_fwd), T2nI_back)
     hat = n * (float(iv.measure(hat_base)) if hat_base else 0.0)
     tilde = n * (float(iv.measure(tilde_base)) if tilde_base else 0.0)
@@ -153,9 +156,9 @@ def suggest_towers(iet: Iet3, k_max: int, t_max: float = 14.0) -> list[tuple[tup
     """Candidate (base, height) pairs from the renormalization geometry.
 
     Each accepted section time with step count N yields the slit pullback
-    base [0, ||N alpha||) and height one below the certified return time;
-    candidates are validated by build_tower and returned by ascending scale
-    (coverage and rigidity typically improve along the list).
+    base [0, ||N alpha||) and height one below the certified return time,
+    the height the tower walk certifies; candidates are returned by
+    ascending scale (coverage and rigidity typically improve along the list).
     """
     rep = to_rotation(iet)
     kappa = rep.kappa
@@ -187,42 +190,18 @@ def suggest_towers(iet: Iet3, k_max: int, t_max: float = 14.0) -> list[tuple[tup
         for x0 in anchors:
             if x0 < 0 or x0 + bw > 1:
                 continue
-            h = _certified_height(iet, (x0, x0 + bw), 100_000)
+            h = len(_walk(iet, (x0, x0 + bw), 100_000)[0])
             if best_here is None or h > best_here[1]:
                 best_here = (x0, h)
-        if best_here is None or best_here[1] < 1:
+        if best_here is None:
             continue
         x0, height = best_here
-        try:
-            tower = build_tower(iet, (x0, x0 + bw), height)
-        except TowerBuildError:
-            continue
         # keep only candidates improving the covered measure: the returned
         # chain is then monotone in coverage (and in rigidity quality)
         cov = height * float(bw)
         if cov <= best_cov:
             continue
         best_cov = cov
-        out.append(((x0, x0 + bw), tower.height))
+        out.append(((x0, x0 + bw), height))
     return out
 
-
-def _certified_height(iet: Iet3, I: tuple, cap: int) -> int:
-    """Largest certified-disjoint height for base I, via direct transport.
-
-    New levels are checked against the base only: by invertibility a lag-k
-    collision between any two levels is a collision with the base at lag k,
-    caught when the k-th level was produced.  Exact with Fraction input.
-    """
-    lo, hi = I
-    cur_lo, cur_hi = lo, hi
-    for i in range(cap):
-        # does level i straddle a discontinuity? then height stops at i + 1
-        image = _branch_image(iet, cur_lo, cur_hi)
-        if len(image) > 1:
-            return i + 1
-        cur_lo, cur_hi = image[0]
-        # level i+1 collides with the base? keep levels 0..i
-        if cur_lo < hi and lo < cur_hi:
-            return i + 1
-    return cap

@@ -85,8 +85,42 @@ def test_schedule_determinism(tmp_path):
                             "--samples", "300", "--eps", "0.025",
                             "--seed", "7", "--out", str(out)])
         assert code == 0
-        outs.append((out / "schedule.json").read_bytes())
+        outs.append([(out / f).read_bytes() for f in ("schedule.json", "final_average.csv")])
     assert outs[0] == outs[1]
+    # --atoms sizes the strands whose average the CSV holds: 2 strands x 1500
+    lines = outs[0][1].decode().splitlines()
+    assert lines[0] == "x,y,w" and len(lines) == 1 + 2 * 1500
+
+
+@pytest.mark.parametrize("args, files", [
+    (["tower", "--alpha-cf", "doc-tower", "--k-max", "2"],
+     ["tower.json", "tower_levels.csv"]),
+    (["approx-powers", "--alpha-cf", "doc-tower", "--k-max", "2", "--atoms", "3000"],
+     ["approx-powers.json"]),
+    (["joining-sample", "--alpha-cf", "doc-tower", "--atoms", "3000", "--heatmap", "8"],
+     ["joining-sample.json", "joining.csv", "joining_heatmap.csv"]),
+])
+def test_command_files_byte_identical(tmp_path, args, files):
+    runs = []
+    for name in ("r1", "r2"):
+        out = tmp_path / name
+        assert run_command(args + ["--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(files)
+        runs.append({f: (out / f).read_bytes() for f in files})
+    assert runs[0] == runs[1]
+    first = runs[0]
+    if "tower.json" in first:
+        best = json.loads(first["tower.json"])["candidates"][-1]
+        assert len(first["tower_levels.csv"].decode().splitlines()) == 1 + best["height"]
+    if "approx-powers.json" in first:
+        rep = json.loads(first["approx-powers.json"])
+        assert 0 < rep["coeff_total"] <= 1 + 1e-12
+    if "joining_heatmap.csv" in first:
+        rows = first["joining_heatmap.csv"].decode().splitlines()
+        assert rows[0] == "ix,iy,mass"
+        cells = [r.split(",") for r in rows[1:]]
+        assert all(0 <= int(ix) < 8 and 0 <= int(iy) < 8 for ix, iy, _ in cells)
+        assert sum(float(m) for _, _, m in cells) == pytest.approx(1.0)
 
 
 def test_console_entry_point(tmp_path):

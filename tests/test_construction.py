@@ -108,6 +108,16 @@ def test_golden_switch_not_admissible(golden):
                      verify_samples=0)
 
 
+def test_only_an_exact_rotation_offers_its_period_as_a_scale(golden):
+    # the last continued-fraction denominator of the lift is its period Q: an
+    # exact rotation closes up there, the binary64 golden rotation does not
+    exact = _SwitchEngine(Iet3(Fraction(1, 5), Fraction(2, 5), Fraction(2, 5)))
+    assert exact.scales[-1] == exact.Q
+    with pytest.raises(SearchFailure) as exc:
+        build_switch(golden, SwitchSpec(a=0, b=1, epsilon=0.05), verify_samples=0)
+    assert str(golden.rotation_counter().Q) not in str(exc.value)
+
+
 def test_schedule_base_case(switch_iet):
     sched = run_schedule(switch_iet, (0, 1), [0.025], K_levels=0,
                          N_atoms=3000, seed=3)
@@ -149,6 +159,18 @@ def test_witness_three_levels(doc_witness):
     assert rep["keep_away_ok"]
     # separation and fat fibers hold simultaneously on the same report
     assert items["i_product_separation"]["pass"] and items["iii_fiber_fraction"]["pass"]
+
+
+def test_witness_average_is_the_certified_one(doc_witness, switch_iet):
+    # item ii is computed on the schedule's own average, the one the CLI
+    # writes to final_average.csv
+    from iet3.joinings import kr_upper_binned, mix, sample_power_joining
+    sched = doc_witness["schedule"]
+    gseed = _mix_seed(7, "sharedgrid")
+    base = mix(*(sample_power_joining(switch_iet, e, 100_000, seed=gseed)
+                 for e in sched.initial_exponents))
+    assert (kr_upper_binned(sched.average, base, bins=1024)
+            == doc_witness["items"]["ii_mixture_closeness"]["value"])
 
 
 def test_witness_schedule_conditions(doc_witness, switch_iet):

@@ -5,9 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from iet3.iet_core import Iet3, apply, apply_pow
-from iet3.towers import (LevelSplitError, TowerBuildError, build_tower,
-                         tower_stats)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from iet3.iet_core import Iet3, _branch_image, apply, apply_pow
+from iet3.towers import (LevelOverlapError, LevelSplitError, TowerBuildError,
+                         build_tower, suggest_towers, tower_stats)
 
 RATIONAL = Iet3(Fraction(1, 5), Fraction(2, 5), Fraction(2, 5))
 
@@ -106,3 +109,62 @@ def test_level_lookup():
         lo = float(tower.level_lows[i])
         assert tower.level_of_point(lo + 0.005) == i
     assert tower.level_of_point(0.999) is None
+
+
+def _all_pairs_oracle(iet, I, n):
+    """I, T I, ..., T^(n-1) I are intervals, and in sorted order consecutive
+    left ends lie at least the width apart: every pair of levels checked."""
+    levels = [I]
+    while len(levels) < n:
+        image = _branch_image(iet, *levels[-1])
+        if len(image) > 1:
+            return False
+        levels.append(image[0])
+    lows = sorted(lo for lo, _ in levels)
+    return all(b - a >= I[1] - I[0] for a, b in zip(lows, lows[1:]))
+
+
+def _maximal_height(iet, I, h):
+    # suggest_towers walks at most 100_000 levels
+    return _all_pairs_oracle(iet, I, h) and (h == 100_000 or not _all_pairs_oracle(iet, I, h + 1))
+
+
+@st.composite
+def small_exact_iets(draw):
+    d = draw(st.integers(3, 24))
+    l1 = draw(st.integers(1, d - 2))
+    l2 = draw(st.integers(1, d - 1 - l1))
+    return Iet3(Fraction(l1, d), Fraction(l2, d), Fraction(d - l1 - l2, d))
+
+
+@st.composite
+def fraction_bases(draw):
+    D = draw(st.integers(2, 60))
+    lo = draw(st.integers(0, D - 1))
+    return Fraction(lo, D), Fraction(draw(st.integers(lo + 1, D)), D)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(small_exact_iets(), fraction_bases(), st.integers(1, 30))
+def test_build_tower_matches_all_pairs_oracle(iet, I, n):
+    try:
+        tower = build_tower(iet, I, n)
+    except TowerBuildError as exc:
+        assert not _all_pairs_oracle(iet, I, n)
+        # the error's level fixes the largest height the base carries
+        kept = exc.level if isinstance(exc, LevelOverlapError) else exc.level + 1
+        assert kept < n and _maximal_height(iet, I, kept)
+    else:
+        assert _all_pairs_oracle(iet, I, n)
+        assert tower.height == n == len(tower.level_lows)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(small_exact_iets())
+def test_suggested_heights_are_maximal(iet):
+    for I, h in suggest_towers(iet, k_max=3, t_max=6.0):
+        assert _maximal_height(iet, I, h)
+
+
+def test_documented_heights_are_maximal(doc_towers, tower_iet):
+    assert all(_maximal_height(tower_iet, I, h) for I, h in doc_towers)
