@@ -25,19 +25,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import intervals as iv
-from .arith import RotationCounter, cf_convergents, cf_expansion
+from .arith import RotationCounter
 from .iet_core import Iet3, to_rotation
 from .joinings import (DiscreteMeasure2D, TEST_FUNCTIONS_2D, disintegrate,
                        fiber_diameter_stats, kr_lower_witness, kr_upper_binned,
                        mix, product_sample, sample_power_joining,
                        _stratified_points)
-from .renorm import _generic_crossing_pair, section_record_exact
+from .renorm import _generic_crossing_pair, _ladder, section_record_exact
 
 __all__ = [
     "SwitchSpec",
@@ -118,11 +117,7 @@ class _SwitchEngine:
         self.kappa = float(to_rotation(iet).kappa)
         self.rc = iet.rotation_counter()
         self.P, self.Q, self.C = self.rc.P, self.rc.Q, self.rc.C
-        digits = cf_expansion(Fraction(self.P, self.Q), max_terms=256)
-        self.denoms = [q for _, q in cf_convergents(digits)]
-        # the last denominator is the lift's own period: only an exact
-        # rotation closes up there, a binary64 one's finite lift does
-        self.scales = self.denoms if iet.exact else self.denoms[:-1]
+        self.denoms, self.scales = _ladder(iet)
 
     # -- scale data ---------------------------------------------------------
 
@@ -441,7 +436,8 @@ def verify_switch(iet: Iet3, res: SwitchResult, samples: int,
 
     The KR window check compares kr_A and kr_B with 2 eps + 4/sqrt(L) (L
     capped at 20000).  For L <= 4 that bound is at least 2, the taxicab
-    diameter of the unit square, so the check cannot fail there."""
+    diameter of the unit square, so the check cannot fail there;
+    ``checks["kr_vacuous"]`` says when that is so."""
     if samples <= 0:
         return {"all_pass": True, "checks": {}, "samples": 0}
     eng = _SwitchEngine(iet)
@@ -475,6 +471,7 @@ def verify_switch(iet: Iet3, res: SwitchResult, samples: int,
     checks["lambda_B"] = res.lambda_B
     slack = 4 / math.sqrt(max(min(res.L, cap), 1))
     checks["kr_bound"] = 2 * eps + slack
+    checks["kr_vacuous"] = checks["kr_bound"] >= 2
     ok = (checks["shadow_A_frac_ok"] >= 0.95 and checks["shadow_B_frac_ok"] >= 0.95
           and checks["return_margin"] >= 0
           and checks["kr_A"] <= 2 * eps + slack

@@ -26,8 +26,10 @@ of the switch schedule.
 from __future__ import annotations
 
 import csv
+import ctypes
 import io
 import math
+import mmap
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -38,6 +40,11 @@ from scipy.optimize import linear_sum_assignment, linprog
 from .iet_core import (Iet3, _power_on_circle, _use_counting, apply, apply_pow,
                        apply_pow_many)
 from .towers import Tower, _return_sets
+
+try:                                 # glibc only; elsewhere no trim is made
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
 
 __all__ = [
     "DiscreteMeasure2D",
@@ -200,15 +207,18 @@ def mix(*measures: DiscreteMeasure2D) -> DiscreteMeasure2D:
 # ground metric
 # ---------------------------------------------------------------------------
 
-def _coord_dist(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
-    d = np.abs(a[:, None] - b[None, :])
-    if metric == "circle":
-        d = np.minimum(d, 1.0 - d)
-    return d
-
-
 def _cost_matrix(mu: DiscreteMeasure2D, nu: DiscreteMeasure2D, metric: str) -> np.ndarray:
-    return _coord_dist(mu.xs, nu.xs, metric) + _coord_dist(mu.ys, nu.ys, metric)
+    """Taxicab costs, mu's atoms as rows, in an anonymous mapping filled in
+    row blocks: the largest array of a KR solve (32 MB at 2000 atoms a side)
+    then never enters the C heap, where its release would leave a hole."""
+    C = np.frombuffer(mmap.mmap(-1, 8 * len(mu) * len(nu))).reshape(len(mu), len(nu))
+    for i in range(0, len(mu), 256):
+        r = slice(i, i + 256)
+        d = [np.abs(a[r, None] - b[None, :]) for a, b in ((mu.xs, nu.xs), (mu.ys, nu.ys))]
+        if metric == "circle":
+            d = [np.minimum(k, 1.0 - k) for k in d]
+        C[r] = d[0] + d[1]
+    return C
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +238,19 @@ def _transport_lp(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     rows = np.concatenate([np.repeat(np.arange(n), m), np.repeat(n + np.arange(m), n)])
     cols = np.concatenate([np.arange(n * m), (np.arange(m)[:, None] + m * np.arange(n)).ravel()])
     A = sp.csc_matrix((np.ones(2 * n * m), (rows, cols)), shape=(n + m, n * m))
-    res = linprog(C.ravel(), A_eq=A, b_eq=np.concatenate([a, b]), bounds=(0, None),
-                  method="highs")
+    return _highs(C.ravel(), A, np.concatenate([a, b]), "transport LP")
+
+
+def _highs(c: np.ndarray, A, b: np.ndarray, what: str) -> float:
+    """min c.x over x >= 0 with A x = b, by HiGHS.  The C heap is trimmed
+    after the solve: glibc would keep HiGHS's freed working memory (tens of
+    MB here) resident, and the next solves' peaks would stack on it."""
+    res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    if _malloc_trim is not None:
+        _malloc_trim(0)
     if res.status != 0:
-        raise RuntimeError(f"transport LP failed: {res.message}")
+        raise RuntimeError(f"{what} failed: {res.message}")
     return float(res.fun)
-
-
-def _kr_lp(mu, nu, metric) -> float:
-    return _transport_lp(_cost_matrix(mu, nu, metric), mu.ws, nu.ws)
 
 
 def _grid_supply(mu, nu, G: int) -> tuple[np.ndarray, float]:
@@ -276,10 +290,7 @@ def _grid_flow(supply: np.ndarray, G: int, metric: str) -> float:
     A = sp.csc_matrix((np.tile([1.0, -1.0], E),
                        (np.stack([src, dst], axis=1).ravel(), np.repeat(np.arange(E), 2))),
                       shape=(G * G, E))
-    res = linprog(np.full(E, 1.0 / G), A_eq=A, b_eq=supply, bounds=(0, None), method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"grid flow failed: {res.message}")
-    return float(res.fun)
+    return _highs(np.full(E, 1.0 / G), A, supply, "grid flow")
 
 
 def _cell_transport(supply: np.ndarray, G: int, metric: str) -> float:
@@ -334,7 +345,8 @@ def kr_distance_detailed(mu: DiscreteMeasure2D, nu: DiscreteMeasure2D,
     if method == "assignment":
         return {"value": _kr_assignment(mu, nu, metric), "method": "assignment", "bound": 0.0}
     if method == "lp":
-        return {"value": _kr_lp(mu, nu, metric), "method": "lp", "bound": 0.0}
+        val = _transport_lp(_cost_matrix(mu, nu, metric), mu.ws, nu.ws)
+        return {"value": val, "method": "lp", "bound": 0.0}
     if method == "grid":
         val, snap = _kr_grid(mu, nu, metric, grid)
         return {"value": val, "method": f"grid{grid}", "bound": snap}

@@ -8,16 +8,18 @@ vertical return lands on the same horizontal, displaced by at most 1/2) are
 where the tower/switch constructions operate.
 
 Admissible times turn out to be exactly t = ln N for integers N whose
-rotation multiple N*alpha is close to an integer; the scan enumerates such N
-from continued-fraction data and from a grid of flow times refined into the
-section, and evaluates each candidate with exact integer arithmetic (floats
-cannot resolve the lattice residuals at deep scales).
+rotation multiple N*alpha is close to an integer; the scan takes as
+candidates the continued-fraction denominators of the circle, times k <= 6,
+and evaluates each with exact integer arithmetic (floats cannot resolve the
+lattice residuals at deep scales).  The denominators are expanded once, in
+`_ladder`, which the switch construction reads too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -91,8 +93,6 @@ class RenormTime:
 
     t: float
     dist_hat: float
-    in_S: bool
-    v_offset: tuple[float, float]
     m: int
     rho: float
     V_len: float
@@ -360,38 +360,27 @@ def section_record_exact(P: int, Q: int, C: int, N: int) -> _SectionRecord:
                           V_len=v_len, w2=float(w_red[1]))
 
 
-def _candidate_steps(iet: Iet3, t_max: float) -> tuple[list[int], list[tuple[float, str]]]:
-    """Candidate integer step counts: continued-fraction denominators with
-    small multiples, plus grid times (step 0.01) refined into the section."""
-    grid_step = 0.01
-    rep = to_rotation(iet)
+def _ladder(iet: Iet3) -> tuple[list[int], list[int]]:
+    """The continued-fraction denominators of the IET's circle P/Q,
+    ascending, and the renormalization scales among them.
+
+    The last denominator is the circle's own period Q: only an exact
+    rotation closes up there, a binary64 one's finite lift does, so for a
+    binary64 IET it is no scale.
+    """
+    rc = iet.rotation_counter()
+    digits = cf_expansion(Fraction(rc.P, rc.Q), max_terms=256)
+    denoms = [q for _, q in cf_convergents(digits)]
+    return denoms, denoms if iet.exact else denoms[:-1]
+
+
+def _candidate_steps(iet: Iet3, t_max: float) -> list[int]:
+    """Candidate integer step counts up to e^t_max: the continued-fraction
+    denominators of the circle, times k <= 6."""
     n_cap = int(math.exp(min(t_max, 80.0)))
-    cands: set[int] = set()
-    rejections: list[tuple[float, str]] = []
-    for _, q in cf_convergents(cf_expansion(rep.alpha)):
-        if q > n_cap:
-            break
-        for k in range(1, 7):
-            if 2 <= k * q <= n_cap:
-                cands.add(k * q)
-    torus0 = torus_of_iet(iet)
-    t = grid_step
-    while t <= min(t_max, math.log(1e15)):
-        torus = apply_gt(torus0, t)
-        try:
-            lam = _nearest_lattice_vector(torus.basis, np.array([0.0, 1.0]))
-        except np.linalg.LinAlgError:
-            rejections.append((t, "singular basis"))
-            t += grid_step
-            continue
-        # the step count is the height of lam in unflowed coordinates
-        b = int(round(lam[1] * math.exp(t)))
-        if b >= 2 and b <= n_cap:
-            cands.add(b)
-        else:
-            rejections.append((t, f"no unit-height lattice vector (b={b})"))
-        t += grid_step
-    return sorted(cands), rejections
+    _, scales = _ladder(iet)
+    return sorted({k * q for q in scales for k in range(1, 7)
+                   if 2 <= k * q <= n_cap})
 
 
 def scan_renorm_times(iet: Iet3, delta: float, t_max: float,
@@ -401,7 +390,8 @@ def scan_renorm_times(iet: Iet3, delta: float, t_max: float,
     plus rejection diagnostics."""
     rc = iet.rotation_counter()
     P, Q, C = rc.P, rc.Q, rc.C
-    cands, rejections = _candidate_steps(iet, t_max)
+    cands = _candidate_steps(iet, t_max)
+    rejections = []
     # cheap pre-filter on the exact unit-return displacement (one bigint
     # multiply per candidate); candidates far from the section cannot be
     # adjusted into it, and the full record evaluation is much costlier
@@ -431,8 +421,7 @@ def scan_renorm_times(iet: Iet3, delta: float, t_max: float,
             m, f_m, f_m1 = _generic_crossing_pair(_crossing_samples(iet, N))
         else:
             m, f_m, f_m1 = 0, 0.0, 0.0
-        times.append(RenormTime(t=t, dist_hat=rec.dist_hat, in_S=True,
-                                v_offset=(rec.v1, 0.0), m=m, rho=rec.rho,
+        times.append(RenormTime(t=t, dist_hat=rec.dist_hat, m=m, rho=rec.rho,
                                 V_len=rec.V_len, n_steps=N,
                                 m_fractions=(f_m, f_m1)))
     times.sort(key=lambda r: r.t)

@@ -62,6 +62,15 @@ def test_documented_switch_verified(doc_switch):
     assert checks["shadow_B_frac_ok"] >= 0.95
 
 
+def test_kr_window_check_says_when_it_is_vacuous(doc_switch, doc_witness):
+    # 2 eps + 4/sqrt(L) reaches 2, the taxicab diameter, on short windows
+    checks = doc_switch.diagnostics["verification"]["checks"]
+    assert checks["kr_bound"] < 2 and checks["kr_vacuous"] is False
+    sw = doc_witness["schedule"].levels[0].switch
+    checks = sw.diagnostics["verification"]["checks"]
+    assert sw.L <= 4 and checks["kr_vacuous"] is True
+
+
 def test_verify_corrupted_exponent(switch_iet, doc_switch):
     bad = dataclasses.replace(doc_switch, n=doc_switch.n + 1)
     rep = verify_switch(switch_iet, bad, samples=300, seed=99)

@@ -532,6 +532,19 @@ def test_kr_circle_metric():
     assert kr_distance(one, two, metric="interval") == pytest.approx(0.9, abs=1e-12)
 
 
+@pytest.mark.parametrize("metric", ["interval", "circle"])
+def test_cost_matrix_equals_broadcast_formula(metric):
+    # 600 rows cross two row-block boundaries of the mapped cost matrix
+    rng = np.random.default_rng(3)
+    mu = DiscreteMeasure2D.equal_weight(rng.random(600), rng.random(600))
+    nu = DiscreteMeasure2D.equal_weight(rng.random(70), rng.random(70))
+    d = [np.abs(a[:, None] - b[None, :]) for a, b in ((mu.xs, nu.xs), (mu.ys, nu.ys))]
+    if metric == "circle":
+        d = [np.minimum(k, 1.0 - k) for k in d]
+    C = joinings._cost_matrix(mu, nu, metric)
+    assert C.shape == (600, 70) and np.array_equal(C, d[0] + d[1])
+
+
 def test_kr_unbalanced_rejected():
     a = DiscreteMeasure2D(np.array([0.1]), np.array([0.1]), np.array([1.0]))
     with pytest.raises(ValueError):

@@ -172,7 +172,6 @@ def test_golden_scan_nonempty_and_selfconsistent():
     from iet3.renorm import torus_of_iet
     rc = iet.rotation_counter()
     for rt in times:
-        assert rt.in_S
         # re-verify through the exact evaluator (ground truth at any scale)
         rec = section_record_exact(rc.P, rc.Q, rc.C, rt.n_steps)
         assert rec.dist_hat < 0.3
@@ -192,6 +191,39 @@ def test_rational_scan_all_rejected_at_depth():
     assert all(rt.rho > 0 for rt in scan.times)
     assert any("closes up" in r or "far from section" in r
                for _, r in scan.rejections)
+
+
+FIBONACCI_2_TO_832040 = [2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610,
+                         987, 1597, 2584, 4181, 6765, 10946, 17711, 28657,
+                         46368, 75025, 121393, 196418, 317811, 514229, 832040]
+
+
+@pytest.mark.parametrize("name, delta, t_max, steps", [
+    ("switch", 0.3, 11.0, [4, 32001]),
+    ("switch", 1.2, 14.0, [4, 8, 12, 32001, 64002, 96003]),
+    ("tower", 0.3, 11.0, [2]),
+    ("tower", 1.2, 14.0, [2, 7, 14, 21, 422, 844, 1266, 37987, 75974, 113961]),
+    ("golden", 0.3, 11.0, []),
+    ("golden", 1.2, 14.0, FIBONACCI_2_TO_832040),
+])
+def test_scan_accepts_pinned_steps(name, delta, t_max, steps, switch_iet,
+                                   tower_iet, golden):
+    iet = {"switch": switch_iet, "tower": tower_iet, "golden": golden}[name]
+    scan = scan_renorm_times(iet, delta=delta, t_max=t_max)
+    assert [rt.n_steps for rt in scan.times] == steps
+
+
+def test_candidates_are_the_circle_ladder(switch_iet, golden):
+    # candidates are k q, k <= 6, for q on the circle's scale ladder, the
+    # ladder the switch engine reads; a binary64 IET's lift period Q is none
+    from iet3.construction import _SwitchEngine
+    from iet3.renorm import _candidate_steps
+    for iet in (switch_iet, golden):
+        scales = _SwitchEngine(iet).scales
+        assert _candidate_steps(iet, 40.0) == sorted(
+            {k * q for q in scales for k in range(1, 7) if 2 <= k * q <= math.exp(40.0)})
+    Q = golden.rotation_counter().Q
+    assert all(n % Q for n in _candidate_steps(golden, 40.0))
 
 
 def test_documented_scan_accepts_tuned_scales(switch_iet):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iet3.iet_core import Iet3, _branch_image, apply, apply_pow
+from iet3.iet_core import Iet3, _branch_image, apply, apply_pow, transport
 from iet3.towers import (LevelOverlapError, LevelSplitError, TowerBuildError,
                          build_tower, suggest_towers, tower_stats)
 
@@ -29,9 +29,7 @@ def test_rational_periodic_tower():
     J = (Fraction(0), Fraction(1, 100))
     tower = build_tower(RATIONAL, J, p)
     # exact periodicity: the p-th image is the base again
-    top = tower.level_lows[-1]
-    nxt = apply(RATIONAL, Fraction(int(round(top * 10**12)), 10**12)
-                if not isinstance(top, Fraction) else top)
+    assert transport(RATIONAL, [J], p) == [J]
     st = tower_stats(tower, RATIONAL)
     assert st.rigidity == pytest.approx(0.0, abs=1e-12)
     assert st.hat_measure == pytest.approx(st.coverage, abs=1e-12)
