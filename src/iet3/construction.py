@@ -29,7 +29,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import intervals as iv
 from .arith import RotationCounter
 from .iet_core import Iet3, to_rotation
 from .joinings import (DiscreteMeasure2D, TEST_FUNCTIONS_2D, disintegrate,
@@ -265,28 +264,31 @@ def _find_J(eng: _SwitchEngine, N: int, m: int, W: int, p_hat: int) -> tuple[int
 
 
 def _materialize_B(eng: _SwitchEngine, N: int, m: int, W: int) -> Optional[list]:
-    """Union of intervals of (m+1)-type points with window-clear pattern,
-    exact, when the translate count is affordable."""
+    """Cell runs [lo, hi) of the slit's (m+1)-type points whose orbit stays
+    out of both zones for (3 + W) N steps either way, when affordable.  The
+    cells that enter a zone are the arcs (z_lo - jP) mod Q + [0, w), so the
+    clear ones are the gaps between arcs; the crossing count changes only at
+    cells that enter a zone, so one count per run classifies it."""
     window = (3 + W) * N
     if 2 * window > 400_000:
         return None
+    P, Q, C = eng.P, eng.Q, eng.C
     zones = eng.zones(N)
-    alpha = eng.P / eng.Q
-    bad = []
-    for (z_lo, z_hi) in zones:
-        w = (z_hi - z_lo) / eng.Q
-        base = (z_lo % eng.Q) / eng.Q
-        js = np.arange(-window, window + 1)
-        starts = (base - js * alpha) % 1.0
-        bad.extend((float(s0), float(s0 + w)) for s0 in starts)
-        wrap = [(0.0, float(s0 + w - 1.0)) for s0 in starts if s0 + w > 1.0]
-        bad.extend(wrap)
-    bad = iv.normalize([(a, min(b, 1.0)) for a, b in bad if b > a])
-    clear = iv.intersect(iv.complement(bad), [(0.0, eng.C / eng.Q)])
+    w = zones[0][1] - zones[0][0]
+    starts = sorted({(z_lo - j * P) % Q for z_lo, _ in zones
+                     for j in range(-window, window + 1)})
+    # the gap after the last arc wraps past Q to the first start
+    ends = [s0 + w for s0 in starts]
+    gaps = [(e, s1) for e, s1 in zip(ends, starts[1:]) if s1 > e]
+    if ends[-1] < Q:
+        gaps += [(ends[-1], Q), (0, starts[0])]
+    elif ends[-1] - Q < starts[0]:
+        gaps.append((ends[-1] - Q, starts[0]))
+    clear = [(lo, min(hi, C)) for lo, hi in gaps if lo < min(hi, C)]
     if not clear:
         return []
-    mids = np.array([int((a + b) / 2 * eng.Q) for a, b in clear], dtype=object)
-    return [piece for piece, c in zip(clear, eng.counts(mids, N)) if c == m + 1]
+    cc = eng.counts(np.array([lo for lo, _ in clear], dtype=object), N)
+    return sorted(run for run, c in zip(clear, cc) if c == m + 1)
 
 
 def _sample_B(eng: _SwitchEngine, N: int, m: int, W: int, n_samples: int,
@@ -366,7 +368,7 @@ def build_switch(iet: Iet3, spec: SwitchSpec,
     lam_A = r * lam_J / eng.kappa          # fraction of the IET domain
     B_iv = _materialize_B(eng, N, m, W)
     if B_iv is not None:
-        lam_B = float(iv.measure(B_iv)) / eng.kappa if B_iv else 0.0
+        lam_B = sum(hi - lo for lo, hi in B_iv) / eng.C
         lam_B_exact = True
     else:
         _, frac = _sample_B(eng, N, m, W, 64, (seed, "bfrac"))

@@ -16,6 +16,7 @@ counts go through the integer circle of `RotationCounter.for_rotation`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -215,10 +216,11 @@ def apply_pow_many(iet: Iet3, n: int, xs: np.ndarray,
     return np.clip(out, 0.0, np.nextafter(1.0, 0.0))
 
 
-def _branch_image(iet: Iet3, lo, hi) -> list[tuple]:
+def _branch_image(iet: Iet3, lo, hi, branches=None) -> list[tuple]:
     """One step of T on the interval [lo, hi): its image pieces, one per
-    branch of T the interval meets, in source order."""
-    cuts, d_last = iet._branches
+    branch of T the interval meets, in source order.  ``branches`` is the
+    branch table in the endpoints' units, `Iet3._branches` by default."""
+    cuts, d_last = branches or iet._branches
     out = []
     for cut, d in cuts:
         if lo < cut:
@@ -231,17 +233,33 @@ def _branch_image(iet: Iet3, lo, hi) -> list[tuple]:
     return out
 
 
+def _on_grid(iet: Iet3, pieces) -> tuple[int, tuple, list[tuple]]:
+    """(D, branch table, pieces) in integer numerators over D, the lcm of the
+    denominators of the lengths and the endpoints, if all are exact (D then
+    divides the C of `Iet3.rotation_counter()` for a base on its grid: the
+    numerators are whole cells); otherwise (0, the table, the pieces)."""
+    pieces = list(pieces)
+    ends = [x for p in pieces for x in p]
+    if not (iet.exact and all(isinstance(x, (Fraction, int)) for x in ends)):
+        return 0, iet._branches, pieces
+    D = math.lcm(*(Fraction(x).denominator for x in (iet.l1, iet.l2, iet.l3, *ends)))
+    cuts, d_last = iet._branches
+    branches = tuple((int(c * D), int(d * D)) for c, d in cuts), int(d_last * D)
+    return D, branches, [(int(a * D), int(b * D)) for a, b in pieces]
+
+
 def transport(iet: Iet3, pieces, steps: int) -> list[tuple]:
     """Image of a union of intervals under T^steps, split at the
     discontinuities of T and normalized after every step.
 
-    Exact with Fraction endpoints on an exact IET.  For T^-steps pass
-    ``iet.inverse()``: T^-1 is the forward exchange of the inverse IET.
+    Exact with Fraction endpoints on an exact IET, whose steps run on
+    integer numerators (`_on_grid`).  For T^-steps pass ``iet.inverse()``:
+    T^-1 is the forward exchange of the inverse IET.
     """
-    pieces = list(pieces)
+    D, branches, pieces = _on_grid(iet, pieces)
     for _ in range(steps):
-        pieces = iv.normalize([p for a, b in pieces for p in _branch_image(iet, a, b)])
-    return pieces
+        pieces = iv.normalize([p for a, b in pieces for p in _branch_image(iet, a, b, branches)])
+    return [(Fraction(a, D), Fraction(b, D)) for a, b in pieces] if D else pieces
 
 
 def orbit(iet: Iet3, x: float, L: int) -> OrbitSegment:
@@ -287,12 +305,12 @@ def min_return_time(iet: Iet3, J: tuple, n_max: int) -> Optional[int]:
     discontinuities, and checks overlap with J after each step.  Exact on an
     exact IET; in binary64 the endpoints carry ordinary float error.
     """
-    lo, hi = J
-    if not (0 <= lo < hi <= 1):
+    if not (0 <= J[0] < J[1] <= 1):
         raise ValueError("J must be a nondegenerate subinterval of [0, 1)")
-    pieces = [(lo, hi)]
+    _, branches, pieces = _on_grid(iet, [J])
+    (lo, hi), = pieces
     for n in range(1, n_max + 1):
-        pieces = transport(iet, pieces, 1)
+        pieces = iv.normalize([p for a, b in pieces for p in _branch_image(iet, a, b, branches)])
         if len(pieces) > 4096:
             raise RuntimeError("interval split budget exceeded; use a return-time certificate")
         if any(a < hi and lo < b for a, b in pieces):

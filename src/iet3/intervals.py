@@ -1,8 +1,8 @@
 """Half-open interval sets on [0, 1) (or on a circle of unit length).
 
-Small exact toolkit used by the tower and construction modules: unions keep
-sorted disjoint [a, b) pieces and support intersection, complement and
-measure.  Works with floats or Fractions.
+Small exact toolkit of interval transport and the tower statistics: unions
+keep sorted disjoint [a, b) pieces and support intersection and measure.
+Works with floats, Fractions or integers.
 """
 
 from __future__ import annotations
@@ -11,8 +11,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 Interval = Tuple[float, float]
 
-__all__ = ["normalize", "measure", "intersect", "complement",
-           "contains_point", "symdiff_measure"]
+__all__ = ["normalize", "measure", "intersect", "contains_point", "symdiff_measure"]
 
 
 def normalize(pieces: Iterable[Interval]) -> List[Interval]:
@@ -29,7 +28,7 @@ def normalize(pieces: Iterable[Interval]) -> List[Interval]:
 
 
 def measure(pieces: Sequence[Interval]):
-    return sum((b - a for a, b in pieces), start=type(pieces[0][0])(0)) if pieces else 0.0
+    return sum(b - a for a, b in pieces)
 
 
 def intersect(xs: Sequence[Interval], ys: Sequence[Interval]) -> List[Interval]:
@@ -48,19 +47,6 @@ def intersect(xs: Sequence[Interval], ys: Sequence[Interval]) -> List[Interval]:
     return out
 
 
-def complement(xs: Sequence[Interval], lo=0.0, hi=1.0) -> List[Interval]:
-    xs = normalize(xs)
-    out = []
-    cur = lo
-    for a, b in xs:
-        if a > cur:
-            out.append((cur, a))
-        cur = max(cur, b)
-    if hi > cur:
-        out.append((cur, hi))
-    return out
-
-
 def contains_point(xs: Sequence[Interval], x) -> bool:
     for a, b in xs:
         if a <= x < b:
@@ -70,8 +56,4 @@ def contains_point(xs: Sequence[Interval], x) -> bool:
 
 def symdiff_measure(xs: Sequence[Interval], ys: Sequence[Interval]):
     """Measure of the symmetric difference."""
-    inter = intersect(xs, ys)
-    mi = measure(inter) if inter else 0
-    mx = measure(normalize(xs)) if xs else 0
-    my = measure(normalize(ys)) if ys else 0
-    return mx + my - 2 * mi
+    return measure(normalize(xs)) + measure(normalize(ys)) - 2 * measure(intersect(xs, ys))

@@ -799,7 +799,7 @@ def _coefficients_from_fiber(tower: Tower, iet: Iet3, xs, ys, ws):
     This is the convention under which pure power joinings recover a single
     coefficient exactly."""
     from . import intervals as iv
-    hat = _return_sets(tower, iet)[2]
+    hat = [(float(a), float(b)) for a, b in _return_sets(tower, iet)[2]]
     n = tower.height
     idx, wts = [], []
     outside = 0.0

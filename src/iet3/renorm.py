@@ -154,14 +154,11 @@ def _basis_term(B_red: np.ndarray) -> float:
 
 
 def _marked_term(w_red: np.ndarray) -> float:
-    best = math.inf
-    for kx in range(-3, 4):
-        for ky in range(-3, 4):
-            for sx in (0.5, -0.5):
-                d = max(abs(w_red[0] - sx - kx),
-                        VERT_MARK_WEIGHT * abs(w_red[1] - ky))
-                best = min(best, d)
-    return best
+    """Min over (kx, sx, ky) of max(horizontal, vertical offset): the two
+    are chosen independently, so it is the max of the two minima."""
+    dx = min(abs(w_red[0] - sx - kx) for kx in range(-3, 4) for sx in (0.5, -0.5))
+    dy = min(VERT_MARK_WEIGHT * abs(w_red[1] - ky) for ky in range(-3, 4))
+    return max(dx, dy)
 
 
 def dist_to_hat(torus: MarkedTorus) -> float:

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import intervals as iv
-from .iet_core import Iet3, _branch_image, to_rotation, transport
+from .iet_core import Iet3, _branch_image, _on_grid, to_rotation, transport
 from .renorm import scan_renorm_times
 
 __all__ = ["Tower", "TowerStats", "TowerBuildError", "LevelSplitError",
@@ -92,64 +92,71 @@ def build_tower(iet: Iet3, I: tuple, n: int) -> Tower:
         raise ValueError("base must be a nondegenerate subinterval of [0, 1)")
     if n < 1:
         raise ValueError("height must be >= 1")
-    lows, stop = _walk(iet, I, n)
+    lows, D, stop = _walk(iet, I, n)
     if stop is not None:
         raise stop
     return Tower(base=(lo, hi), height=n,
-                 level_lows=np.array([float(v) for v in lows]))
+                 level_lows=np.array([v / D if D else float(v) for v in lows]))
 
 
-def _walk(iet: Iet3, I: tuple, cap: int) -> tuple[list, Optional[TowerBuildError]]:
-    """Left ends of the levels I, T I, ..., at most ``cap`` of them, and the
-    error that stopped the walk short of the cap (None if it did not).
+def _walk(iet: Iet3, I: tuple, cap: int) -> tuple[list, int, Optional[TowerBuildError]]:
+    """Left ends of the levels I, T I, ..., at most ``cap`` of them, as
+    numerators over D (D = 0: in the base's own floats), and the error that
+    stopped the walk short of the cap (None if it did not).
 
     The walk stops at the first level whose image straddles a discontinuity
     or meets the base.  New levels are checked against the base only: by
     invertibility a lag-k collision between any two levels is a collision
     with the base at lag k, caught when the k-th level was produced.  The
-    test is strict half-open overlap in the endpoints' own arithmetic, so it
-    is exact with Fraction endpoints on an exact IET.
+    test is strict half-open overlap in the endpoints' own arithmetic:
+    integer numerators (`_on_grid`) for Fraction endpoints on an exact IET.
     """
-    lo, hi = I
+    D, branches, ((lo, hi),) = _on_grid(iet, [I])
     lows = [lo]
     cur_lo, cur_hi = lo, hi
     while len(lows) < cap:
-        image = _branch_image(iet, cur_lo, cur_hi)
+        image = _branch_image(iet, cur_lo, cur_hi, branches)
         if len(image) > 1:
-            return lows, LevelSplitError("discontinuity inside level", len(lows) - 1)
+            return lows, D, LevelSplitError("discontinuity inside level", len(lows) - 1)
         cur_lo, cur_hi = image[0]
         if cur_lo < hi and lo < cur_hi:
-            return lows, LevelOverlapError("level meets the base", len(lows))
+            return lows, D, LevelOverlapError("level meets the base", len(lows))
         lows.append(cur_lo)
-    return lows, None
+    return lows, D, None
 
 
-def _return_sets(tower: Tower, iet: Iet3) -> tuple[list, list, list]:
-    """T^n I, T^-n I and the refined base I ∩ T^n I ∩ T^-n I of a height-n
-    tower over I, with float endpoints."""
-    I = [(float(tower.base[0]), float(tower.base[1]))]
-    top = (float(tower.level_lows[-1]), float(tower.level_lows[-1]) + float(tower.width))
-    TnI_fwd = transport(iet, [top], 1)  # = T^n I, one step past the top level
+def _return_sets(tower: Tower, iet: Iet3) -> tuple[list, list, list, list]:
+    """T^n I, T^-n I, the refined base I ∩ T^n I ∩ T^-n I and the top level
+    T^(n-1) I of a height-n tower over I, in the base's own arithmetic:
+    exact for a Fraction tower on an exact IET."""
+    I = [tower.base]
+    top = transport(iet, I, tower.height - 1)
+    # one step past the top level as the tower stores it, with its right end
+    # at left end + width: the same set in exact arithmetic
+    TnI_fwd = transport(iet, [(top[0][0], top[0][0] + tower.width)], 1)
     TnI_back = transport(iet.inverse(), I, tower.height)
-    return TnI_fwd, TnI_back, iv.intersect(iv.intersect(I, TnI_fwd), TnI_back)
+    return TnI_fwd, TnI_back, iv.intersect(iv.intersect(I, TnI_fwd), TnI_back), top
 
 
 def tower_stats(tower: Tower, iet: Iet3) -> TowerStats:
-    """Coverage, rigidity and the refined sub-tower measures."""
-    I = [(float(tower.base[0]), float(tower.base[1]))]
-    n = tower.height
-    w = float(tower.width)
-    coverage = float(iv.measure(tower.union()))
-    TnI_fwd, TnI_back, hat_base = _return_sets(tower, iet)
-    rigidity = float(iv.symdiff_measure(TnI_fwd, I)) / w
-    T2nI_fwd = transport(iet, I, 2 * n)
+    """Coverage, rigidity and the refined sub-tower measures, computed in the
+    base's own arithmetic and rounded to floats once: for a Fraction tower
+    on an exact IET they are the floats of exact rationals."""
+    I = [tower.base]
+    n, w = tower.height, tower.width
+    # the levels are disjoint, so their union measures n w; a float tower
+    # keeps the measure of its float levels' union
+    coverage = n * w if isinstance(w, Fraction) else iv.measure(tower.union())
+    TnI_fwd, TnI_back, hat_base, top = _return_sets(tower, iet)
+    # T^2n I and T^-2n I continue the walks that gave T^n I and T^-n I
+    T2nI_fwd = transport(iet, top, n + 1)
     T2nI_back = transport(iet.inverse(), TnI_back, n)
     tilde_base = iv.intersect(iv.intersect(hat_base, T2nI_fwd), T2nI_back)
-    hat = n * (float(iv.measure(hat_base)) if hat_base else 0.0)
-    tilde = n * (float(iv.measure(tilde_base)) if tilde_base else 0.0)
-    hat = min(hat, coverage)
-    return TowerStats(coverage=coverage, rigidity=rigidity,
-                      hat_measure=hat, tilde_measure=min(tilde, hat))
+    hat = min(n * iv.measure(hat_base), coverage)
+    tilde = min(n * iv.measure(tilde_base), hat)
+    return TowerStats(coverage=float(coverage),
+                      rigidity=float(iv.symdiff_measure(TnI_fwd, I) / w),
+                      hat_measure=float(hat), tilde_measure=float(tilde))
 
 
 def suggest_towers(iet: Iet3, k_max: int, t_max: float = 14.0) -> list[tuple[tuple, int]]:
@@ -160,8 +167,7 @@ def suggest_towers(iet: Iet3, k_max: int, t_max: float = 14.0) -> list[tuple[tup
     the height the tower walk certifies; candidates are returned by
     ascending scale (coverage and rigidity typically improve along the list).
     """
-    rep = to_rotation(iet)
-    kappa = rep.kappa
+    kappa = to_rotation(iet).kappa
     scan = scan_renorm_times(iet, delta=1.2, t_max=t_max, with_dichotomy=False)
     out = []
     seen = set()
@@ -171,8 +177,8 @@ def suggest_towers(iet: Iet3, k_max: int, t_max: float = 14.0) -> list[tuple[tup
             break
         N = rt.n_steps
         if iet.exact:
-            rc = iet.rotation_counter()
-            bw = Fraction(abs(rc.signed_residue(N)), rc.Q) / kappa
+            rc = iet.rotation_counter()  # whole cells of the slit [0, C)
+            bw = Fraction(abs(rc.signed_residue(N)), rc.C)
         else:
             bw = (rt.rho / N) / float(kappa)  # ||N alpha|| rescaled
         if bw <= 0 or bw >= 1:
@@ -184,18 +190,12 @@ def suggest_towers(iet: Iet3, k_max: int, t_max: float = 14.0) -> list[tuple[tup
         # the base anchor matters: anchored at a discontinuity (or just
         # below one) the levels follow the dynamical partition and avoid
         # splits for the full return; scan a few anchors and keep the best
-        anchors = [iet.b2, iet.b2 - bw, iet.b1, iet.b1 - bw,
-                   type(bw)(0), 1 - bw]
-        best_here = None
-        for x0 in anchors:
-            if x0 < 0 or x0 + bw > 1:
-                continue
-            h = len(_walk(iet, (x0, x0 + bw), 100_000)[0])
-            if best_here is None or h > best_here[1]:
-                best_here = (x0, h)
-        if best_here is None:
+        anchors = [x0 for x0 in (iet.b2, iet.b2 - bw, iet.b1, iet.b1 - bw,
+                                 type(bw)(0), 1 - bw) if 0 <= x0 and x0 + bw <= 1]
+        if not anchors:
             continue
-        x0, height = best_here
+        height, x0 = max(((len(_walk(iet, (x0, x0 + bw), 100_000)[0]), x0)
+                          for x0 in anchors), key=lambda hx: hx[0])
         # keep only candidates improving the covered measure: the returned
         # chain is then monotone in coverage (and in rigidity quality)
         cov = height * float(bw)

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iet3.iet_core import Iet3, apply
+from iet3.arith import cf_to_fraction
+from iet3.iet_core import Iet3, RotationRep, apply, from_rotation
 from iet3.construction import (SearchFailure, SwitchError, SwitchSpec,
-                               _SwitchEngine, _mix_seed, build_switch, ksv_check,
-                               run_schedule, verify_switch)
+                               _SwitchEngine, _materialize_B, _mix_seed,
+                               build_switch, ksv_check, run_schedule, verify_switch)
 
 
 def test_n_formula_identity():
@@ -245,3 +246,40 @@ def test_clear_matches_stepping(eng, data):
     for u, g in zip(us, got):
         orbit = [(u + j * eng.P) % Q for j in range(-back, fwd + 1)]
         assert bool(g) == all((x - lo) % Q >= hi - lo for x in orbit for lo, hi in arcs)
+
+
+def _crossings_and_clearance(eng, N, W):
+    """Per cell u of the slit: its crossing count, and whether its translates
+    (u + jP) mod Q miss both zones for every |j| <= (3 + W) N."""
+    P, Q, C = eng.P, eng.Q, eng.C
+    u = np.arange(C)
+    counts = ((u[:, None] + np.arange(1, N + 1) * P) % Q < C).sum(axis=1)
+    window = (3 + W) * N
+    orbit = (u[:, None] + np.arange(-window, window + 1) * P) % Q
+    clear = np.ones(C, dtype=bool)
+    for lo, hi in eng.zones(N):
+        clear &= ((orbit - lo) % Q >= hi - lo).all(axis=1)
+    return counts, clear
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(1, 3), min_size=2, max_size=3), st.integers(24, 60),
+       st.integers(1, 3), st.integers(0, 1), st.data())
+def test_materialized_B_matches_cells(head, big, last, W, data):
+    # circles of a few hundred cells; the large partial quotient leaves
+    # cells clear of the zones at the denominator N before it, and the
+    # parity of len(head) sets the sign of the residue N P mod Q
+    alpha = cf_to_fraction([0, *head, big, last])
+    p, q = alpha.numerator, alpha.denominator
+    kappa = Fraction(data.draw(st.integers(max(p, q - p) + 1, q - 1)), q)
+    eng = _SwitchEngine(from_rotation(RotationRep(alpha, kappa)))
+    N = cf_to_fraction([0, *head]).denominator
+    counts, clear = _crossings_and_clearance(eng, N, W)
+    m = data.draw(st.sampled_from(sorted(set(counts[clear].tolist()) or {0}))) - 1
+    runs = []
+    for u in np.flatnonzero(clear & (counts == m + 1)).tolist():
+        if runs and runs[-1][1] == u:
+            runs[-1][1] = u + 1
+        else:
+            runs.append([u, u + 1])
+    assert _materialize_B(eng, N, m, W) == [tuple(r) for r in runs]

@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iet3.iet_core import Iet3, _branch_image, apply, apply_pow, transport
+from iet3 import intervals as iv
+from iet3.iet_core import (Iet3, _branch_image, apply, apply_pow, min_return_time,
+                           transport)
+from iet3.params import documented_switch_iet
 from iet3.towers import (LevelOverlapError, LevelSplitError, TowerBuildError,
                          build_tower, suggest_towers, tower_stats)
 
@@ -166,3 +169,87 @@ def test_suggested_heights_are_maximal(iet):
 
 def test_documented_heights_are_maximal(doc_towers, tower_iet):
     assert all(_maximal_height(tower_iet, I, h) for I, h in doc_towers)
+
+
+def _fraction_transport(iet, pieces, steps):
+    """T^steps of a union of intervals, one Fraction `_branch_image` step at
+    a time."""
+    for _ in range(steps):
+        pieces = iv.normalize([p for a, b in pieces for p in _branch_image(iet, a, b)])
+    return pieces
+
+
+def _fraction_walk(iet, I, cap):
+    """Fraction left ends of the levels over I and the error type that
+    stops the walk short of ``cap`` (None if it does not)."""
+    levels = [I]
+    while len(levels) < cap:
+        image = _branch_image(iet, *levels[-1])
+        if len(image) > 1:
+            return [lo for lo, _ in levels], LevelSplitError
+        if image[0][0] < I[1] and I[0] < image[0][1]:
+            return [lo for lo, _ in levels], LevelOverlapError
+        levels.append(image[0])
+    return [lo for lo, _ in levels], None
+
+
+def _fraction_stats(iet, I, n):
+    """Coverage, rigidity, hat and tilde of the height-n tower over I, as
+    exact rationals from Fraction transport."""
+    w = I[1] - I[0]
+    fwd = _fraction_transport(iet, [I], n)
+    back = _fraction_transport(iet.inverse(), [I], n)
+    hat = iv.intersect(iv.intersect([I], fwd), back)
+    tilde = iv.intersect(iv.intersect(hat, _fraction_transport(iet, fwd, n)),
+                         _fraction_transport(iet.inverse(), back, n))
+    return n * w, iv.symdiff_measure(fwd, [I]) / w, n * iv.measure(hat), n * iv.measure(tilde)
+
+
+def _assert_exact_stats(iet, I, n):
+    stats = tower_stats(build_tower(iet, I, n), iet)
+    exact = _fraction_stats(iet, I, n)
+    assert (stats.coverage, stats.rigidity, stats.hat_measure, stats.tilde_measure) == \
+        tuple(float(v) for v in exact)
+    return stats
+
+
+def test_doc_switch_tower_stats_are_exact():
+    # the exact maximum of lambda(T^n I symdiff I) / lambda(I) is 2
+    iet = documented_switch_iet()
+    towers = suggest_towers(iet, k_max=5)
+    assert towers
+    for I, n in towers:
+        assert _assert_exact_stats(iet, I, n).rigidity <= 2
+
+
+def test_doc_tower_stats_are_exact(doc_towers, tower_iet):
+    for I, n in doc_towers:
+        _assert_exact_stats(tower_iet, I, n)
+
+
+@st.composite
+def fraction_unions(draw):
+    """One or two Fraction intervals on grids of their own, mostly off the
+    IET's."""
+    return iv.normalize(draw(st.lists(fraction_bases(), min_size=1, max_size=2)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_exact_iets(), fraction_unions(), st.integers(1, 30))
+def test_integer_transport_matches_fraction_steps(iet, pieces, steps):
+    for T in (iet, iet.inverse()):
+        assert transport(T, pieces, steps) == _fraction_transport(T, pieces, steps)
+    I = pieces[0]
+    lows, stop = _fraction_walk(iet, I, steps)
+    try:
+        tower = build_tower(iet, I, steps)
+    except TowerBuildError as exc:
+        assert type(exc) is stop
+        kept = exc.level if stop is LevelOverlapError else exc.level + 1
+        assert kept == len(lows)
+    else:
+        assert stop is None
+        assert tower.level_lows.tolist() == [float(lo) for lo in lows]
+    hits = [n for n in range(1, steps + 1)
+            if iv.intersect(_fraction_transport(iet, [I], n), [I])]
+    assert min_return_time(iet, I, steps) == (hits[0] if hits else None)
