@@ -17,6 +17,15 @@ That kernel covers circles of up to 118 bits and counts below 2^48;
 `floor_sum_vec` runs the same descent on Python ints (object-dtype arrays)
 for everything else, and is the kernel's test oracle.
 
+The queries keep circle points in the kernel's own form: `visits`,
+`visit_time`, `power` and `orbit` turn Python ints into limb lanes once per
+call, with counts and times as int64, and back at the end.  Shifts
+(u + s*P) mod Q and the density guess n*Q // C reduce with the kernel's own
+limb division.  Each call decides its path once, from its input: lanes
+where the kernel takes the circle and every count, time and quotient of the
+query stays below 2^48 (a bound from the circle's continued fraction), Python
+ints otherwise, through the same code.
+
 Every count takes a direction per point: a backward count is a forward
 count from a shifted start (`RotationCounter.visits`), so one count serves
 both directions and the inverse rotation needs no counter of its own.
@@ -28,7 +37,7 @@ each residual level is one count over all points, whatever their
 direction.  A residual is far smaller than n, so its floor sums descend
 less deep; small or stubborn residuals go to a monotone fixed-point loop.
 Consecutive induced-map powers of one point (`RotationCounter.orbit`) need
-one such solve and then plain exact steps on Z/Q.
+one such solve and then the rotation positions that fall in the arc.
 """
 
 from __future__ import annotations
@@ -183,6 +192,9 @@ _LIMB = 30
 _MASK = (1 << _LIMB) - 1
 _NATIVE_BITS = 118                 # offsets below 4Q fit in four limbs
 _NATIVE_QUOTIENT = 1 << 48         # counts and partial quotients stay below
+# `RotationCounter.orbit` steps where no return to the arc takes longer; past
+# about that many steps per point one `power` solve per point is cheaper
+_STEPPED_RETURN = 256
 # lanes hold at most five limbs: four for Q, one for the carry above them
 _F64_WEIGHTS = np.ldexp(1.0, _LIMB * np.arange(5))
 _SIGN_WEIGHTS = 3 ** np.arange(5, dtype=np.int64)   # sign of the top differing limb
@@ -312,25 +324,126 @@ def _floor_sums_native(a: np.ndarray, n: np.ndarray, chain) -> np.ndarray:
     return acc
 
 
-def _floor_sums_mod64(n, m: int, a, b: int) -> Optional[np.ndarray]:
-    """`floor_sum_vec(n, m, a, b)` modulo 2^64, as wrapped int64, on the
-    native kernel, for object arrays n and 0 <= a < 4m.  None when the input
-    is outside the kernel's bounds: m of more than 118 bits, a partial
-    quotient of b/m or a count of 2^48 or more."""
-    chain = _euclid_chain(b, m)
-    if chain is None:
-        return None
-    try:
-        n64 = np.maximum(n.astype(np.int64), 0)
-    except OverflowError:
-        return None
-    if n64.size == 0 or int(n64.max()) >= _NATIVE_QUOTIENT:
-        return None
-    lo = (a & ((1 << 2 * _LIMB) - 1)).astype(np.int64)
-    hi = (a >> 2 * _LIMB).astype(np.int64)
-    limbs = np.vstack((lo & _MASK, lo >> _LIMB, hi & _MASK, hi >> _LIMB,
-                       np.zeros_like(lo)))
-    return _floor_sums_native(limbs[:chain[0].k + 1], n64, chain)
+# ---------------------------------------------------------------------------
+# circle points at native width
+# ---------------------------------------------------------------------------
+#
+# The counting queries keep their points in the kernel's own form: limbs of
+# Z/Q in int64 lanes, with counts and times as plain int64.  Every shift
+# (u + s P) mod Q is a limb product reduced by `_divmod_limbs` at the
+# chain's first level (m = Q), and the density guess n Q // C is one
+# `_divmod_limbs` at a level with m = C, so no second limb arithmetic exists.
+
+
+class _Lanes:
+    """Points of Z/Q at native width: row j holds the j-th 30-bit limb of
+    every point, and a last, zero row is spare for carries.  ``len`` is the
+    number of points and indexing selects points."""
+
+    __slots__ = ("x",)
+
+    def __init__(self, x: np.ndarray):
+        self.x = x
+
+    def __len__(self) -> int:
+        return self.x.shape[1]
+
+    def __getitem__(self, i) -> "_Lanes":
+        return _Lanes(self.x[:, i])
+
+
+def _to_lanes(u: np.ndarray, rows: int) -> _Lanes:
+    """Object ints 0 <= u < 2^(30 rows), u < 2^120, as lanes of ``rows``
+    rows."""
+    lo = (u & ((1 << 2 * _LIMB) - 1)).astype(np.int64)
+    limbs = [lo & _MASK, lo >> _LIMB]
+    if rows > 2:
+        hi = (u >> 2 * _LIMB).astype(np.int64)
+        limbs += [hi & _MASK, hi >> _LIMB]
+    limbs.append(np.zeros_like(lo))
+    return _Lanes(np.vstack(limbs)[:rows])
+
+
+def _to_ints(u: _Lanes) -> np.ndarray:
+    """Lanes in normalized limbs as object ints."""
+    x = u.x
+    out = (x[0] | x[1] << _LIMB).astype(object)
+    if len(x) > 3:
+        out += (x[2] | x[3] << _LIMB).astype(object) << 2 * _LIMB
+    return out
+
+
+def _first_visit_bound(chain, C: int) -> Optional[int]:
+    """A bound E on the first visit time of the arc [0, C) from any point of
+    Z/Q, so that the n-th visit comes within n E steps; None when some orbit
+    may miss the arc.
+
+    By the three-distance theorem the points l P mod Q, 0 <= l < q_k +
+    q_(k-1), cut the circle into gaps of at most m_k, the modulus of level
+    k of the descent (q_k the continued-fraction denominators of P/Q).  At
+    the first level with m_k <= C, any C consecutive cells hold one of them,
+    so every orbit meets the arc within q_k + q_(k-1) steps."""
+    q2, q1 = 1, 0
+    for lv in chain:
+        q2, q1 = q1, lv.q * q1 + q2
+        if lv.m <= C:
+            return q1 + q2
+    return None
+
+
+class _NativeCircle:
+    """The native form of one circle (P, Q, C): its Euclid chain, whose first
+    level reduces mod Q, the limbs of Q, P, Q - P and Q - C as columns, the
+    level of the arc length C, and ``index_limit``, the visit indices the
+    lanes solve.
+
+    An n-th visit comes within n E steps (`_first_visit_bound`); the
+    fixed-point search counts up to twice that, and the density guess is
+    n Q // C, so indices n with n max(2E, Q // C + 2) < 2^48 keep every
+    count, time and quotient below the kernel's bound."""
+
+    def __init__(self, chain, P: int, Q: int, C: int):
+        self.chain, self.mod = chain, chain[0]
+        self.rows = rows = self.mod.k + 1
+        self.Q, self.P, self.QmP, self.QmC = (_limbs(v, rows) for v in (Q, P, Q - P, Q - C))
+        self.arc = _Level(C, 0)
+        self.E = _first_visit_bound(chain, C)
+        self.index_limit = (0 if self.E is None
+                            else _NATIVE_QUOTIENT // max(2 * self.E, Q // C + 2))
+
+    def shift(self, u: _Lanes, s: np.ndarray) -> _Lanes:
+        """(u + s P) mod Q per lane, for steps s of either sign with
+        |s| < 2^48."""
+        a = np.abs(s)
+        w = np.where(s < 0, self.QmP, self.P)
+        x = u.x + w * (a & _MASK)
+        if a.max() >> _LIMB:
+            x[1:] += w[:-1] * (a >> _LIMB)
+        _divmod_limbs(x, self.mod)
+        return _Lanes(x)
+
+    def density(self, n: np.ndarray) -> np.ndarray:
+        """n Q // C per lane, for quotients below 2^48."""
+        x = self.Q * (n & _MASK)
+        x[1:] += self.Q[:-1] * (n >> _LIMB)
+        return _divmod_limbs(x, self.arc)
+
+    def gaps(self, lo: _Lanes, n: np.ndarray) -> np.ndarray:
+        """Number of l < n with (lo + l P) mod Q >= C, for 0 <= lo < Q."""
+        both = _floor_sums_native(np.concatenate((lo.x + self.QmC, lo.x), axis=1),
+                                  np.concatenate((n, n)), self.chain)
+        # the wrapped difference is exact: it lies in [0, n]
+        return both[:len(n)] - both[len(n):]
+
+    def in_arc(self, y: _Lanes) -> np.ndarray:
+        """y < C per lane: (y + Q - C) // Q is 0 there and 1 elsewhere."""
+        return _divmod_limbs(y.x + self.QmC, self.mod) == 0
+
+
+@functools.lru_cache(maxsize=128)
+def _native_circle(P: int, Q: int, C: int) -> Optional[_NativeCircle]:
+    chain = _euclid_chain(P, Q)
+    return None if chain is None else _NativeCircle(chain, P, Q, C)
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +498,27 @@ class RotationCounter:
         return np.array([int(v) % self.Q for v in np.floor(x * self.Q + 0.5)],
                         dtype=object)
 
+    # -- native form ---------------------------------------------------------
+
+    @functools.cached_property
+    def _native(self) -> Optional[_NativeCircle]:
+        return _native_circle(self.P, self.Q, self.C)
+
+    def _shift(self, u, s):
+        """(u + s P) mod Q per point, for steps s of either sign."""
+        if isinstance(u, _Lanes):
+            return self._native.shift(u, s)
+        return (u + s * self.P) % self.Q
+
+    def _lanes_for(self, n: np.ndarray, solve: bool) -> Optional[_NativeCircle]:
+        """The native circle if it takes these counts (below 2^48) or, to
+        ``solve`` for visit times, these visit indices (below its
+        ``index_limit``); None sends the call to the object path."""
+        native = self._native
+        if native is None or not n.size:
+            return None
+        return native if n.max() < (native.index_limit if solve else _NATIVE_QUOTIENT) else None
+
     # -- counting ----------------------------------------------------------
 
     def visits(self, u, n, forward=True) -> np.ndarray:
@@ -393,33 +527,32 @@ class RotationCounter:
         vectorized, 0 for n <= 0.
 
         The l-th backward step from u is the (n - l)-th forward step from
-        v = u - n*P, so a backward count is [v in the arc] plus the forward
-        count of n - 1 steps from v: one count over all points, whatever
-        their direction.
+        v = u - n*P, so a backward count is the count of l in {0..n-1} from
+        v, as a forward count is from u + P: one count over all points,
+        whatever their direction.  It runs in native lanes for counts below
+        2^48 on a circle the kernel takes, and on Python ints otherwise.
         """
+        if isinstance(u, _Lanes):
+            return self._count(u, n, forward)
         u, n = _exact_ints(u, n)
-        back = ~np.broadcast_to(np.asarray(forward, dtype=bool), u.shape)
-        at_v = None
-        if back.any():
-            u = np.where(back, (u - n * self.P) % self.Q, u)
-            at_v = back & (n > 0) & (u < self.C)
-            n = np.where(back, n - 1, n)
-        n_eff = np.where(n > 0, n, 0)
-        # indicator(y mod Q >= C) = floor((y + Q - C)/Q) - floor(y/Q); summing
-        # over y = u + l*P, l = 1..n counts gap steps, visits are the rest.
-        ns = n_eff.reshape(-1)
-        lo = u.reshape(-1) % self.Q + self.P
-        hi = lo + (self.Q - self.C)
-        both = _floor_sums_mod64(np.concatenate([ns, ns]), self.Q,
-                                 np.concatenate([hi, lo]), self.P)
-        if both is not None:
-            # the wrapped difference is exact: it lies in [0, n]
-            gaps = (both[:len(ns)] - both[len(ns):]).astype(object)
-        else:
-            gaps = (floor_sum_vec(ns, self.Q, hi, self.P)
-                    - floor_sum_vec(ns, self.Q, lo, self.P))
-        count = n_eff - gaps.reshape(u.shape)
-        return count if at_v is None else count + at_v
+        shape = u.shape
+        fwd = np.broadcast_to(np.asarray(forward, dtype=bool), shape).reshape(-1)
+        u, n = u.reshape(-1), np.maximum(n.reshape(-1), 0)
+        native = self._lanes_for(n, solve=False)
+        if native is None:
+            return self._count(u, n, fwd).reshape(shape)
+        count = self._count(_to_lanes(u % self.Q, native.rows), n.astype(np.int64), fwd)
+        return count.astype(object).reshape(shape)
+
+    def _count(self, u, n, fwd) -> np.ndarray:
+        """`visits` for counts n >= 0, on lanes or on Python ints."""
+        lo = self._shift(u, np.where(fwd, 1, -n))
+        if isinstance(lo, _Lanes):
+            return n - self._native.gaps(lo, n)
+        # indicator(y mod Q >= C) = floor((y + Q - C)/Q) - floor(y/Q); summed
+        # over y = lo + l*P, l < n, it counts gap steps: visits are the rest
+        return n - (floor_sum_vec(n, self.Q, lo + (self.Q - self.C), self.P)
+                    - floor_sum_vec(n, self.Q, lo, self.P))
 
     def psi(self, u, n) -> np.ndarray:
         """Number of l in {0..n-1} with (u + l*P) mod Q < C (count includes l=0)."""
@@ -439,33 +572,42 @@ class RotationCounter:
         direction from u + (N0 + 1)*P, subtracted from N0 + 1.  That residual
         query is solved the same way while it is at most half of n, all
         directions in one batch; indices n <= 8 and residuals that do not
-        halve go to `_visit_time_fixed_point`.
+        halve go to `_visit_time_fixed_point`.  Indices below the native
+        circle's ``index_limit`` solve in native lanes, the others on Python
+        ints, by the same recursion.
         """
+        if isinstance(u, _Lanes):
+            return self._visit_time_residual(u, n, forward)
         u, n = _exact_ints(u, n)
         if bool(np.any(n < 0)):
             raise ValueError("visit index must be >= 0")
-        fwd = np.broadcast_to(np.asarray(forward, dtype=bool), u.shape)
-        N = self._visit_time_residual(u.reshape(-1), n.reshape(-1), fwd.reshape(-1))
-        return N.reshape(u.shape)
+        shape = u.shape
+        fwd = np.broadcast_to(np.asarray(forward, dtype=bool), shape).reshape(-1)
+        u, n = u.reshape(-1), n.reshape(-1)
+        native = self._lanes_for(n, solve=True)
+        if native is None:
+            return self._visit_time_residual(u, n, fwd).reshape(shape)
+        N = self._visit_time_residual(_to_lanes(u % self.Q, native.rows), n.astype(np.int64), fwd)
+        return N.astype(object).reshape(shape)
 
     def _visit_time_residual(self, u, n, fwd) -> np.ndarray:
-        N = np.zeros(len(u), dtype=object)
+        N = np.zeros(len(u), dtype=n.dtype)
         base = n <= 8
-        i = np.nonzero(~base)[0]
+        i = np.flatnonzero(~base)
         if len(i):
             ui, ni, fi = u[i], n[i], fwd[i]
-            N0 = ni * self.Q // self.C
+            N0 = (self._native.density(ni) if isinstance(ui, _Lanes)
+                  else ni * self.Q // self.C)
             v = self.visits(ui, N0, fi)
             under = v < ni
             residual = np.where(under, ni - v, v - ni + 1)
             halves = 2 * residual <= ni
-            j = np.nonzero(halves)[0]
+            j = np.flatnonzero(halves)
             if len(j):
                 uj, fj = under[j], fi[j]
                 start = np.where(uj, N0[j], N0[j] + 1)
                 t = self._visit_time_residual(
-                    (ui[j] + np.where(fj, start, -start) * self.P) % self.Q,
-                    residual[j], fj == uj)
+                    self._shift(ui[j], np.where(fj, start, -start)), residual[j], fj == uj)
                 N[i[j]] = np.where(uj, start + t, start - t)
             base[i[~halves]] = True
         if np.any(base):
@@ -482,7 +624,7 @@ class RotationCounter:
         on the monotone visit count; 512 doublings that still fall short mean
         that the orbit never meets the arc, and raise ValueError.
         """
-        fwd = np.broadcast_to(np.asarray(forward, dtype=bool), u.shape)
+        fwd = np.broadcast_to(np.asarray(forward, dtype=bool), (len(u),))
         N = n.copy()
         idx = np.arange(len(u))           # points short of their solution
         for _ in range(48):
@@ -492,8 +634,9 @@ class RotationCounter:
                 return N
             N[idx] = N[idx] + deficit
         # stragglers: exponential search then bisection
-        left = n[idx] - self.visits(u[idx], N[idx], fwd[idx]) > 0
-        idx = idx[left]
+        idx = idx[n[idx] - self.visits(u[idx], N[idx], fwd[idx]) > 0]
+        if not len(idx):
+            return N
         uu, nn, ff = u[idx], n[idx], fwd[idx]
         hi = np.maximum(N[idx], 1)
         for _ in range(512):
@@ -541,6 +684,8 @@ class RotationCounter:
 
         n is an int or a per-point array of any sign: negative exponents run
         the inverse map, and a zero exponent leaves the point where it is.
+        The points cross to native lanes and back once, when every |n| is
+        below the native circle's ``index_limit``.
         """
         u, n = _exact_ints(u, n)
         out = u.copy()
@@ -548,38 +693,51 @@ class RotationCounter:
         if np.any(mask):
             um, nm = u[mask], n[mask]
             ahead = nm > 0
-            N = self.visit_time(um, np.where(ahead, nm, -nm), forward=ahead)
-            out[mask] = (um + np.where(ahead, N, -N) * self.P) % self.Q
+            steps = np.where(ahead, nm, -nm)
+            native = self._lanes_for(steps, solve=True)
+            if native is not None:
+                um, steps = _to_lanes(um % self.Q, native.rows), steps.astype(np.int64)
+            N = self.visit_time(um, steps, forward=ahead)
+            image = self._shift(um, np.where(ahead, N, -N))
+            out[mask] = image if native is None else _to_ints(image)
         return out
 
     def orbit(self, u0: int, start: int, length: int) -> np.ndarray:
         """``power(u0, start + i)`` for i = 0..length-1, exact.
 
-        One `power` solve for the first point, then induced-map steps on Z/Q:
-        u <- (u + P) mod Q until u < C.  A point off the arc is its own
-        zeroth power but no image of its (-1)-th, so a stretch through
-        exponent 0 restarts the walk there.  Each step is bounded by Q
-        rotation steps: off the arc of a non-coprime circle an orbit can
-        miss the arc for good, and that raises ValueError.
+        Where the circle's first-visit bound keeps every return to the arc
+        within `_STEPPED_RETURN` rotation steps, one `power` solve for the
+        first point, then its returns: the rotation positions u + l P,
+        l = 1, 2, ..., that fall in [0, C), a batch of l at a time in native
+        lanes.  A point off the arc is its own zeroth power but no image of
+        its (-1)-th, so a stretch through exponent 0 restarts there.
+        Elsewhere (sparse arcs, circles the kernel does not take, orbits
+        that may miss the arc) one batched `power` over the exponents.
         """
-        u0, start, length = int(u0), int(start), int(length)
-        P, Q, C = self.P, self.Q, self.C
-        out = np.empty(max(length, 0), dtype=object)
-        cut = -start if start < 0 and not 0 <= u0 < C else length
+        u0, start, length = int(u0), int(start), max(int(length), 0)
+        native = self._native
+        if native is None or native.E is None or native.E > _STEPPED_RETURN:
+            return self.power(np.full(length, u0, dtype=object),
+                              np.array(range(start, start + length), dtype=object))
+        out = np.empty(length, dtype=object)
+        cut = -start if start < 0 and not 0 <= u0 < self.C else length
         for lo, hi in ((0, min(cut, length)), (cut, length)):
-            if lo >= hi:
-                continue
-            u = int(self.power(np.array([u0], dtype=object), start + lo)[0])
-            out[lo] = u
-            for j in range(lo + 1, hi):
-                for _ in range(Q):
-                    u = (u + P) % Q
-                    if u < C:
-                        break
-                else:
-                    raise ValueError(f"the orbit of {u0} never returns to the arc")
-                out[j] = u
+            if lo < hi:
+                first = self.power(np.array([u0], dtype=object), start + lo) % self.Q
+                out[lo:hi] = self._returns(_to_lanes(first, native.rows), hi - lo)
         return out
+
+    def _returns(self, u: _Lanes, count: int) -> np.ndarray:
+        """The one point u and its next count - 1 returns to the arc."""
+        native, found, l0, need = self._native, [u], 0, count - 1
+        while need > 0:
+            l = np.arange(l0 + 1, l0 + 1 + min(need * (self.Q // self.C + 1), 1 << 16))
+            y = native.shift(u, l)
+            y = y[np.flatnonzero(native.in_arc(y))[:need]]
+            found.append(y)
+            need -= len(y)
+            l0 = l[-1]
+        return _to_ints(_Lanes(np.concatenate([p.x for p in found], axis=1)))
 
 
 _INDEX = np.frompyfunc(operator.index, 1, 1)

@@ -160,8 +160,7 @@ class _SwitchEngine:
 
     def to_unit(self, us) -> np.ndarray:
         """Grid cells (slit coordinates) -> rescaled IET coordinates."""
-        arr = np.array([int(v) for v in np.atleast_1d(np.asarray(us, dtype=object))],
-                       dtype=float)
+        arr = np.atleast_1d(np.asarray(us, dtype=object)).astype(float)
         return np.clip(arr / self.C, 0.0, np.nextafter(1.0, 0.0))
 
     def slit_samples(self, n: int, seed) -> np.ndarray:
@@ -494,21 +493,26 @@ def _orbit_joining_grid(eng: _SwitchEngine, u0: int, n: int, L: int,
                         cap: int, seed) -> DiscreteMeasure2D:
     """Empirical orbit joining started at a grid point, index-subsampled.
 
-    Index strata are built in exact integers: the window length may exceed
-    the 64-bit range at deep schedule levels."""
+    The index strata come from one vector of draws, as int64 while the
+    window fits and as Python ints past that (deep schedule levels)."""
     if L <= cap:
-        idx = [int(i) for i in range(L)]
+        idx = np.arange(L)
     else:
-        rng = np.random.default_rng(seed)
         stride = L // cap
-        idx = sorted({i * stride + int(rng.random() * stride) for i in range(cap)})
-    if idx == list(range(len(idx))):
+        offsets = np.random.default_rng(seed).random(cap) * stride
+        if L < 1 << 62:               # i * stride + offset fits in int64
+            idx = np.unique(np.arange(cap) * stride + offsets.astype(np.int64))
+        else:
+            idx = np.array(sorted({i * stride + int(o) for i, o in enumerate(offsets)}),
+                           dtype=object)
+    if np.array_equal(idx, np.arange(len(idx))):
         xi = eng.rc.orbit(u0, 0, len(idx))
         yi = eng.rc.orbit(u0, n, len(idx))
     else:
         us = np.full(len(idx), u0, dtype=object)
-        xi = eng.rc.power(us, np.array(idx, dtype=object))
-        yi = eng.rc.power(us, np.array([i + n for i in idx], dtype=object))
+        idx = idx.astype(object)
+        xi = eng.rc.power(us, idx)
+        yi = eng.rc.power(us, idx + n)
     return DiscreteMeasure2D.equal_weight(eng.to_unit(xi), eng.to_unit(yi))
 
 

@@ -155,6 +155,11 @@ def _check_domain(x) -> None:
 def apply(iet: Iet3, x):
     """One step of the exchange.  Accepts scalars (exact or not) or float arrays."""
     _check_domain(x)
+    return _step(iet, x)
+
+
+def _step(iet: Iet3, x):
+    """`apply` without its domain check."""
     ((b1, d1), (b2, d2)), d3 = iet._branches
     if isinstance(x, np.ndarray):
         out = np.where(x < float(b1), x + float(d1),
@@ -169,11 +174,17 @@ def apply(iet: Iet3, x):
 
 def apply_pow(iet: Iet3, n: int, x):
     """n-fold composition T^n, by stepwise iteration.  n may be negative:
-    T^-1 is the forward exchange of the inverse IET."""
+    T^-1 is the forward exchange of the inverse IET.  An array's domain is
+    checked once, since every step clamps its image into [0, 1); a scalar's
+    at every step, since an exact IET does not clamp it."""
     if n < 0:
         iet = iet.inverse()
+    step = apply
+    if isinstance(x, np.ndarray) and n:
+        _check_domain(x)
+        step = _step
     for _ in range(abs(int(n))):
-        x = apply(iet, x)
+        x = step(iet, x)
     return x
 
 
@@ -195,8 +206,7 @@ def _power_on_circle(iet: Iet3, xs, n) -> tuple[np.ndarray, np.ndarray, float]:
     kappa = float(to_rotation(iet).kappa)
     rc = iet.rotation_counter()
     u = rc.lift(np.asarray(xs, dtype=float) * kappa)
-    base, image = (np.array([int(v) for v in cells], dtype=float) / rc.Q
-                   for cells in (u, rc.power(u, n)))
+    base, image = (cells.astype(float) / rc.Q for cells in (u, rc.power(u, n)))
     return base, image, kappa
 
 

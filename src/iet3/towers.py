@@ -44,11 +44,13 @@ class LevelOverlapError(TowerBuildError):
 
 @dataclass(frozen=True, eq=False)
 class Tower:
-    """Base interval, height, and the transported level intervals."""
+    """Base interval, height, the transported level intervals, and the top
+    level as the walk left it."""
 
     base: tuple
     height: int
     level_lows: np.ndarray  # left endpoints of T^i I, float view
+    top: tuple              # T^(n-1) I in the base's own arithmetic
 
     @property
     def width(self):
@@ -58,7 +60,7 @@ class Tower:
         """Index of the level containing x, or None."""
         idx = self._order[np.searchsorted(self._sorted_lows, x, side="right") - 1]
         lo = self.level_lows[idx]
-        if lo <= x < lo + float(self.width):
+        if lo <= x < lo + self._float_width:
             return int(idx)
         return None
 
@@ -66,9 +68,10 @@ class Tower:
         order = np.argsort(self.level_lows, kind="stable")
         object.__setattr__(self, "_order", order)
         object.__setattr__(self, "_sorted_lows", self.level_lows[order])
+        object.__setattr__(self, "_float_width", float(self.width))
 
     def union(self) -> list[tuple]:
-        w = float(self.width)
+        w = self._float_width
         return iv.normalize([(float(lo), float(lo) + w) for lo in self.level_lows])
 
 
@@ -92,17 +95,20 @@ def build_tower(iet: Iet3, I: tuple, n: int) -> Tower:
         raise ValueError("base must be a nondegenerate subinterval of [0, 1)")
     if n < 1:
         raise ValueError("height must be >= 1")
-    lows, D, stop = _walk(iet, I, n)
+    lows, top, D, stop = _walk(iet, I, n)
     if stop is not None:
         raise stop
     return Tower(base=(lo, hi), height=n,
-                 level_lows=np.array([v / D if D else float(v) for v in lows]))
+                 level_lows=np.array([v / D if D else float(v) for v in lows]),
+                 top=tuple(Fraction(v, D) for v in top) if D else top)
 
 
-def _walk(iet: Iet3, I: tuple, cap: int) -> tuple[list, int, Optional[TowerBuildError]]:
-    """Left ends of the levels I, T I, ..., at most ``cap`` of them, as
-    numerators over D (D = 0: in the base's own floats), and the error that
-    stopped the walk short of the cap (None if it did not).
+def _walk(iet: Iet3, I: tuple, cap: int) -> tuple[list, tuple, int,
+                                                   Optional[TowerBuildError]]:
+    """Left ends of the levels I, T I, ..., at most ``cap`` of them, and the
+    last of these levels, as numerators over D (D = 0: in the base's own
+    floats), and the error that stopped the walk short of the cap (None if
+    it did not).
 
     The walk stops at the first level whose image straddles a discontinuity
     or meets the base.  New levels are checked against the base only: by
@@ -112,17 +118,18 @@ def _walk(iet: Iet3, I: tuple, cap: int) -> tuple[list, int, Optional[TowerBuild
     integer numerators (`_on_grid`) for Fraction endpoints on an exact IET.
     """
     D, branches, ((lo, hi),) = _on_grid(iet, [I])
-    lows = [lo]
-    cur_lo, cur_hi = lo, hi
+    lows, level, stop = [lo], (lo, hi), None
     while len(lows) < cap:
-        image = _branch_image(iet, cur_lo, cur_hi, branches)
+        image = _branch_image(iet, *level, branches)
         if len(image) > 1:
-            return lows, D, LevelSplitError("discontinuity inside level", len(lows) - 1)
-        cur_lo, cur_hi = image[0]
-        if cur_lo < hi and lo < cur_hi:
-            return lows, D, LevelOverlapError("level meets the base", len(lows))
-        lows.append(cur_lo)
-    return lows, D, None
+            stop = LevelSplitError("discontinuity inside level", len(lows) - 1)
+            break
+        if image[0][0] < hi and lo < image[0][1]:
+            stop = LevelOverlapError("level meets the base", len(lows))
+            break
+        level = image[0]
+        lows.append(level[0])
+    return lows, level, D, stop
 
 
 def _return_sets(tower: Tower, iet: Iet3) -> tuple[list, list, list, list]:
@@ -130,10 +137,10 @@ def _return_sets(tower: Tower, iet: Iet3) -> tuple[list, list, list, list]:
     T^(n-1) I of a height-n tower over I, in the base's own arithmetic:
     exact for a Fraction tower on an exact IET."""
     I = [tower.base]
-    top = transport(iet, I, tower.height - 1)
-    # one step past the top level as the tower stores it, with its right end
-    # at left end + width: the same set in exact arithmetic
-    TnI_fwd = transport(iet, [(top[0][0], top[0][0] + tower.width)], 1)
+    top = [tower.top]
+    # one step past the top level, with its right end at left end + width:
+    # the same set in exact arithmetic
+    TnI_fwd = transport(iet, [(tower.top[0], tower.top[0] + tower.width)], 1)
     TnI_back = transport(iet.inverse(), I, tower.height)
     return TnI_fwd, TnI_back, iv.intersect(iv.intersect(I, TnI_fwd), TnI_back), top
 

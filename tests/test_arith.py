@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iet3.arith import (RotationCounter, _floor_sums_mod64, cf_convergents,
+from iet3.arith import (RotationCounter, _euclid_chain, _floor_sums_native, _to_lanes,
+                        cf_convergents,
                         cf_expansion, cf_to_fraction, float_to_convergent,
                         floor_sum, floor_sum_vec)
 from iet3.params import documented_switch_iet
@@ -207,11 +208,13 @@ def wide_floor_sums(draw):
 @given(wide_floor_sums())
 def test_native_floor_sums_match_floor_sum(inst):
     m, b, a, n = inst
-    got = _floor_sums_mod64(np.array(n, dtype=object), m, np.array(a, dtype=object), b)
+    chain = _euclid_chain(b, m)
     native = (m.bit_length() <= 118
               and max(cf_expansion(Fraction(b, m), max_terms=10**4)) < NATIVE_N)
-    assert (got is not None) == native
+    assert (chain is not None) == native
     if native:
+        got = _floor_sums_native(_to_lanes(np.array(a, dtype=object), chain[0].k + 1).x,
+                                 np.array(n, dtype=np.int64), chain)
         for ni, ai, g in zip(n, a, got):
             assert int(g) % 2**64 == floor_sum(ni, m, ai, b) % 2**64
 
@@ -227,7 +230,7 @@ def test_visits_at_the_native_bound(us, past):
     rc = _SWITCH
     us = np.array(us, dtype=object)
     n = np.full(len(us), NATIVE_N if past else NATIVE_N - 1, dtype=object)
-    assert (_floor_sums_mod64(n, rc.Q, us % rc.Q, rc.P) is None) == past
+    assert (rc._lanes_for(n, solve=False) is None) == past
     lo = us % rc.Q + rc.P
     gaps = (floor_sum_vec(n, rc.Q, lo + rc.Q - rc.C, rc.P)
             - floor_sum_vec(n, rc.Q, lo, rc.P))

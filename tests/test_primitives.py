@@ -146,6 +146,75 @@ def test_orbit_matches_power_deep_circle(u0, start):
     assert list(_DEEP.orbit(u0, start, 300)) == list(want)
 
 
+def _object_twin(rc: RotationCounter) -> RotationCounter:
+    """The same circle with its native form withheld: every count it makes
+    runs `floor_sum_vec` on Python ints."""
+    twin = RotationCounter(rc.P, rc.Q, rc.C)
+    twin._native = None
+    return twin
+
+
+def _golden_circle(bits: int, arc) -> RotationCounter:
+    Q = (1 << bits) - 1
+    return RotationCounter(math.isqrt(5 * Q * Q) - Q >> 1, Q, max(1, int(Q * arc)))
+
+
+# circles on both sides of the native bounds: 118 bits (native) and 119
+# bits (object), the 82-bit IET circle, and a narrow arc on it whose
+# density guess n Q // C passes 2^48 at indices near 2^28
+_BOUNDARY = (_golden_circle(118, Fraction(7, 8)), _golden_circle(119, Fraction(7, 8)),
+             _DEEP, RotationCounter(_DEEP.P, _DEEP.Q, _DEEP.Q >> 20))
+
+
+@st.composite
+def boundary_queries(draw):
+    """A circle of `_BOUNDARY`, points anywhere on it, and signed indices
+    mixed in one batch from either side of the native index limit, of 2^48
+    and of the narrow arc's density bound."""
+    rc = draw(st.sampled_from(_BOUNDARY))
+    limit = rc._native.index_limit if rc._native else 1 << 40
+    edges = [limit - 1, limit, (1 << 48) - 1, 1 << 48, ((1 << 48) * rc.C) // rc.Q]
+    k = draw(st.integers(1, 5))
+    us = draw(st.lists(st.integers(0, rc.Q - 1), min_size=k, max_size=k))
+    ns = draw(st.lists(st.sampled_from(edges) | st.integers(0, 40)
+                       | st.integers(0, 2 * limit), min_size=k, max_size=k))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=k, max_size=k))
+    return rc, np.array(us, dtype=object), np.array(ns, dtype=object), signs
+
+
+def _twin_power(rc: RotationCounter, us, ns):
+    """`power` from the fixed-point solve of the object twin."""
+    out = us.copy()
+    nz = ns != 0
+    N = _object_twin(rc)._visit_time_fixed_point(us[nz], abs(ns[nz]), ns[nz] > 0)
+    out[nz] = (us[nz] + np.where(ns[nz] > 0, N, -N) * rc.P) % rc.Q
+    return out
+
+
+@settings(PROPERTY, max_examples=40)
+@given(boundary_queries())
+def test_native_lanes_match_object_path_at_the_bounds(query):
+    rc, us, ns, signs = query
+    native = rc._native
+    # lanes exactly when the circle has a native form and every index is
+    # below its limit; that form exists up to 118 bits
+    assert (native is not None) == (rc.Q.bit_length() <= 118)
+    lanes = native is not None and max(ns) < native.index_limit
+    assert (rc._lanes_for(ns, solve=True) is not None) == lanes
+    forward = np.array([s > 0 for s in signs])
+    got = rc.visit_time(us, ns, forward=forward)
+    assert list(got) == list(_object_twin(rc)._visit_time_fixed_point(us, ns, forward))
+    # power at both signs, from points of the arc
+    arc = us % rc.C
+    signed = ns * np.array(signs, dtype=object)
+    assert list(rc.power(arc, signed)) == list(_twin_power(rc, arc, signed))
+    # an orbit stretch starting at the first signed index, walking past it
+    start, length = int(signed[0]), 6
+    want = _twin_power(rc, np.full(length, us[0], dtype=object),
+                       np.arange(start, start + length).astype(object))
+    assert list(rc.orbit(us[0], start, length)) == list(want)
+
+
 @st.composite
 def rational_iets(draw):
     ls = [Fraction(draw(st.integers(1, 60))) for _ in range(3)]
