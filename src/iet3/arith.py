@@ -37,7 +37,8 @@ each residual level is one count over all points, whatever their
 direction.  A residual is far smaller than n, so its floor sums descend
 less deep; small or stubborn residuals go to a monotone fixed-point loop.
 Consecutive induced-map powers of one point (`RotationCounter.orbit`) need
-one such solve and then the rotation positions that fall in the arc.
+one such solve and then the rotation positions that fall in the arc, until
+scanning them would cost more than one batched solve of the rest.
 """
 
 from __future__ import annotations
@@ -192,9 +193,12 @@ _LIMB = 30
 _MASK = (1 << _LIMB) - 1
 _NATIVE_BITS = 118                 # offsets below 4Q fit in four limbs
 _NATIVE_QUOTIENT = 1 << 48         # counts and partial quotients stay below
-# `RotationCounter.orbit` steps where no return to the arc takes longer; past
-# about that many steps per point one `power` solve per point is cheaper
-_STEPPED_RETURN = 256
+# one `power` solve costs about as much as scanning this many rotation
+# positions per level of the circle's Euclid descent, in native lanes and on
+# Python ints: `RotationCounter.orbit` scans up to that many per visit
+# (crossovers measured in BENCH_native_points.json, orbit_routes)
+_STEPS_PER_LEVEL = 20
+_OBJECT_STEPS_PER_LEVEL = 64
 # lanes hold at most five limbs: four for Q, one for the carry above them
 _F64_WEIGHTS = np.ldexp(1.0, _LIMB * np.arange(5))
 _SIGN_WEIGHTS = 3 ** np.arange(5, dtype=np.int64)   # sign of the top differing limb
@@ -705,39 +709,51 @@ class RotationCounter:
     def orbit(self, u0: int, start: int, length: int) -> np.ndarray:
         """``power(u0, start + i)`` for i = 0..length-1, exact.
 
-        Where the circle's first-visit bound keeps every return to the arc
-        within `_STEPPED_RETURN` rotation steps, one `power` solve for the
-        first point, then its returns: the rotation positions u + l P,
-        l = 1, 2, ..., that fall in [0, C), a batch of l at a time in native
-        lanes.  A point off the arc is its own zeroth power but no image of
-        its (-1)-th, so a stretch through exponent 0 restarts there.
-        Elsewhere (sparse arcs, circles the kernel does not take, orbits
-        that may miss the arc) one batched `power` over the exponents.
+        One `power` solve for the first point, then its returns (`_returns`).
+        A point off the arc is its own zeroth power but no image of its
+        (-1)-th, so a stretch through exponent 0 restarts there.
         """
         u0, start, length = int(u0), int(start), max(int(length), 0)
-        native = self._native
-        if native is None or native.E is None or native.E > _STEPPED_RETURN:
-            return self.power(np.full(length, u0, dtype=object),
-                              np.array(range(start, start + length), dtype=object))
         out = np.empty(length, dtype=object)
         cut = -start if start < 0 and not 0 <= u0 < self.C else length
         for lo, hi in ((0, min(cut, length)), (cut, length)):
             if lo < hi:
-                first = self.power(np.array([u0], dtype=object), start + lo) % self.Q
-                out[lo:hi] = self._returns(_to_lanes(first, native.rows), hi - lo)
+                first = self.power(np.array([u0], dtype=object), start + lo)
+                out[lo] = first[0]
+                out[lo + 1:hi] = self._returns(first % self.Q, hi - lo - 1)
         return out
 
-    def _returns(self, u: _Lanes, count: int) -> np.ndarray:
-        """The one point u and its next count - 1 returns to the arc."""
-        native, found, l0, need = self._native, [u], 0, count - 1
+    def _returns(self, u: np.ndarray, count: int) -> np.ndarray:
+        """The first count arc visits after the one point u of Z/Q.
+
+        Scans the rotation positions u + l P, l = 1, 2, ..., in native lanes
+        where the circle has them, a batch of l at a time.  Once scanning on
+        to the last visit would take more positions per visit than a
+        `power` solve costs (`_STEPS_PER_LEVEL`; a sparse arc, or a long
+        return) one batched `power` solves the visits still missing, and
+        raises ValueError where the orbit misses the arc.
+        """
+        native, found, last = self._native, [], u
+        x = u if native is None else _to_lanes(u, native.rows)
+        depth = len(cf_expansion(Fraction(self.P, self.Q), 2 * self.Q.bit_length() + 2))
+        budget = count * depth * (_OBJECT_STEPS_PER_LEVEL if native is None else _STEPS_PER_LEVEL)
+        l0, need, gap = 0, count, self.Q // self.C + 1
         while need > 0:
-            l = np.arange(l0 + 1, l0 + 1 + min(need * (self.Q // self.C + 1), 1 << 16))
-            y = native.shift(u, l)
-            y = y[np.flatnonzero(native.in_arc(y))[:need]]
-            found.append(y)
-            need -= len(y)
+            if l0 + need * gap > budget:
+                found.append(self.power(np.repeat(last, need), np.arange(1, need + 1)))
+                break
+            l = np.arange(l0 + 1, l0 + 1 + min(max(need * gap, l0), 1 << 16))
+            if native is None:
+                y = self._shift(x, l.astype(object))
+                y = y[np.flatnonzero(y < self.C)[:need]]
+            else:
+                y = native.shift(x, l)
+                y = _to_ints(y[np.flatnonzero(native.in_arc(y))[:need]])
+            if len(y):
+                found.append(y)
+                last, need = y[-1:], need - len(y)
             l0 = l[-1]
-        return _to_ints(_Lanes(np.concatenate([p.x for p in found], axis=1)))
+        return np.concatenate(found) if found else np.empty(0, dtype=object)
 
 
 _INDEX = np.frompyfunc(operator.index, 1, 1)

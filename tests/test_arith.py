@@ -183,6 +183,35 @@ def test_orbit_missing_the_arc_raises(rc):
         assert int(rc.power(np.array([v], dtype=object), 2)[0]) == w
 
 
+def test_orbit_past_a_long_return():
+    # rotation by 1 on half the circle: returns of one step, then one of
+    # Q - C + 1 steps (2^39 + 1), which the orbit must not scan position by
+    # position
+    Q = 1 << 40
+    rc = RotationCounter(1, Q, Q >> 1)
+    u0 = rc.C - 3
+    got = rc.orbit(u0, 0, 6)
+    assert list(got) == [u0, u0 + 1, u0 + 2, 0, 1, 2]
+    assert list(got) == list(rc.power(np.full(6, u0, dtype=object), np.arange(6)))
+    assert list(rc.orbit(u0, -2, 6)) == list(rc.power(np.full(6, u0, dtype=object),
+                                                      np.arange(-2, 4)))
+    # a point given off [0, Q) is its own zeroth power, as `power` leaves it
+    assert list(rc.orbit(u0 + Q, 0, 3)) == [u0 + Q, u0 + 1, u0 + 2]
+    assert rc.power(np.array([u0 + Q], dtype=object), 0)[0] == u0 + Q
+
+
+@pytest.mark.parametrize("bits,shift", [(40, 12), (119, 2), (119, 16)],
+                         ids=["native-sparse", "object-dense", "object-sparse"])
+def test_orbit_routes_agree_with_power(bits, shift):
+    # stepping in lanes or on Python ints, or one batched power where the arc
+    # is too sparse for stepping to pay: the same exact points
+    Q = (1 << bits) - 1
+    rc = RotationCounter(math.isqrt(5 * Q * Q) - Q >> 1, Q, Q >> shift)
+    u0, start = rc.C // 3, 10**9 + 7
+    want = rc.power(np.full(40, u0, dtype=object), np.arange(start, start + 40).astype(object))
+    assert list(rc.orbit(u0, start, 40)) == list(want)
+
+
 @st.composite
 def wide_floor_sums(draw):
     """Floor sums on 60-130-bit moduli: slopes and offsets on both sides of
