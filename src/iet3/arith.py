@@ -499,8 +499,7 @@ class RotationCounter:
     def lift(self, x) -> np.ndarray:
         """Snap circle points in [0,1) to the integer grid Z/Q (exact ints)."""
         x = np.asarray(x, dtype=float)
-        return np.array([int(v) % self.Q for v in np.floor(x * self.Q + 0.5)],
-                        dtype=object)
+        return _INT(np.floor(x * self.Q + 0.5)) % self.Q
 
     # -- native form ---------------------------------------------------------
 
@@ -651,14 +650,18 @@ class RotationCounter:
         else:
             # off the arc of a non-coprime circle an orbit can miss it for good
             raise ValueError(f"the orbit of {uu[short][0]} never returns to the arc")
-        lo = nn.copy()
+        N[idx] = self._bisect(uu, nn, hi, nn, ff)
+        return N
+
+    def _bisect(self, u, lo, hi, n, fwd) -> np.ndarray:
+        """Smallest N in [lo, hi] with visits(u, N, fwd) >= n, per point, by
+        bisection on the monotone visit count; the count at hi must reach n."""
         while bool(np.any(lo < hi)):
             mid = (lo + hi) // 2
-            ok = self.visits(uu, mid, ff) >= nn
+            ok = self.visits(u, mid, fwd) >= n
             hi = np.where(ok, mid, hi)
             lo = np.where(ok, lo, mid + 1)
-        N[idx] = lo
-        return N
+        return lo
 
     def first_hit(self, u, horizon, forward=True) -> np.ndarray:
         """Smallest N in [1, horizon] with (u +- N P) mod Q in the arc, or
@@ -669,18 +672,10 @@ class RotationCounter:
         forward = np.broadcast_to(np.asarray(forward, dtype=bool), u.shape)
         total = self.visits(u, horizon, forward)
         out = np.asarray(horizon + 1, dtype=object).copy()
-        hit = np.array([int(t) > 0 for t in total])
-        if not np.any(hit):
-            return out
-        idx = np.nonzero(hit)[0]
-        lo = np.ones(len(idx), dtype=object)
-        hi = horizon[idx].copy()
-        while bool(np.any(lo < hi)):
-            mid = (lo + hi) // 2
-            ok = self.visits(u[idx], mid, forward[idx]) >= 1
-            hi = np.where(ok, mid, hi)
-            lo = np.where(ok, lo, mid + 1)
-        out[idx] = lo
+        idx = np.flatnonzero(total > 0)
+        if len(idx):
+            out[idx] = self._bisect(u[idx], np.ones(len(idx), dtype=object),
+                                    horizon[idx], 1, forward[idx])
         return out
 
     def power(self, u, n) -> np.ndarray:
@@ -757,6 +752,7 @@ class RotationCounter:
 
 
 _INDEX = np.frompyfunc(operator.index, 1, 1)
+_INT = np.frompyfunc(int, 1, 1)        # floats to Python ints, past 2^63 too
 
 
 def _exact_ints(u, n) -> tuple[np.ndarray, np.ndarray]:

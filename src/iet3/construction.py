@@ -484,7 +484,7 @@ def verify_switch(iet: Iet3, res: SwitchResult, samples: int,
 def _shadow_gap(eng: _SwitchEngine, us, n: int, a: int) -> np.ndarray:
     pn = eng.rc.power(us, n)
     pa = eng.rc.power(us, a)
-    d = np.array([abs(int(x) - int(y)) for x, y in zip(pn, pa)], dtype=float)
+    d = np.abs(pn - pa).astype(float)
     d = np.minimum(d, eng.Q - d) / eng.Q
     return d / eng.kappa  # rescale to IET coordinates
 
@@ -921,7 +921,7 @@ def _birkhoff_agreement(iet: Iet3, sched: Schedule, n_atoms: int, seed) -> float
     eng = _SwitchEngine(iet)
     window, subsample = 10**12, 12000
     strata = (np.arange(subsample) + rng.random(subsample)) * (window / subsample)
-    idx = np.array([int(v) for v in np.floor(strata)], dtype=object)
+    idx = np.floor(strata).astype(np.int64).astype(object)  # below 10**12: exact
     worst = {name: (math.inf, -math.inf) for name in TEST_FUNCTIONS_2D}
     for i in range(n_atoms):
         e = int(exps[i % len(exps)])

@@ -253,15 +253,26 @@ def _highs(c: np.ndarray, A, b: np.ndarray, what: str) -> float:
     return float(res.fun)
 
 
+def _bin(v: np.ndarray, G: int) -> np.ndarray:
+    """Index of the cell of each coordinate among G equal cells of [0, 1)."""
+    return np.minimum((v * G).astype(np.int64), G - 1)
+
+
+def _cell_histogram(m: DiscreteMeasure2D, G: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Masses of m on the G x G grid of cells (x major), and each atom's
+    cell indices along x and y."""
+    ix, iy = _bin(m.xs, G), _bin(m.ys, G)
+    h = np.zeros((G, G))
+    np.add.at(h, (ix, iy), m.ws)
+    return h, ix, iy
+
+
 def _grid_supply(mu, nu, G: int) -> tuple[np.ndarray, float]:
     """Cell masses of mu - nu on the G x G grid (row-major, x major) and the
     summed taxicab snap cost of both measures to the cell centres."""
     def cells(m):
-        ix = np.minimum((m.xs * G).astype(np.int64), G - 1)
-        iy = np.minimum((m.ys * G).astype(np.int64), G - 1)
+        w, ix, iy = _cell_histogram(m, G)
         snap = np.sum(m.ws * (np.abs(m.xs - (ix + 0.5) / G) + np.abs(m.ys - (iy + 0.5) / G)))
-        w = np.zeros((G, G))
-        np.add.at(w, (ix, iy), m.ws)
         return w, float(snap)
 
     wmu, smu = cells(mu)
@@ -470,8 +481,7 @@ def _binned_coupling(mu: DiscreteMeasure2D, nu: DiscreteMeasure2D,
                      bins: int) -> tuple[float, float]:
     """Cost of the binned coupling and its rounding allowance (see
     `kr_upper_binned`)."""
-    b_mu = np.minimum((mu.xs * bins).astype(np.int64), bins - 1)
-    b_nu = np.minimum((nu.xs * bins).astype(np.int64), bins - 1)
+    b_mu, b_nu = _bin(mu.xs, bins), _bin(nu.xs, bins)
     w_mu = np.bincount(b_mu, weights=mu.ws, minlength=bins)
     w_nu = np.bincount(b_nu, weights=nu.ws, minlength=bins)
     common = np.minimum(w_mu, w_nu)
@@ -668,61 +678,62 @@ def kr_lower_witness(mu: DiscreteMeasure2D, nu: DiscreteMeasure2D,
 
 @dataclass(frozen=True, eq=False)
 class Disintegration:
-    """Measure conditioned on vertical fibers over equal x-bins."""
+    """Measure conditioned on vertical fibers over equal x-bins: the atoms
+    sorted stably by bin, fiber b at positions bounds[b]:bounds[b+1], with
+    the weights normalized within each fiber."""
 
     bins: int
     bin_mass: np.ndarray            # mass of each bin
-    fiber_ys: list                  # per-bin y arrays
-    fiber_ws: list                  # per-bin normalized weights
-    empty: np.ndarray               # flags
-    fiber_xs: list = None           # per-bin x arrays (atom positions)
+    bounds: np.ndarray              # fiber b is xs, ys, ws[bounds[b]:bounds[b+1]]
+    xs: np.ndarray
+    ys: np.ndarray
+    ws: np.ndarray
+
+    @property
+    def empty(self) -> np.ndarray:
+        return self.bounds[1:] == self.bounds[:-1]
+
+    def fiber(self, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        s = slice(self.bounds[b], self.bounds[b + 1])
+        return self.xs[s], self.ys[s], self.ws[s]
 
     def conditional(self, b: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.fiber_ys[b], self.fiber_ws[b]
+        return self.fiber(b)[1:]
+
+
+def _fiber_sums(bounds: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Sum of v over each fiber's positions bounds[b]:bounds[b+1] (NaN on
+    empty fibers), one slice sum per fiber."""
+    out = np.full(len(bounds) - 1, np.nan)
+    full = np.flatnonzero(bounds[1:] > bounds[:-1])
+    out[full] = [np.sum(v[bounds[b]:bounds[b + 1]]) for b in full]
+    return out
 
 
 def disintegrate(m: DiscreteMeasure2D, bins: int) -> Disintegration:
     """Group atoms by x-bin and normalize the per-bin conditionals."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    bx = np.minimum((m.xs * bins).astype(np.int64), bins - 1)
-    fiber_ys, fiber_ws, fiber_xs = [], [], []
-    mass = np.zeros(bins)
-    empty = np.zeros(bins, dtype=bool)
-    order = np.argsort(bx, kind="stable")
-    sorted_b = bx[order]
-    bounds = np.searchsorted(sorted_b, np.arange(bins + 1))
-    for b in range(bins):
-        sel = order[bounds[b]:bounds[b + 1]]
-        if len(sel) == 0:
-            empty[b] = True
-            fiber_ys.append(np.empty(0))
-            fiber_ws.append(np.empty(0))
-            fiber_xs.append(np.empty(0))
-            continue
-        w = m.ws[sel]
-        mass[b] = w.sum()
-        fiber_ys.append(m.ys[sel])
-        fiber_ws.append(w / w.sum())
-        fiber_xs.append(m.xs[sel])
-    return Disintegration(bins=bins, bin_mass=mass, fiber_ys=fiber_ys,
-                          fiber_ws=fiber_ws, empty=empty, fiber_xs=fiber_xs)
+    order = np.argsort(_bin(m.xs, bins), kind="stable")
+    xs = m.xs[order]
+    # the fiber bounds before ys and ws are gathered: the binning's
+    # temporaries then never coexist with all three sorted arrays
+    bounds = np.searchsorted(_bin(xs, bins), np.arange(bins + 1))
+    ys, ws = m.ys[order], m.ws[order]
+    mass = np.nan_to_num(_fiber_sums(bounds, ws))
+    ws /= np.repeat(mass, np.diff(bounds))
+    return Disintegration(bins=bins, bin_mass=mass, bounds=bounds, xs=xs, ys=ys, ws=ws)
 
 
 def fiber_diameter_stats(d: Disintegration, mass_floor: float = 0.0,
                          threshold: float = 0.0) -> dict:
     """Support diameters of the conditionals after discarding light atoms."""
     diams = np.full(d.bins, np.nan)
-    for b in range(d.bins):
-        if d.empty[b]:
-            continue
-        ys, ws = d.conditional(b)
-        keep = ws >= mass_floor
-        if not np.any(keep):
-            diams[b] = 0.0
-            continue
-        kept = ys[keep]
-        diams[b] = float(kept.max() - kept.min())
+    full = np.flatnonzero(~d.empty)
+    keep = d.ws >= mass_floor
+    top = np.maximum.reduceat(np.where(keep, d.ys, -np.inf), d.bounds[full])
+    bottom = np.minimum.reduceat(np.where(keep, d.ys, np.inf), d.bounds[full])
+    diams[full] = np.where(top > -np.inf, top - bottom, 0.0)
     valid = ~np.isnan(diams)
     above = np.count_nonzero(diams[valid] > threshold)
     return {
@@ -764,12 +775,7 @@ TEST_FUNCTIONS_2D = {
 def apply_Asigma(d: Disintegration, f: str | Callable) -> np.ndarray:
     """Per-bin conditional expectation of f(y) (NaN on empty bins)."""
     fn = TEST_FUNCTIONS[f][0] if isinstance(f, str) else f
-    out = np.full(d.bins, np.nan)
-    for b in range(d.bins):
-        if not d.empty[b]:
-            ys, ws = d.conditional(b)
-            out[b] = float(np.sum(ws * fn(ys)))
-    return out
+    return _fiber_sums(d.bounds, d.ws * fn(d.ys))
 
 
 # ---------------------------------------------------------------------------
@@ -798,30 +804,16 @@ def _coefficients_from_fiber(tower: Tower, iet: Iet3, xs, ys, ws):
     sits above its own x (mod height), restricted to the refined sub-tower.
     This is the convention under which pure power joinings recover a single
     coefficient exactly."""
-    from . import intervals as iv
-    hat = [(float(a), float(b)) for a, b in _return_sets(tower, iet)[2]]
-    n = tower.height
-    idx, wts = [], []
-    outside = 0.0
-    for x, y, w in zip(xs, ys, ws):
-        a = tower.level_of_point(float(y))
-        j = tower.level_of_point(float(x))
-        if a is None or j is None:
-            outside += w
-            continue
-        off = float(y) - float(tower.level_lows[a]) + float(tower.base[0])
-        if not iv.contains_point(hat, off):
-            outside += w
-            continue
-        idx.append((a - j) % n)
-        wts.append(w)
-    if idx:
-        indices = np.array(idx, dtype=np.int64)
-        weights = np.array(wts, dtype=float)
-    else:
-        indices = np.empty(0, dtype=np.int64)
-        weights = np.empty(0, dtype=float)
-    return indices, weights, outside
+    hat = np.array(_return_sets(tower, iet)[2], dtype=float).reshape(-1, 2)
+    a, j = tower.levels_of(ys), tower.levels_of(xs)
+    off = ys - tower.level_lows[a] + float(tower.base[0])
+    # the refined base's pieces are sorted and disjoint: off lies in the last
+    # piece starting at or before it, if in any (index -1 reads -inf)
+    piece = np.searchsorted(hat[:, 0], off, side="right") - 1
+    inside = (a >= 0) & (j >= 0) & (off < np.r_[hat[:, 1], -np.inf][piece])
+    outside = np.cumsum(ws[~inside])
+    return ((a - j)[inside] % tower.height, ws[inside],
+            float(outside[-1]) if len(outside) else 0.0)
 
 
 def _select_base_bin(d: Disintegration, tower: Tower) -> int:
@@ -829,16 +821,11 @@ def _select_base_bin(d: Disintegration, tower: Tower) -> int:
     conditional agrees best with its neighbors (1-D KR)."""
     scores = np.full(d.bins, np.inf)
     centers = (np.arange(d.bins) + 0.5) / d.bins
-    for b in range(d.bins):
-        if d.empty[b] or tower.level_of_point(centers[b]) is None:
-            continue
-        s, cnt = 0.0, 0
-        for nb in (b - 1, b + 1):
-            if 0 <= nb < d.bins and not d.empty[nb]:
-                s += w1_1d(d.fiber_ys[b], d.fiber_ws[b], d.fiber_ys[nb], d.fiber_ws[nb])
-                cnt += 1
-        if cnt:
-            scores[b] = s / cnt
+    for b in np.flatnonzero(~d.empty & (tower.levels_of(centers) >= 0)):
+        near = [nb for nb in (b - 1, b + 1) if 0 <= nb < d.bins and not d.empty[nb]]
+        if near:
+            scores[b] = sum(w1_1d(*d.conditional(b), *d.conditional(nb))
+                            for nb in near) / len(near)
     best = int(np.argmin(scores))
     if not np.isfinite(scores[best]):
         raise ValueError("no usable base bin: tower does not meet the sample")
@@ -856,34 +843,30 @@ def approx_by_powers(iet: Iet3, m: DiscreteMeasure2D, tower: Tower,
     """
     d = disintegrate(m, bins)
     b0 = _select_base_bin(d, tower)
-    centers = (np.arange(bins) + 0.5) / bins
-    indices, weights, outside = _coefficients_from_fiber(
-        tower, iet, d.fiber_xs[b0], d.fiber_ys[b0], d.fiber_ws[b0])
+    indices, weights, outside = _coefficients_from_fiber(tower, iet, *d.fiber(b0))
     coeff = CoefficientVector(n=tower.height, indices=indices, weights=weights)
     if coeff.total() > 1 + 1e-12:
         raise AssertionError("coefficient mass exceeds 1")
 
-    # evaluate sum_i c_i f(T^i x) at bin centers via tower level arithmetic
-    n = tower.height
-    lows = tower.level_lows
+    a_vals = {name: apply_Asigma(d, name) for name in TEST_FUNCTIONS}
+    del d   # the fibers are done with: free them before the grid below
+
+    # evaluate sum_i c_i f(T^i x) at bin centers via tower level arithmetic:
+    # one row of target points per usable bin, one column per coefficient
+    centers = (np.arange(bins) + 0.5) / bins
+    lows, base = tower.level_lows, float(tower.base[0])
+    levels = tower.levels_of(centers)
+    usable = levels >= 0
+    j = levels[usable]
+    off = centers[usable] - lows[j] + base
+    pts = lows[(j[:, None] + indices) % tower.height] + (off - base)[:, None]
     errors = {}
-    grid_levels = np.array([-1 if (lv := tower.level_of_point(c)) is None else lv
-                            for c in centers])
-    usable = grid_levels >= 0
     for name, (fn, _, _) in TEST_FUNCTIONS.items():
-        a_vals = apply_Asigma(d, name)
         preds = np.full(bins, np.nan)
-        for b in range(bins):
-            if not usable[b]:
-                continue
-            j = grid_levels[b]
-            off = centers[b] - float(lows[j]) + float(tower.base[0])
-            tgt = (j + indices) % n
-            pts = lows[tgt] + (off - float(tower.base[0]))
-            preds[b] = float(np.sum(weights * fn(pts)))
-        ok = usable & ~np.isnan(a_vals) & ~np.isnan(preds)
+        preds[usable] = np.sum(weights * fn(pts), axis=1)
+        ok = usable & ~np.isnan(a_vals[name]) & ~np.isnan(preds)
         if np.any(ok):
-            errors[name] = float(np.sqrt(np.mean((a_vals[ok] - preds[ok]) ** 2)))
+            errors[name] = float(np.sqrt(np.mean((a_vals[name][ok] - preds[ok]) ** 2)))
         else:
             errors[name] = float("nan")
     errors["_outside_mass"] = outside
@@ -925,7 +908,7 @@ def weak_closure_check(iet: Iet3, k: int, horizon: int, N: int,
     scan_N, scan_bins = 2000, 128
     xs_scan = _stratified_points(scan_N, seed)
     yk = apply_pow_many(iet, k, xs_scan)
-    bin_ids = np.minimum((xs_scan * scan_bins).astype(np.int64), scan_bins - 1)
+    bin_ids = _bin(xs_scan, scan_bins)
     nu_vals = np.concatenate([xs_scan, yk])
     nu_bins = np.concatenate([bin_ids, bin_ids])
     nu_order = np.lexsort((nu_vals, nu_bins))
@@ -1026,17 +1009,12 @@ def measure_to_csv(m: DiscreteMeasure2D) -> str:
 
 def measure_histogram_csv(m: DiscreteMeasure2D, grid: int = 64) -> str:
     """Mass on a grid x grid partition of the square, as CSV (heatmap-ready)."""
-    ix = np.minimum((m.xs * grid).astype(np.int64), grid - 1)
-    iy = np.minimum((m.ys * grid).astype(np.int64), grid - 1)
-    h = np.zeros((grid, grid))
-    np.add.at(h, (ix, iy), m.ws)
+    h = _cell_histogram(m, grid)[0]
+    ix, iy = np.nonzero(h > 0)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["ix", "iy", "mass"])
-    for i in range(grid):
-        for j in range(grid):
-            if h[i, j] > 0:
-                w.writerow([i, j, f"{h[i, j]:.17g}"])
+    w.writerows(zip(ix.tolist(), iy.tolist(), map("{:.17g}".format, h[ix, iy].tolist())))
     return buf.getvalue()
 
 

@@ -22,12 +22,8 @@ from .iet_core import Iet3, RotationRep, from_rotation
 
 __all__ = [
     "SWITCH_CF_PLAN",
-    "switch_alpha",
     "switch_kappa",
     "documented_switch_iet",
-    "SWITCH_SCALES",
-    "TOWER_CF_PLAN",
-    "tower_alpha",
     "documented_tower_iet",
     "golden_iet",
 ]
@@ -47,17 +43,12 @@ def _plan_data():
     alpha = cf_to_fraction(SWITCH_CF_PLAN)
     P, Q = alpha.numerator, alpha.denominator
     qs = [q for _, q in cf_convergents(SWITCH_CF_PLAN)]
-    scales = (qs[1], qs[2], qs[3])  # 4, 32001, 8000250004
-    h = Q // (80 * scales[1])
+    h = Q // (80 * qs[2])  # the working scales qs[1:4] are 4, 32001, 8000250004
     C = (7 * Q) // 8 + _KAPPA_TUNE_STEPS * h
-    return P, Q, C, scales
+    return P, Q, C
 
 
-_P, _Q, _C, SWITCH_SCALES = _plan_data()
-
-
-def switch_alpha() -> Fraction:
-    return Fraction(_P, _Q)
+_P, _Q, _C = _plan_data()
 
 
 def switch_kappa() -> Fraction:
@@ -66,7 +57,7 @@ def switch_kappa() -> Fraction:
 
 def documented_switch_iet() -> Iet3:
     """The documented 3-IET for tower/switch/witness runs (exact Fraction lengths)."""
-    return from_rotation(RotationRep(switch_alpha(), switch_kappa()))
+    return from_rotation(RotationRep(Fraction(_P, _Q), switch_kappa()))
 
 
 # tower set: l1 = 1/2 exactly (kappa = 2 alpha), which maps the right break
@@ -74,16 +65,12 @@ def documented_switch_iet() -> Iet3:
 # interval towers then reach the full induced return height, and the two
 # large consecutive quotients give coverage ~1 - 1/(60*90) with rigidity
 # ~2/150 at the second scale
-TOWER_CF_PLAN = [0, 2, 3, 60, 90, 150] + [1] * 10
-
-
-def tower_alpha() -> Fraction:
-    return cf_to_fraction(TOWER_CF_PLAN)
+_TOWER_CF_PLAN = [0, 2, 3, 60, 90, 150] + [1] * 10
 
 
 def documented_tower_iet() -> Iet3:
     """The documented 3-IET for Rokhlin-tower runs (exact Fraction lengths)."""
-    a = tower_alpha()
+    a = cf_to_fraction(_TOWER_CF_PLAN)
     return from_rotation(RotationRep(a, 2 * a))
 
 

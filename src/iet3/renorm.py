@@ -285,16 +285,10 @@ def _lagrange_int(u, v, norm) -> tuple:
 
 @dataclass(frozen=True)
 class _SectionRecord:
-    n_steps: int
-    rho: float            # |v1|, horizontal displacement of the unit return
-    v1: float             # signed
-    basis: np.ndarray     # exact reduced basis of the flowed lattice
-    w_red: np.ndarray     # reduced marked offset
-    basis_term: float
+    rho: float            # horizontal displacement of the unit return
     marked_term: float
     dist_hat: float
     V_len: float
-    w2: float
 
 
 def section_record_exact(P: int, Q: int, C: int, N: int) -> _SectionRecord:
@@ -307,8 +301,7 @@ def section_record_exact(P: int, Q: int, C: int, N: int) -> _SectionRecord:
     if N < 1:
         raise ValueError("N must be >= 1")
     sN = RotationCounter(P, Q, C).signed_residue(N)
-    v1 = -sN * N / Q  # displacement = (0,1) - ((N alpha - round) N, 1)
-    rho = abs(v1)
+    rho = abs(-sN * N / Q)  # displacement = (0,1) - ((N alpha - round) N, 1)
 
     def norm(w):
         return math.hypot(w[1] * N / Q, w[0] / N)
@@ -336,25 +329,19 @@ def section_record_exact(P: int, Q: int, C: int, N: int) -> _SectionRecord:
         coef = ((-C) * lv[1] / det, C * lu[1] / det)
     else:
         coef = (0.0, 0.0)
-    best = None
+    mt = math.inf
     for di in range(-3, 4):
         for dj in range(-3, 4):
             ci, cj = round(coef[0]) + di, round(coef[1]) + dj
             s = C + ci * lu[0] + cj * lv[0]
             b = ci * lu[1] + cj * lv[1]
-            w = np.array([s * N / Q, b / N])
-            d = _marked_term(w)
-            if best is None or d < best[0]:
-                best = (d, w)
-    mt, w_red = best
+            mt = min(mt, _marked_term(np.array([s * N / Q, b / N])))
     # operational closing-segment length: the exact sample fraction of the
     # lower crossing count, frac(N (1 - kappa)); equals the geometric length
     # of the closing segment up to O(rho)
     v_len = ((N * (Q - C)) % Q) / Q
     dist = max(BASIS_WEIGHT * bt, mt)
-    return _SectionRecord(n_steps=N, rho=rho, v1=v1, basis=B, w_red=w_red,
-                          basis_term=bt, marked_term=mt, dist_hat=dist,
-                          V_len=v_len, w2=float(w_red[1]))
+    return _SectionRecord(rho=rho, marked_term=mt, dist_hat=dist, V_len=v_len)
 
 
 def _ladder(iet: Iet3) -> tuple[list[int], list[int]]:

@@ -56,13 +56,17 @@ class Tower:
     def width(self):
         return self.base[1] - self.base[0]
 
+    def levels_of(self, xs) -> np.ndarray:
+        """Index of the level containing each x, or -1."""
+        xs = np.asarray(xs, dtype=float)
+        idx = self._order[np.searchsorted(self._sorted_lows, xs, side="right") - 1]
+        lo = self.level_lows[idx]
+        return np.where((lo <= xs) & (xs < lo + self._float_width), idx, -1)
+
     def level_of_point(self, x: float) -> Optional[int]:
         """Index of the level containing x, or None."""
-        idx = self._order[np.searchsorted(self._sorted_lows, x, side="right") - 1]
-        lo = self.level_lows[idx]
-        if lo <= x < lo + self._float_width:
-            return int(idx)
-        return None
+        level = int(self.levels_of(x))
+        return None if level < 0 else level
 
     def __post_init__(self):
         order = np.argsort(self.level_lows, kind="stable")

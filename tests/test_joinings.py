@@ -647,6 +647,17 @@ def test_approx_by_powers_cases(tower_iet, doc_towers):
     assert c0.total() <= 1 + 1e-12
 
 
+def test_approx_by_powers_on_an_empty_refined_base(tower_iet, doc_towers):
+    # over the first suggested base at height 2, I ∩ T^2 I ∩ T^-2 I is empty:
+    # no atom is in the refined sub-tower, and all the fiber's mass is outside
+    from iet3.towers import _return_sets, build_tower
+    tower = build_tower(tower_iet, doc_towers[0][0], 2)
+    assert _return_sets(tower, tower_iet)[2] == []
+    coeff, errs = approx_by_powers(tower_iet, product_sample(20000, seed=1), tower)
+    assert coeff.total() == 0
+    assert abs(errs["_outside_mass"] - 1) <= 1e-12
+
+
 # -- weak closure -----------------------------------------------------------
 
 def test_weak_closure_rational_periodic():
@@ -749,10 +760,8 @@ def test_coefficient_stability_on_graph_mixture(tower_iet, doc_towers):
         b2 = min(int(xi * bins), bins - 1)
         if d.empty[b2]:
             continue
-        idx1, w1, out1 = _coefficients_from_fiber(
-            tower, tower_iet, d.fiber_xs[b], d.fiber_ys[b], d.fiber_ws[b])
-        idx2, w2, out2 = _coefficients_from_fiber(
-            tower, tower_iet, d.fiber_xs[b2], d.fiber_ys[b2], d.fiber_ws[b2])
+        idx1, w1, out1 = _coefficients_from_fiber(tower, tower_iet, *d.fiber(b))
+        idx2, w2, out2 = _coefficients_from_fiber(tower, tower_iet, *d.fiber(b2))
         c1 = np.zeros(tower.height); np.add.at(c1, idx1, w1)
         c2 = np.zeros(tower.height); np.add.at(c2, idx2, w2)
         l1_gap = float(np.abs(c1 - c2).sum())

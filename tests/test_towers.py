@@ -112,6 +112,25 @@ def test_level_lookup():
     assert tower.level_of_point(0.999) is None
 
 
+def test_array_level_lookup(tower_iet, doc_towers):
+    # the array lookup and its scalar case agree with a scan of all levels at
+    # each level's left end, at left end + width, between levels, at 0 and
+    # just below 1, on an exact tower and on a float one
+    for tower in (build_tower(tower_iet, *doc_towers[1]),
+                  build_tower(Iet3(0.2, 0.3, 0.5), (0.0, 0.01), 5)):
+        lows, w = tower.level_lows, float(tower.width)
+        srt = np.sort(lows)
+        xs = np.concatenate([lows, lows + w, (srt[:-1] + w + srt[1:]) / 2,
+                             [0.0, np.nextafter(1.0, 0.0)]])
+        found = tower.levels_of(xs)
+        for x, level in zip(xs, found):
+            hits = np.flatnonzero((lows <= x) & (x < lows + w)).tolist()
+            assert (level in hits) if hits else level == -1
+            assert tower.level_of_point(float(x)) == (level if level >= 0 else None)
+        assert found[:len(lows)].tolist() == list(range(len(lows)))
+        assert np.any(found == -1)
+
+
 def _all_pairs_oracle(iet, I, n):
     """I, T I, ..., T^(n-1) I are intervals, and in sorted order consecutive
     left ends lie at least the width apart: every pair of levels checked."""
