@@ -31,10 +31,10 @@ print(f"same at 1e5 atoms via grid flow: {g['value']:.4f} +- {g['bound']:.4f}")
 
 # certified bracket from the structure-aware bounds
 up = kr_upper_binned(big_a, big_b, bins=512)
-lo = kr_lower_witness(big_a, big_b, cap=0.25)
+lo = kr_lower_witness(big_a, big_b)
 print(f"certified bracket: [{lo:.4f}, {up:.4f}]")
 
 prod = product_sample(100_000, seed=4)
 half = mix(big_a, big_b)
 print(f"\nhalf mixture vs product: lower bound "
-      f"{kr_lower_witness(prod, half, cap=0.25):.4f} (far apart)")
+      f"{kr_lower_witness(prod, half):.4f} (far apart)")

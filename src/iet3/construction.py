@@ -29,12 +29,12 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .arith import RotationCounter
+from .arith import _INT, RotationCounter
 from .iet_core import Iet3, to_rotation
 from .joinings import (DiscreteMeasure2D, TEST_FUNCTIONS_2D, disintegrate,
                        fiber_diameter_stats, kr_lower_witness, kr_upper_binned,
                        mix, product_sample, sample_power_joining,
-                       _stratified_points)
+                       _index_strata, _stratified_points)
 from .renorm import _generic_crossing_pair, _ladder, section_record_exact
 
 __all__ = [
@@ -127,11 +127,7 @@ class _SwitchEngine:
                 return q
         raise SearchFailure("rational resolution exhausted at this width")
 
-    # -- count and zone queries ---------------------------------------------
-
-    def counts(self, us, N: int) -> np.ndarray:
-        """Crossing counts of the length-N orbits of grid points, as ints."""
-        return np.array([int(c) for c in self.rc.visits(us, N)])
+    # -- zone queries -------------------------------------------------------
 
     def zones(self, N: int) -> list[tuple[int, int]]:
         """The two boundary arcs (grid cells) where the length-N crossing
@@ -165,10 +161,14 @@ class _SwitchEngine:
 
     def slit_samples(self, n: int, seed) -> np.ndarray:
         """Stratified-jittered exact grid points in the slit [0, C)."""
-        rng = np.random.default_rng(seed)
-        jit = rng.random(n)
-        return np.array([int((i + j) * self.C / n) % self.C
-                         for i, j in enumerate(jit)], dtype=object)
+        jit = np.random.default_rng(seed).random(n)
+        return _INT((np.arange(n) + jit) * self.C / n) % self.C
+
+
+def _draw_cells(rng, n: int, width: int) -> np.ndarray:
+    """n uniform whole cells of [0, width), one draw each, as Python ints:
+    widths pass 2^63 (the slit has C ~ 2^81 cells), so no int64 cast."""
+    return _INT(rng.random(n) * width)
 
 
 def _pick_scale(eng: _SwitchEngine, spec: SwitchSpec,
@@ -214,8 +214,7 @@ def _certify_interval(eng: _SwitchEngine, lo: int, hi: int, zones,
     if not eng.clear([lo], dil, back_win, fwd_win)[0]:
         return False
     # crossing count at both ends
-    cc = eng.counts(np.array([lo, hi - 1], dtype=object), N)
-    return int(cc[0]) == m and int(cc[1]) == m
+    return bool(np.all(eng.rc.visits([lo, hi - 1], N) == m))
 
 
 def _find_J(eng: _SwitchEngine, N: int, m: int, W: int, p_hat: int) -> tuple[int, int]:
@@ -233,7 +232,7 @@ def _find_J(eng: _SwitchEngine, N: int, m: int, W: int, p_hat: int) -> tuple[int
     back_need = (2 + W) * N + 2
     fwd_need = (p_hat + 2 + W) * N + 2
     us_all = eng.slit_samples(64, 303)
-    cand = us_all[eng.counts(us_all, N) == m]
+    cand = us_all[eng.rc.visits(us_all, N) == m]
     if len(cand) == 0:
         raise SearchFailure("no m-type candidate centers")
     horizon = fwd_need + back_need + 4 * N
@@ -267,7 +266,12 @@ def _materialize_B(eng: _SwitchEngine, N: int, m: int, W: int) -> Optional[list]
     out of both zones for (3 + W) N steps either way, when affordable.  The
     cells that enter a zone are the arcs (z_lo - jP) mod Q + [0, w), so the
     clear ones are the gaps between arcs; the crossing count changes only at
-    cells that enter a zone, so one count per run classifies it."""
+    cells that enter a zone, so one count per run classifies it.
+
+    No gap wraps past Q.  Whatever the sign of the residue s = NP mod Q,
+    one zone is [0, w) or [Q - w, Q) and the other of these two arcs is its
+    image N steps away, which the window (at least 3N) reaches: one arc
+    starts at 0 and one ends at Q."""
     window = (3 + W) * N
     if 2 * window > 400_000:
         return None
@@ -276,18 +280,12 @@ def _materialize_B(eng: _SwitchEngine, N: int, m: int, W: int) -> Optional[list]
     w = zones[0][1] - zones[0][0]
     starts = sorted({(z_lo - j * P) % Q for z_lo, _ in zones
                      for j in range(-window, window + 1)})
-    # the gap after the last arc wraps past Q to the first start
-    ends = [s0 + w for s0 in starts]
-    gaps = [(e, s1) for e, s1 in zip(ends, starts[1:]) if s1 > e]
-    if ends[-1] < Q:
-        gaps += [(ends[-1], Q), (0, starts[0])]
-    elif ends[-1] - Q < starts[0]:
-        gaps.append((ends[-1] - Q, starts[0]))
+    gaps = [(s0 + w, s1) for s0, s1 in zip(starts, starts[1:]) if s1 > s0 + w]
     clear = [(lo, min(hi, C)) for lo, hi in gaps if lo < min(hi, C)]
     if not clear:
         return []
-    cc = eng.counts(np.array([lo for lo, _ in clear], dtype=object), N)
-    return sorted(run for run, c in zip(clear, cc) if c == m + 1)
+    cc = eng.rc.visits([lo for lo, _ in clear], N)
+    return [run for run, c in zip(clear, cc) if c == m + 1]
 
 
 def _sample_B(eng: _SwitchEngine, N: int, m: int, W: int, n_samples: int,
@@ -297,23 +295,20 @@ def _sample_B(eng: _SwitchEngine, N: int, m: int, W: int, n_samples: int,
     # the zones padded by one cell on each side
     arcs = [(z_lo - 1, z_hi + 1) for (z_lo, z_hi) in eng.zones(N)]
     window = (3 + W) * N
-    got: list = []
-    tried = accepted = 0
-    round_i = 0
-    while len(got) < n_samples and round_i < 12:
+    got, tried = np.empty(0, dtype=object), 0
+    for round_i in range(12):
+        if len(got) >= n_samples:
+            break
         us = eng.slit_samples(max(2 * n_samples, 1024), _mix_seed(seed, round_i))
-        mask = eng.counts(us, N) == m + 1
+        mask = eng.rc.visits(us, N) == m + 1
         ok = np.zeros(len(us), dtype=bool)
         if np.any(mask):
             ok[mask] = eng.clear(us[mask], arcs, window, window)
         tried += len(us)
-        accepted += int(ok.sum())
-        got.extend(int(u) for u in us[ok])
-        round_i += 1
-    if not got:
+        got = np.concatenate([got, us[ok]])
+    if not len(got):
         raise SearchFailure("no B-side points found")
-    frac = accepted / max(tried, 1)
-    return np.array(got[:n_samples], dtype=object), float(frac)
+    return got[:n_samples], len(got) / tried
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +335,7 @@ def build_switch(iet: Iet3, spec: SwitchSpec,
     S_over, W_over = pair_scale if pair_scale is not None else (None, None)
     N, rec = _pick_scale(eng, spec, width_cap=width_cap, S_override=S_over)
     W = W_over if W_over is not None else abs(spec.a - spec.b)
-    m, f_m, _ = _generic_crossing_pair(eng.counts(eng.slit_samples(256, 77), N))
+    m, f_m, _ = _generic_crossing_pair(eng.rc.visits(eng.slit_samples(256, 77), N))
     rho = rec.rho
     p_hat = int(rec.V_len / rho) - 2 * (2 + W) - 3
     if p_hat < 1:
@@ -349,12 +344,10 @@ def build_switch(iet: Iet3, spec: SwitchSpec,
 
     # certified return-time bound for width-sigma intervals
     q_next = eng.next_denominator(sigma)
-    ret_counts = eng.counts(eng.slit_samples(32, 909), q_next)
+    ret_counts = eng.rc.visits(eng.slit_samples(32, 909), q_next)
     boundary = RotationCounter(eng.P, eng.Q, 2 * sigma + 2)
-    var_terms = boundary.visits(np.array([0, eng.C - sigma - 1], dtype=object),
-                                np.full(2, q_next, dtype=object))
-    var_bound = int(max(int(v) for v in var_terms)) + 2
-    return_lo = int(min(int(c) for c in ret_counts)) - var_bound
+    var_bound = max(boundary.visits([0, eng.C - sigma - 1], q_next)) + 2
+    return_lo = min(ret_counts) - var_bound
 
     r = m * p_hat
     if 1.5 * r > return_lo:
@@ -371,7 +364,7 @@ def build_switch(iet: Iet3, spec: SwitchSpec,
         lam_B_exact = True
     else:
         _, frac = _sample_B(eng, N, m, W, 64, (seed, "bfrac"))
-        lam_B = float(frac)
+        lam_B = frac
         lam_B_exact = False
 
     res = SwitchResult(
@@ -404,12 +397,8 @@ def _sample_A_points(eng: _SwitchEngine, res: SwitchResult, n_samples: int,
     """Exact grid samples of A = union of the r tower levels over J."""
     rng = np.random.default_rng(_mix_seed(seed, "A"))
     j_lo, j_hi = res.J_cells
-    base = np.array([j_lo + int(rng.random() * (j_hi - j_lo))
-                     for _ in range(n_samples)], dtype=object)
-    # r may exceed int64; draw heights through floats
-    heights = np.array([int(rng.random() * max(res.r, 1)) for _ in range(n_samples)],
-                       dtype=object)
-    return eng.rc.power(base, heights)
+    base = j_lo + _draw_cells(rng, n_samples, j_hi - j_lo)
+    return eng.rc.power(base, _draw_cells(rng, n_samples, max(res.r, 1)))
 
 
 def _mix_seed(seed, tag) -> int:
@@ -436,7 +425,7 @@ def verify_switch(iet: Iet3, res: SwitchResult, samples: int,
     """Re-check the switch postconditions on fresh samples.
 
     The KR window check compares kr_A and kr_B with 2 eps + 4/sqrt(L) (L
-    capped at 20000).  For L <= 4 that bound is at least 2, the taxicab
+    capped at `_ORBIT_ATOMS`).  For L <= 4 that bound is at least 2, the taxicab
     diameter of the unit square, so the check cannot fail there;
     ``checks["kr_vacuous"]`` says when that is so."""
     if samples <= 0:
@@ -457,20 +446,19 @@ def verify_switch(iet: Iet3, res: SwitchResult, samples: int,
     checks["shadow_A_frac_ok"] = float(np.mean(gap_A < eps))
     checks["shadow_B_frac_ok"] = float(np.mean(gap_B < eps))
     # KR window condition on a few sampled points per side, each orbit
-    # joining (min(L, cap) atoms) against one reference joining of the side
-    cap = 20000
+    # joining (min(L, _ORBIT_ATOMS) atoms) against one reference joining
+    atoms = min(res.L, _ORBIT_ATOMS)
     for side, us, expo in (("A", uA[:6], res.a), ("B", uB[:6], res.b)):
-        ref = sample_power_joining(iet, expo, min(res.L, cap),
-                                   seed=_mix_seed(seed, ("ref", side)))
+        ref = sample_power_joining(iet, expo, atoms, seed=_mix_seed(seed, ("ref", side)))
         vals = [kr_upper_binned(_orbit_joining_grid(
-                    eng, int(u), res.n, res.L, cap=cap,
-                    seed=_mix_seed(seed, (side, int(u) % 997))), ref, bins=128)
+                    eng, u, res.n, res.L, seed=_mix_seed(seed, (side, u % 997))),
+                    ref, bins=128)
                 for u in us]
         checks[f"kr_{side}"] = float(np.max(vals)) if vals else float("nan")
     checks["return_margin"] = float(res.return_lo - 1.5 * res.r)
     checks["lambda_A"] = res.lambda_A
     checks["lambda_B"] = res.lambda_B
-    slack = 4 / math.sqrt(max(min(res.L, cap), 1))
+    slack = 4 / math.sqrt(max(atoms, 1))
     checks["kr_bound"] = 2 * eps + slack
     checks["kr_vacuous"] = checks["kr_bound"] >= 2
     ok = (checks["shadow_A_frac_ok"] >= 0.95 and checks["shadow_B_frac_ok"] >= 0.95
@@ -482,30 +470,44 @@ def verify_switch(iet: Iet3, res: SwitchResult, samples: int,
 
 
 def _shadow_gap(eng: _SwitchEngine, us, n: int, a: int) -> np.ndarray:
-    pn = eng.rc.power(us, n)
-    pa = eng.rc.power(us, a)
+    return _gap(eng, eng.rc.power(us, n), eng.rc.power(us, a))
+
+
+def _gap(eng: _SwitchEngine, pn, pa) -> np.ndarray:
+    """Circle distance between grid positions, in IET coordinates."""
     d = np.abs(pn - pa).astype(float)
     d = np.minimum(d, eng.Q - d) / eng.Q
-    return d / eng.kappa  # rescale to IET coordinates
+    return d / eng.kappa
+
+
+# atoms of a grid orbit joining: a longer window is index-subsampled
+_ORBIT_ATOMS = 20000
 
 
 def _orbit_joining_grid(eng: _SwitchEngine, u0: int, n: int, L: int,
-                        cap: int, seed) -> DiscreteMeasure2D:
-    """Empirical orbit joining started at a grid point, index-subsampled.
+                        seed) -> DiscreteMeasure2D:
+    """Empirical orbit joining over the window [0, L) started at a grid
+    point: every index, or one jittered index in each of `_ORBIT_ATOMS`
+    strides of L // _ORBIT_ATOMS.
 
-    The index strata come from one vector of draws, as int64 while the
-    window fits and as Python ints past that (deep schedule levels)."""
-    if L <= cap:
-        idx = np.arange(L)
+    The strata come from one vector of draws, as int64 while the window
+    fits and as Python ints past that (deep schedule levels)."""
+    if L <= _ORBIT_ATOMS:
+        return _orbit_joining_at(eng, u0, n, np.arange(L))
+    stride = L // _ORBIT_ATOMS
+    offsets = np.random.default_rng(seed).random(_ORBIT_ATOMS) * stride
+    if L < 1 << 62:                   # i * stride + offset fits in int64
+        idx = np.arange(_ORBIT_ATOMS) * stride + offsets.astype(np.int64)
     else:
-        stride = L // cap
-        offsets = np.random.default_rng(seed).random(cap) * stride
-        if L < 1 << 62:               # i * stride + offset fits in int64
-            idx = np.unique(np.arange(cap) * stride + offsets.astype(np.int64))
-        else:
-            idx = np.array(sorted({i * stride + int(o) for i, o in enumerate(offsets)}),
-                           dtype=object)
-    if np.array_equal(idx, np.arange(len(idx))):
+        idx = np.arange(_ORBIT_ATOMS, dtype=object) * stride + _INT(offsets)
+    return _orbit_joining_at(eng, u0, n, np.unique(idx))
+
+
+def _orbit_joining_at(eng: _SwitchEngine, u0: int, n: int,
+                      idx: np.ndarray) -> DiscreteMeasure2D:
+    """Atoms (T^i u0, T^(i+n) u0) at sorted distinct indices i >= 0: two
+    orbit walks when they are 0..len-1, two power solves otherwise."""
+    if idx[-1] == len(idx) - 1:
         xi = eng.rc.orbit(u0, 0, len(idx))
         yi = eng.rc.orbit(u0, n, len(idx))
     else:
@@ -642,8 +644,7 @@ def _finish_schedule(plan: _Plan, N_atoms: int, seed,
         # exceptional set, measured: points where neither switching shadow
         # holds (the set-theoretic gap 1 - lambda_A - lambda_B is dominated
         # by tower granularity and is reported separately in diagnostics)
-        u_mass = _measured_U(eng, sw, lv.pairs, lv.epsilon,
-                             seed=_mix_seed(seed, ("U", lv.k)))
+        u_mass = _measured_U(eng, lv, seed=_mix_seed(seed, ("U", lv.k)))
         levels.append(ScheduleLevel(
             k=lv.k, epsilon=lv.epsilon, n_steps=sw.n_steps, m=sw.m, r=sw.r,
             lambda_J=sw.diagnostics["lambda_J"], exponents=lv.exponents,
@@ -662,17 +663,16 @@ def _finish_schedule(plan: _Plan, N_atoms: int, seed,
                     aborted=aborted, abort_reason=reason)
 
 
-def _measured_U(eng: _SwitchEngine, sw: SwitchResult, pairs, eps_k: float,
-                seed=0) -> float:
+def _measured_U(eng: _SwitchEngine, lv: _PlannedLevel, seed=0) -> float:
     """Fraction of uniform slit points where no strand's switching shadow
-    holds at accuracy eps_k."""
+    holds at the level's accuracy: strand l's exponent n shadows T^a or T^b
+    of its pair (a, b), each power solved once over the samples."""
     us = eng.slit_samples(2000, seed)
+    at = {e: eng.rc.power(us, e)
+          for e in {*lv.exponents, *(e for pair in lv.pairs for e in pair)}}
     bad = np.ones(len(us), dtype=bool)
-    for (a, b) in pairs:
-        n = b + (sw.m + 1) * (a - b)
-        ga = _shadow_gap(eng, us, n, a)
-        gb = _shadow_gap(eng, us, n, b)
-        bad &= np.minimum(ga, gb) >= eps_k
+    for (a, b), n in zip(lv.pairs, lv.exponents):
+        bad &= np.minimum(_gap(eng, at[n], at[a]), _gap(eng, at[n], at[b])) >= lv.epsilon
     return float(np.mean(bad))
 
 
@@ -710,9 +710,8 @@ def ksv_check(s: Schedule, iet: Optional[Iet3] = None, seed=11) -> dict:
             cur = lv.exponents
             uA = _sample_A_points(eng, lv.switch, 200, _mix_seed(seed, ("ksvA", lv.k)))
             uB, _ = _sample_B(eng, lv.switch.n_steps, lv.switch.m,
-                              max(abs(a - b) for a, b in
-                                  [(prev[(l - 1) % s.d], prev[l]) for l in range(s.d)]),
-                              200, _mix_seed(seed, ("ksvB", lv.k)))
+                              lv.switch.diagnostics["window_W"], 200,
+                              _mix_seed(seed, ("ksvB", lv.k)))
             worst = 0.0
             for l in range(s.d):
                 gapA = _shadow_gap(eng, uA, cur[l], prev[(l - 1) % s.d])
@@ -733,7 +732,7 @@ def ksv_check(s: Schedule, iet: Optional[Iet3] = None, seed=11) -> dict:
             u0 = int(_sample_A_points(eng, lv.switch, 1, _mix_seed(seed, ("bk", lv.k)))[0])
             for l in range(s.d):
                 emp = _orbit_joining_grid(eng, u0, lv.exponents[l], L,
-                                          cap=20000, seed=_mix_seed(seed, ("B", lv.k, l)))
+                                          seed=_mix_seed(seed, ("B", lv.k, l)))
                 ref = sample_power_joining(iet, lv.exponents[l], len(emp.ws),
                                            seed=_mix_seed(seed, ("Bref", lv.k, l)))
                 null = _random_graph_sample(eng, lv.exponents[l], len(emp.ws),
@@ -749,9 +748,8 @@ def ksv_check(s: Schedule, iet: Optional[Iet3] = None, seed=11) -> dict:
 def _random_graph_sample(eng: _SwitchEngine, expo: int, n: int,
                          seed) -> DiscreteMeasure2D:
     """Graph joining of T^expo sampled at uniformly random grid points."""
-    rng = np.random.default_rng(seed)
-    us = np.array([int(rng.random() * eng.C) for _ in range(n)], dtype=object)
-    ys = eng.rc.power(us, np.full(n, int(expo), dtype=object))
+    us = _draw_cells(np.random.default_rng(seed), n, eng.C)
+    ys = eng.rc.power(us, expo)
     return DiscreteMeasure2D.equal_weight(eng.to_unit(us), eng.to_unit(ys))
 
 
@@ -782,58 +780,27 @@ def non_simplicity_witness(iet: Iet3, K_levels: int = 3, N: int = 100_000,
         raise SwitchError("witness needs K_levels >= 2")
     med = _median_displacement(iet)
     eps_pilot = [0.025 / 2 ** i for i in range(K_levels)]
-    base = [sample_power_joining(iet, 0, N, seed=_mix_seed(seed, "b0")),
-            sample_power_joining(iet, 1, N, seed=_mix_seed(seed, "b1"))]
-
     # the pilot is only planned: it is verified and sampled when it is the
-    # schedule the report keeps
+    # schedule the report keeps; a pilot over budget is planned again, by
+    # `run_schedule`, at the budget
     pilot = _plan_schedule(iet, (0, 1), eps_pilot, K_levels, seed)
-    if pilot.aborted:
+    sched = None
+    if not pilot.aborted:
+        divs, gaps, rho_fit, C_fit = _decay_fit(iet, pilot, eps_pilot, N, seed)
+        # the halving schedule continues past level K with tail sum eps_K, so
+        # the displacement condition is enforced against the full series
+        tail_factor = (sum(eps_pilot) + eps_pilot[-1]) / sum(eps_pilot)
+        eps_budget_total = med / (40 * C_fit * tail_factor)
+        eps_used = list(eps_pilot)
+        if sum(eps_pilot) > eps_budget_total:
+            scale = eps_budget_total / sum(eps_pilot) * 0.95
+            eps_used = [e * scale for e in eps_pilot]
+            sched = run_schedule(iet, (0, 1), eps_used, K_levels, N_atoms=N, seed=seed)
+    if sched is None:
         sched = _finish_schedule(pilot, N, seed)
+    if sched.aborted:
         return {"passed": False, "aborted": True, "reason": sched.abort_reason,
                 "schedule": sched, "median_displacement": med}
-
-    # strand divergences (exact grid solves) and functional strand gaps
-    # (integrals of the 1-Lipschitz family -- the quantities the averaging
-    # recursion actually contracts) at each level
-    from .joinings import kr_distance_detailed
-    divs, gaps = [], []
-    fit_N = min(N, 20000)
-    base_small = _base_mix_small(base, fit_N)
-    for k in range(K_levels + 1):
-        exps = pilot.initial_exponents if k == 0 else pilot.levels[k - 1].exponents
-        ms = [sample_power_joining(iet, e, fit_N, seed=_mix_seed(seed, ("div", k, i)))
-              for i, e in enumerate(exps)]
-        d = max(kr_distance_detailed(m_, base_small, method="grid", grid=96)["value"]
-                for m_ in ms)
-        divs.append(d)
-        gaps.append(_functional_gap(ms[0], ms[1]))
-    ratios = [g2 / g1 for g1, g2 in zip(gaps, gaps[1:]) if g1 > 1e-9]
-    rho_fit = float(np.clip(np.exp(np.mean(np.log(np.maximum(ratios, 1e-6)))),
-                            1e-3, 0.999)) if ratios else 0.5
-    # fit the constant on levels below the last, then check the last level
-    # against the extrapolated budget
-    C_fit = max(d / (sum(eps_pilot[:k]) + rho_fit ** k)
-                for k, d in enumerate(divs) if 1 <= k < K_levels)
-    C_fit = float(max(C_fit, 0.05))
-    # the halving schedule continues past level K with tail sum eps_K, so the
-    # displacement condition is enforced against the full series
-    tail_factor = (sum(eps_pilot) + eps_pilot[-1]) / sum(eps_pilot)
-    eps_budget_total = med / (40 * C_fit * tail_factor)
-    eps_used = list(eps_pilot)
-    if sum(eps_pilot) > eps_budget_total:
-        scale = eps_budget_total / sum(eps_pilot) * 0.95
-        eps_used = [e * scale for e in eps_pilot]
-        sched = run_schedule(iet, (0, 1), eps_used, K_levels, N_atoms=N, seed=seed)
-        if sched.aborted:
-            return {"passed": False, "aborted": True, "reason": sched.abort_reason,
-                    "schedule": sched, "median_displacement": med,
-                    "C_fit": C_fit}
-    else:
-        sched = _finish_schedule(pilot, N, seed)
-        if sched.aborted:
-            return {"passed": False, "aborted": True, "reason": sched.abort_reason,
-                    "schedule": sched, "median_displacement": med}
 
     budget = C_fit * (sum(eps_used) + rho_fit ** K_levels)
     # the schedule's strands and the base strands on one shared stratified
@@ -847,7 +814,7 @@ def non_simplicity_witness(iet: Iet3, K_levels: int = 3, N: int = 100_000,
     # (i) separation from the empirical product: duality lower bound with the
     # witness function built on the support of the final average
     prod = product_sample(N, _mix_seed(seed, "prod"))
-    d_prod = kr_lower_witness(prod, avg, cap=0.25)
+    d_prod = kr_lower_witness(prod, avg)
     # (ii) closeness to the half mixture of the initial strands
     d_mix = kr_upper_binned(avg, base_mix_shared, bins=1024)
     # (iii) fiber diameters
@@ -881,29 +848,43 @@ def non_simplicity_witness(iet: Iet3, K_levels: int = 3, N: int = 100_000,
     }
 
 
-def _base_mix_small(base, fit_N):
-    """The half mixture of the initial strands, thinned for fit solves.
-
-    Stratified atom lists are ordered by position, so thinning must stride
-    rather than truncate."""
-    sub = []
-    for b in base:
-        stride = max(1, len(b.ws) // fit_N)
-        sub.append(DiscreteMeasure2D.equal_weight(b.xs[::stride], b.ys[::stride]))
-    return mix(*sub)
-
-
-_FUNCTIONAL_FAMILY = list(TEST_FUNCTIONS_2D.items())
+def _decay_fit(iet: Iet3, pilot: _Plan, eps_pilot, N: int, seed):
+    """Strand divergences from the base mixture (exact grid solves) and
+    functional strand gaps (integrals of the 1-Lipschitz family -- the
+    quantities the averaging recursion actually contracts) at each level of
+    the pilot, with the fitted contraction rate and decay constant."""
+    from .joinings import kr_distance_detailed
+    # the half mixture of the initial strands, thinned for the fit solves:
+    # stratified atom lists are ordered by position, so thinning must stride
+    # rather than truncate
+    fit_N = min(N, 20000)
+    stride = max(1, N // fit_N)
+    base = [sample_power_joining(iet, e, N, seed=_mix_seed(seed, f"b{e}")) for e in (0, 1)]
+    base_small = mix(*(DiscreteMeasure2D.equal_weight(b.xs[::stride], b.ys[::stride])
+                       for b in base))
+    divs, gaps = [], []
+    for k in range(len(pilot.levels) + 1):
+        exps = pilot.initial_exponents if k == 0 else pilot.levels[k - 1].exponents
+        ms = [sample_power_joining(iet, e, fit_N, seed=_mix_seed(seed, ("div", k, i)))
+              for i, e in enumerate(exps)]
+        divs.append(max(kr_distance_detailed(m_, base_small, method="grid", grid=96)["value"]
+                        for m_ in ms))
+        gaps.append(_functional_gap(ms[0], ms[1]))
+    ratios = [g2 / g1 for g1, g2 in zip(gaps, gaps[1:]) if g1 > 1e-9]
+    rho_fit = float(np.clip(np.exp(np.mean(np.log(np.maximum(ratios, 1e-6)))),
+                            1e-3, 0.999)) if ratios else 0.5
+    # fit the constant on levels below the last, then check the last level
+    # against the extrapolated budget
+    C_fit = max(d / (sum(eps_pilot[:k]) + rho_fit ** k)
+                for k, d in enumerate(divs) if 1 <= k < len(pilot.levels))
+    return divs, gaps, rho_fit, float(max(C_fit, 0.05))
 
 
 def _functional_gap(m1: DiscreteMeasure2D, m2: DiscreteMeasure2D) -> float:
     """Max difference of the 1-Lipschitz test integrals between measures."""
-    worst = 0.0
-    for _, fn in _FUNCTIONAL_FAMILY:
-        v1 = float(np.sum(m1.ws * fn(m1.xs, m1.ys)))
-        v2 = float(np.sum(m2.ws * fn(m2.xs, m2.ys)))
-        worst = max(worst, abs(v1 - v2))
-    return worst
+    return max(abs(float(np.sum(m1.ws * fn(m1.xs, m1.ys)))
+                   - float(np.sum(m2.ws * fn(m2.xs, m2.ys))))
+               for fn in TEST_FUNCTIONS_2D.values())
 
 
 def _birkhoff_agreement(iet: Iet3, sched: Schedule, n_atoms: int, seed) -> float:
@@ -919,19 +900,9 @@ def _birkhoff_agreement(iet: Iet3, sched: Schedule, n_atoms: int, seed) -> float
     exps = (sched.levels[-1].exponents if sched.levels
             else sched.initial_exponents)
     eng = _SwitchEngine(iet)
-    window, subsample = 10**12, 12000
-    strata = (np.arange(subsample) + rng.random(subsample)) * (window / subsample)
-    idx = np.floor(strata).astype(np.int64).astype(object)  # below 10**12: exact
-    worst = {name: (math.inf, -math.inf) for name in TEST_FUNCTIONS_2D}
-    for i in range(n_atoms):
-        e = int(exps[i % len(exps)])
-        u0 = int(rng.random() * eng.C)
-        us = np.full(subsample, u0, dtype=object)
-        xi = eng.rc.power(us, idx)
-        yi = eng.rc.power(us, idx + e)
-        xs, ys = eng.to_unit(xi), eng.to_unit(yi)
-        for name, fn in TEST_FUNCTIONS_2D.items():
-            av = float(np.mean(fn(xs, ys)))
-            lo, hi = worst[name]
-            worst[name] = (min(lo, av), max(hi, av))
-    return max(hi - lo for lo, hi in worst.values())
+    idx = _index_strata(rng, 12000, 10**12)
+    avs = []                          # one row of test averages per atom
+    for i, u0 in enumerate(_draw_cells(rng, n_atoms, eng.C)):
+        m = _orbit_joining_at(eng, u0, exps[i % len(exps)], idx)
+        avs.append([np.mean(fn(m.xs, m.ys)) for fn in TEST_FUNCTIONS_2D.values()])
+    return float(np.max(np.ptp(avs, axis=0)))

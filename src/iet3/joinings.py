@@ -152,14 +152,19 @@ def empirical_orbit_joining(iet: Iet3, x: float, n: int, L: int,
     if L < 1:
         raise ValueError("L must be >= 1")
     if subsample is not None and subsample < L:
-        rng = np.random.default_rng(seed)
-        strata = (np.arange(subsample) + rng.random(subsample)) * (L / subsample)
-        idx = np.unique(np.floor(strata).astype(np.int64))
+        idx = _index_strata(np.random.default_rng(seed), subsample, L)
     else:
         idx = np.arange(L, dtype=np.int64)
     rep_xs = _power_at_indices(iet, float(x), idx)
     rep_ys = _power_at_indices(iet, float(x), idx + int(n))
     return DiscreteMeasure2D.equal_weight(rep_xs, rep_ys)
+
+
+def _index_strata(rng, s: int, L: int) -> np.ndarray:
+    """One jittered index floor((i + U_i) L/s) in each of s equal strata of
+    the window [0, L), sorted and distinct, as int64."""
+    strata = (np.arange(s) + rng.random(s)) * (L / s)
+    return np.unique(np.floor(strata).astype(np.int64))
 
 
 def _power_at_indices(iet: Iet3, x: float, idx: np.ndarray) -> np.ndarray:
@@ -649,10 +654,13 @@ def _nearest_taxicab(qx, qy, sx, sy) -> np.ndarray:
     return dist
 
 
-def kr_lower_witness(mu: DiscreteMeasure2D, nu: DiscreteMeasure2D,
-                     cap: float = 0.25) -> float:
+_WITNESS_CAP = 0.25   # height of the lower-bound witness function
+
+
+def kr_lower_witness(mu: DiscreteMeasure2D, nu: DiscreteMeasure2D) -> float:
     """Certified lower bound: integrate the 1-Lipschitz witness
-    f(z) = min(cap, taxicab distance to nu's support) against mu - nu.
+    f(z) = min(cap, taxicab distance to nu's support), cap = `_WITNESS_CAP`,
+    against mu - nu.
     The nu-integral vanishes on nu's own atoms, so the bound is the
     mu-weighted sum of witness values.
 
@@ -668,8 +676,8 @@ def kr_lower_witness(mu: DiscreteMeasure2D, nu: DiscreteMeasure2D,
     the bound can only move down.
     """
     d = _nearest_taxicab(mu.xs, mu.ys, nu.xs, nu.ys)
-    delta = 2.0 ** -51 + 4 * _U * min(cap, 2.0)
-    return math.fsum(mu.ws * np.maximum(np.minimum(d, cap) - delta, 0.0))
+    delta = 2.0 ** -51 + 4 * _U * min(_WITNESS_CAP, 2.0)
+    return math.fsum(mu.ws * np.maximum(np.minimum(d, _WITNESS_CAP) - delta, 0.0))
 
 
 # ---------------------------------------------------------------------------

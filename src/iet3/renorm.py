@@ -208,7 +208,8 @@ def crossing_count(iet: Iet3, t: float, x: float) -> int:
 
 
 def _crossing_samples(iet: Iet3, n_steps: int, samples: int = 128) -> np.ndarray:
-    """Crossing counts at a jittered stratified grid of slit points.
+    """Crossing counts at a jittered stratified grid of slit points, as
+    `visits` returns them (Python ints).
 
     Jitter breaks resonance between the sample grid and the near-rational
     cell structure at section times, which would otherwise alias the counts.
@@ -217,8 +218,7 @@ def _crossing_samples(iet: Iet3, n_steps: int, samples: int = 128) -> np.ndarray
     jit = np.random.default_rng(1301).random(samples)
     xs = (np.arange(samples) + jit) / samples * k
     rc = iet.rotation_counter()
-    counts = rc.visits(rc.lift(xs), n_steps)
-    return np.array([int(c) for c in counts])
+    return rc.visits(rc.lift(xs), n_steps)
 
 
 def _generic_crossing_pair(counts: np.ndarray) -> tuple[int, float, float]:

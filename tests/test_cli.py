@@ -64,6 +64,14 @@ def test_renorm_find_report(tmp_path):
     assert 4 in steps and 32001 in steps
 
 
+def test_switch_report(tmp_path):
+    code = run(["switch", "--alpha-cf", "doc-switch", "--samples", "200"], tmp_path)
+    rep = json.loads((tmp_path / "switch.json").read_text())
+    assert code == (0 if rep["status"] == "verified" else 2)
+    assert {"n", "m", "r", "L", "status", "checks"} <= set(rep)
+    assert rep["checks"]["kr_bound"] > 0
+
+
 def test_determinism_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

@@ -110,6 +110,22 @@ def test_planned_levels_are_verified_only_when_finished(switch_iet, monkeypatch)
     assert lv.exponents == plan.levels[0].exponents
 
 
+def test_witness_reuses_a_pilot_within_budget(switch_iet, monkeypatch):
+    # a large displacement median puts the pilot within the accuracy budget:
+    # the witness keeps it, planned once, rather than planning a rescaled one
+    import iet3.construction as construction
+    plans = []
+    plan = construction._plan_schedule
+    monkeypatch.setattr(construction, "_median_displacement", lambda iet: 10.0)
+    monkeypatch.setattr(construction, "_plan_schedule",
+                        lambda *a: plans.append(plan(*a)) or plans[-1])
+    rep = construction.non_simplicity_witness(switch_iet, K_levels=2, N=3000, seed=7)
+    assert len(plans) == 1 and not rep["aborted"]
+    assert rep["eps"] == [0.025, 0.0125]
+    assert ([lv.exponents for lv in rep["schedule"].levels]
+            == [lv.exponents for lv in plans[0].levels])
+
+
 def test_golden_switch_not_admissible(golden):
     # badly approximable rotation numbers never satisfy the displacement
     # bound: N ||N alpha|| stays above ~0.447
@@ -275,6 +291,9 @@ def test_materialized_B_matches_cells(head, big, last, W, data):
     eng = _SwitchEngine(from_rotation(RotationRep(alpha, kappa)))
     N = cf_to_fraction([0, *head]).denominator
     counts, clear = _crossings_and_clearance(eng, N, W)
+    # the zone arcs [0, w) and [Q - w, Q) are N steps apart, so cell 0 always
+    # meets a zone and no clear run wraps past 0
+    assert not clear[0]
     m = data.draw(st.sampled_from(sorted(set(counts[clear].tolist()) or {0}))) - 1
     runs = []
     for u in np.flatnonzero(clear & (counts == m + 1)).tolist():

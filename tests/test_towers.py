@@ -190,6 +190,18 @@ def test_documented_heights_are_maximal(doc_towers, tower_iet):
     assert all(_maximal_height(tower_iet, I, h) for I, h in doc_towers)
 
 
+def test_suggested_towers_of_a_binary64_iet_build():
+    # a binary64 IET takes its base widths from the scan's floats, not from
+    # whole cells of an exact circle
+    iet = Iet3(0.31, 0.17, 0.52)
+    assert not iet.exact
+    cands = suggest_towers(iet, k_max=4)
+    assert cands
+    for (lo, hi), n in cands:
+        assert isinstance(hi - lo, float)
+        assert build_tower(iet, (lo, hi), n).height == n
+
+
 def _fraction_transport(iet, pieces, steps):
     """T^steps of a union of intervals, one Fraction `_branch_image` step at
     a time."""
