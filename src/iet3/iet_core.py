@@ -96,6 +96,14 @@ class Iet3:
         d1, d2, d3 = self.branch_displacements()
         return ((self.b1, d1), (self.b2, d2)), d3
 
+    @cached_property
+    def _float_branches(self) -> tuple:
+        """b1, d1, b2, d2, d3 of `_branches` in binary64, for array steps.
+        `float` of a Fraction is correctly rounded, so converting once gives
+        every step the constants it would convert itself."""
+        ((b1, d1), (b2, d2)), d3 = self._branches
+        return tuple(float(v) for v in (b1, d1, b2, d2, d3))
+
     def inverse(self) -> "Iet3":
         """The inverse 3-IET: lengths reversed."""
         return Iet3(self.l3, self.l2, self.l1)
@@ -160,12 +168,12 @@ def apply(iet: Iet3, x):
 
 def _step(iet: Iet3, x):
     """`apply` without its domain check."""
-    ((b1, d1), (b2, d2)), d3 = iet._branches
     if isinstance(x, np.ndarray):
-        out = np.where(x < float(b1), x + float(d1),
-                       np.where(x < float(b2), x + float(d2), x + float(d3)))
+        b1, d1, b2, d2, d3 = iet._float_branches
+        out = np.where(x < b1, x + d1, np.where(x < b2, x + d2, x + d3))
         # guard against float spill at the right edge
         return np.where(out >= 1.0, np.nextafter(1.0, 0.0), np.maximum(out, 0.0))
+    ((b1, d1), (b2, d2)), d3 = iet._branches
     y = x + (d1 if x < b1 else d2 if x < b2 else d3)
     if not iet.exact:
         y = min(max(y, 0.0), np.nextafter(1.0, 0.0))

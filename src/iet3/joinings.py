@@ -5,8 +5,14 @@ Measures are weighted atom lists.  The KR (Wasserstein-1) distance under the
 taxicab ground metric is computed exactly by assignment (equal-weight,
 equal-count inputs) or by the transportation LP; instances too large for
 either go through an exact min-cost flow on a grid quantization (solved as
-the transportation LP between excess and deficit cells when that is the
-smaller problem), which carries a certified snap-cost error interval.  For
+the transportation problem between excess and deficit cells, on a sparse
+arc set grown by pricing, when that is the smaller problem), which carries
+a certified snap-cost error interval.  When all atom weights are whole
+multiples of one quantum (equal-weight samples and their mixtures), the
+grid supplies are integer atom counts, the solution is checked by an
+integer optimality certificate, and the grid value is an exact rational
+rounded once; otherwise it is the solver's float optimum, and the result
+says which.  For
 the graph-supported measures this package produces, two cheap certified
 bounds are also provided, both array sweeps whose cost does not depend on
 the geometry: a coupling upper bound (binned fiber quantile coupling, by
@@ -31,6 +37,7 @@ import io
 import math
 import mmap
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -243,19 +250,21 @@ def _transport_lp(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     rows = np.concatenate([np.repeat(np.arange(n), m), np.repeat(n + np.arange(m), n)])
     cols = np.concatenate([np.arange(n * m), (np.arange(m)[:, None] + m * np.arange(n)).ravel()])
     A = sp.csc_matrix((np.ones(2 * n * m), (rows, cols)), shape=(n + m, n * m))
-    return _highs(C.ravel(), A, np.concatenate([a, b]), "transport LP")
+    return float(_highs(C.ravel(), A, np.concatenate([a, b]), "transport LP").fun)
 
 
-def _highs(c: np.ndarray, A, b: np.ndarray, what: str) -> float:
-    """min c.x over x >= 0 with A x = b, by HiGHS.  The C heap is trimmed
-    after the solve: glibc would keep HiGHS's freed working memory (tens of
-    MB here) resident, and the next solves' peaks would stack on it."""
-    res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+def _highs(c: np.ndarray, A, b: np.ndarray, what: str, presolve: bool = True):
+    """min c.x over x >= 0 with A x = b, by HiGHS (with or without its
+    presolve).  The C heap is trimmed after the solve: glibc would keep
+    HiGHS's freed working memory (tens of MB here) resident, and the next
+    solves' peaks would stack on it."""
+    res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs",
+                  options={"presolve": presolve})
     if _malloc_trim is not None:
         _malloc_trim(0)
     if res.status != 0:
         raise RuntimeError(f"{what} failed: {res.message}")
-    return float(res.fun)
+    return res
 
 
 def _bin(v: np.ndarray, G: int) -> np.ndarray:
@@ -263,31 +272,89 @@ def _bin(v: np.ndarray, G: int) -> np.ndarray:
     return np.minimum((v * G).astype(np.int64), G - 1)
 
 
-def _cell_histogram(m: DiscreteMeasure2D, G: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Masses of m on the G x G grid of cells (x major), and each atom's
-    cell indices along x and y."""
+def _cell_histogram(m: DiscreteMeasure2D, G: int,
+                    weights=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Masses of m (or of the given per-atom weights) on the G x G grid of
+    cells (x major), and each atom's cell indices along x and y."""
     ix, iy = _bin(m.xs, G), _bin(m.ys, G)
-    h = np.zeros((G, G))
-    np.add.at(h, (ix, iy), m.ws)
+    h = np.bincount(ix * G + iy, weights=m.ws if weights is None else weights,
+                    minlength=G * G).reshape(G, G)
     return h, ix, iy
 
 
-def _grid_supply(mu, nu, G: int) -> tuple[np.ndarray, float]:
-    """Cell masses of mu - nu on the G x G grid (row-major, x major) and the
-    summed taxicab snap cost of both measures to the cell centres."""
-    def cells(m):
-        w, ix, iy = _cell_histogram(m, G)
-        snap = np.sum(m.ws * (np.abs(m.xs - (ix + 0.5) / G) + np.abs(m.ys - (iy + 0.5) / G)))
-        return w, float(snap)
+def _quantum(mu, nu) -> Optional[float]:
+    """The smallest atom weight q of both measures, when every weight is a
+    whole multiple of q exactly (checked in rationals) and both measures
+    hold the same number of quanta; else None."""
+    w = np.unique(np.concatenate([mu.ws, nu.ws]))
+    q = Fraction(float(w[0]))
+    if any(Fraction(float(u)) != int(k) * q for u, k in zip(w, np.rint(w / w[0]))):
+        return None
+    counts = [np.rint(m.ws / w[0]).sum() for m in (mu, nu)]
+    return float(w[0]) if counts[0] == counts[1] < 2.0 ** 53 else None
 
-    wmu, smu = cells(mu)
-    wnu, snu = cells(nu)
-    return (wmu - wnu).ravel(), smu + snu
+
+def _grid_supply(mu, nu, G: int) -> tuple[np.ndarray, float, Optional[float]]:
+    """Cell supplies of mu - nu on the G x G grid (row-major, x major), the
+    summed taxicab snap cost of both measures to the cell centres, and the
+    quantum q of `_quantum`.  With a quantum the supplies are whole counts of
+    q (int64), otherwise masses."""
+    q = _quantum(mu, nu)
+    cells, snap = [], 0.0
+    for m in (mu, nu):
+        w, ix, iy = _cell_histogram(m, G, None if q is None else np.rint(m.ws / q))
+        cells.append(w.ravel())
+        snap += float(np.sum(m.ws * (np.abs(m.xs - (ix + 0.5) / G)
+                                     + np.abs(m.ys - (iy + 0.5) / G))))
+    supply = cells[0] - cells[1]
+    return (supply if q is None else supply.astype(np.int64)), snap, q
 
 
-def _grid_flow(supply: np.ndarray, G: int, metric: str) -> float:
+def _flow_lp(tail: np.ndarray, head: np.ndarray, cost: np.ndarray, supply: np.ndarray,
+             what: str) -> tuple[np.ndarray, np.ndarray, float]:
+    """min cost.x over flows x >= 0 on the arcs tail -> head whose outflow
+    minus inflow at each node is its supply, by HiGHS without presolve, which
+    took about half the time of these network LPs.  Returns the flow, the
+    node potentials (the equality duals, so that cost - pot[tail] + pot[head]
+    is each arc's reduced cost) and the optimum."""
+    E = len(tail)
+    A = sp.csc_matrix((np.tile([1.0, -1.0], E),
+                       (np.stack([tail, head], axis=1).ravel(), np.repeat(np.arange(E), 2))),
+                      shape=(len(supply), E))
+    res = _highs(cost, A, supply, what, presolve=False)
+    return res.x, res.eqlin.marginals, float(res.fun)
+
+
+def _settle(tail, head, cost, flow, pot, supply, fun) -> tuple[float, bool]:
+    """The cost of a solved min-cost flow with integer arc costs, and whether
+    it is certified exact.  The arcs are all the arcs of the problem, also
+    those the solve left out.
+
+    With integer supplies the solution is checked in integers: the flow
+    rounded to integers must be non-negative and balance every node exactly,
+    and the potentials, shifted to make the first one whole and rounded,
+    must leave every arc a reduced cost >= 0 and every arc that carries flow
+    a reduced cost of 0.  The flow and the potentials are then feasible and
+    complementary, so the flow is optimal and its cost, returned as a Python
+    int, is the exact optimum.  Otherwise (float supplies, or a failed
+    check) HiGHS's float optimum is returned, uncertified."""
+    if supply.dtype.kind == "i":
+        x = np.rint(flow).astype(np.int64)
+        y = np.rint(pot - pot[0]).astype(np.int64)
+        reduced = cost - y[tail] + y[head]
+        on = x > 0
+        n = len(supply)
+        net = np.bincount(tail[on], x[on], n) - np.bincount(head[on], x[on], n)
+        if x.min(initial=0) >= 0 and np.array_equal(net, supply) \
+                and reduced.min(initial=0) >= 0 and not reduced[on].any():
+            return int(np.sum(cost[on].astype(object) * x[on])), True
+    return fun, False
+
+
+def _grid_flow(supply: np.ndarray, G: int, metric: str) -> tuple[float, bool]:
     """Min-cost flow of `supply` over the grid's nearest-neighbour arcs (both
-    directions, cost 1/G each; wrapped on both axes for the circle)."""
+    directions, one step each; wrapped on both axes for the circle), in
+    steps, settled by `_settle`."""
     u = np.arange(G * G)
     i, j = np.divmod(u, G)
     if metric == "circle":
@@ -297,55 +364,109 @@ def _grid_flow(supply: np.ndarray, G: int, metric: str) -> float:
         jn, in_ = j + 1, i + 1
         ok_h, ok_v = jn < G, in_ < G
     vh, vv = i * G + jn, in_ * G + j
-    # per cell: right arc out and back, then down arc out and back (the
-    # column order steers the simplex pivots, and so the last digits)
+    # per cell: right arc out and back, then down arc out and back
     keep = np.stack([ok_h, ok_h, ok_v, ok_v], axis=1)
     src = np.stack([u, vh, u, vv], axis=1)[keep]
     dst = np.stack([vh, u, vv, u], axis=1)[keep]
-    E = len(src)
-    A = sp.csc_matrix((np.tile([1.0, -1.0], E),
-                       (np.stack([src, dst], axis=1).ravel(), np.repeat(np.arange(E), 2))),
-                      shape=(G * G, E))
-    return _highs(np.full(E, 1.0 / G), A, supply, "grid flow")
+    cost = np.ones(len(src), dtype=np.int64)
+    x, pot, fun = _flow_lp(src, dst, cost, supply, "grid flow")
+    return _settle(src, dst, cost, x, pot, supply, fun)
 
 
-def _cell_transport(supply: np.ndarray, G: int, metric: str) -> float:
-    """The grid flow's optimum as a transportation LP from the excess cells
-    to the deficit cells, at the taxicab distance of the cell centres."""
+# the first arc set of `_cell_transport`: arcs this many steps long or
+# shorter, and this many nearest partners of every cell
+_NEAR_STEPS, _NEAR_PARTNERS = 1, 8
+
+
+def _cell_transport(supply: np.ndarray, G: int, metric: str) -> tuple[float, bool]:
+    """The grid flow's optimum, in steps, as the transportation problem from
+    the P excess cells to the M deficit cells at the cell-step distance of
+    their centres, solved on a shielded sparse arc set and settled by
+    `_settle` against all P x M arcs.
+
+    The first arc set holds the arcs at most `_NEAR_STEPS` steps long, each
+    cell's `_NEAR_PARTNERS` nearest partners and the north-west-corner plan
+    (with the arc that keeps it connected where both sides break at once),
+    so the first LP is feasible.  Each round prices all P x M arcs with the
+    LP's potentials in one array pass, adds those of negative reduced cost,
+    and solves again; when none is left the set's optimum is optimal on all
+    arcs (the shielding of Schmitzer, "A sparse multiscale algorithm for
+    dense optimal transport", J. Math. Imaging Vis. 2016)."""
     src, dst = np.flatnonzero(supply > 0), np.flatnonzero(supply < 0)
-    if len(src) == 0 or len(dst) == 0:
-        return 0.0
+    P, M = len(src), len(dst)
+    if P == 0 or M == 0:
+        return 0, supply.dtype.kind == "i"
     d = [np.abs(a[:, None] - b[None, :]) for a, b in zip(np.divmod(src, G), np.divmod(dst, G))]
     if metric == "circle":
         d = [np.minimum(k, G - k) for k in d]
-    return _transport_lp((d[0] + d[1]) / G, supply[src], -supply[dst])
+    D = d[0] + d[1]
+    keep = D <= _NEAR_STEPS
+    near = min(_NEAR_PARTNERS, P, M)
+    keep[np.arange(P)[:, None], np.argpartition(D, near - 1, axis=1)[:, :near]] = True
+    keep[np.argpartition(D, near - 1, axis=0)[:near], np.arange(M)] = True
+    A, B = np.cumsum(supply[src]), np.cumsum(-supply[dst])
+    t = np.union1d(A, B)
+    jb = np.minimum(np.searchsorted(B, t), M - 1)
+    for side in ("left", "right"):
+        keep[np.minimum(np.searchsorted(A, t, side), P - 1), jb] = True
+    tail, head = np.repeat(np.arange(P), M), P + np.tile(np.arange(M), P)
+    cost, nodes, active = D.ravel(), np.concatenate([supply[src], supply[dst]]), keep.ravel()
+    while True:
+        arcs = np.flatnonzero(active)
+        x, pot, fun = _flow_lp(tail[arcs], head[arcs], cost[arcs], nodes, "cell transport")
+        # a basis's reduced costs are whole numbers: the margin only absorbs
+        # the solver's rounding
+        priced = ~active & (cost - pot[tail] + pot[head] < -1e-9)
+        if not priced.any():
+            break
+        active |= priced
+    flow = np.zeros(P * M)
+    flow[arcs] = x
+    return _settle(tail, head, cost, flow, pot, nodes, fun)
 
 
-def _kr_grid(mu, nu, metric, G: int) -> tuple[float, float]:
+def _kr_grid(mu, nu, metric, G: int) -> tuple[float, float, str]:
     """Exact min-cost flow on a G x G grid quantization.
 
-    Returns (value, snap_bound): the true KR distance lies within
+    Returns (value, snap_bound, value_kind): the true KR distance lies within
     value +- snap_bound, where snap_bound sums the measured taxicab snap
     costs of both measures.
 
-    Every grid arc costs 1/G and has no capacity, so the flow's optimum
-    equals the transportation LP from the P cells with excess mass to the
-    M cells with deficit, at the grid (taxicab, on the circle wrapped)
-    distance of cell centres.  Graph joinings occupy a few hundred of the
-    G^2 cells, and that LP is then far smaller than the flow; it is solved
-    when P * M <= 8 G^2 (at most twice the grid's 4 G^2 arcs), and the flow
-    otherwise, e.g. for product samples that fill most cells.
+    Every grid arc costs one step, 1/G, and has no capacity, so the flow's
+    optimum equals the transportation problem from the P cells with excess
+    mass to the M cells with deficit, at the grid (taxicab, on the circle
+    wrapped) step distance of cell centres.  Graph joinings occupy a few
+    hundred of the G^2 cells, and that problem, solved on a sparse arc set
+    (`_cell_transport`), is then far smaller than the flow; it is solved when
+    P * M <= 32 G^2, and the flow (`_grid_flow`) otherwise, e.g. for product
+    samples that fill most cells (BENCH_grid_transport.json times both
+    branches on each side of that rule).
+
+    When every atom weight of both measures is a whole multiple of one
+    quantum q (`_quantum`: equal-weight samples and their mixtures), the
+    supplies are whole counts of q and the solution carries the integer
+    certificate of `_settle`; the value is then the exact rational
+    steps * q / G rounded once to binary64, and value_kind is "rational".
+    Otherwise, or if the certificate fails, the supplies are masses and the
+    value is HiGHS's float optimum over G, and value_kind is "float".
     """
-    supply, snap = _grid_supply(mu, nu, G)
-    if np.count_nonzero(supply > 0) * np.count_nonzero(supply < 0) <= 8 * G * G:
-        return _cell_transport(supply, G, metric), snap
-    return _grid_flow(supply, G, metric), snap
+    supply, snap, q = _grid_supply(mu, nu, G)
+    dense = np.count_nonzero(supply > 0) * np.count_nonzero(supply < 0) > 32 * G * G
+    solve = _grid_flow if dense else _cell_transport
+    steps, exact = solve(supply, G, metric)
+    if exact:
+        return float(Fraction(steps) * Fraction(q) / G), snap, "rational"
+    if q is not None:
+        steps, _ = solve(supply * q, G, metric)
+    return steps / G, snap, "float"
 
 
 def kr_distance_detailed(mu: DiscreteMeasure2D, nu: DiscreteMeasure2D,
                          metric: str = "interval", method: str = "auto",
                          grid: int = 128) -> dict:
-    """KR distance with the method used and a certified error bound."""
+    """KR distance with the method used, a certified error bound, and
+    `value_kind`: "rational" for a grid value certified exact (see
+    `_kr_grid`), "float" otherwise."""
     if abs(mu.ws.sum() - nu.ws.sum()) > 1e-9:
         raise ValueError("measures must have equal total mass")
     n, m = len(mu), len(nu)
@@ -359,13 +480,14 @@ def kr_distance_detailed(mu: DiscreteMeasure2D, nu: DiscreteMeasure2D,
         else:
             method = "grid"
     if method == "assignment":
-        return {"value": _kr_assignment(mu, nu, metric), "method": "assignment", "bound": 0.0}
+        return {"value": _kr_assignment(mu, nu, metric), "method": "assignment", "bound": 0.0,
+                "value_kind": "float"}
     if method == "lp":
         val = _transport_lp(_cost_matrix(mu, nu, metric), mu.ws, nu.ws)
-        return {"value": val, "method": "lp", "bound": 0.0}
+        return {"value": val, "method": "lp", "bound": 0.0, "value_kind": "float"}
     if method == "grid":
-        val, snap = _kr_grid(mu, nu, metric, grid)
-        return {"value": val, "method": f"grid{grid}", "bound": snap}
+        val, snap, kind = _kr_grid(mu, nu, metric, grid)
+        return {"value": val, "method": f"grid{grid}", "bound": snap, "value_kind": kind}
     raise ValueError(f"unknown method {method}")
 
 

@@ -63,11 +63,6 @@ class Tower:
         lo = self.level_lows[idx]
         return np.where((lo <= xs) & (xs < lo + self._float_width), idx, -1)
 
-    def level_of_point(self, x: float) -> Optional[int]:
-        """Index of the level containing x, or None."""
-        level = int(self.levels_of(x))
-        return None if level < 0 else level
-
     def __post_init__(self):
         order = np.argsort(self.level_lows, kind="stable")
         object.__setattr__(self, "_order", order)

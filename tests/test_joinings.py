@@ -165,25 +165,30 @@ def test_kr_grid_within_bound():
     assert abs(det["value"] - exact) <= det["bound"] + 1e-9
 
 
-# -- grid flow against the cell transportation LP ---------------------------
+# -- grid flow against the cell transportation --------------------------------
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
 def grid_supplies(draw):
-    """Cell masses of mu - nu on a G x G grid, each measure on a few cells
-    or on every cell."""
+    """Cell supplies of mu - nu on a G x G grid, each measure on a few cells
+    or on every cell: whole counts of one quantum (int64), or masses."""
     G = draw(st.integers(2, 24))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = draw(st.booleans())
+    total = draw(st.integers(1, 400))
 
-    def cell_masses(k):
-        w = np.zeros(G * G)
-        w[rng.choice(G * G, size=min(k, G * G), replace=False)] = rng.random(min(k, G * G)) + 0.1
-        return w / w.sum()
+    def cells(k):
+        k = min(k, G * G)
+        w = np.zeros(G * G, dtype=np.int64 if counts else float)
+        p = rng.random(k) + 0.1
+        w[rng.choice(G * G, size=k, replace=False)] = (rng.multinomial(total, p / p.sum())
+                                                      if counts else p / p.sum())
+        return w
 
     sizes = [G * G if draw(st.booleans()) else draw(st.integers(1, 6)) for _ in range(2)]
-    return G, cell_masses(sizes[0]) - cell_masses(sizes[1])
+    return G, cells(sizes[0]) - cells(sizes[1])
 
 
 def _grid_lps(supply, G, metric):
@@ -194,25 +199,31 @@ def _grid_lps(supply, G, metric):
 @PROPERTY
 @given(grid_supplies(), st.sampled_from(["interval", "circle"]))
 def test_cell_transport_equals_grid_flow(inst, metric):
+    # on whole counts both solvers certify the same integer optimum; on
+    # masses neither is certified and they agree to rounding
     G, supply = inst
-    cells, oracle = _grid_lps(supply, G, metric)
-    assert cells == pytest.approx(oracle, rel=1e-12, abs=1e-15)
+    (cells, cells_exact), (oracle, oracle_exact) = _grid_lps(supply, G, metric)
+    if supply.dtype.kind == "i":
+        assert cells_exact and oracle_exact
+        assert type(cells) is type(oracle) is int and cells == oracle
+    else:
+        assert not cells_exact and not oracle_exact
+        assert cells == pytest.approx(oracle, rel=1e-12, abs=1e-15)
 
 
 @PROPERTY
 @given(st.integers(2, 24), st.data(), st.sampled_from(["interval", "circle"]))
 def test_grid_single_atom_move_closed_form(G, data, metric):
     i, j, i2, j2 = (data.draw(st.integers(0, G - 1)) for _ in range(4))
-    supply = np.zeros(G * G)
-    supply[i * G + j] += 1.0
-    supply[i2 * G + j2] -= 1.0
+    supply = np.zeros(G * G, dtype=np.int64)
+    supply[i * G + j] += 1
+    supply[i2 * G + j2] -= 1
 
     def steps(d):
         return min(d, G - d) if metric == "circle" else d
 
-    expected = (steps(abs(i - i2)) + steps(abs(j - j2))) / G
-    for value in _grid_lps(supply, G, metric):
-        assert value == pytest.approx(expected, rel=1e-12, abs=1e-15)
+    expected = steps(abs(i - i2)) + steps(abs(j - j2))
+    assert _grid_lps(supply, G, metric) == ((expected, True),) * 2
 
 
 def test_grid_wraps_on_the_circle_only():
@@ -222,18 +233,101 @@ def test_grid_wraps_on_the_circle_only():
     nu = DiscreteMeasure2D(np.array([1 - 0.5 / G]), np.array([0.5]), np.array([1.0]))
     circle = kr_distance_detailed(mu, nu, metric="circle", method="grid", grid=G)
     interval = kr_distance_detailed(mu, nu, metric="interval", method="grid", grid=G)
-    assert circle["value"] == pytest.approx(1 / G, rel=1e-12)
-    assert interval["value"] == pytest.approx((G - 1) / G, rel=1e-12)
+    assert circle["value"] == 1 / G
+    assert interval["value"] == (G - 1) / G
     assert circle["method"] == interval["method"] == f"grid{G}"
+    assert circle["value_kind"] == interval["value_kind"] == "rational"
 
 
 def test_grid_equal_measures_cost_zero():
     rng = np.random.default_rng(11)
-    m = _rand_measure(rng, 300)
-    supply, _ = joinings._grid_supply(m, m, 24)
-    assert not supply.any()
-    assert _grid_lps(supply, 24, "interval") == (0.0, 0.0)
-    assert kr_distance_detailed(m, m, method="grid", grid=24)["value"] == 0.0
+    for m in (_rand_measure(rng, 300), _rand_measure(rng, 300, equal=True)):
+        supply, _, q = joinings._grid_supply(m, m, 24)
+        assert not supply.any()
+        exact = q is not None
+        assert _grid_lps(supply, 24, "interval") == ((0, exact),) * 2
+        det = kr_distance_detailed(m, m, method="grid", grid=24)
+        assert det["value"] == 0.0
+        assert det["value_kind"] == ("rational" if exact else "float")
+
+
+def test_grid_value_is_a_pinned_exact_rational():
+    # g1 against mix(g0, g1): weights 1/4000 and half of it, so the supplies
+    # are whole counts of q = fl(1/4000) / 2 and the value is the certified
+    # integer optimum in steps, times q / G, rounded once
+    g0, g1 = (sample_power_joining(IET, e, 4000, seed=e) for e in (0, 1))
+    nu = mix(g0, g1)
+    supply, _, q = joinings._grid_supply(g1, nu, 48)
+    assert supply.dtype == np.int64 and q == g1.ws[0] / 2
+    assert int(supply[supply > 0].sum()) == 4000
+    for metric, steps, value in (("interval", 96003, 0.2500078125),
+                                 ("circle", 72999, 0.19010156250000002)):
+        det = kr_distance_detailed(g1, nu, metric=metric, method="grid", grid=48)
+        assert det["value_kind"] == "rational"
+        assert joinings._cell_transport(supply, 48, metric) == (steps, True)
+        assert joinings._grid_flow(supply, 48, metric) == (steps, True)
+        assert det["value"] == float(Fraction(steps) * Fraction(q) / 48) == value
+
+
+def test_grid_without_common_quantum_is_float():
+    # weights with no common quantum: the supplies stay masses, the value is
+    # HiGHS's float optimum, marked float, and agrees with the oracle
+    rng = np.random.default_rng(5)
+    mu, nu = _rand_measure(rng, 500), _rand_measure(rng, 700)
+    for G, metric in ((16, "interval"), (32, "circle")):
+        supply, _, q = joinings._grid_supply(mu, nu, G)
+        assert q is None and supply.dtype == float
+        det = kr_distance_detailed(mu, nu, metric=metric, method="grid", grid=G)
+        assert det["value_kind"] == "float"
+        oracle, exact = joinings._grid_flow(supply, G, metric)
+        assert not exact
+        assert det["value"] == pytest.approx(oracle / G, rel=1e-12, abs=1e-15)
+    # three atoms of fl(1/3) against one of 1: 3 fl(1/3) rounds to 1 but is not 1
+    xs = np.array([0.1, 0.4, 0.7])
+    thirds = DiscreteMeasure2D(xs, xs, np.full(3, 1 / 3))
+    one = DiscreteMeasure2D(np.array([0.5]), np.array([0.5]), np.array([1.0]))
+    assert 3 * (1 / 3) == 1.0 and joinings._quantum(thirds, one) is None
+    # whole multiples of q = 2^-40, but one quantum short on one side
+    q = 2.0 ** -40
+    xs = np.array([0.1, 0.6])
+    mu = DiscreteMeasure2D(xs, xs, np.array([q, 1 - 2 * q]))
+    nu = DiscreteMeasure2D(np.array([0.3]), np.array([0.3]), np.array([1.0]))
+    assert joinings._grid_supply(mu, nu, 8)[2] is None
+    det = kr_distance_detailed(mu, nu, method="grid", grid=8)
+    assert det["value_kind"] == "float"
+    assert det["value"] == pytest.approx(0.5, rel=1e-9)
+
+
+def test_grid_failed_certificate_falls_back_to_masses(monkeypatch):
+    # a certificate that never holds: the counts are solved again as masses
+    g0, g1 = (sample_power_joining(IET, e, 4000, seed=e) for e in (0, 1))
+    exact = kr_distance_detailed(g1, mix(g0, g1), method="grid", grid=48)
+    monkeypatch.setattr(joinings, "_settle", lambda *a: (a[-1], False))
+    det = kr_distance_detailed(g1, mix(g0, g1), method="grid", grid=48)
+    assert exact["value_kind"] == "rational" and det["value_kind"] == "float"
+    assert det["value"] == pytest.approx(exact["value"], rel=1e-12)
+
+
+def test_settle_rejects_a_wrong_plan_or_potentials():
+    # a path 0 -> 1 -> 2 of unit arcs and a direct arc 0 -> 2 of cost 3
+    tail, head = np.array([0, 1, 0]), np.array([1, 2, 2])
+    cost = np.array([1, 1, 3])
+    supply = np.array([2, 0, -2])
+    good_flow, good_pot = np.array([2.0, 2.0, 0.0]), np.array([2.0, 1.0, 0.0])
+    direct = np.array([0.0, 0.0, 2.0])
+
+    def settle(flow, pot, fun, supply=supply):
+        return joinings._settle(tail, head, cost, flow, pot, supply, fun)
+
+    assert settle(good_flow, good_pot + 0.25, 4.0) == (4, True)
+    # the costlier arc used: not complementary
+    assert settle(direct, good_pot, 6.0) == (6.0, False)
+    # unbalanced plan
+    assert settle(np.array([2.0, 1.0, 0.0]), good_pot, 3.0) == (3.0, False)
+    # complementary to the costlier plan, but pricing the unused 0 -> 1 negative
+    assert settle(direct, np.array([3.0, 1.0, 0.0]), 6.0) == (6.0, False)
+    # masses are never certified
+    assert settle(good_flow, good_pot, 4.0, supply.astype(float)) == (4.0, False)
 
 
 def _branch_spy(monkeypatch):
@@ -247,28 +341,28 @@ def _branch_spy(monkeypatch):
 
 def test_grid_branch_selection(monkeypatch):
     taken = _branch_spy(monkeypatch)
-    # random atoms fill most cells: P * M > 8 G^2, so the grid flow runs
+    # random atoms fill most cells: P * M > 32 G^2, so the grid flow runs
     a, b = _grid_bound_instance()
-    kr_distance_detailed(a, b, method="grid", grid=64)
+    kr_distance_detailed(a, b, method="grid", grid=32)
     assert taken == ["_grid_flow"]
     # graph joinings occupy few cells: the cell transportation runs, and
-    # agrees with the grid-flow oracle
+    # certifies the grid-flow oracle's optimum
     taken.clear()
     g0, g1 = (sample_power_joining(IET, e, 4000, seed=e) for e in (0, 1))
     for metric in ("interval", "circle"):
-        value = kr_distance_detailed(g1, mix(g0, g1), metric=metric, method="grid",
-                                     grid=48)["value"]
-        supply, _ = joinings._grid_supply(g1, mix(g0, g1), 48)
-        assert value == pytest.approx(joinings._grid_flow(supply, 48, metric), rel=1e-12)
+        det = kr_distance_detailed(g1, mix(g0, g1), metric=metric, method="grid", grid=48)
+        supply, _, q = joinings._grid_supply(g1, mix(g0, g1), 48)
+        steps, exact = joinings._grid_flow(supply, 48, metric)
+        assert exact and det["value"] == float(Fraction(steps) * Fraction(q) / 48)
     assert taken == ["_cell_transport", "_grid_flow"] * 2
-    # the rule at its edge, P * M = 8 G^2 against one more excess cell
-    G = 8
-    for P, branch in ((16, "_cell_transport"), (17, "_grid_flow")):
+    # the rule at its edge, P * M = 32 G^2 against one more excess cell
+    G, M = 16, 128
+    for P, branch in ((64, "_cell_transport"), (65, "_grid_flow")):
         taken.clear()
-        xs = (np.arange(P + 32) % G + 0.5) / G
-        ys = (np.arange(P + 32) // G + 0.5) / G
+        xs = (np.arange(P + M) % G + 0.5) / G
+        ys = (np.arange(P + M) // G + 0.5) / G
         mu = DiscreteMeasure2D(xs[:P], ys[:P], np.full(P, 1 / P))
-        nu = DiscreteMeasure2D(xs[P:], ys[P:], np.full(32, 1 / 32))
+        nu = DiscreteMeasure2D(xs[P:], ys[P:], np.full(M, 1 / M))
         kr_distance_detailed(mu, nu, method="grid", grid=G)
         assert taken == [branch]
 

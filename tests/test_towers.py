@@ -92,8 +92,7 @@ def test_hat_membership_spot_check(doc_towers, tower_iet):
     hits = 0
     for _ in range(200):
         x = float(rng.random())
-        lvl = tower.level_of_point(x)
-        if lvl is None:
+        if tower.levels_of(x) < 0:
             continue
         i = int(rng.integers(-(n - 1), n))
         y = apply_pow(tower_iet, i, x)
@@ -108,12 +107,12 @@ def test_level_lookup():
     tower = build_tower(iet, (0.0, 0.01), 5)
     for i in range(5):
         lo = float(tower.level_lows[i])
-        assert tower.level_of_point(lo + 0.005) == i
-    assert tower.level_of_point(0.999) is None
+        assert tower.levels_of(lo + 0.005) == i
+    assert tower.levels_of(0.999) == -1
 
 
 def test_array_level_lookup(tower_iet, doc_towers):
-    # the array lookup and its scalar case agree with a scan of all levels at
+    # the lookup, on arrays and on scalars, agrees with a scan of all levels at
     # each level's left end, at left end + width, between levels, at 0 and
     # just below 1, on an exact tower and on a float one
     for tower in (build_tower(tower_iet, *doc_towers[1]),
@@ -126,7 +125,7 @@ def test_array_level_lookup(tower_iet, doc_towers):
         for x, level in zip(xs, found):
             hits = np.flatnonzero((lows <= x) & (x < lows + w)).tolist()
             assert (level in hits) if hits else level == -1
-            assert tower.level_of_point(float(x)) == (level if level >= 0 else None)
+            assert tower.levels_of(float(x)) == level
         assert found[:len(lows)].tolist() == list(range(len(lows)))
         assert np.any(found == -1)
 
