@@ -195,6 +195,16 @@ def test_missing_measure_file_is_usage_error(tmp_path, capsys):
     assert str(missing) in err
 
 
+@pytest.mark.parametrize("row", ["nan,0.2,1", "0.1,0.2,nan"])
+def test_non_finite_measure_is_usage_error(tmp_path, capsys, row):
+    mu = tmp_path / "a.csv"
+    nu = tmp_path / "b.csv"
+    mu.write_text(f"x,y,w\n{row}\n", encoding="utf-8")
+    nu.write_text("x,y,w\n0.4,0.2,1\n", encoding="utf-8")
+    err = _usage_failure(["kr", "--mu", str(mu), "--nu", str(nu)], tmp_path, capsys)
+    assert str(mu) in err and "finite" in err
+
+
 @pytest.mark.parametrize("lengths", ["0,0,1", "1,0,0"])
 def test_degenerate_lengths_is_usage_error(tmp_path, capsys, lengths):
     err = _usage_failure(["joining-sample", "--l", lengths, "--power", "1000000",

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 from scipy.spatial import cKDTree
 
 from iet3 import joinings
@@ -136,6 +137,59 @@ def test_kr_vertex_enumeration_oracle():
             cost = sum(C[i, j] * f for (i, j), f in zip(tree, flow))
             best = min(best, cost)
         assert kr_distance(mu, nu, method="lp") == pytest.approx(best, abs=1e-9)
+
+
+def _dense_transport(D, a, b):
+    """The transportation LP on all P x M arcs, by HiGHS with its defaults."""
+    P, M = D.shape
+    A = np.zeros((P + M, P * M))
+    for i in range(P):
+        A[i, i * M:(i + 1) * M] = 1
+    for j in range(M):
+        A[P + j, j::M] = 1
+    res = linprog(D.ravel(), A_eq=A, b_eq=np.concatenate([a, b]), bounds=(0, None),
+                  method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+@pytest.mark.parametrize("metric", ["interval", "circle"])
+def test_transport_equals_dense_lp_on_float_costs(monkeypatch, metric):
+    # unequal weights and float costs: the shielded solve, its arc set grown
+    # by pricing, reaches the optimum of the LP on all arcs
+    solves = []
+    real = joinings._flow_lp
+    monkeypatch.setattr(joinings, "_flow_lp", lambda *a: solves.append(1) or real(*a))
+    rng = np.random.default_rng(12)
+    rounds = []
+    for _ in range(4):
+        mu, nu = _rand_measure(rng, 40), _rand_measure(rng, 60)
+        D = joinings._cost_matrix(mu, nu, metric)
+        solves.clear()
+        value, exact = joinings._transport(D, mu.ws, nu.ws)
+        rounds.append(len(solves))
+        assert not exact
+        assert value == pytest.approx(_dense_transport(D, mu.ws, nu.ws), rel=0, abs=1e-12)
+    assert max(rounds) > 1
+
+
+def test_auto_takes_assignment_only_for_exactly_equal_weights():
+    # weights 1/n +- 5e-9 (the first and last exactly 1/n): nearly equal,
+    # but assignment would ignore them
+    rng = np.random.default_rng(13)
+    n = 300
+    ws = np.full(n, 1 / n)
+    ws[1:-1] += 5e-9 * (-1.0) ** np.arange(n - 2)
+    near = DiscreteMeasure2D(rng.random(n), rng.random(n), ws)
+    equal = DiscreteMeasure2D.equal_weight(rng.random(n), rng.random(n))
+    for mu, nu in ((near, equal), (equal, near)):
+        auto = kr_distance_detailed(mu, nu)
+        lp = kr_distance_detailed(mu, nu, method="lp")
+        assignment = kr_distance_detailed(mu, nu, method="assignment")
+        assert auto["method"] == "lp" and auto["value"] == lp["value"]
+        assert abs(lp["value"] - assignment["value"]) > 1e-9
+    same = DiscreteMeasure2D.equal_weight(near.xs, near.ys)
+    assert kr_distance_detailed(same, equal)["method"] == "assignment"
 
 
 def test_kr_metric_axioms():
@@ -643,6 +697,15 @@ def test_kr_unbalanced_rejected():
     a = DiscreteMeasure2D(np.array([0.1]), np.array([0.1]), np.array([1.0]))
     with pytest.raises(ValueError):
         DiscreteMeasure2D(np.array([0.1]), np.array([0.1]), np.array([0.7]))
+
+
+@pytest.mark.parametrize("column", range(3))
+def test_non_finite_measure_rejected(column):
+    # every comparison of the range and sum checks is False on NaN
+    atoms = [np.array([0.1, 0.4]), np.array([0.2, 0.3]), np.array([0.5, 0.5])]
+    atoms[column][0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        DiscreteMeasure2D(*atoms)
 
 
 # -- disintegration ---------------------------------------------------------
