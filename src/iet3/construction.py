@@ -23,6 +23,7 @@ step-by-step orbit iteration ever happens at tower scale.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -30,10 +31,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .arith import _INT, RotationCounter
-from .iet_core import Iet3, to_rotation
+from .iet_core import Iet3, apply, to_rotation
 from .joinings import (DiscreteMeasure2D, TEST_FUNCTIONS_2D, disintegrate,
-                       fiber_diameter_stats, kr_lower_witness, kr_upper_binned,
-                       mix, product_sample, sample_power_joining,
+                       fiber_diameter_stats, kr_distance_detailed, kr_lower_witness,
+                       kr_upper_binned, mix, product_sample, sample_power_joining,
                        _index_strata, _stratified_points)
 from .renorm import _generic_crossing_pair, _ladder, section_record_exact
 
@@ -405,7 +406,6 @@ def _mix_seed(seed, tag) -> int:
     """32-bit seed derived from ``(seed, tag)`` by SHA-256 of the repr of its
     canonical form, where NumPy scalars become Python ints and floats, so
     the derived seed does not follow NumPy's scalar repr."""
-    import hashlib
     digest = hashlib.sha256(repr(_canonical((seed, tag))).encode()).digest()
     return int.from_bytes(digest[:4], "big")
 
@@ -424,7 +424,9 @@ def verify_switch(iet: Iet3, res: SwitchResult, samples: int,
                   seed=5150) -> dict:
     """Re-check the switch postconditions on fresh samples.
 
-    The KR window check compares kr_A and kr_B with 2 eps + 4/sqrt(L) (L
+    The KR window check reads orbit joinings over the whole window [0, L),
+    one index per stratum of `_index_strata` (every index when L <=
+    `_ORBIT_ATOMS`), and compares kr_A and kr_B with 2 eps + 4/sqrt(L) (L
     capped at `_ORBIT_ATOMS`).  For L <= 4 that bound is at least 2, the taxicab
     diameter of the unit square, so the check cannot fail there;
     ``checks["kr_vacuous"]`` says when that is so."""
@@ -446,12 +448,13 @@ def verify_switch(iet: Iet3, res: SwitchResult, samples: int,
     checks["shadow_A_frac_ok"] = float(np.mean(gap_A < eps))
     checks["shadow_B_frac_ok"] = float(np.mean(gap_B < eps))
     # KR window condition on a few sampled points per side, each orbit
-    # joining (min(L, _ORBIT_ATOMS) atoms) against one reference joining
+    # joining (one index in each of min(L, _ORBIT_ATOMS) strata of the
+    # window) against one reference joining
     atoms = min(res.L, _ORBIT_ATOMS)
     for side, us, expo in (("A", uA[:6], res.a), ("B", uB[:6], res.b)):
         ref = sample_power_joining(iet, expo, atoms, seed=_mix_seed(seed, ("ref", side)))
-        vals = [kr_upper_binned(_orbit_joining_grid(
-                    eng, u, res.n, res.L, seed=_mix_seed(seed, (side, u % 997))),
+        vals = [kr_upper_binned(_orbit_joining_at(eng, u, res.n, _index_strata(
+                    np.random.default_rng(_mix_seed(seed, (side, u % 997))), atoms, res.L)),
                     ref, bins=128)
                 for u in us]
         checks[f"kr_{side}"] = float(np.max(vals)) if vals else float("nan")
@@ -480,36 +483,23 @@ def _gap(eng: _SwitchEngine, pn, pa) -> np.ndarray:
     return d / eng.kappa
 
 
-# atoms of a grid orbit joining: a longer window is index-subsampled
+# atoms of a grid orbit joining: a longer window is sampled by strata
 _ORBIT_ATOMS = 20000
-
-
-def _orbit_joining_grid(eng: _SwitchEngine, u0: int, n: int, L: int,
-                        seed) -> DiscreteMeasure2D:
-    """Empirical orbit joining over the window [0, L) started at a grid
-    point: every index, or one jittered index in each of `_ORBIT_ATOMS`
-    strides of L // _ORBIT_ATOMS.
-
-    The strata come from one vector of draws, as int64 while the window
-    fits and as Python ints past that (deep schedule levels)."""
-    if L <= _ORBIT_ATOMS:
-        return _orbit_joining_at(eng, u0, n, np.arange(L))
-    stride = L // _ORBIT_ATOMS
-    offsets = np.random.default_rng(seed).random(_ORBIT_ATOMS) * stride
-    if L < 1 << 62:                   # i * stride + offset fits in int64
-        idx = np.arange(_ORBIT_ATOMS) * stride + offsets.astype(np.int64)
-    else:
-        idx = np.arange(_ORBIT_ATOMS, dtype=object) * stride + _INT(offsets)
-    return _orbit_joining_at(eng, u0, n, np.unique(idx))
+# walking a span of indices costs as much as solving them once the span is
+# about this many times their count (BENCH_orbit_routes.json, routes)
+_WALK_SPAN = 8
 
 
 def _orbit_joining_at(eng: _SwitchEngine, u0: int, n: int,
                       idx: np.ndarray) -> DiscreteMeasure2D:
-    """Atoms (T^i u0, T^(i+n) u0) at sorted distinct indices i >= 0: two
-    orbit walks when they are 0..len-1, two power solves otherwise."""
-    if idx[-1] == len(idx) - 1:
-        xi = eng.rc.orbit(u0, 0, len(idx))
-        yi = eng.rc.orbit(u0, n, len(idx))
+    """Atoms (T^i u0, T^(i+n) u0) at sorted distinct indices i >= 0, n of any
+    sign, the same exact points by either route: two orbit walks over
+    [0, idx[-1]] read at idx while that span is below `_WALK_SPAN` times the
+    count of indices, two power solves at idx otherwise."""
+    span = int(idx[-1]) + 1
+    if span < _WALK_SPAN * len(idx):
+        xi = eng.rc.orbit(u0, 0, span)[idx]
+        yi = eng.rc.orbit(u0, n, span)[idx]
     else:
         us = np.full(len(idx), u0, dtype=object)
         idx = idx.astype(object)
@@ -721,18 +711,21 @@ def ksv_check(s: Schedule, iet: Optional[Iet3] = None, seed=11) -> dict:
             margins_A.append(worst)
         put("A", all(w < e + 1e-12 for w, e in zip(margins_A, s.eps)),
             worst_fiber_gaps=margins_A)
-        # (B): Birkhoff window estimate at L = r_{k+1}/9 (index-subsampled).
-        # The estimator noise floor is calibrated against an independent
-        # same-law sample with the same (non-stratified) position structure
-        # as the orbit subsample.
+        # (B): Birkhoff window estimate at L = r_{k+1}/9, one index in each
+        # of min(L, _ORBIT_ATOMS) strata of the window.  The estimator noise
+        # floor is calibrated against an independent same-law sample with
+        # one uniform grid point per atom the strata kept.  The strata split
+        # time, not the circle, so the null matches them in atom count and
+        # draws each position independently from the law the orbit samples.
         vals_B = []
         calib = 0.0
         for i, lv in enumerate(s.levels[:-1]):
             L = max(1, s.levels[i + 1].r // 9)
             u0 = int(_sample_A_points(eng, lv.switch, 1, _mix_seed(seed, ("bk", lv.k)))[0])
             for l in range(s.d):
-                emp = _orbit_joining_grid(eng, u0, lv.exponents[l], L,
-                                          seed=_mix_seed(seed, ("B", lv.k, l)))
+                rng = np.random.default_rng(_mix_seed(seed, ("B", lv.k, l)))
+                emp = _orbit_joining_at(eng, u0, lv.exponents[l],
+                                        _index_strata(rng, min(L, _ORBIT_ATOMS), L))
                 ref = sample_power_joining(iet, lv.exponents[l], len(emp.ws),
                                            seed=_mix_seed(seed, ("Bref", lv.k, l)))
                 null = _random_graph_sample(eng, lv.exponents[l], len(emp.ws),
@@ -759,7 +752,6 @@ def _random_graph_sample(eng: _SwitchEngine, expo: int, n: int,
 
 def _median_displacement(iet: Iet3) -> float:
     xs = _stratified_points(20001, 13)
-    from .iet_core import apply
     ys = apply(iet, xs.copy())
     d = np.abs(ys - xs)
     return float(np.median(d))
@@ -853,7 +845,6 @@ def _decay_fit(iet: Iet3, pilot: _Plan, eps_pilot, N: int, seed):
     functional strand gaps (integrals of the 1-Lipschitz family -- the
     quantities the averaging recursion actually contracts) at each level of
     the pilot, with the fitted contraction rate and decay constant."""
-    from .joinings import kr_distance_detailed
     # the half mixture of the initial strands, thinned for the fit solves:
     # stratified atom lists are ordered by position, so thinning must stride
     # rather than truncate

@@ -155,16 +155,13 @@ def empirical_orbit_joining(iet: Iet3, x: float, n: int, L: int,
                             seed=0) -> DiscreteMeasure2D:
     """(1/L) sum of point masses at (T^i x, T^(i+n) x), i = 0..L-1.
 
-    For L beyond direct iteration, a stratified subsample of the index range
-    is used (set ``subsample``); the result then estimates the orbit measure
-    with the usual 1/sqrt(subsample) statistical slack.
+    For L beyond direct iteration, set ``subsample``: one index is drawn in
+    each of that many strata of [0, L) (`_index_strata`, exact at any L); the
+    result then estimates the orbit measure with 1/sqrt(subsample) slack.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
-    if subsample is not None and subsample < L:
-        idx = _index_strata(np.random.default_rng(seed), subsample, L)
-    else:
-        idx = np.arange(L, dtype=np.int64)
+    idx = _index_strata(np.random.default_rng(seed), L if subsample is None else subsample, L)
     rep_xs = _power_at_indices(iet, float(x), idx)
     rep_ys = _power_at_indices(iet, float(x), idx + int(n))
     return DiscreteMeasure2D.equal_weight(rep_xs, rep_ys)
@@ -172,9 +169,17 @@ def empirical_orbit_joining(iet: Iet3, x: float, n: int, L: int,
 
 def _index_strata(rng, s: int, L: int) -> np.ndarray:
     """One jittered index floor((i + U_i) L/s) in each of s equal strata of
-    the window [0, L), sorted and distinct, as int64."""
-    strata = (np.arange(s) + rng.random(s)) * (L / s)
-    return np.unique(np.floor(strata).astype(np.int64))
+    the window [0, L), sorted and distinct (every index, with no draw, when
+    s >= L): the one rule for sampling a window.  Below 2^53 it is float64,
+    as int64; from 2^53 up exact on Python ints, where U_i = k_i / 2^53
+    (`Generator.random` draws multiples of 2^-53)."""
+    if s >= L:
+        return np.arange(L)
+    u = rng.random(s)
+    if L < 1 << 53:
+        return np.unique(np.floor((np.arange(s) + u) * (L / s)).astype(np.int64))
+    k = (u * 2.0 ** 53).astype(np.int64).astype(object)
+    return np.unique(((np.arange(s, dtype=object) << 53) + k) * L // (s << 53))
 
 
 def _power_at_indices(iet: Iet3, x: float, idx: np.ndarray) -> np.ndarray:
@@ -470,7 +475,7 @@ def kr_distance_detailed(mu: DiscreteMeasure2D, nu: DiscreteMeasure2D,
                  and mu.ws[0] == nu.ws[0])
         if equal and n <= 3000:
             method = "assignment"
-        elif n * m <= 360_000:
+        elif n * m <= 1_000_000:      # lp is faster (BENCH_grid_transport.json)
             method = "lp"
         else:
             method = "grid"

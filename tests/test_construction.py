@@ -1,7 +1,9 @@
 """Switch construction, schedule, condition checks, and degeneracy paths."""
 
 import dataclasses
+import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -70,6 +72,44 @@ def test_kr_window_check_says_when_it_is_vacuous(doc_switch, doc_witness):
     sw = doc_witness["schedule"].levels[0].switch
     checks = sw.diagnostics["verification"]["checks"]
     assert sw.L <= 4 and checks["kr_vacuous"] is True
+
+
+def test_kr_window_check_reads_the_whole_window(switch_iet, doc_switch, monkeypatch):
+    # L = 28,000 steps in 20,000 strata: every sampled orbit joining reaches
+    # the last stratum of the window, [L - L/20000, L)
+    import iet3.construction as construction
+    seen = []
+    at = construction._orbit_joining_at
+    monkeypatch.setattr(construction, "_orbit_joining_at",
+                        lambda eng, u0, n, idx: seen.append(idx) or at(eng, u0, n, idx))
+    verify_switch(switch_iet, doc_switch, samples=50, seed=3)
+    L = doc_switch.L
+    assert L == 28000 and len(seen) == 12
+    assert all(int(idx[-1]) >= L - math.ceil(L / 20000) for idx in seen)
+
+
+@pytest.mark.parametrize("n", [-28000, -3, 0, 5])
+def test_orbit_joining_routes_agree(switch_iet, monkeypatch, n):
+    # the orbit walk and the power solves give the same exact atoms on
+    # contiguous, strided and jittered index sets, for exponents of any sign
+    import iet3.construction as construction
+    eng = _SwitchEngine(switch_iet)
+    # the atoms as exact circle positions, before the unit rescaling
+    eng.to_unit = lambda u: u
+    monkeypatch.setattr(construction, "DiscreteMeasure2D",
+                        SimpleNamespace(equal_weight=lambda xs, ys: (list(xs), list(ys))))
+    rng = np.random.default_rng(4)
+    index_sets = [np.arange(400), np.arange(400) * 7 + 3,
+                  construction._index_strata(rng, 400, 5000),
+                  construction._index_strata(rng, 300, 900)]
+    # three points on the arc, and one off it
+    starts = [*eng.slit_samples(3, 8), eng.C + 12345]
+    for u0, idx in zip(starts, index_sets):
+        atoms = []
+        for span in (10**9, 0):           # the set walked, then solved
+            monkeypatch.setattr(construction, "_WALK_SPAN", span)
+            atoms.append(construction._orbit_joining_at(eng, int(u0), n, idx))
+        assert atoms[0] == atoms[1]
 
 
 def test_verify_corrupted_exponent(switch_iet, doc_switch):

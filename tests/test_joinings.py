@@ -74,6 +74,39 @@ def test_empirical_orbit_joining():
     assert m1.ys[0] == pytest.approx(apply_pow(IET, 3, 0.1), abs=1e-12)
 
 
+def test_empirical_orbit_joining_past_int64(golden):
+    # a window of 1e21 steps: the indices pass 2^63, so they stay exact
+    # Python ints (through int64 they would all collapse to one atom)
+    m = empirical_orbit_joining(golden, 0.3, 7, 10**21, subsample=50)
+    assert len(m) == 50
+    assert np.all((0 <= m.xs) & (m.xs < 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 64),
+       st.one_of(st.integers(1, 10**25), st.integers(2**53 - 64, 2**53 + 64)),
+       st.integers(0, 2**32 - 1))
+def test_index_strata_against_fractions(s, L, seed):
+    idx = joinings._index_strata(np.random.default_rng(seed), s, L)
+    got = [int(i) for i in idx]
+    assert got == sorted(set(got)) and 0 <= got[0] and got[-1] < L
+    if s >= L:
+        assert got == list(range(L))
+        return
+    u = np.random.default_rng(seed).random(s)
+    if L < 2**53:
+        # the float64 expression, bit for bit
+        drawn = np.floor((np.arange(s) + u) * (L / s)).astype(np.int64)
+        assert idx.dtype == np.int64 and np.array_equal(idx, np.unique(drawn))
+        drawn = [int(j) for j in drawn]
+    else:
+        # exact: floor((i + U_i) L / s) in Fractions
+        drawn = [math.floor((i + Fraction(float(ui))) * L / s) for i, ui in enumerate(u)]
+        assert got == sorted(set(drawn))
+    # the i-th draw's cell [j, j + 1) meets stratum i, [i L/s, (i+1) L/s)
+    assert all(j * s < (i + 1) * L and (j + 1) * s > i * L for i, j in enumerate(drawn))
+
+
 # -- exact KR ---------------------------------------------------------------
 
 def test_kr_trivial_examples():
@@ -190,6 +223,18 @@ def test_auto_takes_assignment_only_for_exactly_equal_weights():
         assert abs(lp["value"] - assignment["value"]) > 1e-9
     same = DiscreteMeasure2D.equal_weight(near.xs, near.ys)
     assert kr_distance_detailed(same, equal)["method"] == "assignment"
+
+
+def test_auto_solves_up_to_a_million_pairs_by_lp(monkeypatch):
+    # the measured limit (BENCH_grid_transport.json, auto_limit): lp up to
+    # n * m = 1e6 atom pairs, the grid above; the solves themselves are stubbed
+    monkeypatch.setattr(joinings, "_transport", lambda D, a, b: (0.0, False))
+    monkeypatch.setattr(joinings, "_kr_grid", lambda mu, nu, metric, G: (0.0, 0.0, "float"))
+    rng = np.random.default_rng(2)
+    for n, method in ((1000, "lp"), (1001, "grid128")):
+        mu = _rand_measure(rng, n)
+        nu = _rand_measure(rng, 1000)
+        assert kr_distance_detailed(mu, nu)["method"] == method
 
 
 def test_kr_metric_axioms():
