@@ -193,12 +193,13 @@ _LIMB = 30
 _MASK = (1 << _LIMB) - 1
 _NATIVE_BITS = 118                 # offsets below 4Q fit in four limbs
 _NATIVE_QUOTIENT = 1 << 48         # counts and partial quotients stay below
-# one `power` solve costs about as much as scanning this many rotation
-# positions per level of the circle's Euclid descent, in native lanes and on
-# Python ints: `RotationCounter.orbit` scans up to that many per visit
-# (crossovers measured in BENCH_native_points.json, orbit_routes)
-_STEPS_PER_LEVEL = 20
-_OBJECT_STEPS_PER_LEVEL = 64
+# a batched `power` call costs about as much as scanning `_SOLVE_CALL` rotation
+# positions, and each of its points as scanning this many arc visits in lanes
+# and on Python ints, but at most this many positions per level of the Euclid
+# descent (`RotationCounter._scan_ahead`; BENCH_orbit_routes.json, crossover)
+_SOLVE_CALL = 1 << 14
+_SOLVE_VISITS, _OBJECT_SOLVE_VISITS = 48, 160
+_SOLVE_PER_LEVEL, _OBJECT_SOLVE_PER_LEVEL = 24, 64
 # lanes hold at most five limbs: four for Q, one for the carry above them
 _F64_WEIGHTS = np.ldexp(1.0, _LIMB * np.arange(5))
 _SIGN_WEIGHTS = 3 ** np.arange(5, dtype=np.int64)   # sign of the top differing limb
@@ -701,54 +702,82 @@ class RotationCounter:
             out[mask] = image if native is None else _to_ints(image)
         return out
 
-    def orbit(self, u0: int, start: int, length: int) -> np.ndarray:
-        """``power(u0, start + i)`` for i = 0..length-1, exact.
+    def orbit(self, u0: int, start: int, idx) -> np.ndarray:
+        """``power(u0, start + i)`` at the sorted, distinct indices i >= 0 of
+        idx, exact: the one evaluation of an orbit window.
 
-        One `power` solve for the first point, then its returns (`_returns`).
-        A point off the arc is its own zeroth power but no image of its
-        (-1)-th, so a stretch through exponent 0 restarts there.
-        """
-        u0, start, length = int(u0), int(start), max(int(length), 0)
-        out = np.empty(length, dtype=object)
-        cut = -start if start < 0 and not 0 <= u0 < self.C else length
-        for lo, hi in ((0, min(cut, length)), (cut, length)):
+        Where `_scan_ahead` finds scanning from the first index cheaper, one
+        `power` solve there and its returns at the later indices
+        (`_returns`); otherwise one batched `power`.  A point off the arc is
+        its own zeroth power but no image of its (-1)-th, so a stretch
+        through exponent 0 restarts there."""
+        u0, start = int(u0), int(start)
+        idx = np.asarray(idx, dtype=object)
+        if not len(idx) or not self._scan_ahead(idx[-1] - idx[0], len(idx) - 1):
+            return self.power(np.full(len(idx), u0, dtype=object), start + idx)
+        out = np.empty(len(idx), dtype=object)
+        cut = (int(np.count_nonzero(idx < -start))
+               if start < 0 and not 0 <= u0 < self.C else len(idx))
+        for lo, hi in ((0, cut), (cut, len(idx))):
             if lo < hi:
-                first = self.power(np.array([u0], dtype=object), start + lo)
+                first = self.power(np.array([u0], dtype=object), start + idx[lo])
                 out[lo] = first[0]
-                out[lo + 1:hi] = self._returns(first % self.Q, hi - lo - 1)
+                out[lo + 1:hi] = self._returns(first % self.Q,
+                                               (idx[lo + 1:hi] - idx[lo]).astype(np.int64))
         return out
 
-    def _returns(self, u: np.ndarray, count: int) -> np.ndarray:
-        """The first count arc visits after the one point u of Z/Q.
+    def _scan_ahead(self, visits, points: int, scanned: int = 0, seen: int = 0) -> int:
+        """The rotation positions a scan to ``visits`` more arc visits should
+        take (at the density C / Q, or at the rate met so far, ``seen`` visits
+        in ``scanned`` positions, where lower: a sparse arc, a long return, an
+        orbit that misses the arc), or 0 where one `power` solve of the
+        ``points`` still asked for costs less: the one walk-or-solve rule."""
+        spacing = self.Q / self.C
+        positions = visits * max(spacing, scanned / max(seen, 1))
+        per_point = (min(_SOLVE_VISITS * spacing, _SOLVE_PER_LEVEL * self._depth)
+                     if self._native is not None else
+                     min(_OBJECT_SOLVE_VISITS * spacing, _OBJECT_SOLVE_PER_LEVEL * self._depth))
+        return math.ceil(positions) if positions < points * per_point + _SOLVE_CALL else 0
+
+    @functools.cached_property
+    def _depth(self) -> int:          # levels of the circle's Euclid descent
+        return len(cf_expansion(Fraction(self.P, self.Q), 2 * self.Q.bit_length() + 2))
+
+    def _returns(self, u: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """The arc visits at the sorted, distinct offsets >= 1 after the one
+        point u of Z/Q (offset k: the k-th visit).
 
         Scans the rotation positions u + l P, l = 1, 2, ..., in native lanes
-        where the circle has them, a batch of l at a time.  Once scanning on
-        to the last visit would take more positions per visit than a
-        `power` solve costs (`_STEPS_PER_LEVEL`; a sparse arc, or a long
-        return) one batched `power` solves the visits still missing, and
-        raises ValueError where the orbit misses the arc.
-        """
-        native, found, last = self._native, [], u
+        where the circle has them, a batch of l at a time, and converts to
+        Python ints only the visits asked for and the last one scanned.  Once
+        scanning no longer pays (`_scan_ahead`), one batched `power` from
+        that last visit solves the offsets still missing, and raises
+        ValueError where the orbit misses the arc."""
+        native, out = self._native, np.empty(len(offsets), dtype=object)
         x = u if native is None else _to_lanes(u, native.rows)
-        depth = len(cf_expansion(Fraction(self.P, self.Q), 2 * self.Q.bit_length() + 2))
-        budget = count * depth * (_OBJECT_STEPS_PER_LEVEL if native is None else _STEPS_PER_LEVEL)
-        l0, need, gap = 0, count, self.Q // self.C + 1
-        while need > 0:
-            if l0 + need * gap > budget:
-                found.append(self.power(np.repeat(last, need), np.arange(1, need + 1)))
+        last, scanned, seen, done = u, 0, 0, 0    # positions scanned, visits met, offsets filled
+        while done < len(offsets):
+            ahead = self._scan_ahead(int(offsets[-1]) - seen, len(offsets) - done, scanned, seen)
+            if not ahead:
+                out[done:] = self.power(np.repeat(last, len(offsets) - done),
+                                        offsets[done:] - seen)
                 break
-            l = np.arange(l0 + 1, l0 + 1 + min(max(need * gap, l0), 1 << 16))
+            l = np.arange(scanned + 1, scanned + 1 + min(ahead + 64, 1 << 16))
             if native is None:
                 y = self._shift(x, l.astype(object))
-                y = y[np.flatnonzero(y < self.C)[:need]]
+                hits = np.flatnonzero(y < self.C)
             else:
                 y = native.shift(x, l)
-                y = _to_ints(y[np.flatnonzero(native.in_arc(y))[:need]])
-            if len(y):
-                found.append(y)
-                last, need = y[-1:], need - len(y)
-            l0 = l[-1]
-        return np.concatenate(found) if found else np.empty(0, dtype=object)
+                hits = np.flatnonzero(native.in_arc(y))
+            if len(hits):
+                # the offsets this batch reaches, and its last visit
+                m = int(np.searchsorted(offsets, seen + len(hits), side="right")) - done
+                take = np.append(hits[offsets[done:done + m] - seen - 1], hits[-1])
+                got = y[take] if native is None else _to_ints(y[take])
+                out[done:done + m], last = got[:-1], got[-1:]
+                done, seen = done + m, seen + len(hits)
+            scanned = int(l[-1])
+        return out
 
 
 _INDEX = np.frompyfunc(operator.index, 1, 1)

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .arith import cf_to_fraction
 from .iet_core import Iet3, RotationRep, from_rotation, orbit, to_rotation
 from .params import documented_switch_iet, documented_tower_iet, golden_iet
 
@@ -128,7 +129,6 @@ def _build_iet(args) -> Iet3:
         if name == "doc-tower":
             return documented_tower_iet()
         digits = [int(v) for v in name.split(",")]
-        from .arith import cf_to_fraction
         alpha = float(cf_to_fraction(digits))
     if getattr(args, "alpha", None) is not None:
         alpha = float(args.alpha)

@@ -427,9 +427,11 @@ def verify_switch(iet: Iet3, res: SwitchResult, samples: int,
     The KR window check reads orbit joinings over the whole window [0, L),
     one index per stratum of `_index_strata` (every index when L <=
     `_ORBIT_ATOMS`), and compares kr_A and kr_B with 2 eps + 4/sqrt(L) (L
-    capped at `_ORBIT_ATOMS`).  For L <= 4 that bound is at least 2, the taxicab
-    diameter of the unit square, so the check cannot fail there;
-    ``checks["kr_vacuous"]`` says when that is so."""
+    capped at `_ORBIT_ATOMS`).  The slack reads that nominal count, which is
+    at least the atoms the strata keep (strata that round to one index
+    merge), so it is the smaller slack and the stricter check.  For L <= 4
+    the bound is at least 2, the taxicab diameter of the unit square, so the
+    check cannot fail there; ``checks["kr_vacuous"]`` says when that is so."""
     if samples <= 0:
         return {"all_pass": True, "checks": {}, "samples": 0}
     eng = _SwitchEngine(iet)
@@ -485,27 +487,14 @@ def _gap(eng: _SwitchEngine, pn, pa) -> np.ndarray:
 
 # atoms of a grid orbit joining: a longer window is sampled by strata
 _ORBIT_ATOMS = 20000
-# walking a span of indices costs as much as solving them once the span is
-# about this many times their count (BENCH_orbit_routes.json, routes)
-_WALK_SPAN = 8
 
 
 def _orbit_joining_at(eng: _SwitchEngine, u0: int, n: int,
                       idx: np.ndarray) -> DiscreteMeasure2D:
     """Atoms (T^i u0, T^(i+n) u0) at sorted distinct indices i >= 0, n of any
-    sign, the same exact points by either route: two orbit walks over
-    [0, idx[-1]] read at idx while that span is below `_WALK_SPAN` times the
-    count of indices, two power solves at idx otherwise."""
-    span = int(idx[-1]) + 1
-    if span < _WALK_SPAN * len(idx):
-        xi = eng.rc.orbit(u0, 0, span)[idx]
-        yi = eng.rc.orbit(u0, n, span)[idx]
-    else:
-        us = np.full(len(idx), u0, dtype=object)
-        idx = idx.astype(object)
-        xi = eng.rc.power(us, idx)
-        yi = eng.rc.power(us, idx + n)
-    return DiscreteMeasure2D.equal_weight(eng.to_unit(xi), eng.to_unit(yi))
+    sign: two `RotationCounter.orbit` evaluations of the window at idx."""
+    return DiscreteMeasure2D.equal_weight(eng.to_unit(eng.rc.orbit(u0, 0, idx)),
+                                          eng.to_unit(eng.rc.orbit(u0, n, idx)))
 
 
 # ---------------------------------------------------------------------------

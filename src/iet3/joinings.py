@@ -45,8 +45,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy import optimize
 
-from .iet_core import (Iet3, _power_on_circle, _use_counting, apply, apply_pow,
-                       apply_pow_many)
+from .iet_core import (Iet3, _power_on_circle, _use_counting, apply, apply_pow_many,
+                       to_rotation)
 from .towers import Tower, _return_sets
 
 try:                                 # glibc only; elsewhere no trim is made
@@ -153,58 +153,38 @@ def sample_power_joining(iet: Iet3, a: int, N: int, seed=0) -> DiscreteMeasure2D
 def empirical_orbit_joining(iet: Iet3, x: float, n: int, L: int,
                             subsample: Optional[int] = None,
                             seed=0) -> DiscreteMeasure2D:
-    """(1/L) sum of point masses at (T^i x, T^(i+n) x), i = 0..L-1.
-
-    For L beyond direct iteration, set ``subsample``: one index is drawn in
-    each of that many strata of [0, L) (`_index_strata`, exact at any L); the
+    """(1/L) sum of point masses at (T^i x, T^(i+n) x), i = 0..L-1, with x
+    lifted once onto the IET's integer circle, the window read by two
+    `RotationCounter.orbit` calls, and both snapped and rescaled as
+    `_power_on_circle` does.  With ``subsample``, one index is drawn in each
+    of that many strata of [0, L) (`_index_strata`, exact at any L): the
     result then estimates the orbit measure with 1/sqrt(subsample) slack.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
     idx = _index_strata(np.random.default_rng(seed), L if subsample is None else subsample, L)
-    rep_xs = _power_at_indices(iet, float(x), idx)
-    rep_ys = _power_at_indices(iet, float(x), idx + int(n))
-    return DiscreteMeasure2D.equal_weight(rep_xs, rep_ys)
+    rc, kappa = iet.rotation_counter(), float(to_rotation(iet).kappa)
+    u0 = rc.lift(float(x) * kappa)
+    xs, ys = (np.clip(rc.orbit(u0, s, idx).astype(float) / rc.Q / kappa,
+                      0.0, np.nextafter(1.0, 0.0)) for s in (0, int(n)))
+    return DiscreteMeasure2D.equal_weight(xs, ys)
 
 
 def _index_strata(rng, s: int, L: int) -> np.ndarray:
     """One jittered index floor((i + U_i) L/s) in each of s equal strata of
     the window [0, L), sorted and distinct (every index, with no draw, when
     s >= L): the one rule for sampling a window.  Below 2^53 it is float64,
-    as int64; from 2^53 up exact on Python ints, where U_i = k_i / 2^53
+    as int64, held below L (the product can round up to L); from 2^53 up
+    exact on Python ints, where U_i = k_i / 2^53
     (`Generator.random` draws multiples of 2^-53)."""
     if s >= L:
         return np.arange(L)
     u = rng.random(s)
     if L < 1 << 53:
-        return np.unique(np.floor((np.arange(s) + u) * (L / s)).astype(np.int64))
+        idx = np.floor((np.arange(s) + u) * (L / s)).astype(np.int64)
+        return np.unique(np.minimum(idx, L - 1))
     k = (u * 2.0 ** 53).astype(np.int64).astype(object)
     return np.unique(((np.arange(s, dtype=object) << 53) + k) * L // (s << 53))
-
-
-def _power_at_indices(iet: Iet3, x: float, idx: np.ndarray) -> np.ndarray:
-    """T^i x for an array of exponents i (possibly negative or huge)."""
-    idx = np.asarray(idx)
-    lo, hi = int(idx.min()), int(idx.max())
-    if not _use_counting(abs(lo) + hi - lo, 1):
-        # direct sweep across the exponent range: |lo| steps to reach T^lo x,
-        # then hi - lo more
-        out = np.empty(len(idx), dtype=float)
-        order = np.argsort(idx, kind="stable")
-        cur = apply_pow(iet, lo, x)
-        cur_i = lo
-        for j in order:
-            target = int(idx[j])
-            while cur_i < target:
-                cur = apply(iet, cur)
-                cur_i += 1
-            out[j] = cur
-        return out
-    # counting path: one power batch over the exponent array; index 0 keeps
-    # the unsnapped starting point
-    _, image, kappa = _power_on_circle(iet, np.full(len(idx), x), idx)
-    image[idx == 0] = x * kappa
-    return np.clip(image / kappa, 0.0, np.nextafter(1.0, 0.0))
 
 
 def product_sample(N: int, seed=0) -> DiscreteMeasure2D:

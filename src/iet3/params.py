@@ -15,6 +15,7 @@ the chosen numbers are frozen here and re-derived in tests.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .arith import cf_convergents, cf_to_fraction
@@ -80,5 +81,4 @@ def golden_iet(kappa: float = 1 / 1.3) -> Iet3:
     Useful for rotation-side checks; the switch construction is not
     admissible here (N ||N alpha|| never drops below ~0.447).
     """
-    import math
     return from_rotation(RotationRep((math.sqrt(5) - 1) / 2, kappa))

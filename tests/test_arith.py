@@ -172,7 +172,7 @@ def test_orbit_missing_the_arc_raises(rc):
         with pytest.raises(ValueError, match="never returns"):
             query()
     with pytest.raises(ValueError, match="never returns"):
-        rc.orbit(off, 0, 3)
+        rc.orbit(off, 0, np.arange(3))
     # orbits that do meet the arc are unaffected
     for v in range(rc.C):
         w = v
@@ -190,13 +190,13 @@ def test_orbit_past_a_long_return():
     Q = 1 << 40
     rc = RotationCounter(1, Q, Q >> 1)
     u0 = rc.C - 3
-    got = rc.orbit(u0, 0, 6)
+    got = rc.orbit(u0, 0, np.arange(6))
     assert list(got) == [u0, u0 + 1, u0 + 2, 0, 1, 2]
     assert list(got) == list(rc.power(np.full(6, u0, dtype=object), np.arange(6)))
-    assert list(rc.orbit(u0, -2, 6)) == list(rc.power(np.full(6, u0, dtype=object),
-                                                      np.arange(-2, 4)))
+    assert list(rc.orbit(u0, -2, np.arange(6))) == list(rc.power(
+        np.full(6, u0, dtype=object), np.arange(-2, 4)))
     # a point given off [0, Q) is its own zeroth power, as `power` leaves it
-    assert list(rc.orbit(u0 + Q, 0, 3)) == [u0 + Q, u0 + 1, u0 + 2]
+    assert list(rc.orbit(u0 + Q, 0, np.arange(3))) == [u0 + Q, u0 + 1, u0 + 2]
     assert rc.power(np.array([u0 + Q], dtype=object), 0)[0] == u0 + Q
 
 
@@ -209,7 +209,7 @@ def test_orbit_routes_agree_with_power(bits, shift):
     rc = RotationCounter(math.isqrt(5 * Q * Q) - Q >> 1, Q, Q >> shift)
     u0, start = rc.C // 3, 10**9 + 7
     want = rc.power(np.full(40, u0, dtype=object), np.arange(start, start + 40).astype(object))
-    assert list(rc.orbit(u0, start, 40)) == list(want)
+    assert list(rc.orbit(u0, start, np.arange(40))) == list(want)
 
 
 @st.composite

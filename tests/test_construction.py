@@ -90,14 +90,20 @@ def test_kr_window_check_reads_the_whole_window(switch_iet, doc_switch, monkeypa
 
 @pytest.mark.parametrize("n", [-28000, -3, 0, 5])
 def test_orbit_joining_routes_agree(switch_iet, monkeypatch, n):
-    # the orbit walk and the power solves give the same exact atoms on
-    # contiguous, strided and jittered index sets, for exponents of any sign
+    # the orbit scanned and the orbit solved give the same exact atoms on
+    # contiguous, strided and jittered index sets, for exponents of any sign;
+    # each route is forced through the one walk-or-solve rule of `arith`
+    import iet3.arith as arith
     import iet3.construction as construction
     eng = _SwitchEngine(switch_iet)
     # the atoms as exact circle positions, before the unit rescaling
     eng.to_unit = lambda u: u
     monkeypatch.setattr(construction, "DiscreteMeasure2D",
                         SimpleNamespace(equal_weight=lambda xs, ys: (list(xs), list(ys))))
+    scans = []
+    returns = arith.RotationCounter._returns
+    monkeypatch.setattr(arith.RotationCounter, "_returns",
+                        lambda rc, u, offsets: scans.append(1) or returns(rc, u, offsets))
     rng = np.random.default_rng(4)
     index_sets = [np.arange(400), np.arange(400) * 7 + 3,
                   construction._index_strata(rng, 400, 5000),
@@ -106,9 +112,12 @@ def test_orbit_joining_routes_agree(switch_iet, monkeypatch, n):
     starts = [*eng.slit_samples(3, 8), eng.C + 12345]
     for u0, idx in zip(starts, index_sets):
         atoms = []
-        for span in (10**9, 0):           # the set walked, then solved
-            monkeypatch.setattr(construction, "_WALK_SPAN", span)
+        for cost in (10**9, 0):           # every index scanned, then solved
+            for name in ("_SOLVE_CALL", "_SOLVE_VISITS", "_SOLVE_PER_LEVEL"):
+                monkeypatch.setattr(arith, name, cost)
+            scans.clear()
             atoms.append(construction._orbit_joining_at(eng, int(u0), n, idx))
+            assert bool(scans) == (cost > 0)
         assert atoms[0] == atoms[1]
 
 

@@ -13,7 +13,7 @@ from scipy.optimize import linprog
 from scipy.spatial import cKDTree
 
 from iet3 import joinings
-from iet3.iet_core import Iet3, apply
+from iet3.iet_core import Iet3, _power_on_circle, apply
 from iet3.joinings import (BaryState, DiscreteMeasure2D,
                            apply_Asigma, approx_by_powers, bary_recursion,
                            disintegrate, empirical_orbit_joining,
@@ -80,6 +80,28 @@ def test_empirical_orbit_joining_past_int64(golden):
     m = empirical_orbit_joining(golden, 0.3, 7, 10**21, subsample=50)
     assert len(m) == 50
     assert np.all((0 <= m.xs) & (m.xs < 1))
+
+
+def test_empirical_orbit_joining_reads_the_circle(golden):
+    # the window read by `RotationCounter.orbit` is one batched power solve
+    # at the same indices, rescaled as `_power_on_circle` rescales, bit for bit
+    x, n, L, s, seed = 0.3, 7, 10**10, 250, 5
+    m = empirical_orbit_joining(golden, x, n, L, subsample=s, seed=seed)
+    idx = joinings._index_strata(np.random.default_rng(seed), s, L)
+    for got, e in ((m.xs, idx), (m.ys, idx + n)):
+        _, image, kappa = _power_on_circle(golden, np.full(len(idx), x), e)
+        assert np.array_equal(got, np.clip(image / kappa, 0.0, np.nextafter(1.0, 0.0)))
+
+
+def test_index_strata_stays_inside_the_window():
+    # a draw an ulp below 1 rounds (i + U_i) L/s up to (i + 1) L/s: on the
+    # last stratum that is L itself, one past the window
+    class TopDraws:
+        def random(self, s):
+            return np.full(s, 1 - 2.0**-53)
+
+    idx = joinings._index_strata(TopDraws(), 64, 64000)
+    assert list(idx[-3:]) == [62000, 63000, 63999]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -129,13 +129,17 @@ def test_visit_time_matches_oracle_deep_circle(us, n, forward):
 @PROPERTY
 @given(st.data())
 def test_orbit_matches_power(data):
+    # empty, contiguous or sparse sorted index sets, spans from one index to
+    # far past the count, starts of either sign, points on the circle and off
+    # [0, Q): each route of `orbit` gives `power` at every index
     rc = data.draw(coprime_circles())
-    u0 = data.draw(st.integers(0, rc.Q - 1))
-    start = data.draw(st.integers(-50, 50))
-    length = data.draw(st.integers(0, 40))
-    want = rc.power(np.full(length, u0, dtype=object),
-                    np.arange(start, start + length).astype(object))
-    assert list(rc.orbit(u0, start, length)) == list(want)
+    u0 = data.draw(st.integers(0, rc.Q - 1) | st.integers(rc.Q, 3 * rc.Q))
+    start = data.draw(st.integers(-50, 50) | st.integers(-10**6, 10**6))
+    gap = data.draw(st.sampled_from([1, 3, 10**4]))
+    steps = data.draw(st.lists(st.integers(1, gap), max_size=41))
+    idx = data.draw(st.integers(-1, 40)) + np.cumsum(steps, dtype=np.int64)
+    want = rc.power(np.full(len(idx), u0, dtype=object), (start + idx).astype(object))
+    assert list(rc.orbit(u0, start, idx)) == list(want)
 
 
 @settings(PROPERTY, max_examples=10)
@@ -143,7 +147,7 @@ def test_orbit_matches_power(data):
 def test_orbit_matches_power_deep_circle(u0, start):
     want = _DEEP.power(np.full(300, u0, dtype=object),
                        np.arange(start, start + 300).astype(object))
-    assert list(_DEEP.orbit(u0, start, 300)) == list(want)
+    assert list(_DEEP.orbit(u0, start, np.arange(300))) == list(want)
 
 
 def _object_twin(rc: RotationCounter) -> RotationCounter:
@@ -212,7 +216,7 @@ def test_native_lanes_match_object_path_at_the_bounds(query):
     start, length = int(signed[0]), 6
     want = _twin_power(rc, np.full(length, us[0], dtype=object),
                        np.arange(start, start + length).astype(object))
-    assert list(rc.orbit(us[0], start, length)) == list(want)
+    assert list(rc.orbit(us[0], start, np.arange(length))) == list(want)
 
 
 @st.composite
