@@ -44,6 +44,8 @@ __all__ = [
 
 Scalar = Union[float, Fraction]
 
+_TOP = np.nextafter(1.0, 0.0)      # 1 - 2**-53, the largest float below 1
+
 
 @dataclass(frozen=True)
 class Iet3:
@@ -98,11 +100,15 @@ class Iet3:
 
     @cached_property
     def _float_branches(self) -> tuple:
-        """b1, d1, b2, d2, d3 of `_branches` in binary64, for array steps.
+        """(b1, b2, d) of `_branches` in binary64, for array steps: the two
+        break points as floats and the three displacements as one read-only
+        float64 array, indexed by branch (0 left of b1, 1 up to b2, 2 after).
         `float` of a Fraction is correctly rounded, so converting once gives
         every step the constants it would convert itself."""
         ((b1, d1), (b2, d2)), d3 = self._branches
-        return tuple(float(v) for v in (b1, d1, b2, d2, d3))
+        d = np.array([float(d1), float(d2), float(d3)])
+        d.flags.writeable = False
+        return float(b1), float(b2), d
 
     def inverse(self) -> "Iet3":
         """The inverse 3-IET: lengths reversed."""
@@ -169,14 +175,22 @@ def apply(iet: Iet3, x):
 def _step(iet: Iet3, x):
     """`apply` without its domain check."""
     if isinstance(x, np.ndarray):
-        b1, d1, b2, d2, d3 = iet._float_branches
-        out = np.where(x < b1, x + d1, np.where(x < b2, x + d2, x + d3))
-        # guard against float spill at the right edge
-        return np.where(out >= 1.0, np.nextafter(1.0, 0.0), np.maximum(out, 0.0))
+        if x.ndim == 0:     # ufuncs return scalars for 0-d operands
+            return _step(iet, x.reshape(1)).reshape(())
+        b1, b2, d = iet._float_branches
+        # branch index 0, 1 or 2 from two comparisons (b1 <= b2), then each
+        # image is the IEEE sum x + d_i, clamped in place into [0, 1) against
+        # float spill at either edge
+        i = (x >= b1).view(np.int8)
+        i += x >= b2
+        out = d.take(i)
+        out += x
+        np.minimum(out, _TOP, out=out)
+        return np.maximum(out, 0.0, out=out)
     ((b1, d1), (b2, d2)), d3 = iet._branches
     y = x + (d1 if x < b1 else d2 if x < b2 else d3)
     if not iet.exact:
-        y = min(max(y, 0.0), np.nextafter(1.0, 0.0))
+        y = min(max(y, 0.0), _TOP)
     return y
 
 
@@ -231,7 +245,7 @@ def apply_pow_many(iet: Iet3, n: int, xs: np.ndarray,
         return apply_pow(iet, n, xs.copy())
     base, image, kappa = _power_on_circle(iet, xs, int(n))
     out = (image + (xs * kappa - base)) / kappa
-    return np.clip(out, 0.0, np.nextafter(1.0, 0.0))
+    return np.clip(out, 0.0, _TOP)
 
 
 def _branch_image(iet: Iet3, lo, hi, branches=None) -> list[tuple]:

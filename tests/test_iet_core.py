@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from iet3 import intervals as iv_mod
-from iet3.iet_core import (Iet3, OrbitSegment, RotationRep, apply, apply_pow,
+from iet3.iet_core import (Iet3, OrbitSegment, RotationRep, _step, apply, apply_pow,
                            apply_pow_many, from_rotation, min_return_time,
                            orbit, psi_count, to_rotation)
 from iet3.params import documented_switch_iet, documented_tower_iet
@@ -238,3 +240,37 @@ def test_two_interval_lengths_accepted():
         iet = Iet3(*ls)
         rc = iet.rotation_counter()
         assert 0 < rc.P < rc.Q and 0 < rc.C <= rc.Q
+
+
+# -- the array step against the nested-where formula ---------------------------
+
+def _nested_where_step(iet, x):
+    """The array step as three translated copies picked by two nested
+    `np.where` calls and clamped by a third: the oracle of `_step`."""
+    ((b1, d1), (b2, d2)), d3 = iet._branches
+    b1, d1, b2, d2, d3 = (float(v) for v in (b1, d1, b2, d2, d3))
+    out = np.where(x < b1, x + d1, np.where(x < b2, x + d2, x + d3))
+    return np.where(out >= 1.0, np.nextafter(1.0, 0.0), np.maximum(out, 0.0))
+
+
+_LENGTH_TRIPLES = st.one_of(
+    st.tuples(*[st.floats(0.0, 1.0) for _ in range(3)]),
+    st.tuples(*[st.fractions(0, 1, max_denominator=10**6) for _ in range(3)]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_LENGTH_TRIPLES, st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=12))
+def test_array_step_matches_nested_where(ls, extra):
+    assume(ls[0] + ls[1] > 0 and ls[1] + ls[2] > 0)
+    iet = Iet3(*ls)
+    top = np.nextafter(1.0, 0.0)
+    for e in (iet, iet.inverse()):
+        b1, b2, _ = e._float_branches
+        marks = [0.0, b1, b2, top]
+        near = [np.nextafter(m, t) for m in marks for t in (0.0, 1.0)]
+        pts = np.array([p for p in marks + near + extra if 0 <= p < 1])
+        for x in (pts, pts[:0], np.array(pts[-1]), np.resize(pts, (3, len(pts)))):
+            got, want = _step(e, x), _nested_where_step(e, x)
+            assert isinstance(got, np.ndarray) and got.shape == x.shape
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert apply(e, x).tobytes() == want.tobytes()

@@ -13,7 +13,7 @@ from scipy.optimize import linprog
 from scipy.spatial import cKDTree
 
 from iet3 import joinings
-from iet3.iet_core import Iet3, _power_on_circle, apply
+from iet3.iet_core import Iet3, _power_on_circle, apply, apply_pow_many
 from iet3.joinings import (BaryState, DiscreteMeasure2D,
                            apply_Asigma, approx_by_powers, bary_recursion,
                            disintegrate, empirical_orbit_joining,
@@ -22,6 +22,7 @@ from iet3.joinings import (BaryState, DiscreteMeasure2D,
                            kr_upper_binned, measure_from_csv, measure_to_csv,
                            mix, product_sample, sample_power_joining, w1_1d,
                            weak_closure_check)
+from iet3.params import documented_switch_iet
 
 IET = Iet3(0.2, 0.3, 0.5)
 
@@ -896,6 +897,45 @@ def test_weak_closure_rational_periodic():
     n, err, _ = weak_closure_check(iet, k=p, horizon=p, N=2000, seed=19)
     assert n % p == 0
     assert err < 0.05
+
+
+def _mixture_gap_fast(bin_ids, ys_cand, nu_sorted, bins):
+    """One scan value by one lexsort: the candidate fiber duplicated to align
+    with the two mixture branches, sorted within x-bins, matched against the
+    mixture's sorted values, plus the in-bin horizontal cost."""
+    rep = np.repeat(ys_cand, 2)
+    rep_bins = np.repeat(bin_ids, 2)
+    order = np.lexsort((rep, rep_bins))
+    diffs = np.abs(rep[order] - nu_sorted)
+    return float(diffs.mean() + 1.0 / bins)
+
+
+@pytest.mark.parametrize("iet, k, seed", [(IET, 1, 3), (documented_switch_iet(), 2, 8)])
+def test_weak_closure_block_scan_matches_per_step(iet, k, seed):
+    # the horizon crosses a block boundary both forward and backward
+    horizon = joinings._SCAN_BLOCK + 3
+    n, _, info = weak_closure_check(iet, k=k, horizon=horizon, N=500, seed=seed)
+    xs = joinings._stratified_points(info["scan_N"], seed)
+    bin_ids = joinings._bin(xs, 128)
+    nu_vals = np.concatenate([xs, apply_pow_many(iet, k, xs)])
+    nu_sorted = nu_vals[np.lexsort((nu_vals, np.concatenate([bin_ids, bin_ids])))]
+    want = {0: _mixture_gap_fast(bin_ids, xs, nu_sorted, 128)}
+    for exchange, sign in ((iet, 1), (iet.inverse(), -1)):
+        cur = xs
+        for i in range(1, horizon + 1):
+            cur = apply(exchange, cur)
+            want[sign * i] = _mixture_gap_fast(bin_ids, cur, nu_sorted, 128)
+    assert list(info["scan"].items()) == list(want.items())
+    # the best power is the first to reach the least value, in scan order
+    vals = list(want.values())
+    assert n == list(want)[vals.index(min(vals))]
+
+
+def test_stratified_points_sorted():
+    # the block scan sorts each x-bin as one slice of the base points
+    for seed in range(20):
+        for N in (1, 2, 2000, 4097):
+            assert np.all(np.diff(joinings._stratified_points(N, seed)) >= 0)
 
 
 def test_weak_closure_zero_candidate_value():
