@@ -20,25 +20,29 @@ for everything else, and is the kernel's test oracle.
 The queries keep circle points in the kernel's own form: `visits`,
 `visit_time`, `power` and `orbit` turn Python ints into limb lanes once per
 call, with counts and times as int64, and back at the end.  Shifts
-(u + s*P) mod Q and the density guess n*Q // C reduce with the kernel's own
-limb division.  Each call decides its path once, from its input: lanes
-where the kernel takes the circle and every count, time and quotient of the
-query stays below 2^48 (a bound from the circle's continued fraction), Python
-ints otherwise, through the same code.
+(u + s*P) mod Q reduce with the kernel's own limb division.  Each call
+decides its path once, from its input: lanes where the kernel takes the
+circle and every count, time and quotient of the query stays below 2^48 (a
+bound from the circle's continued fraction), Python ints otherwise, through
+the same code.
 
 Every count takes a direction per point: a backward count is a forward
 count from a shifted start (`RotationCounter.visits`), so one count serves
 both directions and the inverse rotation needs no counter of its own.
 
-The inverse query, the rotation time of the n-th visit, counts once at the
-density guess n*Q/C and then solves only the residual window: the visits
-still missing after the guess, or the excess counted backward from it;
-each residual level is one count over all points, whatever their
-direction.  A residual is far smaller than n, so its floor sums descend
-less deep; small or stubborn residuals go to a monotone fixed-point loop.
-Consecutive induced-map powers of one point (`RotationCounter.orbit`) need
-one such solve and then the rotation positions that fall in the arc, until
-scanning them would cost more than one batched solve of the rest.
+The inverse query, the rotation time of the n-th visit, is one descent per
+point through a table built once per circle (`_wrap_table`): the rotation
+grouped by wraps around the circle is again a rotation, of Z/P by -Q mod P,
+whose points weigh the arc visits of the wrap they start, and so on down
+the continued fraction of P/Q (reflected where a step passes half the
+circle, so a large partial quotient stays one level).  The descent stops at
+the first level whose partial first wrap holds the visits still wanted and
+climbs back, locating the visit inside one wrap per level: a limb division
+per wide level and no visit count.  A backward query is a forward one from
+the reflected point C - 1 - u.  Consecutive induced-map powers of one point
+(`RotationCounter.orbit`) need one such solve and then the rotation
+positions that fall in the arc, until scanning them would cost more than
+one batched solve of the rest.
 """
 
 from __future__ import annotations
@@ -194,12 +198,11 @@ _MASK = (1 << _LIMB) - 1
 _NATIVE_BITS = 118                 # offsets below 4Q fit in four limbs
 _NATIVE_QUOTIENT = 1 << 48         # counts and partial quotients stay below
 # a batched `power` call costs about as much as scanning `_SOLVE_CALL` rotation
-# positions, and each of its points as scanning this many arc visits in lanes
-# and on Python ints, but at most this many positions per level of the Euclid
-# descent (`RotationCounter._scan_ahead`; BENCH_orbit_routes.json, crossover)
-_SOLVE_CALL = 1 << 14
-_SOLVE_VISITS, _OBJECT_SOLVE_VISITS = 48, 160
-_SOLVE_PER_LEVEL, _OBJECT_SOLVE_PER_LEVEL = 24, 64
+# positions, and each of its points as scanning this many positions in lanes
+# and on Python ints, whatever the arc and the depth of the descent
+# (`RotationCounter._scan_ahead`; BENCH_visit_time.json, orbit_crossover)
+_SOLVE_CALL = 1 << 13
+_SOLVE_POINT, _OBJECT_SOLVE_POINT = 24, 48
 # lanes hold at most five limbs: four for Q, one for the carry above them
 _F64_WEIGHTS = np.ldexp(1.0, _LIMB * np.arange(5))
 _SIGN_WEIGHTS = 3 ** np.arange(5, dtype=np.int64)   # sign of the top differing limb
@@ -336,22 +339,20 @@ def _floor_sums_native(a: np.ndarray, n: np.ndarray, chain) -> np.ndarray:
 # The counting queries keep their points in the kernel's own form: limbs of
 # Z/Q in int64 lanes, with counts and times as plain int64.  Every shift
 # (u + s P) mod Q is a limb product reduced by `_divmod_limbs` at the
-# chain's first level (m = Q), and the density guess n Q // C is one
-# `_divmod_limbs` at a level with m = C, so no second limb arithmetic exists.
+# chain's first level (m = Q), and each wide level of the visit-time descent
+# divides by its step with `_divmod_limbs` too, so no second limb arithmetic
+# exists.
 
 
 class _Lanes:
     """Points of Z/Q at native width: row j holds the j-th 30-bit limb of
-    every point, and a last, zero row is spare for carries.  ``len`` is the
-    number of points and indexing selects points."""
+    every point, and a last, zero row is spare for carries.  Indexing
+    selects points."""
 
     __slots__ = ("x",)
 
     def __init__(self, x: np.ndarray):
         self.x = x
-
-    def __len__(self) -> int:
-        return self.x.shape[1]
 
     def __getitem__(self, i) -> "_Lanes":
         return _Lanes(self.x[:, i])
@@ -396,25 +397,295 @@ def _first_visit_bound(chain, C: int) -> Optional[int]:
     return None
 
 
+# ---------------------------------------------------------------------------
+# the wrap table: visit times in one descent
+# ---------------------------------------------------------------------------
+#
+# Level 0 is the rotation by P on Z/Q with weight 1 on the arc [0, C) and 0
+# elsewhere.  The positions x + l S of a level, grouped by wrap
+# floor((x + l S) / m), start each wrap after the first at some z in [0, S),
+# and the starts of successive wraps form the rotation of Z/S by (-m) mod S:
+# the next level, whose weight at z is the weight of the wrap z starts.  A
+# level with 2S > m is reflected first (y -> m - 1 - y, step m - S), so a
+# large partial quotient stays one level.  Every weight is a step function of
+# at most three pieces, and every level weighs C in all.  The n-th visit is
+# one pass down the levels, to the first whose partial first wrap holds the
+# weight still wanted, and one pass back up: element J of a level is wrap
+# J + 1 of the level above.
+
+_WIDE = 1 << 62                     # levels with m below this run in int64
+
+
+class _WrapLevel:
+    """One level of the wrap table, in Python ints: the rotation by S on Z/m
+    (S = 0 at the last level, which fixes every point), in coordinates
+    reflected from the level above's where ``refl``, with weight vals[i] on
+    the piece of Z/m that ends at ends[i]."""
+
+    __slots__ = ("m", "S", "refl", "ends", "vals")
+
+    def __init__(self, m: int, S: int, refl: bool, ends: tuple, vals: tuple):
+        self.m, self.S, self.refl, self.ends, self.vals = m, S, refl, ends, vals
+
+
+@functools.lru_cache(maxsize=128)
+def _wrap_table(P: int, Q: int, C: int) -> tuple:
+    """The levels of the wrap descent of the circle (P, Q, C)."""
+    levels, m, S = [], Q, P
+    starts, vals = ([0, C], [1, 0]) if C < Q else ([0], [1])
+    while True:
+        refl = 2 * S > m
+        if refl:
+            # [a, b) -> [m - b, m - a): the pieces stay half-open
+            S, starts, vals = m - S, [m - e for e in (starts[1:] + [m])[::-1]], vals[::-1]
+        levels.append(_WrapLevel(m, S, refl, (*starts[1:], m), tuple(vals)))
+        if not S:
+            return tuple(levels)
+        # a wrap from z in [0, S) weighs the level's weight at z, z + S, ... < m
+        pieces = list(zip(starts, starts[1:] + [m], vals))
+        starts, vals = [], []
+        for z in sorted({a % S for a, _, _ in pieces} | {m % S}):
+            w = sum(v * (max(0, -((z - e) // S)) - max(0, -((z - a) // S)))
+                    for a, e, v in pieces)
+            if not vals or vals[-1] != w:
+                starts.append(z)
+                vals.append(w)
+        m, S = S, -m % S
+
+
+class _WrapForm:
+    """One wrap level's constants in the arithmetic of a descent: limbs of
+    ``rows`` rows where the level is wide, int64 where it is narrow, Python
+    ints where ``rows`` is None.  Each piece end E_i is split as
+    (gamma_i, delta_i) = divmod(E_i, S): of the positions x + l S, l >= 0, in
+    the wrap of x = alpha S + beta, max(0, gamma_i + (beta < delta_i) - alpha)
+    lie below E_i.  In lanes the weights saturate at 2^48, above every
+    target, so that no sum of them wraps."""
+
+    def __init__(self, lv: _WrapLevel, rows: Optional[int]):
+        S, ints = lv.S, rows is None
+        self.S, self.refl, self.rows = S, lv.refl, rows
+        self.wide = not ints and lv.m >= _WIDE
+        self.flip, self.down_wide = False, self.wide   # the next level's refl and wide
+        split = [divmod(e, S) if S else (0, e) for e in lv.ends]
+        dtype = object if ints else np.int64
+        self.gamma = np.array([g for g, _ in split], dtype=dtype)[:, None]
+        deltas = [d for _, d in split]
+        self.v = np.array([v if ints else min(v, _NATIVE_QUOTIENT) for v in lv.vals],
+                          dtype=dtype)
+        self.sat = None if ints else -(-_NATIVE_QUOTIENT // np.maximum(self.v, 1))[:, None]
+        if S:
+            self.b, self.ceil_q = lv.m % S, -(-lv.m // S)
+        if not self.wide:
+            self.delta = np.array(deltas, dtype=dtype)[:, None]
+            return
+        # beta < delta_i is read from floats where they differ by more than
+        # their rounding (a few ulps of the larger), and from limbs elsewhere
+        self.fdelta = np.array(deltas, dtype=float)[:, None]
+        self.tol = math.ldexp(max(S, *deltas), -45)
+        self.delta = np.stack([_limbs(d, rows) for d in deltas], axis=1)
+        if S:
+            self.div = _Level(S, 0)
+            self.SL, self.bL, self.Sm1L = (_limbs(v, rows) for v in (S, self.b, S - 1))
+
+    def below(self, beta) -> np.ndarray:
+        """beta < delta_i per piece end (rows) and lane (columns)."""
+        if not self.wide:
+            return beta < self.delta
+        diff = _F64_WEIGHTS[:self.rows] @ beta - self.fdelta
+        lt = diff < 0
+        close = np.abs(diff) <= self.tol
+        if close.any():
+            # the sign of the highest differing limb, as a base-3 number
+            j = np.flatnonzero(close.any(axis=0))
+            sign = np.sign(beta[:, None, j] - self.delta)
+            lt[:, j] = np.tensordot(_SIGN_WEIGHTS[:self.rows], sign, 1) < 0
+        return lt
+
+    def tally(self, lt, alpha=None) -> tuple:
+        """For the comparisons lt of beta with the deltas and the positions
+        alpha skipped from the start of beta's wrap: the counts D of the
+        wrap's positions below each piece end and the weight summed to each
+        end, each with a zero row on top."""
+        D = np.zeros((len(lt) + 1, lt.shape[1]), dtype=self.gamma.dtype)
+        if alpha is None:
+            np.add(self.gamma, lt, out=D[1:])
+        else:
+            np.maximum(self.gamma + lt - alpha, 0, out=D[1:])
+        w = D[1:] - D[:-1]
+        if self.sat is not None:
+            np.minimum(w, self.sat, out=w)
+        w *= self.v[:, None]
+        cum = np.zeros_like(D)
+        for i, wi in enumerate(w):
+            np.add(cum[i], wi, out=cum[i + 1])
+        return D, cum
+
+    def locate(self, D, cum, t) -> tuple:
+        """For a wrap that holds the weight t >= 1: the offset of the first
+        position whose weight brings the sum to t, and the weight in [1, v]
+        still wanted there."""
+        below = cum[1:] < t
+        i = below[0].astype(np.intp)
+        for row in below[1:]:
+            i += row
+        flat = i * len(t) + np.arange(len(t))
+        before, v = cum.ravel()[flat], self.v[i]
+        k = (t - before - 1) // v
+        return D.ravel()[flat] + k, t - before - k * v
+
+    def split(self, x) -> tuple:
+        """divmod(x, S) per lane."""
+        if self.wide:
+            return _divmod_limbs(x, self.div), x
+        alpha = x // self.S
+        return alpha, x - alpha * self.S
+
+    def at(self, beta, k):
+        """beta + k S, below m."""
+        if not self.wide:
+            return beta + k * self.S
+        y = beta + self.SL * (k & _MASK)
+        y[1:] += self.SL[:-1] * (k >> _LIMB)
+        return _carry(y, self.rows - 1)
+
+    def mirror(self, z):
+        """S - 1 - z: the next level's reflection."""
+        return _carry(self.Sm1L - z, self.rows - 1) if self.wide else self.S - 1 - z
+
+    def start_below(self, beta, lt_b):
+        """The start (beta - b) mod S of the next wrap, in the next level's
+        coordinates and arithmetic (lt_b: beta < b)."""
+        if self.wide:
+            z = _carry(beta - self.bL + self.SL * lt_b, self.rows - 1)
+        else:
+            z = (beta - self.b) % self.S
+        if self.flip:
+            z = self.mirror(z)
+        return _WRAP_WEIGHTS[:self.rows] @ z if self.wide and not self.down_wide else z
+
+    def start_above(self, y):
+        """The next level's position y in this level's coordinates and
+        arithmetic: the start of a wrap."""
+        if self.wide and not self.down_wide:
+            y = np.vstack([y & _MASK, y >> _LIMB & _MASK, y >> 2 * _LIMB,
+                           np.zeros((self.rows - 3, len(y)), dtype=np.int64)])
+        return self.mirror(y) if self.flip else y
+
+
+def _wrap_forms(table: tuple, rows: Optional[int]) -> tuple:
+    forms = tuple(_WrapForm(lv, rows) for lv in table)
+    for f, g in zip(forms, forms[1:]):
+        f.flip, f.down_wide = g.refl, g.wide
+    return forms
+
+
+def _descend(forms: tuple, x, t: np.ndarray) -> np.ndarray:
+    """Per lane, the index L >= 0 of the level-0 position x + L S at which
+    the weight summed from x reaches t >= 1; every orbit must meet some
+    weight (`RotationCounter.visit_time` rejects those that do not).
+
+    Down: a level whose partial first wrap from x holds t locates it there;
+    otherwise t loses that wrap's weight and the next level starts from the
+    next wrap.  Up: element J of the next level is wrap J + 1 of this one,
+    which begins J ceil(m / S) + c0 - w positions after x (c0: the first
+    wrap's length, w: the next level's wraps before J, unreflected), and
+    the weight still wanted is located inside it."""
+    stack, need_y = [], False
+    for f in forms:
+        if not f.S:                      # every point fixed: whole turns
+            whole = f.tally(f.below(x))[1][-1]
+            L = (t - 1) // whole
+            t, y, omega = t - L * whole, x, 0
+            break
+        alpha, beta = f.split(x)
+        lt = f.below(beta)
+        D, cum = f.tally(lt, alpha)
+        down = cum[-1] < t
+        if down.all():
+            j, here = slice(None), None
+        else:
+            k = np.flatnonzero(~down)
+            L, r = f.locate(D[:, k], cum[:, k], t[k])
+            y = f.at(beta[..., k], L + alpha[k]) if need_y else None
+            if len(k) == len(t):
+                t, omega = r, 0
+                break
+            j, here = np.flatnonzero(down), (k, L, r, y)
+        stack.append((f, j, here, D[-1, j], need_y))
+        t = t[j] - cum[-1, j]
+        x, need_y = f.start_below(beta[..., j], lt[-1, j]), True
+    for f, j, here, c0, need_y in reversed(stack):
+        zeta = f.start_above(y)
+        omega = L - omega if f.flip else omega
+        first = L * f.ceil_q + c0 - omega
+        d, t = f.locate(*f.tally(f.below(zeta)), t)
+        J, L = L, first + d
+        y = f.at(zeta, d) if need_y else None
+        omega = J + 1
+        if here is not None:
+            k, dk, rk, yk = here
+            n = len(j) + len(k)
+            L, t, omega = (_merge(a, ak, j, k, n) for a, ak in ((L, dk), (t, rk), (omega, 0)))
+            if need_y:
+                y = _merge(y, yk, j, k, n)
+    return L
+
+
+def _merge(a, ak, j, k, n):
+    """The lanes j of a and k of ak, interleaved into n lanes."""
+    out = np.empty(np.shape(a)[:-1] + (n,), dtype=np.result_type(a))
+    out[..., j] = a
+    out[..., k] = ak
+    return out
+
+
+def _first_start(P: int, Q: int, C: int) -> tuple:
+    """(A, B): the descent for the visits after u starts at (u + A) mod Q
+    where ``forward`` differs from the reflection of level 0, and at
+    (B - u) mod Q where they agree.  The count starts one step after u, and
+    a backward count from u is a forward count from C - 1 - u, since
+    y -> C - 1 - y maps the arc onto itself and reverses the rotation."""
+    if _wrap_table(P, Q, C)[0].refl:
+        return 2 * Q - C - P, 2 * Q - 1 - P
+    return P, C - 1 + P + Q
+
+
 class _NativeCircle:
     """The native form of one circle (P, Q, C): its Euclid chain, whose first
-    level reduces mod Q, the limbs of Q, P, Q - P and Q - C as columns, the
-    level of the arc length C, and ``index_limit``, the visit indices the
-    lanes solve.
+    level reduces mod Q, the limbs of P, Q - P and Q - C as columns, the
+    wrap table in lanes (`_descend`) and ``index_limit``, the visit indices
+    the lanes solve, both built at the circle's first visit-time query.
 
-    An n-th visit comes within n E steps (`_first_visit_bound`); the
-    fixed-point search counts up to twice that, and the density guess is
-    n Q // C, so indices n with n max(2E, Q // C + 2) < 2^48 keep every
-    count, time and quotient below the kernel's bound."""
+    An n-th visit comes within n E steps (`_first_visit_bound`), so indices
+    n with n E < 2^48 keep every time, target and quotient of the descent,
+    and the final shift, below the kernel's bound, as long as every wide
+    level's ceil(m / S) is below it too."""
 
     def __init__(self, chain, P: int, Q: int, C: int):
         self.chain, self.mod = chain, chain[0]
         self.rows = rows = self.mod.k + 1
-        self.Q, self.P, self.QmP, self.QmC = (_limbs(v, rows) for v in (Q, P, Q - P, Q - C))
-        self.arc = _Level(C, 0)
+        self.P, self.QmP, self.QmC = (_limbs(v, rows) for v in (P, Q - P, Q - C))
+        self.circle = P, Q, C
         self.E = _first_visit_bound(chain, C)
-        self.index_limit = (0 if self.E is None
-                            else _NATIVE_QUOTIENT // max(2 * self.E, Q // C + 2))
+
+    @functools.cached_property
+    def index_limit(self) -> int:
+        fits = all(-(-lv.m // lv.S) < _NATIVE_QUOTIENT
+                   for lv in _wrap_table(*self.circle) if lv.S and lv.m >= _WIDE)
+        return _NATIVE_QUOTIENT // self.E if self.E and fits else 0
+
+    @functools.cached_property
+    def wrap(self) -> tuple:
+        return _wrap_forms(_wrap_table(*self.circle), self.rows)
+
+    def first(self, u: _Lanes, plus: np.ndarray) -> np.ndarray:
+        """Where the descent for the visits after u starts (`_first_start`),
+        in the arithmetic of the wrap table's level 0."""
+        A, B = (_limbs(v, self.rows) for v in _first_start(*self.circle))
+        x = _carry(np.where(plus, u.x + A, B - u.x), self.rows - 1)
+        _divmod_limbs(x, self.mod)
+        return x if self.wrap[0].wide else _WRAP_WEIGHTS[:self.rows] @ x
 
     def shift(self, u: _Lanes, s: np.ndarray) -> _Lanes:
         """(u + s P) mod Q per lane, for steps s of either sign with
@@ -426,12 +697,6 @@ class _NativeCircle:
             x[1:] += w[:-1] * (a >> _LIMB)
         _divmod_limbs(x, self.mod)
         return _Lanes(x)
-
-    def density(self, n: np.ndarray) -> np.ndarray:
-        """n Q // C per lane, for quotients below 2^48."""
-        x = self.Q * (n & _MASK)
-        x[1:] += self.Q[:-1] * (n >> _LIMB)
-        return _divmod_limbs(x, self.arc)
 
     def gaps(self, lo: _Lanes, n: np.ndarray) -> np.ndarray:
         """Number of l < n with (lo + l P) mod Q >= C, for 0 <= lo < Q."""
@@ -570,99 +835,54 @@ class RotationCounter:
         """Smallest N >= 1 with visits(u, N, forward) = n (N = 0 for n = 0),
         exact, vectorized; ``forward`` is a bool or one per point.
 
-        Residual windows: the density guess N0 = n*Q // C is counted once.
-        An undershoot leaves the (n - visits)-th visit after N0, counted from
-        u + N0*P; an overshoot leaves the (excess + 1)-th visit in the other
-        direction from u + (N0 + 1)*P, subtracted from N0 + 1.  That residual
-        query is solved the same way while it is at most half of n, all
-        directions in one batch; indices n <= 8 and residuals that do not
-        halve go to `_visit_time_fixed_point`.  Indices below the native
-        circle's ``index_limit`` solve in native lanes, the others on Python
-        ints, by the same recursion.
-        """
+        One descent of the circle's wrap table per point (`_descend`), from
+        the position after u (after C - 1 - u where not ``forward``: the
+        reflection y -> C - 1 - y keeps the arc and reverses the rotation)
+        with the target n, all points and both directions in one batch.
+        Indices below the native circle's ``index_limit`` solve in native
+        lanes, the others on Python ints, by the same code.  An orbit that
+        never meets the arc (off the arc of a non-coprime circle) raises
+        ValueError."""
         if isinstance(u, _Lanes):
-            return self._visit_time_residual(u, n, forward)
+            return self._visit_time(u, n, forward, self._native.wrap)
         u, n = _exact_ints(u, n)
         if bool(np.any(n < 0)):
             raise ValueError("visit index must be >= 0")
         shape = u.shape
         fwd = np.broadcast_to(np.asarray(forward, dtype=bool), shape).reshape(-1)
         u, n = u.reshape(-1), n.reshape(-1)
+        g = math.gcd(self.P, self.Q)
+        if g > self.C:
+            # the orbit of u stays in u + g Z, which meets [0, C) iff u mod g < C
+            miss = (u % g >= self.C) & (n > 0)
+            if np.any(miss):
+                raise ValueError(f"the orbit of {u[miss][0]} never returns to the arc")
         native = self._lanes_for(n, solve=True)
         if native is None:
-            return self._visit_time_residual(u, n, fwd).reshape(shape)
-        N = self._visit_time_residual(_to_lanes(u % self.Q, native.rows), n.astype(np.int64), fwd)
+            return self._visit_time(u, n, fwd, self._wrap).reshape(shape)
+        N = self._visit_time(_to_lanes(u % self.Q, native.rows), n.astype(np.int64), fwd,
+                             native.wrap)
         return N.astype(object).reshape(shape)
 
-    def _visit_time_residual(self, u, n, fwd) -> np.ndarray:
-        N = np.zeros(len(u), dtype=n.dtype)
-        base = n <= 8
-        i = np.flatnonzero(~base)
-        if len(i):
-            ui, ni, fi = u[i], n[i], fwd[i]
-            N0 = (self._native.density(ni) if isinstance(ui, _Lanes)
-                  else ni * self.Q // self.C)
-            v = self.visits(ui, N0, fi)
-            under = v < ni
-            residual = np.where(under, ni - v, v - ni + 1)
-            halves = 2 * residual <= ni
-            j = np.flatnonzero(halves)
-            if len(j):
-                uj, fj = under[j], fi[j]
-                start = np.where(uj, N0[j], N0[j] + 1)
-                t = self._visit_time_residual(
-                    self._shift(ui[j], np.where(fj, start, -start)), residual[j], fj == uj)
-                N[i[j]] = np.where(uj, start + t, start - t)
-            base[i[~halves]] = True
-        if np.any(base):
-            N[base] = self._visit_time_fixed_point(u[base], n[base], fwd[base])
+    @functools.cached_property
+    def _wrap(self) -> tuple:
+        return _wrap_forms(_wrap_table(self.P, self.Q, self.C), None)
+
+    def _visit_time(self, u, n, fwd, forms) -> np.ndarray:
+        """`visit_time` for indices n >= 0, on lanes or on Python ints."""
+        N = np.zeros(len(n), dtype=n.dtype)
+        go = np.flatnonzero(n > 0)
+        if len(go) < len(n):
+            u, n, fwd = u[go], n[go], fwd[go]
+        if len(go):
+            plus = fwd != forms[0].refl
+            if isinstance(u, _Lanes):
+                x = self._native.first(u, plus)
+            else:
+                A, B = _first_start(self.P, self.Q, self.C)
+                x = np.where(plus, u + A, B - u) % self.Q
+            N[go] = _descend(forms, x, n) + 1
         return N
-
-    def _visit_time_fixed_point(self, u, n, forward=True) -> np.ndarray:
-        """`visit_time` by monotone fixed-point iteration.
-
-        N <- n + gaps(N) from N = n: iterates increase and never overshoot
-        the minimal solution, and the deficit shrinks by the gap frequency
-        each round.  For sparse arcs (where the contraction is weak) the
-        stragglers left after 48 rounds fall back to doubling plus bisection
-        on the monotone visit count; 512 doublings that still fall short mean
-        that the orbit never meets the arc, and raise ValueError.
-        """
-        fwd = np.broadcast_to(np.asarray(forward, dtype=bool), (len(u),))
-        N = n.copy()
-        idx = np.arange(len(u))           # points short of their solution
-        for _ in range(48):
-            deficit = n[idx] - self.visits(u[idx], N[idx], fwd[idx])
-            idx, deficit = idx[deficit != 0], deficit[deficit != 0]
-            if not len(idx):
-                return N
-            N[idx] = N[idx] + deficit
-        # stragglers: exponential search then bisection
-        idx = idx[n[idx] - self.visits(u[idx], N[idx], fwd[idx]) > 0]
-        if not len(idx):
-            return N
-        uu, nn, ff = u[idx], n[idx], fwd[idx]
-        hi = np.maximum(N[idx], 1)
-        for _ in range(512):
-            short = self.visits(uu, hi, ff) < nn
-            if not bool(np.any(short)):
-                break
-            hi[short] = hi[short] * 2
-        else:
-            # off the arc of a non-coprime circle an orbit can miss it for good
-            raise ValueError(f"the orbit of {uu[short][0]} never returns to the arc")
-        N[idx] = self._bisect(uu, nn, hi, nn, ff)
-        return N
-
-    def _bisect(self, u, lo, hi, n, fwd) -> np.ndarray:
-        """Smallest N in [lo, hi] with visits(u, N, fwd) >= n, per point, by
-        bisection on the monotone visit count; the count at hi must reach n."""
-        while bool(np.any(lo < hi)):
-            mid = (lo + hi) // 2
-            ok = self.visits(u, mid, fwd) >= n
-            hi = np.where(ok, mid, hi)
-            lo = np.where(ok, lo, mid + 1)
-        return lo
 
     def first_hit(self, u, horizon, forward=True) -> np.ndarray:
         """Smallest N in [1, horizon] with (u +- N P) mod Q in the arc, or
@@ -675,8 +895,7 @@ class RotationCounter:
         out = np.asarray(horizon + 1, dtype=object).copy()
         idx = np.flatnonzero(total > 0)
         if len(idx):
-            out[idx] = self._bisect(u[idx], np.ones(len(idx), dtype=object),
-                                    horizon[idx], 1, forward[idx])
+            out[idx] = self.visit_time(u[idx], 1, forward[idx])
         return out
 
     def power(self, u, n) -> np.ndarray:
@@ -684,8 +903,9 @@ class RotationCounter:
 
         n is an int or a per-point array of any sign: negative exponents run
         the inverse map, and a zero exponent leaves the point where it is.
-        The points cross to native lanes and back once, when every |n| is
-        below the native circle's ``index_limit``.
+        Each image is one `visit_time` descent, both directions in one batch,
+        and one shift.  The points cross to native lanes and back once, when
+        every |n| is below the native circle's ``index_limit``.
         """
         u, n = _exact_ints(u, n)
         out = u.copy()
@@ -732,16 +952,9 @@ class RotationCounter:
         in ``scanned`` positions, where lower: a sparse arc, a long return, an
         orbit that misses the arc), or 0 where one `power` solve of the
         ``points`` still asked for costs less: the one walk-or-solve rule."""
-        spacing = self.Q / self.C
-        positions = visits * max(spacing, scanned / max(seen, 1))
-        per_point = (min(_SOLVE_VISITS * spacing, _SOLVE_PER_LEVEL * self._depth)
-                     if self._native is not None else
-                     min(_OBJECT_SOLVE_VISITS * spacing, _OBJECT_SOLVE_PER_LEVEL * self._depth))
+        positions = visits * max(self.Q / self.C, scanned / max(seen, 1))
+        per_point = _SOLVE_POINT if self._native is not None else _OBJECT_SOLVE_POINT
         return math.ceil(positions) if positions < points * per_point + _SOLVE_CALL else 0
-
-    @functools.cached_property
-    def _depth(self) -> int:          # levels of the circle's Euclid descent
-        return len(cf_expansion(Fraction(self.P, self.Q), 2 * self.Q.bit_length() + 2))
 
     def _returns(self, u: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """The arc visits at the sorted, distinct offsets >= 1 after the one

@@ -159,7 +159,8 @@ class OrbitSegment:
 
 def _check_domain(x) -> None:
     if isinstance(x, np.ndarray):
-        bad = (x < 0) | (x >= 1)
+        # written so that NaN, which fails every comparison, is outside too
+        bad = ~((x >= 0) & (x < 1))
         if bool(np.any(bad)):
             raise ValueError("point outside [0, 1)")
     elif not (0 <= x < 1):
@@ -243,6 +244,7 @@ def apply_pow_many(iet: Iet3, n: int, xs: np.ndarray,
     xs = np.asarray(xs, dtype=float)
     if not _use_counting(n, len(xs), step_limit):
         return apply_pow(iet, n, xs.copy())
+    _check_domain(xs)
     base, image, kappa = _power_on_circle(iet, xs, int(n))
     out = (image + (xs * kappa - base)) / kappa
     return np.clip(out, 0.0, _TOP)

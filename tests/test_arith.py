@@ -99,7 +99,7 @@ def test_visit_time_minimal():
 
 
 def test_visit_time_sparse_arc():
-    # sparse arc exercises the bisection fallback
+    # a sparse arc, Q / C about 10^4
     rc = RotationCounter(P=314159, Q=1000003, C=97)
     us = np.array([5, 700000], dtype=object)
     ts = rc.visit_time(us, np.array([1, 2], dtype=object))
@@ -127,6 +127,36 @@ def test_backward_counting():
     got = int(rc.visits(u, 777, forward=False)[0])
     brute = sum(1 for l in range(1, 778) if (123456 - l * rc.P) % rc.Q < rc.C)
     assert got == brute == int(inverse.visits(u, 777)[0])
+
+
+# limb divisions per point of one `visit_time` batch on the doc-switch
+# circle: the first start, then one split per wide level (82, 80, 67 bits)
+# the descent passes; later changes may lower this pin but never raise it
+VISIT_TIME_DIVMOD_LANES = 4
+
+
+def test_visit_time_work_guard(monkeypatch):
+    # a fixed 2000-point batch at indices below 10^12, both directions: the
+    # descent makes no visit count, and its limb divisions stay at the pin
+    from iet3 import arith
+    rc = documented_switch_iet().rotation_counter()
+    rng = np.random.default_rng(2024)
+    us = np.array([int(v) for v in rng.integers(0, 1 << 62, 2000)], dtype=object) * rc.Q >> 62
+    ns = np.array([int(v) for v in rng.integers(0, 10**12, 2000)], dtype=object)
+    forward = rng.random(2000) < 0.5
+    lanes, counts = [], []
+    divmod_limbs, visits = arith._divmod_limbs, RotationCounter.visits
+    monkeypatch.setattr(arith, "_divmod_limbs",
+                        lambda x, lv: lanes.append(x.shape[1]) or divmod_limbs(x, lv))
+    monkeypatch.setattr(RotationCounter, "visits",
+                        lambda self, *a, **k: counts.append(1) or visits(self, *a, **k))
+    got = rc.visit_time(us, ns, forward)
+    assert not counts
+    assert sum(lanes) <= VISIT_TIME_DIVMOD_LANES * len(us)
+    # the batch is answered: each time ends on the n-th visit
+    monkeypatch.undo()
+    assert list(rc.visits(us, got, forward)) == list(ns)
+    assert list(rc.visits(us, got - 1, forward)) == list(ns - 1 + (ns == 0))
 
 
 def test_numpy_integer_counts_are_exact():

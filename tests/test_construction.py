@@ -113,7 +113,7 @@ def test_orbit_joining_routes_agree(switch_iet, monkeypatch, n):
     for u0, idx in zip(starts, index_sets):
         atoms = []
         for cost in (10**9, 0):           # every index scanned, then solved
-            for name in ("_SOLVE_CALL", "_SOLVE_VISITS", "_SOLVE_PER_LEVEL"):
+            for name in ("_SOLVE_CALL", "_SOLVE_POINT"):
                 monkeypatch.setattr(arith, name, cost)
             scans.clear()
             atoms.append(construction._orbit_joining_at(eng, int(u0), n, idx))

@@ -32,6 +32,20 @@ def test_apply_domain_error():
         apply(IET, -0.1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_are_outside_the_domain(bad):
+    # NaN fails every comparison, so it must be rejected as "not inside",
+    # in arrays as well as scalars, on the stepwise and counting paths
+    xs = np.array([bad, 0.5])
+    for call in (lambda: apply(IET, bad), lambda: apply(IET, xs.copy()),
+                 lambda: apply_pow(IET, 3, bad), lambda: apply_pow(IET, 3, xs.copy()),
+                 lambda: apply_pow(IET, -3, xs.copy()),
+                 lambda: apply_pow_many(IET, 5, xs), lambda: apply_pow_many(IET, -5, xs),
+                 lambda: apply_pow_many(IET, 10**6, xs), lambda: apply_pow_many(IET, -10**6, xs)):
+        with pytest.raises(ValueError, match="outside"):
+            call()
+
+
 def test_apply_pow_identity_and_two_steps():
     assert apply_pow(IET, 0, 0.37) == 0.37
     assert apply_pow(IET, 2, 0.1) == pytest.approx(0.4, abs=1e-15)

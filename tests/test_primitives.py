@@ -1,13 +1,15 @@
 """Property tests of the exact primitives: the signed induced-map power
 on the integer circle (`RotationCounter.power`), its orbit walk
-(`RotationCounter.orbit`), the visit-time solve behind both, and interval
+(`RotationCounter.orbit`), the visit-time descent behind both, and interval
 transport (`iet_core.transport`), each against a brute-force oracle, the
-fixed-point solve or an exact invariant."""
+fixed-point solve kept here (`_visit_time_fixed_point`) or an exact
+invariant."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -76,6 +78,54 @@ def test_power_round_trip_deep_circle(us, n):
     assert list(_DEEP.power(_DEEP.power(us, n), -n)) == list(us)
 
 
+def _visit_time_fixed_point(self, u, n, forward=True) -> np.ndarray:
+    """`visit_time` by monotone fixed-point iteration.
+
+    N <- n + gaps(N) from N = n: iterates increase and never overshoot
+    the minimal solution, and the deficit shrinks by the gap frequency
+    each round.  For sparse arcs (where the contraction is weak) the
+    stragglers left after 48 rounds fall back to doubling plus bisection
+    on the monotone visit count; 512 doublings that still fall short mean
+    that the orbit never meets the arc, and raise ValueError.
+    """
+    fwd = np.broadcast_to(np.asarray(forward, dtype=bool), (len(u),))
+    N = n.copy()
+    idx = np.arange(len(u))           # points short of their solution
+    for _ in range(48):
+        deficit = n[idx] - self.visits(u[idx], N[idx], fwd[idx])
+        idx, deficit = idx[deficit != 0], deficit[deficit != 0]
+        if not len(idx):
+            return N
+        N[idx] = N[idx] + deficit
+    # stragglers: exponential search then bisection
+    idx = idx[n[idx] - self.visits(u[idx], N[idx], fwd[idx]) > 0]
+    if not len(idx):
+        return N
+    uu, nn, ff = u[idx], n[idx], fwd[idx]
+    hi = np.maximum(N[idx], 1)
+    for _ in range(512):
+        short = self.visits(uu, hi, ff) < nn
+        if not bool(np.any(short)):
+            break
+        hi[short] = hi[short] * 2
+    else:
+        # off the arc of a non-coprime circle an orbit can miss it for good
+        raise ValueError(f"the orbit of {uu[short][0]} never returns to the arc")
+    N[idx] = _bisect(self, uu, nn, hi, nn, ff)
+    return N
+
+
+def _bisect(self, u, lo, hi, n, fwd) -> np.ndarray:
+    """Smallest N in [lo, hi] with visits(u, N, fwd) >= n, per point, by
+    bisection on the monotone visit count; the count at hi must reach n."""
+    while bool(np.any(lo < hi)):
+        mid = (lo + hi) // 2
+        ok = self.visits(u, mid, fwd) >= n
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, mid + 1)
+    return lo
+
+
 def _brute_visit_time(rc: RotationCounter, u: int, n: int, forward: bool) -> int:
     """Rotation steps to the n-th visit of the arc, one step at a time."""
     step = rc.P if forward else rc.Q - rc.P
@@ -110,7 +160,7 @@ def test_visit_time_matches_oracle_and_brute(data):
     got = rc.visit_time(us, ns, forward=forward)
     # the inverse rotation, built independently of the backward count
     counter = rc if forward else RotationCounter(rc.Q - rc.P, rc.Q, rc.C)
-    assert list(got) == list(counter._visit_time_fixed_point(us, ns))
+    assert list(got) == list(_visit_time_fixed_point(counter, us, ns))
     for u, n, t in zip(us, ns, got):
         assert int(t) == _brute_visit_time(rc, int(u), int(n), forward)
 
@@ -123,7 +173,56 @@ def test_visit_time_matches_oracle_deep_circle(us, n, forward):
     counter = _DEEP if forward else RotationCounter(_DEEP.Q - _DEEP.P, _DEEP.Q, _DEEP.C)
     ns = np.full(len(us), n, dtype=object)
     assert (list(_DEEP.visit_time(us, ns, forward=forward))
-            == list(counter._visit_time_fixed_point(us, ns)))
+            == list(_visit_time_fixed_point(counter, us, ns)))
+
+
+@settings(PROPERTY, max_examples=30)
+@given(st.sampled_from([1, _DEEP.Q // 512, _DEEP.Q // 8, _DEEP.Q - 1, _DEEP.Q]),
+       st.lists(st.integers(0, _DEEP.Q - 1), min_size=1, max_size=4), st.data())
+def test_visit_time_arcs_of_the_deep_circle(C, us, data):
+    # the deep circle's step with arcs from one cell to the whole circle:
+    # points on and off the arc, n = 0, both directions in one batch
+    rc = RotationCounter(_DEEP.P, _DEEP.Q, C)
+    k = len(us)
+    ns = data.draw(st.lists(st.just(0) | st.integers(1, 40) | st.integers(0, 10**6),
+                            min_size=k, max_size=k))
+    forward = np.array(data.draw(st.lists(st.booleans(), min_size=k, max_size=k)))
+    us, ns = np.array(us, dtype=object), np.array(ns, dtype=object)
+    assert (list(rc.visit_time(us, ns, forward))
+            == list(_visit_time_fixed_point(rc, us, ns, forward)))
+
+
+@st.composite
+def shared_factor_circles(draw):
+    """Circles with g = gcd(P, Q) > 1: the orbit of u keeps u mod g, so it
+    misses the arc [0, C) when u mod g >= C."""
+    g = draw(st.integers(2, 12))
+    q = draw(st.integers(2, 30))
+    p = draw(st.integers(1, q - 1))
+    return RotationCounter(g * p, g * q, draw(st.integers(1, g * q)))
+
+
+@PROPERTY
+@given(shared_factor_circles(), st.data())
+def test_visit_time_on_shared_factor_circles(rc, data):
+    # values where the orbit meets the arc, ValueError where it misses it
+    g = math.gcd(rc.P, rc.Q)
+    us = data.draw(st.lists(st.integers(0, rc.Q - 1), min_size=1, max_size=6))
+    ns = data.draw(st.lists(st.integers(0, 30), min_size=len(us), max_size=len(us)))
+    forward = data.draw(st.lists(st.booleans(), min_size=len(us), max_size=len(us)))
+    meets = [u % g < rc.C or n == 0 for u, n in zip(us, ns)]
+    batch = (np.array(us, dtype=object), np.array(ns, dtype=object), np.array(forward))
+    if all(meets):
+        got = rc.visit_time(*batch)
+        for u, n, f, t in zip(us, ns, forward, got):
+            assert int(t) == _brute_visit_time(rc, u, n, f)
+    else:
+        with pytest.raises(ValueError, match="never returns"):
+            rc.visit_time(*batch)
+    for u, n, f, ok in zip(us, ns, forward, meets):
+        if not ok:
+            with pytest.raises(ValueError, match="never returns"):
+                rc.visit_time(np.array([u], dtype=object), n, f)
 
 
 @PROPERTY
@@ -164,8 +263,8 @@ def _golden_circle(bits: int, arc) -> RotationCounter:
 
 
 # circles on both sides of the native bounds: 118 bits (native) and 119
-# bits (object), the 82-bit IET circle, and a narrow arc on it whose
-# density guess n Q // C passes 2^48 at indices near 2^28
+# bits (object), the 82-bit IET circle, and a narrow arc on it whose first
+# visit bound E keeps its index limit 2^48 // E near 2^15
 _BOUNDARY = (_golden_circle(118, Fraction(7, 8)), _golden_circle(119, Fraction(7, 8)),
              _DEEP, RotationCounter(_DEEP.P, _DEEP.Q, _DEEP.Q >> 20))
 
@@ -173,11 +272,12 @@ _BOUNDARY = (_golden_circle(118, Fraction(7, 8)), _golden_circle(119, Fraction(7
 @st.composite
 def boundary_queries(draw):
     """A circle of `_BOUNDARY`, points anywhere on it, and signed indices
-    mixed in one batch from either side of the native index limit, of 2^48
-    and of the narrow arc's density bound."""
+    mixed in one batch from either side of the native index limit 2^48 // E,
+    of twice it, of 2^48 and of 2^48 C / Q."""
     rc = draw(st.sampled_from(_BOUNDARY))
     limit = rc._native.index_limit if rc._native else 1 << 40
-    edges = [limit - 1, limit, (1 << 48) - 1, 1 << 48, ((1 << 48) * rc.C) // rc.Q]
+    edges = [limit - 1, limit, 2 * limit - 1, 2 * limit, (1 << 48) - 1, 1 << 48,
+             ((1 << 48) * rc.C) // rc.Q]
     k = draw(st.integers(1, 5))
     us = draw(st.lists(st.integers(0, rc.Q - 1), min_size=k, max_size=k))
     ns = draw(st.lists(st.sampled_from(edges) | st.integers(0, 40)
@@ -190,7 +290,7 @@ def _twin_power(rc: RotationCounter, us, ns):
     """`power` from the fixed-point solve of the object twin."""
     out = us.copy()
     nz = ns != 0
-    N = _object_twin(rc)._visit_time_fixed_point(us[nz], abs(ns[nz]), ns[nz] > 0)
+    N = _visit_time_fixed_point(_object_twin(rc), us[nz], abs(ns[nz]), ns[nz] > 0)
     out[nz] = (us[nz] + np.where(ns[nz] > 0, N, -N) * rc.P) % rc.Q
     return out
 
@@ -207,7 +307,7 @@ def test_native_lanes_match_object_path_at_the_bounds(query):
     assert (rc._lanes_for(ns, solve=True) is not None) == lanes
     forward = np.array([s > 0 for s in signs])
     got = rc.visit_time(us, ns, forward=forward)
-    assert list(got) == list(_object_twin(rc)._visit_time_fixed_point(us, ns, forward))
+    assert list(got) == list(_visit_time_fixed_point(_object_twin(rc), us, ns, forward))
     # power at both signs, from points of the arc
     arc = us % rc.C
     signed = ns * np.array(signs, dtype=object)
