@@ -39,10 +39,14 @@ circle, so a large partial quotient stays one level).  The descent stops at
 the first level whose partial first wrap holds the visits still wanted and
 climbs back, locating the visit inside one wrap per level: a limb division
 per wide level and no visit count.  A backward query is a forward one from
-the reflected point C - 1 - u.  Consecutive induced-map powers of one point
-(`RotationCounter.orbit`) need one such solve and then the rotation
-positions that fall in the arc, until scanning them would cost more than
-one batched solve of the rest.
+the reflected point C - 1 - u.  An induced-map power is the position at
+which that climb ends, with no shift after it.  The powers of one point at
+many exponents (`RotationCounter.orbit`) share the start of their
+descents, and the way down depends on an exponent only through its target,
+so it runs once per direction, on one column.  A window of them is solved
+so, or scanned from one solve: the rotation positions that fall in the arc, each
+tested by a comparison with C, until scanning would cost more than solving
+the rest.
 """
 
 from __future__ import annotations
@@ -197,12 +201,12 @@ _LIMB = 30
 _MASK = (1 << _LIMB) - 1
 _NATIVE_BITS = 118                 # offsets below 4Q fit in four limbs
 _NATIVE_QUOTIENT = 1 << 48         # counts and partial quotients stay below
-# a batched `power` call costs about as much as scanning `_SOLVE_CALL` rotation
-# positions, and each of its points as scanning this many positions in lanes
-# and on Python ints, whatever the arc and the depth of the descent
-# (`RotationCounter._scan_ahead`; BENCH_visit_time.json, orbit_crossover)
+# a `power` call of one point costs about as much as scanning `_SOLVE_CALL`
+# rotation positions, and each of its exponents as scanning this many
+# positions in lanes and on Python ints, whatever the arc and the depth of the
+# descent (`RotationCounter._scan_ahead`; BENCH_orbit_window.json, crossover)
 _SOLVE_CALL = 1 << 13
-_SOLVE_POINT, _OBJECT_SOLVE_POINT = 24, 48
+_SOLVE_POINT, _OBJECT_SOLVE_POINT = 10, 30
 # lanes hold at most five limbs: four for Q, one for the carry above them
 _F64_WEIGHTS = np.ldexp(1.0, _LIMB * np.arange(5))
 _SIGN_WEIGHTS = 3 ** np.arange(5, dtype=np.int64)   # sign of the top differing limb
@@ -341,7 +345,11 @@ def _floor_sums_native(a: np.ndarray, n: np.ndarray, chain) -> np.ndarray:
 # (u + s P) mod Q is a limb product reduced by `_divmod_limbs` at the
 # chain's first level (m = Q), and each wide level of the visit-time descent
 # divides by its step with `_divmod_limbs` too, so no second limb arithmetic
-# exists.
+# exists.  A test y < C against a constant needs no division: `_below`
+# compares floats, and limbs only where the floats are within their
+# rounding.  The descent of a power hands back the image itself, so a
+# solved point pays a division at its start and at each wide level on its
+# way down, and the indices of one shared start (`_descend`) pay none.
 
 
 class _Lanes:
@@ -377,6 +385,23 @@ def _to_ints(u: _Lanes) -> np.ndarray:
     if len(x) > 3:
         out += (x[2] | x[3] << _LIMB).astype(object) << 2 * _LIMB
     return out
+
+
+def _below(x: np.ndarray, fd: np.ndarray, d: np.ndarray, tol: float) -> np.ndarray:
+    """x < d_i per constant (rows) and lane (columns), for lanes x in
+    normalized limbs and constants d_i given as floats fd (a column) and as
+    limbs d (rows, constants, 1): read from the floats where they differ by
+    more than ``tol``, their rounding (a few ulps of the larger), and from
+    the sign of the highest differing limb elsewhere."""
+    diff = _F64_WEIGHTS[:len(x)] @ x - fd
+    lt = diff < 0
+    close = np.abs(diff) <= tol
+    if close.any():
+        # the sign of the highest differing limb, as a base-3 number
+        j = np.flatnonzero(close.any(axis=0))
+        sign = np.sign(x[:, None, j] - d)
+        lt[:, j] = np.tensordot(_SIGN_WEIGHTS[:len(x)], sign, 1) < 0
+    return lt
 
 
 def _first_visit_bound(chain, C: int) -> Optional[int]:
@@ -492,15 +517,7 @@ class _WrapForm:
         """beta < delta_i per piece end (rows) and lane (columns)."""
         if not self.wide:
             return beta < self.delta
-        diff = _F64_WEIGHTS[:self.rows] @ beta - self.fdelta
-        lt = diff < 0
-        close = np.abs(diff) <= self.tol
-        if close.any():
-            # the sign of the highest differing limb, as a base-3 number
-            j = np.flatnonzero(close.any(axis=0))
-            sign = np.sign(beta[:, None, j] - self.delta)
-            lt[:, j] = np.tensordot(_SIGN_WEIGHTS[:self.rows], sign, 1) < 0
-        return lt
+        return _below(beta, self.fdelta, self.delta, self.tol)
 
     def tally(self, lt, alpha=None) -> tuple:
         """For the comparisons lt of beta with the deltas and the positions
@@ -580,23 +597,29 @@ def _wrap_forms(table: tuple, rows: Optional[int]) -> tuple:
     return forms
 
 
-def _descend(forms: tuple, x, t: np.ndarray) -> np.ndarray:
+def _descend(forms: tuple, x, t: np.ndarray, image: bool = False) -> np.ndarray:
     """Per lane, the index L >= 0 of the level-0 position x + L S at which
-    the weight summed from x reaches t >= 1; every orbit must meet some
-    weight (`RotationCounter.visit_time` rejects those that do not).
+    the weight summed from x reaches t >= 1, or with ``image`` that position
+    itself, in level 0's arithmetic; every orbit must meet some weight
+    (`RotationCounter._solve` rejects those that do not).  x is one
+    start per lane, or one start (one column) that every lane shares.
 
     Down: a level whose partial first wrap from x holds t locates it there;
     otherwise t loses that wrap's weight and the next level starts from the
-    next wrap.  Up: element J of the next level is wrap J + 1 of this one,
-    which begins J ceil(m / S) + c0 - w positions after x (c0: the first
-    wrap's length, w: the next level's wraps before J, unreflected), and
-    the weight still wanted is located inside it."""
-    stack, need_y = [], False
+    next wrap.  Nothing but t depends on the lane there, so a shared start
+    goes down on its one column, and its D, cum and beta reach the lanes
+    only where they stop.  Up: element J of the next level is wrap J + 1 of
+    this one, which begins J ceil(m / S) + c0 - w positions after x (c0: the
+    first wrap's length, w: the next level's wraps before J, unreflected),
+    and the weight still wanted is located inside it, per lane."""
+    shared = np.shape(x)[-1] < len(t)
+    stack, need_y = [], image
     for f in forms:
         if not f.S:                      # every point fixed: whole turns
             whole = f.tally(f.below(x))[1][-1]
             L = (t - 1) // whole
-            t, y, omega = t - L * whole, x, 0
+            t, omega = t - L * whole, 0
+            y = x[..., np.zeros(len(t), dtype=np.intp)] if shared else x
             break
         alpha, beta = f.split(x)
         lt = f.below(beta)
@@ -606,15 +629,17 @@ def _descend(forms: tuple, x, t: np.ndarray) -> np.ndarray:
             j, here = slice(None), None
         else:
             k = np.flatnonzero(~down)
-            L, r = f.locate(D[:, k], cum[:, k], t[k])
-            y = f.at(beta[..., k], L + alpha[k]) if need_y else None
+            c = np.zeros(len(k), dtype=np.intp) if shared else k
+            L, r = f.locate(D[:, c], cum[:, c], t[k])
+            y = f.at(beta[..., c], L + alpha[c]) if need_y else None
             if len(k) == len(t):
                 t, omega = r, 0
                 break
             j, here = np.flatnonzero(down), (k, L, r, y)
-        stack.append((f, j, here, D[-1, j], need_y))
-        t = t[j] - cum[-1, j]
-        x, need_y = f.start_below(beta[..., j], lt[-1, j]), True
+        c = slice(None) if shared else j
+        stack.append((f, j, here, D[-1, c], need_y))
+        t = t[j] - cum[-1, c]
+        x, need_y = f.start_below(beta[..., c], lt[-1, c]), True
     for f, j, here, c0, need_y in reversed(stack):
         zeta = f.start_above(y)
         omega = L - omega if f.flip else omega
@@ -629,7 +654,7 @@ def _descend(forms: tuple, x, t: np.ndarray) -> np.ndarray:
             L, t, omega = (_merge(a, ak, j, k, n) for a, ak in ((L, dk), (t, rk), (omega, 0)))
             if need_y:
                 y = _merge(y, yk, j, k, n)
-    return L
+    return y if image else L
 
 
 def _merge(a, ak, j, k, n):
@@ -641,31 +666,37 @@ def _merge(a, ak, j, k, n):
 
 
 def _first_start(P: int, Q: int, C: int) -> tuple:
-    """(A, B): the descent for the visits after u starts at (u + A) mod Q
-    where ``forward`` differs from the reflection of level 0, and at
-    (B - u) mod Q where they agree.  The count starts one step after u, and
-    a backward count from u is a forward count from C - 1 - u, since
-    y -> C - 1 - y maps the arc onto itself and reverses the rotation."""
+    """(A, B, S): level 0 of the wrap table sees the point u at (u + A) mod
+    Q where ``forward`` differs from its reflection and at (B - u) mod Q
+    where they agree, and steps by S there; the descent for the visits
+    after u starts one step on, and the visit it reaches at y is the image
+    y - A, or B - y.  A backward count from u is a forward count from
+    C - 1 - u, since y -> C - 1 - y maps the arc onto itself and reverses
+    the rotation."""
     if _wrap_table(P, Q, C)[0].refl:
-        return 2 * Q - C - P, 2 * Q - 1 - P
-    return P, C - 1 + P + Q
+        return Q - C, Q - 1, Q - P
+    return 0, C - 1, P
 
 
 class _NativeCircle:
     """The native form of one circle (P, Q, C): its Euclid chain, whose first
-    level reduces mod Q, the limbs of P, Q - P and Q - C as columns, the
-    wrap table in lanes (`_descend`) and ``index_limit``, the visit indices
-    the lanes solve, both built at the circle's first visit-time query.
+    level reduces mod Q, the limbs of P, Q - P, Q - C and C as columns, the
+    wrap table in lanes (`_descend`) with the offsets of its level 0, and
+    ``index_limit``, the visit indices the lanes solve, all three built at
+    the circle's first visit-time query.
 
     An n-th visit comes within n E steps (`_first_visit_bound`), so indices
-    n with n E < 2^48 keep every time, target and quotient of the descent,
-    and the final shift, below the kernel's bound, as long as every wide
-    level's ceil(m / S) is below it too."""
+    n with n E < 2^48 keep every time, target and quotient of the descent
+    below the kernel's bound, as long as every wide level's ceil(m / S) is
+    below it too."""
 
     def __init__(self, chain, P: int, Q: int, C: int):
         self.chain, self.mod = chain, chain[0]
         self.rows = rows = self.mod.k + 1
         self.P, self.QmP, self.QmC = (_limbs(v, rows) for v in (P, Q - P, Q - C))
+        # C for `in_arc`: as limbs, as a float and with that float's rounding
+        self.C, self.fC = _limbs(C, rows)[:, None], np.array([[float(C)]])
+        self.tolC = math.ldexp(C, -45)
         self.circle = P, Q, C
         self.E = _first_visit_bound(chain, C)
 
@@ -679,13 +710,32 @@ class _NativeCircle:
     def wrap(self) -> tuple:
         return _wrap_forms(_wrap_table(*self.circle), self.rows)
 
-    def first(self, u: _Lanes, plus: np.ndarray) -> np.ndarray:
-        """Where the descent for the visits after u starts (`_first_start`),
-        in the arithmetic of the wrap table's level 0."""
-        A, B = (_limbs(v, self.rows) for v in _first_start(*self.circle))
-        x = _carry(np.where(plus, u.x + A, B - u.x), self.rows - 1)
+    @functools.cached_property
+    def level0(self) -> tuple:
+        """The offsets of `_first_start` as the descent uses them: A + S and
+        B + S + Q as limb columns (its start from u is u + A + S or, kept
+        non-negative, B + S + Q - u, mod Q), then A and B in the arithmetic
+        of level 0 (the visit at the position y is y - A or B - y)."""
+        P, Q, C = self.circle
+        A, B, S = _first_start(P, Q, C)
+        ends = (_limbs(A, self.rows), _limbs(B, self.rows)) if self.wrap[0].wide else (A, B)
+        return (_limbs(A + S, self.rows), _limbs(B + S + Q, self.rows)), ends
+
+    def first(self, u: _Lanes, plus) -> np.ndarray:
+        """Where the descent for the visits after u starts, in the
+        arithmetic of level 0; ``plus`` (`_first_start`) is one bool per
+        lane or one for all."""
+        AS, BSQ = self.level0[0]
+        x = _carry(np.where(plus, u.x + AS, BSQ - u.x), self.rows - 1)
         _divmod_limbs(x, self.mod)
         return x if self.wrap[0].wide else _WRAP_WEIGHTS[:self.rows] @ x
+
+    def image(self, y, plus) -> np.ndarray:
+        """The visits whose level-0 positions `_descend` reached at y, as
+        Python ints."""
+        A, B = self.level0[1]
+        y = np.where(plus, y - A, B - y)
+        return _to_ints(_Lanes(_carry(y, self.rows - 1))) if self.wrap[0].wide else y.astype(object)
 
     def shift(self, u: _Lanes, s: np.ndarray) -> _Lanes:
         """(u + s P) mod Q per lane, for steps s of either sign with
@@ -706,8 +756,8 @@ class _NativeCircle:
         return both[:len(n)] - both[len(n):]
 
     def in_arc(self, y: _Lanes) -> np.ndarray:
-        """y < C per lane: (y + Q - C) // Q is 0 there and 1 elsewhere."""
-        return _divmod_limbs(y.x + self.QmC, self.mod) == 0
+        """y < C per lane, for y in [0, Q): a comparison (`_below`)."""
+        return _below(y.x, self.fC, self.C, self.tolC)[0]
 
 
 @functools.lru_cache(maxsize=128)
@@ -835,54 +885,53 @@ class RotationCounter:
         """Smallest N >= 1 with visits(u, N, forward) = n (N = 0 for n = 0),
         exact, vectorized; ``forward`` is a bool or one per point.
 
-        One descent of the circle's wrap table per point (`_descend`), from
-        the position after u (after C - 1 - u where not ``forward``: the
-        reflection y -> C - 1 - y keeps the arc and reverses the rotation)
-        with the target n, all points and both directions in one batch.
-        Indices below the native circle's ``index_limit`` solve in native
-        lanes, the others on Python ints, by the same code.  An orbit that
-        never meets the arc (off the arc of a non-coprime circle) raises
-        ValueError."""
-        if isinstance(u, _Lanes):
-            return self._visit_time(u, n, forward, self._native.wrap)
+        One descent of the circle's wrap table per point (`_solve`), all
+        points and both directions in one batch.  An orbit that never meets
+        the arc (off the arc of a non-coprime circle) raises ValueError."""
         u, n = _exact_ints(u, n)
         if bool(np.any(n < 0)):
             raise ValueError("visit index must be >= 0")
         shape = u.shape
         fwd = np.broadcast_to(np.asarray(forward, dtype=bool), shape).reshape(-1)
         u, n = u.reshape(-1), n.reshape(-1)
-        g = math.gcd(self.P, self.Q)
-        if g > self.C:
-            # the orbit of u stays in u + g Z, which meets [0, C) iff u mod g < C
-            miss = (u % g >= self.C) & (n > 0)
-            if np.any(miss):
-                raise ValueError(f"the orbit of {u[miss][0]} never returns to the arc")
-        native = self._lanes_for(n, solve=True)
-        if native is None:
-            return self._visit_time(u, n, fwd, self._wrap).reshape(shape)
-        N = self._visit_time(_to_lanes(u % self.Q, native.rows), n.astype(np.int64), fwd,
-                             native.wrap)
-        return N.astype(object).reshape(shape)
+        N = np.zeros(len(n), dtype=object)
+        go = np.flatnonzero(n > 0)
+        if len(go):
+            N[go] = self._solve(u[go], n[go], fwd[go])
+        return N.reshape(shape)
 
     @functools.cached_property
     def _wrap(self) -> tuple:
         return _wrap_forms(_wrap_table(self.P, self.Q, self.C), None)
 
-    def _visit_time(self, u, n, fwd, forms) -> np.ndarray:
-        """`visit_time` for indices n >= 0, on lanes or on Python ints."""
-        N = np.zeros(len(n), dtype=n.dtype)
-        go = np.flatnonzero(n > 0)
-        if len(go) < len(n):
-            u, n, fwd = u[go], n[go], fwd[go]
-        if len(go):
-            plus = fwd != forms[0].refl
-            if isinstance(u, _Lanes):
-                x = self._native.first(u, plus)
-            else:
-                A, B = _first_start(self.P, self.Q, self.C)
-                x = np.where(plus, u + A, B - u) % self.Q
-            N[go] = _descend(forms, x, n) + 1
-        return N
+    def _solve(self, u, n, fwd, image: bool = False) -> np.ndarray:
+        """The times N >= 1 of the n-th visits, n >= 1, after the points u
+        in the directions ``fwd``, or with ``image`` the visits themselves,
+        as Python ints: one `_descend` from the position after u (after
+        C - 1 - u where not ``forward``: the reflection y -> C - 1 - y keeps
+        the arc and reverses the rotation, `_first_start`).  u and fwd hold
+        one point and direction per index, or one point (a one-element
+        array) and one bool for all, whose descent then shares its start.
+        Indices below the native circle's ``index_limit`` (int64 or Python
+        ints) solve in native lanes, the others on Python ints, by the same
+        code.  An orbit that never meets the arc (off the arc of a
+        non-coprime circle) raises ValueError."""
+        g = math.gcd(self.P, self.Q)
+        if g > self.C:
+            # the orbit of u stays in u + g Z, which meets [0, C) iff u mod g < C
+            miss = u % g >= self.C
+            if np.any(miss):
+                raise ValueError(f"the orbit of {u[miss][0]} never returns to the arc")
+        plus = fwd != _wrap_table(self.P, self.Q, self.C)[0].refl
+        native = self._lanes_for(n, solve=True)
+        if native is not None:
+            x = native.first(_to_lanes(u % self.Q, native.rows), plus)
+            y = _descend(native.wrap, x, n.astype(np.int64, copy=False), image)
+            return native.image(y, plus) if image else (y + 1).astype(object)
+        A, B, S = _first_start(self.P, self.Q, self.C)
+        x = np.where(plus, u + (A + S), (B + S + self.Q) - u) % self.Q
+        y = _descend(self._wrap, x, n.astype(object), image)
+        return np.where(plus, y - A, B - y) if image else y + 1
 
     def first_hit(self, u, horizon, forward=True) -> np.ndarray:
         """Smallest N in [1, horizon] with (u +- N P) mod Q in the arc, or
@@ -903,23 +952,36 @@ class RotationCounter:
 
         n is an int or a per-point array of any sign: negative exponents run
         the inverse map, and a zero exponent leaves the point where it is.
-        Each image is one `visit_time` descent, both directions in one batch,
-        and one shift.  The points cross to native lanes and back once, when
+        One point u with an array n gives its images at every exponent.
+        Each image is the visit where its `visit_time` descent ends
+        (`_solve`): distinct points make one descent, both directions in one
+        batch, and one point makes one descent per direction that starts
+        from it once.  The points cross to native lanes and back once, when
         every |n| is below the native circle's ``index_limit``.
         """
+        if np.ndim(u) == 0:
+            return self._power_at(operator.index(np.asarray(u, dtype=object).item()), n)
         u, n = _exact_ints(u, n)
         out = u.copy()
         mask = n != 0
         if np.any(mask):
-            um, nm = u[mask], n[mask]
+            nm = n[mask]
             ahead = nm > 0
-            steps = np.where(ahead, nm, -nm)
-            native = self._lanes_for(steps, solve=True)
-            if native is not None:
-                um, steps = _to_lanes(um % self.Q, native.rows), steps.astype(np.int64)
-            N = self.visit_time(um, steps, forward=ahead)
-            image = self._shift(um, np.where(ahead, N, -N))
-            out[mask] = image if native is None else _to_ints(image)
+            out[mask] = self._solve(u[mask], np.where(ahead, nm, -nm), ahead, image=True)
+        return out
+
+    def _power_at(self, u0: int, n) -> np.ndarray:
+        """`power` of the one point u0 at every exponent of n: int64 where
+        NumPy gives the exponents as signed ints, Python ints otherwise."""
+        n = np.asarray(n)
+        if n.dtype.kind != "i" or (n.size and n.min() == np.iinfo(n.dtype).min):
+            n = np.asarray(_INDEX(n.astype(object)), dtype=object)
+        out = np.full(n.shape, u0, dtype=object)
+        flat, u = n.reshape(-1), np.array([u0], dtype=object)
+        for ahead in (True, False):
+            k = np.flatnonzero(flat > 0 if ahead else flat < 0)
+            if len(k):
+                out.flat[k] = self._solve(u, flat[k] if ahead else -flat[k], ahead, image=True)
         return out
 
     def orbit(self, u0: int, start: int, idx) -> np.ndarray:
@@ -928,19 +990,25 @@ class RotationCounter:
 
         Where `_scan_ahead` finds scanning from the first index cheaper, one
         `power` solve there and its returns at the later indices
-        (`_returns`); otherwise one batched `power`.  A point off the arc is
-        its own zeroth power but no image of its (-1)-th, so a stretch
-        through exponent 0 restarts there."""
+        (`_returns`); otherwise one `power` of u0 at every index, whose
+        descents start from u0 once.  Indices stay int64 where they and
+        start + i fit.  A point off the arc is its own zeroth power but no
+        image of its (-1)-th, so a stretch through exponent 0 restarts
+        there."""
         u0, start = int(u0), int(start)
-        idx = np.asarray(idx, dtype=object)
-        if not len(idx) or not self._scan_ahead(idx[-1] - idx[0], len(idx) - 1):
-            return self.power(np.full(len(idx), u0, dtype=object), start + idx)
+        idx = np.asarray(idx)
+        if idx.dtype.kind == "i" and len(idx) and abs(start) + int(idx[-1]) < 1 << 62:
+            idx = idx.astype(np.int64, copy=False)
+        else:
+            idx = idx.astype(object)
+        if not len(idx) or not self._scan_ahead(int(idx[-1] - idx[0]), len(idx) - 1):
+            return self.power(u0, start + idx)
         out = np.empty(len(idx), dtype=object)
         cut = (int(np.count_nonzero(idx < -start))
                if start < 0 and not 0 <= u0 < self.C else len(idx))
         for lo, hi in ((0, cut), (cut, len(idx))):
             if lo < hi:
-                first = self.power(np.array([u0], dtype=object), start + idx[lo])
+                first = self.power(u0, [start + int(idx[lo])])
                 out[lo] = first[0]
                 out[lo + 1:hi] = self._returns(first % self.Q,
                                                (idx[lo + 1:hi] - idx[lo]).astype(np.int64))
@@ -963,17 +1031,16 @@ class RotationCounter:
         Scans the rotation positions u + l P, l = 1, 2, ..., in native lanes
         where the circle has them, a batch of l at a time, and converts to
         Python ints only the visits asked for and the last one scanned.  Once
-        scanning no longer pays (`_scan_ahead`), one batched `power` from
-        that last visit solves the offsets still missing, and raises
-        ValueError where the orbit misses the arc."""
+        scanning no longer pays (`_scan_ahead`), one `power` of that last
+        visit solves the offsets still missing, and raises ValueError where
+        the orbit misses the arc."""
         native, out = self._native, np.empty(len(offsets), dtype=object)
         x = u if native is None else _to_lanes(u, native.rows)
         last, scanned, seen, done = u, 0, 0, 0    # positions scanned, visits met, offsets filled
         while done < len(offsets):
             ahead = self._scan_ahead(int(offsets[-1]) - seen, len(offsets) - done, scanned, seen)
             if not ahead:
-                out[done:] = self.power(np.repeat(last, len(offsets) - done),
-                                        offsets[done:] - seen)
+                out[done:] = self.power(last[0], offsets[done:] - seen)
                 break
             l = np.arange(scanned + 1, scanned + 1 + min(ahead + 64, 1 << 16))
             if native is None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -53,9 +54,10 @@ class Iet3:
 
     ``exact`` is set once, from the lengths: three Fractions stay exact and
     make every orbit computation exact; any other lengths (ints, floats,
-    mixed) become floats with per-step error bounded by 4 ulp.  l1 + l2 = 0
-    or l2 + l3 = 0 is rejected: T is then the identity (alpha is 1 or 0)
-    and has no rotation counter.
+    mixed) become floats with per-step error bounded by 4 ulp.  A length
+    that is not finite (NaN, +-inf) is rejected, and so is l1 + l2 = 0 or
+    l2 + l3 = 0: T is then the identity (alpha is 1 or 0) and has no
+    rotation counter.
     """
 
     l1: Scalar
@@ -66,6 +68,8 @@ class Iet3:
     def __post_init__(self):
         ls = (self.l1, self.l2, self.l3)
         object.__setattr__(self, "exact", all(isinstance(l, Fraction) for l in ls))
+        if not all(isinstance(l, numbers.Rational) or math.isfinite(l) for l in ls):
+            raise ValueError(f"lengths must be finite, got {', '.join(map(str, ls))}")
         if any(l < 0 for l in ls):
             raise ValueError("lengths must be non-negative")
         if self.l1 + self.l2 == 0 or self.l2 + self.l3 == 0:

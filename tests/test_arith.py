@@ -159,6 +159,35 @@ def test_visit_time_work_guard(monkeypatch):
     assert list(rc.visits(us, got - 1, forward)) == list(ns - 1 + (ns == 0))
 
 
+# limb-division lanes of a pair of 12,000-index orbit windows over 10^12 on
+# the doc-switch circle (one Birkhoff window): each window's descents share
+# their start, whose way down divides on one column (its start and the three
+# wide levels), and each image is the position where its descent ends, so
+# the count does not grow with the window.  Before this pin the pair took
+# 5.0 lanes per point; later changes may lower it but never raise it
+ORBIT_WINDOW_DIVMOD_LANES = 8
+
+
+def test_orbit_window_work_guard(monkeypatch):
+    from iet3 import arith
+    from iet3.joinings import _index_strata
+    rc = documented_switch_iet().rotation_counter()
+    idx = _index_strata(np.random.default_rng(2024), 12000, 10**12)
+    u0, lag = rc.C // 3, 987654321
+    lanes = []
+    divmod_limbs = arith._divmod_limbs
+    monkeypatch.setattr(arith, "_divmod_limbs",
+                        lambda x, lv: lanes.append(x.shape[1]) or divmod_limbs(x, lv))
+    got = [rc.orbit(u0, s, idx) for s in (0, lag)]
+    assert sum(lanes) <= ORBIT_WINDOW_DIVMOD_LANES
+    # the windows are answered: spot checks against per-point powers
+    monkeypatch.undo()
+    pick = idx[::997]
+    for s, out in zip((0, lag), got):
+        want = rc.power(np.full(len(pick), u0, dtype=object), (s + pick).astype(object))
+        assert list(out[::997]) == list(want)
+
+
 def test_numpy_integer_counts_are_exact():
     from iet3.params import documented_switch_iet
     rc = documented_switch_iet().rotation_counter()

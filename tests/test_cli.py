@@ -212,6 +212,18 @@ def test_degenerate_lengths_is_usage_error(tmp_path, capsys, lengths):
     assert "degenerate" in err
 
 
+@pytest.mark.parametrize("args", [["iet-info", "--l", "0.2,0.3,nan"],
+                                  ["iet-info", "--l", "0.2,0.3,inf"],
+                                  ["orbit", "--l", "0.2,0.3,nan"]],
+                         ids=["iet-info-nan", "iet-info-inf", "orbit-nan"])
+def test_non_finite_lengths_is_usage_error(tmp_path, capsys, args):
+    # the IET is refused before any report is written: no NaN in the JSON,
+    # and no failed verification for a point the lengths made NaN
+    err = _usage_failure(args, tmp_path, capsys)
+    assert "finite" in err
+    assert not (tmp_path / f"{args[0]}.json").exists()
+
+
 def test_two_interval_lengths_run(tmp_path):
     assert run(["joining-sample", "--l", "0,1,0", "--power", "1000000",
                 "--atoms", "10"], tmp_path) == 0

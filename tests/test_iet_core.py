@@ -46,6 +46,24 @@ def test_non_finite_points_are_outside_the_domain(bad):
             call()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")],
+                         ids=["nan", "inf", "-inf", "numpy-nan"])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_non_finite_lengths_are_rejected(bad, at):
+    # NaN passes l < 0 and inf normalizes the others to 0 and itself to NaN:
+    # both must stop at the constructor, and from_json reads them the same
+    lengths = [0.2, 0.3, 0.5]
+    lengths[at] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Iet3(*lengths)
+    text = json.dumps(dict(zip(("l1", "l2", "l3"), map(str, lengths))))
+    with pytest.raises(ValueError, match="finite"):
+        Iet3.from_json(text)
+    # Fractions and ints are finite whatever their size
+    assert Iet3(Fraction(1, 3), Fraction(1, 3), Fraction(10**30, 3)).exact
+    assert Iet3(1, 2, 3).l3 == 0.5
+
+
 def test_apply_pow_identity_and_two_steps():
     assert apply_pow(IET, 0, 0.37) == 0.37
     assert apply_pow(IET, 2, 0.1) == pytest.approx(0.4, abs=1e-15)

@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iet3 import intervals as iv
-from iet3.arith import RotationCounter
+from iet3.arith import RotationCounter, _to_lanes
 from iet3.iet_core import Iet3, transport
-from iet3.params import documented_switch_iet
+from iet3.params import documented_switch_iet, golden_iet
 
 # fixed example sequence: the suite stays deterministic run to run
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -247,6 +247,8 @@ def test_orbit_matches_power_deep_circle(u0, start):
     want = _DEEP.power(np.full(300, u0, dtype=object),
                        np.arange(start, start + 300).astype(object))
     assert list(_DEEP.orbit(u0, start, np.arange(300))) == list(want)
+    # indices of a narrower integer type, with a start past its range
+    assert list(_DEEP.orbit(u0, start, np.arange(300, dtype=np.int32))) == list(want)
 
 
 def _object_twin(rc: RotationCounter) -> RotationCounter:
@@ -260,6 +262,56 @@ def _object_twin(rc: RotationCounter) -> RotationCounter:
 def _golden_circle(bits: int, arc) -> RotationCounter:
     Q = (1 << bits) - 1
     return RotationCounter(math.isqrt(5 * Q * Q) - Q >> 1, Q, max(1, int(Q * arc)))
+
+
+@PROPERTY
+@given(st.data())
+def test_shared_start_power_matches_per_point_and_brute(data):
+    # one point at many exponents, whose descents share their start: both
+    # signs and 0, points on the arc, off it and outside [0, Q), exponents
+    # as Python ints or int64
+    rc = data.draw(coprime_circles())
+    u0 = data.draw(st.integers(0, rc.C - 1) | st.integers(0, rc.Q - 1)
+                   | st.integers(-3 * rc.Q, 3 * rc.Q))
+    ns = np.array(data.draw(st.lists(st.integers(-60, 60) | st.just(0), min_size=1,
+                                     max_size=12)), dtype=object)
+    got = rc.power(u0, ns)
+    assert list(got) == list(rc.power(np.full(len(ns), u0, dtype=object), ns))
+    assert list(rc.power(u0, ns.astype(np.int64))) == list(got)
+    for n, g in zip(ns, got):
+        assert g == (u0 if n == 0 else _brute_power(rc, u0 % rc.Q, n))
+
+
+@PROPERTY
+@given(shared_factor_circles(), st.data())
+def test_shared_start_on_shared_factor_circles(rc, data):
+    # ValueError only where some exponent needs a visit the orbit never makes
+    u0 = data.draw(st.integers(0, rc.Q - 1))
+    ns = np.array(data.draw(st.lists(st.integers(-30, 30), min_size=1, max_size=8)),
+                  dtype=object)
+    if u0 % math.gcd(rc.P, rc.Q) >= rc.C and any(ns != 0):
+        with pytest.raises(ValueError, match="never returns"):
+            rc.power(u0, ns)
+        return
+    got = rc.power(u0, ns)
+    for n, g in zip(ns, got):
+        assert g == (u0 if n == 0 else _brute_power(rc, u0, n))
+
+
+_GOLDEN = golden_iet().rotation_counter()    # the 41-bit circle of golden-powers
+
+
+@settings(PROPERTY, max_examples=30)
+@given(st.sampled_from([_DEEP, _GOLDEN]), st.data())
+def test_shared_start_matches_per_point_on_deep_circles(rc, data):
+    # the doc-switch circle (82 bits, wide level 0) and the golden one (41
+    # bits, narrow), exponents up to 10^12 either way in one call
+    u0 = data.draw(st.integers(0, rc.C - 1) | st.integers(0, rc.Q - 1))
+    ns = np.array(data.draw(st.lists(st.integers(-10**12, 10**12) | st.integers(-40, 40),
+                                     min_size=1, max_size=40)), dtype=object)
+    want = rc.power(np.full(len(ns), u0, dtype=object), ns)
+    assert list(rc.power(u0, ns)) == list(want)
+    assert list(rc.power(u0, ns.astype(np.int64))) == list(want)
 
 
 # circles on both sides of the native bounds: 118 bits (native) and 119
@@ -317,6 +369,34 @@ def test_native_lanes_match_object_path_at_the_bounds(query):
     want = _twin_power(rc, np.full(length, us[0], dtype=object),
                        np.arange(start, start + length).astype(object))
     assert list(rc.orbit(us[0], start, np.arange(length))) == list(want)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(boundary_queries())
+def test_shared_start_past_the_index_limit(query):
+    # a shared start on both sides of the native index limit, on the native
+    # circle and on its object twin, against the fixed-point oracle
+    rc, us, ns, signs = query
+    u0 = int(us[0]) % rc.C
+    signed = ns * np.array(signs, dtype=object)
+    want = _twin_power(rc, np.full(len(ns), u0, dtype=object), signed)
+    assert list(rc.power(u0, signed)) == list(want)
+    assert list(_object_twin(rc).power(u0, signed)) == list(want)
+
+
+@pytest.mark.parametrize("rc", [_GOLDEN, _DEEP, *(RotationCounter(_DEEP.P, _DEEP.Q, C)
+                                                  for C in (1, 2, _DEEP.Q // 512, _DEEP.Q - 1,
+                                                            _DEEP.Q)),
+                                _BOUNDARY[0]],
+                         ids=["golden41", "doc-switch", "C1", "C2", "C/512", "C=Q-1", "C=Q",
+                              "golden118"])
+def test_in_arc_at_the_arc_end(rc):
+    # y < C read by comparison: C - 1, C and C + 1 are one float apart or
+    # less on the wide circles, so the limbs decide them
+    native = rc._native
+    ys = sorted({y for y in (0, rc.C - 1, rc.C, rc.C + 1, rc.Q - 1) if 0 <= y < rc.Q})
+    got = native.in_arc(_to_lanes(np.array(ys, dtype=object), native.rows))
+    assert list(got) == [y < rc.C for y in ys]
 
 
 @st.composite
