@@ -19,7 +19,10 @@ for everything else, and is the kernel's test oracle.
 
 The queries keep circle points in the kernel's own form: `visits`,
 `visit_time`, `power` and `orbit` turn Python ints into limb lanes once per
-call, with counts and times as int64, and back at the end.  Shifts
+call, with counts and times as int64, and back at the end.  Callers that
+only read floats skip the Python ints on circles below 2^83: their float
+cells enter the lanes exactly, and each point leaves as the float of its
+exact int, bit for bit (`_exit`), by the same routes.  Shifts
 (u + s*P) mod Q reduce with the kernel's own limb division.  Each call
 decides its path once, from its input: lanes where the kernel takes the
 circle and every count, time and quotient of the query stays below 2^48 (a
@@ -201,6 +204,7 @@ _LIMB = 30
 _MASK = (1 << _LIMB) - 1
 _NATIVE_BITS = 118                 # offsets below 4Q fit in four limbs
 _NATIVE_QUOTIENT = 1 << 48         # counts and partial quotients stay below
+_FLOAT_EXIT_BITS = 83              # points below 2^83 cross to floats in lanes
 # a `power` call of one point costs about as much as scanning `_SOLVE_CALL`
 # rotation positions, and each of its exponents as scanning this many
 # positions in lanes and on Python ints, whatever the arc and the depth of the
@@ -350,6 +354,15 @@ def _floor_sums_native(a: np.ndarray, n: np.ndarray, chain) -> np.ndarray:
 # rounding.  The descent of a power hands back the image itself, so a
 # solved point pays a division at its start and at each wide level on its
 # way down, and the indices of one shared start (`_descend`) pay none.
+#
+# Points cross between lanes and the caller's numbers at the ends of a call.
+# Python ints enter by masks and shifts.  Integer-valued floats, the grid
+# cells floor(x Q + 0.5) of unit points, split exactly at 2^60 and come to
+# Z/Q with one conditional subtraction of Q (`_NativeCircle.enter`).  Points
+# leave as Python ints (`_to_ints`), or for callers that only read floats as
+# float(int) of each, which below 2^83 is one IEEE addition of two exact
+# float64 operands (`_exit`), with no Python int made: the one rounding of
+# IEEE 754 addition is the correctly rounded sum.
 
 
 class _Lanes:
@@ -367,24 +380,51 @@ class _Lanes:
 
 
 def _to_lanes(u: np.ndarray, rows: int) -> _Lanes:
-    """Object ints 0 <= u < 2^(30 rows), u < 2^120, as lanes of ``rows``
-    rows."""
-    lo = (u & ((1 << 2 * _LIMB) - 1)).astype(np.int64)
+    """Points 0 <= u < 2^(30 rows), u < 2^120, as lanes of ``rows`` rows:
+    Python ints, or integer-valued floats, which split exactly at 2^60 (the
+    low part keeps bits of u's 53-bit significand, so it is a float too)."""
+    if u.dtype == object:
+        lo = (u & ((1 << 2 * _LIMB) - 1)).astype(np.int64)
+        hi = (u >> 2 * _LIMB).astype(np.int64)
+    else:
+        hi = np.floor(u * 2.0 ** (-2 * _LIMB))
+        lo = (u - hi * 2.0 ** (2 * _LIMB)).astype(np.int64)
+        hi = hi.astype(np.int64)
     limbs = [lo & _MASK, lo >> _LIMB]
     if rows > 2:
-        hi = (u >> 2 * _LIMB).astype(np.int64)
         limbs += [hi & _MASK, hi >> _LIMB]
     limbs.append(np.zeros_like(lo))
     return _Lanes(np.vstack(limbs)[:rows])
 
 
-def _to_ints(u: _Lanes) -> np.ndarray:
-    """Lanes in normalized limbs as object ints."""
-    x = u.x
+def _to_ints(x: np.ndarray) -> np.ndarray:
+    """Points in normalized limbs (rows) or in int64 as Python ints."""
+    if x.ndim == 1:
+        return x.astype(object)
     out = (x[0] | x[1] << _LIMB).astype(object)
     if len(x) > 3:
         out += (x[2] | x[3] << _LIMB).astype(object) << 2 * _LIMB
     return out
+
+
+def _exit(x: np.ndarray, floats: bool) -> np.ndarray:
+    """Points in normalized limbs (rows), int64 or Python ints as Python
+    ints, or with ``floats`` as float(int) of each, bit for bit.
+
+    Below 2^83 the limbs above the lowest join into hi = x1 + x2 2^30 <
+    2^53, a float64 integer, and hi 2^30 + x0 is one IEEE addition of two
+    exact operands: its one rounding (to nearest, ties to even) is
+    float(int)'s, with no Python int made.  Int64 casts round alike; other
+    points go through Python ints."""
+    if x.dtype == object:
+        return x.astype(float if floats else object)
+    if floats and x.ndim == 1:
+        return x.astype(float)
+    if not floats or x[3:].any() or np.any(x[2:3] >> _FLOAT_EXIT_BITS - 2 * _LIMB):
+        out = _to_ints(x)
+        return out.astype(float) if floats else out
+    hi = x[1] | x[2] << _LIMB if len(x) > 2 else x[1]
+    return hi.astype(float) * 2.0 ** _LIMB + x[0]
 
 
 def _below(x: np.ndarray, fd: np.ndarray, d: np.ndarray, tol: float) -> np.ndarray:
@@ -402,6 +442,12 @@ def _below(x: np.ndarray, fd: np.ndarray, d: np.ndarray, tol: float) -> np.ndarr
         sign = np.sign(x[:, None, j] - d)
         lt[:, j] = np.tensordot(_SIGN_WEIGHTS[:len(x)], sign, 1) < 0
     return lt
+
+
+def _bound(c: int, rows: int) -> tuple:
+    """The constant c as `_below` reads it: a float column, limbs of
+    ``rows`` rows, and the float's rounding."""
+    return np.array([[float(c)]]), _limbs(c, rows)[:, None], math.ldexp(c, -45)
 
 
 def _first_visit_bound(chain, C: int) -> Optional[int]:
@@ -680,10 +726,10 @@ def _first_start(P: int, Q: int, C: int) -> tuple:
 
 class _NativeCircle:
     """The native form of one circle (P, Q, C): its Euclid chain, whose first
-    level reduces mod Q, the limbs of P, Q - P, Q - C and C as columns, the
-    wrap table in lanes (`_descend`) with the offsets of its level 0, and
-    ``index_limit``, the visit indices the lanes solve, all three built at
-    the circle's first visit-time query.
+    level reduces mod Q, the limbs of P, Q - P, Q - C and Q as columns, C
+    and Q as `_below` reads them, the wrap table in lanes (`_descend`) with
+    the offsets of its level 0, and ``index_limit``, the visit indices the
+    lanes solve, all three built at the circle's first visit-time query.
 
     An n-th visit comes within n E steps (`_first_visit_bound`), so indices
     n with n E < 2^48 keep every time, target and quotient of the descent
@@ -694,9 +740,9 @@ class _NativeCircle:
         self.chain, self.mod = chain, chain[0]
         self.rows = rows = self.mod.k + 1
         self.P, self.QmP, self.QmC = (_limbs(v, rows) for v in (P, Q - P, Q - C))
-        # C for `in_arc`: as limbs, as a float and with that float's rounding
-        self.C, self.fC = _limbs(C, rows)[:, None], np.array([[float(C)]])
-        self.tolC = math.ldexp(C, -45)
+        # C for `in_arc` and Q for `enter`, as `_below` reads them
+        self.arc, self.top = (_bound(v, rows) for v in (C, Q))
+        self.QL = _limbs(Q, rows)
         self.circle = P, Q, C
         self.E = _first_visit_bound(chain, C)
 
@@ -730,12 +776,21 @@ class _NativeCircle:
         _divmod_limbs(x, self.mod)
         return x if self.wrap[0].wide else _WRAP_WEIGHTS[:self.rows] @ x
 
-    def image(self, y, plus) -> np.ndarray:
+    def image(self, y, plus, floats: bool) -> np.ndarray:
         """The visits whose level-0 positions `_descend` reached at y, as
-        Python ints."""
+        Python ints or, with ``floats``, as their floats (`_exit`)."""
         A, B = self.level0[1]
         y = np.where(plus, y - A, B - y)
-        return _to_ints(_Lanes(_carry(y, self.rows - 1))) if self.wrap[0].wide else y.astype(object)
+        return _exit(_carry(y, self.rows - 1) if self.wrap[0].wide else y, floats)
+
+    def enter(self, v: np.ndarray) -> _Lanes:
+        """v mod Q for integer-valued floats 0 <= v < 2Q: exact limbs
+        (`_to_lanes`), less Q where they are not below it."""
+        x = _to_lanes(v, self.rows).x
+        over = np.flatnonzero(~_below(x, *self.top)[0])
+        if len(over):
+            x[:, over] = _carry(x[:, over] - self.QL, self.rows - 1)
+        return _Lanes(x)
 
     def shift(self, u: _Lanes, s: np.ndarray) -> _Lanes:
         """(u + s P) mod Q per lane, for steps s of either sign with
@@ -757,7 +812,7 @@ class _NativeCircle:
 
     def in_arc(self, y: _Lanes) -> np.ndarray:
         """y < C per lane, for y in [0, Q): a comparison (`_below`)."""
-        return _below(y.x, self.fC, self.C, self.tolC)[0]
+        return _below(y.x, *self.arc)[0]
 
 
 @functools.lru_cache(maxsize=128)
@@ -814,8 +869,24 @@ class RotationCounter:
 
     def lift(self, x) -> np.ndarray:
         """Snap circle points in [0,1) to the integer grid Z/Q (exact ints)."""
-        x = np.asarray(x, dtype=float)
-        return _INT(np.floor(x * self.Q + 0.5)) % self.Q
+        return _INT(self._cells(x)) % self.Q
+
+    def _cells(self, x) -> np.ndarray:
+        """floor(x Q + 0.5): the grid cells of the points x, as floats."""
+        return np.floor(np.asarray(x, dtype=float) * self.Q + 0.5)
+
+    def _enter(self, x):
+        """`lift` of the points x (one axis), in native lanes where the
+        float route takes the circle (native, below 2^83, where `_exit`
+        reads floats without Python ints) and every cell lies in [0, 2Q),
+        whose reduction mod Q is one conditional subtraction
+        (`_NativeCircle.enter`); Python ints, as `lift` gives them,
+        otherwise."""
+        v, native = self._cells(x), self._native
+        if (native is not None and not self.Q >> _FLOAT_EXIT_BITS and v.ndim == 1
+                and v.size and 0 <= float(v.min()) and float(v.max()) < 2 * self.Q):
+            return native.enter(v)
+        return _INT(v) % self.Q
 
     # -- native form ---------------------------------------------------------
 
@@ -904,34 +975,40 @@ class RotationCounter:
     def _wrap(self) -> tuple:
         return _wrap_forms(_wrap_table(self.P, self.Q, self.C), None)
 
-    def _solve(self, u, n, fwd, image: bool = False) -> np.ndarray:
+    def _solve(self, u, n, fwd, image: bool = False, floats: bool = False) -> np.ndarray:
         """The times N >= 1 of the n-th visits, n >= 1, after the points u
         in the directions ``fwd``, or with ``image`` the visits themselves,
-        as Python ints: one `_descend` from the position after u (after
-        C - 1 - u where not ``forward``: the reflection y -> C - 1 - y keeps
-        the arc and reverses the rotation, `_first_start`).  u and fwd hold
-        one point and direction per index, or one point (a one-element
-        array) and one bool for all, whose descent then shares its start.
-        Indices below the native circle's ``index_limit`` (int64 or Python
-        ints) solve in native lanes, the others on Python ints, by the same
-        code.  An orbit that never meets the arc (off the arc of a
-        non-coprime circle) raises ValueError."""
+        as Python ints (as their floats with ``floats``, `_exit`): one
+        `_descend` from the position after u (after C - 1 - u where not
+        ``forward``: the reflection y -> C - 1 - y keeps the arc and
+        reverses the rotation, `_first_start`).  u and fwd hold one point
+        and direction per index, or one point (a one-element array) and one
+        bool for all, whose descent then shares its start; u is Python ints
+        or lanes (`_enter`).  Indices below the native circle's
+        ``index_limit`` (int64 or Python ints) solve in native lanes, the
+        others on Python ints, by the same code.  An orbit that never meets
+        the arc (off the arc of a non-coprime circle) raises ValueError."""
         g = math.gcd(self.P, self.Q)
         if g > self.C:
             # the orbit of u stays in u + g Z, which meets [0, C) iff u mod g < C
-            miss = u % g >= self.C
+            ints = _to_ints(u.x) if isinstance(u, _Lanes) else u
+            miss = ints % g >= self.C
             if np.any(miss):
-                raise ValueError(f"the orbit of {u[miss][0]} never returns to the arc")
+                raise ValueError(f"the orbit of {ints[miss][0]} never returns to the arc")
         plus = fwd != _wrap_table(self.P, self.Q, self.C)[0].refl
         native = self._lanes_for(n, solve=True)
         if native is not None:
-            x = native.first(_to_lanes(u % self.Q, native.rows), plus)
+            if not isinstance(u, _Lanes):
+                u = _to_lanes(u % self.Q, native.rows)
+            x = native.first(u, plus)
             y = _descend(native.wrap, x, n.astype(np.int64, copy=False), image)
-            return native.image(y, plus) if image else (y + 1).astype(object)
+            return native.image(y, plus, floats) if image else (y + 1).astype(object)
+        if isinstance(u, _Lanes):
+            u = _to_ints(u.x)
         A, B, S = _first_start(self.P, self.Q, self.C)
         x = np.where(plus, u + (A + S), (B + S + self.Q) - u) % self.Q
         y = _descend(self._wrap, x, n.astype(object), image)
-        return np.where(plus, y - A, B - y) if image else y + 1
+        return _exit(np.where(plus, y - A, B - y), floats) if image else y + 1
 
     def first_hit(self, u, horizon, forward=True) -> np.ndarray:
         """Smallest N in [1, horizon] with (u +- N P) mod Q in the arc, or
@@ -959,34 +1036,42 @@ class RotationCounter:
         from it once.  The points cross to native lanes and back once, when
         every |n| is below the native circle's ``index_limit``.
         """
-        if np.ndim(u) == 0:
-            return self._power_at(operator.index(np.asarray(u, dtype=object).item()), n)
-        u, n = _exact_ints(u, n)
-        out = u.copy()
+        return self._power(u, n, floats=False)
+
+    def _power(self, u, n, floats: bool) -> np.ndarray:
+        """`power`, with the images as their floats where ``floats``
+        (`_exit`); u may be lanes from `_enter`."""
+        if isinstance(u, _Lanes):
+            n = np.broadcast_to(_exponents(n), u.x.shape[1:])
+        elif np.ndim(u) == 0:
+            return self._power_at(operator.index(np.asarray(u, dtype=object).item()), n, floats)
+        else:
+            u, n = _exact_ints(u, n)
+        out = _exit(u.x if isinstance(u, _Lanes) else u, floats)
         mask = n != 0
         if np.any(mask):
             nm = n[mask]
             ahead = nm > 0
-            out[mask] = self._solve(u[mask], np.where(ahead, nm, -nm), ahead, image=True)
+            out[mask] = self._solve(u[mask], np.where(ahead, nm, -nm), ahead,
+                                    image=True, floats=floats)
         return out
 
-    def _power_at(self, u0: int, n) -> np.ndarray:
-        """`power` of the one point u0 at every exponent of n: int64 where
-        NumPy gives the exponents as signed ints, Python ints otherwise."""
-        n = np.asarray(n)
-        if n.dtype.kind != "i" or (n.size and n.min() == np.iinfo(n.dtype).min):
-            n = np.asarray(_INDEX(n.astype(object)), dtype=object)
-        out = np.full(n.shape, u0, dtype=object)
+    def _power_at(self, u0: int, n, floats: bool) -> np.ndarray:
+        """`_power` of the one point u0 at every exponent of n."""
+        n = _exponents(n)
+        out = np.full(n.shape, float(u0) if floats else u0, dtype=float if floats else object)
         flat, u = n.reshape(-1), np.array([u0], dtype=object)
         for ahead in (True, False):
             k = np.flatnonzero(flat > 0 if ahead else flat < 0)
             if len(k):
-                out.flat[k] = self._solve(u, flat[k] if ahead else -flat[k], ahead, image=True)
+                out.flat[k] = self._solve(u, flat[k] if ahead else -flat[k], ahead,
+                                          image=True, floats=floats)
         return out
 
     def orbit(self, u0: int, start: int, idx) -> np.ndarray:
-        """``power(u0, start + i)`` at the sorted, distinct indices i >= 0 of
-        idx, exact: the one evaluation of an orbit window.
+        """``power(u0, start + i)`` at the strictly increasing indices i >= 0
+        of idx (ValueError otherwise), exact: the one evaluation of an orbit
+        window.
 
         Where `_scan_ahead` finds scanning from the first index cheaper, one
         `power` solve there and its returns at the later indices
@@ -995,23 +1080,31 @@ class RotationCounter:
         start + i fit.  A point off the arc is its own zeroth power but no
         image of its (-1)-th, so a stretch through exponent 0 restarts
         there."""
+        return self._orbit(u0, start, idx, floats=False)
+
+    def _orbit(self, u0: int, start: int, idx, floats: bool) -> np.ndarray:
+        """`orbit`, with the points as their floats where ``floats``
+        (`_exit`), by the same routes."""
         u0, start = int(u0), int(start)
         idx = np.asarray(idx)
+        if len(idx) and (idx[0] < 0 or np.any(idx[1:] <= idx[:-1])):
+            raise ValueError("orbit indices must be strictly increasing and >= 0")
         if idx.dtype.kind == "i" and len(idx) and abs(start) + int(idx[-1]) < 1 << 62:
             idx = idx.astype(np.int64, copy=False)
         else:
             idx = idx.astype(object)
         if not len(idx) or not self._scan_ahead(int(idx[-1] - idx[0]), len(idx) - 1):
-            return self.power(u0, start + idx)
-        out = np.empty(len(idx), dtype=object)
+            return self._power(u0, start + idx, floats)
+        out = np.empty(len(idx), dtype=float if floats else object)
         cut = (int(np.count_nonzero(idx < -start))
                if start < 0 and not 0 <= u0 < self.C else len(idx))
         for lo, hi in ((0, cut), (cut, len(idx))):
             if lo < hi:
                 first = self.power(u0, [start + int(idx[lo])])
-                out[lo] = first[0]
+                out[lo] = _exit(first, floats)[0]
                 out[lo + 1:hi] = self._returns(first % self.Q,
-                                               (idx[lo + 1:hi] - idx[lo]).astype(np.int64))
+                                               (idx[lo + 1:hi] - idx[lo]).astype(np.int64),
+                                               floats)
         return out
 
     def _scan_ahead(self, visits, points: int, scanned: int = 0, seen: int = 0) -> int:
@@ -1024,23 +1117,25 @@ class RotationCounter:
         per_point = _SOLVE_POINT if self._native is not None else _OBJECT_SOLVE_POINT
         return math.ceil(positions) if positions < points * per_point + _SOLVE_CALL else 0
 
-    def _returns(self, u: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    def _returns(self, u: np.ndarray, offsets: np.ndarray, floats: bool) -> np.ndarray:
         """The arc visits at the sorted, distinct offsets >= 1 after the one
-        point u of Z/Q (offset k: the k-th visit).
+        point u of Z/Q (offset k: the k-th visit), as Python ints or, with
+        ``floats``, as their floats (`_exit`).
 
         Scans the rotation positions u + l P, l = 1, 2, ..., in native lanes
-        where the circle has them, a batch of l at a time, and converts to
-        Python ints only the visits asked for and the last one scanned.  Once
-        scanning no longer pays (`_scan_ahead`), one `power` of that last
-        visit solves the offsets still missing, and raises ValueError where
-        the orbit misses the arc."""
-        native, out = self._native, np.empty(len(offsets), dtype=object)
+        where the circle has them, a batch of l at a time, and converts only
+        the visits asked for, and the last one scanned to a Python int.
+        Once scanning no longer pays (`_scan_ahead`), one `power` of that
+        last visit solves the offsets still missing, and raises ValueError
+        where the orbit misses the arc."""
+        native = self._native
+        out = np.empty(len(offsets), dtype=float if floats else object)
         x = u if native is None else _to_lanes(u, native.rows)
         last, scanned, seen, done = u, 0, 0, 0    # positions scanned, visits met, offsets filled
         while done < len(offsets):
             ahead = self._scan_ahead(int(offsets[-1]) - seen, len(offsets) - done, scanned, seen)
             if not ahead:
-                out[done:] = self.power(last[0], offsets[done:] - seen)
+                out[done:] = self._power(last[0], offsets[done:] - seen, floats)
                 break
             l = np.arange(scanned + 1, scanned + 1 + min(ahead + 64, 1 << 16))
             if native is None:
@@ -1052,9 +1147,10 @@ class RotationCounter:
             if len(hits):
                 # the offsets this batch reaches, and its last visit
                 m = int(np.searchsorted(offsets, seen + len(hits), side="right")) - done
-                take = np.append(hits[offsets[done:done + m] - seen - 1], hits[-1])
-                got = y[take] if native is None else _to_ints(y[take])
-                out[done:done + m], last = got[:-1], got[-1:]
+                got, last = y[hits[offsets[done:done + m] - seen - 1]], y[hits[-1:]]
+                if native is not None:
+                    got, last = got.x, _to_ints(last.x)
+                out[done:done + m] = _exit(got, floats)
                 done, seen = done + m, seen + len(hits)
             scanned = int(l[-1])
         return out
@@ -1062,6 +1158,15 @@ class RotationCounter:
 
 _INDEX = np.frompyfunc(operator.index, 1, 1)
 _INT = np.frompyfunc(int, 1, 1)        # floats to Python ints, past 2^63 too
+
+
+def _exponents(n) -> np.ndarray:
+    """Exponents as NumPy gives them where they are signed ints whose
+    negation cannot overflow, as Python ints otherwise."""
+    n = np.asarray(n)
+    if n.dtype.kind != "i" or (n.size and n.min() == np.iinfo(n.dtype).min):
+        return np.asarray(_INDEX(n.astype(object)), dtype=object)
+    return n
 
 
 def _exact_ints(u, n) -> tuple[np.ndarray, np.ndarray]:

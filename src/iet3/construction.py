@@ -156,8 +156,9 @@ class _SwitchEngine:
         return ok
 
     def to_unit(self, us) -> np.ndarray:
-        """Grid cells (slit coordinates) -> rescaled IET coordinates."""
-        arr = np.atleast_1d(np.asarray(us, dtype=object)).astype(float)
+        """Grid cells (slit coordinates), as Python ints or as their floats
+        (`RotationCounter._orbit`), -> rescaled IET coordinates."""
+        arr = np.atleast_1d(np.asarray(us, dtype=float))
         return np.clip(arr / self.C, 0.0, np.nextafter(1.0, 0.0))
 
     def slit_samples(self, n: int, seed) -> np.ndarray:
@@ -492,9 +493,10 @@ _ORBIT_ATOMS = 20000
 def _orbit_joining_at(eng: _SwitchEngine, u0: int, n: int,
                       idx: np.ndarray) -> DiscreteMeasure2D:
     """Atoms (T^i u0, T^(i+n) u0) at sorted distinct indices i >= 0, n of any
-    sign: two `RotationCounter.orbit` evaluations of the window at idx."""
-    return DiscreteMeasure2D.equal_weight(eng.to_unit(eng.rc.orbit(u0, 0, idx)),
-                                          eng.to_unit(eng.rc.orbit(u0, n, idx)))
+    sign: two `RotationCounter.orbit` evaluations of the window at idx, read
+    as floats without Python ints where the circle allows (`arith._exit`)."""
+    return DiscreteMeasure2D.equal_weight(*(eng.to_unit(eng.rc._orbit(u0, s, idx, floats=True))
+                                            for s in (0, n)))
 
 
 # ---------------------------------------------------------------------------

@@ -228,12 +228,15 @@ def _power_on_circle(iet: Iet3, xs, n) -> tuple[np.ndarray, np.ndarray, float]:
     snapped to the 1/Q grid (exact for an exact IET, a deep-convergent
     approximation otherwise); n is an int or a per-point array of any sign.
     Returns (snapped points, their images, kappa), the points as floats in
-    rotation coordinates, so each caller applies its own rescaling.
+    rotation coordinates, so each caller applies its own rescaling.  The
+    cells cross from floats into the counter's native lanes and back
+    without Python ints where the circle allows (`RotationCounter._enter`,
+    `arith._exit`): each float is the one of the exact cell, bit for bit.
     """
     kappa = float(to_rotation(iet).kappa)
     rc = iet.rotation_counter()
-    u = rc.lift(np.asarray(xs, dtype=float) * kappa)
-    base, image = (cells.astype(float) / rc.Q for cells in (u, rc.power(u, n)))
+    u = rc._enter(np.asarray(xs, dtype=float) * kappa)
+    base, image = (rc._power(u, e, floats=True) / rc.Q for e in (0, n))
     return base, image, kappa
 
 

@@ -153,19 +153,23 @@ def sample_power_joining(iet: Iet3, a: int, N: int, seed=0) -> DiscreteMeasure2D
 def empirical_orbit_joining(iet: Iet3, x: float, n: int, L: int,
                             subsample: Optional[int] = None,
                             seed=0) -> DiscreteMeasure2D:
-    """(1/L) sum of point masses at (T^i x, T^(i+n) x), i = 0..L-1, with x
-    lifted once onto the IET's integer circle, the window read by two
-    `RotationCounter.orbit` calls, and both snapped and rescaled as
-    `_power_on_circle` does.  With ``subsample``, one index is drawn in each
-    of that many strata of [0, L) (`_index_strata`, exact at any L): the
-    result then estimates the orbit measure with 1/sqrt(subsample) slack.
+    """(1/L) sum of point masses at (T^i x, T^(i+n) x), i = 0..L-1, for x
+    in [0, 1) (ValueError otherwise), lifted once onto the IET's integer
+    circle, the window read by two `RotationCounter.orbit` evaluations
+    whose points cross to floats without Python ints where the circle
+    allows (`arith._exit`, bit for bit the floats of the exact points), and
+    both snapped and rescaled as `_power_on_circle` does.  With
+    ``subsample``, one index is drawn in each of that many strata of
+    [0, L) (`_index_strata`, exact at any L): the result then estimates the
+    orbit measure with 1/sqrt(subsample) slack.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
+    _check_domain(x)
     idx = _index_strata(np.random.default_rng(seed), L if subsample is None else subsample, L)
     rc, kappa = iet.rotation_counter(), float(to_rotation(iet).kappa)
     u0 = rc.lift(float(x) * kappa)
-    xs, ys = (np.clip(rc.orbit(u0, s, idx).astype(float) / rc.Q / kappa,
+    xs, ys = (np.clip(rc._orbit(u0, s, idx, floats=True) / rc.Q / kappa,
                       0.0, np.nextafter(1.0, 0.0)) for s in (0, int(n)))
     return DiscreteMeasure2D.equal_weight(xs, ys)
 
@@ -181,10 +185,14 @@ def _index_strata(rng, s: int, L: int) -> np.ndarray:
         return np.arange(L)
     u = rng.random(s)
     if L < 1 << 53:
-        idx = np.floor((np.arange(s) + u) * (L / s)).astype(np.int64)
-        return np.unique(np.minimum(idx, L - 1))
-    k = (u * 2.0 ** 53).astype(np.int64).astype(object)
-    return np.unique(((np.arange(s, dtype=object) << 53) + k) * L // (s << 53))
+        idx = np.minimum(np.floor((np.arange(s) + u) * (L / s)).astype(np.int64), L - 1)
+    else:
+        k = (u * 2.0 ** 53).astype(np.int64).astype(object)
+        idx = ((np.arange(s, dtype=object) << 53) + k) * L // (s << 53)
+    # non-decreasing on both branches: a repeat equals its left neighbour
+    keep = np.ones(len(idx), dtype=bool)
+    keep[1:] = idx[1:] != idx[:-1]
+    return idx[keep]
 
 
 def product_sample(N: int, seed=0) -> DiscreteMeasure2D:

@@ -188,6 +188,66 @@ def test_orbit_window_work_guard(monkeypatch):
         assert list(out[::997]) == list(want)
 
 
+# points converted to Python ints on the float route (counted at
+# `arith._to_ints` and `arith._INT`): one Birkhoff window pair through
+# `_orbit_joining_at` (12,000 indices over 10^12, the solve route) and one
+# 20,000-atom counting `sample_power_joining` convert none, and a
+# verify_switch window pair (18,372 indices over 28,000, the scan route)
+# converts only what seeds `power`: each scan batch's last visit (one per
+# window) and the lagged window's first solve.  Before this pin every point
+# was converted: 24,000, 40,000 and 36,745; later changes may lower the
+# pins but never raise them
+FLOAT_ROUTE_INT_POINTS = {"birkhoff": 0, "sample": 0, "verify": 3}
+
+
+def test_float_route_work_guard(monkeypatch):
+    from iet3 import arith
+    from iet3.construction import _SwitchEngine, _orbit_joining_at
+    from iet3.joinings import _index_strata, sample_power_joining
+    iet = documented_switch_iet()
+    eng = _SwitchEngine(iet)
+    counted = []
+    to_ints, to_int = arith._to_ints, arith._INT
+    monkeypatch.setattr(arith, "_to_ints", lambda x: counted.append(x.shape[-1]) or to_ints(x))
+    monkeypatch.setattr(arith, "_INT", lambda v: counted.append(np.size(v)) or to_int(v))
+    windows = {"birkhoff": (eng.C // 3, 987654321,
+                            _index_strata(np.random.default_rng(2024), 12000, 10**12)),
+               "verify": (eng.C // 5, -28000,
+                          _index_strata(np.random.default_rng(3), 20000, 28000))}
+    got = {}
+    for case, pin in FLOAT_ROUTE_INT_POINTS.items():
+        counted.clear()
+        if case == "sample":
+            got[case] = sample_power_joining(iet, 10**12, 20000, seed=5)
+        else:
+            got[case] = _orbit_joining_at(eng, *windows[case])
+        assert sum(counted) <= pin, case
+    # the float atoms are those of the exact points, bit for bit
+    monkeypatch.undo()
+    for case, (u0, n, idx) in windows.items():
+        pick = slice(None, None, 97)
+        for s, atoms in ((0, got[case].xs), (n, got[case].ys)):
+            want = eng.to_unit(eng.rc.orbit(u0, s, idx)[pick])
+            assert np.array_equal(atoms[pick].view(np.int64), want.view(np.int64))
+    assert len(got["sample"]) == 20000
+
+
+def test_orbit_indices_must_increase():
+    # indices strictly increasing and >= 0, as the window's contract says:
+    # anything else was answered wrongly or failed inside NumPy
+    rc = documented_switch_iet().rotation_counter()
+    bad = [(rc.C // 3, [5, 3, 10]), (rc.C // 3, [3, 3, 10]), (rc.C + 5, [-2, 0, 4]),
+           (rc.C // 3, np.arange(2000)[::-1] * 7)]
+    for u0, idx in bad:
+        for floats in (False, True):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                rc._orbit(u0, 0, np.asarray(idx), floats)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            rc.orbit(u0, 0, np.asarray(idx, dtype=object))
+    # the sorted window is still answered
+    assert list(rc.orbit(rc.C // 3, 0, [3, 5, 10])) == list(rc.power(rc.C // 3, [3, 5, 10]))
+
+
 def test_numpy_integer_counts_are_exact():
     from iet3.params import documented_switch_iet
     rc = documented_switch_iet().rotation_counter()
@@ -251,6 +311,8 @@ def test_orbit_past_a_long_return():
     u0 = rc.C - 3
     got = rc.orbit(u0, 0, np.arange(6))
     assert list(got) == [u0, u0 + 1, u0 + 2, 0, 1, 2]
+    # read as floats, the scan hands its last visit, exact, to the solve
+    assert list(rc._orbit(u0, 0, np.arange(6), floats=True)) == [float(v) for v in got]
     assert list(got) == list(rc.power(np.full(6, u0, dtype=object), np.arange(6)))
     assert list(rc.orbit(u0, -2, np.arange(6))) == list(rc.power(
         np.full(6, u0, dtype=object), np.arange(-2, 4)))

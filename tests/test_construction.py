@@ -3,7 +3,6 @@
 import dataclasses
 import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -92,18 +91,16 @@ def test_kr_window_check_reads_the_whole_window(switch_iet, doc_switch, monkeypa
 def test_orbit_joining_routes_agree(switch_iet, monkeypatch, n):
     # the orbit scanned and the orbit solved give the same exact atoms on
     # contiguous, strided and jittered index sets, for exponents of any sign;
-    # each route is forced through the one walk-or-solve rule of `arith`
+    # each route is forced through the one walk-or-solve rule of `arith`.
+    # The joining reads its atoms as floats (`arith._exit`): by each route
+    # they are the exact atoms' floats, bit for bit
     import iet3.arith as arith
     import iet3.construction as construction
     eng = _SwitchEngine(switch_iet)
-    # the atoms as exact circle positions, before the unit rescaling
-    eng.to_unit = lambda u: u
-    monkeypatch.setattr(construction, "DiscreteMeasure2D",
-                        SimpleNamespace(equal_weight=lambda xs, ys: (list(xs), list(ys))))
     scans = []
     returns = arith.RotationCounter._returns
     monkeypatch.setattr(arith.RotationCounter, "_returns",
-                        lambda rc, u, offsets: scans.append(1) or returns(rc, u, offsets))
+                        lambda rc, *args: scans.append(1) or returns(rc, *args))
     rng = np.random.default_rng(4)
     index_sets = [np.arange(400), np.arange(400) * 7 + 3,
                   construction._index_strata(rng, 400, 5000),
@@ -111,14 +108,20 @@ def test_orbit_joining_routes_agree(switch_iet, monkeypatch, n):
     # three points on the arc, and one off it
     starts = [*eng.slit_samples(3, 8), eng.C + 12345]
     for u0, idx in zip(starts, index_sets):
-        atoms = []
+        exact, atoms = [], []
         for cost in (10**9, 0):           # every index scanned, then solved
             for name in ("_SOLVE_CALL", "_SOLVE_POINT"):
                 monkeypatch.setattr(arith, name, cost)
             scans.clear()
-            atoms.append(construction._orbit_joining_at(eng, int(u0), n, idx))
+            exact.append([list(eng.rc.orbit(int(u0), s, idx)) for s in (0, n)])
+            m = construction._orbit_joining_at(eng, int(u0), n, idx)
+            atoms.append((m.xs, m.ys))
             assert bool(scans) == (cost > 0)
-        assert atoms[0] == atoms[1]
+        assert exact[0] == exact[1]
+        want = [eng.to_unit(np.array(e, dtype=object)) for e in exact[0]]
+        for xs, ys in atoms:
+            assert np.array_equal(xs.view(np.int64), want[0].view(np.int64))
+            assert np.array_equal(ys.view(np.int64), want[1].view(np.int64))
 
 
 def test_verify_corrupted_exponent(switch_iet, doc_switch):

@@ -94,6 +94,17 @@ def test_empirical_orbit_joining_reads_the_circle(golden):
         assert np.array_equal(got, np.clip(image / kappa, 0.0, np.nextafter(1.0, 0.0)))
 
 
+def test_empirical_orbit_joining_checks_its_start(golden):
+    # a start off [0, 1) is refused as `apply` refuses it: 1.5 was read as
+    # its wrapped point (first x 0.2000000000000703), -0.25 and 1.0 passed
+    for x in (1.5, -0.25, 1.0, float("nan")):
+        with pytest.raises(ValueError, match="outside"):
+            apply(golden, x)
+        with pytest.raises(ValueError, match="outside"):
+            empirical_orbit_joining(golden, x, 3, 100)
+    assert len(empirical_orbit_joining(golden, 0.0, 3, 100)) == 100
+
+
 def test_index_strata_stays_inside_the_window():
     # a draw an ulp below 1 rounds (i + U_i) L/s up to (i + 1) L/s: on the
     # last stratum that is L itself, one past the window

@@ -1,8 +1,10 @@
 """Property tests of the exact primitives: the signed induced-map power
 on the integer circle (`RotationCounter.power`), its orbit walk
-(`RotationCounter.orbit`), the visit-time descent behind both, and interval
-transport (`iet_core.transport`), each against a brute-force oracle, the
-fixed-point solve kept here (`_visit_time_fixed_point`) or an exact
+(`RotationCounter.orbit`), the visit-time descent behind both, the
+crossings of circle points between floats and native lanes (`arith._exit`,
+`RotationCounter._enter`), and interval transport (`iet_core.transport`),
+each against a brute-force oracle, the fixed-point solve kept here
+(`_visit_time_fixed_point`), Python's own int-float conversions or an exact
 invariant."""
 
 import math
@@ -14,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iet3 import intervals as iv
-from iet3.arith import RotationCounter, _to_lanes
+from iet3 import arith
+from iet3.arith import _INT, RotationCounter, _exit, _to_lanes
 from iet3.iet_core import Iet3, transport
 from iet3.params import documented_switch_iet, golden_iet
 
@@ -435,3 +438,107 @@ def test_transport_inverse_round_trip(iet, pieces, steps):
     I = pieces[:1]
     assert transport(iet.inverse(), transport(iet, I, steps), steps) == I
     assert transport(iet.inverse(), transport(iet, pieces, steps), steps) == pieces
+
+
+# ---------------------------------------------------------------------------
+# circle points between floats and lanes
+# ---------------------------------------------------------------------------
+
+_FLOAT_CIRCLES = (_GOLDEN, _DEEP, _BOUNDARY[0])     # 41, 82 and 118 bits
+
+
+def _same_floats(got, want) -> bool:
+    """Equal float64 arrays, bit for bit."""
+    got, want = np.asarray(got), np.asarray(want, dtype=float)
+    return got.dtype == float and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@st.composite
+def circle_ints(draw):
+    """A circle of 41, 82 or 118 bits and points of it: anywhere, at its
+    ends, and round-half-even ties of float64 (the bits below the 53 kept
+    are exactly half of the last kept place, whose bit is even or odd), each
+    with its neighbours, of any width and on both sides of 2^83, where the
+    exit leaves the lanes' one addition."""
+    rc = draw(st.sampled_from(_FLOAT_CIRCLES))
+    pts = draw(st.lists(st.integers(0, rc.Q - 1), max_size=12)) + [0, 1, rc.Q - 1]
+    top = rc.Q.bit_length() - 1
+    ties = [(b, M) for b in (83, 84) if b <= top for M in ((1 << 52) + 2, (1 << 53) - 1)]
+    for _ in range(draw(st.integers(0, 6)) if top > 54 else 0):
+        ties.append((draw(st.integers(54, top)), draw(st.integers(1 << 52, (1 << 53) - 1))))
+    for b, M in ties:
+        tie = (M << b - 53) + (1 << b - 54)
+        pts += [tie - 1, tie, tie + 1]
+    return rc, pts
+
+
+@PROPERTY
+@given(circle_ints())
+def test_float_exit_is_float_of_the_int(case):
+    # every form of a point leaves as float(int), correctly rounded
+    rc, pts = case
+    u = np.array(pts, dtype=object)
+    want = [float(p) for p in pts]
+    lanes = _to_lanes(u, rc._native.rows).x
+    assert _same_floats(_exit(lanes, True), want)
+    # the exit decides its way per batch: each point alone, too
+    for i, w in enumerate(want):
+        assert _same_floats(_exit(lanes[:, i:i + 1], True), [w])
+    assert _same_floats(_exit(u, True), want)
+    assert list(_exit(lanes, False)) == pts
+    if rc.Q.bit_length() < 63:
+        assert _same_floats(_exit(u.astype(np.int64), True), want)
+
+
+@PROPERTY
+@given(circle_ints(), st.data())
+def test_float_entry_is_the_lift(case, data):
+    # integer-valued floats in [0, 2Q) enter the lanes as _INT(v) % Q, by
+    # one conditional subtraction; `_enter` of unit points is `lift`
+    rc, pts = case
+    native = rc._native
+    v = np.array([float(p) for p in pts] + [float(p + rc.Q) for p in pts], dtype=float)
+    v = v[v < 2 * rc.Q]
+    assert list(_exit(native.enter(v).x, False)) == list(_INT(v) % rc.Q)
+    xs = np.array(data.draw(st.lists(st.floats(0, 1, exclude_max=True), max_size=12))
+                  + [0.0, 0.5, np.nextafter(1.0, 0.0)] + [p / rc.Q for p in pts])
+    xs = xs[xs < 1]
+    got = rc._enter(xs)
+    # lanes below 2^83; Python ints, as `lift` gives them, above
+    assert isinstance(got, arith._Lanes) == (rc.Q.bit_length() <= 83)
+    ints = _exit(got.x, False) if isinstance(got, arith._Lanes) else got
+    assert list(ints) == list(rc.lift(xs))
+    # points off [0, 1) take the Python-int path as before
+    assert list(rc._enter(np.array([-0.25, 1.5]))) == list(rc.lift([-0.25, 1.5]))
+
+
+@settings(PROPERTY, max_examples=40)
+@given(st.sampled_from(_FLOAT_CIRCLES + (_BOUNDARY[1],)), st.data())
+def test_float_routes_match_the_exact_ones(rc, data):
+    # `_orbit` by the scan and by the solve route, and `_power` of lanes
+    # and of Python ints, with exponents of both signs and 0, from points on
+    # the arc, off it and off [0, Q): the floats of the exact points, bit
+    # for bit
+    u0 = data.draw(st.integers(0, rc.C - 1) | st.integers(0, rc.Q - 1)
+                   | st.integers(rc.Q, 3 * rc.Q))
+    start = data.draw(st.integers(-30, 30) | st.integers(-10**12, 10**12))
+    steps = data.draw(st.lists(st.integers(1, 5), max_size=30))
+    idx = data.draw(st.integers(-1, 5)) + np.cumsum(steps, dtype=np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        for cost in (10**9, 0):            # every index scanned, then solved
+            for name in ("_SOLVE_CALL", "_SOLVE_POINT", "_OBJECT_SOLVE_POINT"):
+                mp.setattr(arith, name, cost)
+            want = [float(p) for p in rc.orbit(u0, start, idx)]
+            assert _same_floats(rc._orbit(u0, start, idx, floats=True), want)
+    us = np.array(data.draw(st.lists(st.integers(0, rc.Q - 1), min_size=1, max_size=8)),
+                  dtype=object)
+    ns = np.array(data.draw(st.lists(st.integers(-10**12, 10**12) | st.integers(-3, 3),
+                                     min_size=len(us), max_size=len(us))), dtype=object)
+    want = [float(p) for p in rc.power(us, ns)]
+    assert _same_floats(rc._power(us, ns, floats=True), want)
+    assert _same_floats(rc._power(int(us[0]), ns, floats=True),
+                        [float(p) for p in rc.power(int(us[0]), ns)])
+    xs = (us.astype(float) + 0.25) / rc.Q
+    assert _same_floats(rc._power(rc._enter(xs), ns, floats=True),
+                        [float(p) for p in rc.power(rc.lift(xs), ns)])
+
