@@ -46,10 +46,10 @@ the reflected point C - 1 - u.  An induced-map power is the position at
 which that climb ends, with no shift after it.  The powers of one point at
 many exponents (`RotationCounter.orbit`) share the start of their
 descents, and the way down depends on an exponent only through its target,
-so it runs once per direction, on one column.  A window of them is solved
-so, or scanned from one solve: the rotation positions that fall in the arc, each
-tested by a comparison with C, until scanning would cost more than solving
-the rest.
+so it runs once per direction, on one column.  A window of them is priced
+once, its span's rotation positions against its points, and solved so or
+scanned from one solve: the positions that fall in the arc, each tested by a
+comparison with C, with any rest past them solved from the last visit.
 """
 
 from __future__ import annotations
@@ -208,7 +208,7 @@ _FLOAT_EXIT_BITS = 83              # points below 2^83 cross to floats in lanes
 # a `power` call of one point costs about as much as scanning `_SOLVE_CALL`
 # rotation positions, and each of its exponents as scanning this many
 # positions in lanes and on Python ints, whatever the arc and the depth of the
-# descent (`RotationCounter._scan_ahead`; BENCH_orbit_window.json, crossover)
+# descent (`RotationCounter._orbit`; BENCH_orbit_window.json, crossover)
 _SOLVE_CALL = 1 << 13
 _SOLVE_POINT, _OBJECT_SOLVE_POINT = 10, 30
 # lanes hold at most five limbs: four for Q, one for the carry above them
@@ -922,8 +922,6 @@ class RotationCounter:
         whatever their direction.  It runs in native lanes for counts below
         2^48 on a circle the kernel takes, and on Python ints otherwise.
         """
-        if isinstance(u, _Lanes):
-            return self._count(u, n, forward)
         u, n = _exact_ints(u, n)
         shape = u.shape
         fwd = np.broadcast_to(np.asarray(forward, dtype=bool), shape).reshape(-1)
@@ -1073,8 +1071,9 @@ class RotationCounter:
         of idx (ValueError otherwise), exact: the one evaluation of an orbit
         window.
 
-        Where `_scan_ahead` finds scanning from the first index cheaper, one
-        `power` solve there and its returns at the later indices
+        Where the window's span at the arc's density C / Q takes fewer
+        rotation positions than solving its points costs (priced once), one
+        `power` solve at the first index and its returns at the later indices
         (`_returns`); otherwise one `power` of u0 at every index, whose
         descents start from u0 once.  Indices stay int64 where they and
         start + i fit.  A point off the arc is its own zeroth power but no
@@ -1093,7 +1092,10 @@ class RotationCounter:
             idx = idx.astype(np.int64, copy=False)
         else:
             idx = idx.astype(object)
-        if not len(idx) or not self._scan_ahead(int(idx[-1] - idx[0]), len(idx) - 1):
+        per_point = _SOLVE_POINT if self._native is not None else _OBJECT_SOLVE_POINT
+        density = self.Q / self.C          # rotation positions per arc visit
+        if len(idx) < 2 or (int(idx[-1] - idx[0]) * density
+                            >= (len(idx) - 1) * per_point + _SOLVE_CALL):
             return self._power(u0, start + idx, floats)
         out = np.empty(len(idx), dtype=float if floats else object)
         cut = (int(np.count_nonzero(idx < -start))
@@ -1102,42 +1104,32 @@ class RotationCounter:
             if lo < hi:
                 first = self.power(u0, [start + int(idx[lo])])
                 out[lo] = _exit(first, floats)[0]
-                out[lo + 1:hi] = self._returns(first % self.Q,
-                                               (idx[lo + 1:hi] - idx[lo]).astype(np.int64),
-                                               floats)
+                offsets = (idx[lo + 1:hi] - idx[lo]).astype(np.int64)
+                positions = math.ceil(int(idx[hi - 1] - idx[lo]) * density) + 64
+                out[lo + 1:hi] = self._returns(first % self.Q, offsets, positions, floats)
         return out
 
-    def _scan_ahead(self, visits, points: int, scanned: int = 0, seen: int = 0) -> int:
-        """The rotation positions a scan to ``visits`` more arc visits should
-        take (at the density C / Q, or at the rate met so far, ``seen`` visits
-        in ``scanned`` positions, where lower: a sparse arc, a long return, an
-        orbit that misses the arc), or 0 where one `power` solve of the
-        ``points`` still asked for costs less: the one walk-or-solve rule."""
-        positions = visits * max(self.Q / self.C, scanned / max(seen, 1))
-        per_point = _SOLVE_POINT if self._native is not None else _OBJECT_SOLVE_POINT
-        return math.ceil(positions) if positions < points * per_point + _SOLVE_CALL else 0
-
-    def _returns(self, u: np.ndarray, offsets: np.ndarray, floats: bool) -> np.ndarray:
+    def _returns(self, u: np.ndarray, offsets: np.ndarray, positions: int,
+                 floats: bool) -> np.ndarray:
         """The arc visits at the sorted, distinct offsets >= 1 after the one
         point u of Z/Q (offset k: the k-th visit), as Python ints or, with
         ``floats``, as their floats (`_exit`).
 
-        Scans the rotation positions u + l P, l = 1, 2, ..., in native lanes
-        where the circle has them, a batch of l at a time, and converts only
-        the visits asked for, and the last one scanned to a Python int.
-        Once scanning no longer pays (`_scan_ahead`), one `power` of that
-        last visit solves the offsets still missing, and raises ValueError
+        Scans the rotation positions u + l P, 1 <= l <= ``positions``, in
+        native lanes where the circle has them, in blocks of at most 2^16,
+        up to the block that holds the last offset, and converts only the
+        visits asked for.  Where the positions run out first (a coset of u
+        sparser than the arc, a long return), one `power` of the last visit
+        scanned solves the offsets still missing, and raises ValueError
         where the orbit misses the arc."""
         native = self._native
         out = np.empty(len(offsets), dtype=float if floats else object)
         x = u if native is None else _to_lanes(u, native.rows)
-        last, scanned, seen, done = u, 0, 0, 0    # positions scanned, visits met, offsets filled
-        while done < len(offsets):
-            ahead = self._scan_ahead(int(offsets[-1]) - seen, len(offsets) - done, scanned, seen)
-            if not ahead:
-                out[done:] = self._power(last[0], offsets[done:] - seen, floats)
+        last, seen, done = u, 0, 0          # the last visit, visits met, offsets filled
+        for a in range(1, positions + 1, 1 << 16):
+            if done == len(offsets):
                 break
-            l = np.arange(scanned + 1, scanned + 1 + min(ahead + 64, 1 << 16))
+            l = np.arange(a, min(a + (1 << 16), positions + 1))
             if native is None:
                 y = self._shift(x, l.astype(object))
                 hits = np.flatnonzero(y < self.C)
@@ -1145,14 +1137,15 @@ class RotationCounter:
                 y = native.shift(x, l)
                 hits = np.flatnonzero(native.in_arc(y))
             if len(hits):
-                # the offsets this batch reaches, and its last visit
+                # the offsets this block reaches, and its last visit
                 m = int(np.searchsorted(offsets, seen + len(hits), side="right")) - done
                 got, last = y[hits[offsets[done:done + m] - seen - 1]], y[hits[-1:]]
-                if native is not None:
-                    got, last = got.x, _to_ints(last.x)
-                out[done:done + m] = _exit(got, floats)
+                out[done:done + m] = _exit(got if native is None else got.x, floats)
                 done, seen = done + m, seen + len(hits)
-            scanned = int(l[-1])
+        if done < len(offsets):
+            if isinstance(last, _Lanes):
+                last = _to_ints(last.x)
+            out[done:] = self._power(last[0], offsets[done:] - seen, floats)
         return out
 
 

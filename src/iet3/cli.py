@@ -129,6 +129,8 @@ def _build_iet(args) -> Iet3:
         if name == "doc-tower":
             return documented_tower_iet()
         digits = [int(v) for v in name.split(",")]
+        if any(d < 1 for d in digits[1:]):
+            raise UsageError(f"--alpha-cf digits after the first must be >= 1, got {name!r}")
         alpha = float(cf_to_fraction(digits))
     if getattr(args, "alpha", None) is not None:
         alpha = float(args.alpha)

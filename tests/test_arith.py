@@ -193,11 +193,13 @@ def test_orbit_window_work_guard(monkeypatch):
 # `_orbit_joining_at` (12,000 indices over 10^12, the solve route) and one
 # 20,000-atom counting `sample_power_joining` convert none, and a
 # verify_switch window pair (18,372 indices over 28,000, the scan route)
-# converts only what seeds `power`: each scan batch's last visit (one per
-# window) and the lagged window's first solve.  Before this pin every point
-# was converted: 24,000, 40,000 and 36,745; later changes may lower the
-# pins but never raise them
-FLOAT_ROUTE_INT_POINTS = {"birkhoff": 0, "sample": 0, "verify": 3}
+# converts only what seeds `power`: the lagged window's first solve.  Each
+# window of that pair scans in one `_NativeCircle.shift` block of at most
+# 32,063 positions.  Before these pins every point was converted: 24,000,
+# 40,000 and 36,745, and the verify pair converted 3 with its scan batches'
+# last visits; later changes may lower the pins but never raise them
+FLOAT_ROUTE_INT_POINTS = {"birkhoff": 0, "sample": 0, "verify": 1}
+VERIFY_SCAN_BLOCK_LANES = 32063
 
 
 def test_float_route_work_guard(monkeypatch):
@@ -206,10 +208,12 @@ def test_float_route_work_guard(monkeypatch):
     from iet3.joinings import _index_strata, sample_power_joining
     iet = documented_switch_iet()
     eng = _SwitchEngine(iet)
-    counted = []
-    to_ints, to_int = arith._to_ints, arith._INT
+    counted, blocks = [], []
+    to_ints, to_int, shift = arith._to_ints, arith._INT, arith._NativeCircle.shift
     monkeypatch.setattr(arith, "_to_ints", lambda x: counted.append(x.shape[-1]) or to_ints(x))
     monkeypatch.setattr(arith, "_INT", lambda v: counted.append(np.size(v)) or to_int(v))
+    monkeypatch.setattr(arith._NativeCircle, "shift",
+                        lambda self, u, s: blocks.append(len(s)) or shift(self, u, s))
     windows = {"birkhoff": (eng.C // 3, 987654321,
                             _index_strata(np.random.default_rng(2024), 12000, 10**12)),
                "verify": (eng.C // 5, -28000,
@@ -217,11 +221,14 @@ def test_float_route_work_guard(monkeypatch):
     got = {}
     for case, pin in FLOAT_ROUTE_INT_POINTS.items():
         counted.clear()
+        blocks.clear()
         if case == "sample":
             got[case] = sample_power_joining(iet, 10**12, 20000, seed=5)
         else:
             got[case] = _orbit_joining_at(eng, *windows[case])
         assert sum(counted) <= pin, case
+        if case == "verify":
+            assert len(blocks) == 2 and max(blocks) <= VERIFY_SCAN_BLOCK_LANES
     # the float atoms are those of the exact points, bit for bit
     monkeypatch.undo()
     for case, (u0, n, idx) in windows.items():

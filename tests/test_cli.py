@@ -299,6 +299,22 @@ def test_conflicting_iet_flags_is_usage_error(tmp_path, capsys, flags):
     _usage_failure(["iet-info"] + flags, tmp_path, capsys)
 
 
+@pytest.mark.parametrize("digits", ["0,0", "1,0", "1,-2"])
+def test_alpha_cf_digit_below_one_is_usage_error(tmp_path, capsys, digits):
+    # a digit 0 after the first divides by zero, and a negative one gives
+    # the continued fraction of another number (1,-2 is 0.5)
+    err = _usage_failure(["iet-info", "--alpha-cf", digits], tmp_path, capsys)
+    assert "--alpha-cf" in err
+    assert not (tmp_path / "iet-info.json").exists()
+
+
+def test_alpha_cf_digits_are_read(tmp_path, capsys):
+    assert run(["iet-info", "--alpha-cf", "0,4,8000", "--kappa", "0.9"], tmp_path) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["alpha"] == pytest.approx(8000 / 32001)
+    assert out["kappa"] == pytest.approx(0.9)
+
+
 def test_golden_reads_kappa(tmp_path, capsys):
     assert run(["iet-info", "--alpha-cf", "golden", "--kappa", "0.7"], tmp_path) == 0
     assert json.loads(capsys.readouterr().out)["kappa"] == pytest.approx(0.7)

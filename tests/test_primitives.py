@@ -254,6 +254,73 @@ def test_orbit_matches_power_deep_circle(u0, start):
     assert list(_DEEP.orbit(u0, start, np.arange(300, dtype=np.int32))) == list(want)
 
 
+def _orbit_by_each_route(rc, u0, start, idx):
+    """`orbit` scanned and solved, forced through the price constants, in
+    lanes and on Python ints (`_object_twin`): a list of four results, or
+    of four ValueErrors."""
+    got = []
+    with pytest.MonkeyPatch.context() as mp:
+        for cost in (10**9, 0):            # every index scanned, then solved
+            for name in ("_SOLVE_CALL", "_SOLVE_POINT", "_OBJECT_SOLVE_POINT"):
+                mp.setattr(arith, name, cost)
+            for circle in (rc, _object_twin(rc)):
+                try:
+                    got.append(list(circle.orbit(u0, start, idx)))
+                except ValueError as exc:
+                    got.append(exc)
+    return got
+
+
+@PROPERTY
+@given(shared_factor_circles(), st.data())
+def test_orbit_on_shared_factor_circles(rc, data):
+    # the orbit of u0 keeps u0 mod g: where that coset meets the arc, each
+    # route gives `power` at every index, and where it misses, each raises
+    # ValueError unless every exponent is 0
+    g = math.gcd(rc.P, rc.Q)
+    u0 = data.draw(st.integers(0, rc.Q - 1) | st.integers(rc.Q, 3 * rc.Q))
+    start = data.draw(st.integers(-50, 50))
+    steps = data.draw(st.lists(st.integers(1, 30), min_size=1, max_size=30))
+    idx = data.draw(st.integers(-1, 40)) + np.cumsum(steps, dtype=np.int64)
+    got = _orbit_by_each_route(rc, u0, start, idx)
+    if u0 % g < rc.C or not np.any(start + idx):
+        want = list(rc.power(np.full(len(idx), u0, dtype=object), (start + idx).astype(object)))
+        assert got == [want] * 4
+    else:
+        assert all(isinstance(e, ValueError) for e in got)
+
+
+def test_orbit_scan_hands_a_sparse_coset_to_power(monkeypatch):
+    # g = 2 and C = 41: the odd coset meets the arc at 20 of its 500 points,
+    # against C/Q = 20.5/500, so the scan's positions run out and one `power`
+    # of its last visit solves the offsets still missing
+    rc = RotationCounter(382, 1000, 41)
+    idx = np.arange(0, 300, 3)
+    want = list(rc.power(np.full(len(idx), 1, dtype=object), idx.astype(object)))
+    solved = []
+    power = RotationCounter._power
+    monkeypatch.setattr(RotationCounter, "_power",
+                        lambda self, u, n, floats: solved.append(np.size(n))
+                        or power(self, u, n, floats))
+    for circle in (rc, _object_twin(rc)):
+        solved.clear()
+        assert list(circle.orbit(1, 0, idx)) == want
+        # the first index, then the 3 offsets past the 290 visits scanned
+        assert solved == [1, 3]
+    monkeypatch.undo()
+    assert _orbit_by_each_route(rc, 1, 0, idx) == [want] * 4
+    # scans of three blocks of at most 2^16 positions, from the odd coset
+    # and from the even one, which meets the arc at 21 points
+    idx = np.arange(0, 6000, 7)
+    for u0 in (1, 0):
+        want = list(rc.power(np.full(len(idx), u0, dtype=object), idx.astype(object)))
+        assert _orbit_by_each_route(rc, u0, 0, idx) == [want] * 4
+    # on the arc [0, 1) the odd coset is never met past exponent 0
+    rc = RotationCounter(382, 1000, 1)
+    assert all(isinstance(e, ValueError) for e in _orbit_by_each_route(rc, 7, 0, idx))
+    assert _orbit_by_each_route(rc, 7, 0, idx[:1]) == [[7]] * 4
+
+
 def _object_twin(rc: RotationCounter) -> RotationCounter:
     """The same circle with its native form withheld: every count it makes
     runs `floor_sum_vec` on Python ints."""
