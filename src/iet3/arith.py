@@ -2,20 +2,33 @@
 
 Everything downstream (interval exchange iteration at large powers, crossing
 counts, return-time certificates) reduces to counting how often a rotation
-orbit visits a half-open arc.  This module does that counting with exact
-integer arithmetic: the rotation angle is a rational P/Q (floats are lifted
-to a deep continued-fraction convergent), points are snapped to the 1/Q grid,
-and visit counts come from classical floor sums evaluated in O(log Q).
+orbit visits a half-open arc, and to the inverse query, the rotation time
+of the n-th visit.  This module answers both with exact integer arithmetic:
+the rotation angle is a rational P/Q (floats are lifted to a deep
+continued-fraction convergent), points are snapped to the 1/Q grid, and both
+queries descend one table built once per circle (`_wrap_table`).
 
-The floor-sum recursion follows the Euclidean algorithm on (P, Q), which is
-shared by every point; only the offsets differ, so the counting is
-vectorized over batches of points.  A visit count needs only the difference
-of two floor sums, which lies in [0, n]: both sums run at native width, in
-int64 lanes that wrap modulo 2^64, with the offsets held as 30-bit limbs and
-every quotient estimated in float64 and made exact from the limb remainder.
-That kernel covers circles of up to 118 bits and counts below 2^48;
-`floor_sum_vec` runs the same descent on Python ints (object-dtype arrays)
-for everything else, and is the kernel's test oracle.
+The table groups the rotation's positions by their wraps around the circle:
+the rotation grouped so is again a rotation, of Z/P by -Q mod P, whose
+points weigh the arc visits of the wrap they start, and so on down the
+continued fraction of P/Q (reflected where a step passes half the circle, so
+a large partial quotient stays one level).  A visit count (`_count`) splits
+the n positions of a level into a partial first wrap, whole wraps, which are
+elements of the next level, and a partial last wrap, and weighs the partial
+wraps by one comparison per piece of the weight.  A visit time
+(`_descend`) stops at the first level whose partial first wrap holds the
+visits still wanted and climbs back, locating the visit inside one wrap per
+level, with no visit count.  Every query takes a direction per point: a
+backward query is a forward one from the reflected point C - 1 - u, since
+y -> C - 1 - y maps the arc onto itself and reverses the rotation, so the
+inverse rotation needs no table of its own.
+
+Both run at native width where they can: points of Z/Q as 30-bit limbs in
+int64 lanes, levels below 2^62 in plain int64, and every quotient estimated
+in float64 and made exact from its remainder (`_divmod_limbs`).  That covers
+circles of up to 118 bits, counts below 2^48 and visit indices below a bound
+from the circle's continued fraction; Python ints (object-dtype arrays) run
+the same code for everything else.
 
 The queries keep circle points in the kernel's own form: `visits`,
 `visit_time`, `power` and `orbit` turn Python ints into limb lanes once per
@@ -24,32 +37,16 @@ only read floats skip the Python ints on circles below 2^83: their float
 cells enter the lanes exactly, and each point leaves as the float of its
 exact int, bit for bit (`_exit`), by the same routes.  Shifts
 (u + s*P) mod Q reduce with the kernel's own limb division.  Each call
-decides its path once, from its input: lanes where the kernel takes the
-circle and every count, time and quotient of the query stays below 2^48 (a
-bound from the circle's continued fraction), Python ints otherwise, through
-the same code.
+decides its path once, from its input.
 
-Every count takes a direction per point: a backward count is a forward
-count from a shifted start (`RotationCounter.visits`), so one count serves
-both directions and the inverse rotation needs no counter of its own.
-
-The inverse query, the rotation time of the n-th visit, is one descent per
-point through a table built once per circle (`_wrap_table`): the rotation
-grouped by wraps around the circle is again a rotation, of Z/P by -Q mod P,
-whose points weigh the arc visits of the wrap they start, and so on down
-the continued fraction of P/Q (reflected where a step passes half the
-circle, so a large partial quotient stays one level).  The descent stops at
-the first level whose partial first wrap holds the visits still wanted and
-climbs back, locating the visit inside one wrap per level: a limb division
-per wide level and no visit count.  A backward query is a forward one from
-the reflected point C - 1 - u.  An induced-map power is the position at
-which that climb ends, with no shift after it.  The powers of one point at
-many exponents (`RotationCounter.orbit`) share the start of their
-descents, and the way down depends on an exponent only through its target,
-so it runs once per direction, on one column.  A window of them is priced
-once, its span's rotation positions against its points, and solved so or
-scanned from one solve: the positions that fall in the arc, each tested by a
-comparison with C, with any rest past them solved from the last visit.
+An induced-map power is the position at which the visit-time climb ends,
+with no shift after it.  The powers of one point at many exponents
+(`RotationCounter.orbit`) share the start of their descents, and the way
+down depends on an exponent only through its target, so it runs once per
+direction, on one column.  A window of them is priced once, its span's
+rotation positions against its points, and solved so or scanned from one
+solve: the positions that fall in the arc, each tested by a comparison with
+C, with any rest past them solved from the last visit.
 """
 
 from __future__ import annotations
@@ -67,8 +64,6 @@ __all__ = [
     "cf_convergents",
     "cf_to_fraction",
     "float_to_convergent",
-    "floor_sum",
-    "floor_sum_vec",
     "RotationCounter",
 ]
 
@@ -133,84 +128,25 @@ def float_to_convergent(x: float, q_min: int = 10**12) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# floor sums
-# ---------------------------------------------------------------------------
-
-def floor_sum(n: int, m: int, a: int, b: int) -> int:
-    """sum_{i=0}^{n-1} floor((a + b*i) / m) for n >= 0, m >= 1, a, b >= 0."""
-    if n <= 0:
-        return 0
-    ans = 0
-    while True:
-        if a >= m:
-            ans += (a // m) * n
-            a %= m
-        if b >= m:
-            ans += (b // m) * (n * (n - 1) // 2)
-            b %= m
-        y_max = a + b * n
-        if y_max < m:
-            return ans
-        n, b, m, a = y_max // m, m, b, y_max % m
-
-def floor_sum_vec(n, m: int, a, b: int) -> np.ndarray:
-    """Vectorized floor_sum over offset array ``a`` (and matching ``n``).
-
-    Arrays are object-dtype so intermediate products may exceed int64.  The
-    Euclidean descent on (b, m) is shared across entries; entries that finish
-    early continue with n = 0, contributing nothing.
-    """
-    a = np.asarray(a, dtype=object).copy()
-    n = np.broadcast_to(np.asarray(n, dtype=object), a.shape).copy()
-    if a.size == 0:
-        return np.zeros(0, dtype=object)
-    neg = n < 0
-    if np.any(neg):
-        n = n.copy()
-        n[neg] = 0
-    ans = np.zeros(a.shape, dtype=object)
-    m = int(m)
-    b = int(b)
-    while True:
-        if b >= m:
-            ans += (b // m) * (n * (n - 1) // 2)
-            b %= m
-        ans += (a // m) * n
-        a %= m
-        y_max = a + b * n
-        done = y_max < m
-        if bool(np.all(done)):
-            return ans
-        n_new = y_max // m
-        a = y_max - n_new * m
-        n = n_new
-        n[done] = 0
-        b, m = m, b
-
-
-# ---------------------------------------------------------------------------
-# floor sums at native width
+# limb division
 # ---------------------------------------------------------------------------
 #
-# `RotationCounter.visits` needs only the difference of two floor sums, which
-# lies in [0, n].  Both sums therefore run in int64 lanes that wrap modulo
-# 2^64 (their difference is exact), with each lane's offset held as 30-bit
-# limbs.  Every quotient is estimated in float64 from below, within one of
-# the exact quotient while it is under 2^48, and made exact by one
-# comparison of the limb remainder with the modulus.  Once a level's values
-# fit in 63 bits the limbs collapse into plain int64 division.
+# Points of Z/Q and the wide levels of the wrap table are held as 30-bit
+# limbs in int64 lanes.  Every quotient is estimated in float64 from below,
+# within one of the exact quotient while it is under 2^48, and made exact by
+# one comparison of the limb remainder with the modulus (`_divmod_limbs`).
 
 _LIMB = 30
 _MASK = (1 << _LIMB) - 1
-_NATIVE_BITS = 118                 # offsets below 4Q fit in four limbs
-_NATIVE_QUOTIENT = 1 << 48         # counts and partial quotients stay below
+_NATIVE_BITS = 118                 # points below 4Q fit in four limbs
+_NATIVE_QUOTIENT = 1 << 48         # counts and quotients stay below
 _FLOAT_EXIT_BITS = 83              # points below 2^83 cross to floats in lanes
 # a `power` call of one point costs about as much as scanning `_SOLVE_CALL`
-# rotation positions, and each of its exponents as scanning this many
-# positions in lanes and on Python ints, whatever the arc and the depth of the
-# descent (`RotationCounter._orbit`; BENCH_orbit_window.json, crossover)
+# rotation positions in lanes, and each of its exponents as scanning this
+# many, whatever the arc and the depth of the descent
+# (`RotationCounter._orbit`; BENCH_orbit_window.json, crossover)
 _SOLVE_CALL = 1 << 13
-_SOLVE_POINT, _OBJECT_SOLVE_POINT = 10, 30
+_SOLVE_POINT = 10
 # lanes hold at most five limbs: four for Q, one for the carry above them
 _F64_WEIGHTS = np.ldexp(1.0, _LIMB * np.arange(5))
 _SIGN_WEIGHTS = 3 ** np.arange(5, dtype=np.int64)   # sign of the top differing limb
@@ -228,39 +164,18 @@ def _limbs(x: int, k: int) -> np.ndarray:
                     dtype=np.int64).reshape(k, 1)
 
 
-class _Level:
-    """One level of the floor-sum descent: modulus m, slope quotient q and
-    remainder r, with the limb and float forms the kernel uses."""
+class _Modulus:
+    """A modulus m in the forms `_divmod_limbs` reads: its k limbs, its top
+    limb and the scaled reciprocal of its float."""
 
-    __slots__ = ("m", "q", "r", "k", "M", "top", "R", "scale", "q64")
+    __slots__ = ("m", "k", "M", "top", "scale")
 
-    def __init__(self, m: int, b: int):
+    def __init__(self, m: int):
         self.m = m
-        self.q, self.r = divmod(b, m)
         self.k = -(-m.bit_length() // _LIMB)
         self.M = _limbs(m, self.k)
         self.top = int(self.M[-1, 0])
-        self.R = _limbs(self.r, self.k)
         self.scale = _UNDER / m
-        q64 = self.q % (1 << 64)
-        self.q64 = np.int64(q64 - (1 << 64) if q64 >> 63 else q64)
-
-
-@functools.lru_cache(maxsize=128)
-def _euclid_chain(P: int, Q: int) -> Optional[tuple]:
-    """The levels of the floor-sum descent with slope P and modulus Q, or
-    None when the native kernel cannot run them: Q of more than 118 bits,
-    or a partial quotient too large for the float estimate."""
-    if Q.bit_length() > _NATIVE_BITS:
-        return None
-    levels, m, b = [], Q, P
-    while m:
-        lv = _Level(m, b)
-        if lv.q >= _NATIVE_QUOTIENT:
-            return None
-        levels.append(lv)
-        b, m = m, lv.r
-    return tuple(levels)
 
 
 def _carry(x: np.ndarray, k: int) -> np.ndarray:
@@ -273,7 +188,7 @@ def _carry(x: np.ndarray, k: int) -> np.ndarray:
     return x
 
 
-def _divmod_limbs(x: np.ndarray, lv: _Level) -> np.ndarray:
+def _divmod_limbs(x: np.ndarray, lv: _Modulus) -> np.ndarray:
     """x // m for lanes x >= 0 held in at least k + 1 limbs below 2^62 each,
     for quotients below 2^48.  x is overwritten with x % m in normalized
     limbs, zero from row k up.
@@ -308,48 +223,16 @@ def _divmod_limbs(x: np.ndarray, lv: _Level) -> np.ndarray:
     return q
 
 
-def _floor_sums_native(a: np.ndarray, n: np.ndarray, chain) -> np.ndarray:
-    """sum_{i<n} floor((a + P i) / Q) modulo 2^64 (wrapped int64) per lane,
-    along the chain of (P, Q), for offsets 0 <= a < 4Q held in the chain's
-    first k + 1 limbs and counts 0 <= n < 2^48.  The offsets are
-    overwritten."""
-    acc = np.zeros(n.shape, dtype=np.int64)
-    prev = 4 * chain[0].m             # bound on the offsets entering a level
-    wide = True
-    for lv in chain:
-        n_max = int(n.max())
-        if n_max == 0:
-            break
-        if wide and prev < 1 << 62 and lv.m * (n_max + 1) < 1 << 62:
-            a, wide = _WRAP_WEIGHTS[:len(a)] @ a, False
-        if lv.q:
-            # q * n(n-1)/2, with the even factor halved before the product wraps
-            acc += lv.q64 * ((n >> 1) * ((n - 1) | 1))
-        if wide:
-            acc += _divmod_limbs(a, lv) * n
-            a[:lv.k] += lv.R * (n & _MASK)
-            if n_max >> _LIMB:
-                a[1:lv.k + 1] += lv.R * (n >> _LIMB)
-            n = _divmod_limbs(a, lv)
-            a = a[:lv.k + 1]
-        else:
-            t, a = np.divmod(a, lv.m)
-            acc += t * n
-            n, a = np.divmod(a + lv.r * n, lv.m)
-        prev = lv.m
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # circle points at native width
 # ---------------------------------------------------------------------------
 #
 # The counting queries keep their points in the kernel's own form: limbs of
 # Z/Q in int64 lanes, with counts and times as plain int64.  Every shift
-# (u + s P) mod Q is a limb product reduced by `_divmod_limbs` at the
-# chain's first level (m = Q), and each wide level of the visit-time descent
-# divides by its step with `_divmod_limbs` too, so no second limb arithmetic
-# exists.  A test y < C against a constant needs no division: `_below`
+# (u + s P) mod Q is a limb product reduced by `_divmod_limbs` modulo Q,
+# and each wide level of the wrap descents divides by its step and by its
+# modulus with `_divmod_limbs` too, so no second limb arithmetic exists.
+# A test y < C against a constant needs no division: `_below`
 # compares floats, and limbs only where the floats are within their
 # rounding.  The descent of a power hands back the image itself, so a
 # solved point pays a division at its start and at each wide level on its
@@ -450,26 +333,28 @@ def _bound(c: int, rows: int) -> tuple:
     return np.array([[float(c)]]), _limbs(c, rows)[:, None], math.ldexp(c, -45)
 
 
-def _first_visit_bound(chain, C: int) -> Optional[int]:
+def _first_visit_bound(P: int, Q: int, C: int) -> Optional[int]:
     """A bound E on the first visit time of the arc [0, C) from any point of
     Z/Q, so that the n-th visit comes within n E steps; None when some orbit
     may miss the arc.
 
     By the three-distance theorem the points l P mod Q, 0 <= l < q_k +
-    q_(k-1), cut the circle into gaps of at most m_k, the modulus of level
-    k of the descent (q_k the continued-fraction denominators of P/Q).  At
-    the first level with m_k <= C, any C consecutive cells hold one of them,
-    so every orbit meets the arc within q_k + q_(k-1) steps."""
-    q2, q1 = 1, 0
-    for lv in chain:
-        q2, q1 = q1, lv.q * q1 + q2
-        if lv.m <= C:
+    q_(k-1), cut the circle into gaps of at most m_k, the k-th remainder of
+    Euclid's algorithm on (Q, P) (q_k the continued-fraction denominators of
+    P/Q).  At the first k with m_k <= C, any C consecutive cells hold one of
+    them, so every orbit meets the arc within q_k + q_(k-1) steps."""
+    q2, q1, m, b = 1, 0, Q, P
+    while m:
+        q, r = divmod(b, m)
+        q2, q1 = q1, q * q1 + q2
+        if m <= C:
             return q1 + q2
+        b, m = m, r
     return None
 
 
 # ---------------------------------------------------------------------------
-# the wrap table: visit times in one descent
+# the wrap table: visit counts and visit times in one descent
 # ---------------------------------------------------------------------------
 #
 # Level 0 is the rotation by P on Z/Q with weight 1 on the arc [0, C) and 0
@@ -479,10 +364,12 @@ def _first_visit_bound(chain, C: int) -> Optional[int]:
 # the next level, whose weight at z is the weight of the wrap z starts.  A
 # level with 2S > m is reflected first (y -> m - 1 - y, step m - S), so a
 # large partial quotient stays one level.  Every weight is a step function of
-# at most three pieces, and every level weighs C in all.  The n-th visit is
-# one pass down the levels, to the first whose partial first wrap holds the
-# weight still wanted, and one pass back up: element J of a level is wrap
-# J + 1 of the level above.
+# at most three pieces, and every level weighs C in all.  The visits of n
+# positions are one pass down the levels: a partial first wrap, the next
+# level's elements for the whole wraps and a partial last wrap at each.  The
+# n-th visit is one pass down the levels, to the first whose partial first
+# wrap holds the weight still wanted, and one pass back up: element J of a
+# level is wrap J + 1 of the level above.
 
 _WIDE = 1 << 62                     # levels with m below this run in int64
 
@@ -547,6 +434,7 @@ class _WrapForm:
         self.sat = None if ints else -(-_NATIVE_QUOTIENT // np.maximum(self.v, 1))[:, None]
         if S:
             self.b, self.ceil_q = lv.m % S, -(-lv.m // S)
+            self.mod = _Modulus(lv.m)
         if not self.wide:
             self.delta = np.array(deltas, dtype=dtype)[:, None]
             return
@@ -556,7 +444,7 @@ class _WrapForm:
         self.tol = math.ldexp(max(S, *deltas), -45)
         self.delta = np.stack([_limbs(d, rows) for d in deltas], axis=1)
         if S:
-            self.div = _Level(S, 0)
+            self.div = _Modulus(S)
             self.SL, self.bL, self.Sm1L = (_limbs(v, rows) for v in (S, self.b, S - 1))
 
     def below(self, beta) -> np.ndarray:
@@ -584,6 +472,15 @@ class _WrapForm:
             np.add(cum[i], wi, out=cum[i + 1])
         return D, cum
 
+    def weigh(self, lt, skip, top) -> np.ndarray:
+        """The weight of the positions skip, ..., skip + top - 1 of beta's
+        wrap, per lane (lt: beta < delta_i): D_i = min(max(0, gamma_i +
+        lt_i - skip), top) of them lie below each piece end.  In lanes no
+        piece they meet saturates, since they weigh less than 2^48 in all."""
+        D = np.minimum(np.maximum(self.gamma + lt - skip, 0), top)
+        D[1:] -= D[:-1]
+        return self.v @ D
+
     def locate(self, D, cum, t) -> tuple:
         """For a wrap that holds the weight t >= 1: the offset of the first
         position whose weight brings the sum to t, and the weight in [1, v]
@@ -604,8 +501,27 @@ class _WrapForm:
         alpha = x // self.S
         return alpha, x - alpha * self.S
 
+    def wraps(self, x, K) -> tuple:
+        """divmod(x + K S, m) per lane, for K >= 0 and quotients below 2^48
+        in lanes; x is left as it is.  Where the level is narrow, x + K S
+        may pass 2^63: the quotient is estimated in float64 from below,
+        within one, and raised once where the int64 remainder, which wraps
+        to its exact value, is not below m."""
+        if self.wide:
+            y = self.at(x, K)
+            return _divmod_limbs(y, self.mod), y
+        m = self.mod.m
+        if self.rows is None:
+            y = x + K * self.S
+            return y // m, y % m
+        W = ((x + K.astype(float) * self.S) * self.mod.scale).astype(np.int64)
+        p = x + K * self.S - W * m
+        over = p >= m
+        return W + over, p - over * m
+
     def at(self, beta, k):
-        """beta + k S, below m."""
+        """beta + k S, in limbs normalized up to the last row, which takes
+        the carry out."""
         if not self.wide:
             return beta + k * self.S
         y = beta + self.SL * (k & _MASK)
@@ -641,6 +557,40 @@ def _wrap_forms(table: tuple, rows: Optional[int]) -> tuple:
     for f, g in zip(forms, forms[1:]):
         f.flip, f.down_wide = g.refl, g.wide
     return forms
+
+
+def _count(forms: tuple, x, n: np.ndarray) -> np.ndarray:
+    """Per lane, the weight of the n >= 0 level-0 positions x + l S,
+    0 <= l < n, from x in level 0's arithmetic (int64 in lanes, whose
+    counts stay below 2^48, Python ints otherwise).
+
+    At each level the positions end at p = (x + (n - 1) S) mod m, after
+    W = floor((x + (n - 1) S) / m) wraps: the rest of x's wrap, W - 1 whole
+    wraps, which are the next level's W - 1 elements from the start of wrap
+    1, and a last wrap up to p, each partial wrap weighed where it lies
+    (`_WrapForm.weigh`).  At the last level, which fixes every point, each
+    of the n positions weighs as x does."""
+    total = np.zeros(len(n), dtype=n.dtype)
+    lanes = np.arange(len(n))
+    for f in forms:
+        if not n.size or n.min() <= 0:
+            go = np.flatnonzero(n > 0)
+            if not len(go):
+                break
+            lanes, x, n = lanes[go], x[..., go], n[go]
+        if not f.S:
+            total[lanes] += n * f.weigh(f.below(x), 0, 1)
+            break
+        k = len(n)
+        W, p = f.wraps(x, n - 1)
+        # x and p split in one batch: x's wrap from x on, p's wrap up to p
+        alpha, beta = f.split(np.concatenate((x, p), axis=-1))
+        lt = f.below(beta)
+        w = f.weigh(lt, np.concatenate((alpha[:k], np.zeros_like(n))),
+                    np.concatenate((n, np.where(W > 0, alpha[k:] + 1, 0))))
+        total[lanes] += w[:k] + w[k:]
+        x, n = f.start_below(beta[..., :k], lt[-1, :k]), W - 1
+    return total
 
 
 def _descend(forms: tuple, x, t: np.ndarray, image: bool = False) -> np.ndarray:
@@ -725,32 +675,29 @@ def _first_start(P: int, Q: int, C: int) -> tuple:
 
 
 class _NativeCircle:
-    """The native form of one circle (P, Q, C): its Euclid chain, whose first
-    level reduces mod Q, the limbs of P, Q - P, Q - C and Q as columns, C
-    and Q as `_below` reads them, the wrap table in lanes (`_descend`) with
-    the offsets of its level 0, and ``index_limit``, the visit indices the
-    lanes solve, all three built at the circle's first visit-time query.
+    """The native form of one circle (P, Q, C): Q as `_divmod_limbs` reads
+    it, the limbs of P and Q as columns, C and Q as `_below` reads them, the
+    wrap table in lanes (`_count`, `_descend`) with the offsets of its level
+    0, and ``index_limit``, the visit indices the lanes solve, the last
+    three built at the circle's first query that needs them.
 
-    An n-th visit comes within n E steps (`_first_visit_bound`), so indices
-    n with n E < 2^48 keep every time, target and quotient of the descent
-    below the kernel's bound, as long as every wide level's ceil(m / S) is
-    below it too."""
+    A count below 2^48 keeps every quotient of its descent below the
+    kernel's bound.  An n-th visit comes within n E steps
+    (`_first_visit_bound`), so indices n with n E < 2^48 keep every time,
+    target and quotient of a visit-time descent below it too."""
 
-    def __init__(self, chain, P: int, Q: int, C: int):
-        self.chain, self.mod = chain, chain[0]
+    def __init__(self, P: int, Q: int, C: int):
+        self.mod = _Modulus(Q)
         self.rows = rows = self.mod.k + 1
-        self.P, self.QmP, self.QmC = (_limbs(v, rows) for v in (P, Q - P, Q - C))
+        self.P, self.QL = _limbs(P, rows), _limbs(Q, rows)
         # C for `in_arc` and Q for `enter`, as `_below` reads them
         self.arc, self.top = (_bound(v, rows) for v in (C, Q))
-        self.QL = _limbs(Q, rows)
         self.circle = P, Q, C
-        self.E = _first_visit_bound(chain, C)
 
     @functools.cached_property
     def index_limit(self) -> int:
-        fits = all(-(-lv.m // lv.S) < _NATIVE_QUOTIENT
-                   for lv in _wrap_table(*self.circle) if lv.S and lv.m >= _WIDE)
-        return _NATIVE_QUOTIENT // self.E if self.E and fits else 0
+        E = _first_visit_bound(*self.circle)
+        return _NATIVE_QUOTIENT // E if E else 0
 
     @functools.cached_property
     def wrap(self) -> tuple:
@@ -793,22 +740,12 @@ class _NativeCircle:
         return _Lanes(x)
 
     def shift(self, u: _Lanes, s: np.ndarray) -> _Lanes:
-        """(u + s P) mod Q per lane, for steps s of either sign with
-        |s| < 2^48."""
-        a = np.abs(s)
-        w = np.where(s < 0, self.QmP, self.P)
-        x = u.x + w * (a & _MASK)
-        if a.max() >> _LIMB:
-            x[1:] += w[:-1] * (a >> _LIMB)
+        """(u + s P) mod Q per lane, for steps 0 <= s < 2^48."""
+        x = u.x + self.P * (s & _MASK)
+        if s.max() >> _LIMB:
+            x[1:] += self.P[:-1] * (s >> _LIMB)
         _divmod_limbs(x, self.mod)
         return _Lanes(x)
-
-    def gaps(self, lo: _Lanes, n: np.ndarray) -> np.ndarray:
-        """Number of l < n with (lo + l P) mod Q >= C, for 0 <= lo < Q."""
-        both = _floor_sums_native(np.concatenate((lo.x + self.QmC, lo.x), axis=1),
-                                  np.concatenate((n, n)), self.chain)
-        # the wrapped difference is exact: it lies in [0, n]
-        return both[:len(n)] - both[len(n):]
 
     def in_arc(self, y: _Lanes) -> np.ndarray:
         """y < C per lane, for y in [0, Q): a comparison (`_below`)."""
@@ -817,8 +754,14 @@ class _NativeCircle:
 
 @functools.lru_cache(maxsize=128)
 def _native_circle(P: int, Q: int, C: int) -> Optional[_NativeCircle]:
-    chain = _euclid_chain(P, Q)
-    return None if chain is None else _NativeCircle(chain, P, Q, C)
+    """The native form of the circle, or None where the lanes cannot run
+    its descents: Q of more than 118 bits, or a wide level of the wrap table
+    whose wraps hold 2^48 positions or more."""
+    if Q.bit_length() > _NATIVE_BITS or any(
+            lv.S and lv.m >= _WIDE and -(-lv.m // lv.S) >= _NATIVE_QUOTIENT
+            for lv in _wrap_table(P, Q, C)):
+        return None
+    return _NativeCircle(P, Q, C)
 
 
 # ---------------------------------------------------------------------------
@@ -894,12 +837,6 @@ class RotationCounter:
     def _native(self) -> Optional[_NativeCircle]:
         return _native_circle(self.P, self.Q, self.C)
 
-    def _shift(self, u, s):
-        """(u + s P) mod Q per point, for steps s of either sign."""
-        if isinstance(u, _Lanes):
-            return self._native.shift(u, s)
-        return (u + s * self.P) % self.Q
-
     def _lanes_for(self, n: np.ndarray, solve: bool) -> Optional[_NativeCircle]:
         """The native circle if it takes these counts (below 2^48) or, to
         ``solve`` for visit times, these visit indices (below its
@@ -916,31 +853,20 @@ class RotationCounter:
         < C where not ``forward`` (a bool or one per point); exact,
         vectorized, 0 for n <= 0.
 
-        The l-th backward step from u is the (n - l)-th forward step from
-        v = u - n*P, so a backward count is the count of l in {0..n-1} from
-        v, as a forward count is from u + P: one count over all points,
-        whatever their direction.  It runs in native lanes for counts below
-        2^48 on a circle the kernel takes, and on Python ints otherwise.
+        One `_count` down the circle's wrap table per point, from the
+        position after u (after C - 1 - u where not ``forward``,
+        `_first_start`), all points and both directions in one batch.  It
+        runs in native lanes for counts below 2^48 on a circle the kernel
+        takes, and on Python ints otherwise, by the same code.
         """
         u, n = _exact_ints(u, n)
         shape = u.shape
         fwd = np.broadcast_to(np.asarray(forward, dtype=bool), shape).reshape(-1)
         u, n = u.reshape(-1), np.maximum(n.reshape(-1), 0)
         native = self._lanes_for(n, solve=False)
-        if native is None:
-            return self._count(u, n, fwd).reshape(shape)
-        count = self._count(_to_lanes(u % self.Q, native.rows), n.astype(np.int64), fwd)
+        forms, x, _ = self._descent_start(u, fwd, native)
+        count = _count(forms, x, n if native is None else n.astype(np.int64))
         return count.astype(object).reshape(shape)
-
-    def _count(self, u, n, fwd) -> np.ndarray:
-        """`visits` for counts n >= 0, on lanes or on Python ints."""
-        lo = self._shift(u, np.where(fwd, 1, -n))
-        if isinstance(lo, _Lanes):
-            return n - self._native.gaps(lo, n)
-        # indicator(y mod Q >= C) = floor((y + Q - C)/Q) - floor(y/Q); summed
-        # over y = lo + l*P, l < n, it counts gap steps: visits are the rest
-        return n - (floor_sum_vec(n, self.Q, lo + (self.Q - self.C), self.P)
-                    - floor_sum_vec(n, self.Q, lo, self.P))
 
     def psi(self, u, n) -> np.ndarray:
         """Number of l in {0..n-1} with (u + l*P) mod Q < C (count includes l=0)."""
@@ -993,20 +919,31 @@ class RotationCounter:
             miss = ints % g >= self.C
             if np.any(miss):
                 raise ValueError(f"the orbit of {ints[miss][0]} never returns to the arc")
-        plus = fwd != _wrap_table(self.P, self.Q, self.C)[0].refl
         native = self._lanes_for(n, solve=True)
+        forms, x, plus = self._descent_start(u, fwd, native)
+        if native is not None:
+            y = _descend(forms, x, n.astype(np.int64, copy=False), image)
+            return native.image(y, plus, floats) if image else (y + 1).astype(object)
+        y = _descend(forms, x, n.astype(object), image)
+        if not image:
+            return y + 1
+        A, B, _ = _first_start(self.P, self.Q, self.C)
+        return _exit(np.where(plus, y - A, B - y), floats)
+
+    def _descent_start(self, u, fwd, native: Optional[_NativeCircle]) -> tuple:
+        """The wrap table in the native circle's lanes, or on Python ints
+        where ``native`` is None, the start of the descent for the positions
+        after each point u in the direction ``fwd`` (u: Python ints or
+        lanes), and ``plus`` (`_first_start`)."""
+        plus = fwd != _wrap_table(self.P, self.Q, self.C)[0].refl
         if native is not None:
             if not isinstance(u, _Lanes):
                 u = _to_lanes(u % self.Q, native.rows)
-            x = native.first(u, plus)
-            y = _descend(native.wrap, x, n.astype(np.int64, copy=False), image)
-            return native.image(y, plus, floats) if image else (y + 1).astype(object)
+            return native.wrap, native.first(u, plus), plus
         if isinstance(u, _Lanes):
             u = _to_ints(u.x)
         A, B, S = _first_start(self.P, self.Q, self.C)
-        x = np.where(plus, u + (A + S), (B + S + self.Q) - u) % self.Q
-        y = _descend(self._wrap, x, n.astype(object), image)
-        return _exit(np.where(plus, y - A, B - y), floats) if image else y + 1
+        return self._wrap, np.where(plus, u + (A + S), (B + S + self.Q) - u) % self.Q, plus
 
     def first_hit(self, u, horizon, forward=True) -> np.ndarray:
         """Smallest N in [1, horizon] with (u +- N P) mod Q in the arc, or
@@ -1071,14 +1008,14 @@ class RotationCounter:
         of idx (ValueError otherwise), exact: the one evaluation of an orbit
         window.
 
-        Where the window's span at the arc's density C / Q takes fewer
-        rotation positions than solving its points costs (priced once), one
-        `power` solve at the first index and its returns at the later indices
-        (`_returns`); otherwise one `power` of u0 at every index, whose
-        descents start from u0 once.  Indices stay int64 where they and
-        start + i fit.  A point off the arc is its own zeroth power but no
-        image of its (-1)-th, so a stretch through exponent 0 restarts
-        there."""
+        Where the circle has native lanes and the window's span at the arc's
+        density C / Q takes fewer rotation positions than solving its points
+        costs (priced once), one `power` solve at the first index and its
+        returns at the later indices (`_returns`); otherwise one `power` of
+        u0 at every index, whose descents start from u0 once.  Indices stay
+        int64 where they and start + i fit.  A point off the arc is its own
+        zeroth power but no image of its (-1)-th, so a stretch through
+        exponent 0 restarts there."""
         return self._orbit(u0, start, idx, floats=False)
 
     def _orbit(self, u0: int, start: int, idx, floats: bool) -> np.ndarray:
@@ -1092,10 +1029,9 @@ class RotationCounter:
             idx = idx.astype(np.int64, copy=False)
         else:
             idx = idx.astype(object)
-        per_point = _SOLVE_POINT if self._native is not None else _OBJECT_SOLVE_POINT
         density = self.Q / self.C          # rotation positions per arc visit
-        if len(idx) < 2 or (int(idx[-1] - idx[0]) * density
-                            >= (len(idx) - 1) * per_point + _SOLVE_CALL):
+        if self._native is None or len(idx) < 2 or (
+                int(idx[-1] - idx[0]) * density >= (len(idx) - 1) * _SOLVE_POINT + _SOLVE_CALL):
             return self._power(u0, start + idx, floats)
         out = np.empty(len(idx), dtype=float if floats else object)
         cut = (int(np.count_nonzero(idx < -start))
@@ -1116,36 +1052,29 @@ class RotationCounter:
         ``floats``, as their floats (`_exit`).
 
         Scans the rotation positions u + l P, 1 <= l <= ``positions``, in
-        native lanes where the circle has them, in blocks of at most 2^16,
-        up to the block that holds the last offset, and converts only the
-        visits asked for.  Where the positions run out first (a coset of u
-        sparser than the arc, a long return), one `power` of the last visit
-        scanned solves the offsets still missing, and raises ValueError
-        where the orbit misses the arc."""
+        native lanes, in blocks of at most 2^16, up to the block that holds
+        the last offset, and converts only the visits asked for.  Where the
+        positions run out first (a coset of u sparser than the arc, a long
+        return), one `power` of the last visit scanned solves the offsets
+        still missing, and raises ValueError where the orbit misses the
+        arc."""
         native = self._native
         out = np.empty(len(offsets), dtype=float if floats else object)
-        x = u if native is None else _to_lanes(u, native.rows)
-        last, seen, done = u, 0, 0          # the last visit, visits met, offsets filled
+        x = last = _to_lanes(u, native.rows)   # the last visit
+        seen, done = 0, 0                      # visits met, offsets filled
         for a in range(1, positions + 1, 1 << 16):
             if done == len(offsets):
                 break
-            l = np.arange(a, min(a + (1 << 16), positions + 1))
-            if native is None:
-                y = self._shift(x, l.astype(object))
-                hits = np.flatnonzero(y < self.C)
-            else:
-                y = native.shift(x, l)
-                hits = np.flatnonzero(native.in_arc(y))
+            y = native.shift(x, np.arange(a, min(a + (1 << 16), positions + 1)))
+            hits = np.flatnonzero(native.in_arc(y))
             if len(hits):
                 # the offsets this block reaches, and its last visit
                 m = int(np.searchsorted(offsets, seen + len(hits), side="right")) - done
                 got, last = y[hits[offsets[done:done + m] - seen - 1]], y[hits[-1:]]
-                out[done:done + m] = _exit(got if native is None else got.x, floats)
+                out[done:done + m] = _exit(got.x, floats)
                 done, seen = done + m, seen + len(hits)
         if done < len(offsets):
-            if isinstance(last, _Lanes):
-                last = _to_ints(last.x)
-            out[done:] = self._power(last[0], offsets[done:] - seen, floats)
+            out[done:] = self._power(_to_ints(last.x)[0], offsets[done:] - seen, floats)
         return out
 
 
@@ -1164,8 +1093,8 @@ def _exponents(n) -> np.ndarray:
 
 def _exact_ints(u, n) -> tuple[np.ndarray, np.ndarray]:
     """Points u and counts n broadcast to u's shape, as object arrays of
-    Python ints: a NumPy integer would run the floor sums in fixed width and
-    overflow on deep circles."""
+    Python ints: a NumPy integer would run the Python-int descents in fixed
+    width and overflow on deep circles."""
     u = np.asarray(_INDEX(np.asarray(u, dtype=object)), dtype=object)
     n = np.broadcast_to(np.asarray(n, dtype=object), u.shape)
     return u, np.asarray(_INDEX(n), dtype=object)

@@ -136,7 +136,14 @@ def _build_iet(args) -> Iet3:
         alpha = float(args.alpha)
     if alpha is None:
         raise UsageError("give the IET by --l, --alpha or --alpha-cf")
-    kappa = float(args.kappa) if getattr(args, "kappa", None) else (1 + alpha) / 2
+    if getattr(args, "kappa", None):
+        kappa = float(args.kappa)
+    else:
+        # (1 + alpha) / 2 where it is valid (alpha > 1/3), else the midpoint
+        # of (1 - alpha, 1]
+        kappa = (1 + alpha) / 2
+        if not alpha + kappa > 1:
+            kappa = 1 - alpha / 2
     return from_rotation(RotationRep(alpha, kappa))
 
 

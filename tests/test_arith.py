@@ -1,4 +1,5 @@
-"""Exact counting kernels against brute force."""
+"""Exact counting kernels against brute force, and against the classical
+floor sums kept here as the counting oracle (`floor_sum`, `floor_sum_vec`)."""
 
 import math
 from fractions import Fraction
@@ -8,15 +9,85 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iet3.arith import (RotationCounter, _euclid_chain, _floor_sums_native, _to_lanes,
-                        cf_convergents,
-                        cf_expansion, cf_to_fraction, float_to_convergent,
-                        floor_sum, floor_sum_vec)
-from iet3.params import documented_switch_iet
+from iet3.arith import (_WIDE, RotationCounter, _first_visit_bound, _wrap_table,
+                        cf_convergents, cf_expansion, cf_to_fraction, float_to_convergent)
+from iet3.params import documented_switch_iet, golden_iet
 
 # fixed example sequence: the suite stays deterministic run to run
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 NATIVE_N = 1 << 48        # counts from here on take the object path
+
+
+def floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum_{i=0}^{n-1} floor((a + b*i) / m) for n >= 0, m >= 1, a, b >= 0."""
+    if n <= 0:
+        return 0
+    ans = 0
+    while True:
+        if a >= m:
+            ans += (a // m) * n
+            a %= m
+        if b >= m:
+            ans += (b // m) * (n * (n - 1) // 2)
+            b %= m
+        y_max = a + b * n
+        if y_max < m:
+            return ans
+        n, b, m, a = y_max // m, m, b, y_max % m
+
+
+def floor_sum_vec(n, m: int, a, b: int) -> np.ndarray:
+    """Vectorized floor_sum over offset array ``a`` (and matching ``n``).
+
+    Arrays are object-dtype so intermediate products may exceed int64.  The
+    Euclidean descent on (b, m) is shared across entries; entries that finish
+    early continue with n = 0, contributing nothing.
+    """
+    a = np.asarray(a, dtype=object).copy()
+    n = np.broadcast_to(np.asarray(n, dtype=object), a.shape).copy()
+    if a.size == 0:
+        return np.zeros(0, dtype=object)
+    n[n < 0] = 0
+    ans = np.zeros(a.shape, dtype=object)
+    m = int(m)
+    b = int(b)
+    while True:
+        if b >= m:
+            ans += (b // m) * (n * (n - 1) // 2)
+            b %= m
+        ans += (a // m) * n
+        a %= m
+        y_max = a + b * n
+        done = y_max < m
+        if bool(np.all(done)):
+            return ans
+        n_new = y_max // m
+        a = y_max - n_new * m
+        n = n_new
+        n[done] = 0
+        b, m = m, b
+
+
+def _floor_sum_visits(rc: RotationCounter, us, ns, forward) -> np.ndarray:
+    """`visits` from floor sums: indicator(y mod Q >= C) = floor((y + Q -
+    C) / Q) - floor(y / Q), summed over the n positions y = lo + l P from
+    lo = u + P, or lo = u - n P backward, counts the steps off the arc."""
+    us, ns = np.asarray(us, dtype=object), np.maximum(np.asarray(ns, dtype=object), 0)
+    lo = np.where(forward, us + rc.P, us - ns * rc.P) % rc.Q
+    return ns - (floor_sum_vec(ns, rc.Q, lo + rc.Q - rc.C, rc.P)
+                 - floor_sum_vec(ns, rc.Q, lo, rc.P))
+
+
+def _object_twin(rc: RotationCounter) -> RotationCounter:
+    """The same circle with its native form withheld: every count it makes
+    descends the wrap table on Python ints."""
+    twin = RotationCounter(rc.P, rc.Q, rc.C)
+    twin._native = None
+    return twin
+
+
+_SWITCH = documented_switch_iet().rotation_counter()     # 82 bits, three wide levels
+_GOLDEN = golden_iet().rotation_counter()                # 41 bits, every level narrow
 
 
 def test_floor_sum_brute():
@@ -129,6 +200,53 @@ def test_backward_counting():
     assert got == brute == int(inverse.visits(u, 777)[0])
 
 
+@PROPERTY
+@given(st.integers(2, 120).flatmap(lambda Q: st.tuples(
+    st.integers(1, Q - 1), st.just(Q), st.integers(1, Q))))
+def test_first_visit_bound_holds(circle):
+    # every orbit meets the arc within E steps, and E is None exactly when
+    # some orbit never meets it (u mod gcd(P, Q) >= C)
+    P, Q, C = circle
+    E = _first_visit_bound(P, Q, C)
+    if E is None:
+        assert math.gcd(P, Q) > C
+    else:
+        steps = (np.arange(Q)[:, None] + np.arange(1, E + 1) * P) % Q
+        assert (steps < C).any(axis=1).all()
+
+
+# small circles of each kind the count descent meets: level 0 reflected
+# (2P > Q) or not, arcs of one cell and of the whole circle, and circles
+# sharing a factor g with P, whose points off the arc's cosets (u mod g >= C)
+# are never counted
+_SMALL_CIRCLES = [RotationCounter(3, 10, 4), RotationCounter(7, 10, 4),
+                  RotationCounter(7, 10, 1), RotationCounter(3, 10, 10),
+                  RotationCounter(1, 9, 5), RotationCounter(8, 9, 5),
+                  RotationCounter(4, 12, 3), RotationCounter(10, 12, 1),
+                  RotationCounter(6, 15, 2), RotationCounter(9, 15, 15),
+                  RotationCounter(21, 34, 13), RotationCounter(13, 34, 21)]
+
+
+@pytest.mark.parametrize("rc", _SMALL_CIRCLES, ids=lambda rc: f"P{rc.P}Q{rc.Q}C{rc.C}")
+def test_count_descent_matches_stepping(rc):
+    # every point and counts from -2 to past two turns, in lanes and on
+    # Python ints, one direction for all points or one per point
+    us, ns = (np.ravel(v).astype(object) for v in np.meshgrid(
+        np.arange(rc.Q), np.arange(-2, 2 * rc.Q + 3), indexing="ij"))
+    want = {f: [_brute_visits(u, rc.P if f else rc.Q - rc.P, rc.Q, rc.C, n)
+                for u, n in zip(us, ns)] for f in (True, False)}
+    mixed = np.array([(u + n) % 2 == 0 for u, n in zip(us, ns)])
+    for circle in (rc, _object_twin(rc)):
+        for f in (True, False):
+            assert list(circle.visits(us, ns, f)) == want[f]
+        assert list(circle.visits(us, ns, mixed)) == [want[f][i] for i, f in enumerate(mixed)]
+    # a point off the arc's cosets is never counted
+    g = math.gcd(rc.P, rc.Q)
+    off = [u for u in range(rc.Q) if u % g >= rc.C]
+    if off:
+        assert not any(_object_twin(rc).visits(off, 10**30)) and not any(rc.visits(off, 10**12))
+
+
 # limb divisions per point of one `visit_time` batch on the doc-switch
 # circle: the first start, then one split per wide level (82, 80, 67 bits)
 # the descent passes; later changes may lower this pin but never raise it
@@ -157,6 +275,35 @@ def test_visit_time_work_guard(monkeypatch):
     monkeypatch.undo()
     assert list(rc.visits(us, got, forward)) == list(ns)
     assert list(rc.visits(us, got - 1, forward)) == list(ns - 1 + (ns == 0))
+
+
+# limb divisions per point of one `visits` batch: the first start, then on
+# each wide level (82, 80 and 67 bits on the doc-switch circle) the last
+# position's wrap and one split of the first and last positions; the golden
+# circle (41 bits) has no wide level.  Before these pins, the floor sums
+# took 17 and 57 lanes per point; later changes may lower the pins but never
+# raise them
+VISITS_DIVMOD_LANES = {"doc-switch": 10, "golden": 1}
+
+
+@pytest.mark.parametrize("name", sorted(VISITS_DIVMOD_LANES))
+def test_visits_work_guard(monkeypatch, name):
+    # a fixed 2000-point batch at counts below 10^12, both directions
+    from iet3 import arith
+    rc = {"doc-switch": _SWITCH, "golden": _GOLDEN}[name]
+    rng = np.random.default_rng(2024)
+    us = np.array([int(v) for v in rng.integers(0, 1 << 62, 2000)], dtype=object) * rc.Q >> 62
+    ns = np.array([int(v) for v in rng.integers(0, 10**12, 2000)], dtype=object)
+    forward = rng.random(2000) < 0.5
+    lanes = []
+    divmod_limbs = arith._divmod_limbs
+    monkeypatch.setattr(arith, "_divmod_limbs",
+                        lambda x, lv: lanes.append(x.shape[1]) or divmod_limbs(x, lv))
+    got = rc.visits(us, ns, forward)
+    assert sum(lanes) <= VISITS_DIVMOD_LANES[name] * len(us)
+    # the batch is answered: spot checks against the floor sums
+    pick = slice(None, None, 37)
+    assert list(got[pick]) == list(_floor_sum_visits(rc, us[pick], ns[pick], forward[pick]))
 
 
 # limb-division lanes of a pair of 12,000-index orbit windows over 10^12 on
@@ -341,57 +488,60 @@ def test_orbit_routes_agree_with_power(bits, shift):
 
 
 @st.composite
-def wide_floor_sums(draw):
-    """Floor sums on 60-130-bit moduli: slopes and offsets on both sides of
-    m (exact multiples of m among them), and one batch of counts from 0 to
-    the native bound, so lanes leave the descent at different levels."""
-    bits = draw(st.integers(60, 130))
-    m = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
-    b = draw(st.integers(0, 3 * m))
+def wide_counts(draw):
+    """Counts on circles of 60 to 118 bits, which keep their native form
+    unless a wide level's wraps hold 2^48 positions (a slope P far below
+    Q, or Q - P so): points anywhere, directions per point, and one batch
+    of counts from 0 to the native bound, so lanes leave the descent at
+    different levels."""
+    bits = draw(st.integers(60, 118))
+    Q = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+    P = draw(st.integers(1, Q - 1) | st.integers(1, 1 << 12)
+             | st.integers(1, 1 << 12).map(lambda d: Q - d))
+    C = draw(st.integers(1, Q) | st.sampled_from([1, Q]))
     k = draw(st.integers(1, 8))
-    a = draw(st.lists(st.integers(0, 4 * m - 1) | st.sampled_from([m, 2 * m, 3 * m]),
-                      min_size=k, max_size=k))
-    n = draw(st.lists(st.sampled_from([0, 1, 2, NATIVE_N - 1]) | st.integers(0, 1000)
-                      | st.integers(1 << 40, NATIVE_N - 1), min_size=k, max_size=k))
-    # and a seeded batch of long sums, whose float quotient estimates fall
+    us = draw(st.lists(st.integers(0, Q - 1), min_size=k, max_size=k))
+    ns = draw(st.lists(st.sampled_from([0, 1, 2, NATIVE_N - 1]) | st.integers(0, 1000)
+                       | st.integers(1 << 40, NATIVE_N - 1), min_size=k, max_size=k))
+    # and a seeded batch of long counts, whose float quotient estimates fall
     # one short often enough to exercise the exact correction
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    a += [int(v) * 4 * m // 2**62 for v in rng.integers(0, 2**62, 32)]
-    n += [int(v) for v in rng.integers(1 << 40, NATIVE_N, 32)]
-    return m, b, a, n
+    us += [int(v) * Q >> 62 for v in rng.integers(0, 2**62, 32)]
+    ns += [int(v) for v in rng.integers(1 << 40, NATIVE_N, 32)]
+    forward = draw(st.lists(st.booleans(), min_size=len(us), max_size=len(us)))
+    return RotationCounter(P, Q, C), us, ns, forward
 
 
 @PROPERTY
-@given(wide_floor_sums())
-def test_native_floor_sums_match_floor_sum(inst):
-    m, b, a, n = inst
-    chain = _euclid_chain(b, m)
-    native = (m.bit_length() <= 118
-              and max(cf_expansion(Fraction(b, m), max_terms=10**4)) < NATIVE_N)
-    assert (chain is not None) == native
-    if native:
-        got = _floor_sums_native(_to_lanes(np.array(a, dtype=object), chain[0].k + 1).x,
-                                 np.array(n, dtype=np.int64), chain)
-        for ni, ai, g in zip(n, a, got):
-            assert int(g) % 2**64 == floor_sum(ni, m, ai, b) % 2**64
-
-
-_SWITCH = documented_switch_iet().rotation_counter()
+@given(wide_counts())
+def test_native_counts_match_floor_sums(inst):
+    rc, us, ns, forward = inst
+    # lanes on every circle of up to 118 bits whose wide levels' wraps hold
+    # fewer than 2^48 positions each
+    fits = all(-(-lv.m // lv.S) < NATIVE_N
+               for lv in _wrap_table(rc.P, rc.Q, rc.C) if lv.S and lv.m >= _WIDE)
+    assert (rc._lanes_for(np.array(ns), solve=False) is not None) == fits
+    got = rc.visits(np.array(us, dtype=object), np.array(ns, dtype=object), forward)
+    assert list(got) == list(_floor_sum_visits(rc, us, ns, forward))
 
 
 @settings(PROPERTY, max_examples=30)
-@given(st.lists(st.integers(0, 2**82), min_size=1, max_size=6), st.booleans())
-def test_visits_at_the_native_bound(us, past):
+@given(st.sampled_from([_SWITCH, _GOLDEN]), st.lists(st.integers(0, 2**82), min_size=1,
+                                                     max_size=6),
+       st.booleans(), st.data())
+def test_visits_at_the_native_bound(rc, us, past, data):
     # the largest native count and the first count past it, which takes the
-    # object path: both agree with the object floor sums
-    rc = _SWITCH
+    # object path, in either direction: both agree with the floor sums and
+    # with the Python-int descent of the object twin.  At these counts the
+    # narrow levels' x + (n - 1) S passes 2^63 (on the golden circle from
+    # level 0, a 41-bit modulus), and int64 wraps it
     us = np.array(us, dtype=object)
+    forward = data.draw(st.lists(st.booleans(), min_size=len(us), max_size=len(us)))
     n = np.full(len(us), NATIVE_N if past else NATIVE_N - 1, dtype=object)
     assert (rc._lanes_for(n, solve=False) is None) == past
-    lo = us % rc.Q + rc.P
-    gaps = (floor_sum_vec(n, rc.Q, lo + rc.Q - rc.C, rc.P)
-            - floor_sum_vec(n, rc.Q, lo, rc.P))
-    assert list(rc.visits(us, n)) == list(n - gaps)
+    got = rc.visits(us, n, forward)
+    assert list(got) == list(_floor_sum_visits(rc, us % rc.Q, n, forward))
+    assert list(got) == list(_object_twin(rc).visits(us, n, forward))
 
 
 @PROPERTY

@@ -187,6 +187,19 @@ def test_invalid_rotation_parameters_is_usage_error(tmp_path, capsys):
     assert "rotation parameters" in err
 
 
+@pytest.mark.parametrize("args,alpha", [(["--alpha-cf", "0,4,8000"], 8000 / 32001),
+                                        (["--alpha", "0.3"], 0.3),
+                                        (["--alpha", "0.5"], 0.5)],
+                         ids=["alpha-cf-0,4,8000", "alpha-0.3", "alpha-0.5"])
+def test_default_kappa_is_valid(tmp_path, capsys, args, alpha):
+    # kappa defaults to (1 + alpha) / 2 where that is valid (alpha > 1/3),
+    # and to 1 - alpha / 2, the midpoint of (1 - alpha, 1], below it
+    assert run(["iet-info"] + args, tmp_path) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["alpha"] == pytest.approx(alpha)
+    assert out["kappa"] == pytest.approx((1 + alpha) / 2 if alpha > 1 / 3 else 1 - alpha / 2)
+
+
 def test_missing_measure_file_is_usage_error(tmp_path, capsys):
     nu = tmp_path / "b.csv"
     nu.write_text("x,y,w\n0.4,0.2,1\n", encoding="utf-8")

@@ -255,13 +255,13 @@ def test_orbit_matches_power_deep_circle(u0, start):
 
 
 def _orbit_by_each_route(rc, u0, start, idx):
-    """`orbit` scanned and solved, forced through the price constants, in
-    lanes and on Python ints (`_object_twin`): a list of four results, or
-    of four ValueErrors."""
+    """`orbit` under both prices, forced through the price constants: in
+    lanes, scanned and solved, and on Python ints (`_object_twin`), which
+    always solve: a list of four results, or of four ValueErrors."""
     got = []
     with pytest.MonkeyPatch.context() as mp:
         for cost in (10**9, 0):            # every index scanned, then solved
-            for name in ("_SOLVE_CALL", "_SOLVE_POINT", "_OBJECT_SOLVE_POINT"):
+            for name in ("_SOLVE_CALL", "_SOLVE_POINT"):
                 mp.setattr(arith, name, cost)
             for circle in (rc, _object_twin(rc)):
                 try:
@@ -302,11 +302,12 @@ def test_orbit_scan_hands_a_sparse_coset_to_power(monkeypatch):
     monkeypatch.setattr(RotationCounter, "_power",
                         lambda self, u, n, floats: solved.append(np.size(n))
                         or power(self, u, n, floats))
-    for circle in (rc, _object_twin(rc)):
+    # the first index, then the 3 offsets past the 290 visits scanned; on
+    # Python ints every index in one solve
+    for circle, calls in ((rc, [1, 3]), (_object_twin(rc), [len(idx)])):
         solved.clear()
         assert list(circle.orbit(1, 0, idx)) == want
-        # the first index, then the 3 offsets past the 290 visits scanned
-        assert solved == [1, 3]
+        assert solved == calls
     monkeypatch.undo()
     assert _orbit_by_each_route(rc, 1, 0, idx) == [want] * 4
     # scans of three blocks of at most 2^16 positions, from the odd coset
@@ -322,8 +323,9 @@ def test_orbit_scan_hands_a_sparse_coset_to_power(monkeypatch):
 
 
 def _object_twin(rc: RotationCounter) -> RotationCounter:
-    """The same circle with its native form withheld: every count it makes
-    runs `floor_sum_vec` on Python ints."""
+    """The same circle with its native form withheld: every count and
+    visit time it makes descends the wrap table on Python ints, and every
+    orbit window solves."""
     twin = RotationCounter(rc.P, rc.Q, rc.C)
     twin._native = None
     return twin
@@ -593,7 +595,7 @@ def test_float_routes_match_the_exact_ones(rc, data):
     idx = data.draw(st.integers(-1, 5)) + np.cumsum(steps, dtype=np.int64)
     with pytest.MonkeyPatch.context() as mp:
         for cost in (10**9, 0):            # every index scanned, then solved
-            for name in ("_SOLVE_CALL", "_SOLVE_POINT", "_OBJECT_SOLVE_POINT"):
+            for name in ("_SOLVE_CALL", "_SOLVE_POINT"):
                 mp.setattr(arith, name, cost)
             want = [float(p) for p in rc.orbit(u0, start, idx)]
             assert _same_floats(rc._orbit(u0, start, idx, floats=True), want)
