@@ -78,11 +78,7 @@ def cf_expansion(x, max_terms: int = 64) -> list[int]:
     Fractions expand exactly (terminating); floats expand their exact binary
     value, truncated at ``max_terms``.
     """
-    if isinstance(x, Fraction):
-        p, q = x.numerator, x.denominator
-    else:
-        frac = Fraction(float(x)).limit_denominator(10**17)
-        p, q = frac.numerator, frac.denominator
+    p, q = (x if isinstance(x, Fraction) else Fraction(float(x))).as_integer_ratio()
     out = []
     for _ in range(max_terms):
         a, r = divmod(p, q)
@@ -905,10 +901,10 @@ class RotationCounter:
         as Python ints (as their floats with ``floats``, `_exit`): one
         `_descend` from the position after u (after C - 1 - u where not
         ``forward``: the reflection y -> C - 1 - y keeps the arc and
-        reverses the rotation, `_first_start`).  u and fwd hold one point
-        and direction per index, or one point (a one-element array) and one
-        bool for all, whose descent then shares its start; u is Python ints
-        or lanes (`_enter`).  Indices below the native circle's
+        reverses the rotation, `_first_start`).  u holds one point per
+        index, or one point (a one-element array) whose descent then shares
+        its start, and fwd one direction per index or one bool for all; u is
+        Python ints or lanes (`_enter`).  Indices below the native circle's
         ``index_limit`` (int64 or Python ints) solve in native lanes, the
         others on Python ints, by the same code.  An orbit that never meets
         the arc (off the arc of a non-coprime circle) raises ValueError."""
@@ -966,41 +962,32 @@ class RotationCounter:
         the inverse map, and a zero exponent leaves the point where it is.
         One point u with an array n gives its images at every exponent.
         Each image is the visit where its `visit_time` descent ends
-        (`_solve`): distinct points make one descent, both directions in one
-        batch, and one point makes one descent per direction that starts
-        from it once.  The points cross to native lanes and back once, when
-        every |n| is below the native circle's ``index_limit``.
+        (`_solve`), in one batch per direction: distinct points descend once
+        each, and the descents of one point start from it once.  A batch
+        crosses to native lanes and back once, when every |n| in it is below
+        the native circle's ``index_limit``.
         """
         return self._power(u, n, floats=False)
 
     def _power(self, u, n, floats: bool) -> np.ndarray:
         """`power`, with the images as their floats where ``floats``
         (`_exit`); u may be lanes from `_enter`."""
+        one = not isinstance(u, _Lanes) and np.ndim(u) == 0
         if isinstance(u, _Lanes):
             n = np.broadcast_to(_exponents(n), u.x.shape[1:])
-        elif np.ndim(u) == 0:
-            return self._power_at(operator.index(np.asarray(u, dtype=object).item()), n, floats)
+            out = _exit(u.x, floats)
+        elif one:
+            u0, n = operator.index(np.asarray(u, dtype=object).item()), _exponents(n)
+            u, out = np.array([u0], dtype=object), _exit(np.full(n.shape, u0, dtype=object), floats)
         else:
             u, n = _exact_ints(u, n)
-        out = _exit(u.x if isinstance(u, _Lanes) else u, floats)
-        mask = n != 0
-        if np.any(mask):
-            nm = n[mask]
-            ahead = nm > 0
-            out[mask] = self._solve(u[mask], np.where(ahead, nm, -nm), ahead,
-                                    image=True, floats=floats)
-        return out
-
-    def _power_at(self, u0: int, n, floats: bool) -> np.ndarray:
-        """`_power` of the one point u0 at every exponent of n."""
-        n = _exponents(n)
-        out = np.full(n.shape, float(u0) if floats else u0, dtype=float if floats else object)
-        flat, u = n.reshape(-1), np.array([u0], dtype=object)
+            out, u = _exit(u, floats), u.reshape(-1)
+        flat = n.reshape(-1)
         for ahead in (True, False):
             k = np.flatnonzero(flat > 0 if ahead else flat < 0)
             if len(k):
-                out.flat[k] = self._solve(u, flat[k] if ahead else -flat[k], ahead,
-                                          image=True, floats=floats)
+                out.flat[k] = self._solve(u if one else u[k], flat[k] if ahead else -flat[k],
+                                          ahead, image=True, floats=floats)
         return out
 
     def orbit(self, u0: int, start: int, idx) -> np.ndarray:

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 
@@ -173,12 +173,11 @@ def _draw_cells(rng, n: int, width: int) -> np.ndarray:
     return _INT(rng.random(n) * width)
 
 
-def _pick_scale(eng: _SwitchEngine, spec: SwitchSpec,
-                width_cap: Optional[float] = None,
-                S_override: Optional[int] = None) -> tuple[int, object]:
-    """Smallest admissible scale: small rho, near the half-marked square
-    torus, balanced closing fraction, and (optionally) a cap on lambda(J)."""
-    S = S_override if S_override is not None else max(1, abs(spec.a) + abs(spec.b))
+def _pick_scale(eng: _SwitchEngine, spec: SwitchSpec, S: int,
+                width_cap: Optional[float] = None) -> tuple[int, object]:
+    """Smallest admissible scale for the exponent scale S: small rho, near
+    the half-marked square torus, balanced closing fraction, and
+    (optionally) a cap on lambda(J)."""
     rho_max = spec.epsilon / (10 * max(1, S))
     rejections = []
     for N in (q for q in eng.scales if 2 <= q):
@@ -334,9 +333,8 @@ def build_switch(iet: Iet3, spec: SwitchSpec,
     several strand pairs.
     """
     eng = _SwitchEngine(iet)
-    S_over, W_over = pair_scale if pair_scale is not None else (None, None)
-    N, rec = _pick_scale(eng, spec, width_cap=width_cap, S_override=S_over)
-    W = W_over if W_over is not None else abs(spec.a - spec.b)
+    S, W = pair_scale or (abs(spec.a) + abs(spec.b), abs(spec.a - spec.b))
+    N, rec = _pick_scale(eng, spec, S, width_cap=width_cap)
     m, f_m, _ = _generic_crossing_pair(eng.rc.visits(eng.slit_samples(256, 77), N))
     rho = rec.rho
     p_hat = int(rec.V_len / rho) - 2 * (2 + W) - 3
@@ -388,10 +386,9 @@ def _verified(iet: Iet3, res: SwitchResult, samples: int, seed) -> SwitchResult:
     if samples < 1:
         return res
     report = verify_switch(iet, res, samples, seed=seed)
-    diags = dict(res.diagnostics)
-    diags["verification"] = report
     status = "verified" if report["all_pass"] else "constructed-but-unverified"
-    return SwitchResult(**{**res.__dict__, "status": status, "diagnostics": diags})
+    return replace(res, status=status,
+                   diagnostics={**res.diagnostics, "verification": report})
 
 
 def _sample_A_points(eng: _SwitchEngine, res: SwitchResult, n_samples: int,
@@ -436,8 +433,7 @@ def verify_switch(iet: Iet3, res: SwitchResult, samples: int,
     if samples <= 0:
         return {"all_pass": True, "checks": {}, "samples": 0}
     eng = _SwitchEngine(iet)
-    eps = float(res.diagnostics.get("epsilon", 0.05))
-    W = int(res.diagnostics.get("window_W", abs(res.a - res.b)))
+    eps, W = float(res.diagnostics["epsilon"]), res.diagnostics["window_W"]
     checks = {}
     # shadowing on A: d(T^n x, T^a x) < eps for sampled x in A
     uA = _sample_A_points(eng, res, samples, _mix_seed(seed, 1))
@@ -514,39 +510,23 @@ class ScheduleLevel:
     exponents: tuple
     lambda_A: float
     lambda_B: float
-    U_mass: float
+    U_mass: Optional[float]          # None while the level is only planned
     switch: SwitchResult
 
 
 @dataclass(frozen=True, eq=False)
 class Schedule:
+    """The levels of a schedule and its level-K strands.  A planned schedule
+    (`_plan_schedule`) holds unverified switches and no measures yet."""
+
     d: int
     initial_exponents: tuple
     eps: tuple
     levels: list
-    strand_measures: list            # DiscreteMeasure2D per strand at level K
-    average: DiscreteMeasure2D
+    strand_measures: Optional[list]  # DiscreteMeasure2D per strand at level K
+    average: Optional[DiscreteMeasure2D]
     aborted: bool = False
     abort_reason: str = ""
-
-
-class _PlannedLevel(NamedTuple):
-    k: int
-    epsilon: float
-    pairs: list
-    switch: SwitchResult             # constructed, not yet verified
-    exponents: tuple
-
-
-class _Plan(NamedTuple):
-    """The levels of a schedule, built but neither verified nor sampled."""
-
-    iet: Iet3
-    initial_exponents: tuple
-    eps: tuple
-    levels: list
-    aborted: bool
-    abort_reason: str
 
 
 def run_schedule(iet: Iet3, exponents, eps, K_levels: int,
@@ -559,11 +539,11 @@ def run_schedule(iet: Iet3, exponents, eps, K_levels: int,
     per-strand exponents n_k.  Returns the per-level records plus the
     level-K strand joinings sampled at N_atoms.
     """
-    return _finish_schedule(_plan_schedule(iet, exponents, eps, K_levels, seed),
+    return _finish_schedule(iet, _plan_schedule(iet, exponents, eps, K_levels, seed),
                             N_atoms, seed, verify_samples)
 
 
-def _plan_schedule(iet: Iet3, exponents, eps, K_levels: int, seed) -> _Plan:
+def _plan_schedule(iet: Iet3, exponents, eps, K_levels: int, seed) -> Schedule:
     """The levels of `run_schedule`, constructed only: nothing in them reads
     a verification, so `_finish_schedule` can verify the plan it keeps."""
     exps = [int(e) for e in exponents]
@@ -573,18 +553,14 @@ def _plan_schedule(iet: Iet3, exponents, eps, K_levels: int, seed) -> _Plan:
     eps = [float(e) for e in eps]
     if any(e2 > e1 + 1e-15 for e1, e2 in zip(eps, eps[1:])):
         raise SwitchError("eps must be non-increasing")
-    levels = []
-    prev_r = None
-    aborted = False
-    reason = ""
+    plan = Schedule(d=d, initial_exponents=tuple(exps), eps=tuple(eps), levels=[],
+                    strand_measures=None, average=None)
     for k in range(1, K_levels + 1):
         eps_k = eps[k - 1] if k - 1 < len(eps) else eps[-1] / 2 ** (k - len(eps))
         pairs = [(exps[(l - 1) % d], exps[l]) for l in range(d)]
         S = max(abs(a) + abs(b) for a, b in pairs)
         W = max(abs(a - b) for a, b in pairs)
-        width_cap = None
-        if prev_r is not None:
-            width_cap = eps_k / prev_r
+        width_cap = eps_k / plan.levels[-1].r if plan.levels else None
         try:
             # admissibility is governed by the largest strand pair; the
             # geometry (scale, m, J, A, B) is shared across strands.  The
@@ -596,28 +572,27 @@ def _plan_schedule(iet: Iet3, exponents, eps, K_levels: int, seed) -> _Plan:
                               verify_samples=0, pair_scale=(S, W),
                               seed=_mix_seed(seed, ("lvl", k)))
         except SwitchError as exc:
-            aborted = True
-            reason = f"level {k}: {exc}"
-            break
+            return replace(plan, aborted=True, abort_reason=f"level {k}: {exc}")
         exps = [b + (sw.m + 1) * (a - b) for a, b in pairs]
-        levels.append(_PlannedLevel(k, eps_k, pairs, sw, tuple(exps)))
-        prev_r = sw.r
-    return _Plan(iet=iet, initial_exponents=tuple(int(e) for e in exponents),
-                 eps=tuple(eps), levels=levels, aborted=aborted, abort_reason=reason)
+        plan.levels.append(ScheduleLevel(
+            k=k, epsilon=eps_k, n_steps=sw.n_steps, m=sw.m, r=sw.r,
+            lambda_J=sw.diagnostics["lambda_J"], exponents=tuple(exps),
+            lambda_A=sw.lambda_A, lambda_B=sw.lambda_B, U_mass=None, switch=sw))
+    return plan
 
 
-def _finish_schedule(plan: _Plan, N_atoms: int, seed,
+def _finish_schedule(iet: Iet3, plan: Schedule, N_atoms: int, seed,
                      verify_samples: int = 1500) -> Schedule:
     """Verify the planned levels in order, measure their exceptional sets
     and sample the strands on the shared grid.  A level whose verification
     raises ends the schedule there, as an aborted construction does."""
-    eng = _SwitchEngine(plan.iet)
-    exps = list(plan.initial_exponents)
+    eng = _SwitchEngine(iet)
+    exps = plan.initial_exponents
     levels = []
     aborted, reason = plan.aborted, plan.abort_reason
     for lv in plan.levels:
         try:
-            sw = _verified(plan.iet, lv.switch, verify_samples,
+            sw = _verified(iet, lv.switch, verify_samples,
                            _mix_seed(seed, ("lvl", lv.k)))
         except SwitchError as exc:
             aborted, reason = True, f"level {lv.k}: {exc}"
@@ -625,35 +600,29 @@ def _finish_schedule(plan: _Plan, N_atoms: int, seed,
         # exceptional set, measured: points where neither switching shadow
         # holds (the set-theoretic gap 1 - lambda_A - lambda_B is dominated
         # by tower granularity and is reported separately in diagnostics)
-        u_mass = _measured_U(eng, lv, seed=_mix_seed(seed, ("U", lv.k)))
-        levels.append(ScheduleLevel(
-            k=lv.k, epsilon=lv.epsilon, n_steps=sw.n_steps, m=sw.m, r=sw.r,
-            lambda_J=sw.diagnostics["lambda_J"], exponents=lv.exponents,
-            lambda_A=sw.lambda_A, lambda_B=sw.lambda_B, U_mass=u_mass,
-            switch=sw))
-        exps = list(lv.exponents)
+        u_mass = _measured_U(eng, lv, exps, seed=_mix_seed(seed, ("U", lv.k)))
+        levels.append(replace(lv, U_mass=u_mass, switch=sw))
+        exps = lv.exponents
     # every strand on one shared stratified grid (common random numbers),
     # the grid the witness compares the base strands on
     gseed = _mix_seed(seed, "sharedgrid")
-    strand_measures = [sample_power_joining(plan.iet, int(e), N_atoms, seed=gseed)
+    strand_measures = [sample_power_joining(iet, int(e), N_atoms, seed=gseed)
                        for e in exps]
-    avg = mix(*strand_measures)
-    return Schedule(d=len(plan.initial_exponents), initial_exponents=plan.initial_exponents,
-                    eps=plan.eps, levels=levels,
-                    strand_measures=strand_measures, average=avg,
-                    aborted=aborted, abort_reason=reason)
+    return replace(plan, levels=levels, strand_measures=strand_measures,
+                   average=mix(*strand_measures), aborted=aborted, abort_reason=reason)
 
 
-def _measured_U(eng: _SwitchEngine, lv: _PlannedLevel, seed=0) -> float:
+def _measured_U(eng: _SwitchEngine, lv: ScheduleLevel, prev: tuple, seed=0) -> float:
     """Fraction of uniform slit points where no strand's switching shadow
     holds at the level's accuracy: strand l's exponent n shadows T^a or T^b
-    of its pair (a, b), each power solved once over the samples."""
+    of its pair (a, b) = (prev[l - 1], prev[l]) of the previous level's
+    exponents, each power solved once over the samples."""
     us = eng.slit_samples(2000, seed)
-    at = {e: eng.rc.power(us, e)
-          for e in {*lv.exponents, *(e for pair in lv.pairs for e in pair)}}
+    at = {e: eng.rc.power(us, e) for e in {*lv.exponents, *prev}}
     bad = np.ones(len(us), dtype=bool)
-    for (a, b), n in zip(lv.pairs, lv.exponents):
-        bad &= np.minimum(_gap(eng, at[n], at[a]), _gap(eng, at[n], at[b])) >= lv.epsilon
+    for l, n in enumerate(lv.exponents):
+        bad &= np.minimum(_gap(eng, at[n], at[prev[l - 1]]),
+                          _gap(eng, at[n], at[prev[l]])) >= lv.epsilon
     return float(np.mean(bad))
 
 
@@ -780,7 +749,7 @@ def non_simplicity_witness(iet: Iet3, K_levels: int = 3, N: int = 100_000,
             eps_used = [e * scale for e in eps_pilot]
             sched = run_schedule(iet, (0, 1), eps_used, K_levels, N_atoms=N, seed=seed)
     if sched is None:
-        sched = _finish_schedule(pilot, N, seed)
+        sched = _finish_schedule(iet, pilot, N, seed)
     if sched.aborted:
         return {"passed": False, "aborted": True, "reason": sched.abort_reason,
                 "schedule": sched, "median_displacement": med}
@@ -831,7 +800,7 @@ def non_simplicity_witness(iet: Iet3, K_levels: int = 3, N: int = 100_000,
     }
 
 
-def _decay_fit(iet: Iet3, pilot: _Plan, eps_pilot, N: int, seed):
+def _decay_fit(iet: Iet3, pilot: Schedule, eps_pilot, N: int, seed):
     """Strand divergences from the base mixture (exact grid solves) and
     functional strand gaps (integrals of the 1-Lipschitz family -- the
     quantities the averaging recursion actually contracts) at each level of

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iet3.arith import (_WIDE, RotationCounter, _first_visit_bound, _wrap_table,
-                        cf_convergents, cf_expansion, cf_to_fraction, float_to_convergent)
+from iet3.arith import (_WIDE, RotationCounter, _first_visit_bound, _to_ints, _to_lanes,
+                        _wrap_table, cf_convergents, cf_expansion, cf_to_fraction,
+                        float_to_convergent)
 from iet3.params import documented_switch_iet, golden_iet
 
 # fixed example sequence: the suite stays deterministic run to run
@@ -128,6 +129,30 @@ def test_cf_round_trip():
     assert cf_to_fraction(digits) == x
     ps = list(cf_convergents([0, 1, 1, 1, 1, 1, 1]))
     assert ps[-1][0] * 13 == ps[-1][1] * 8  # 8/13 convergent of 1/phi
+
+
+def test_cf_expansion_of_a_float_is_its_binary_value():
+    for x in (0.1, 2.0**-60, (math.sqrt(5) - 1) / 2):
+        assert cf_to_fraction(cf_expansion(x)) == Fraction(x)
+    assert cf_expansion(2.0**-60) == [0, 2**60]
+
+
+def test_counter_arguments_are_checked():
+    for P, Q, C in ((0, 5, 1), (5, 5, 1), (6, 5, 1), (1, 5, 0), (1, 5, 6)):
+        with pytest.raises(ValueError, match="0 < P < Q and 0 < C <= Q"):
+            RotationCounter(P, Q, C)
+    with pytest.raises(ValueError, match="visit index must be >= 0"):
+        RotationCounter(2, 5, 3).visit_time([0, 1], [1, -1])
+
+
+def test_native_shift_past_the_low_limb():
+    # steps of 2^30 and more carry their high part into the next limb of P s
+    native = _SWITCH._native
+    us = np.array([0, 5, _SWITCH.C // 3, _SWITCH.Q - 1], dtype=object)
+    for s in (2**30 + 7, 2**40, 2**47 + 3):
+        steps = np.array([s, s, 1, s], dtype=np.int64)
+        got = _to_ints(native.shift(_to_lanes(us, native.rows), steps).x)
+        assert list(got) == [(u + int(k) * _SWITCH.P) % _SWITCH.Q for u, k in zip(us, steps)]
 
 
 def test_float_to_convergent_accuracy():

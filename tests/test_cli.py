@@ -1,11 +1,14 @@
 """Command-line interface: examples, files, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import iet3
 from iet3.cli import run_command
 
 
@@ -132,10 +135,14 @@ def test_command_files_byte_identical(tmp_path, args, files):
 
 
 def test_console_entry_point(tmp_path):
+    # the child imports iet3 from where this process did, with or without
+    # PYTHONPATH set (pytest's own `pythonpath` reaches only this process)
+    path = [str(Path(iet3.__file__).parent.parent), os.environ.get("PYTHONPATH")]
     proc = subprocess.run(
         [sys.executable, "-m", "iet3.cli", "iet-info", "--l", "0.2,0.3,0.5",
          "--out", str(tmp_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
     assert proc.returncode == 0
     assert "alpha" in proc.stdout
 

@@ -153,7 +153,8 @@ def test_planned_levels_are_verified_only_when_finished(switch_iet, monkeypatch)
     plan = construction._plan_schedule(switch_iet, (0, 1), [0.025], 1, seed=5)
     assert not calls
     assert [lv.switch.status for lv in plan.levels] == ["constructed-but-unverified"]
-    sched = construction._finish_schedule(plan, 500, seed=5, verify_samples=200)
+    assert plan.levels[0].U_mass is None and plan.average is None
+    sched = construction._finish_schedule(switch_iet, plan, 500, seed=5, verify_samples=200)
     assert calls == [_mix_seed(5, ("lvl", 1))]
     lv = sched.levels[0]
     report = lv.switch.diagnostics["verification"]
