@@ -407,7 +407,7 @@ def build_parser() -> _Parser:
     add("approx-powers", cmd_approx_powers,
         lambda q: (q.add_argument("--power", type=int, default=None),
                    q.add_argument("--atoms", type=_at_least("--atoms", 1), default=100000),
-                   q.add_argument("--bins", type=_at_least("--bins", 1), default=128),
+                   q.add_argument("--bins", type=_at_least("--bins", 2), default=128),
                    q.add_argument("--k-max", type=_at_least("--k-max", 1), default=20),
                    q.add_argument("--t-max", type=_between("--t-max", 0), default=11.0)),
         flags=_IET + ("--seed",))

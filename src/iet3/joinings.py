@@ -490,16 +490,46 @@ def kr_distance(mu: DiscreteMeasure2D, nu: DiscreteMeasure2D,
 # certified bounds for large graph-supported instances
 # ---------------------------------------------------------------------------
 
-def w1_1d(xs, ws, ys, vs) -> float:
-    """Exact 1-D Wasserstein-1 between weighted atom lists (interval metric)."""
+def _stable_order(v: np.ndarray) -> np.ndarray:
+    """The permutation of ``np.argsort(v, kind="stable")`` on finite v, from
+    NumPy's default sort, which is faster on unordered data.  If no two
+    sorted values are equal it is that order; otherwise each run of equal
+    values (+0.0 and -0.0 among them) is put back in index order by one sort
+    of the distinct keys run * len(v) + index."""
+    o = np.argsort(v)
+    s = v[o]
+    tie = s[1:] == s[:-1]
+    if not tie.any():
+        return o
+    run = np.cumsum(np.r_[0, ~tie])
+    return o[np.argsort(run * len(v) + o)]
+
+
+def _w1_and_ties(xs, ws, ys, vs) -> tuple[float, bool]:
+    """`w1_1d` and whether two of the points are equal.  Without equal
+    points the value of the reversed pair, w1_1d(ys, vs, xs, ws), is the
+    same bit for bit: the sorted points are the same and the running sums
+    change sign only."""
     xs = np.asarray(xs, dtype=float); ws = np.asarray(ws, dtype=float)
     ys = np.asarray(ys, dtype=float); vs = np.asarray(vs, dtype=float)
     pts = np.concatenate([xs, ys])
     sgn = np.concatenate([ws, -vs])
-    order = np.argsort(pts, kind="stable")
-    pts, sgn = pts[order], sgn[order]
-    cdf = np.cumsum(sgn)[:-1]
-    return float(np.sum(np.abs(cdf) * np.diff(pts)))
+    if not (np.isfinite(pts).all() and np.isfinite(sgn).all()):
+        raise ValueError("w1_1d needs finite points and weights")
+    order = _stable_order(pts)
+    cdf = np.cumsum(sgn[order])
+    # the last running sum is the difference of the two masses
+    if len(cdf) and not abs(cdf[-1]) <= 1e-9:
+        raise ValueError(f"w1_1d needs equal masses, got {ws.sum():.17g} "
+                         f"and {vs.sum():.17g}")
+    gaps = np.diff(pts[order])
+    return float(np.sum(np.abs(cdf[:-1]) * gaps)), not gaps.all()
+
+
+def w1_1d(xs, ws, ys, vs) -> float:
+    """Exact 1-D Wasserstein-1 between weighted atom lists of equal total
+    mass (to 1e-9) at finite points (interval metric)."""
+    return _w1_and_ties(xs, ws, ys, vs)[0]
 
 
 _U = 2.0 ** -53   # unit roundoff of binary64
@@ -515,13 +545,18 @@ def _tree_sum(v: np.ndarray) -> float:
     return float(v[0]) if len(v) else 0.0
 
 
+def _radix_order(g: np.ndarray, top: int) -> np.ndarray:
+    """``np.argsort(g, kind="stable")`` for integers 0..top, sorted in the
+    smallest unsigned type that holds top, which lets NumPy use its radix
+    sort."""
+    return np.argsort(g.astype(np.min_scalar_type(top)), kind="stable")
+
+
 def _grouped_order(key: np.ndarray, group: np.ndarray) -> np.ndarray:
-    """Indices ordering by (group, key).  The groups are sorted stably in
-    the smallest unsigned type that holds them, which lets NumPy use its
-    radix sort."""
+    """Indices ordering by (group, key): the keys, then the groups stably."""
     o = np.argsort(key)
     g = group[o]
-    return o[np.argsort(g.astype(np.min_scalar_type(int(g.max(initial=0)))), kind="stable")]
+    return o[_radix_order(g, int(g.max(initial=0)))]
 
 
 def _segmented_cumsum(w: np.ndarray, group: np.ndarray) -> tuple[np.ndarray, int]:
@@ -832,7 +867,7 @@ def disintegrate(m: DiscreteMeasure2D, bins: int) -> Disintegration:
     """Group atoms by x-bin and normalize the per-bin conditionals."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    order = np.argsort(_bin(m.xs, bins), kind="stable")
+    order = _radix_order(_bin(m.xs, bins), bins - 1)
     xs = m.xs[order]
     # the fiber bounds before ys and ws are gathered: the binning's
     # temporaries then never coexist with all three sorted arrays
@@ -934,33 +969,50 @@ def _coefficients_from_fiber(tower: Tower, iet: Iet3, xs, ys, ws):
             float(outside[-1]) if len(outside) else 0.0)
 
 
-def _select_base_bin(d: Disintegration, tower: Tower) -> int:
-    """Deterministic base-point selection: the nonempty in-tower bin whose
-    conditional agrees best with its neighbors (1-D KR)."""
-    scores = np.full(d.bins, np.inf)
+def _base_bin_scores(d: Disintegration, tower: Tower) -> np.ndarray:
+    """Scores of the base-bin choice, whose argmin is the base bin: the mean
+    1-D KR distance, w1_1d(bin, neighbor), of each nonempty in-tower bin's
+    conditional to those of its nonempty neighbors (left, then right), inf
+    on every other bin.  Each neighboring nonempty pair (b, b + 1) with an
+    in-tower bin in it is measured once, and once more the other way round
+    only if its points tie: W1 is symmetric, and so is its float value
+    unless a tie orders the pair's running sums otherwise."""
+    full = ~d.empty
     centers = (np.arange(d.bins) + 0.5) / d.bins
-    for b in np.flatnonzero(~d.empty & (tower.levels_of(centers) >= 0)):
-        near = [nb for nb in (b - 1, b + 1) if 0 <= nb < d.bins and not d.empty[nb]]
-        if near:
-            scores[b] = sum(w1_1d(*d.conditional(b), *d.conditional(nb))
-                            for nb in near) / len(near)
-    best = int(np.argmin(scores))
-    if not np.isfinite(scores[best]):
-        raise ValueError("no usable base bin: tower does not meet the sample")
-    return best
+    cand = full & (tower.levels_of(centers) >= 0)
+    if not cand.any():
+        raise ValueError("no usable base bin: no nonempty bin lies in the tower")
+    # each bin's distance to its left and right neighbor (NaN if unmeasured)
+    left, right = np.full(d.bins, np.nan), np.full(d.bins, np.nan)
+    for b in np.flatnonzero(full[:-1] & full[1:] & (cand[:-1] | cand[1:])):
+        here, there = d.conditional(b), d.conditional(b + 1)
+        right[b], tied = _w1_and_ties(*here, *there)
+        left[b + 1] = _w1_and_ties(*there, *here)[0] if tied else right[b]
+    sides = np.stack([left, right])
+    near = np.count_nonzero(~np.isnan(sides), axis=0)
+    usable = cand & (near > 0)
+    if not usable.any():
+        raise ValueError("no usable base bin: no nonempty in-tower bin has a "
+                         "nonempty neighbor")
+    scores = np.full(d.bins, np.inf)
+    scores[usable] = np.nansum(sides[:, usable], axis=0) / near[usable]
+    return scores
 
 
 def approx_by_powers(iet: Iet3, m: DiscreteMeasure2D, tower: Tower,
                      bins: int = 128) -> tuple[CoefficientVector, dict]:
     """Tower-coefficient approximation of the fiber-averaging operator.
 
-    Picks a base bin, reads the coefficients c_i off its conditional measure
-    (mass on the level i above the base bin's level, restricted to the
-    refined sub-tower), and reports the discrete L2 error of
-    A_sigma f vs sum_i c_i f(T^i x) per test function over the bin grid.
+    Picks a base bin (the argmin of `_base_bin_scores`; bins >= 2, since a
+    bin is scored against its neighbors), reads the coefficients c_i off its
+    conditional measure (mass on the level i above the base bin's level,
+    restricted to the refined sub-tower), and reports the discrete L2 error
+    of A_sigma f vs sum_i c_i f(T^i x) per test function over the bin grid.
     """
+    if bins < 2:
+        raise ValueError("bins must be >= 2")
     d = disintegrate(m, bins)
-    b0 = _select_base_bin(d, tower)
+    b0 = int(np.argmin(_base_bin_scores(d, tower)))
     indices, weights, outside = _coefficients_from_fiber(tower, iet, *d.fiber(b0))
     coeff = CoefficientVector(n=tower.height, indices=indices, weights=weights)
     if coeff.total() > 1 + 1e-12:

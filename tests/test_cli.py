@@ -276,10 +276,12 @@ def test_zero_samples_is_usage_error(tmp_path, capsys, command):
     (["switch", "--a", "1", "--b", "1"], "a != b"),
     (["weak-closure", "--horizon", "0"], "--horizon"),
     (["approx-powers", "--bins", "0"], "--bins"),
+    (["approx-powers", "--bins", "1"], "--bins"),
     (["joining-sample", "--heatmap", "-1"], "--heatmap"),
     (["tower", "--k-max", "0"], "--k-max")],
     ids=["witness-levels", "joining-sample-atoms", "schedule-atoms", "switch-eps",
          "switch-equal-pair", "weak-closure-horizon", "approx-powers-bins",
+         "approx-powers-one-bin",
          "joining-sample-heatmap", "tower-k-max"])
 def test_bad_numeric_input_is_usage_error(tmp_path, capsys, args, names):
     # a value outside its flag's range is bad input, not a failed verification

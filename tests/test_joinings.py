@@ -787,6 +787,73 @@ def test_non_finite_measure_rejected(column):
         DiscreteMeasure2D(*atoms)
 
 
+# -- 1-D Wasserstein-1 --------------------------------------------------------
+
+_FLOAT_LISTS = st.one_of(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=200),
+    # tie-heavy dyadic values
+    st.lists(st.integers(-8, 8).map(lambda k: k / 4), max_size=200),
+    st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0]), max_size=200))
+
+
+@PROPERTY
+@given(_FLOAT_LISTS)
+def test_stable_order_is_the_stable_argsort(values):
+    v = np.array(values, dtype=float)
+    assert np.array_equal(joinings._stable_order(v), np.argsort(v, kind="stable"))
+
+
+def test_stable_order_on_large_arrays():
+    # lengths past the small-array paths of the default sort, at lengths 0
+    # and 1 too
+    rng = np.random.default_rng(2024)
+    for v in (rng.random(100_000), rng.integers(0, 64, 100_000) / 64,
+              np.where(rng.random(5000) < 0.5, -0.0, 0.0), np.array([]), np.array([0.5])):
+        assert np.array_equal(joinings._stable_order(v), np.argsort(v, kind="stable"))
+
+
+@st.composite
+def _dyadic_atoms(draw):
+    """At most six atoms on the points k/8 (ties likely), weights k/16 that
+    sum to 1: every sum and product of `w1_1d` is exact."""
+    n = draw(st.integers(1, 6))
+    cuts = sorted(draw(st.lists(st.integers(0, 16), min_size=n - 1, max_size=n - 1)))
+    pts = draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))
+    return np.array(pts) / 8, np.diff([0, *cuts, 16]) / 16
+
+
+def _exact_w1(xs, ws, ys, vs):
+    """The integral of |F - G| over the line, F and G the two CDFs, in
+    Fractions."""
+    def cdf(p, w, t):
+        return sum(Fraction(wi) for pi, wi in zip(p, w) if Fraction(pi) <= t)
+    cuts = sorted({Fraction(p) for p in [*xs, *ys]})
+    return sum(abs(cdf(xs, ws, a) - cdf(ys, vs, a)) * (b - a)
+               for a, b in zip(cuts, cuts[1:]))
+
+
+@PROPERTY
+@given(_dyadic_atoms(), _dyadic_atoms())
+def test_w1_1d_is_the_exact_cdf_integral(mu, nu):
+    exact = _exact_w1(*mu, *nu)
+    assert Fraction(w1_1d(*mu, *nu)) == exact
+    assert Fraction(w1_1d(*nu, *mu)) == exact
+
+
+@pytest.mark.parametrize("args", [
+    ([0.0], [1.0], [0.5], [0.5]),
+    ([0.0], [1.0], [], []),
+    ([np.nan], [1.0], [0.5], [1.0]),
+    ([np.inf], [1.0], [0.5], [1.0]),
+    ([0.0], [np.nan], [0.5], [1.0]),
+    ([0.0], [1.0], [0.5], [-np.inf])],
+    ids=["unequal-mass", "one-side-empty", "nan-point", "inf-point", "nan-weight",
+         "inf-weight"])
+def test_w1_1d_rejects_bad_input(args):
+    with pytest.raises(ValueError, match="w1_1d needs"):
+        w1_1d(*args)
+
+
 # -- disintegration ---------------------------------------------------------
 
 def test_disintegrate_diagonal():
@@ -892,6 +959,84 @@ def test_approx_by_powers_on_an_empty_refined_base(tower_iet, doc_towers):
     coeff, errs = approx_by_powers(tower_iet, product_sample(20000, seed=1), tower)
     assert coeff.total() == 0
     assert abs(errs["_outside_mass"] - 1) <= 1e-12
+
+
+def _base_bin_scores_oracle(d, tower):
+    """The base-bin scores by the first rule: each nonempty in-tower bin b
+    against each nonempty neighbor nb, w1_1d(cond(b), cond(nb)), one call
+    per (bin, neighbor)."""
+    scores = np.full(d.bins, np.inf)
+    centers = (np.arange(d.bins) + 0.5) / d.bins
+    for b in np.flatnonzero(~d.empty & (tower.levels_of(centers) >= 0)):
+        near = [nb for nb in (b - 1, b + 1) if 0 <= nb < d.bins and not d.empty[nb]]
+        if near:
+            scores[b] = sum(w1_1d(*d.conditional(b), *d.conditional(nb))
+                            for nb in near) / len(near)
+    return scores
+
+
+def _tied_sample(n, seed):
+    # y on 16 values: neighboring fibers share y values, and so do atoms
+    # within a fiber
+    rng = np.random.default_rng(seed)
+    ws = rng.random(n) + 0.1
+    return DiscreteMeasure2D(rng.random(n), rng.integers(0, 16, n) / 16, ws / ws.sum())
+
+
+@pytest.mark.parametrize("case", ["product", "sparse-product", "graph", "tied", "tied-large"])
+@pytest.mark.parametrize("which", [0, 1], ids=["height-6", "height-362"])
+def test_base_bin_scores_against_the_first_rule(tower_iet, doc_towers, case, which):
+    # bit for bit, ties included: a tied pair is measured both ways round.
+    # The 6-level tower leaves two bins at 128 out of the tower; the sparse
+    # sample leaves bins empty and bins with one nonempty neighbor
+    from iet3.towers import build_tower
+    tower = build_tower(tower_iet, *doc_towers[which])
+    m = {"product": lambda: product_sample(20000, seed=41),
+         "sparse-product": lambda: product_sample(150, seed=42),
+         "graph": lambda: sample_power_joining(tower_iet, 5, 20000, seed=43),
+         "tied": lambda: _tied_sample(3000, 44),
+         "tied-large": lambda: _tied_sample(20000, 45)}[case]()
+    for bins in (16, 128):
+        d = disintegrate(m, bins)
+        want = _base_bin_scores_oracle(d, tower)
+        got = joinings._base_bin_scores(d, tower)
+        assert np.array_equal(got, want)
+        assert np.isfinite(got).any()
+
+
+def test_base_bin_errors(tower_iet, doc_towers):
+    from iet3.towers import build_tower
+    tower = build_tower(tower_iet, *doc_towers[0])
+    # the 6-level tower misses the centre of bin 21 of 128
+    off = DiscreteMeasure2D.equal_weight(np.array([21.5, 21.2]) / 128, np.array([0.1, 0.7]))
+    with pytest.raises(ValueError, match="no nonempty bin lies in the tower"):
+        approx_by_powers(tower_iet, off, tower, bins=128)
+    lone = DiscreteMeasure2D.equal_weight(np.array([0.3, 0.9]), np.array([0.1, 0.7]))
+    with pytest.raises(ValueError, match="has a nonempty neighbor"):
+        approx_by_powers(tower_iet, lone, tower, bins=128)
+    with pytest.raises(ValueError, match="bins must be >= 2"):
+        approx_by_powers(tower_iet, product_sample(1000, seed=1), tower, bins=1)
+
+
+# W1 evaluations of `approx_by_powers` on a 10^5-atom product sample with the
+# doc-tower 362-level tower at 128 bins: one per neighboring pair of fibers,
+# as the sample's points do not tie.  Before this pin each pair was measured
+# from both sides, 254 evaluations; later changes may lower the pin but never
+# raise it
+APPROX_POWERS_W1_CALLS = 127
+
+
+def test_approx_by_powers_work_guard(monkeypatch, tower_iet, doc_towers):
+    from iet3.towers import build_tower
+    tower = build_tower(tower_iet, *doc_towers[1])
+    assert tower.height == 362
+    calls = []
+    w1 = joinings._w1_and_ties
+    monkeypatch.setattr(joinings, "_w1_and_ties",
+                        lambda *a: calls.append(1) or w1(*a))
+    coeff, errs = approx_by_powers(tower_iet, product_sample(100_000, seed=1), tower, bins=128)
+    assert len(calls) <= APPROX_POWERS_W1_CALLS
+    assert coeff.total() <= 1 + 1e-12 and errs["coord"] <= 0.1
 
 
 # -- weak closure -----------------------------------------------------------
