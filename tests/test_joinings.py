@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial import cKDTree
 
 from iet3 import joinings
@@ -498,6 +498,94 @@ def test_grid_branch_selection(monkeypatch):
         nu = DiscreteMeasure2D(xs[P:], ys[P:], np.full(M, 1 / M))
         kr_distance_detailed(mu, nu, method="grid", grid=G)
         assert taken == [branch]
+
+
+# -- the seeded assignment --------------------------------------------------
+
+def _plain_assignment(mu, nu, metric):
+    """The unseeded assignment: `linear_sum_assignment` on the full cost
+    matrix, the mean of the costs it chooses."""
+    C = joinings._cost_matrix(mu, nu, metric)
+    r, c = linear_sum_assignment(C)
+    return float(C[r, c].mean())
+
+
+@st.composite
+def assignment_pairs(draw):
+    """Two measures of n equal-weight atoms, on coordinates k/64 (dyadic) or
+    on floats: free, on three values (tied costs), drawn from one shared pool
+    (coincident atoms), or all in one cell of the seed grid."""
+    n = draw(st.integers(1, 40))
+    dyadic = draw(st.booleans())
+    layout = draw(st.sampled_from(["free", "ties", "coincident", "one cell"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    G = joinings._SEED_GRID
+    cell = rng.integers(0, G, size=2)
+
+    def coords(size, axis):
+        if layout == "ties":
+            return rng.choice(rng.integers(0, 64, 3) / 64 if dyadic else rng.random(3), size)
+        if layout == "one cell":
+            return (cell[axis] * 64 // G + rng.integers(0, 64 // G, size)) / 64 if dyadic \
+                else (cell[axis] + 0.999 * rng.random(size)) / G
+        return rng.integers(0, 64, size) / 64 if dyadic else rng.random(size)
+
+    if layout == "coincident":
+        pool = [coords(max(1, n // 2), axis) for axis in (0, 1)]
+        pairs = [rng.integers(0, len(pool[0]), n) for _ in range(2)]
+        mu, nu = (DiscreteMeasure2D.equal_weight(pool[0][k], pool[1][k]) for k in pairs)
+    else:
+        mu, nu = (DiscreteMeasure2D.equal_weight(coords(n, 0), coords(n, 1)) for _ in range(2))
+    return mu, nu, dyadic
+
+
+@PROPERTY
+@given(assignment_pairs(), st.sampled_from(["interval", "circle"]))
+def test_seeded_assignment_against_the_plain_solve(pair, metric):
+    # the seed threshold lowered to one atom: the interval metric takes the
+    # seeded route (one seed LP) and the circle the plain one.  Dyadic inputs
+    # are exact throughout, so the values agree bit for bit; on floats they
+    # agree within _kr_assignment's bound, 12 U, plus each mean's own
+    # summation rounding, at most (n + 1) U times the value
+    mu, nu, dyadic = pair
+    n, lps = len(mu), []
+    with pytest.MonkeyPatch.context() as mp:
+        real = joinings._flow_lp
+        mp.setattr(joinings, "_flow_lp", lambda *a: lps.append(1) or real(*a))
+        mp.setattr(joinings, "_SEED_ATOMS", 1)
+        seeded = kr_distance(mu, nu, metric=metric, method="assignment")
+    plain = _plain_assignment(mu, nu, metric)
+    assert len(lps) == (metric == "interval")
+    if dyadic:
+        assert seeded == plain
+    else:
+        U = 2.0 ** -53
+        assert abs(seeded - plain) <= 12 * U + (n + 1) * U * (seeded + plain)
+
+
+def test_assignment_seed_work_guard(monkeypatch):
+    # n = 2000 equal weights: one seed LP, then one assignment solve; n = 300,
+    # under the seed threshold: the assignment solve alone
+    lps, solves = [], []
+    real_lp, real_lsa = joinings._flow_lp, joinings.optimize.linear_sum_assignment
+    monkeypatch.setattr(joinings, "_flow_lp", lambda *a: lps.append(1) or real_lp(*a))
+    monkeypatch.setattr(joinings.optimize, "linear_sum_assignment",
+                        lambda C: solves.append(len(lps)) or real_lsa(C))
+    rng = np.random.default_rng(16)
+    for n, seed_lps in ((2000, 1), (300, 0)):
+        lps.clear()
+        solves.clear()
+        mu, nu = (_rand_measure(rng, n, equal=True) for _ in range(2))
+        assert kr_distance_detailed(mu, nu)["method"] == "assignment"
+        assert solves == [seed_lps] and len(lps) == seed_lps
+
+
+def test_assignment_needs_equal_atom_counts():
+    rng = np.random.default_rng(17)
+    mu, nu = _rand_measure(rng, 3, equal=True), _rand_measure(rng, 5, equal=True)
+    with pytest.raises(ValueError, match="3 and 5"):
+        kr_distance_detailed(mu, nu, method="assignment")
+    assert kr_distance_detailed(mu, nu)["method"] == "lp"
 
 
 def test_kr_bounds_bracket():

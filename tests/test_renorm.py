@@ -94,6 +94,31 @@ def test_dist_to_hat_examples():
     assert d == pytest.approx(0.1, abs=1e-12)
 
 
+def _marked_term_on_numpy_scalars(w_red):
+    """`renorm._marked_term` as first written, on the NumPy scalars of w_red."""
+    from iet3.renorm import VERT_MARK_WEIGHT
+    dx = min(abs(w_red[0] - sx - kx) for kx in range(-3, 4) for sx in (0.5, -0.5))
+    dy = min(VERT_MARK_WEIGHT * abs(w_red[1] - ky) for ky in range(-3, 4))
+    return max(dx, dy)
+
+
+def test_dist_to_hat_equals_the_numpy_scalar_formula():
+    # random reduced tori, offsets on both sides of the half-points and at
+    # them: the Python-float offsets give the same binary64 values bit for bit
+    from iet3.renorm import _basis_term, _marked_term
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        s = rng.uniform(-2, 2)
+        B = np.diag([np.exp(s), np.exp(-s)]) @ np.array([[1.0, rng.uniform(-4, 4)], [0.0, 1.0]])
+        marked = rng.uniform(-6, 6, size=2)
+        if rng.random() < 0.2:
+            marked = np.round(marked * 2) / 2
+        red = reduce(MarkedTorus(B, marked))
+        old = _marked_term_on_numpy_scalars(red.marked)
+        assert _marked_term(red.marked) == old
+        assert dist_to_hat(MarkedTorus(B, marked)) == max(BASIS_WEIGHT * _basis_term(red.basis), old)
+
+
 def test_dist_to_hat_golden_fibonacci_oracle():
     # at t = ln(q) the flowed lattice has the analytic basis built from the
     # continued-fraction residues; compare against a reconstruction
