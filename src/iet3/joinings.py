@@ -5,7 +5,8 @@ Measures are weighted atom lists.  The KR (Wasserstein-1) distance under the
 taxicab ground metric is computed exactly by assignment (equal-count inputs
 with exactly equal weights; large ones on costs reduced by the potentials of
 a coarse grid flow, which keeps the optimal permutations) or as the
-transportation problem between the atoms; instances too large for either go
+transportation problem between the atoms (large ones started from the arcs
+those potentials price low); instances too large for either go
 through an exact min-cost flow on a grid quantization (solved as the
 transportation problem between excess and deficit cells when that is the
 smaller problem), which carries a certified snap-cost error interval.  Every
@@ -372,13 +373,36 @@ def _seed_potentials(mu, nu, metric) -> np.ndarray:
     of the grid flow of mu - nu (`_grid_supply`, `_grid_arcs`) at
     G = `_SEED_GRID`, rounded to whole steps and shifted to a least value of
     0.  Optimal potentials are 1-Lipschitz in grid steps, so u_i lies in
-    [0, 2(G - 1)/G]; G is a power of two, so u_i is exact."""
+    [0, 2(G - 1)/G]; G is a power of two, so u_i is exact.  They seed both
+    the assignment (`_kr_assignment`) and the first arc set of the `lp`
+    method's transport (`_seed_arcs`); neither reads them past that start."""
     G = _SEED_GRID
     supply, _, _ = _grid_supply(mu, nu, G)
     tail, head = _grid_arcs(G, metric)
-    _, pot, _ = _flow_lp(tail, head, np.ones(len(tail)), supply, "assignment seed")
+    _, pot, _ = _flow_lp(tail, head, np.ones(len(tail)), supply, "grid seed")
     y = np.rint(pot - pot.min())
     return y[_bin(mu.xs, G) * G + _bin(mu.ys, G)] / G
+
+
+# from this many atom pairs n * m the `lp` method seeds its first arc set by
+# the grid potentials, taking every arc within this many grid steps of
+# reduced cost (BENCH_lp_seed.json: below it the seed LP costs more than
+# it saves)
+_LP_SEED_PAIRS = 200 * 200
+_LP_SEED_SLACK = 3
+
+
+def _seed_arcs(D: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The arcs (i, j) of the cost matrix D whose reduced cost
+    D[i, j] - u_i - v_j is at most `_LP_SEED_SLACK` steps of the seed grid,
+    u the grid potentials of mu's atoms (`_seed_potentials`) and
+    v_j = min_i (D[i, j] - u_i) their c-transform, as a P x M mask.  The
+    grid potentials are within a few steps of optimal ones, under which the
+    optimal plan's arcs have reduced cost 0, so those arcs tend to lie in
+    this set and the first sparse LP to be optimal on all arcs."""
+    R = D - u[:, None]
+    R -= R.min(axis=0)
+    return R <= _LP_SEED_SLACK / _SEED_GRID
 
 
 def _kr_assignment(mu, nu, metric) -> float:
@@ -424,7 +448,8 @@ def _kr_assignment(mu, nu, metric) -> float:
 _NEAR_PARTNERS = 8
 
 
-def _transport(D: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
+def _transport(D: np.ndarray, a: np.ndarray, b: np.ndarray,
+               seed: Optional[np.ndarray] = None) -> tuple[float, bool]:
     """The transportation problem min sum D[i, j] x[i, j] over x >= 0 with
     row sums a and column sums b (all positive), solved on a shielded sparse
     arc set and settled by `_settle` against all P x M arcs (integer
@@ -433,7 +458,11 @@ def _transport(D: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[float, bool
     The first arc set holds each row's and each column's `_NEAR_PARTNERS`
     nearest partners and the north-west-corner plan (with the arc that
     keeps it connected where both sides break at once), so the first LP is
-    feasible.  Each round prices all P x M arcs with the LP's potentials in
+    feasible, and the arcs of `seed`, a P x M mask, when one is given
+    (`_seed_arcs`).  Seed arcs change only the set the loop starts from:
+    the pricing below and `_settle` still read all P x M arcs, so the
+    optimality certificate and the tolerance are those of the unseeded
+    solve.  Each round prices all P x M arcs with the LP's potentials in
     one array pass, adds those of reduced cost below -1e-9, and solves
     again; when none is left the set's optimum is optimal on all arcs (the
     shielding of Schmitzer, "A sparse multiscale algorithm for dense
@@ -443,7 +472,7 @@ def _transport(D: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[float, bool
     row potential by 1e-9 makes the potentials feasible on all arcs, so the
     arcs left out move the optimum by at most 1e-9 times the total mass."""
     P, M = D.shape
-    keep = np.zeros((P, M), dtype=bool)
+    keep = np.zeros((P, M), dtype=bool) if seed is None else seed.copy()
     near = min(_NEAR_PARTNERS, P, M)
     keep[np.arange(P)[:, None], np.argpartition(D, near - 1, axis=1)[:, :near]] = True
     keep[np.argpartition(D, near - 1, axis=0)[:near], np.arange(M)] = True
@@ -515,6 +544,12 @@ def _kr_grid(mu, nu, metric, G: int) -> tuple[float, float, str]:
     return steps / G, snap, "float"
 
 
+def _check_count(name: str, v) -> None:
+    """Raise ValueError unless v is a positive integer (not a bool)."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+        raise ValueError(f"{name} must be a positive integer, not {v!r}")
+
+
 def kr_distance_detailed(mu: DiscreteMeasure2D, nu: DiscreteMeasure2D,
                          metric: str = "interval", method: str = "auto",
                          grid: int = 128) -> dict:
@@ -528,7 +563,18 @@ def kr_distance_detailed(mu: DiscreteMeasure2D, nu: DiscreteMeasure2D,
     the interval metric it solves on costs reduced by grid potentials,
     which keeps the optimal permutations: the value moves only where
     rounding makes another permutation optimal, by at most 12 unit
-    roundoffs (`_kr_assignment`)."""
+    roundoffs (`_kr_assignment`).  From `_LP_SEED_PAIRS` atom pairs, on
+    either metric, the `lp` method starts its sparse solve from the arcs of
+    small reduced cost under the same grid potentials (`_seed_arcs`); that
+    changes only where the solve starts, never its pricing over all arcs or
+    its certificate, so the value is the same optimum up to the solver's
+    rounding.
+
+    A metric other than "interval" or "circle", or a grid that is not a
+    positive integer, raises ValueError."""
+    if metric not in ("interval", "circle"):
+        raise ValueError(f"metric must be 'interval' or 'circle', not {metric!r}")
+    _check_count("grid", grid)
     if abs(mu.ws.sum() - nu.ws.sum()) > 1e-9:
         raise ValueError("measures must have equal total mass")
     n, m = len(mu), len(nu)
@@ -548,7 +594,12 @@ def kr_distance_detailed(mu: DiscreteMeasure2D, nu: DiscreteMeasure2D,
         return {"value": _kr_assignment(mu, nu, metric), "method": "assignment", "bound": 0.0,
                 "value_kind": "float"}
     if method == "lp":
-        val, _ = _transport(_cost_matrix(mu, nu, metric), mu.ws, nu.ws)
+        # the seed LP runs before the cost matrix is allocated, as in
+        # `_kr_assignment`
+        seeded = n * m >= _LP_SEED_PAIRS
+        u = _seed_potentials(mu, nu, metric) if seeded else None
+        D = _cost_matrix(mu, nu, metric)
+        val, _ = _transport(D, mu.ws, nu.ws, _seed_arcs(D, u) if seeded else None)
         return {"value": float(val), "method": "lp", "bound": 0.0, "value_kind": "float"}
     if method == "grid":
         val, snap, kind = _kr_grid(mu, nu, metric, grid)
@@ -785,8 +836,10 @@ def kr_upper_binned(mu: DiscreteMeasure2D, nu: DiscreteMeasure2D,
       so (2 D + 10) u V covers the evaluation.
 
     The allowance is doubled to absorb the rounding of its own terms; on the
-    fast witness's calls it is below 6e-12.
+    fast witness's calls it is below 6e-12.  `bins` that is not a positive
+    integer raises ValueError.
     """
+    _check_count("bins", bins)
     value, allowance = _binned_coupling(mu, nu, bins)
     return value + allowance
 

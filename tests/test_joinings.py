@@ -262,7 +262,7 @@ def test_auto_takes_assignment_only_for_exactly_equal_weights():
 def test_auto_solves_up_to_a_million_pairs_by_lp(monkeypatch):
     # the measured limit (BENCH_grid_transport.json, auto_limit): lp up to
     # n * m = 1e6 atom pairs, the grid above; the solves themselves are stubbed
-    monkeypatch.setattr(joinings, "_transport", lambda D, a, b: (0.0, False))
+    monkeypatch.setattr(joinings, "_transport", lambda D, a, b, seed=None: (0.0, False))
     monkeypatch.setattr(joinings, "_kr_grid", lambda mu, nu, metric, G: (0.0, 0.0, "float"))
     rng = np.random.default_rng(2)
     for n, method in ((1000, "lp"), (1001, "grid128")):
@@ -586,6 +586,132 @@ def test_assignment_needs_equal_atom_counts():
     with pytest.raises(ValueError, match="3 and 5"):
         kr_distance_detailed(mu, nu, method="assignment")
     assert kr_distance_detailed(mu, nu)["method"] == "lp"
+
+
+# -- the seeded lp ----------------------------------------------------------
+
+@st.composite
+def lp_pairs(draw):
+    """Two measures of 1-30 atoms: equal counts with equal weights, or a
+    mixture of two equal-weight sets (unequal weights) against an
+    equal-weight sample of another count; the atoms free, on three values a
+    coordinate (tied costs), drawn from one shared pool (coincident atoms),
+    or all in one cell of the seed grid."""
+    n = draw(st.integers(1, 30))
+    equal = draw(st.booleans())
+    m = n if equal else draw(st.integers(1, 30))
+    split = n if equal or n == 1 else draw(st.integers(1, n - 1))
+    layout = draw(st.sampled_from(["free", "ties", "coincident", "one cell"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    G = joinings._SEED_GRID
+    cell = rng.integers(0, G, size=2)
+    values = rng.random((2, 3))
+    pool = rng.random((2, max(1, (n + m) // 4)))
+
+    def sample(size):
+        if layout == "ties":
+            xs, ys = (rng.choice(v, size) for v in values)
+        elif layout == "coincident":
+            xs, ys = pool[:, rng.integers(0, pool.shape[1], size)]
+        elif layout == "one cell":
+            xs, ys = (cell[:, None] + 0.999 * rng.random((2, size))) / G
+        else:
+            xs, ys = rng.random((2, size))
+        return DiscreteMeasure2D.equal_weight(xs, ys)
+
+    mu = sample(n) if split == n else mix(sample(split), sample(n - split))
+    return mu, sample(m)
+
+
+@PROPERTY
+@given(lp_pairs(), st.sampled_from(["interval", "circle"]))
+def test_seeded_lp_against_the_unseeded_transport(pair, metric):
+    # the seed threshold lowered to one pair: every instance solves one grid
+    # seed LP first, and its value is the unseeded solve's within the
+    # shielding tolerance; on equal weights and counts it is also the
+    # assignment oracle's
+    mu, nu = pair
+    labels = []
+    with pytest.MonkeyPatch.context() as mp:
+        real = joinings._flow_lp
+        mp.setattr(joinings, "_flow_lp", lambda *a: labels.append(a[-1]) or real(*a))
+        mp.setattr(joinings, "_LP_SEED_PAIRS", 1)
+        seeded = kr_distance(mu, nu, metric=metric, method="lp")
+    assert labels[0] == "grid seed" and labels.count("grid seed") == 1
+    unseeded, _ = joinings._transport(joinings._cost_matrix(mu, nu, metric), mu.ws, nu.ws)
+    assert abs(seeded - unseeded) <= 1e-9
+    if len(mu) == len(nu) and np.all(mu.ws == mu.ws[0]) and np.all(nu.ws == mu.ws[0]):
+        assert abs(seeded - _plain_assignment(mu, nu, metric)) <= 1e-9
+
+
+@pytest.mark.parametrize("integer", [True, False])
+def test_transport_seed_changes_only_the_start(monkeypatch, integer):
+    # a seed of each row's costliest arc, far from any optimal plan: pricing
+    # still reaches the unseeded optimum (in more than one round on some
+    # instance), and integer problems still settle with the certificate
+    solves = []
+    real = joinings._flow_lp
+    monkeypatch.setattr(joinings, "_flow_lp", lambda *a: solves.append(1) or real(*a))
+    rng = np.random.default_rng(22)
+    rounds = []
+    for _ in range(4):
+        mu, nu = _rand_measure(rng, 40), _rand_measure(rng, 60)
+        D = joinings._cost_matrix(mu, nu, "interval")
+        a, b = mu.ws, nu.ws
+        if integer:       # costs in steps of 1/64, supplies in whole atoms
+            D = np.rint(64 * D).astype(np.int64)
+            a, b = (rng.multinomial(600 - k, np.ones(k) / k) + 1 for k in (40, 60))
+        solves.clear()
+        seeded = joinings._transport(D, a, b, D == D.max(axis=1, keepdims=True))
+        rounds.append(len(solves))
+        unseeded = joinings._transport(D, a, b)
+        if integer:
+            assert seeded == unseeded and seeded[1]
+        else:
+            assert abs(seeded[0] - unseeded[0]) <= 1e-9
+    assert max(rounds) > 1
+
+
+def test_lp_seed_work_guard(monkeypatch):
+    # 300 x 300 atoms, uniform against a graph joining (kr-certify's lp
+    # size): one grid seed LP, then at most the measured number of transport
+    # LPs; under the seed threshold no seed LP
+    labels = []
+    real = joinings._flow_lp
+    monkeypatch.setattr(joinings, "_flow_lp", lambda *a: labels.append(a[-1]) or real(*a))
+    below = math.isqrt(joinings._LP_SEED_PAIRS - 1)
+    for n, seed_lps, transport_pin in ((300, 1, 1), (below, 0, None)):
+        labels.clear()
+        rng = np.random.default_rng(18)
+        mu = DiscreteMeasure2D.equal_weight(rng.random(n), rng.random(n))
+        nu = sample_power_joining(documented_switch_iet(), 8, n, seed=19)
+        assert kr_distance_detailed(mu, nu, method="lp")["method"] == "lp"
+        assert labels.count("grid seed") == seed_lps
+        if transport_pin is not None:
+            assert labels.count("transport") <= transport_pin
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"metric": "foo"}, "metric"), ({"metric": "Circle"}, "metric"),
+    ({"grid": 0}, "grid"), ({"grid": -3}, "grid"), ({"grid": 2.5}, "grid"),
+    ({"grid": 0, "method": "grid"}, "grid"), ({"metric": "foo", "method": "lp"}, "metric"),
+])
+def test_kr_rejects_bad_arguments(kwargs, name):
+    rng = np.random.default_rng(20)
+    mu, nu = _rand_measure(rng, 5), _rand_measure(rng, 5)
+    with pytest.raises(ValueError, match=name):
+        kr_distance_detailed(mu, nu, **kwargs)
+    with pytest.raises(ValueError, match=name):
+        kr_distance(mu, nu, **kwargs)
+
+
+@pytest.mark.parametrize("bins", [0, -1, 2.5, True])
+def test_kr_upper_binned_rejects_bad_bins(bins):
+    rng = np.random.default_rng(21)
+    mu, nu = _rand_measure(rng, 5), _rand_measure(rng, 5)
+    with pytest.raises(ValueError, match="bins"):
+        kr_upper_binned(mu, nu, bins=bins)
+    assert kr_upper_binned(mu, nu, bins=np.int64(1)) >= kr_distance(mu, nu) - 1e-9
 
 
 def test_kr_bounds_bracket():
