@@ -109,18 +109,11 @@ def float_to_convergent(x: float, q_min: int = 10**12) -> Fraction:
     Used to lift a float rotation number onto an exact integer circle; the
     approximation error is below 1/q_min^2, invisible at desk-scale horizons.
     """
-    q_max = 10**17
-    digits = cf_expansion(Fraction(x).limit_denominator(q_max))
-    best = None
-    for p, q in cf_convergents(digits):
-        if q > q_max:
-            break
-        best = Fraction(p, q)
+    # every convergent of the limited fraction has denominator <= 10^17
+    for p, q in cf_convergents(cf_expansion(Fraction(x).limit_denominator(10**17))):
         if q >= q_min:
             break
-    if best is None:
-        raise ValueError(f"no convergent of {x} with denominator <= {q_max}")
-    return best
+    return Fraction(p, q)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Every subcommand writes a JSON report (embedding the full configuration,
 package version, and per-check margins) plus CSV data files where measures
 or interval lists are produced.  Reports are byte-deterministic: one master
-seed is split per sub-task with a stable hash, floats are formatted with 17
-significant digits, and keys are sorted.
+seed is split per sub-task with a stable hash, and keys are sorted.  Floats
+are exact: JSON writes each as its shortest round-trip repr, the CSVs with
+17 significant digits.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure.
 """
@@ -63,33 +64,9 @@ def _between(flag: str, low: float, high: float = math.inf):
     return parse
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return float(f"{x:.17g}")
-    if isinstance(x, dict):
-        return {k: _fmt(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_fmt(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return [_fmt(float(v)) for v in x]
-    if isinstance(x, (np.floating,)):
-        return float(f"{float(x):.17g}")
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    return x
-
-
-def _write_report(out: Path, name: str, config: dict, body: dict) -> Path:
-    config = {k: v for k, v in config.items()
-              if k not in ("fn", "out")
-              and (v is None or isinstance(v, (str, int, float, bool)))}
-    report = {"tool": "iet3", "version": __version__, "command": name,
-              "config": _fmt(config), **_fmt(body)}
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{name}.json"
-    path.write_text(json.dumps(report, sort_keys=True, indent=1) + "\n",
-                    encoding="utf-8")
-    return path
+def _dumps(obj, indent=None) -> str:
+    """JSON with sorted keys; NumPy scalars and arrays become Python values."""
+    return json.dumps(obj, sort_keys=True, indent=indent, default=lambda x: x.tolist())
 
 
 def _resolve_iet(args) -> Iet3:
@@ -158,34 +135,26 @@ _FLAGS = {"--l": {"help": "three comma-separated lengths"},
 _IET = ("--l", "--alpha", "--alpha-cf", "--kappa")
 
 
-def cmd_iet_info(args) -> int:
+def cmd_iet_info(args):
     iet = _resolve_iet(args)
     rep = to_rotation(iet)
     body = {"lengths": [float(iet.l1), float(iet.l2), float(iet.l3)],
             "alpha": float(rep.alpha), "kappa": float(rep.kappa),
             "iet_json": json.loads(iet.to_json())}
-    path = _write_report(Path(args.out), "iet-info", vars(args), body)
-    print(json.dumps(_fmt(body), sort_keys=True))
-    return 0
+    return body, {}, _dumps(body), True
 
 
-def cmd_orbit(args) -> int:
+def cmd_orbit(args):
     if not 0 <= args.x < 1:
         raise UsageError(f"--x must lie in [0, 1), got {args.x}")
     iet = _resolve_iet(args)
     seg = orbit(iet, args.x, args.length)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    lines = ["i,x"] + [f"{i},{v:.17g}" for i, v in enumerate(seg.points)]
-    (out / "orbit.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_report(out, "orbit", vars(args),
-                  {"start": seg.start, "length": len(seg),
-                   "last": float(seg.points[-1])})
-    print(f"orbit of length {len(seg)} written")
-    return 0
+    csv = "".join(["i,x\n"] + [f"{i},{v:.17g}\n" for i, v in enumerate(seg.points)])
+    body = {"start": seg.start, "length": len(seg), "last": float(seg.points[-1])}
+    return body, {"orbit.csv": csv}, f"orbit of length {len(seg)} written", True
 
 
-def cmd_renorm_find(args) -> int:
+def cmd_renorm_find(args):
     from .renorm import scan_renorm_times
     iet = _resolve_iet(args)
     scan = scan_renorm_times(iet, delta=args.delta, t_max=args.t_max)
@@ -196,55 +165,40 @@ def cmd_renorm_find(args) -> int:
         "n_rejections": len(scan.rejections),
         "rejections_sample": [[t, r] for t, r in scan.rejections[:40]],
     }
-    _write_report(Path(args.out), "renorm-find", vars(args), body)
-    print(f"{len(scan.times)} accepted times; report written")
-    return 0
+    return body, {}, f"{len(scan.times)} accepted times; report written", True
 
 
-def cmd_tower(args) -> int:
+def cmd_tower(args):
     from .towers import build_tower, suggest_towers, tower_stats
     iet = _resolve_iet(args)
     cands = suggest_towers(iet, k_max=args.k_max, t_max=args.t_max)
     towers = [build_tower(iet, I, n) for I, n in cands]
     rows = []
-    out = Path(args.out)
     for tw in towers:
         st = tower_stats(tw, iet)
         rows.append({"base": [float(tw.base[0]), float(tw.base[1])], "height": tw.height,
                      "coverage": st.coverage, "rigidity": st.rigidity,
                      "hat": st.hat_measure, "tilde": st.tilde_measure})
     body = {"candidates": rows}
-    _write_report(out, "tower", vars(args), body)
-    if rows:
-        best = rows[-1]
-        lines = ["a,b"]
-        tw = towers[-1]
-        w = float(tw.width)
-        for lo in tw.level_lows:
-            lines.append(f"{float(lo):.17g},{float(lo)+w:.17g}")
-        (out / "tower_levels.csv").write_text("\n".join(lines) + "\n",
-                                              encoding="utf-8")
-        print(f"best tower: height {best['height']} coverage {best['coverage']:.6f} "
-              f"rigidity {best['rigidity']:.3e}")
-    else:
-        print("no tower found")
-    return 0 if rows else VERIFY_ERROR
+    if not rows:
+        return body, {}, "no tower found", False
+    best, tw = rows[-1], towers[-1]
+    w = float(tw.width)
+    csv = "".join(["a,b\n"] + [f"{float(lo):.17g},{float(lo)+w:.17g}\n"
+                                for lo in tw.level_lows])
+    return (body, {"tower_levels.csv": csv},
+            f"best tower: height {best['height']} coverage {best['coverage']:.6f} "
+            f"rigidity {best['rigidity']:.3e}", True)
 
 
-def cmd_joining_sample(args) -> int:
+def cmd_joining_sample(args):
     from .joinings import measure_histogram_csv, measure_to_csv, sample_power_joining
     iet = _resolve_iet(args)
     m = sample_power_joining(iet, args.power, args.atoms, seed=args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "joining.csv").write_text(measure_to_csv(m), encoding="utf-8")
+    files = {"joining.csv": measure_to_csv(m)}
     if args.heatmap:
-        (out / "joining_heatmap.csv").write_text(
-            measure_histogram_csv(m, args.heatmap), encoding="utf-8")
-    _write_report(out, "joining-sample", vars(args),
-                  {"atoms": len(m), "power": args.power})
-    print(f"{len(m)} atoms written")
-    return 0
+        files["joining_heatmap.csv"] = measure_histogram_csv(m, args.heatmap)
+    return {"atoms": len(m), "power": args.power}, files, f"{len(m)} atoms written", True
 
 
 def _read_measure(path: str):
@@ -257,24 +211,20 @@ def _read_measure(path: str):
         raise UsageError(f"{path} is not an x,y,w measure CSV: {exc}") from None
 
 
-def cmd_kr(args) -> int:
+def cmd_kr(args):
     from .joinings import kr_distance_detailed
     mu, nu = _read_measure(args.mu), _read_measure(args.nu)
     det = kr_distance_detailed(mu, nu, metric=args.metric)
-    _write_report(Path(args.out), "kr", {"mu": args.mu, "nu": args.nu,
-                                         "metric": args.metric}, det)
-    print(f"{det['value']:.17g}")
-    return 0
+    return det, {}, f"{det['value']:.17g}", True
 
 
-def cmd_approx_powers(args) -> int:
+def cmd_approx_powers(args):
     from .joinings import approx_by_powers, product_sample, sample_power_joining
     from .towers import build_tower, suggest_towers
     iet = _resolve_iet(args)
     cands = suggest_towers(iet, k_max=args.k_max, t_max=args.t_max)
     if not cands:
-        print("no tower available")
-        return VERIFY_ERROR
+        return None, {}, "no tower available", False
     tower = build_tower(iet, cands[-1][0], cands[-1][1])
     if args.power is not None:
         m = sample_power_joining(iet, args.power, args.atoms, seed=args.seed)
@@ -285,23 +235,19 @@ def cmd_approx_powers(args) -> int:
             "errors": {k: v for k, v in errs.items()},
             "top_indices": [int(i) for i in
                             np.argsort(coeff.dense())[-5:][::-1]]}
-    _write_report(Path(args.out), "approx-powers", vars(args), body)
-    print(f"sum c = {coeff.total():.6f}; coord L2 error {errs['coord']:.4f}")
-    return 0
+    return body, {}, f"sum c = {coeff.total():.6f}; coord L2 error {errs['coord']:.4f}", True
 
 
-def cmd_weak_closure(args) -> int:
+def cmd_weak_closure(args):
     from .joinings import weak_closure_check
     iet = _resolve_iet(args)
     n, err, info = weak_closure_check(iet, k=args.k, horizon=args.horizon,
                                       N=args.atoms, seed=args.seed)
     body = {"best_n": n, "kr_error": err, "scan_N": info["scan_N"]}
-    _write_report(Path(args.out), "weak-closure", vars(args), body)
-    print(f"best n = {n}, kr error = {err:.6f}")
-    return 0
+    return body, {}, f"best n = {n}, kr error = {err:.6f}", True
 
 
-def cmd_switch(args) -> int:
+def cmd_switch(args):
     from .construction import SwitchError, SwitchSpec, build_switch
     iet = _resolve_iet(args)
     try:
@@ -316,12 +262,11 @@ def cmd_switch(args) -> int:
             "lambda_A": res.lambda_A, "lambda_B": res.lambda_B,
             "return_lower_bound": res.return_lo, "status": res.status,
             "checks": checks}
-    _write_report(Path(args.out), "switch", vars(args), body)
-    print(f"status: {res.status}; n = {res.n}, r = {res.r}")
-    return 0 if res.status == "verified" else VERIFY_ERROR
+    return (body, {}, f"status: {res.status}; n = {res.n}, r = {res.r}",
+            res.status == "verified")
 
 
-def cmd_schedule(args) -> int:
+def cmd_schedule(args):
     from .construction import ksv_check, run_schedule
     from .joinings import measure_to_csv
     iet = _resolve_iet(args)
@@ -338,35 +283,27 @@ def cmd_schedule(args) -> int:
                     "U_mass": lv.U_mass} for lv in sched.levels],
         "ksv": rep,
     }
-    out = Path(args.out)
-    _write_report(out, "schedule", vars(args), body)
-    (out / "final_average.csv").write_text(measure_to_csv(sched.average),
-                                           encoding="utf-8")
-    ok = (not sched.aborted) and rep["all_pass"]
-    print(f"levels: {len(sched.levels)}; conditions pass: {rep['all_pass']}")
-    return 0 if ok else VERIFY_ERROR
+    return (body, {"final_average.csv": measure_to_csv(sched.average)},
+            f"levels: {len(sched.levels)}; conditions pass: {rep['all_pass']}",
+            not sched.aborted and rep["all_pass"])
 
 
-def cmd_witness(args) -> int:
+def cmd_witness(args):
     from .construction import non_simplicity_witness
     from .joinings import measure_to_csv
     iet = _resolve_iet(args)
     rep = non_simplicity_witness(iet, K_levels=args.levels, N=args.atoms,
                                  seed=args.seed)
-    out = Path(args.out)
     body = {k: v for k, v in rep.items() if k != "schedule"}
+    files = {}
     sched = rep.get("schedule")
     if sched is not None:
         body["schedule_levels"] = [
             {"k": lv.k, "n_steps": lv.n_steps, "m": lv.m,
              "exponents": [int(e) for e in lv.exponents]}
             for lv in sched.levels]
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "final_average.csv").write_text(measure_to_csv(sched.average),
-                                               encoding="utf-8")
-    _write_report(out, "witness", vars(args), body)
-    print(f"witness passed: {rep['passed']}")
-    return 0 if rep["passed"] else VERIFY_ERROR
+        files["final_average.csv"] = measure_to_csv(sched.average)
+    return body, files, f"witness passed: {rep['passed']}", rep["passed"]
 
 
 def build_parser() -> _Parser:
@@ -432,9 +369,25 @@ def build_parser() -> _Parser:
 
 
 def run_command(argv) -> int:
+    """Run one subcommand.  Its handler returns ``(body, files, message, ok)``
+    (no report when body is None); only this writes them, under ``--out``."""
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        body, files, message, ok = args.fn(args)
+        if body is not None:
+            config = {k: v for k, v in vars(args).items()
+                      if k not in ("fn", "out")
+                      and (v is None or isinstance(v, (str, int, float, bool)))}
+            report = {"tool": "iet3", "version": __version__, "command": args.cmd,
+                      "config": config, **body}
+            files = {f"{args.cmd}.json": _dumps(report, indent=1) + "\n", **files}
+        if files:
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            for name, text in files.items():
+                (out / name).write_text(text, encoding="utf-8")
+        print(message)
+        return 0 if ok else VERIFY_ERROR
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR

@@ -626,7 +626,7 @@ def _measured_U(eng: _SwitchEngine, lv: ScheduleLevel, prev: tuple, seed=0) -> f
     return float(np.mean(bad))
 
 
-def ksv_check(s: Schedule, iet: Optional[Iet3] = None, seed=11) -> dict:
+def ksv_check(s: Schedule, iet: Iet3, seed=11) -> dict:
     """Margins for the abstract-criterion conditions (a)-(e), (A), (B)."""
     rep = {"conditions": {}, "all_pass": True}
     if not s.levels:
@@ -651,50 +651,49 @@ def ksv_check(s: Schedule, iet: Optional[Iet3] = None, seed=11) -> dict:
     put("e", all(e2 <= e1 + 1e-15 for e1, e2 in zip(s.eps, s.eps[1:])),
         total=float(sum(s.eps)))
 
-    if iet is not None:
-        eng = _SwitchEngine(iet)
-        # (A): fiber switching on sampled A_k and B_k
-        margins_A = []
-        for i, lv in enumerate(s.levels):
-            prev = (s.levels[i - 1].exponents if i > 0 else s.initial_exponents)
-            cur = lv.exponents
-            uA = _sample_A_points(eng, lv.switch, 200, _mix_seed(seed, ("ksvA", lv.k)))
-            uB, _ = _sample_B(eng, lv.switch.n_steps, lv.switch.m,
-                              lv.switch.diagnostics["window_W"], 200,
-                              _mix_seed(seed, ("ksvB", lv.k)))
-            worst = 0.0
-            for l in range(s.d):
-                gapA = _shadow_gap(eng, uA, cur[l], prev[(l - 1) % s.d])
-                gapB = _shadow_gap(eng, uB, cur[l], prev[l])
-                worst = max(worst, float(np.quantile(gapA, 0.95)),
-                            float(np.quantile(gapB, 0.95)))
-            margins_A.append(worst)
-        put("A", all(w < e + 1e-12 for w, e in zip(margins_A, s.eps)),
-            worst_fiber_gaps=margins_A)
-        # (B): Birkhoff window estimate at L = r_{k+1}/9, one index in each
-        # of min(L, _ORBIT_ATOMS) strata of the window.  The estimator noise
-        # floor is calibrated against an independent same-law sample with
-        # one uniform grid point per atom the strata kept.  The strata split
-        # time, not the circle, so the null matches them in atom count and
-        # draws each position independently from the law the orbit samples.
-        vals_B = []
-        calib = 0.0
-        for i, lv in enumerate(s.levels[:-1]):
-            L = max(1, s.levels[i + 1].r // 9)
-            u0 = int(_sample_A_points(eng, lv.switch, 1, _mix_seed(seed, ("bk", lv.k)))[0])
-            for l in range(s.d):
-                rng = np.random.default_rng(_mix_seed(seed, ("B", lv.k, l)))
-                emp = _orbit_joining_at(eng, u0, lv.exponents[l],
-                                        _index_strata(rng, min(L, _ORBIT_ATOMS), L))
-                ref = sample_power_joining(iet, lv.exponents[l], len(emp.ws),
-                                           seed=_mix_seed(seed, ("Bref", lv.k, l)))
-                null = _random_graph_sample(eng, lv.exponents[l], len(emp.ws),
-                                            _mix_seed(seed, ("Bnull", lv.k, l)))
-                vals_B.append(kr_upper_binned(emp, ref, bins=128))
-                calib = max(calib, kr_upper_binned(null, ref, bins=128))
-        put("B", all(v <= e + calib + 1e-9 for v, e in
-                     zip(vals_B, np.repeat(list(s.eps)[:-1], s.d))),
-            values=[float(v) for v in vals_B], noise_floor=float(calib))
+    eng = _SwitchEngine(iet)
+    # (A): fiber switching on sampled A_k and B_k
+    margins_A = []
+    for i, lv in enumerate(s.levels):
+        prev = (s.levels[i - 1].exponents if i > 0 else s.initial_exponents)
+        cur = lv.exponents
+        uA = _sample_A_points(eng, lv.switch, 200, _mix_seed(seed, ("ksvA", lv.k)))
+        uB, _ = _sample_B(eng, lv.switch.n_steps, lv.switch.m,
+                          lv.switch.diagnostics["window_W"], 200,
+                          _mix_seed(seed, ("ksvB", lv.k)))
+        worst = 0.0
+        for l in range(s.d):
+            gapA = _shadow_gap(eng, uA, cur[l], prev[(l - 1) % s.d])
+            gapB = _shadow_gap(eng, uB, cur[l], prev[l])
+            worst = max(worst, float(np.quantile(gapA, 0.95)),
+                        float(np.quantile(gapB, 0.95)))
+        margins_A.append(worst)
+    put("A", all(w < e + 1e-12 for w, e in zip(margins_A, s.eps)),
+        worst_fiber_gaps=margins_A)
+    # (B): Birkhoff window estimate at L = r_{k+1}/9, one index in each
+    # of min(L, _ORBIT_ATOMS) strata of the window.  The estimator noise
+    # floor is calibrated against an independent same-law sample with
+    # one uniform grid point per atom the strata kept.  The strata split
+    # time, not the circle, so the null matches them in atom count and
+    # draws each position independently from the law the orbit samples.
+    vals_B = []
+    calib = 0.0
+    for i, lv in enumerate(s.levels[:-1]):
+        L = max(1, s.levels[i + 1].r // 9)
+        u0 = int(_sample_A_points(eng, lv.switch, 1, _mix_seed(seed, ("bk", lv.k)))[0])
+        for l in range(s.d):
+            rng = np.random.default_rng(_mix_seed(seed, ("B", lv.k, l)))
+            emp = _orbit_joining_at(eng, u0, lv.exponents[l],
+                                    _index_strata(rng, min(L, _ORBIT_ATOMS), L))
+            ref = sample_power_joining(iet, lv.exponents[l], len(emp.ws),
+                                       seed=_mix_seed(seed, ("Bref", lv.k, l)))
+            null = _random_graph_sample(eng, lv.exponents[l], len(emp.ws),
+                                        _mix_seed(seed, ("Bnull", lv.k, l)))
+            vals_B.append(kr_upper_binned(emp, ref, bins=128))
+            calib = max(calib, kr_upper_binned(null, ref, bins=128))
+    put("B", all(v <= e + calib + 1e-9 for v, e in
+                 zip(vals_B, np.repeat(list(s.eps)[:-1], s.d))),
+        values=[float(v) for v in vals_B], noise_floor=float(calib))
     return rep
 
 
@@ -771,8 +770,7 @@ def non_simplicity_witness(iet: Iet3, K_levels: int = 3, N: int = 100_000,
     d_mix = kr_upper_binned(avg, base_mix_shared, bins=1024)
     # (iii) fiber diameters
     thresh = med / 2
-    stats = fiber_diameter_stats(disintegrate(avg, 128), mass_floor=0.0,
-                                 threshold=thresh)
+    stats = fiber_diameter_stats(disintegrate(avg, 128), threshold=thresh)
     # (iv) Birkhoff agreement across starting atoms (long window, stratified
     # index subsample through the exact power kernel)
     bk = _birkhoff_agreement(iet, sched, n_atoms=10,

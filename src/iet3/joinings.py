@@ -1008,15 +1008,12 @@ def disintegrate(m: DiscreteMeasure2D, bins: int) -> Disintegration:
     return Disintegration(bins=bins, bin_mass=mass, bounds=bounds, xs=xs, ys=ys, ws=ws)
 
 
-def fiber_diameter_stats(d: Disintegration, mass_floor: float = 0.0,
-                         threshold: float = 0.0) -> dict:
-    """Support diameters of the conditionals after discarding light atoms."""
+def fiber_diameter_stats(d: Disintegration, threshold: float = 0.0) -> dict:
+    """Support diameters of the conditionals (NaN on empty bins)."""
     diams = np.full(d.bins, np.nan)
     full = np.flatnonzero(~d.empty)
-    keep = d.ws >= mass_floor
-    top = np.maximum.reduceat(np.where(keep, d.ys, -np.inf), d.bounds[full])
-    bottom = np.minimum.reduceat(np.where(keep, d.ys, np.inf), d.bounds[full])
-    diams[full] = np.where(top > -np.inf, top - bottom, 0.0)
+    diams[full] = (np.maximum.reduceat(d.ys, d.bounds[full])
+                   - np.minimum.reduceat(d.ys, d.bounds[full]))
     valid = ~np.isnan(diams)
     above = np.count_nonzero(diams[valid] > threshold)
     return {
@@ -1036,13 +1033,13 @@ def _hat(c: float) -> Callable[[np.ndarray], np.ndarray]:
         return np.maximum(0.0, 0.25 - np.abs(np.asarray(y) - c))
     return f
 
-# versioned family: (callable, Lipschitz norm, sup norm)
+# versioned family of 1-Lipschitz test functions
 TEST_FUNCTIONS = {
-    "coord": (lambda y: np.asarray(y, dtype=float), 1.0, 1.0),
-    "hat_half": (lambda y: 0.5 - np.abs(np.asarray(y) - 0.5), 1.0, 0.5),
-    "hat_quarter": (_hat(0.25), 1.0, 0.25),
-    "sin1": (lambda y: np.sin(2 * np.pi * np.asarray(y)) / (2 * np.pi), 1.0, 1 / (2 * np.pi)),
-    "cos1": (lambda y: np.cos(2 * np.pi * np.asarray(y)) / (2 * np.pi), 1.0, 1 / (2 * np.pi)),
+    "coord": lambda y: np.asarray(y, dtype=float),
+    "hat_half": lambda y: 0.5 - np.abs(np.asarray(y) - 0.5),
+    "hat_quarter": _hat(0.25),
+    "sin1": lambda y: np.sin(2 * np.pi * np.asarray(y)) / (2 * np.pi),
+    "cos1": lambda y: np.cos(2 * np.pi * np.asarray(y)) / (2 * np.pi),
 }
 
 # two-dimensional family for Birkhoff diagnostics on the square
@@ -1057,7 +1054,7 @@ TEST_FUNCTIONS_2D = {
 
 def apply_Asigma(d: Disintegration, f: str | Callable) -> np.ndarray:
     """Per-bin conditional expectation of f(y) (NaN on empty bins)."""
-    fn = TEST_FUNCTIONS[f][0] if isinstance(f, str) else f
+    fn = TEST_FUNCTIONS[f] if isinstance(f, str) else f
     return _fiber_sums(d.bounds, d.ws * fn(d.ys))
 
 
@@ -1161,7 +1158,7 @@ def approx_by_powers(iet: Iet3, m: DiscreteMeasure2D, tower: Tower,
     off = centers[usable] - lows[j] + base
     pts = lows[(j[:, None] + indices) % tower.height] + (off - base)[:, None]
     errors = {}
-    for name, (fn, _, _) in TEST_FUNCTIONS.items():
+    for name, fn in TEST_FUNCTIONS.items():
         preds = np.full(bins, np.nan)
         preds[usable] = np.sum(weights * fn(pts), axis=1)
         ok = usable & ~np.isnan(a_vals[name]) & ~np.isnan(preds)

@@ -320,18 +320,15 @@ def section_record_exact(P: int, Q: int, C: int, N: int) -> _SectionRecord:
 
     # marked offset: w - lattice = ((C + bP - aQ) N/Q, -b/N); CVP for the
     # representative nearest the half-marked targets.  Residual coordinates
-    # are (s, b) with s = C + bP - aQ; the lattice part is {(bP - aQ, -b)}.
-    def norm2(w):
-        return math.hypot(w[0] * N / Q, w[1] / N)
-
-    lu, lv = _lagrange_int((P % Q, -1), (Q, 0), norm2)
+    # are (s, b) with s = C + bP - aQ; the lattice part {(bP - aQ, -b)} is
+    # the image of the one above under (b, s) -> (s, -b), which keeps the
+    # scaled norm, so its reduced basis is the image of (u, v)
+    lu, lv = (u[1], -u[0]), (v[1], -v[0])
     # start from (C, 0), reduce by rounding coefficients in the reduced
-    # basis; Cramer in exact integers since entries overflow floats
+    # basis; Cramer in exact integers since entries overflow floats.  The
+    # basis spans a lattice of index Q, so det = +-Q is never 0
     det = lu[0] * lv[1] - lv[0] * lu[1]
-    if det != 0:
-        coef = ((-C) * lv[1] / det, C * lu[1] / det)
-    else:
-        coef = (0.0, 0.0)
+    coef = ((-C) * lv[1] / det, C * lu[1] / det)
     mt = math.inf
     for di in range(-3, 4):
         for dj in range(-3, 4):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import iet3
-from iet3.cli import run_command
+from iet3.cli import build_parser, run_command
 
 
 def run(args, tmp):
@@ -132,6 +132,50 @@ def test_command_files_byte_identical(tmp_path, args, files):
         cells = [r.split(",") for r in rows[1:]]
         assert all(0 <= int(ix) < 8 and 0 <= int(iy) < 8 for ix, iy, _ in cells)
         assert sum(float(m) for _, _, m in cells) == pytest.approx(1.0)
+
+
+def test_no_tower_found_writes_an_empty_report(tmp_path, capsys):
+    code = run(["tower", "--alpha-cf", "golden", "--t-max", "0.5"], tmp_path)
+    assert code == 2
+    assert capsys.readouterr().out == "no tower found\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tower.json"]
+    assert json.loads((tmp_path / "tower.json").read_text())["candidates"] == []
+
+
+def test_no_tower_available_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run(["approx-powers", "--alpha-cf", "golden", "--t-max", "0.5"], out)
+    assert code == 2
+    assert capsys.readouterr().out == "no tower available\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["iet-info", "--l", "0.2,0.3,0.5"],
+    ["orbit", "--l", "0.2,0.3,0.5", "--length", "5"],
+    ["renorm-find", "--alpha-cf", "golden", "--t-max", "3"],
+    ["tower", "--alpha-cf", "golden", "--t-max", "0.5"],
+    ["joining-sample", "--l", "0.2,0.3,0.5", "--atoms", "10"],
+    ["kr", "--mu", "a.csv", "--nu", "b.csv", "--metric", "circle"],
+    ["approx-powers", "--alpha-cf", "doc-tower", "--k-max", "2", "--atoms", "300"],
+    ["weak-closure", "--alpha-cf", "doc-tower", "--horizon", "5", "--atoms", "100"],
+    ["switch", "--alpha-cf", "doc-switch", "--samples", "20"],
+    ["schedule", "--alpha-cf", "doc-switch", "--levels", "1", "--atoms", "100",
+     "--samples", "20"],
+    ["witness", "--alpha-cf", "golden", "--atoms", "100"]],
+    ids=lambda args: args[0])
+def test_report_records_command_and_options(tmp_path, monkeypatch, args):
+    # the report names its subcommand, and its config holds every option the
+    # run was given or defaulted (all of them scalars) apart from --out
+    monkeypatch.chdir(tmp_path)
+    Path("a.csv").write_text("x,y,w\n0.1,0.2,1\n", encoding="utf-8")
+    Path("b.csv").write_text("x,y,w\n0.4,0.2,1\n", encoding="utf-8")
+    run_command(args + ["--out", "out"])
+    report = json.loads((tmp_path / "out" / f"{args[0]}.json").read_text())
+    options = vars(build_parser().parse_args(args))
+    del options["fn"], options["out"]
+    assert report["command"] == options["cmd"] == args[0]
+    assert report["config"] == options
 
 
 def test_console_entry_point(tmp_path):

@@ -205,7 +205,7 @@ def test_schedule_base_case(switch_iet):
     assert np.allclose(m0.xs, m0.ys)  # exponent 0 strand is diagonal
     y = apply(switch_iet, m1.xs.copy())
     assert np.max(np.abs(np.asarray(y, dtype=float) - m1.ys)) < 1e-9
-    rep = ksv_check(sched)
+    rep = ksv_check(sched, switch_iet)
     assert rep["all_pass"]
     assert all(c.get("note", "").startswith("vacuous")
                for c in rep["conditions"].values())

@@ -268,3 +268,63 @@ def test_section_record_exact_consistency(switch_iet):
     assert rec.rho == pytest.approx(4.0e-6, rel=1e-3)
     assert rec.V_len == pytest.approx(0.5, abs=1e-3)
     assert rec.dist_hat < 0.3
+
+
+def _section_record_two_reductions(P, Q, C, N):
+    """section_record_exact as it was with the marked lattice reduced on its
+    own: a second Lagrange reduction, under its own norm, of the lattice
+    {(bP - aQ, -b)}."""
+    from iet3.arith import RotationCounter
+    from iet3.renorm import _SectionRecord, _basis_term, _lagrange_int, _marked_term
+    sN = RotationCounter(P, Q, C).signed_residue(N)
+    rho = abs(-sN * N / Q)
+    u, v = _lagrange_int((1, P % Q), (0, Q),
+                         lambda w: math.hypot(w[1] * N / Q, w[0] / N))
+    B = np.column_stack([np.array([w[1] * N / Q, w[0] / N]) for w in (u, v)])
+    bt = _basis_term(B)
+    lu, lv = _lagrange_int((P % Q, -1), (Q, 0),
+                           lambda w: math.hypot(w[0] * N / Q, w[1] / N))
+    det = lu[0] * lv[1] - lv[0] * lu[1]
+    coef = ((-C) * lv[1] / det, C * lu[1] / det) if det != 0 else (0.0, 0.0)
+    mt = math.inf
+    for di in range(-3, 4):
+        for dj in range(-3, 4):
+            ci, cj = round(coef[0]) + di, round(coef[1]) + dj
+            s = C + ci * lu[0] + cj * lv[0]
+            b = ci * lu[1] + cj * lv[1]
+            mt = min(mt, _marked_term(np.array([s * N / Q, b / N])))
+    v_len = ((N * (Q - C)) % Q) / Q
+    return _SectionRecord(rho=rho, marked_term=mt,
+                          dist_hat=max(BASIS_WEIGHT * bt, mt), V_len=v_len)
+
+
+def _section_cases():
+    """(P, Q, C, N): the documented circles at k q for each continued-fraction
+    denominator q and k <= 6, and 300 random circles at every eighth of
+    their own."""
+    from fractions import Fraction
+    from iet3.arith import cf_convergents, cf_expansion
+    from iet3.params import documented_switch_iet, documented_tower_iet, golden_iet
+    from iet3.renorm import _ladder
+    cases = []
+    for iet in (documented_switch_iet(), documented_tower_iet(), golden_iet()):
+        rc = iet.rotation_counter()
+        cases += [(rc.P, rc.Q, rc.C, k * q) for q in _ladder(iet)[0] for k in range(1, 7)]
+    rng = np.random.default_rng(30)
+    for _ in range(300):
+        Q = int(rng.integers(2, 2**62)) * int(rng.integers(1, 2**20))
+        P, C = int(rng.integers(1, 2**62)) % (Q - 1) + 1, int(rng.integers(1, 2**62)) % Q + 1
+        denoms = [q for _, q in cf_convergents(cf_expansion(Fraction(P, Q), max_terms=256))]
+        cases += [(P, Q, C, N) for N in denoms[1::8]]
+    return cases
+
+
+def test_section_record_reduces_one_lattice():
+    # the marked lattice is the section lattice turned by (b, s) -> (s, -b),
+    # a map that keeps the scaled norm float for float: its reduced basis is
+    # the turned section basis, and every field matches two reductions
+    cases = _section_cases()
+    assert len(cases) > 1000
+    for P, Q, C, N in cases:
+        assert section_record_exact(P, Q, C, N) == _section_record_two_reductions(P, Q, C, N), \
+            (P, Q, C, N)
