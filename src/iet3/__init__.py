@@ -12,15 +12,14 @@ __version__ = "0.1.0"
 
 from .arith import RotationCounter
 from .iet_core import (Iet3, OrbitSegment, RotationRep, apply, apply_pow,
-                       apply_pow_many, from_rotation, min_return_time, orbit,
-                       psi_count, to_rotation)
+                       apply_pow_many, from_rotation, orbit, psi_count,
+                       to_rotation)
 from .params import documented_switch_iet, documented_tower_iet, golden_iet
 
 __all__ = [
     "RotationCounter",
     "Iet3", "OrbitSegment", "RotationRep", "apply", "apply_pow",
-    "apply_pow_many", "from_rotation", "min_return_time", "orbit",
-    "psi_count", "to_rotation",
+    "apply_pow_many", "from_rotation", "orbit", "psi_count", "to_rotation",
     "documented_switch_iet", "documented_tower_iet", "golden_iet",
     "__version__",
 ]

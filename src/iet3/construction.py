@@ -709,6 +709,11 @@ def _random_graph_sample(eng: _SwitchEngine, expo: int, n: int,
 # the witness
 # ---------------------------------------------------------------------------
 
+# the strands the witness and the `schedule` command start from: the
+# identity and T, whose half mixture the witness approaches
+_STRANDS = (0, 1)
+
+
 def _median_displacement(iet: Iet3) -> float:
     xs = _stratified_points(20001, 13)
     ys = apply(iet, xs.copy())
@@ -734,7 +739,7 @@ def non_simplicity_witness(iet: Iet3, K_levels: int = 3, N: int = 100_000,
     # the pilot is only planned: it is verified and sampled when it is the
     # schedule the report keeps; a pilot over budget is planned again, by
     # `run_schedule`, at the budget
-    pilot = _plan_schedule(iet, (0, 1), eps_pilot, K_levels, seed)
+    pilot = _plan_schedule(iet, _STRANDS, eps_pilot, K_levels, seed)
     sched = None
     if not pilot.aborted:
         divs, gaps, rho_fit, C_fit = _decay_fit(iet, pilot, eps_pilot, N, seed)
@@ -746,7 +751,7 @@ def non_simplicity_witness(iet: Iet3, K_levels: int = 3, N: int = 100_000,
         if sum(eps_pilot) > eps_budget_total:
             scale = eps_budget_total / sum(eps_pilot) * 0.95
             eps_used = [e * scale for e in eps_pilot]
-            sched = run_schedule(iet, (0, 1), eps_used, K_levels, N_atoms=N, seed=seed)
+            sched = run_schedule(iet, _STRANDS, eps_used, K_levels, N_atoms=N, seed=seed)
     if sched is None:
         sched = _finish_schedule(iet, pilot, N, seed)
     if sched.aborted:
@@ -808,7 +813,8 @@ def _decay_fit(iet: Iet3, pilot: Schedule, eps_pilot, N: int, seed):
     # rather than truncate
     fit_N = min(N, 20000)
     stride = max(1, N // fit_N)
-    base = [sample_power_joining(iet, e, N, seed=_mix_seed(seed, f"b{e}")) for e in (0, 1)]
+    base = [sample_power_joining(iet, e, N, seed=_mix_seed(seed, f"b{e}"))
+            for e in pilot.initial_exponents]
     base_small = mix(*(DiscreteMeasure2D.equal_weight(b.xs[::stride], b.ys[::stride])
                        for b in base))
     divs, gaps = [], []

@@ -21,7 +21,7 @@ import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -40,7 +40,6 @@ __all__ = [
     "to_rotation",
     "from_rotation",
     "psi_count",
-    "min_return_time",
 ]
 
 Scalar = Union[float, Fraction]
@@ -337,23 +336,3 @@ def psi_count(rep: RotationRep, x: float, M: int) -> int:
     (x snapped to its grid)."""
     rc = RotationCounter.for_rotation(rep.alpha, rep.kappa)
     return int(rc.psi(rc.lift([x]), M)[0])
-
-
-def min_return_time(iet: Iet3, J: tuple, n_max: int) -> Optional[int]:
-    """Smallest n in [1, n_max] with T^n J meeting J, or None.
-
-    Transports J forward as a set of intervals, splitting at branch
-    discontinuities, and checks overlap with J after each step.  Exact on an
-    exact IET; in binary64 the endpoints carry ordinary float error.
-    """
-    if not (0 <= J[0] < J[1] <= 1):
-        raise ValueError("J must be a nondegenerate subinterval of [0, 1)")
-    _, branches, pieces = _on_grid(iet, [J])
-    (lo, hi), = pieces
-    for n in range(1, n_max + 1):
-        pieces = iv.normalize([p for a, b in pieces for p in _branch_image(iet, a, b, branches)])
-        if len(pieces) > 4096:
-            raise RuntimeError("interval split budget exceeded; use a return-time certificate")
-        if any(a < hi and lo < b for a, b in pieces):
-            return n
-    return None

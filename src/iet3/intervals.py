@@ -1,8 +1,8 @@
 """Half-open interval sets on [0, 1) (or on a circle of unit length).
 
-Small exact toolkit of interval transport and the tower statistics: unions
-keep sorted disjoint [a, b) pieces and support intersection and measure.
-Works with floats, Fractions or integers.
+The unions that `iet_core.transport` carries and the tower statistics
+read: sorted disjoint [a, b) pieces, with their measure, intersection and
+symmetric difference.  Works with floats, Fractions or integers.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 Interval = Tuple[float, float]
 
-__all__ = ["normalize", "measure", "intersect", "contains_point", "symdiff_measure"]
+__all__ = ["normalize", "measure", "intersect", "symdiff_measure"]
 
 
 def normalize(pieces: Iterable[Interval]) -> List[Interval]:
@@ -45,13 +45,6 @@ def intersect(xs: Sequence[Interval], ys: Sequence[Interval]) -> List[Interval]:
         else:
             j += 1
     return out
-
-
-def contains_point(xs: Sequence[Interval], x) -> bool:
-    for a, b in xs:
-        if a <= x < b:
-            return True
-    return False
 
 
 def symdiff_measure(xs: Sequence[Interval], ys: Sequence[Interval]):

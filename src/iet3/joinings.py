@@ -72,7 +72,6 @@ __all__ = [
     "kr_distance_detailed",
     "kr_upper_binned",
     "kr_lower_witness",
-    "w1_1d",
     "disintegrate",
     "fiber_diameter_stats",
     "apply_Asigma",
@@ -164,10 +163,13 @@ def empirical_orbit_joining(iet: Iet3, x: float, n: int, L: int,
     both snapped and rescaled as `_power_on_circle` does.  With
     ``subsample``, one index is drawn in each of that many strata of
     [0, L) (`_index_strata`, exact at any L): the result then estimates the
-    orbit measure with 1/sqrt(subsample) slack.
+    orbit measure with 1/sqrt(subsample) slack; it must be a positive
+    integer (ValueError otherwise).
     """
     if L < 1:
         raise ValueError("L must be >= 1")
+    if subsample is not None:
+        _check_count("subsample", subsample)
     _check_domain(x)
     idx = _index_strata(np.random.default_rng(seed), L if subsample is None else subsample, L)
     rc, kappa = iet.rotation_counter(), float(to_rotation(iet).kappa)
@@ -634,30 +636,25 @@ def _stable_order(v: np.ndarray) -> np.ndarray:
 
 
 def _w1_and_ties(xs, ws, ys, vs) -> tuple[float, bool]:
-    """`w1_1d` and whether two of the points are equal.  Without equal
-    points the value of the reversed pair, w1_1d(ys, vs, xs, ws), is the
-    same bit for bit: the sorted points are the same and the running sums
-    change sign only."""
+    """The exact 1-D Wasserstein-1 distance between weighted atom lists of
+    equal total mass (to 1e-9) at finite points (interval metric), and
+    whether two of the points are equal.  Without equal points the value
+    of the reversed pair is the same bit for bit: the sorted points are the
+    same and the running sums change sign only."""
     xs = np.asarray(xs, dtype=float); ws = np.asarray(ws, dtype=float)
     ys = np.asarray(ys, dtype=float); vs = np.asarray(vs, dtype=float)
     pts = np.concatenate([xs, ys])
     sgn = np.concatenate([ws, -vs])
     if not (np.isfinite(pts).all() and np.isfinite(sgn).all()):
-        raise ValueError("w1_1d needs finite points and weights")
+        raise ValueError("1-D W1 needs finite points and weights")
     order = _stable_order(pts)
     cdf = np.cumsum(sgn[order])
     # the last running sum is the difference of the two masses
     if len(cdf) and not abs(cdf[-1]) <= 1e-9:
-        raise ValueError(f"w1_1d needs equal masses, got {ws.sum():.17g} "
+        raise ValueError(f"1-D W1 needs equal masses, got {ws.sum():.17g} "
                          f"and {vs.sum():.17g}")
     gaps = np.diff(pts[order])
     return float(np.sum(np.abs(cdf[:-1]) * gaps)), not gaps.all()
-
-
-def w1_1d(xs, ws, ys, vs) -> float:
-    """Exact 1-D Wasserstein-1 between weighted atom lists of equal total
-    mass (to 1e-9) at finite points (interval metric)."""
-    return _w1_and_ties(xs, ws, ys, vs)[0]
 
 
 _U = 2.0 ** -53   # unit roundoff of binary64
@@ -1098,7 +1095,7 @@ def _coefficients_from_fiber(tower: Tower, iet: Iet3, xs, ys, ws):
 
 def _base_bin_scores(d: Disintegration, tower: Tower) -> np.ndarray:
     """Scores of the base-bin choice, whose argmin is the base bin: the mean
-    1-D KR distance, w1_1d(bin, neighbor), of each nonempty in-tower bin's
+    1-D KR distance (`_w1_and_ties`) of each nonempty in-tower bin's
     conditional to those of its nonempty neighbors (left, then right), inf
     on every other bin.  Each neighboring nonempty pair (b, b + 1) with an
     in-tower bin in it is measured once, and once more the other way round

@@ -31,16 +31,10 @@ __all__ = [
     "RenormTime",
     "RenormScan",
     "FlowRangeError",
-    "NoAdjustmentError",
-    "DegenerateRotationError",
     "torus_of_iet",
     "apply_gt",
     "reduce",
     "dist_to_hat",
-    "vertical_return_offset",
-    "crossing_count",
-    "rho_of",
-    "find_renorm_times",
     "scan_renorm_times",
     "section_record_exact",
 ]
@@ -61,14 +55,6 @@ SECTION_V2_TOL = 1e-9
 
 class FlowRangeError(ValueError):
     """|t| too large for diag(e^t, e^-t) in binary64."""
-
-
-class NoAdjustmentError(ValueError):
-    """No g_s time can put the torus in the section (v2 >= 1)."""
-
-
-class DegenerateRotationError(ValueError):
-    """The time-1 vertical return is the identity (rational closing)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,44 +158,6 @@ def dist_to_hat(torus: MarkedTorus) -> float:
     return max(BASIS_WEIGHT * _basis_term(red.basis), _marked_term(red.marked))
 
 
-def _nearest_lattice_vector(B: np.ndarray, target: np.ndarray) -> np.ndarray:
-    c = np.linalg.solve(B, target)
-    best, best_d = None, math.inf
-    for di in range(-2, 3):
-        for dj in range(-2, 3):
-            k = np.array([round(c[0]) + di, round(c[1]) + dj], dtype=float)
-            v = B @ k
-            d = float(np.linalg.norm(v - target))
-            if d < best_d:
-                best_d, best = d, v
-    return best
-
-
-def vertical_return_offset(torus: MarkedTorus) -> tuple[float, float, float]:
-    """Offset (v1, v2) of the time-1 vertical flow modulo the lattice, and
-    the closed-form section-adjustment time s_adjust = -ln(1 - v2).
-
-    Note: on our flow convention the g time that actually zeroes v2 is
-    ln(1 - v2) = -s_adjust; the scan below uses that sign.
-    """
-    lam = _nearest_lattice_vector(torus.basis, np.array([0.0, 1.0]))
-    v = np.array([0.0, 1.0]) - lam
-    v1, v2 = float(v[0]), float(v[1])
-    if v2 >= 1.0:
-        raise NoAdjustmentError(f"v2 = {v2} >= 1, no section adjustment")
-    return v1, v2, -math.log1p(-v2)
-
-
-def crossing_count(iet: Iet3, t: float, x: float) -> int:
-    """Crossings of the slit by a vertical segment of length e^t from the
-    rotation-circle point x in [0, kappa): visits at heights 1..floor(e^t)."""
-    k = float(to_rotation(iet).kappa)
-    if not (0 <= x < k):
-        raise ValueError(f"x = {x} outside the slit [0, {k})")
-    rc = iet.rotation_counter()
-    return int(rc.visits(rc.lift([x]), math.floor(math.exp(t)))[0])
-
-
 def _crossing_samples(iet: Iet3, n_steps: int, samples: int = 128) -> np.ndarray:
     """Crossing counts at a jittered stratified grid of slit points, as
     `visits` returns them (Python ints).
@@ -236,27 +184,6 @@ def _generic_crossing_pair(counts: np.ndarray) -> tuple[int, float, float]:
     f_m = float(np.count_nonzero(counts == best_m)) / n
     f_m1 = float(np.count_nonzero(counts == best_m + 1)) / n
     return best_m, f_m, f_m1
-
-
-def rho_of(iet: Iet3, t: float) -> float:
-    """Horizontal displacement of the time-1 vertical return on g_t(omega_T).
-
-    Requires the flowed torus to lie in the section within 1e-6; a zero
-    displacement (rational closing) is degenerate.
-    """
-    tol = 1e-6
-    torus = apply_gt(torus_of_iet(iet), t)
-    v1, v2, _ = vertical_return_offset(torus)
-    if abs(v2) > tol:
-        raise ValueError(f"g_t torus not in section: v2 = {v2}")
-    if iet.exact:
-        rc = iet.rotation_counter()
-        N = round(math.exp(t))
-        if abs(math.exp(t) - N) < tol and (N * rc.P) % rc.Q == 0:
-            raise DegenerateRotationError("time-1 return closes up exactly")
-    if v1 == 0.0:
-        raise DegenerateRotationError("time-1 return closes up; rotation is rational")
-    return abs(v1)
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +337,3 @@ def scan_renorm_times(iet: Iet3, delta: float, t_max: float,
                                 m_fractions=(f_m, f_m1)))
     times.sort(key=lambda r: r.t)
     return RenormScan(times=times, rejections=rejections)
-
-
-def find_renorm_times(iet: Iet3, delta: float, t_max: float) -> list[RenormTime]:
-    """Renormalization times with dist_to_hat < delta, in the section."""
-    return scan_renorm_times(iet, delta, t_max).times

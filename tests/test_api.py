@@ -1,5 +1,6 @@
 """The public surface: each module's `__all__` names what it exports."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -31,17 +32,48 @@ def test_all_matches_public_definitions(mod):
 
 
 ROOT = Path(__file__).resolve().parent.parent
-# the callers a public function must have: a test, a demo or a CLI command
-CALLERS = "\n".join(path.read_text(encoding="utf-8") for path in
-                    [*sorted((ROOT / "tests").glob("*.py")),
-                     *sorted((ROOT / "demos").glob("*.py")),
-                     ROOT / "src" / "iet3" / "cli.py"])
+# outside the library, a public name is used by a demo, the benchmark or the
+# paper's acceptance criteria; the unit tests do not count as callers
+OUTSIDE = "\n".join(path.read_text(encoding="utf-8") for path in
+                     [*sorted((ROOT / "demos").glob("*.py")),
+                      *sorted((ROOT / "perfbench").glob("*.py")),
+                      ROOT / "tests" / "test_acceptance.py"])
+
+
+def _reads(node) -> set:
+    """The identifiers `node` reads as code: names, attributes and imports
+    (a mention in a docstring or an `__all__` entry is a string, not one)."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name.rpartition(".")[2])
+    return out
+
+
+# per library module but `__init__.py`, each top-level statement's defined
+# name (None if it defines none) and the identifiers it reads
+LIBRARY = {path.stem: [(getattr(stmt, "name", None), _reads(stmt))
+                       for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+           for path in sorted((ROOT / "src" / "iet3").glob("*.py"))
+           if path.name != "__init__.py"}
+
+
+def _library_reads(module: str, name: str) -> bool:
+    """Whether the library reads `name` outside its definition in `module`."""
+    return any(name in reads for mod, stmts in LIBRARY.items()
+               for defined, reads in stmts if (mod, defined) != (module, name))
 
 
 @pytest.mark.parametrize("mod", [m for m in MODULES if hasattr(m, "__all__")],
                          ids=lambda m: m.__name__)
 def test_every_public_function_has_a_caller(mod):
     unused = [name for name in mod.__all__
-              if inspect.isfunction(getattr(mod, name))
-              and not re.search(rf"\b{name}\b", CALLERS)]
-    assert not unused, f"{mod.__name__} exports {unused}, which no test, demo or CLI command names"
+              if (inspect.isfunction(getattr(mod, name)) or inspect.isclass(getattr(mod, name)))
+              and not _library_reads(mod.__name__.rpartition(".")[2], name)
+              and not re.search(rf"\b{name}\b", OUTSIDE)]
+    assert not unused, (f"{mod.__name__} exports {unused}, which neither the library "
+                        "nor a demo, the benchmark or the acceptance suite uses")

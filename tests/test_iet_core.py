@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from iet3 import intervals as iv_mod
 from iet3.iet_core import (Iet3, OrbitSegment, RotationRep, _step, apply, apply_pow,
-                           apply_pow_many, from_rotation, min_return_time,
-                           orbit, psi_count, to_rotation)
+                           apply_pow_many, from_rotation, orbit, psi_count,
+                           to_rotation)
 from iet3.params import documented_switch_iet, documented_tower_iet
 
 
@@ -143,27 +143,6 @@ def test_counting_power_on_dyadic_rotation(ls):
     for n in (5001, -5001):
         fast = apply_pow_many(iet, n, xs, step_limit=0)
         assert np.max(np.abs(fast - apply_pow(iet, n, xs.copy()))) < 1e-12
-
-
-def test_min_return_full_space():
-    assert min_return_time(IET, (0.0, 1.0), 5) == 1
-
-
-def test_min_return_rational_period():
-    iet = Iet3(Fraction(1, 5), Fraction(2, 5), Fraction(2, 5))
-    # brute-force the period of a point, returns must come within it
-    x = Fraction(1, 11)
-    seen = x
-    period = 0
-    for i in range(1, 2000):
-        seen = apply(iet, seen)
-        if seen == x:
-            period = i
-            break
-    assert period > 0
-    J = (Fraction(1, 50), Fraction(1, 25))
-    r = min_return_time(iet, J, period + 1)
-    assert r is not None and r <= period
 
 
 def test_orbit_segment_contract():

@@ -14,13 +14,13 @@ from scipy.spatial import cKDTree
 
 from iet3 import joinings
 from iet3.iet_core import Iet3, _power_on_circle, apply, apply_pow_many
-from iet3.joinings import (BaryState, DiscreteMeasure2D,
+from iet3.joinings import (BaryState, DiscreteMeasure2D, _w1_and_ties,
                            apply_Asigma, approx_by_powers, bary_recursion,
                            disintegrate, empirical_orbit_joining,
                            fiber_diameter_stats, kr_distance,
                            kr_distance_detailed, kr_lower_witness,
                            kr_upper_binned, measure_from_csv, measure_to_csv,
-                           mix, product_sample, sample_power_joining, w1_1d,
+                           mix, product_sample, sample_power_joining,
                            weak_closure_check)
 from iet3.params import documented_switch_iet
 
@@ -60,8 +60,8 @@ def test_power_joining_marginals_near_uniform():
     for a in (0, 1, 3):
         m = sample_power_joining(IET, a, 400, seed=3)
         uniform = (np.arange(4000) + 0.5) / 4000
-        dx = w1_1d(m.xs, m.ws, uniform, np.full(4000, 1 / 4000))
-        dy = w1_1d(m.ys, m.ws, uniform, np.full(4000, 1 / 4000))
+        dx = _w1_and_ties(m.xs, m.ws, uniform, np.full(4000, 1 / 4000))[0]
+        dy = _w1_and_ties(m.ys, m.ws, uniform, np.full(4000, 1 / 4000))[0]
         assert dx <= 2 / 400
         assert dy <= 2 / 400
 
@@ -103,6 +103,14 @@ def test_empirical_orbit_joining_checks_its_start(golden):
         with pytest.raises(ValueError, match="outside"):
             empirical_orbit_joining(golden, x, 3, 100)
     assert len(empirical_orbit_joining(golden, 0.0, 3, 100)) == 100
+
+
+@pytest.mark.parametrize("subsample", [0, -3, 2.5, True])
+def test_empirical_orbit_joining_checks_its_subsample(golden, subsample):
+    # 0 divided by zero in `_index_strata` and -3 asked NumPy for a negative
+    # dimension; a count is refused as `grid` and `bins` are
+    with pytest.raises(ValueError, match="subsample must be a positive integer"):
+        empirical_orbit_joining(golden, 0.3, 7, 100, subsample=subsample)
 
 
 def test_index_strata_stays_inside_the_window():
@@ -1029,7 +1037,7 @@ def test_stable_order_on_large_arrays():
 @st.composite
 def _dyadic_atoms(draw):
     """At most six atoms on the points k/8 (ties likely), weights k/16 that
-    sum to 1: every sum and product of `w1_1d` is exact."""
+    sum to 1: every sum and product of the 1-D W1 is exact."""
     n = draw(st.integers(1, 6))
     cuts = sorted(draw(st.lists(st.integers(0, 16), min_size=n - 1, max_size=n - 1)))
     pts = draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))
@@ -1050,8 +1058,8 @@ def _exact_w1(xs, ws, ys, vs):
 @given(_dyadic_atoms(), _dyadic_atoms())
 def test_w1_1d_is_the_exact_cdf_integral(mu, nu):
     exact = _exact_w1(*mu, *nu)
-    assert Fraction(w1_1d(*mu, *nu)) == exact
-    assert Fraction(w1_1d(*nu, *mu)) == exact
+    assert Fraction(_w1_and_ties(*mu, *nu)[0]) == exact
+    assert Fraction(_w1_and_ties(*nu, *mu)[0]) == exact
 
 
 @pytest.mark.parametrize("args", [
@@ -1064,8 +1072,8 @@ def test_w1_1d_is_the_exact_cdf_integral(mu, nu):
     ids=["unequal-mass", "one-side-empty", "nan-point", "inf-point", "nan-weight",
          "inf-weight"])
 def test_w1_1d_rejects_bad_input(args):
-    with pytest.raises(ValueError, match="w1_1d needs"):
-        w1_1d(*args)
+    with pytest.raises(ValueError, match="1-D W1 needs"):
+        _w1_and_ties(*args)
 
 
 # -- disintegration ---------------------------------------------------------
@@ -1088,7 +1096,7 @@ def test_disintegrate_product_conditionals_uniform():
     gw = np.full(2000, 1 / 2000)
     for b in range(0, 20, 5):
         ys, ws = d.conditional(b)
-        assert w1_1d(ys, ws, grid, gw) < 3 * 20 / math.sqrt(40000)
+        assert _w1_and_ties(ys, ws, grid, gw)[0] < 3 * 20 / math.sqrt(40000)
 
 
 def test_disintegrate_reassembly():
@@ -1102,7 +1110,7 @@ def test_disintegrate_reassembly():
     ys_all = np.concatenate(ys_all)
     ws_all = np.concatenate(ws_all)
     assert abs(ws_all.sum() - 1) < 1e-12
-    assert w1_1d(ys_all, ws_all, m.ys, m.ws) < 1e-12
+    assert _w1_and_ties(ys_all, ws_all, m.ys, m.ws)[0] < 1e-12
 
 
 def test_fiber_diameter_examples():
@@ -1175,14 +1183,14 @@ def test_approx_by_powers_on_an_empty_refined_base(tower_iet, doc_towers):
 
 def _base_bin_scores_oracle(d, tower):
     """The base-bin scores by the first rule: each nonempty in-tower bin b
-    against each nonempty neighbor nb, w1_1d(cond(b), cond(nb)), one call
-    per (bin, neighbor)."""
+    against each nonempty neighbor nb, the 1-D W1 of cond(b) and cond(nb),
+    one call per (bin, neighbor)."""
     scores = np.full(d.bins, np.inf)
     centers = (np.arange(d.bins) + 0.5) / d.bins
     for b in np.flatnonzero(~d.empty & (tower.levels_of(centers) >= 0)):
         near = [nb for nb in (b - 1, b + 1) if 0 <= nb < d.bins and not d.empty[nb]]
         if near:
-            scores[b] = sum(w1_1d(*d.conditional(b), *d.conditional(nb))
+            scores[b] = sum(_w1_and_ties(*d.conditional(b), *d.conditional(nb))[0]
                             for nb in near) / len(near)
     return scores
 
@@ -1407,7 +1415,6 @@ def test_per_level_outside_mass_surrogate(tower_iet, doc_towers):
     # height * (average conditional mass outside the tower over one level)
     # stays below the mass outside the doubly-refined tower plus slack
     from iet3.towers import build_tower, tower_stats
-    from iet3 import intervals as iv
     I, n = doc_towers[0]   # coarse tower: each level carries enough atoms
     tower = build_tower(tower_iet, I, n)
     st = tower_stats(tower, tower_iet)
@@ -1420,7 +1427,7 @@ def test_per_level_outside_mass_surrogate(tower_iet, doc_towers):
         sel = (m.xs >= lo) & (m.xs < hi)
         if sel.sum() < 30:
             continue
-        frac_out = np.mean([0.0 if iv.contains_point(union, float(y)) else 1.0
-                            for y in m.ys[sel]])
+        frac_out = np.mean([0.0 if any(a <= y < b for a, b in union) else 1.0
+                            for y in map(float, m.ys[sel])])
         slack = 4 / math.sqrt(sel.sum())
         assert tower.height * frac_out * float(tower.width) <= outside_tilde + slack + 0.05

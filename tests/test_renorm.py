@@ -5,12 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from iet3.iet_core import Iet3, RotationRep, from_rotation, to_rotation
-from iet3.renorm import (MarkedTorus, FlowRangeError,
-                         apply_gt, crossing_count, dist_to_hat,
-                         find_renorm_times, reduce, rho_of,
-                         scan_renorm_times, section_record_exact,
-                         vertical_return_offset, DegenerateRotationError,
+from iet3.iet_core import Iet3, RotationRep, from_rotation
+from iet3.renorm import (MarkedTorus, FlowRangeError, apply_gt, dist_to_hat,
+                         reduce, scan_renorm_times, section_record_exact,
                          BASIS_WEIGHT)
 
 IET = Iet3(0.2, 0.3, 0.5)
@@ -136,6 +133,27 @@ def test_dist_to_hat_golden_fibonacci_oracle():
     assert d >= BASIS_WEIGHT * 0.3  # golden never gets close: N||N a|| >= 0.447
 
 
+def _nearest_lattice_vector(B, target):
+    c = np.linalg.solve(B, target)
+    best, best_d = None, math.inf
+    for di in range(-2, 3):
+        for dj in range(-2, 3):
+            v = B @ np.array([round(c[0]) + di, round(c[1]) + dj], dtype=float)
+            d = float(np.linalg.norm(v - target))
+            if d < best_d:
+                best_d, best = d, v
+    return best
+
+
+def vertical_return_offset(torus):
+    """Offset (v1, v2) of the time-1 vertical flow modulo the lattice, and
+    the closed-form section-adjustment time -ln(1 - v2), in binary64: the
+    float oracle of the exact section record."""
+    v = np.array([0.0, 1.0]) - _nearest_lattice_vector(torus.basis, np.array([0.0, 1.0]))
+    v1, v2 = float(v[0]), float(v[1])
+    return v1, v2, -math.log1p(-v2)
+
+
 def test_vertical_return_offset_examples():
     v1, v2, s = vertical_return_offset(MarkedTorus(np.eye(2), np.zeros(2)))
     assert (v1, v2, s) == (0.0, 0.0, 0.0)
@@ -150,49 +168,20 @@ def test_vertical_return_offset_examples():
     assert s == pytest.approx(-math.log(0.9), abs=1e-12)
 
 
-def test_crossing_count_example():
-    # one crossing at height 1, landing inside the slit
-    iet = from_rotation(RotationRep(0.25, 0.8))
-    assert crossing_count(iet, 0.0, 0.0) == 1
-
-
-def test_crossing_count_brute_force():
-    iet = from_rotation(RotationRep(GOLDEN, 0.77))
-    rep = to_rotation(iet)
-    a, k = float(rep.alpha), float(rep.kappa)
-    for t in (2.0, 4.5):
-        M = int(math.exp(t))
-        x = 0.123 * k
-        got = crossing_count(iet, t, x)
-        brute = sum(1 for l in range(1, M + 1) if (x + l * a) % 1.0 < k)
-        assert got == brute
-        assert abs(got - math.exp(t) * k) <= 8 + 3 * math.log(M + 2)
-
-
-def test_rho_of_examples(switch_iet):
-    # documented second scale: rho = N ||N alpha|| (float flow path carries
-    # N^2 eps rounding, so compare loosely and against the exact record)
-    t = math.log(32001)
-    r = rho_of(switch_iet, t)
-    assert r == pytest.approx(4.0e-6, rel=2e-2)
-    rc = switch_iet.rotation_counter()
-    rec = section_record_exact(rc.P, rc.Q, rc.C, 32001)
-    assert rec.rho == pytest.approx(4.0e-6, rel=1e-6)
-    with pytest.raises((ValueError, DegenerateRotationError)):
-        rho_of(switch_iet, math.log(7.0))  # not a section time
-
-
 def test_rho_degenerate_rational():
     from fractions import Fraction
     iet = Iet3(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
-    # alpha = 3/5: the rotation closes at denominator 5 exactly
-    with pytest.raises((DegenerateRotationError, ValueError)):
-        rho_of(iet, math.log(5.0))
+    # alpha = 3/5: the rotation closes at denominator 5 exactly, where the
+    # unit return has no displacement and the scan rejects the scale
+    rc = iet.rotation_counter()
+    assert section_record_exact(rc.P, rc.Q, rc.C, 5).rho == 0.0
+    scan = scan_renorm_times(iet, delta=0.3, t_max=2.0)
+    assert "N=5 rotation closes up (rational)" in [r for _, r in scan.rejections]
 
 
 def test_golden_scan_nonempty_and_selfconsistent():
     iet = from_rotation(RotationRep(GOLDEN, 1 / 1.3))
-    times = find_renorm_times(iet, delta=0.3, t_max=25.0)
+    times = scan_renorm_times(iet, delta=0.3, t_max=25.0).times
     assert len(times) > 0
     from iet3.renorm import torus_of_iet
     rc = iet.rotation_counter()
