@@ -28,6 +28,9 @@ for rt in scan.times:
           f"rho = {rt.rho:.3e}, closing length = {rt.V_len:.4f}, "
           f"crossing counts {rt.m}/{rt.m + 1} with fractions "
           f"{rt.m_fractions[0]:.3f}/{rt.m_fractions[1]:.3f}")
+    # the float flow and reduction of the torus agree with the exact record
+    # at these moderate scales
+    print(f"    float flow: dist = {dist_to_hat(apply_gt(torus, rt.t)):.4f}")
 
 print(f"\n(candidates rejected: {len(scan.rejections)}; first few reasons)")
 for t, reason in scan.rejections[:5]:

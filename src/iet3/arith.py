@@ -133,7 +133,7 @@ _FLOAT_EXIT_BITS = 83              # points below 2^83 cross to floats in lanes
 # a `power` call of one point costs about as much as scanning `_SOLVE_CALL`
 # rotation positions in lanes, and each of its exponents as scanning this
 # many, whatever the arc and the depth of the descent
-# (`RotationCounter._orbit`; BENCH_orbit_window.json, crossover)
+# (`RotationCounter.orbit`; BENCH_orbit_window.json, crossover)
 _SOLVE_CALL = 1 << 13
 _SOLVE_POINT = 10
 # lanes hold at most five limbs: four for Q, one for the carry above them
@@ -937,18 +937,19 @@ class RotationCounter:
     def first_hit(self, u, horizon, forward=True) -> np.ndarray:
         """Smallest N in [1, horizon] with (u +- N P) mod Q in the arc, or
         horizon + 1 if the orbit misses the arc over the whole window;
-        ``forward`` is a bool or one per point."""
+        ``forward`` is a bool or one per point: `visit_time` of the first
+        visit, capped at horizon + 1."""
         u = np.asarray(u, dtype=object)
-        horizon = np.broadcast_to(np.asarray(horizon, dtype=object), u.shape)
+        out = np.broadcast_to(np.asarray(horizon, dtype=object), u.shape) + 1
         forward = np.broadcast_to(np.asarray(forward, dtype=bool), u.shape)
-        total = self.visits(u, horizon, forward)
-        out = np.asarray(horizon + 1, dtype=object).copy()
-        idx = np.flatnonzero(total > 0)
+        # the orbit of u stays in u + g Z, g = gcd(P, Q), which meets [0, C)
+        # iff u mod g < C; the other orbits never visit
+        idx = np.flatnonzero(u % math.gcd(self.P, self.Q) < self.C)
         if len(idx):
-            out[idx] = self.visit_time(u[idx], 1, forward[idx])
+            out[idx] = np.minimum(self.visit_time(u[idx], 1, forward[idx]), out[idx])
         return out
 
-    def power(self, u, n) -> np.ndarray:
+    def power(self, u, n, floats: bool = False) -> np.ndarray:
         """Exact positions on Z/Q of the n-th induced-map image of arc points u.
 
         n is an int or a per-point array of any sign: negative exponents run
@@ -958,13 +959,9 @@ class RotationCounter:
         (`_solve`), in one batch per direction: distinct points descend once
         each, and the descents of one point start from it once.  A batch
         crosses to native lanes and back once, when every |n| in it is below
-        the native circle's ``index_limit``.
+        the native circle's ``index_limit``.  u may be lanes from `_enter`;
+        with ``floats`` the images are their floats (`_exit`).
         """
-        return self._power(u, n, floats=False)
-
-    def _power(self, u, n, floats: bool) -> np.ndarray:
-        """`power`, with the images as their floats where ``floats``
-        (`_exit`); u may be lanes from `_enter`."""
         one = not isinstance(u, _Lanes) and np.ndim(u) == 0
         if isinstance(u, _Lanes):
             n = np.broadcast_to(_exponents(n), u.x.shape[1:])
@@ -983,10 +980,11 @@ class RotationCounter:
                                           ahead, image=True, floats=floats)
         return out
 
-    def orbit(self, u0: int, start: int, idx) -> np.ndarray:
+    def orbit(self, u0: int, start: int, idx, floats: bool = False) -> np.ndarray:
         """``power(u0, start + i)`` at the strictly increasing indices i >= 0
         of idx (ValueError otherwise), exact: the one evaluation of an orbit
-        window.
+        window; with ``floats`` the points are their floats (`_exit`), by
+        the same routes.
 
         Where the circle has native lanes and the window's span at the arc's
         density C / Q takes fewer rotation positions than solving its points
@@ -996,11 +994,6 @@ class RotationCounter:
         int64 where they and start + i fit.  A point off the arc is its own
         zeroth power but no image of its (-1)-th, so a stretch through
         exponent 0 restarts there."""
-        return self._orbit(u0, start, idx, floats=False)
-
-    def _orbit(self, u0: int, start: int, idx, floats: bool) -> np.ndarray:
-        """`orbit`, with the points as their floats where ``floats``
-        (`_exit`), by the same routes."""
         u0, start = int(u0), int(start)
         idx = np.asarray(idx)
         if len(idx) and (idx[0] < 0 or np.any(idx[1:] <= idx[:-1])):
@@ -1012,7 +1005,7 @@ class RotationCounter:
         density = self.Q / self.C          # rotation positions per arc visit
         if self._native is None or len(idx) < 2 or (
                 int(idx[-1] - idx[0]) * density >= (len(idx) - 1) * _SOLVE_POINT + _SOLVE_CALL):
-            return self._power(u0, start + idx, floats)
+            return self.power(u0, start + idx, floats)
         out = np.empty(len(idx), dtype=float if floats else object)
         cut = (int(np.count_nonzero(idx < -start))
                if start < 0 and not 0 <= u0 < self.C else len(idx))
@@ -1054,7 +1047,7 @@ class RotationCounter:
                 out[done:done + m] = _exit(got.x, floats)
                 done, seen = done + m, seen + len(hits)
         if done < len(offsets):
-            out[done:] = self._power(_to_ints(last.x)[0], offsets[done:] - seen, floats)
+            out[done:] = self.power(_to_ints(last.x)[0], offsets[done:] - seen, floats)
         return out
 
 

@@ -157,7 +157,7 @@ class _SwitchEngine:
 
     def to_unit(self, us) -> np.ndarray:
         """Grid cells (slit coordinates), as Python ints or as their floats
-        (`RotationCounter._orbit`), -> rescaled IET coordinates."""
+        (`RotationCounter.orbit`), -> rescaled IET coordinates."""
         arr = np.atleast_1d(np.asarray(us, dtype=float))
         return np.clip(arr / self.C, 0.0, np.nextafter(1.0, 0.0))
 
@@ -429,9 +429,10 @@ def verify_switch(iet: Iet3, res: SwitchResult, samples: int,
     at least the atoms the strata keep (strata that round to one index
     merge), so it is the smaller slack and the stricter check.  For L <= 4
     the bound is at least 2, the taxicab diameter of the unit square, so the
-    check cannot fail there; ``checks["kr_vacuous"]`` says when that is so."""
-    if samples <= 0:
-        return {"all_pass": True, "checks": {}, "samples": 0}
+    check cannot fail there; ``checks["kr_vacuous"]`` says when that is so.
+    It needs at least one sample (ValueError otherwise)."""
+    if samples < 1:
+        raise ValueError(f"verify_switch needs at least one sample, not {samples}")
     eng = _SwitchEngine(iet)
     eps, W = float(res.diagnostics["epsilon"]), res.diagnostics["window_W"]
     checks = {}
@@ -491,7 +492,7 @@ def _orbit_joining_at(eng: _SwitchEngine, u0: int, n: int,
     """Atoms (T^i u0, T^(i+n) u0) at sorted distinct indices i >= 0, n of any
     sign: two `RotationCounter.orbit` evaluations of the window at idx, read
     as floats without Python ints where the circle allows (`arith._exit`)."""
-    return DiscreteMeasure2D.equal_weight(*(eng.to_unit(eng.rc._orbit(u0, s, idx, floats=True))
+    return DiscreteMeasure2D.equal_weight(*(eng.to_unit(eng.rc.orbit(u0, s, idx, floats=True))
                                             for s in (0, n)))
 
 

@@ -235,7 +235,7 @@ def _power_on_circle(iet: Iet3, xs, n) -> tuple[np.ndarray, np.ndarray, float]:
     kappa = float(to_rotation(iet).kappa)
     rc = iet.rotation_counter()
     u = rc._enter(np.asarray(xs, dtype=float) * kappa)
-    base, image = (rc._power(u, e, floats=True) / rc.Q for e in (0, n))
+    base, image = (rc.power(u, e, floats=True) / rc.Q for e in (0, n))
     return base, image, kappa
 
 

@@ -166,15 +166,14 @@ def empirical_orbit_joining(iet: Iet3, x: float, n: int, L: int,
     orbit measure with 1/sqrt(subsample) slack; it must be a positive
     integer (ValueError otherwise).
     """
-    if L < 1:
-        raise ValueError("L must be >= 1")
+    _check_count("L", L)
     if subsample is not None:
         _check_count("subsample", subsample)
     _check_domain(x)
     idx = _index_strata(np.random.default_rng(seed), L if subsample is None else subsample, L)
     rc, kappa = iet.rotation_counter(), float(to_rotation(iet).kappa)
     u0 = rc.lift(float(x) * kappa)
-    xs, ys = (np.clip(rc._orbit(u0, s, idx, floats=True) / rc.Q / kappa,
+    xs, ys = (np.clip(rc.orbit(u0, s, idx, floats=True) / rc.Q / kappa,
                       0.0, np.nextafter(1.0, 0.0)) for s in (0, int(n)))
     return DiscreteMeasure2D.equal_weight(xs, ys)
 
@@ -201,7 +200,9 @@ def _index_strata(rng, s: int, L: int) -> np.ndarray:
 
 
 def product_sample(N: int, seed=0) -> DiscreteMeasure2D:
-    """Independent uniform pairs (empirical product measure)."""
+    """N independent uniform pairs (empirical product measure); N must be a
+    positive integer (ValueError otherwise)."""
+    _check_count("N", N)
     rng = np.random.default_rng(seed)
     pts = rng.random((N, 2))
     return DiscreteMeasure2D.equal_weight(pts[:, 0], pts[:, 1])
@@ -560,12 +561,12 @@ def kr_distance_detailed(mu: DiscreteMeasure2D, nu: DiscreteMeasure2D,
     `_kr_grid`), "float" otherwise.
 
     The assignment method matches atoms one to one and does not read the
-    weights, so it needs equal atom counts (ValueError otherwise); `auto`
-    takes it only for exactly equal weights.  From `_SEED_ATOMS` atoms on
-    the interval metric it solves on costs reduced by grid potentials,
-    which keeps the optimal permutations: the value moves only where
-    rounding makes another permutation optimal, by at most 12 unit
-    roundoffs (`_kr_assignment`).  From `_LP_SEED_PAIRS` atom pairs, on
+    weights, so it needs equal atom counts and exactly equal weights
+    (ValueError otherwise), and `auto` takes it only then.  From
+    `_SEED_ATOMS` atoms on the interval metric it solves on costs reduced by
+    grid potentials, which keeps the optimal permutations: the value moves
+    only where rounding makes another permutation optimal, by at most 12
+    unit roundoffs (`_kr_assignment`).  From `_LP_SEED_PAIRS` atom pairs, on
     either metric, the `lp` method starts its sparse solve from the arcs of
     small reduced cost under the same grid potentials (`_seed_arcs`); that
     changes only where the solve starts, never its pricing over all arcs or
@@ -580,10 +581,10 @@ def kr_distance_detailed(mu: DiscreteMeasure2D, nu: DiscreteMeasure2D,
     if abs(mu.ws.sum() - nu.ws.sum()) > 1e-9:
         raise ValueError("measures must have equal total mass")
     n, m = len(mu), len(nu)
+    # assignment ignores the weights: only exactly equal ones qualify
+    equal = (n == m and np.all(mu.ws == mu.ws[0]) and np.all(nu.ws == nu.ws[0])
+             and mu.ws[0] == nu.ws[0])
     if method == "auto":
-        # assignment ignores the weights: only exactly equal ones qualify
-        equal = (n == m and np.all(mu.ws == mu.ws[0]) and np.all(nu.ws == nu.ws[0])
-                 and mu.ws[0] == nu.ws[0])
         if equal and n <= 3000:
             method = "assignment"
         elif n * m <= 1_000_000:      # lp is faster (BENCH_grid_transport.json)
@@ -591,8 +592,9 @@ def kr_distance_detailed(mu: DiscreteMeasure2D, nu: DiscreteMeasure2D,
         else:
             method = "grid"
     if method == "assignment":
-        if n != m:
-            raise ValueError(f"assignment needs equal atom counts, not {n} and {m}")
+        if not equal:
+            raise ValueError("assignment needs equal atom counts and exactly equal "
+                             f"weights, not {n} and {m} atoms")
         return {"value": _kr_assignment(mu, nu, metric), "method": "assignment", "bound": 0.0,
                 "value_kind": "float"}
     if method == "lp":
@@ -1241,9 +1243,8 @@ def weak_closure_check(iet: Iet3, k: int, horizon: int, N: int,
     # final evaluation at full size
     full = sample_power_joining(iet, best_n, N, seed=seed)
     ymix = apply_pow_many(iet, k, full.xs)
-    mix_full = DiscreteMeasure2D(
-        np.concatenate([full.xs, full.xs]), np.concatenate([full.xs, ymix]),
-        np.full(2 * N, 0.5 / N))
+    mix_full = mix(DiscreteMeasure2D.equal_weight(full.xs, full.xs),
+                   DiscreteMeasure2D.equal_weight(full.xs, ymix))
     err = kr_upper_binned(full, mix_full, bins=1024)
     return best_n, float(err), {"scan": table, "scan_N": scan_N}
 

@@ -111,18 +111,10 @@ def apply_gt(torus: MarkedTorus, t: float) -> MarkedTorus:
 
 
 def reduce(torus: MarkedTorus) -> MarkedTorus:
-    """Lagrange-Gauss reduce the basis; move marked into the centered
-    fundamental parallelogram.  Represents the same marked torus."""
-    b1 = torus.basis[:, 0].copy()
-    b2 = torus.basis[:, 1].copy()
-    if b1 @ b1 > b2 @ b2:
-        b1, b2 = b2, b1
-    for _ in range(256):
-        mu = round((b1 @ b2) / (b1 @ b1))
-        b2 = b2 - mu * b1
-        if b2 @ b2 >= b1 @ b1:
-            break
-        b1, b2 = b2, b1
+    """Lagrange-Gauss reduce the basis (`_lagrange`, Euclidean norm); move
+    marked into the centered fundamental parallelogram.  Represents the same
+    marked torus."""
+    b1, b2 = _lagrange(*torus.basis.T.tolist(), lambda w: math.hypot(*w))
     B = np.column_stack([b1, b2])
     coeffs = np.linalg.solve(B, torus.marked)
     w = torus.marked - B @ np.round(coeffs)
@@ -190,11 +182,13 @@ def _generic_crossing_pair(counts: np.ndarray) -> tuple[int, float, float]:
 # exact candidate evaluation
 # ---------------------------------------------------------------------------
 
-def _lagrange_int(u, v, norm) -> tuple:
-    """Lagrange reduction of an integer lattice basis under a scaled norm.
+def _lagrange(u, v, norm) -> tuple:
+    """Lagrange reduction of a lattice basis (u, v) of pairs under a norm:
+    float pairs under the Euclidean norm (`reduce`), or integer pairs under
+    a scaled norm (`section_record_exact`).
 
-    Vectors stay as integer pairs; only norms and dot products go through
-    the scaled float embedding, so deep-scale cancellation costs nothing.
+    Only norms and dot products go through the norm, so integer vectors stay
+    exact and deep-scale cancellation costs nothing.
     """
     def sdot(a, b):
         return (norm((a[0] + b[0], a[1] + b[1]))**2 - norm(a)**2 - norm(b)**2) / 2
@@ -237,7 +231,7 @@ def section_record_exact(P: int, Q: int, C: int, N: int) -> _SectionRecord:
         return math.hypot(w[1] * N / Q, w[0] / N)
 
     # integer coords (b, s) with s = b P - a Q; scaled embedding
-    u, v = _lagrange_int((1, P % Q), (0, Q), norm)
+    u, v = _lagrange((1, P % Q), (0, Q), norm)
 
     def embed(w):
         return np.array([w[1] * N / Q, w[0] / N])

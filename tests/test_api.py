@@ -4,7 +4,6 @@ import ast
 import importlib
 import inspect
 import pkgutil
-import re
 from pathlib import Path
 
 import pytest
@@ -32,26 +31,27 @@ def test_all_matches_public_definitions(mod):
 
 
 ROOT = Path(__file__).resolve().parent.parent
-# outside the library, a public name is used by a demo, the benchmark or the
-# paper's acceptance criteria; the unit tests do not count as callers
-OUTSIDE = "\n".join(path.read_text(encoding="utf-8") for path in
-                     [*sorted((ROOT / "demos").glob("*.py")),
-                      *sorted((ROOT / "perfbench").glob("*.py")),
-                      ROOT / "tests" / "test_acceptance.py"])
 
 
 def _reads(node) -> set:
-    """The identifiers `node` reads as code: names, attributes and imports
-    (a mention in a docstring or an `__all__` entry is a string, not one)."""
+    """The identifiers `node` reads as code: names and attributes (a mention
+    in a docstring or an `__all__` entry is a string, and an import alone is
+    no use)."""
     out = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             out.add(sub.attr)
-        elif isinstance(sub, ast.alias):
-            out.add(sub.name.rpartition(".")[2])
     return out
+
+
+# outside the library, a public name is used by a demo, the benchmark or the
+# paper's acceptance criteria; the unit tests do not count as callers
+OUTSIDE = set().union(*(_reads(ast.parse(path.read_text(encoding="utf-8"))) for path in
+                        [*sorted((ROOT / "demos").glob("*.py")),
+                         *sorted((ROOT / "perfbench").glob("*.py")),
+                         ROOT / "tests" / "test_acceptance.py"]))
 
 
 # per library module but `__init__.py`, each top-level statement's defined
@@ -74,6 +74,6 @@ def test_every_public_function_has_a_caller(mod):
     unused = [name for name in mod.__all__
               if (inspect.isfunction(getattr(mod, name)) or inspect.isclass(getattr(mod, name)))
               and not _library_reads(mod.__name__.rpartition(".")[2], name)
-              and not re.search(rf"\b{name}\b", OUTSIDE)]
+              and name not in OUTSIDE]
     assert not unused, (f"{mod.__name__} exports {unused}, which neither the library "
                         "nor a demo, the benchmark or the acceptance suite uses")

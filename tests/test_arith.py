@@ -420,7 +420,7 @@ def test_orbit_indices_must_increase():
     for u0, idx in bad:
         for floats in (False, True):
             with pytest.raises(ValueError, match="strictly increasing"):
-                rc._orbit(u0, 0, np.asarray(idx), floats)
+                rc.orbit(u0, 0, np.asarray(idx), floats)
         with pytest.raises(ValueError, match="strictly increasing"):
             rc.orbit(u0, 0, np.asarray(idx, dtype=object))
     # the sorted window is still answered
@@ -491,7 +491,7 @@ def test_orbit_past_a_long_return():
     got = rc.orbit(u0, 0, np.arange(6))
     assert list(got) == [u0, u0 + 1, u0 + 2, 0, 1, 2]
     # read as floats, the scan hands its last visit, exact, to the solve
-    assert list(rc._orbit(u0, 0, np.arange(6), floats=True)) == [float(v) for v in got]
+    assert list(rc.orbit(u0, 0, np.arange(6), floats=True)) == [float(v) for v in got]
     assert list(got) == list(rc.power(np.full(6, u0, dtype=object), np.arange(6)))
     assert list(rc.orbit(u0, -2, np.arange(6))) == list(rc.power(
         np.full(6, u0, dtype=object), np.arange(-2, 4)))

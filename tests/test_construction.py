@@ -132,9 +132,10 @@ def test_verify_corrupted_exponent(switch_iet, doc_switch):
 
 
 def test_verify_zero_samples(switch_iet, doc_switch):
-    rep = verify_switch(switch_iet, doc_switch, samples=0)
-    assert rep["all_pass"]
-    assert rep["samples"] == 0
+    # with no sample nothing is checked: refused, where it passed vacuously
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="at least one sample"):
+            verify_switch(switch_iet, doc_switch, samples=samples)
 
 
 def test_switch_without_samples_is_unverified(switch_iet):

@@ -113,6 +113,16 @@ def test_empirical_orbit_joining_checks_its_subsample(golden, subsample):
         empirical_orbit_joining(golden, 0.3, 7, 100, subsample=subsample)
 
 
+@pytest.mark.parametrize("count", [0, -1, 2.5, True])
+def test_sample_counts_are_checked(golden, count):
+    # product_sample(0) divided by zero and product_sample(-1) asked NumPy
+    # for a negative dimension; a window of 2.5 gave 3 atoms
+    with pytest.raises(ValueError, match="N must be a positive integer"):
+        product_sample(count)
+    with pytest.raises(ValueError, match="L must be a positive integer"):
+        empirical_orbit_joining(golden, 0.3, 7, count)
+
+
 def test_index_strata_stays_inside_the_window():
     # a draw an ulp below 1 rounds (i + U_i) L/s up to (i + 1) L/s: on the
     # last stratum that is L itself, one past the window
@@ -260,9 +270,9 @@ def test_auto_takes_assignment_only_for_exactly_equal_weights():
     for mu, nu in ((near, equal), (equal, near)):
         auto = kr_distance_detailed(mu, nu)
         lp = kr_distance_detailed(mu, nu, method="lp")
-        assignment = kr_distance_detailed(mu, nu, method="assignment")
         assert auto["method"] == "lp" and auto["value"] == lp["value"]
-        assert abs(lp["value"] - assignment["value"]) > 1e-9
+        with pytest.raises(ValueError, match="exactly equal weights"):
+            kr_distance_detailed(mu, nu, method="assignment")
     same = DiscreteMeasure2D.equal_weight(near.xs, near.ys)
     assert kr_distance_detailed(same, equal)["method"] == "assignment"
 
@@ -594,6 +604,17 @@ def test_assignment_needs_equal_atom_counts():
     with pytest.raises(ValueError, match="3 and 5"):
         kr_distance_detailed(mu, nu, method="assignment")
     assert kr_distance_detailed(mu, nu)["method"] == "lp"
+
+
+def test_assignment_needs_exactly_equal_weights():
+    # matching atoms one to one, assignment read 0.0 with bound 0.0 here,
+    # where moving 0.4 of mass by a taxicab distance of 1 costs 0.4
+    xs = np.array([0.1, 0.6])
+    mu = DiscreteMeasure2D(xs, xs, np.array([0.9, 0.1]))
+    nu = DiscreteMeasure2D(xs, xs, np.array([0.5, 0.5]))
+    assert kr_distance_detailed(mu, nu, method="lp")["value"] == pytest.approx(0.4)
+    with pytest.raises(ValueError, match="exactly equal weights"):
+        kr_distance_detailed(mu, nu, method="assignment")
 
 
 # -- the seeded lp ----------------------------------------------------------

@@ -298,9 +298,9 @@ def test_orbit_scan_hands_a_sparse_coset_to_power(monkeypatch):
     idx = np.arange(0, 300, 3)
     want = list(rc.power(np.full(len(idx), 1, dtype=object), idx.astype(object)))
     solved = []
-    power = RotationCounter._power
-    monkeypatch.setattr(RotationCounter, "_power",
-                        lambda self, u, n, floats: solved.append(np.size(n))
+    power = RotationCounter.power
+    monkeypatch.setattr(RotationCounter, "power",
+                        lambda self, u, n, floats=False: solved.append(np.size(n))
                         or power(self, u, n, floats))
     # the first index, then the 3 offsets past the 290 visits scanned; on
     # Python ints every index in one solve
@@ -584,7 +584,7 @@ def test_float_entry_is_the_lift(case, data):
 @settings(PROPERTY, max_examples=40)
 @given(st.sampled_from(_FLOAT_CIRCLES + (_BOUNDARY[1],)), st.data())
 def test_float_routes_match_the_exact_ones(rc, data):
-    # `_orbit` by the scan and by the solve route, and `_power` of lanes
+    # `orbit` by the scan and by the solve route, and `power` of lanes
     # and of Python ints, with exponents of both signs and 0, from points on
     # the arc, off it and off [0, Q): the floats of the exact points, bit
     # for bit
@@ -598,16 +598,16 @@ def test_float_routes_match_the_exact_ones(rc, data):
             for name in ("_SOLVE_CALL", "_SOLVE_POINT"):
                 mp.setattr(arith, name, cost)
             want = [float(p) for p in rc.orbit(u0, start, idx)]
-            assert _same_floats(rc._orbit(u0, start, idx, floats=True), want)
+            assert _same_floats(rc.orbit(u0, start, idx, floats=True), want)
     us = np.array(data.draw(st.lists(st.integers(0, rc.Q - 1), min_size=1, max_size=8)),
                   dtype=object)
     ns = np.array(data.draw(st.lists(st.integers(-10**12, 10**12) | st.integers(-3, 3),
                                      min_size=len(us), max_size=len(us))), dtype=object)
     want = [float(p) for p in rc.power(us, ns)]
-    assert _same_floats(rc._power(us, ns, floats=True), want)
-    assert _same_floats(rc._power(int(us[0]), ns, floats=True),
+    assert _same_floats(rc.power(us, ns, floats=True), want)
+    assert _same_floats(rc.power(int(us[0]), ns, floats=True),
                         [float(p) for p in rc.power(int(us[0]), ns)])
     xs = (us.astype(float) + 0.25) / rc.Q
-    assert _same_floats(rc._power(rc._enter(xs), ns, floats=True),
+    assert _same_floats(rc.power(rc._enter(xs), ns, floats=True),
                         [float(p) for p in rc.power(rc.lift(xs), ns)])
 

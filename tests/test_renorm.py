@@ -264,15 +264,15 @@ def _section_record_two_reductions(P, Q, C, N):
     own: a second Lagrange reduction, under its own norm, of the lattice
     {(bP - aQ, -b)}."""
     from iet3.arith import RotationCounter
-    from iet3.renorm import _SectionRecord, _basis_term, _lagrange_int, _marked_term
+    from iet3.renorm import _SectionRecord, _basis_term, _lagrange, _marked_term
     sN = RotationCounter(P, Q, C).signed_residue(N)
     rho = abs(-sN * N / Q)
-    u, v = _lagrange_int((1, P % Q), (0, Q),
-                         lambda w: math.hypot(w[1] * N / Q, w[0] / N))
+    u, v = _lagrange((1, P % Q), (0, Q),
+                     lambda w: math.hypot(w[1] * N / Q, w[0] / N))
     B = np.column_stack([np.array([w[1] * N / Q, w[0] / N]) for w in (u, v)])
     bt = _basis_term(B)
-    lu, lv = _lagrange_int((P % Q, -1), (Q, 0),
-                           lambda w: math.hypot(w[0] * N / Q, w[1] / N))
+    lu, lv = _lagrange((P % Q, -1), (Q, 0),
+                       lambda w: math.hypot(w[0] * N / Q, w[1] / N))
     det = lu[0] * lv[1] - lv[0] * lu[1]
     coef = ((-C) * lv[1] / det, C * lu[1] / det) if det != 0 else (0.0, 0.0)
     mt = math.inf
@@ -317,3 +317,29 @@ def test_section_record_reduces_one_lattice():
     for P, Q, C, N in cases:
         assert section_record_exact(P, Q, C, N) == _section_record_two_reductions(P, Q, C, N), \
             (P, Q, C, N)
+
+
+def test_section_reduction_finds_a_shortest_vector():
+    # the section lattice {(b, s): s = b P mod Q} under the scaled norm
+    # hypot(s N/Q, b/N) has covolume 1, so a shortest vector has norm at
+    # most sqrt(2/sqrt(3)) < 1.08 and |b| < 1.08 N: the search over every
+    # |b| <= 2N, each with its centred residue s, is exhaustive (b = 0 has
+    # the vector (0, Q), of norm N)
+    from fractions import Fraction
+    from iet3.arith import cf_convergents, cf_expansion
+    from iet3.renorm import _lagrange
+    rng = np.random.default_rng(32)
+    circles = [(int(P), Q) for Q in (2, 3, 5, 13, 89, 610, 2000)
+               for P in np.unique(rng.integers(1, Q, size=6))]
+    circles += [(int(rng.integers(1, Q)), Q) for Q in rng.integers(2, 2001, size=200).tolist()]
+    for P, Q in circles:
+        for _, N in cf_convergents(cf_expansion(Fraction(P, Q))):
+            def norm(w):
+                return math.hypot(w[1] * N / Q, w[0] / N)
+
+            u, _ = _lagrange((1, P % Q), (0, Q), norm)
+            b = np.arange(-2 * N, 2 * N + 1)
+            r = b * P % Q
+            s = np.where(2 * r > Q, r - Q, r)
+            best = min([N] + [norm((bi, si)) for bi, si in zip(b.tolist(), s.tolist()) if bi])
+            assert norm(u) <= best * (1 + 1e-12), (P, Q, N)
