@@ -766,11 +766,9 @@ class RotationCounter:
     """
 
     def __init__(self, P: int, Q: int, C: int):
+        self.P, self.Q, self.C = P, Q, C = _index(P), _index(Q), _index(C)
         if not (0 < P < Q and 0 < C <= Q):
             raise ValueError("need 0 < P < Q and 0 < C <= Q")
-        self.P = int(P)
-        self.Q = int(Q)
-        self.C = int(C)
 
     @classmethod
     def for_rotation(cls, alpha, kappa, q_min: int = 10**12) -> "RotationCounter":
@@ -794,7 +792,7 @@ class RotationCounter:
     def signed_residue(self, n: int) -> int:
         """The displacement of n rotation steps, n*P mod Q, as the
         representative in (-Q/2, Q/2]."""
-        r = (int(n) * self.P) % self.Q
+        r = (_index(n) * self.P) % self.Q
         return r - self.Q if 2 * r > self.Q else r
 
     # -- lifting -----------------------------------------------------------
@@ -994,7 +992,7 @@ class RotationCounter:
         int64 where they and start + i fit.  A point off the arc is its own
         zeroth power but no image of its (-1)-th, so a stretch through
         exponent 0 restarts there."""
-        u0, start = int(u0), int(start)
+        u0, start = _index(u0), _index(start)
         idx = np.asarray(idx)
         if len(idx) and (idx[0] < 0 or np.any(idx[1:] <= idx[:-1])):
             raise ValueError("orbit indices must be strictly increasing and >= 0")
@@ -1049,6 +1047,19 @@ class RotationCounter:
         if done < len(offsets):
             out[done:] = self.power(_to_ints(last.x)[0], offsets[done:] - seen, floats)
         return out
+
+
+def _index(v) -> int:
+    """v by `operator.index`, a bool refused: the one reading of an integer."""
+    if isinstance(v, bool):
+        raise TypeError(f"expected an integer, not {v!r}")
+    return operator.index(v)
+
+
+def _check_count(name: str, v, low: int = 1) -> None:
+    """ValueError unless v is an integer >= low, not a bool: the one count check."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
+        raise ValueError(f"{name} must be an integer >= {low}, not {v!r}")
 
 
 _INDEX = np.frompyfunc(operator.index, 1, 1)

@@ -107,7 +107,7 @@ def _build_iet(args) -> Iet3:
             return documented_tower_iet()
         digits = [int(v) for v in name.split(",")]
         if any(d < 1 for d in digits[1:]):
-            raise UsageError(f"--alpha-cf digits after the first must be >= 1, got {name!r}")
+            raise UsageError(f"--alpha-cf digits after the first must be at least 1, got {name!r}")
         alpha = float(cf_to_fraction(digits))
     if getattr(args, "alpha", None) is not None:
         alpha = float(args.alpha)
@@ -129,7 +129,7 @@ _FLAGS = {"--l": {"help": "three comma-separated lengths"},
           "--alpha": {"type": float, "help": "rotation number"},
           "--alpha-cf": {"help": "continued fraction digits, or golden|doc-switch|doc-tower"},
           "--kappa": {"help": "induced interval length"},
-          "--seed": {"type": int, "default": 0},
+          "--seed": {"type": _at_least("--seed", 0), "default": 0},
           "--eps": {"type": _between("--eps (the switch epsilon)", 0, 0.2), "default": 0.05},
           "--samples": {"type": _at_least("--samples", 1), "default": 2000}}
 _IET = ("--l", "--alpha", "--alpha-cf", "--kappa")
@@ -280,7 +280,7 @@ def cmd_schedule(args):
                     "m": lv.m, "r": lv.r, "lambda_J": lv.lambda_J,
                     "exponents": [int(e) for e in lv.exponents],
                     "lambda_A": lv.lambda_A, "lambda_B": lv.lambda_B,
-                    "U_mass": lv.U_mass} for lv in sched.levels],
+                    "U_mass": lv.U_mass, "status": lv.switch.status} for lv in sched.levels],
         "ksv": rep,
     }
     return (body, {"final_average.csv": measure_to_csv(sched.average)},
@@ -300,7 +300,7 @@ def cmd_witness(args):
     if sched is not None:
         body["schedule_levels"] = [
             {"k": lv.k, "n_steps": lv.n_steps, "m": lv.m,
-             "exponents": [int(e) for e in lv.exponents]}
+             "exponents": [int(e) for e in lv.exponents], "status": lv.switch.status}
             for lv in sched.levels]
         files["final_average.csv"] = measure_to_csv(sched.average)
     return body, files, f"witness passed: {rep['passed']}", rep["passed"]

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import _INT, RotationCounter
+from .arith import _INT, RotationCounter, _check_count, _index
 from .iet_core import Iet3, apply, to_rotation
 from .joinings import (DiscreteMeasure2D, TEST_FUNCTIONS_2D, disintegrate,
                        fiber_diameter_stats, kr_distance_detailed, kr_lower_witness,
@@ -431,8 +431,7 @@ def verify_switch(iet: Iet3, res: SwitchResult, samples: int,
     the bound is at least 2, the taxicab diameter of the unit square, so the
     check cannot fail there; ``checks["kr_vacuous"]`` says when that is so.
     It needs at least one sample (ValueError otherwise)."""
-    if samples < 1:
-        raise ValueError(f"verify_switch needs at least one sample, not {samples}")
+    _check_count("samples", samples)
     eng = _SwitchEngine(iet)
     eps, W = float(res.diagnostics["epsilon"]), res.diagnostics["window_W"]
     checks = {}
@@ -466,8 +465,7 @@ def verify_switch(iet: Iet3, res: SwitchResult, samples: int,
     checks["kr_vacuous"] = checks["kr_bound"] >= 2
     ok = (checks["shadow_A_frac_ok"] >= 0.95 and checks["shadow_B_frac_ok"] >= 0.95
           and checks["return_margin"] >= 0
-          and checks["kr_A"] <= 2 * eps + slack
-          and checks["kr_B"] <= 2 * eps + slack)
+          and checks["kr_A"] <= checks["kr_bound"] and checks["kr_B"] <= checks["kr_bound"])
     return {"all_pass": bool(ok), "checks": checks, "samples": samples,
             "kr_slack": slack}
 
@@ -547,7 +545,7 @@ def run_schedule(iet: Iet3, exponents, eps, K_levels: int,
 def _plan_schedule(iet: Iet3, exponents, eps, K_levels: int, seed) -> Schedule:
     """The levels of `run_schedule`, constructed only: nothing in them reads
     a verification, so `_finish_schedule` can verify the plan it keeps."""
-    exps = [int(e) for e in exponents]
+    exps = [_index(e) for e in exponents]
     d = len(exps)
     if d < 2:
         raise SwitchError("need at least two strands")
@@ -733,8 +731,7 @@ def non_simplicity_witness(iet: Iet3, K_levels: int = 3, N: int = 100_000,
     separation from the product, closeness to the half mixture, fat fibers,
     and Birkhoff agreement across starting atoms.
     """
-    if K_levels < 2:
-        raise SwitchError("witness needs K_levels >= 2")
+    _check_count("K_levels", K_levels, low=2)
     med = _median_displacement(iet)
     eps_pilot = [0.025 / 2 ** i for i in range(K_levels)]
     # the pilot is only planned: it is verified and sampled when it is the

@@ -26,7 +26,7 @@ from typing import Union
 import numpy as np
 
 from . import intervals as iv
-from .arith import RotationCounter
+from .arith import RotationCounter, _check_count, _index
 
 __all__ = [
     "Iet3",
@@ -209,7 +209,7 @@ def apply_pow(iet: Iet3, n: int, x):
     if isinstance(x, np.ndarray) and n:
         _check_domain(x)
         step = _step
-    for _ in range(abs(int(n))):
+    for _ in range(abs(_index(n))):
         x = step(iet, x)
     return x
 
@@ -217,7 +217,7 @@ def apply_pow(iet: Iet3, n: int, x):
 def _use_counting(n: int, points: int, step_limit: int = 200_000) -> bool:
     """Whether T^n over `points` points goes through exact rotation counting
     rather than stepwise iteration."""
-    return abs(int(n)) > 4096 and abs(int(n)) * max(points, 1) > step_limit
+    return abs(n) > 4096 and abs(n) * max(points, 1) > step_limit
 
 
 def _power_on_circle(iet: Iet3, xs, n) -> tuple[np.ndarray, np.ndarray, float]:
@@ -247,11 +247,11 @@ def apply_pow_many(iet: Iet3, n: int, xs: np.ndarray,
     The counting path computes the n-th return of the underlying rotation in
     O(log) per point and keeps each point's offset within its grid cell.
     """
-    xs = np.asarray(xs, dtype=float)
+    n, xs = _index(n), np.asarray(xs, dtype=float)
     if not _use_counting(n, len(xs), step_limit):
         return apply_pow(iet, n, xs.copy())
     _check_domain(xs)
-    base, image, kappa = _power_on_circle(iet, xs, int(n))
+    base, image, kappa = _power_on_circle(iet, xs, n)
     out = (image + (xs * kappa - base)) / kappa
     return np.clip(out, 0.0, _TOP)
 
@@ -296,6 +296,7 @@ def transport(iet: Iet3, pieces, steps: int) -> list[tuple]:
     integer numerators (`_on_grid`).  For T^-steps pass ``iet.inverse()``:
     T^-1 is the forward exchange of the inverse IET.
     """
+    _check_count("steps", steps, low=0)
     D, branches, pieces = _on_grid(iet, pieces)
     for _ in range(steps):
         pieces = iv.normalize([p for a, b in pieces for p in _branch_image(iet, a, b, branches)])

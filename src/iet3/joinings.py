@@ -48,6 +48,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy import optimize
 
+from .arith import _check_count, _index
 from .iet_core import (Iet3, _check_domain, _power_on_circle, _step, _use_counting,
                        apply_pow_many, to_rotation)
 from .towers import Tower, _return_sets
@@ -141,11 +142,10 @@ def sample_power_joining(iet: Iet3, a: int, N: int, seed=0) -> DiscreteMeasure2D
     from the grid dynamics by whole induced steps, which would put atoms on
     wrong fibers.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    xs = _stratified_points(N, seed)
+    _check_count("N", N)
+    a, xs = _index(a), _stratified_points(N, seed)
     if _use_counting(a, N):
-        base, image, kappa = _power_on_circle(iet, xs, int(a))
+        base, image, kappa = _power_on_circle(iet, xs, a)
         xs, ys = (np.clip(v / kappa, 0.0, np.nextafter(1.0, 0.0)) for v in (base, image))
     else:
         ys = apply_pow_many(iet, a, xs)
@@ -174,7 +174,7 @@ def empirical_orbit_joining(iet: Iet3, x: float, n: int, L: int,
     rc, kappa = iet.rotation_counter(), float(to_rotation(iet).kappa)
     u0 = rc.lift(float(x) * kappa)
     xs, ys = (np.clip(rc.orbit(u0, s, idx, floats=True) / rc.Q / kappa,
-                      0.0, np.nextafter(1.0, 0.0)) for s in (0, int(n)))
+                      0.0, np.nextafter(1.0, 0.0)) for s in (0, n))
     return DiscreteMeasure2D.equal_weight(xs, ys)
 
 
@@ -545,12 +545,6 @@ def _kr_grid(mu, nu, metric, G: int) -> tuple[float, float, str]:
     if q is not None:
         steps, _ = solve(supply * q, G, metric)
     return steps / G, snap, "float"
-
-
-def _check_count(name: str, v) -> None:
-    """Raise ValueError unless v is a positive integer (not a bool)."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
-        raise ValueError(f"{name} must be a positive integer, not {v!r}")
 
 
 def kr_distance_detailed(mu: DiscreteMeasure2D, nu: DiscreteMeasure2D,
@@ -994,8 +988,7 @@ def _fiber_sums(bounds: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def disintegrate(m: DiscreteMeasure2D, bins: int) -> Disintegration:
     """Group atoms by x-bin and normalize the per-bin conditionals."""
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
+    _check_count("bins", bins)
     order = _radix_order(_bin(m.xs, bins), bins - 1)
     xs = m.xs[order]
     # the fiber bounds before ys and ws are gathered: the binning's
@@ -1135,8 +1128,7 @@ def approx_by_powers(iet: Iet3, m: DiscreteMeasure2D, tower: Tower,
     restricted to the refined sub-tower), and reports the discrete L2 error
     of A_sigma f vs sum_i c_i f(T^i x) per test function over the bin grid.
     """
-    if bins < 2:
-        raise ValueError("bins must be >= 2")
+    _check_count("bins", bins, low=2)
     d = disintegrate(m, bins)
     b0 = int(np.argmin(_base_bin_scores(d, tower)))
     indices, weights, outside = _coefficients_from_fiber(tower, iet, *d.fiber(b0))
@@ -1196,8 +1188,7 @@ def weak_closure_check(iet: Iet3, k: int, horizon: int, N: int,
     sorted, so each x-bin is one slice.  The values equal those of one
     sort of 4000 values per power, bit for bit.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    _check_count("horizon", horizon)
     scan_N, scan_bins = 2000, 128
     xs_scan = _stratified_points(scan_N, seed)
     yk = apply_pow_many(iet, k, xs_scan)
@@ -1318,6 +1309,7 @@ def measure_to_csv(m: DiscreteMeasure2D) -> str:
 
 def measure_histogram_csv(m: DiscreteMeasure2D, grid: int = 64) -> str:
     """Mass on a grid x grid partition of the square, as CSV (heatmap-ready)."""
+    _check_count("grid", grid)
     h = _cell_histogram(m, grid)[0]
     ix, iy = np.nonzero(h > 0)
     buf = io.StringIO()

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import RotationCounter, cf_convergents, cf_expansion
+from .arith import RotationCounter, _check_count, cf_convergents, cf_expansion
 from .iet_core import Iet3, to_rotation
 
 __all__ = [
@@ -222,8 +222,7 @@ def section_record_exact(P: int, Q: int, C: int, N: int) -> _SectionRecord:
     computed from integer residues so that cancellations at deep scales cost
     no precision.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    _check_count("N", N)
     sN = RotationCounter(P, Q, C).signed_residue(N)
     rho = abs(-sN * N / Q)  # displacement = (0,1) - ((N alpha - round) N, 1)
 

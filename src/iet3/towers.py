@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import intervals as iv
+from .arith import _check_count
 from .iet_core import Iet3, _branch_image, _on_grid, to_rotation, transport
 from .renorm import scan_renorm_times
 
@@ -92,8 +93,7 @@ def build_tower(iet: Iet3, I: tuple, n: int) -> Tower:
     lo, hi = I
     if not (0 <= lo < hi <= 1):
         raise ValueError("base must be a nondegenerate subinterval of [0, 1)")
-    if n < 1:
-        raise ValueError("height must be >= 1")
+    _check_count("n", n)
     lows, top, D, stop = _walk(iet, I, n)
     if stop is not None:
         raise stop

@@ -6,9 +6,18 @@ import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import iet3
+from iet3.arith import RotationCounter
+from iet3.construction import non_simplicity_witness, verify_switch
+from iet3.iet_core import apply_pow, apply_pow_many, transport
+from iet3.joinings import (approx_by_powers, disintegrate, empirical_orbit_joining,
+                           measure_histogram_csv, product_sample, sample_power_joining,
+                           weak_closure_check)
+from iet3.renorm import section_record_exact
+from iet3.towers import build_tower
 
 MODULES = [importlib.import_module(f"iet3.{info.name}")
            for info in pkgutil.iter_modules(iet3.__path__)]
@@ -77,3 +86,119 @@ def test_every_public_function_has_a_caller(mod):
               and name not in OUTSIDE]
     assert not unused, (f"{mod.__name__} exports {unused}, which neither the library "
                         "nor a demo, the benchmark or the acceptance suite uses")
+
+
+# -- integer arguments ---------------------------------------------------------
+
+def _int_reads(tree: ast.Module) -> list:
+    """`int()` applied to a parameter of a public function or method (a
+    dunder counts as public), as "function(parameter)"."""
+    def public(name):
+        return not name.startswith("_") or (name.startswith("__") and name.endswith("__"))
+
+    found = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef):
+            defs = [(stmt.name, stmt)]
+        elif isinstance(stmt, ast.ClassDef) and public(stmt.name):
+            defs = [(f"{stmt.name}.{f.name}", f) for f in stmt.body
+                    if isinstance(f, ast.FunctionDef)]
+        else:
+            continue
+        for qualname, fn in defs:
+            a = fn.args
+            params = {p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                      *filter(None, [a.vararg, a.kwarg])]}
+            found += [f"{qualname}({call.args[0].id})" for call in ast.walk(fn)
+                      if public(fn.name) and isinstance(call, ast.Call)
+                      and isinstance(call.func, ast.Name) and call.func.id == "int"
+                      and len(call.args) == 1 and isinstance(call.args[0], ast.Name)
+                      and call.args[0].id in params]
+    return found
+
+
+def test_no_public_function_truncates_an_integer_argument():
+    # int(2.5) is 2: an argument is read by `arith._index` or checked by
+    # `arith._check_count`, never truncated
+    found = {path.name: _int_reads(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted((ROOT / "src" / "iet3").glob("*.py"))}
+    assert not {k: v for k, v in found.items() if v}
+
+
+def _rc(P=3, Q=10, C=3):
+    return RotationCounter(P, Q, C)
+
+
+_MEASURE = product_sample(200, seed=1)
+
+# (argument, the call with the argument v, a valid value, the count's least
+# value or None for an exponent, a start or a circle integer, and then a
+# value below its bound, if it has one)
+_INTEGER_ARGUMENTS = [
+    ("sample_power_joining N", lambda fx, v: sample_power_joining(fx("golden"), 1, v), 5, 1),
+    ("disintegrate bins", lambda fx, v: disintegrate(_MEASURE, v), 4, 1),
+    ("measure_histogram_csv grid", lambda fx, v: measure_histogram_csv(_MEASURE, v), 4, 1),
+    ("approx_by_powers bins", lambda fx, v: approx_by_powers(
+        fx("tower_iet"), product_sample(20000, seed=1),
+        build_tower(fx("tower_iet"), *fx("doc_towers")[-1]), bins=v), 32, 2),
+    ("weak_closure_check horizon",
+     lambda fx, v: weak_closure_check(fx("golden"), 1, v, 50), 2, 1),
+    ("build_tower n", lambda fx, v: build_tower(fx("tower_iet"), fx("doc_towers")[0][0], v),
+     2, 1),
+    ("transport steps", lambda fx, v: transport(fx("golden"), [(0.1, 0.2)], v), 3, 0),
+    ("section_record_exact N", lambda fx, v: section_record_exact(55, 144, 89, v), 13, 1),
+    ("verify_switch samples",
+     lambda fx, v: verify_switch(fx("switch_iet"), fx("doc_switch"), v), 8, 1),
+    ("non_simplicity_witness K_levels",
+     lambda fx, v: non_simplicity_witness(fx("golden"), K_levels=v, N=200), 2, 2),
+    ("apply_pow n", lambda fx, v: apply_pow(fx("golden"), v, np.array([0.1, 0.7])), 3, None),
+    ("apply_pow_many n", lambda fx, v: apply_pow_many(
+        fx("golden"), v, np.array([0.1, 0.7]), step_limit=0), 5000, None),
+    ("weak_closure_check k", lambda fx, v: weak_closure_check(fx("golden"), v, 2, 50), 1, None),
+    ("sample_power_joining a",
+     lambda fx, v: sample_power_joining(fx("golden"), v, 20), 10 ** 6, None),
+    ("empirical_orbit_joining n",
+     lambda fx, v: empirical_orbit_joining(fx("golden"), 0.3, v, 20), 7, None),
+    ("RotationCounter P", lambda fx, v: _rc(P=v).orbit(1, 0, np.arange(5)), 3, None, 0),
+    ("RotationCounter Q", lambda fx, v: _rc(Q=v).orbit(1, 0, np.arange(5)), 10, None, 3),
+    ("RotationCounter C", lambda fx, v: _rc(C=v).orbit(1, 0, np.arange(5)), 3, None, 0),
+    ("signed_residue n", lambda fx, v: _rc().signed_residue(v), 7, None),
+    ("orbit u0", lambda fx, v: _rc().orbit(v, 2, np.arange(4)), 1, None),
+    ("orbit start", lambda fx, v: _rc().orbit(1, v, np.arange(4)), 2, None),
+]
+
+
+def _bits(v):
+    """v as plain Python data, floats by their bits and NumPy integers as
+    ints, so that two results compare bit for bit."""
+    if isinstance(v, np.ndarray):
+        return _bits(v.tolist()) if v.dtype == object else (v.dtype.str, v.shape, v.tobytes())
+    if isinstance(v, dict):
+        return {k: _bits(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_bits(x) for x in v]
+    if isinstance(v, (float, np.floating)):
+        return float(v).hex()
+    if isinstance(v, (bool, np.bool_)):
+        return bool(v)
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    if hasattr(v, "__dict__"):
+        return type(v).__name__, _bits(vars(v))
+    return v
+
+
+@pytest.mark.parametrize("case", _INTEGER_ARGUMENTS, ids=lambda case: case[0])
+def test_integer_arguments_are_read_by_one_rule(request, case):
+    (label, call, valid, low, *below), fx = case, request.getfixturevalue
+    if low is not None:
+        below = [low - 1]
+    name = label.split()[-1]
+    for bad in (2.5, True, *below):
+        if low is None:
+            with pytest.raises((TypeError, ValueError)):
+                call(fx, bad)
+        else:
+            with pytest.raises(ValueError, match=f"{name} must be an integer >= {low}"):
+                call(fx, bad)
+    assert _bits(call(fx, np.int64(valid))) == _bits(call(fx, valid))

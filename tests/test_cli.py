@@ -98,6 +98,8 @@ def test_schedule_determinism(tmp_path):
         assert code == 0
         outs.append([(out / f).read_bytes() for f in ("schedule.json", "final_average.csv")])
     assert outs[0] == outs[1]
+    levels = json.loads(outs[0][0])["levels"]
+    assert [lv["status"] for lv in levels] == ["verified"]
     # --atoms sizes the strands whose average the CSV holds: 2 strands x 1500
     lines = outs[0][1].decode().splitlines()
     assert lines[0] == "x,y,w" and len(lines) == 1 + 2 * 1500
@@ -189,6 +191,20 @@ def test_console_entry_point(tmp_path):
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
     assert proc.returncode == 0
     assert "alpha" in proc.stdout
+
+
+def test_witness_report_records_each_level_status(tmp_path, monkeypatch, doc_witness):
+    # the documented three-level witness: level 3's switch fails its KR window
+    # check (kr_A 0.0401, kr_B 0.0369 against 0.0325), which `passed` does not
+    # gate on; the report now says so
+    import iet3.construction
+    monkeypatch.setattr(iet3.construction, "non_simplicity_witness", lambda *a, **k: doc_witness)
+    code = run(["witness", "--alpha-cf", "doc-switch", "--levels", "3",
+                "--atoms", "100000", "--seed", "7"], tmp_path)
+    report = json.loads((tmp_path / "witness.json").read_text())
+    assert ([lv["status"] for lv in report["schedule_levels"]]
+            == ["verified", "verified", "constructed-but-unverified"])
+    assert code == 0 and report["passed"] is True
 
 
 def test_golden_witness_deterministic_failure(tmp_path):
@@ -312,6 +328,10 @@ def test_zero_samples_is_usage_error(tmp_path, capsys, command):
     assert "--samples" in err
 
 
+# every subcommand that takes --seed
+_SEEDED = ("joining-sample", "approx-powers", "weak-closure", "switch", "schedule", "witness")
+
+
 @pytest.mark.parametrize("args, names", [
     (["witness", "--levels", "1"], "--levels"),
     (["joining-sample", "--atoms", "0"], "--atoms"),
@@ -322,11 +342,13 @@ def test_zero_samples_is_usage_error(tmp_path, capsys, command):
     (["approx-powers", "--bins", "0"], "--bins"),
     (["approx-powers", "--bins", "1"], "--bins"),
     (["joining-sample", "--heatmap", "-1"], "--heatmap"),
-    (["tower", "--k-max", "0"], "--k-max")],
+    (["tower", "--k-max", "0"], "--k-max"),
+    *[([command, "--seed", "-1"], "--seed") for command in _SEEDED]],
     ids=["witness-levels", "joining-sample-atoms", "schedule-atoms", "switch-eps",
          "switch-equal-pair", "weak-closure-horizon", "approx-powers-bins",
          "approx-powers-one-bin",
-         "joining-sample-heatmap", "tower-k-max"])
+         "joining-sample-heatmap", "tower-k-max",
+         *[f"{command}-seed" for command in _SEEDED]])
 def test_bad_numeric_input_is_usage_error(tmp_path, capsys, args, names):
     # a value outside its flag's range is bad input, not a failed verification
     err = _usage_failure(args + ["--alpha-cf", "golden"], tmp_path, capsys)

@@ -134,7 +134,7 @@ def test_verify_corrupted_exponent(switch_iet, doc_switch):
 def test_verify_zero_samples(switch_iet, doc_switch):
     # with no sample nothing is checked: refused, where it passed vacuously
     for samples in (0, -1):
-        with pytest.raises(ValueError, match="at least one sample"):
+        with pytest.raises(ValueError, match="samples must be an integer >= 1"):
             verify_switch(switch_iet, doc_switch, samples=samples)
 
 

@@ -109,7 +109,7 @@ def test_empirical_orbit_joining_checks_its_start(golden):
 def test_empirical_orbit_joining_checks_its_subsample(golden, subsample):
     # 0 divided by zero in `_index_strata` and -3 asked NumPy for a negative
     # dimension; a count is refused as `grid` and `bins` are
-    with pytest.raises(ValueError, match="subsample must be a positive integer"):
+    with pytest.raises(ValueError, match="subsample must be an integer >= 1"):
         empirical_orbit_joining(golden, 0.3, 7, 100, subsample=subsample)
 
 
@@ -117,9 +117,9 @@ def test_empirical_orbit_joining_checks_its_subsample(golden, subsample):
 def test_sample_counts_are_checked(golden, count):
     # product_sample(0) divided by zero and product_sample(-1) asked NumPy
     # for a negative dimension; a window of 2.5 gave 3 atoms
-    with pytest.raises(ValueError, match="N must be a positive integer"):
+    with pytest.raises(ValueError, match="N must be an integer >= 1"):
         product_sample(count)
-    with pytest.raises(ValueError, match="L must be a positive integer"):
+    with pytest.raises(ValueError, match="L must be an integer >= 1"):
         empirical_orbit_joining(golden, 0.3, 7, count)
 
 
@@ -1255,7 +1255,7 @@ def test_base_bin_errors(tower_iet, doc_towers):
     lone = DiscreteMeasure2D.equal_weight(np.array([0.3, 0.9]), np.array([0.1, 0.7]))
     with pytest.raises(ValueError, match="has a nonempty neighbor"):
         approx_by_powers(tower_iet, lone, tower, bins=128)
-    with pytest.raises(ValueError, match="bins must be >= 2"):
+    with pytest.raises(ValueError, match="bins must be an integer >= 2"):
         approx_by_powers(tower_iet, product_sample(1000, seed=1), tower, bins=1)
 
 
