@@ -18,13 +18,13 @@ res = build_switch(iet, SwitchSpec(a=0, b=1, epsilon=0.05),
 
 print(f"status: {res.status}")
 print(f"scale N = {res.n_steps}: crossing count m = {res.m}, rho = {res.rho:.3e}")
-print(f"switch power n = {res.n} (= b + (m+1)(a-b)), window L = {res.L}")
-print(f"tower: r = {res.r} levels over J of width {res.diagnostics['lambda_J']:.3e}")
+print(f"switch power n = {res.n} (= b + (m+1)(a-b)), window L = {res.m}")
+print(f"tower: r = {res.r} levels over J of width {res.lambda_J:.3e}")
 print(f"measures: lambda(A) = {res.lambda_A:.4f}, lambda(B) = {res.lambda_B:.4f} "
       f"(exact: {res.lambda_B_exact})")
 print(f"certified minimal return to J: {res.return_lo} >= 1.5 r = {1.5 * res.r:.0f}")
 
-checks = res.diagnostics["verification"]["checks"]
+checks = res.verification["checks"]
 print("\nfresh-sample verification:")
 for key in ("shadow_A_frac_ok", "shadow_B_frac_ok", "shadow_A_q95",
             "kr_A", "kr_B", "kr_bound"):

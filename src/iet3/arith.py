@@ -935,8 +935,11 @@ class RotationCounter:
     def first_hit(self, u, horizon, forward=True) -> np.ndarray:
         """Smallest N in [1, horizon] with (u +- N P) mod Q in the arc, or
         horizon + 1 if the orbit misses the arc over the whole window;
-        ``forward`` is a bool or one per point: `visit_time` of the first
-        visit, capped at horizon + 1."""
+        horizon is a count >= 0 (ValueError otherwise) and ``forward`` a
+        bool, each or one per point: `visit_time` of the first visit, capped
+        at horizon + 1."""
+        for h in np.ravel(horizon).tolist():
+            _check_count("horizon", h, low=0)
         u = np.asarray(u, dtype=object)
         out = np.broadcast_to(np.asarray(horizon, dtype=object), u.shape) + 1
         forward = np.broadcast_to(np.asarray(forward, dtype=bool), u.shape)
@@ -965,7 +968,7 @@ class RotationCounter:
             n = np.broadcast_to(_exponents(n), u.x.shape[1:])
             out = _exit(u.x, floats)
         elif one:
-            u0, n = operator.index(np.asarray(u, dtype=object).item()), _exponents(n)
+            u0, n = _index(np.asarray(u, dtype=object).item()), _exponents(n)
             u, out = np.array([u0], dtype=object), _exit(np.full(n.shape, u0, dtype=object), floats)
         else:
             u, n = _exact_ints(u, n)
@@ -992,8 +995,7 @@ class RotationCounter:
         int64 where they and start + i fit.  A point off the arc is its own
         zeroth power but no image of its (-1)-th, so a stretch through
         exponent 0 restarts there."""
-        u0, start = _index(u0), _index(start)
-        idx = np.asarray(idx)
+        u0, start, idx = _index(u0), _index(start), _ints(idx)
         if len(idx) and (idx[0] < 0 or np.any(idx[1:] <= idx[:-1])):
             raise ValueError("orbit indices must be strictly increasing and >= 0")
         if idx.dtype.kind == "i" and len(idx) and abs(start) + int(idx[-1]) < 1 << 62:
@@ -1056,6 +1058,16 @@ def _index(v) -> int:
     return operator.index(v)
 
 
+def _ints(v):
+    """Integers by `_index`'s rule: a scalar is read once, as a Python int;
+    an array is returned as it is if its dtype is an integer or object one,
+    and refused otherwise (TypeError), bools and floats among them."""
+    a = np.asarray(v)
+    if a.ndim and a.dtype.kind not in "iuO":
+        raise TypeError(f"expected integers, not {a.dtype}")
+    return a if a.ndim else _index(a.item())
+
+
 def _check_count(name: str, v, low: int = 1) -> None:
     """ValueError unless v is an integer >= low, not a bool: the one count check."""
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
@@ -1069,16 +1081,16 @@ _INT = np.frompyfunc(int, 1, 1)        # floats to Python ints, past 2^63 too
 def _exponents(n) -> np.ndarray:
     """Exponents as NumPy gives them where they are signed ints whose
     negation cannot overflow, as Python ints otherwise."""
-    n = np.asarray(n)
+    n = np.asarray(_ints(n))
     if n.dtype.kind != "i" or (n.size and n.min() == np.iinfo(n.dtype).min):
         return np.asarray(_INDEX(n.astype(object)), dtype=object)
     return n
 
 
 def _exact_ints(u, n) -> tuple[np.ndarray, np.ndarray]:
-    """Points u and counts n broadcast to u's shape, as object arrays of
-    Python ints: a NumPy integer would run the Python-int descents in fixed
-    width and overflow on deep circles."""
-    u = np.asarray(_INDEX(np.asarray(u, dtype=object)), dtype=object)
-    n = np.broadcast_to(np.asarray(n, dtype=object), u.shape)
-    return u, np.asarray(_INDEX(n), dtype=object)
+    """Points u and counts n (`_ints`: a scalar is read once) broadcast to
+    u's shape, as object arrays of Python ints: a NumPy integer would run the
+    Python-int descents in fixed width and overflow on deep circles."""
+    u, n = np.asarray(_INDEX(np.asarray(u, dtype=object)), dtype=object), _ints(n)
+    return u, (np.full(u.shape, n, dtype=object) if isinstance(n, int)
+               else _INDEX(np.broadcast_to(n.astype(object), u.shape)))

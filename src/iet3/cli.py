@@ -255,8 +255,8 @@ def cmd_switch(args):
     except SwitchError as exc:
         raise UsageError(str(exc)) from None
     res = build_switch(iet, spec, verify_samples=args.samples, seed=args.seed)
-    checks = res.diagnostics.get("verification", {}).get("checks", {})
-    body = {"n": res.n, "m": res.m, "r": res.r, "L": res.L, "rho": res.rho,
+    checks = (res.verification or {}).get("checks", {})
+    body = {"n": res.n, "m": res.m, "r": res.r, "L": res.m, "rho": res.rho,
             "V_len": res.V_len, "n_steps": res.n_steps,
             "J": [float(res.J[0]), float(res.J[1])],
             "lambda_A": res.lambda_A, "lambda_B": res.lambda_B,
@@ -276,10 +276,10 @@ def cmd_schedule(args):
     rep = ksv_check(sched, iet, seed=args.seed)
     body = {
         "aborted": sched.aborted, "abort_reason": sched.abort_reason,
-        "levels": [{"k": lv.k, "epsilon": lv.epsilon, "n_steps": lv.n_steps,
-                    "m": lv.m, "r": lv.r, "lambda_J": lv.lambda_J,
+        "levels": [{"k": lv.k, "epsilon": lv.switch.epsilon, "n_steps": lv.n_steps,
+                    "m": lv.m, "r": lv.switch.r, "lambda_J": lv.switch.lambda_J,
                     "exponents": [int(e) for e in lv.exponents],
-                    "lambda_A": lv.lambda_A, "lambda_B": lv.lambda_B,
+                    "lambda_A": lv.switch.lambda_A, "lambda_B": lv.switch.lambda_B,
                     "U_mass": lv.U_mass, "status": lv.switch.status} for lv in sched.levels],
         "ksv": rep,
     }

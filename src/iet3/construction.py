@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -88,21 +88,23 @@ class SwitchResult:
 
     a: int
     b: int
+    epsilon: float
     n: int
     m: int
     r: int
-    L: int
     rho: float
     V_len: float
     n_steps: int
+    window_W: int                     # B stays clear of the zones (3 + W) n_steps
     J: tuple[float, float]
     J_cells: tuple[int, int]          # exact grid endpoints of J in the slit
+    lambda_J: float
     lambda_A: float
     lambda_B: float
     lambda_B_exact: bool
     return_lo: int                    # certified lower bound on min return
     status: str                       # "verified" | "constructed-but-unverified"
-    diagnostics: dict = field(default_factory=dict)
+    verification: Optional[dict] = None  # the `verify_switch` report
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +337,8 @@ def build_switch(iet: Iet3, spec: SwitchSpec,
     eng = _SwitchEngine(iet)
     S, W = pair_scale or (abs(spec.a) + abs(spec.b), abs(spec.a - spec.b))
     N, rec = _pick_scale(eng, spec, S, width_cap=width_cap)
-    m, f_m, _ = _generic_crossing_pair(eng.rc.visits(eng.slit_samples(256, 77), N))
-    rho = rec.rho
-    p_hat = int(rec.V_len / rho) - 2 * (2 + W) - 3
+    m, _, _ = _generic_crossing_pair(eng.rc.visits(eng.slit_samples(256, 77), N))
+    p_hat = int(rec.V_len / rec.rho) - 2 * (2 + W) - 3
     if p_hat < 1:
         raise GeometryTooCoarse(f"p_hat = {p_hat} < 1 at scale N={N}")
     sigma = abs(eng.rc.signed_residue(N))
@@ -359,24 +360,18 @@ def build_switch(iet: Iet3, spec: SwitchSpec,
     lam_J = (j_hi - j_lo) / eng.Q
     lam_A = r * lam_J / eng.kappa          # fraction of the IET domain
     B_iv = _materialize_B(eng, N, m, W)
-    if B_iv is not None:
+    lam_B_exact = B_iv is not None
+    if lam_B_exact:
         lam_B = sum(hi - lo for lo, hi in B_iv) / eng.C
-        lam_B_exact = True
     else:
-        _, frac = _sample_B(eng, N, m, W, 64, (seed, "bfrac"))
-        lam_B = frac
-        lam_B_exact = False
+        _, lam_B = _sample_B(eng, N, m, W, 64, (seed, "bfrac"))
 
     res = SwitchResult(
-        a=spec.a, b=spec.b, n=n, m=m, r=r, L=m, rho=rho, V_len=rec.V_len,
-        n_steps=N, J=(j_lo / eng.C, j_hi / eng.C), J_cells=(j_lo, j_hi),
-        lambda_A=lam_A, lambda_B=lam_B,
+        a=spec.a, b=spec.b, epsilon=spec.epsilon, n=n, m=m, r=r, rho=rec.rho,
+        V_len=rec.V_len, n_steps=N, window_W=W, J=(j_lo / eng.C, j_hi / eng.C),
+        J_cells=(j_lo, j_hi), lambda_J=lam_J, lambda_A=lam_A, lambda_B=lam_B,
         lambda_B_exact=lam_B_exact, return_lo=return_lo,
-        status="constructed-but-unverified", diagnostics={
-            "dist_hat": rec.dist_hat, "f_m_sampled": f_m, "p_hat": p_hat,
-            "sigma_cells": sigma, "lambda_J": lam_J, "q_next": q_next,
-            "epsilon": spec.epsilon, "window_W": W,
-        })
+        status="constructed-but-unverified")
     return _verified(iet, res, verify_samples, seed)
 
 
@@ -387,8 +382,7 @@ def _verified(iet: Iet3, res: SwitchResult, samples: int, seed) -> SwitchResult:
         return res
     report = verify_switch(iet, res, samples, seed=seed)
     status = "verified" if report["all_pass"] else "constructed-but-unverified"
-    return replace(res, status=status,
-                   diagnostics={**res.diagnostics, "verification": report})
+    return replace(res, status=status, verification=report)
 
 
 def _sample_A_points(eng: _SwitchEngine, res: SwitchResult, n_samples: int,
@@ -423,7 +417,7 @@ def verify_switch(iet: Iet3, res: SwitchResult, samples: int,
     """Re-check the switch postconditions on fresh samples.
 
     The KR window check reads orbit joinings over the whole window [0, L),
-    one index per stratum of `_index_strata` (every index when L <=
+    L = m, one index per stratum of `_index_strata` (every index when L <=
     `_ORBIT_ATOMS`), and compares kr_A and kr_B with 2 eps + 4/sqrt(L) (L
     capped at `_ORBIT_ATOMS`).  The slack reads that nominal count, which is
     at least the atoms the strata keep (strata that round to one index
@@ -433,41 +427,38 @@ def verify_switch(iet: Iet3, res: SwitchResult, samples: int,
     It needs at least one sample (ValueError otherwise)."""
     _check_count("samples", samples)
     eng = _SwitchEngine(iet)
-    eps, W = float(res.diagnostics["epsilon"]), res.diagnostics["window_W"]
     checks = {}
     # shadowing on A: d(T^n x, T^a x) < eps for sampled x in A
     uA = _sample_A_points(eng, res, samples, _mix_seed(seed, 1))
     gap_A = _shadow_gap(eng, uA, res.n, res.a)
     # shadowing on B with exponent b
-    uB, _ = _sample_B(eng, res.n_steps, res.m, W,
+    uB, _ = _sample_B(eng, res.n_steps, res.m, res.window_W,
                       min(samples, 2000), _mix_seed(seed, 2))
     gap_B = _shadow_gap(eng, uB, res.n, res.b)
     checks["shadow_A_q95"] = float(np.quantile(gap_A, 0.95))
     checks["shadow_B_q95"] = float(np.quantile(gap_B, 0.95))
-    checks["shadow_A_frac_ok"] = float(np.mean(gap_A < eps))
-    checks["shadow_B_frac_ok"] = float(np.mean(gap_B < eps))
+    checks["shadow_A_frac_ok"] = float(np.mean(gap_A < res.epsilon))
+    checks["shadow_B_frac_ok"] = float(np.mean(gap_B < res.epsilon))
     # KR window condition on a few sampled points per side, each orbit
     # joining (one index in each of min(L, _ORBIT_ATOMS) strata of the
     # window) against one reference joining
-    atoms = min(res.L, _ORBIT_ATOMS)
+    atoms = min(res.m, _ORBIT_ATOMS)
     for side, us, expo in (("A", uA[:6], res.a), ("B", uB[:6], res.b)):
         ref = sample_power_joining(iet, expo, atoms, seed=_mix_seed(seed, ("ref", side)))
         vals = [kr_upper_binned(_orbit_joining_at(eng, u, res.n, _index_strata(
-                    np.random.default_rng(_mix_seed(seed, (side, u % 997))), atoms, res.L)),
+                    np.random.default_rng(_mix_seed(seed, (side, u % 997))), atoms, res.m)),
                     ref, bins=128)
                 for u in us]
         checks[f"kr_{side}"] = float(np.max(vals)) if vals else float("nan")
     checks["return_margin"] = float(res.return_lo - 1.5 * res.r)
     checks["lambda_A"] = res.lambda_A
     checks["lambda_B"] = res.lambda_B
-    slack = 4 / math.sqrt(max(atoms, 1))
-    checks["kr_bound"] = 2 * eps + slack
+    checks["kr_bound"] = 2 * res.epsilon + 4 / math.sqrt(max(atoms, 1))
     checks["kr_vacuous"] = checks["kr_bound"] >= 2
     ok = (checks["shadow_A_frac_ok"] >= 0.95 and checks["shadow_B_frac_ok"] >= 0.95
           and checks["return_margin"] >= 0
           and checks["kr_A"] <= checks["kr_bound"] and checks["kr_B"] <= checks["kr_bound"])
-    return {"all_pass": bool(ok), "checks": checks, "samples": samples,
-            "kr_slack": slack}
+    return {"all_pass": bool(ok), "checks": checks}
 
 
 def _shadow_gap(eng: _SwitchEngine, us, n: int, a: int) -> np.ndarray:
@@ -500,17 +491,16 @@ def _orbit_joining_at(eng: _SwitchEngine, u0: int, n: int,
 
 @dataclass(frozen=True)
 class ScheduleLevel:
+    """Level k of a schedule: its switch and the strand exponents it gives."""
+
     k: int
-    epsilon: float
-    n_steps: int
-    m: int
-    r: int
-    lambda_J: float
     exponents: tuple
-    lambda_A: float
-    lambda_B: float
     U_mass: Optional[float]          # None while the level is only planned
     switch: SwitchResult
+
+    # the switch's scale and crossing count, which the reports list per level
+    n_steps = property(lambda self: self.switch.n_steps)
+    m = property(lambda self: self.switch.m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -518,9 +508,8 @@ class Schedule:
     """The levels of a schedule and its level-K strands.  A planned schedule
     (`_plan_schedule`) holds unverified switches and no measures yet."""
 
-    d: int
     initial_exponents: tuple
-    eps: tuple
+    eps: tuple                       # as requested; each level's own is its switch.epsilon
     levels: list
     strand_measures: Optional[list]  # DiscreteMeasure2D per strand at level K
     average: Optional[DiscreteMeasure2D]
@@ -552,14 +541,14 @@ def _plan_schedule(iet: Iet3, exponents, eps, K_levels: int, seed) -> Schedule:
     eps = [float(e) for e in eps]
     if any(e2 > e1 + 1e-15 for e1, e2 in zip(eps, eps[1:])):
         raise SwitchError("eps must be non-increasing")
-    plan = Schedule(d=d, initial_exponents=tuple(exps), eps=tuple(eps), levels=[],
+    plan = Schedule(initial_exponents=tuple(exps), eps=tuple(eps), levels=[],
                     strand_measures=None, average=None)
     for k in range(1, K_levels + 1):
         eps_k = eps[k - 1] if k - 1 < len(eps) else eps[-1] / 2 ** (k - len(eps))
         pairs = [(exps[(l - 1) % d], exps[l]) for l in range(d)]
         S = max(abs(a) + abs(b) for a, b in pairs)
         W = max(abs(a - b) for a, b in pairs)
-        width_cap = eps_k / plan.levels[-1].r if plan.levels else None
+        width_cap = eps_k / plan.levels[-1].switch.r if plan.levels else None
         try:
             # admissibility is governed by the largest strand pair; the
             # geometry (scale, m, J, A, B) is shared across strands.  The
@@ -573,10 +562,7 @@ def _plan_schedule(iet: Iet3, exponents, eps, K_levels: int, seed) -> Schedule:
         except SwitchError as exc:
             return replace(plan, aborted=True, abort_reason=f"level {k}: {exc}")
         exps = [b + (sw.m + 1) * (a - b) for a, b in pairs]
-        plan.levels.append(ScheduleLevel(
-            k=k, epsilon=eps_k, n_steps=sw.n_steps, m=sw.m, r=sw.r,
-            lambda_J=sw.diagnostics["lambda_J"], exponents=tuple(exps),
-            lambda_A=sw.lambda_A, lambda_B=sw.lambda_B, U_mass=None, switch=sw))
+        plan.levels.append(ScheduleLevel(k=k, exponents=tuple(exps), U_mass=None, switch=sw))
     return plan
 
 
@@ -598,7 +584,7 @@ def _finish_schedule(iet: Iet3, plan: Schedule, N_atoms: int, seed,
             break
         # exceptional set, measured: points where neither switching shadow
         # holds (the set-theoretic gap 1 - lambda_A - lambda_B is dominated
-        # by tower granularity and is reported separately in diagnostics)
+        # by tower granularity, so it is not the measure of this set)
         u_mass = _measured_U(eng, lv, exps, seed=_mix_seed(seed, ("U", lv.k)))
         levels.append(replace(lv, U_mass=u_mass, switch=sw))
         exps = lv.exponents
@@ -621,12 +607,14 @@ def _measured_U(eng: _SwitchEngine, lv: ScheduleLevel, prev: tuple, seed=0) -> f
     bad = np.ones(len(us), dtype=bool)
     for l, n in enumerate(lv.exponents):
         bad &= np.minimum(_gap(eng, at[n], at[prev[l - 1]]),
-                          _gap(eng, at[n], at[prev[l]])) >= lv.epsilon
+                          _gap(eng, at[n], at[prev[l]])) >= lv.switch.epsilon
     return float(np.mean(bad))
 
 
 def ksv_check(s: Schedule, iet: Iet3, seed=11) -> dict:
-    """Margins for the abstract-criterion conditions (a)-(e), (A), (B)."""
+    """Margins for the abstract-criterion conditions (a)-(e), (A), (B).  (c),
+    (A) and (B) judge each level by its own switch's epsilon; (c) and (e)
+    report the epsilons the schedule was asked for."""
     rep = {"conditions": {}, "all_pass": True}
     if not s.levels:
         rep["conditions"] = {c: {"pass": True, "note": "vacuous (no levels)"}
@@ -637,14 +625,16 @@ def ksv_check(s: Schedule, iet: Iet3, seed=11) -> dict:
         rep["conditions"][name] = {"pass": bool(ok), **kw}
         rep["all_pass"] &= bool(ok)
 
-    cs = [min(lv.lambda_A, lv.lambda_B) for lv in s.levels]
+    sws = [lv.switch for lv in s.levels]
+    d = len(s.initial_exponents)
+    cs = [min(sw.lambda_A, sw.lambda_B) for sw in sws]
     put("a", min(cs) > 0, c_max=float(min(cs)))
-    put("b", all(lv.switch.return_lo >= 1.5 * lv.r for lv in s.levels),
-        margins=[float(lv.switch.return_lo - 1.5 * lv.r) for lv in s.levels])
-    put("c", all(lv.U_mass < lv.epsilon + 0.05 for lv in s.levels),
+    put("b", all(sw.return_lo >= 1.5 * sw.r for sw in sws),
+        margins=[float(sw.return_lo - 1.5 * sw.r) for sw in sws])
+    put("c", all(lv.U_mass < lv.switch.epsilon + 0.05 for lv in s.levels),
         u_masses=[lv.U_mass for lv in s.levels], epsilons=list(s.eps))
-    decay = [lv.r * sum(l2.lambda_J for l2 in s.levels[i + 1:])
-             for i, lv in enumerate(s.levels)]
+    decay = [sw.r * sum(later.lambda_J for later in sws[i + 1:])
+             for i, sw in enumerate(sws)]
     put("d", all(b < a + 1e-18 for a, b in zip(decay, decay[1:])) or len(decay) < 2,
         values=[float(v) for v in decay])
     put("e", all(e2 <= e1 + 1e-15 for e1, e2 in zip(s.eps, s.eps[1:])),
@@ -655,19 +645,17 @@ def ksv_check(s: Schedule, iet: Iet3, seed=11) -> dict:
     margins_A = []
     for i, lv in enumerate(s.levels):
         prev = (s.levels[i - 1].exponents if i > 0 else s.initial_exponents)
-        cur = lv.exponents
         uA = _sample_A_points(eng, lv.switch, 200, _mix_seed(seed, ("ksvA", lv.k)))
-        uB, _ = _sample_B(eng, lv.switch.n_steps, lv.switch.m,
-                          lv.switch.diagnostics["window_W"], 200,
+        uB, _ = _sample_B(eng, lv.n_steps, lv.m, lv.switch.window_W, 200,
                           _mix_seed(seed, ("ksvB", lv.k)))
         worst = 0.0
-        for l in range(s.d):
-            gapA = _shadow_gap(eng, uA, cur[l], prev[(l - 1) % s.d])
-            gapB = _shadow_gap(eng, uB, cur[l], prev[l])
+        for l in range(d):
+            gapA = _shadow_gap(eng, uA, lv.exponents[l], prev[(l - 1) % d])
+            gapB = _shadow_gap(eng, uB, lv.exponents[l], prev[l])
             worst = max(worst, float(np.quantile(gapA, 0.95)),
                         float(np.quantile(gapB, 0.95)))
         margins_A.append(worst)
-    put("A", all(w < e + 1e-12 for w, e in zip(margins_A, s.eps)),
+    put("A", all(w < sw.epsilon + 1e-12 for w, sw in zip(margins_A, sws)),
         worst_fiber_gaps=margins_A)
     # (B): Birkhoff window estimate at L = r_{k+1}/9, one index in each
     # of min(L, _ORBIT_ATOMS) strata of the window.  The estimator noise
@@ -678,9 +666,9 @@ def ksv_check(s: Schedule, iet: Iet3, seed=11) -> dict:
     vals_B = []
     calib = 0.0
     for i, lv in enumerate(s.levels[:-1]):
-        L = max(1, s.levels[i + 1].r // 9)
+        L = max(1, sws[i + 1].r // 9)
         u0 = int(_sample_A_points(eng, lv.switch, 1, _mix_seed(seed, ("bk", lv.k)))[0])
-        for l in range(s.d):
+        for l in range(d):
             rng = np.random.default_rng(_mix_seed(seed, ("B", lv.k, l)))
             emp = _orbit_joining_at(eng, u0, lv.exponents[l],
                                     _index_strata(rng, min(L, _ORBIT_ATOMS), L))
@@ -688,11 +676,10 @@ def ksv_check(s: Schedule, iet: Iet3, seed=11) -> dict:
                                        seed=_mix_seed(seed, ("Bref", lv.k, l)))
             null = _random_graph_sample(eng, lv.exponents[l], len(emp.ws),
                                         _mix_seed(seed, ("Bnull", lv.k, l)))
-            vals_B.append(kr_upper_binned(emp, ref, bins=128))
+            vals_B.append((kr_upper_binned(emp, ref, bins=128), lv.switch.epsilon))
             calib = max(calib, kr_upper_binned(null, ref, bins=128))
-    put("B", all(v <= e + calib + 1e-9 for v, e in
-                 zip(vals_B, np.repeat(list(s.eps)[:-1], s.d))),
-        values=[float(v) for v in vals_B], noise_floor=float(calib))
+    put("B", all(v <= e + calib + 1e-9 for v, e in vals_B),
+        values=[float(v) for v, _ in vals_B], noise_floor=float(calib))
     return rep
 
 
@@ -715,9 +702,7 @@ _STRANDS = (0, 1)
 
 def _median_displacement(iet: Iet3) -> float:
     xs = _stratified_points(20001, 13)
-    ys = apply(iet, xs.copy())
-    d = np.abs(ys - xs)
-    return float(np.median(d))
+    return float(np.median(np.abs(apply(iet, xs.copy()) - xs)))
 
 
 def non_simplicity_witness(iet: Iet3, K_levels: int = 3, N: int = 100_000,

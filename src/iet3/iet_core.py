@@ -304,7 +304,8 @@ def transport(iet: Iet3, pieces, steps: int) -> list[tuple]:
 
 
 def orbit(iet: Iet3, x: float, L: int) -> OrbitSegment:
-    """Forward orbit segment of length L starting at x."""
+    """Forward orbit segment of length L >= 1 starting at x."""
+    _check_count("L", L)
     pts = np.empty(L, dtype=float)
     cur = x
     for i in range(L):

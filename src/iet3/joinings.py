@@ -1034,7 +1034,7 @@ TEST_FUNCTIONS = {
     "cos1": lambda y: np.cos(2 * np.pi * np.asarray(y)) / (2 * np.pi),
 }
 
-# two-dimensional family for Birkhoff diagnostics on the square
+# two-dimensional family for Birkhoff averages on the square
 TEST_FUNCTIONS_2D = {
     "x": lambda x, y: x,
     "y": lambda x, y: y,
@@ -1189,6 +1189,7 @@ def weak_closure_check(iet: Iet3, k: int, horizon: int, N: int,
     sort of 4000 values per power, bit for bit.
     """
     _check_count("horizon", horizon)
+    _check_count("N", N)
     scan_N, scan_bins = 2000, 128
     xs_scan = _stratified_points(scan_N, seed)
     yk = apply_pow_many(iet, k, xs_scan)

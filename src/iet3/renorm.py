@@ -291,7 +291,7 @@ def scan_renorm_times(iet: Iet3, delta: float, t_max: float,
                       with_dichotomy: bool = True) -> RenormScan:
     """Scan for renormalization times: near the half-marked square torus
     (dist < delta) and in the section.  Returns accepted times ascending
-    plus rejection diagnostics."""
+    plus the rejected times with their reasons."""
     rc = iet.rotation_counter()
     P, Q, C = rc.P, rc.Q, rc.C
     cands = _candidate_steps(iet, t_max)

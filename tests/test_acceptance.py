@@ -95,8 +95,8 @@ def test_criterion_4_switch_verification(switch_iet):
     res = build_switch(switch_iet, SwitchSpec(a=0, b=1, epsilon=0.05),
                        verify_samples=10_000, seed=2024)
     dt = time.time() - t0
-    checks = res.diagnostics["verification"]["checks"]
-    slack = 4 / math.sqrt(res.L)
+    checks = res.verification["checks"]
+    slack = 4 / math.sqrt(res.m)
     ok = (res.status == "verified"
           and checks["shadow_A_frac_ok"] >= 0.95
           and checks["shadow_B_frac_ok"] >= 0.95

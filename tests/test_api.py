@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 import iet3
 from iet3.arith import RotationCounter
 from iet3.construction import non_simplicity_witness, verify_switch
-from iet3.iet_core import apply_pow, apply_pow_many, transport
+from iet3.iet_core import apply_pow, apply_pow_many, orbit, transport
 from iet3.joinings import (approx_by_powers, disintegrate, empirical_orbit_joining,
                            measure_histogram_csv, product_sample, sample_power_joining,
                            weak_closure_check)
@@ -143,6 +144,9 @@ _INTEGER_ARGUMENTS = [
         build_tower(fx("tower_iet"), *fx("doc_towers")[-1]), bins=v), 32, 2),
     ("weak_closure_check horizon",
      lambda fx, v: weak_closure_check(fx("golden"), 1, v, 50), 2, 1),
+    ("weak_closure_check N", lambda fx, v: weak_closure_check(fx("golden"), 1, 2, v), 50, 1),
+    ("iet_core.orbit L", lambda fx, v: orbit(fx("golden"), 0.1, v), 5, 1),
+    ("first_hit horizon", lambda fx, v: _rc().first_hit([1, 4], v), 4, 0),
     ("build_tower n", lambda fx, v: build_tower(fx("tower_iet"), fx("doc_towers")[0][0], v),
      2, 1),
     ("transport steps", lambda fx, v: transport(fx("golden"), [(0.1, 0.2)], v), 3, 0),
@@ -165,6 +169,10 @@ _INTEGER_ARGUMENTS = [
     ("signed_residue n", lambda fx, v: _rc().signed_residue(v), 7, None),
     ("orbit u0", lambda fx, v: _rc().orbit(v, 2, np.arange(4)), 1, None),
     ("orbit start", lambda fx, v: _rc().orbit(1, v, np.arange(4)), 2, None),
+    ("orbit idx", lambda fx, v: _rc().orbit(1, 0, np.array([False, v])), 2, None),
+    ("visits n", lambda fx, v: _rc().visits([1, 4], v), 3, None),
+    ("visit_time n", lambda fx, v: _rc().visit_time([1, 4], v), 2, None, -1),
+    ("power n", lambda fx, v: _rc().power(np.array([1], dtype=object), v), 2, None),
 ]
 
 
@@ -202,3 +210,21 @@ def test_integer_arguments_are_read_by_one_rule(request, case):
             with pytest.raises(ValueError, match=f"{name} must be an integer >= {low}"):
                 call(fx, bad)
     assert _bits(call(fx, np.int64(valid))) == _bits(call(fx, valid))
+
+
+# -- the benchmark's reads -----------------------------------------------------
+
+def _perfbench(name: str):
+    """A module of the benchmark harness, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_the_benchmark_reads_the_library(doc_witness):
+    # the witness digest reads each level's k, n_steps, m and exponents, and
+    # the tracer needs one span name per public function and method
+    assert len(_perfbench("workloads").witness_digest(doc_witness)) == 64
+    assert _perfbench("tracer")._targets()

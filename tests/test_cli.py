@@ -406,3 +406,15 @@ def test_alpha_cf_digits_are_read(tmp_path, capsys):
 def test_golden_reads_kappa(tmp_path, capsys):
     assert run(["iet-info", "--alpha-cf", "golden", "--kappa", "0.7"], tmp_path) == 0
     assert json.loads(capsys.readouterr().out)["kappa"] == pytest.approx(0.7)
+
+
+def test_approx_powers_of_a_power_joining(tmp_path):
+    # --power N fits the tower coefficients to the graph joining of T^N
+    assert run(["approx-powers", "--alpha-cf", "doc-tower", "--k-max", "2",
+                "--atoms", "3000", "--power", "3"], tmp_path) == 0
+    assert json.loads((tmp_path / "approx-powers.json").read_text())["coeff_total"] <= 1
+
+
+def test_no_iet_flag_is_usage_error(tmp_path, capsys):
+    err = _usage_failure(["iet-info"], tmp_path, capsys)
+    assert err == "error: give the IET by --l, --alpha or --alpha-cf\n"

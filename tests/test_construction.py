@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from iet3.arith import cf_to_fraction
 from iet3.iet_core import Iet3, RotationRep, apply, from_rotation
-from iet3.construction import (SearchFailure, SwitchError, SwitchSpec,
-                               _SwitchEngine, _materialize_B, _mix_seed,
-                               build_switch, ksv_check, run_schedule, verify_switch)
+from iet3.construction import (Schedule, ScheduleLevel, SearchFailure, SwitchError,
+                               SwitchResult, SwitchSpec, _SwitchEngine, _materialize_B,
+                               _mix_seed, build_switch, ksv_check, run_schedule,
+                               verify_switch)
 
 
 def test_n_formula_identity():
@@ -55,22 +56,21 @@ def test_documented_switch_verified(doc_switch):
     assert res.status == "verified"
     assert res.n_steps == 32001
     assert res.n == -res.m
-    assert res.L == res.m
     assert res.lambda_A >= 0.5 - 0.05 - 1e-9
     assert res.lambda_B >= 0.5 - 0.05 - 1e-9
     assert res.return_lo >= 1.5 * res.r
-    checks = res.diagnostics["verification"]["checks"]
+    checks = res.verification["checks"]
     assert checks["shadow_A_frac_ok"] >= 0.95
     assert checks["shadow_B_frac_ok"] >= 0.95
 
 
 def test_kr_window_check_says_when_it_is_vacuous(doc_switch, doc_witness):
     # 2 eps + 4/sqrt(L) reaches 2, the taxicab diameter, on short windows
-    checks = doc_switch.diagnostics["verification"]["checks"]
+    checks = doc_switch.verification["checks"]
     assert checks["kr_bound"] < 2 and checks["kr_vacuous"] is False
     sw = doc_witness["schedule"].levels[0].switch
-    checks = sw.diagnostics["verification"]["checks"]
-    assert sw.L <= 4 and checks["kr_vacuous"] is True
+    checks = sw.verification["checks"]
+    assert sw.m <= 4 and checks["kr_vacuous"] is True
 
 
 def test_kr_window_check_reads_the_whole_window(switch_iet, doc_switch, monkeypatch):
@@ -82,7 +82,7 @@ def test_kr_window_check_reads_the_whole_window(switch_iet, doc_switch, monkeypa
     monkeypatch.setattr(construction, "_orbit_joining_at",
                         lambda eng, u0, n, idx: seen.append(idx) or at(eng, u0, n, idx))
     verify_switch(switch_iet, doc_switch, samples=50, seed=3)
-    L = doc_switch.L
+    L = doc_switch.m
     assert L == 28000 and len(seen) == 12
     assert all(int(idx[-1]) >= L - math.ceil(L / 20000) for idx in seen)
 
@@ -142,7 +142,7 @@ def test_switch_without_samples_is_unverified(switch_iet):
     res = build_switch(switch_iet, SwitchSpec(a=0, b=1, epsilon=0.05),
                        verify_samples=0, seed=2024)
     assert res.status == "constructed-but-unverified"
-    assert "verification" not in res.diagnostics
+    assert res.verification is None
 
 
 def test_planned_levels_are_verified_only_when_finished(switch_iet, monkeypatch):
@@ -158,7 +158,7 @@ def test_planned_levels_are_verified_only_when_finished(switch_iet, monkeypatch)
     sched = construction._finish_schedule(switch_iet, plan, 500, seed=5, verify_samples=200)
     assert calls == [_mix_seed(5, ("lvl", 1))]
     lv = sched.levels[0]
-    report = lv.switch.diagnostics["verification"]
+    report = lv.switch.verification
     assert lv.switch.status == ("verified" if report["all_pass"]
                                 else "constructed-but-unverified")
     assert lv.exponents == plan.levels[0].exponents
@@ -218,8 +218,8 @@ def test_schedule_one_level(switch_iet):
     assert len(sched.levels) == 1
     lv = sched.levels[0]
     assert lv.exponents == (lv.m + 1, -lv.m)
-    assert min(lv.lambda_A, lv.lambda_B) > 0.1
-    assert lv.U_mass < lv.epsilon + 1e-9
+    assert min(lv.switch.lambda_A, lv.switch.lambda_B) > 0.1
+    assert lv.U_mass < lv.switch.epsilon + 1e-9
 
 
 def test_ksv_monotone_epsilon_rejected(switch_iet):
@@ -261,6 +261,29 @@ def test_witness_schedule_conditions(doc_witness, switch_iet):
     # condition (d): the recorded products decrease
     vals = rep["conditions"]["d"]["values"]
     assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
+
+
+def test_each_switch_fact_is_stored_once(doc_witness):
+    names = {cls: [f.name for f in dataclasses.fields(cls)]
+             for cls in (ScheduleLevel, SwitchResult, Schedule)}
+    assert names[ScheduleLevel] == ["k", "exponents", "U_mass", "switch"]
+    assert not {"L", "diagnostics"} & set(names[SwitchResult])
+    assert "d" not in names[Schedule]
+    lv = doc_witness["schedule"].levels[0]
+    assert (lv.n_steps, lv.m) == (lv.switch.n_steps, lv.switch.m)
+
+
+def test_ksv_judges_each_level_by_its_own_epsilon(doc_witness, switch_iet):
+    # two levels asked for one epsilon: level 2 keeps its switch's own, here
+    # set below its measured fibre gap (about 1e-9), so (A) fails at level 2
+    sched = doc_witness["schedule"]
+    lv = sched.levels[1]
+    tight = dataclasses.replace(lv, switch=dataclasses.replace(lv.switch, epsilon=1e-12))
+    two = dataclasses.replace(sched, levels=[sched.levels[0], tight], eps=sched.eps[:1])
+    rep = ksv_check(two, switch_iet, seed=11)["conditions"]
+    assert rep["A"]["worst_fiber_gaps"][1] > 1e-12 and not rep["A"]["pass"]
+    # (c) lists the epsilons the schedule asked for, (B) level 1's d values
+    assert rep["c"]["epsilons"] == [sched.eps[0]] and len(rep["B"]["values"]) == 2
 
 
 def test_witness_degenerate_rational_control():
