@@ -1060,11 +1060,14 @@ def _index(v) -> int:
 
 def _ints(v):
     """Integers by `_index`'s rule: a scalar is read once, as a Python int;
-    an array is returned as it is if its dtype is an integer or object one,
-    and refused otherwise (TypeError), bools and floats among them."""
+    an array is returned as it is if its dtype is an integer one, or an
+    object one holding no bool, and refused otherwise (TypeError), bools and
+    floats among them (`operator.index` would read True as 1)."""
     a = np.asarray(v)
     if a.ndim and a.dtype.kind not in "iuO":
         raise TypeError(f"expected integers, not {a.dtype}")
+    if a.dtype == object and bool in set(map(type, a.ravel())):
+        raise TypeError("expected integers, not a bool")
     return a if a.ndim else _index(a.item())
 
 
@@ -1088,9 +1091,9 @@ def _exponents(n) -> np.ndarray:
 
 
 def _exact_ints(u, n) -> tuple[np.ndarray, np.ndarray]:
-    """Points u and counts n (`_ints`: a scalar is read once) broadcast to
+    """Points u and counts n, each read by `_ints` (a scalar once), n broadcast to
     u's shape, as object arrays of Python ints: a NumPy integer would run the
     Python-int descents in fixed width and overflow on deep circles."""
-    u, n = np.asarray(_INDEX(np.asarray(u, dtype=object)), dtype=object), _ints(n)
+    u, n = np.asarray(_INDEX(np.asarray(_ints(u), dtype=object)), dtype=object), _ints(n)
     return u, (np.full(u.shape, n, dtype=object) if isinstance(n, int)
                else _INDEX(np.broadcast_to(n.astype(object), u.shape)))

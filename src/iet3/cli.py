@@ -270,8 +270,7 @@ def cmd_schedule(args):
     from .construction import _STRANDS, ksv_check, run_schedule
     from .joinings import measure_to_csv
     iet = _resolve_iet(args)
-    eps = [args.eps / 2 ** i for i in range(args.levels)]
-    sched = run_schedule(iet, _STRANDS, eps, args.levels, N_atoms=args.atoms,
+    sched = run_schedule(iet, _STRANDS, args.eps, args.levels, N_atoms=args.atoms,
                          seed=args.seed, verify_samples=args.samples)
     rep = ksv_check(sched, iet, seed=args.seed)
     body = {

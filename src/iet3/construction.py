@@ -23,6 +23,7 @@ step-by-step orbit iteration ever happens at tower scale.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, replace
@@ -103,8 +104,10 @@ class SwitchResult:
     lambda_B: float
     lambda_B_exact: bool
     return_lo: int                    # certified lower bound on min return
-    status: str                       # "verified" | "constructed-but-unverified"
     verification: Optional[dict] = None  # the `verify_switch` report
+
+    status = property(lambda self: "verified" if (self.verification or {}).get("all_pass")
+                      else "constructed-but-unverified")
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +355,13 @@ def build_switch(iet: Iet3, spec: SwitchSpec,
 
     r = m * p_hat
     if 1.5 * r > return_lo:
-        # keep the return-time guarantee structural: shorten the tower
-        p_hat = max(1, int(return_lo / (1.5 * m)) - 1)
+        # keep the return-time guarantee structural: shorten the tower, or
+        # refuse it when not one period fits
+        p_hat = int(return_lo / (1.5 * m)) - 1
+        if p_hat < 1:
+            raise GeometryTooCoarse(f"p_hat = {p_hat} < 1 at return bound {return_lo}, N={N}")
         r = m * p_hat
-    n = spec.b + (m + 1) * (spec.a - spec.b)
+    n = _exponent(spec.a, spec.b, m)
     j_lo, j_hi = _find_J(eng, N, m, W, p_hat)
     lam_J = (j_hi - j_lo) / eng.Q
     lam_A = r * lam_J / eng.kappa          # fraction of the IET domain
@@ -370,19 +376,21 @@ def build_switch(iet: Iet3, spec: SwitchSpec,
         a=spec.a, b=spec.b, epsilon=spec.epsilon, n=n, m=m, r=r, rho=rec.rho,
         V_len=rec.V_len, n_steps=N, window_W=W, J=(j_lo / eng.C, j_hi / eng.C),
         J_cells=(j_lo, j_hi), lambda_J=lam_J, lambda_A=lam_A, lambda_B=lam_B,
-        lambda_B_exact=lam_B_exact, return_lo=return_lo,
-        status="constructed-but-unverified")
+        lambda_B_exact=lam_B_exact, return_lo=return_lo)
     return _verified(iet, res, verify_samples, seed)
 
 
+def _exponent(a: int, b: int, m: int) -> int:
+    """The switch power b + (m+1)(a-b): T^a on the m-type tower, T^b off it."""
+    return b + (m + 1) * (a - b)
+
+
 def _verified(iet: Iet3, res: SwitchResult, samples: int, seed) -> SwitchResult:
-    """The switch with its `verify_switch` report and status; with fewer
-    than one sample it stays constructed-but-unverified."""
+    """The switch with its `verify_switch` report; with fewer than one
+    sample it stays constructed-but-unverified."""
     if samples < 1:
         return res
-    report = verify_switch(iet, res, samples, seed=seed)
-    status = "verified" if report["all_pass"] else "constructed-but-unverified"
-    return replace(res, status=status, verification=report)
+    return replace(res, verification=verify_switch(iet, res, samples, seed=seed))
 
 
 def _sample_A_points(eng: _SwitchEngine, res: SwitchResult, n_samples: int,
@@ -509,42 +517,41 @@ class Schedule:
     (`_plan_schedule`) holds unverified switches and no measures yet."""
 
     initial_exponents: tuple
-    eps: tuple                       # as requested; each level's own is its switch.epsilon
+    eps: tuple                       # level k's epsilon eps[0] / 2^(k-1), k = 1..K
     levels: list
     strand_measures: Optional[list]  # DiscreteMeasure2D per strand at level K
-    average: Optional[DiscreteMeasure2D]
-    aborted: bool = False
     abort_reason: str = ""
 
+    aborted = property(lambda self: bool(self.abort_reason))
+    # the strands' equal mixture, None while the schedule is only planned
+    average = functools.cached_property(lambda self: None if self.strand_measures is None
+                                        else mix(*self.strand_measures))
 
-def run_schedule(iet: Iet3, exponents, eps, K_levels: int,
+
+def run_schedule(iet: Iet3, exponents, eps: float, K_levels: int,
                  N_atoms: int = 20000, seed=7,
                  verify_samples: int = 1500) -> Schedule:
     """Iterate the switch cyclically over d strands for K_levels levels.
 
-    One renormalization scale is chosen per level (the strand pairs share the
-    geometry; the scale must be admissible for the largest pair), producing
-    per-strand exponents n_k.  Returns the per-level records plus the
-    level-K strand joinings sampled at N_atoms.
+    Level k runs at accuracy eps / 2^(k-1) at one renormalization scale (the
+    strand pairs share the geometry; the scale must be admissible for the
+    largest pair), producing per-strand exponents n_k.  Returns the
+    per-level records plus the level-K strand joinings sampled at N_atoms.
     """
     return _finish_schedule(iet, _plan_schedule(iet, exponents, eps, K_levels, seed),
                             N_atoms, seed, verify_samples)
 
 
-def _plan_schedule(iet: Iet3, exponents, eps, K_levels: int, seed) -> Schedule:
+def _plan_schedule(iet: Iet3, exponents, eps: float, K_levels: int, seed) -> Schedule:
     """The levels of `run_schedule`, constructed only: nothing in them reads
     a verification, so `_finish_schedule` can verify the plan it keeps."""
     exps = [_index(e) for e in exponents]
     d = len(exps)
     if d < 2:
         raise SwitchError("need at least two strands")
-    eps = [float(e) for e in eps]
-    if any(e2 > e1 + 1e-15 for e1, e2 in zip(eps, eps[1:])):
-        raise SwitchError("eps must be non-increasing")
-    plan = Schedule(initial_exponents=tuple(exps), eps=tuple(eps), levels=[],
-                    strand_measures=None, average=None)
-    for k in range(1, K_levels + 1):
-        eps_k = eps[k - 1] if k - 1 < len(eps) else eps[-1] / 2 ** (k - len(eps))
+    plan = Schedule(initial_exponents=tuple(exps), levels=[], strand_measures=None,
+                    eps=tuple(float(eps) / 2 ** (k - 1) for k in range(1, K_levels + 1)))
+    for k, eps_k in enumerate(plan.eps, start=1):
         pairs = [(exps[(l - 1) % d], exps[l]) for l in range(d)]
         S = max(abs(a) + abs(b) for a, b in pairs)
         W = max(abs(a - b) for a, b in pairs)
@@ -560,8 +567,8 @@ def _plan_schedule(iet: Iet3, exponents, eps, K_levels: int, seed) -> Schedule:
                               verify_samples=0, pair_scale=(S, W),
                               seed=_mix_seed(seed, ("lvl", k)))
         except SwitchError as exc:
-            return replace(plan, aborted=True, abort_reason=f"level {k}: {exc}")
-        exps = [b + (sw.m + 1) * (a - b) for a, b in pairs]
+            return replace(plan, abort_reason=f"level {k}: {exc}")
+        exps = [_exponent(a, b, sw.m) for a, b in pairs]
         plan.levels.append(ScheduleLevel(k=k, exponents=tuple(exps), U_mass=None, switch=sw))
     return plan
 
@@ -573,14 +580,13 @@ def _finish_schedule(iet: Iet3, plan: Schedule, N_atoms: int, seed,
     raises ends the schedule there, as an aborted construction does."""
     eng = _SwitchEngine(iet)
     exps = plan.initial_exponents
-    levels = []
-    aborted, reason = plan.aborted, plan.abort_reason
+    levels, reason = [], plan.abort_reason
     for lv in plan.levels:
         try:
             sw = _verified(iet, lv.switch, verify_samples,
                            _mix_seed(seed, ("lvl", lv.k)))
         except SwitchError as exc:
-            aborted, reason = True, f"level {lv.k}: {exc}"
+            reason = f"level {lv.k}: {exc}"
             break
         # exceptional set, measured: points where neither switching shadow
         # holds (the set-theoretic gap 1 - lambda_A - lambda_B is dominated
@@ -593,8 +599,7 @@ def _finish_schedule(iet: Iet3, plan: Schedule, N_atoms: int, seed,
     gseed = _mix_seed(seed, "sharedgrid")
     strand_measures = [sample_power_joining(iet, int(e), N_atoms, seed=gseed)
                        for e in exps]
-    return replace(plan, levels=levels, strand_measures=strand_measures,
-                   average=mix(*strand_measures), aborted=aborted, abort_reason=reason)
+    return replace(plan, levels=levels, strand_measures=strand_measures, abort_reason=reason)
 
 
 def _measured_U(eng: _SwitchEngine, lv: ScheduleLevel, prev: tuple, seed=0) -> float:
@@ -614,7 +619,7 @@ def _measured_U(eng: _SwitchEngine, lv: ScheduleLevel, prev: tuple, seed=0) -> f
 def ksv_check(s: Schedule, iet: Iet3, seed=11) -> dict:
     """Margins for the abstract-criterion conditions (a)-(e), (A), (B).  (c),
     (A) and (B) judge each level by its own switch's epsilon; (c) and (e)
-    report the epsilons the schedule was asked for."""
+    report the schedule's planned epsilons."""
     rep = {"conditions": {}, "all_pass": True}
     if not s.levels:
         rep["conditions"] = {c: {"pass": True, "note": "vacuous (no levels)"}
@@ -718,30 +723,28 @@ def non_simplicity_witness(iet: Iet3, K_levels: int = 3, N: int = 100_000,
     """
     _check_count("K_levels", K_levels, low=2)
     med = _median_displacement(iet)
-    eps_pilot = [0.025 / 2 ** i for i in range(K_levels)]
     # the pilot is only planned: it is verified and sampled when it is the
     # schedule the report keeps; a pilot over budget is planned again, by
     # `run_schedule`, at the budget
-    pilot = _plan_schedule(iet, _STRANDS, eps_pilot, K_levels, seed)
+    pilot = _plan_schedule(iet, _STRANDS, 0.025, K_levels, seed)
     sched = None
     if not pilot.aborted:
-        divs, gaps, rho_fit, C_fit = _decay_fit(iet, pilot, eps_pilot, N, seed)
+        divs, gaps, rho_fit, C_fit = _decay_fit(iet, pilot, N, seed)
         # the halving schedule continues past level K with tail sum eps_K, so
         # the displacement condition is enforced against the full series
-        tail_factor = (sum(eps_pilot) + eps_pilot[-1]) / sum(eps_pilot)
+        tail_factor = (sum(pilot.eps) + pilot.eps[-1]) / sum(pilot.eps)
         eps_budget_total = med / (40 * C_fit * tail_factor)
-        eps_used = list(eps_pilot)
-        if sum(eps_pilot) > eps_budget_total:
-            scale = eps_budget_total / sum(eps_pilot) * 0.95
-            eps_used = [e * scale for e in eps_pilot]
-            sched = run_schedule(iet, _STRANDS, eps_used, K_levels, N_atoms=N, seed=seed)
+        if sum(pilot.eps) > eps_budget_total:
+            scale = eps_budget_total / sum(pilot.eps) * 0.95
+            sched = run_schedule(iet, _STRANDS, pilot.eps[0] * scale, K_levels,
+                                 N_atoms=N, seed=seed)
     if sched is None:
         sched = _finish_schedule(iet, pilot, N, seed)
     if sched.aborted:
         return {"passed": False, "aborted": True, "reason": sched.abort_reason,
                 "schedule": sched, "median_displacement": med}
 
-    budget = C_fit * (sum(eps_used) + rho_fit ** K_levels)
+    budget = C_fit * (sum(sched.eps) + rho_fit ** K_levels)
     # the schedule's strands and the base strands on one shared stratified
     # grid (common random numbers): the coupling bound then matches fibers
     # bin-for-bin with no imbalance noise
@@ -777,16 +780,16 @@ def non_simplicity_witness(iet: Iet3, K_levels: int = 3, N: int = 100_000,
     passed = all(v["pass"] for v in items.values())
     return {
         "passed": bool(passed), "aborted": False, "items": items,
-        "C_fit": C_fit, "rho_fit": rho_fit, "eps": list(eps_used),
+        "C_fit": C_fit, "rho_fit": rho_fit, "eps": list(sched.eps),
         "budget": float(budget), "median_displacement": med,
         "divergences": [float(d) for d in divs],
         "strand_gaps": [float(g) for g in gaps],
         "schedule": sched,
-        "keep_away_ok": bool(med > 40 * C_fit * (sum(eps_used) + eps_used[-1])),
+        "keep_away_ok": bool(med > 40 * C_fit * (sum(sched.eps) + sched.eps[-1])),
     }
 
 
-def _decay_fit(iet: Iet3, pilot: Schedule, eps_pilot, N: int, seed):
+def _decay_fit(iet: Iet3, pilot: Schedule, N: int, seed):
     """Strand divergences from the base mixture (exact grid solves) and
     functional strand gaps (integrals of the 1-Lipschitz family -- the
     quantities the averaging recursion actually contracts) at each level of
@@ -813,7 +816,7 @@ def _decay_fit(iet: Iet3, pilot: Schedule, eps_pilot, N: int, seed):
                             1e-3, 0.999)) if ratios else 0.5
     # fit the constant on levels below the last, then check the last level
     # against the extrapolated budget
-    C_fit = max(d / (sum(eps_pilot[:k]) + rho_fit ** k)
+    C_fit = max(d / (sum(pilot.eps[:k]) + rho_fit ** k)
                 for k, d in enumerate(divs) if 1 <= k < len(pilot.levels))
     return divs, gaps, rho_fit, float(max(C_fit, 0.05))
 

@@ -605,11 +605,10 @@ def kr_distance_detailed(mu: DiscreteMeasure2D, nu: DiscreteMeasure2D,
     raise ValueError(f"unknown method {method}")
 
 
-def kr_distance(mu: DiscreteMeasure2D, nu: DiscreteMeasure2D,
-                metric: str = "interval", method: str = "auto",
-                grid: int = 128) -> float:
-    """Exact Wasserstein-1 under the taxicab ground metric (see module doc)."""
-    return kr_distance_detailed(mu, nu, metric=metric, method=method, grid=grid)["value"]
+def kr_distance(mu: DiscreteMeasure2D, nu: DiscreteMeasure2D) -> float:
+    """Exact Wasserstein-1 under the taxicab ground metric (see module doc), by
+    `kr_distance_detailed`'s default solve; a metric, method or grid goes there."""
+    return kr_distance_detailed(mu, nu)["value"]
 
 
 # ---------------------------------------------------------------------------
@@ -1253,7 +1252,6 @@ class BaryState:
     gamma: np.ndarray
     a: float
     b: float
-    delta: float = 0.0
 
     def __post_init__(self):
         self.gamma = np.asarray(self.gamma, dtype=float)
@@ -1263,11 +1261,9 @@ class BaryState:
             raise ValueError("need a, b > 0 with a + b <= 1")
 
 
-def bary_recursion(state: BaryState, steps: int, seed=0) -> dict:
-    """Iterate gamma_i(l) <- a/(a+b) gamma_{i-1}(l-1) + b/(a+b) gamma_{i-1}(l)
-    plus optional bounded noise; report per-step max gaps, the fitted decay
-    ratio, and the mean drift."""
-    rng = np.random.default_rng(seed)
+def bary_recursion(state: BaryState, steps: int) -> dict:
+    """Iterate gamma_i(l) <- a/(a+b) gamma_{i-1}(l-1) + b/(a+b) gamma_{i-1}(l);
+    report per-step max gaps, the fitted decay ratio, and the mean drift."""
     g = state.gamma.copy()
     wa = state.a / (state.a + state.b)
     wb = state.b / (state.a + state.b)
@@ -1275,8 +1271,7 @@ def bary_recursion(state: BaryState, steps: int, seed=0) -> dict:
     means = [float(g.mean())]
     traj = [g.copy()]
     for _ in range(steps):
-        noise = (rng.random(state.d) * 2 - 1) * state.delta if state.delta else 0.0
-        g = wa * np.roll(g, 1) + wb * g + noise
+        g = wa * np.roll(g, 1) + wb * g
         np.clip(g, 0.0, 1.0, out=g)
         gaps.append(float(g.max() - g.min()))
         means.append(float(g.mean()))

@@ -89,6 +89,70 @@ def test_every_public_function_has_a_caller(mod):
                         "nor a demo, the benchmark or the acceptance suite uses")
 
 
+# -- defaults ------------------------------------------------------------------
+
+def _settables(tree: ast.Module) -> list:
+    """Per public function, method and dataclass of a module: (label, the
+    name its calls give it, its definition, its positional parameters, its
+    defaulted ones).  A method's first parameter is its self or cls, and
+    `__init__` is called by its class's name."""
+    def public(name):
+        return not name.startswith("_") or name == "__init__"
+
+    def function(label, call, fn, skip=0):
+        a = fn.args
+        pos = [p.arg for p in [*a.posonlyargs, *a.args]][skip:]
+        return (label, call, fn, pos, pos[len(pos) - len(a.defaults):]
+                + [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None])
+
+    found = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef) and public(stmt.name):
+            found.append(function(stmt.name, stmt.name, stmt))
+        if not (isinstance(stmt, ast.ClassDef) and public(stmt.name)):
+            continue
+        if any("dataclass" in _reads(d) for d in stmt.decorator_list):
+            # the init fields: a `field(init=False)` is the class's to set
+            fields = [f for f in stmt.body if isinstance(f, ast.AnnAssign)
+                      and not any(k.arg == "init" for k in getattr(f.value, "keywords", []))]
+            found.append((stmt.name, stmt.name, stmt, [f.target.id for f in fields],
+                          [f.target.id for f in fields if f.value is not None]))
+        found += [function(f"{stmt.name}.{f.name}",
+                           stmt.name if f.name == "__init__" else f.name, f, skip=1)
+                  for f in stmt.body if isinstance(f, ast.FunctionDef) and public(f.name)]
+    return found
+
+
+def test_every_default_has_a_setter():
+    # a default is a settable value: some call outside its definition, in
+    # the library, a demo, the benchmark or the acceptance suite, passes it
+    # by keyword, by position or through `dataclasses.replace`
+    library = sorted((ROOT / "src" / "iet3").glob("*.py"))
+    paths = [*library, *sorted((ROOT / "demos").glob("*.py")),
+             *sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    calls = [(path, c) for path, tree in trees.items() for c in ast.walk(tree)
+             if isinstance(c, ast.Call)]
+
+    def passed(path, call, node, pos, name):
+        for where, c in calls:
+            if where == path and node.lineno <= c.lineno <= node.end_lineno:
+                continue
+            called = getattr(c.func, "id", None) or getattr(c.func, "attr", None)
+            keywords = {k.arg for k in c.keywords}
+            given = next((i for i, a in enumerate(c.args) if isinstance(a, ast.Starred)),
+                         len(c.args))
+            if (called == "replace" and name in keywords
+                    or called == call and (name in keywords or name in pos[:given])):
+                return True
+        return False
+
+    unset = [f"{label}({name})" for path in library
+             for label, call, node, pos, defaulted in _settables(trees[path])
+             for name in defaulted if not passed(path, call, node, pos, name)]
+    assert not unset, f"defaults that no caller sets: {unset}"
+
+
 # -- integer arguments ---------------------------------------------------------
 
 def _int_reads(tree: ast.Module) -> list:
@@ -173,6 +237,12 @@ _INTEGER_ARGUMENTS = [
     ("visits n", lambda fx, v: _rc().visits([1, 4], v), 3, None),
     ("visit_time n", lambda fx, v: _rc().visit_time([1, 4], v), 2, None, -1),
     ("power n", lambda fx, v: _rc().power(np.array([1], dtype=object), v), 2, None),
+    # an element of an object array is read by the same rule
+    ("visits n element",
+     lambda fx, v: _rc().visits([1, 4], np.array([v, 2], dtype=object)), 3, None),
+    ("visits u element", lambda fx, v: _rc().visits(np.array([v, 4], dtype=object), 2), 1, None),
+    ("power n element", lambda fx, v: _rc().power(np.array([1, 2], dtype=object),
+                                                  np.array([v, 1], dtype=object)), 2, None),
 ]
 
 
@@ -221,6 +291,14 @@ def _perfbench(name: str):
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+def test_the_three_level_witness_is_pinned(doc_witness):
+    # the sha256 pin of the documented witness report (seed 7, 1e5 atoms): a
+    # change that moves it updates the pin and lists the values that moved
+    rep = {k: v for k, v in doc_witness.items() if k != "_runtime"}
+    assert (_perfbench("workloads").witness_digest(rep)
+            == "a597c60f5d7ab9b907f6cf9845614244368c5d3e8fdd8b05b40797dde5de26ad")
 
 
 def test_the_benchmark_reads_the_library(doc_witness):

@@ -1,5 +1,6 @@
 """Command-line interface: examples, files, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -14,6 +15,17 @@ from iet3.cli import build_parser, run_command
 
 def run(args, tmp):
     return run_command(args + ["--out", str(tmp)])
+
+
+# sha256 pins of documented reports: a change that moves one updates its pin
+# and lists the values that moved
+PINS = {"switch.json": "af23d9933ef378ad956c0abea0a4eb9ead38d01abe6a4d4252614311a6834a49",
+        "schedule.json": "2ee8246dfdb06596eec1e5bd01e69df97e8ccdec90c9afbfd28d38203f5f65bd",
+        "final_average.csv": "b53132f680ace8ae03c0d52b00c6bc6b0a2bd1ccee2276708f6fac2530bbe902"}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def test_iet_info_example(tmp_path, capsys):
@@ -73,6 +85,17 @@ def test_switch_report(tmp_path):
     assert code == (0 if rep["status"] == "verified" else 2)
     assert {"n", "m", "r", "L", "status", "checks"} <= set(rep)
     assert rep["checks"]["kr_bound"] > 0
+    assert _sha256((tmp_path / "switch.json").read_bytes()) == PINS["switch.json"]
+
+
+def test_a_failed_scale_search_exits_2_without_a_report(tmp_path, capsys):
+    # the golden rotation has no admissible scale: the switch's SearchFailure
+    # (a ValueError) is one line on stderr, and no report is written
+    out = tmp_path / "out"
+    assert run_command(["switch", "--alpha-cf", "golden", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: no admissible scale: [")
+    assert not out.exists()
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -98,6 +121,7 @@ def test_schedule_determinism(tmp_path):
         assert code == 0
         outs.append([(out / f).read_bytes() for f in ("schedule.json", "final_average.csv")])
     assert outs[0] == outs[1]
+    assert [_sha256(b) for b in outs[0]] == [PINS["schedule.json"], PINS["final_average.csv"]]
     levels = json.loads(outs[0][0])["levels"]
     assert [lv["status"] for lv in levels] == ["verified"]
     # --atoms sizes the strands whose average the CSV holds: 2 strands x 1500

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from iet3.arith import cf_to_fraction
 from iet3.iet_core import Iet3, RotationRep, apply, from_rotation
-from iet3.construction import (Schedule, ScheduleLevel, SearchFailure, SwitchError,
-                               SwitchResult, SwitchSpec, _SwitchEngine, _materialize_B,
+from iet3.construction import (GeometryTooCoarse, Schedule, ScheduleLevel, SearchFailure,
+                               SwitchError, SwitchResult, SwitchSpec, _SwitchEngine,
+                               _materialize_B,
                                _mix_seed, build_switch, ksv_check, run_schedule,
                                verify_switch)
 
@@ -151,7 +152,7 @@ def test_planned_levels_are_verified_only_when_finished(switch_iet, monkeypatch)
     verify = construction.verify_switch
     monkeypatch.setattr(construction, "verify_switch",
                         lambda *a, **kw: calls.append(kw["seed"]) or verify(*a, **kw))
-    plan = construction._plan_schedule(switch_iet, (0, 1), [0.025], 1, seed=5)
+    plan = construction._plan_schedule(switch_iet, (0, 1), 0.025, 1, seed=5)
     assert not calls
     assert [lv.switch.status for lv in plan.levels] == ["constructed-but-unverified"]
     assert plan.levels[0].U_mass is None and plan.average is None
@@ -199,7 +200,7 @@ def test_only_an_exact_rotation_offers_its_period_as_a_scale(golden):
 
 
 def test_schedule_base_case(switch_iet):
-    sched = run_schedule(switch_iet, (0, 1), [0.025], K_levels=0,
+    sched = run_schedule(switch_iet, (0, 1), 0.025, K_levels=0,
                          N_atoms=3000, seed=3)
     assert not sched.levels
     m0, m1 = sched.strand_measures
@@ -213,18 +214,13 @@ def test_schedule_base_case(switch_iet):
 
 
 def test_schedule_one_level(switch_iet):
-    sched = run_schedule(switch_iet, (0, 1), [0.025, 0.0125], K_levels=1,
+    sched = run_schedule(switch_iet, (0, 1), 0.025, K_levels=1,
                          N_atoms=4000, seed=5, verify_samples=400)
     assert len(sched.levels) == 1
     lv = sched.levels[0]
     assert lv.exponents == (lv.m + 1, -lv.m)
     assert min(lv.switch.lambda_A, lv.switch.lambda_B) > 0.1
     assert lv.U_mass < lv.switch.epsilon + 1e-9
-
-
-def test_ksv_monotone_epsilon_rejected(switch_iet):
-    with pytest.raises(SwitchError):
-        run_schedule(switch_iet, (0, 1), [0.01, 0.05], K_levels=1)
 
 
 def test_witness_three_levels(doc_witness):
@@ -273,6 +269,37 @@ def test_each_switch_fact_is_stored_once(doc_witness):
     assert (lv.n_steps, lv.m) == (lv.switch.n_steps, lv.switch.m)
 
 
+def test_derived_record_fields_are_properties(doc_witness):
+    # a value read from another field is not settable beside it
+    sched = doc_witness["schedule"]
+    assert "status" not in {f.name for f in dataclasses.fields(SwitchResult)}
+    assert not {"aborted", "average"} & {f.name for f in dataclasses.fields(Schedule)}
+    assert sched.average is sched.average and not sched.aborted
+    # the schedule plans level k at eps_1 / 2^(k-1), as its switches hold
+    assert (list(sched.eps) == [lv.switch.epsilon for lv in sched.levels]
+            == [sched.eps[0] / 2 ** k for k in range(3)])
+
+
+@pytest.mark.parametrize("laps", [1, 4])
+def test_a_shortened_tower_keeps_its_return_margin(switch_iet, monkeypatch, laps):
+    # a return bound read at `laps` times the ladder denominator below the
+    # one that resolves the width: far below the tower's 1.5 r, so the tower
+    # is shortened to keep return_lo >= 1.5 r, or refused when no period fits
+    real = _SwitchEngine.next_denominator
+
+    def below(self, width):
+        return laps * self.denoms[self.denoms.index(real(self, width)) - 1]
+
+    monkeypatch.setattr(_SwitchEngine, "next_denominator", below)
+    spec = SwitchSpec(a=0, b=1, epsilon=0.05)
+    if laps == 1:
+        with pytest.raises(GeometryTooCoarse):
+            build_switch(switch_iet, spec, verify_samples=0)
+        return
+    res = build_switch(switch_iet, spec, verify_samples=0)
+    assert res.r == res.m and res.return_lo >= 1.5 * res.r
+
+
 def test_ksv_judges_each_level_by_its_own_epsilon(doc_witness, switch_iet):
     # two levels asked for one epsilon: level 2 keeps its switch's own, here
     # set below its measured fibre gap (about 1e-9), so (A) fails at level 2
@@ -303,7 +330,7 @@ def test_witness_degenerate_rational_control():
     st = fiber_diameter_stats(disintegrate(m, 64), threshold=0.1)
     assert st["fraction_above"] < 0.1  # fibers collapse: not a witness
     # the schedule itself cannot run: the rotation closes up
-    sched = run_schedule(iet, (0, p), [0.025, 0.0125], K_levels=1, N_atoms=500,
+    sched = run_schedule(iet, (0, p), 0.025, K_levels=1, N_atoms=500,
                          verify_samples=0)
     assert sched.aborted
     assert "level 1" in sched.abort_reason

@@ -221,7 +221,7 @@ def test_kr_vertex_enumeration_oracle():
         for tree, flow in _transport_vertices(mu.ws, nu.ws):
             cost = sum(C[i, j] * f for (i, j), f in zip(tree, flow))
             best = min(best, cost)
-        assert kr_distance(mu, nu, method="lp") == pytest.approx(best, abs=1e-9)
+        assert kr_distance_detailed(mu, nu, method="lp")["value"] == pytest.approx(best, abs=1e-9)
 
 
 def _dense_transport(D, a, b):
@@ -311,7 +311,7 @@ def _grid_bound_instance():
 
 def test_kr_grid_within_bound():
     a, b = _grid_bound_instance()
-    exact = kr_distance(a, b, method="assignment")
+    exact = kr_distance_detailed(a, b, method="assignment")["value"]
     det = kr_distance_detailed(a, b, method="grid", grid=64)
     assert abs(det["value"] - exact) <= det["bound"] + 1e-9
 
@@ -571,7 +571,7 @@ def test_seeded_assignment_against_the_plain_solve(pair, metric):
         real = joinings._flow_lp
         mp.setattr(joinings, "_flow_lp", lambda *a: lps.append(1) or real(*a))
         mp.setattr(joinings, "_SEED_ATOMS", 1)
-        seeded = kr_distance(mu, nu, metric=metric, method="assignment")
+        seeded = kr_distance_detailed(mu, nu, metric=metric, method="assignment")["value"]
     plain = _plain_assignment(mu, nu, metric)
     assert len(lps) == (metric == "interval")
     if dyadic:
@@ -665,7 +665,7 @@ def test_seeded_lp_against_the_unseeded_transport(pair, metric):
         real = joinings._flow_lp
         mp.setattr(joinings, "_flow_lp", lambda *a: labels.append(a[-1]) or real(*a))
         mp.setattr(joinings, "_LP_SEED_PAIRS", 1)
-        seeded = kr_distance(mu, nu, metric=metric, method="lp")
+        seeded = kr_distance_detailed(mu, nu, metric=metric, method="lp")["value"]
     assert labels[0] == "grid seed" and labels.count("grid seed") == 1
     unseeded, _ = joinings._transport(joinings._cost_matrix(mu, nu, metric), mu.ws, nu.ws)
     assert abs(seeded - unseeded) <= 1e-9
@@ -730,8 +730,6 @@ def test_kr_rejects_bad_arguments(kwargs, name):
     mu, nu = _rand_measure(rng, 5), _rand_measure(rng, 5)
     with pytest.raises(ValueError, match=name):
         kr_distance_detailed(mu, nu, **kwargs)
-    with pytest.raises(ValueError, match=name):
-        kr_distance(mu, nu, **kwargs)
 
 
 @pytest.mark.parametrize("bins", [0, -1, 2.5, True])
@@ -915,7 +913,7 @@ def test_kr_metric_axioms_property(data, method):
     else:
         sizes = st.sampled_from([data.draw(st.integers(1, 8))])
         a, b, c = (data.draw(dyadic_measures(sizes, weighted=False)) for _ in range(3))
-    d = lambda m, n: kr_distance(m, n, method=method)  # noqa: E731
+    d = lambda m, n: kr_distance_detailed(m, n, method=method)["value"]  # noqa: E731
     assert abs(d(a, b) - d(b, a)) <= 1e-9
     assert d(a, b) <= d(a, c) + d(c, b) + 1e-9
     assert d(a, a) <= 1e-12
@@ -927,7 +925,7 @@ def test_kr_metric_axioms_property(data, method):
 @given(bound_pairs(), st.sampled_from([1, 7, 64]))
 def test_kr_bounds_sandwich(pair, bins):
     a, b = pair
-    exact = kr_distance(a, b, method="lp")
+    exact = kr_distance_detailed(a, b, method="lp")["value"]
     assert kr_lower_witness(a, b) <= exact + 1e-9
     assert exact <= kr_upper_binned(a, b, bins) + 1e-9
 
@@ -965,7 +963,7 @@ def test_binned_upper_covers_the_exact_distance_under_imbalance():
     # below the exact distance 1.109375
     mu = DiscreteMeasure2D(np.array([5, 3]) / 8, np.array([2, 1]) / 8, np.array([1, 7]) / 8)
     nu = DiscreteMeasure2D(np.array([7, 7]) / 8, np.array([1, 7]) / 8, np.array([1, 7]) / 8)
-    exact = kr_distance(mu, nu, method="lp")
+    exact = kr_distance_detailed(mu, nu, method="lp")["value"]
     assert exact == pytest.approx(1.109375, abs=1e-12)
     assert _loop_binned_coupling(mu, nu, 2, normalize=False) < exact - 0.01
     assert _exact_binned_coupling(mu, nu, 2) >= Fraction(exact)
@@ -998,8 +996,9 @@ def test_lower_witness_moves_down_from_the_tree_query():
 def test_kr_circle_metric():
     one = DiscreteMeasure2D(np.array([0.05]), np.array([0.5]), np.array([1.0]))
     two = DiscreteMeasure2D(np.array([0.95]), np.array([0.5]), np.array([1.0]))
-    assert kr_distance(one, two, metric="circle") == pytest.approx(0.1, abs=1e-12)
-    assert kr_distance(one, two, metric="interval") == pytest.approx(0.9, abs=1e-12)
+    for metric, value in (("circle", 0.1), ("interval", 0.9)):
+        assert (kr_distance_detailed(one, two, metric=metric)["value"]
+                == pytest.approx(value, abs=1e-12))
 
 
 @pytest.mark.parametrize("metric", ["interval", "circle"])
@@ -1367,7 +1366,7 @@ def test_bary_mean_invariance():
         d = int(rng.integers(2, 6))
         a = float(rng.random() * 0.35 + 0.2)
         b = float(rng.random() * (0.98 - a - 0.2) + 0.2)
-        st = BaryState(d=d, gamma=rng.random(d), a=a, b=b, delta=0.0)
+        st = BaryState(d=d, gamma=rng.random(d), a=a, b=b)
         out = bary_recursion(st, 30)
         assert out["mean_drift"] < 1e-12
         gaps = out["gaps"]
