@@ -43,10 +43,12 @@ An induced-map power is the position at which the visit-time climb ends,
 with no shift after it.  The powers of one point at many exponents
 (`RotationCounter.orbit`) share the start of their descents, and the way
 down depends on an exponent only through its target, so it runs once per
-direction, on one column.  A window of them is priced once, its span's
-rotation positions against its points, and solved so or scanned from one
-solve: the positions that fall in the arc, each tested by a comparison with
-C, with any rest past them solved from the last visit.
+direction and chunk, on one column.  Every descent batch runs in chunks of
+a fixed number of indices, so its working memory does not grow with it.
+A window of them is priced once, its span's rotation positions against its
+points, and solved so or scanned from one solve: the positions that fall in
+the arc, each tested by a comparison with C, with any rest past them solved
+from the last visit.
 """
 
 from __future__ import annotations
@@ -136,6 +138,10 @@ _FLOAT_EXIT_BITS = 83              # points below 2^83 cross to floats in lanes
 # (`RotationCounter.orbit`; BENCH_orbit_window.json, crossover)
 _SOLVE_CALL = 1 << 13
 _SOLVE_POINT = 10
+# visit-time descents take this many indices at a time, so that a batch's
+# working memory (about 420 B an index in lanes, 1,350 B on Python ints) is
+# that of one chunk (`RotationCounter._solve`; BENCH_bounded_memory.json)
+_SOLVE_CHUNK = 1 << 14
 # lanes hold at most five limbs: four for Q, one for the carry above them
 _F64_WEIGHTS = np.ldexp(1.0, _LIMB * np.arange(5))
 _SIGN_WEIGHTS = 3 ** np.arange(5, dtype=np.int64)   # sign of the top differing limb
@@ -249,6 +255,9 @@ class _Lanes:
 
     def __getitem__(self, i) -> "_Lanes":
         return _Lanes(self.x[:, i])
+
+    def __len__(self) -> int:
+        return self.x.shape[1]
 
 
 def _to_lanes(u: np.ndarray, rows: int) -> _Lanes:
@@ -895,7 +904,9 @@ class RotationCounter:
         reverses the rotation, `_first_start`).  u holds one point per
         index, or one point (a one-element array) whose descent then shares
         its start, and fwd one direction per index or one bool for all; u is
-        Python ints or lanes (`_enter`).  Indices below the native circle's
+        Python ints or lanes (`_enter`).  The indices descend in chunks of
+        `_SOLVE_CHUNK`, each from its own start, so the working memory of a
+        batch is that of one chunk.  Indices below the native circle's
         ``index_limit`` (int64 or Python ints) solve in native lanes, the
         others on Python ints, by the same code.  An orbit that never meets
         the arc (off the arc of a non-coprime circle) raises ValueError."""
@@ -907,15 +918,20 @@ class RotationCounter:
             if np.any(miss):
                 raise ValueError(f"the orbit of {ints[miss][0]} never returns to the arc")
         native = self._lanes_for(n, solve=True)
-        forms, x, plus = self._descent_start(u, fwd, native)
-        if native is not None:
-            y = _descend(forms, x, n.astype(np.int64, copy=False), image)
-            return native.image(y, plus, floats) if image else (y + 1).astype(object)
-        y = _descend(forms, x, n.astype(object), image)
-        if not image:
-            return y + 1
         A, B, _ = _first_start(self.P, self.Q, self.C)
-        return _exit(np.where(plus, y - A, B - y), floats)
+        shared, each = len(u) < len(n), np.ndim(fwd) > 0
+        out = np.empty(len(n), dtype=float if image and floats else object)
+        for a in range(0, len(n), _SOLVE_CHUNK):
+            c = slice(a, a + _SOLVE_CHUNK)
+            forms, x, plus = self._descent_start(u if shared else u[c], fwd[c] if each else fwd,
+                                                 native)
+            if native is not None:
+                y = _descend(forms, x, n[c].astype(np.int64, copy=False), image)
+                out[c] = native.image(y, plus, floats) if image else y + 1
+            else:
+                y = _descend(forms, x, n[c].astype(object), image)
+                out[c] = _exit(np.where(plus, y - A, B - y), floats) if image else y + 1
+        return out
 
     def _descent_start(self, u, fwd, native: Optional[_NativeCircle]) -> tuple:
         """The wrap table in the native circle's lanes, or on Python ints
@@ -957,11 +973,12 @@ class RotationCounter:
         the inverse map, and a zero exponent leaves the point where it is.
         One point u with an array n gives its images at every exponent.
         Each image is the visit where its `visit_time` descent ends
-        (`_solve`), in one batch per direction: distinct points descend once
-        each, and the descents of one point start from it once.  A batch
-        crosses to native lanes and back once, when every |n| in it is below
-        the native circle's ``index_limit``.  u may be lanes from `_enter`;
-        with ``floats`` the images are their floats (`_exit`).
+        (`_solve`), one batch per direction, which descends in chunks of
+        `_SOLVE_CHUNK`: distinct points descend once each, and the descents
+        of one point start from it once a chunk.  A batch runs in native
+        lanes, each chunk crossing to them and back once, when every |n| in
+        it is below the native circle's ``index_limit``.  u may be lanes
+        from `_enter`; with ``floats`` the images are their floats (`_exit`).
         """
         one = not isinstance(u, _Lanes) and np.ndim(u) == 0
         if isinstance(u, _Lanes):

@@ -355,9 +355,9 @@ def build_switch(iet: Iet3, spec: SwitchSpec,
 
     r = m * p_hat
     if 1.5 * r > return_lo:
-        # keep the return-time guarantee structural: shorten the tower, or
-        # refuse it when not one period fits
-        p_hat = int(return_lo / (1.5 * m)) - 1
+        # keep the return-time guarantee structural: shorten the tower to the
+        # periods p with 1.5 m p <= return_lo, or refuse it when not one fits
+        p_hat = (2 * return_lo) // (3 * m)
         if p_hat < 1:
             raise GeometryTooCoarse(f"p_hat = {p_hat} < 1 at return bound {return_lo}, N={N}")
         r = m * p_hat

@@ -228,17 +228,20 @@ def _cost_matrix(mu: DiscreteMeasure2D, nu: DiscreteMeasure2D, metric: str) -> n
     C = np.frombuffer(mmap.mmap(-1, 8 * len(mu) * len(nu))).reshape(len(mu), len(nu))
     for i in range(0, len(mu), 256):
         r = slice(i, i + 256)
-        C[r] = _taxicab(mu.xs[r, None], mu.ys[r, None], nu.xs[None, :], nu.ys[None, :], metric)
+        _taxicab(mu.xs[r, None], mu.ys[r, None], nu.xs[None, :], nu.ys[None, :], metric, out=C[r])
     return C
 
 
-def _taxicab(ax, ay, bx, by, metric: str) -> np.ndarray:
+def _taxicab(ax, ay, bx, by, metric: str, out=None) -> np.ndarray:
     """Taxicab distances of the points (ax, ay) and (bx, by), broadcast,
-    each axis wrapped, min(d, 1 - d), on the circle: the one cost formula."""
-    d = [np.abs(ax - bx), np.abs(ay - by)]
-    if metric == "circle":
-        d = [np.minimum(k, 1.0 - k) for k in d]
-    return d[0] + d[1]
+    each axis wrapped, min(d, 1 - d), on the circle: the one cost formula,
+    written into ``out`` where it is given."""
+    dx, dy = np.subtract(ax, bx, out=out), ay - by
+    for d in (dx, dy):
+        np.abs(d, out=d)
+        if metric == "circle":
+            np.minimum(d, 1.0 - d, out=d)
+    return np.add(dx, dy, out=dx)
 
 
 # ---------------------------------------------------------------------------
@@ -837,6 +840,7 @@ def kr_upper_binned(mu: DiscreteMeasure2D, nu: DiscreteMeasure2D,
 
 
 _LEAF = 3   # the quadrant sweeps stop at blocks of 2^_LEAF points
+_LEAF_CHUNK = 1 << 11   # leaves compared at once: 1 MiB of pair distances an axis
 
 
 def _nearest_taxicab(qx, qy, sx, sy) -> np.ndarray:
@@ -859,18 +863,21 @@ def _nearest_taxicab(qx, qy, sx, sy) -> np.ndarray:
     """
     ns, nq = len(sx), len(qx)
     n = ns + nq
+    # positions, orders and ranks are below n, so int32 holds them below 2^31
+    # points; the shifted running minima take int64
+    ix = np.int32 if n < 1 << 31 else np.int64
     # positions along descending x; the support is listed first, so the
     # stable sort puts it first on ties
-    pos_x = np.empty(n, dtype=np.int64)
-    pos_x[np.argsort(-np.concatenate([sx, qx]), kind="stable")] = np.arange(n)
-    order = np.argsort(-np.concatenate([sy, qy]), kind="stable")
+    pos_x = np.empty(n, dtype=ix)
+    pos_x[np.argsort(-np.concatenate([sx, qx]), kind="stable")] = np.arange(n, dtype=ix)
+    order = np.argsort(-np.concatenate([sy, qy]), kind="stable").astype(ix)
     none = np.int64(1) << 62
-    by = (np.argsort(sx + sy), np.argsort(sx - sy))
+    by = tuple(np.argsort(key).astype(ix) for key in (sx + sy, sx - sy))
     by = by + (by[0][::-1], by[1][::-1])
 
-    def ranks(b):                 # key rank per point, none for queries
-        r = np.full(n, none)
-        r[b] = np.arange(ns)
+    def ranks(b):                 # key rank per point, n for queries
+        r = np.full(n, n, dtype=ix)
+        r[b] = np.arange(ns, dtype=ix)
         return r
 
     # support in the half before q in x: least x + y before q in y (the
@@ -886,7 +893,7 @@ def _nearest_taxicab(qx, qy, sx, sy) -> np.ndarray:
         support = order < ns
         for sup_upper, quads in halves:
             pair = support != (upper.astype(bool) != sup_upper)
-            items, shift = order[pair], block[pair] * n
+            items, shift = order[pair], block[pair].astype(np.int64) * n
             reads = items >= ns
             qi, shift_q = items[reads] - ns, shift[reads]
             for q, before in quads:
@@ -909,15 +916,24 @@ def _nearest_taxicab(qx, qy, sx, sy) -> np.ndarray:
         has = best[q] < n
         j = by[q][best[q][has]]
         dist[has] = np.minimum(dist[has], np.abs(sx[j] - qx[has]) + np.abs(sy[j] - qy[has]))
-    # the pairs inside each leaf of 2^_LEAF consecutive x positions, directly
-    leaf = np.full(-(-n >> _LEAF) << _LEAF, n)
-    leaf[pos_x] = np.arange(n)
+    # the pairs inside each leaf of 2^_LEAF consecutive x positions, directly,
+    # _LEAF_CHUNK leaves at a time, each pair's |dx| + |dy| built in place
+    leaf = np.full(-(-n >> _LEAF) << _LEAF, n, dtype=ix)
+    leaf[pos_x] = np.arange(n, dtype=ix)
     leaf = leaf.reshape(-1, 1 << _LEAF)
-    lx, ly = np.r_[sx, qx, np.nan][leaf], np.r_[sy, qy, np.nan][leaf]
-    d = np.abs(lx[:, :, None] - lx[:, None, :]) + np.abs(ly[:, :, None] - ly[:, None, :])
-    is_q = (leaf >= ns) & (leaf < n)
-    d[~is_q[:, :, None] | (leaf >= ns)[:, None, :]] = np.inf
-    dist[leaf[is_q] - ns] = np.minimum(dist[leaf[is_q] - ns], d.min(axis=2)[is_q])
+    xs, ys = np.r_[sx, qx, np.nan], np.r_[sy, qy, np.nan]
+    side = (min(len(leaf), _LEAF_CHUNK), 1 << _LEAF, 1 << _LEAF)
+    dx, dy = np.empty(side), np.empty(side)
+    for a in range(0, len(leaf), _LEAF_CHUNK):
+        lf = leaf[a:a + _LEAF_CHUNK]
+        d, e = dx[:len(lf)], dy[:len(lf)]
+        for out, v in ((d, xs[lf]), (e, ys[lf])):
+            np.abs(np.subtract(v[:, :, None], v[:, None, :], out=out), out=out)
+        d += e
+        is_q = (lf >= ns) & (lf < n)
+        d[~is_q[:, :, None] | (lf >= ns)[:, None, :]] = np.inf
+        qi = lf[is_q] - ns
+        dist[qi] = np.minimum(dist[qi], d.min(axis=2)[is_q])
     return dist
 
 

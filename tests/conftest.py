@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from iet3.params import documented_switch_iet, documented_tower_iet, golden_iet
@@ -42,3 +44,22 @@ def doc_witness(switch_iet):
     rep = non_simplicity_witness(switch_iet, K_levels=3, N=100_000, seed=7)
     rep["_runtime"] = time.time() - t0
     return rep
+
+
+@pytest.fixture
+def traced_peak():
+    """The tracemalloc peak of one call, in bytes above what was traced
+    before it, and the call's result."""
+    def peak(call):
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = call()
+            return tracemalloc.get_traced_memory()[1] - base, out
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+    return peak

@@ -331,6 +331,34 @@ def test_visits_work_guard(monkeypatch, name):
     assert list(got[pick]) == list(_floor_sum_visits(rc, us[pick], ns[pick], forward[pick]))
 
 
+# tracemalloc peak of one `power` batch of 50,000 doc-switch arc points, in
+# bytes per point: at the level-3 exponent 196,004 in native lanes, and at
+# 2^52 + 12345 on Python ints.  The descents run `_SOLVE_CHUNK` indices at a
+# time, so the batch holds one chunk's working memory.  Traced, the Python
+# ints take 8-11 s at 50,000 points, so that route runs with the batch and
+# the chunk both cut by 16, which reads within 1% of the full batch
+# (BENCH_bounded_memory.json).  Before these pins a batch descended at once,
+# at 411 and 1,415 B a point; later changes may lower them but never raise them
+POWER_PEAK_BYTES_PER_POINT = {"lanes": 260, "objects": 600}
+
+
+@pytest.mark.parametrize("route", sorted(POWER_PEAK_BYTES_PER_POINT))
+def test_power_memory_guard(monkeypatch, traced_peak, route):
+    from iet3 import arith
+    n, e = 50000, 196004
+    if route == "objects":
+        n, e = n // 16, 2**52 + 12345
+        monkeypatch.setattr(arith, "_SOLVE_CHUNK", arith._SOLVE_CHUNK // 16)
+    assert (_SWITCH._lanes_for(np.array([e]), solve=True) is None) == (route == "objects")
+    rng = np.random.default_rng(2024)
+    us = np.array([int(v) for v in rng.integers(0, 1 << 62, n)], dtype=object) * _SWITCH.C >> 62
+    peak, got = traced_peak(lambda: _SWITCH.power(us, e))
+    assert peak <= POWER_PEAK_BYTES_PER_POINT[route] * n
+    # the batch is answered: spot checks by the inverse power
+    pick = slice(None, None, 97)
+    assert list(_SWITCH.power(got[pick], -e)) == list(us[pick])
+
+
 # limb-division lanes of a pair of 12,000-index orbit windows over 10^12 on
 # the doc-switch circle (one Birkhoff window): each window's descents share
 # their start, whose way down divides on one column (its start and the three

@@ -280,11 +280,12 @@ def test_derived_record_fields_are_properties(doc_witness):
             == [sched.eps[0] / 2 ** k for k in range(3)])
 
 
-@pytest.mark.parametrize("laps", [1, 4])
+@pytest.mark.parametrize("laps", [1, 2, 4])
 def test_a_shortened_tower_keeps_its_return_margin(switch_iet, monkeypatch, laps):
     # a return bound read at `laps` times the ladder denominator below the
     # one that resolves the width: far below the tower's 1.5 r, so the tower
-    # is shortened to keep return_lo >= 1.5 r, or refused when no period fits
+    # is shortened to every period that keeps return_lo >= 1.5 r (one at
+    # laps = 2, two at laps = 4), or refused when no period fits
     real = _SwitchEngine.next_denominator
 
     def below(self, width):
@@ -297,7 +298,8 @@ def test_a_shortened_tower_keeps_its_return_margin(switch_iet, monkeypatch, laps
             build_switch(switch_iet, spec, verify_samples=0)
         return
     res = build_switch(switch_iet, spec, verify_samples=0)
-    assert res.r == res.m and res.return_lo >= 1.5 * res.r
+    assert res.r == res.m * ((2 * res.return_lo) // (3 * res.m)) >= res.m
+    assert res.return_lo >= 1.5 * res.r
 
 
 def test_ksv_judges_each_level_by_its_own_epsilon(doc_witness, switch_iet):

@@ -973,11 +973,35 @@ def test_binned_upper_covers_the_exact_distance_under_imbalance():
 # -- certified bounds: the quadrant sweep -----------------------------------
 
 @PROPERTY
-@given(dyadic_measures(st.integers(1, 40)), dyadic_measures(st.integers(1, 40)))
-def test_nearest_taxicab_equals_brute_force_with_ties(q, s):
+@given(dyadic_measures(st.integers(1, 40)), dyadic_measures(st.integers(1, 40)),
+       st.sampled_from([1, 2, 3, joinings._LEAF_CHUNK]))
+def test_nearest_taxicab_equals_brute_force_with_ties(q, s, chunk):
+    # up to 10 leaves, compared 1-3 at a time or all at once
     brute = (np.abs(q.xs[:, None] - s.xs[None, :])
              + np.abs(q.ys[:, None] - s.ys[None, :])).min(axis=1)
-    assert np.array_equal(joinings._nearest_taxicab(q.xs, q.ys, s.xs, s.ys), brute)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(joinings, "_LEAF_CHUNK", chunk)
+        assert np.array_equal(joinings._nearest_taxicab(q.xs, q.ys, s.xs, s.ys), brute)
+
+
+# tracemalloc peak of `_nearest_taxicab` on 50,000 queries against 50,000
+# support points, in bytes per point: the quadrant sweeps keep positions
+# and ranks in int32 and the leaf pass compares `_LEAF_CHUNK` leaves at a
+# time.  Before this pin it took 353 B a point; later changes may lower it
+# but never raise it
+NEAREST_PEAK_BYTES_PER_POINT = 150
+
+
+def test_nearest_taxicab_memory_guard(traced_peak):
+    rng = np.random.default_rng(2024)
+    qx, qy, sx, sy = rng.random((4, 50000))
+    peak, got = traced_peak(lambda: joinings._nearest_taxicab(qx, qy, sx, sy))
+    assert peak <= NEAREST_PEAK_BYTES_PER_POINT * 100000
+    # the queries are answered: spot checks against brute force, within the
+    # rounding of the quadrant keys (`kr_lower_witness`)
+    pick = slice(None, None, 997)
+    brute = (np.abs(qx[pick, None] - sx) + np.abs(qy[pick, None] - sy)).min(axis=1)
+    assert np.max(np.abs(got[pick] - brute)) <= 2.0 ** -51
 
 
 def test_lower_witness_moves_down_from_the_tree_query():

@@ -54,9 +54,14 @@ def _brute_power(rc: RotationCounter, u: int, n: int) -> int:
 def test_power_matches_brute_stepping(data):
     rc = data.draw(small_circles())
     us, ns = data.draw(arc_points(rc, 40))
-    got = rc.power(us, ns)
-    for u, n, g in zip(us, ns, got):
+    # descents in chunks of 1-3 indices or one chunk: a batch of mixed signs
+    # and zero exponents, and one start's exponents, cross chunk boundaries
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "_SOLVE_CHUNK", data.draw(st.sampled_from([1, 2, 3, arith._SOLVE_CHUNK])))
+        got, shared = rc.power(us, ns), rc.power(us[0], ns)
+    for u, n, g, h in zip(us, ns, got, shared):
         assert int(g) == _brute_power(rc, int(u), int(n))
+        assert int(h) == _brute_power(rc, int(us[0]), int(n))
     # a scalar exponent is the same as that exponent at every point
     n0 = int(ns[0])
     assert list(rc.power(us, n0)) == list(rc.power(us, np.full(len(us), n0, dtype=object)))
@@ -420,27 +425,30 @@ def _twin_power(rc: RotationCounter, us, ns):
 
 
 @settings(PROPERTY, max_examples=40)
-@given(boundary_queries())
-def test_native_lanes_match_object_path_at_the_bounds(query):
+@given(boundary_queries(), st.sampled_from([1, 2, 3, arith._SOLVE_CHUNK]))
+def test_native_lanes_match_object_path_at_the_bounds(query, chunk):
     rc, us, ns, signs = query
-    native = rc._native
-    # lanes exactly when the circle has a native form and every index is
-    # below its limit; that form exists up to 118 bits
-    assert (native is not None) == (rc.Q.bit_length() <= 118)
-    lanes = native is not None and max(ns) < native.index_limit
-    assert (rc._lanes_for(ns, solve=True) is not None) == lanes
-    forward = np.array([s > 0 for s in signs])
-    got = rc.visit_time(us, ns, forward=forward)
-    assert list(got) == list(_visit_time_fixed_point(_object_twin(rc), us, ns, forward))
-    # power at both signs, from points of the arc
-    arc = us % rc.C
-    signed = ns * np.array(signs, dtype=object)
-    assert list(rc.power(arc, signed)) == list(_twin_power(rc, arc, signed))
-    # an orbit stretch starting at the first signed index, walking past it
-    start, length = int(signed[0]), 6
-    want = _twin_power(rc, np.full(length, us[0], dtype=object),
-                       np.arange(start, start + length).astype(object))
-    assert list(rc.orbit(us[0], start, np.arange(length))) == list(want)
+    # descents in chunks of 1-3 indices (or one chunk) on both paths
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "_SOLVE_CHUNK", chunk)
+        native = rc._native
+        # lanes exactly when the circle has a native form and every index is
+        # below its limit; that form exists up to 118 bits
+        assert (native is not None) == (rc.Q.bit_length() <= 118)
+        lanes = native is not None and max(ns) < native.index_limit
+        assert (rc._lanes_for(ns, solve=True) is not None) == lanes
+        forward = np.array([s > 0 for s in signs])
+        got = rc.visit_time(us, ns, forward=forward)
+        assert list(got) == list(_visit_time_fixed_point(_object_twin(rc), us, ns, forward))
+        # power at both signs, from points of the arc
+        arc = us % rc.C
+        signed = ns * np.array(signs, dtype=object)
+        assert list(rc.power(arc, signed)) == list(_twin_power(rc, arc, signed))
+        # an orbit stretch starting at the first signed index, walking past it
+        start, length = int(signed[0]), 6
+        want = _twin_power(rc, np.full(length, us[0], dtype=object),
+                           np.arange(start, start + length).astype(object))
+        assert list(rc.orbit(us[0], start, np.arange(length))) == list(want)
 
 
 @settings(PROPERTY, max_examples=40)
