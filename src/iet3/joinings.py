@@ -11,7 +11,8 @@ through an exact min-cost flow on a grid quantization (solved as the
 transportation problem between excess and deficit cells when that is the
 smaller problem), which carries a certified snap-cost error interval.  Every
 transportation problem, between atoms or between cells, is solved one way:
-on a sparse arc set grown by pricing (`_transport`).  When all atom weights
+on a sparse arc set grown by pricing, held by one HiGHS model that each
+round re-optimises from its last basis (`_transport`).  When all atom weights
 are whole multiples of one quantum (equal-weight samples and their
 mixtures), the grid supplies are integer atom counts, the solution is
 checked by an integer optimality certificate, and the grid value is an exact
@@ -45,8 +46,12 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 from scipy import optimize
+# The HiGHS binding that `linprog(method="highs")` runs on from SciPy 1.15,
+# imported here alone: `_Network` drives it directly, which skips
+# `linprog`'s per-call Python work and keeps a model's basis between solves.
+from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+from scipy.optimize._highspy._core.simplex_constants import SimplexStrategy
 
 from .arith import _check_count, _index
 from .iet_core import (Iet3, _check_domain, _power_on_circle, _step, _use_counting,
@@ -291,26 +296,70 @@ def _grid_supply(mu, nu, G: int) -> tuple[np.ndarray, float, Optional[float]]:
     return (supply if q is None else supply.astype(np.int64)), snap, q
 
 
+class _Network:
+    """A min-cost flow LP held by one HiGHS model: min cost.x over flows
+    x >= 0 on the arcs added (`add`, each tail -> head at its cost) whose
+    outflow minus inflow at each node is its supply.  The model is SciPy's
+    own HiGHS binding, the one `linprog(method="highs")` runs, driven
+    directly: each column's two entries go in row order, as `linprog`'s CSC
+    matrix holds them, and the optimum is HiGHS's objective value, so a
+    one-shot solve returns `linprog`'s flow, duals and optimum bit for bit.
+
+    The first `solve` is HiGHS's dual simplex without presolve, which took
+    about half the time of these network LPs.  Every later one re-optimises
+    from the last optimal basis by the primal simplex: arcs added since are
+    columns at zero flow, which leave that basis primal feasible.  Used as
+    a context manager, the model is released on leaving, on the failure
+    path too, and the C heap trimmed after it: glibc would keep HiGHS's
+    freed working memory (tens of MB here) resident, and the next solves'
+    peaks would stack on it."""
+
+    def __init__(self, supply: np.ndarray, what: str):
+        self.what, self._highs = what, _Highs()
+        self._highs.setOptionValue("output_flag", False)
+        self._highs.setOptionValue("presolve", "off")
+        n = len(supply)
+        self._highs.addRows(n, supply, supply, 0, np.zeros(n, dtype=np.int32), [], [])
+
+    def __enter__(self) -> "_Network":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._highs = None                   # drop the model first, then trim
+        if _malloc_trim is not None:
+            _malloc_trim(0)
+
+    def add(self, tail: np.ndarray, head: np.ndarray, cost: np.ndarray) -> None:
+        """Columns for the arcs tail -> head: +1 in the tail's row, -1 in the
+        head's, the lower row first."""
+        E, rows = len(tail), np.sort(np.stack([tail, head], axis=1), axis=1)
+        self._highs.addCols(E, cost, np.zeros(E), np.full(E, np.inf), 2 * E,
+                            np.arange(0, 2 * E, 2, dtype=np.int32), rows.ravel().astype(np.int32),
+                            np.where(rows == tail[:, None], 1.0, -1.0).ravel())
+
+    def solve(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The flow on every arc added so far, in the order added, the node
+        potentials (the equality duals, so that cost - pot[tail] + pot[head]
+        is each arc's reduced cost) and the optimum.  A status other than
+        optimal raises RuntimeError naming the network and the status."""
+        h = self._highs
+        h.run()
+        status = h.getModelStatus()
+        if status != HighsModelStatus.kOptimal:
+            raise RuntimeError(f"{self.what} failed: model status is "
+                               f"{h.modelStatusToString(status)}")
+        h.setOptionValue("simplex_strategy", int(SimplexStrategy.kSimplexStrategyPrimal))
+        sol = h.getSolution()
+        return np.array(sol.col_value), np.array(sol.row_dual), h.getInfo().objective_function_value
+
+
 def _flow_lp(tail: np.ndarray, head: np.ndarray, cost: np.ndarray, supply: np.ndarray,
              what: str) -> tuple[np.ndarray, np.ndarray, float]:
-    """min cost.x over flows x >= 0 on the arcs tail -> head whose outflow
-    minus inflow at each node is its supply, by HiGHS without presolve, which
-    took about half the time of these network LPs.  Returns the flow, the
-    node potentials (the equality duals, so that cost - pot[tail] + pot[head]
-    is each arc's reduced cost) and the optimum.  The C heap is trimmed
-    after the solve: glibc would keep HiGHS's freed working memory (tens of
-    MB here) resident, and the next solves' peaks would stack on it."""
-    E = len(tail)
-    A = sp.csc_matrix((np.tile([1.0, -1.0], E),
-                       (np.stack([tail, head], axis=1).ravel(), np.repeat(np.arange(E), 2))),
-                      shape=(len(supply), E))
-    res = optimize.linprog(cost, A_eq=A, b_eq=supply, bounds=(0, None), method="highs",
-                           options={"presolve": False})
-    if _malloc_trim is not None:
-        _malloc_trim(0)
-    if res.status != 0:
-        raise RuntimeError(f"{what} failed: {res.message}")
-    return res.x, res.eqlin.marginals, float(res.fun)
+    """The min-cost flow of `supply` over the arcs tail -> head, solved once
+    on its own `_Network`: the flow, the node potentials and the optimum."""
+    with _Network(supply, what) as net:
+        net.add(tail, head, cost)
+        return net.solve()
 
 
 def _settle(tail, head, cost, flow, pot, supply, fun) -> tuple[float, bool]:
@@ -469,14 +518,19 @@ def _transport(D: np.ndarray, a: np.ndarray, b: np.ndarray,
     the pricing below and `_settle` still read all P x M arcs, so the
     optimality certificate and the tolerance are those of the unseeded
     solve.  Each round prices all P x M arcs with the LP's potentials in
-    one array pass, adds those of reduced cost below -1e-9, and solves
-    again; when none is left the set's optimum is optimal on all arcs (the
-    shielding of Schmitzer, "A sparse multiscale algorithm for dense
-    optimal transport", J. Math. Imaging Vis. 2016).  With integer costs a
-    basis's reduced costs are whole numbers and the margin only absorbs the
-    solver's rounding.  With float costs it is a tolerance: lowering every
-    row potential by 1e-9 makes the potentials feasible on all arcs, so the
-    arcs left out move the optimum by at most 1e-9 times the total mass."""
+    one array pass, adds those of reduced cost below -1e-9 to the one
+    `_Network` model of the solve, and re-optimises from the last optimal
+    basis by the primal simplex; when none is left the set's optimum is
+    optimal on all arcs (the shielding of Schmitzer, "A sparse multiscale
+    algorithm for dense optimal transport", J. Math. Imaging Vis. 2016).
+    A warm round may end on another optimal basis than a fresh solve of the
+    same arcs, so a float optimum can differ from that one's in the last
+    bits; an integer one is certified by `_settle` either way.  With integer
+    costs a basis's reduced costs are whole numbers and the margin only
+    absorbs the solver's rounding.  With float costs it is a tolerance:
+    lowering every row potential by 1e-9 makes the potentials feasible on
+    all arcs, so the arcs left out move the optimum by at most 1e-9 times
+    the total mass."""
     P, M = D.shape
     keep = np.zeros((P, M), dtype=bool) if seed is None else seed.copy()
     near = min(_NEAR_PARTNERS, P, M)
@@ -489,13 +543,14 @@ def _transport(D: np.ndarray, a: np.ndarray, b: np.ndarray,
         keep[np.minimum(np.searchsorted(A, t, side), P - 1), jb] = True
     tail, head = np.repeat(np.arange(P), M), P + np.tile(np.arange(M), P)
     cost, nodes, active = D.ravel(), np.concatenate([a, -b]), keep.ravel()
-    while True:
-        arcs = np.flatnonzero(active)
-        x, pot, fun = _flow_lp(tail[arcs], head[arcs], cost[arcs], nodes, "transport")
-        priced = ~active & (cost - pot[tail] + pot[head] < -1e-9)
-        if not priced.any():
-            break
-        active |= priced
+    arcs, new = np.zeros(0, dtype=np.int64), np.flatnonzero(active)
+    with _Network(nodes, "transport") as net:
+        while len(new):
+            net.add(tail[new], head[new], cost[new])
+            arcs = np.concatenate([arcs, new])
+            x, pot, fun = net.solve()
+            new = np.flatnonzero(~active & (cost - pot[tail] + pot[head] < -1e-9))
+            active[new] = True
     flow = np.zeros(P * M)
     flow[arcs] = x
     return _settle(tail, head, cost, flow, pot, nodes, fun)
@@ -529,7 +584,9 @@ def _kr_grid(mu, nu, metric, G: int) -> tuple[float, float, str]:
     (`_cell_transport`), is then far smaller than the flow; it is solved when
     P * M <= 32 G^2, and the flow (`_grid_flow`) otherwise, e.g. for product
     samples that fill most cells (BENCH_grid_transport.json times both
-    branches on each side of that rule).
+    branches on each side of that rule).  Either is one HiGHS model
+    (`_Network`): the transport's pricing rounds re-optimise it from the
+    last basis, the flow is solved once.
 
     When every atom weight of both measures is a whole multiple of one
     quantum q (`_quantum`: equal-weight samples and their mixtures), the

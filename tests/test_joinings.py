@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial import cKDTree
 
@@ -243,8 +244,8 @@ def test_transport_equals_dense_lp_on_float_costs(monkeypatch, metric):
     # unequal weights and float costs: the shielded solve, its arc set grown
     # by pricing, reaches the optimum of the LP on all arcs
     solves = []
-    real = joinings._flow_lp
-    monkeypatch.setattr(joinings, "_flow_lp", lambda *a: solves.append(1) or real(*a))
+    real = joinings._Network.solve
+    monkeypatch.setattr(joinings._Network, "solve", lambda net: solves.append(1) or real(net))
     rng = np.random.default_rng(12)
     rounds = []
     for _ in range(4):
@@ -679,8 +680,8 @@ def test_transport_seed_changes_only_the_start(monkeypatch, integer):
     # still reaches the unseeded optimum (in more than one round on some
     # instance), and integer problems still settle with the certificate
     solves = []
-    real = joinings._flow_lp
-    monkeypatch.setattr(joinings, "_flow_lp", lambda *a: solves.append(1) or real(*a))
+    real = joinings._Network.solve
+    monkeypatch.setattr(joinings._Network, "solve", lambda net: solves.append(1) or real(net))
     rng = np.random.default_rng(22)
     rounds = []
     for _ in range(4):
@@ -706,8 +707,9 @@ def test_lp_seed_work_guard(monkeypatch):
     # size): one grid seed LP, then at most the measured number of transport
     # LPs; under the seed threshold no seed LP
     labels = []
-    real = joinings._flow_lp
-    monkeypatch.setattr(joinings, "_flow_lp", lambda *a: labels.append(a[-1]) or real(*a))
+    real = joinings._Network.solve
+    monkeypatch.setattr(joinings._Network, "solve",
+                        lambda net: labels.append(net.what) or real(net))
     below = math.isqrt(joinings._LP_SEED_PAIRS - 1)
     for n, seed_lps, transport_pin in ((300, 1, 1), (below, 0, None)):
         labels.clear()
@@ -718,6 +720,113 @@ def test_lp_seed_work_guard(monkeypatch):
         assert labels.count("grid seed") == seed_lps
         if transport_pin is not None:
             assert labels.count("transport") <= transport_pin
+
+
+# -- the network model ------------------------------------------------------
+
+@st.composite
+def networks(draw):
+    """A min-cost flow instance on 2-12 nodes: a path both ways (so every
+    balanced supply is feasible) and random arcs in either direction, with
+    integer, float or two-valued (tied) costs and integer or float supplies
+    balanced to 0, node 0's supply being 0."""
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    path = np.arange(n - 1)
+    extra = rng.integers(0, n, size=(2, int(rng.integers(0, 3 * n))))
+    extra = extra[:, extra[0] != extra[1]]
+    tail = np.concatenate([path, path + 1, extra[0]])
+    head = np.concatenate([path + 1, path, extra[1]])
+    kind = draw(st.sampled_from(["integer", "float", "tied"]))
+    if kind == "integer":
+        cost = rng.integers(0, 6, len(tail)).astype(float)
+    elif kind == "float":
+        cost = rng.random(len(tail))
+    else:
+        cost = rng.choice(rng.random(2), len(tail))
+    if draw(st.booleans()):
+        supply = rng.integers(-5, 6, n).astype(float)
+    else:
+        supply = rng.random(n) - rng.random(n)
+    supply[0] = 0.0
+    supply[-1] -= supply.sum()
+    return tail, head, cost, supply
+
+
+@PROPERTY
+@given(networks())
+def test_flow_lp_is_linprog_bit_for_bit(net):
+    # `linprog` is the oracle of the direct HiGHS model: a one-shot solve
+    # returns its flow, equality duals and optimum bit for bit (a SciPy
+    # release that changes the binding shows here)
+    tail, head, cost, supply = net
+    E = len(tail)
+    A = sparse.csc_matrix((np.tile([1.0, -1.0], E),
+                           (np.stack([tail, head], axis=1).ravel(), np.repeat(np.arange(E), 2))),
+                          shape=(len(supply), E))
+    res = linprog(cost, A_eq=A, b_eq=supply, bounds=(0, None), method="highs",
+                  options={"presolve": False})
+    assert res.status == 0
+    x, pot, fun = joinings._flow_lp(tail, head, cost, supply, "network")
+    assert np.array_equal(x, res.x) and np.array_equal(pot, res.eqlin.marginals)
+    assert fun == res.fun
+
+
+@pytest.mark.parametrize("integer", [True, False])
+def test_warm_transport_equals_a_fresh_solve_of_its_arcs(monkeypatch, integer):
+    # one nearest partner and a seed of each row's costliest arc make the
+    # pricing loop run several rounds on one model, each re-optimised from
+    # the last basis; a fresh model solved once on the final arc set reaches
+    # the same optimum (equal, the warm one certified, on integers; within
+    # the shielding tolerance on floats), and each `_transport` builds
+    # exactly one model
+    models, added, solves = [], [], []
+    real_init, real_add, real_solve = (joinings._Network.__init__, joinings._Network.add,
+                                       joinings._Network.solve)
+    monkeypatch.setattr(joinings._Network, "__init__",
+                        lambda net, *a: models.append(1) or real_init(net, *a))
+    monkeypatch.setattr(joinings._Network, "add",
+                        lambda net, *arcs: added.append(arcs) or real_add(net, *arcs))
+    monkeypatch.setattr(joinings._Network, "solve",
+                        lambda net: solves.append(1) or real_solve(net))
+    monkeypatch.setattr(joinings, "_NEAR_PARTNERS", 1)
+    rng = np.random.default_rng(23)
+    rounds = []
+    for _ in range(4):
+        mu, nu = _rand_measure(rng, 30), _rand_measure(rng, 50)
+        D = joinings._cost_matrix(mu, nu, "interval")
+        a, b = mu.ws, nu.ws
+        if integer:       # costs in steps of 1/64, supplies in whole atoms
+            D = np.rint(64 * D).astype(np.int64)
+            a, b = (rng.multinomial(400 - k, np.ones(k) / k) + 1 for k in (30, 50))
+        models.clear(), added.clear(), solves.clear()
+        warm = joinings._transport(D, a, b, D == D.max(axis=1, keepdims=True))
+        assert len(models) == 1
+        rounds.append(len(solves))
+        tail, head, cost = (np.concatenate(c) for c in zip(*added))
+        _, _, fresh = joinings._flow_lp(tail, head, cost, np.concatenate([a, -b]), "fresh")
+        if integer:
+            assert warm == (fresh, True)
+        else:
+            assert abs(warm[0] - fresh) <= 1e-9
+    assert min(rounds) > 1, rounds
+
+
+def test_network_failure_releases_the_model(monkeypatch):
+    # unbalanced supplies: no feasible flow; the error names the network and
+    # HiGHS's model status, and the heap is trimmed after the model is dropped
+    net = joinings._Network(np.array([2.0, 0.0, -1.0]), "unbalanced")
+    trims = []
+    monkeypatch.setattr(joinings, "_malloc_trim", lambda pad: trims.append(net._highs is None))
+    with pytest.raises(RuntimeError, match="unbalanced failed: model status is Infeasible"):
+        with net:
+            net.add(np.array([0, 1]), np.array([1, 2]), np.array([1.0, 1.0]))
+            net.solve()
+    assert trims == [True]
+    with pytest.raises(RuntimeError, match="grid flow failed"):
+        joinings._flow_lp(np.array([0]), np.array([1]), np.array([1.0]), np.array([1.0, 0.0]),
+                          "grid flow")
+    assert trims == [True, True]
 
 
 @pytest.mark.parametrize("kwargs, name", [
