@@ -272,7 +272,7 @@ def cmd_schedule(args):
     iet = _resolve_iet(args)
     sched = run_schedule(iet, _STRANDS, args.eps, args.levels, N_atoms=args.atoms,
                          seed=args.seed, verify_samples=args.samples)
-    rep = ksv_check(sched, iet, seed=args.seed)
+    rep = ksv_check(sched, seed=args.seed)
     body = {
         "aborted": sched.aborted, "abort_reason": sched.abort_reason,
         "levels": [{"k": lv.k, "epsilon": lv.switch.epsilon, "n_steps": lv.n_steps,

@@ -85,22 +85,19 @@ class SwitchSpec:
 
 @dataclass(frozen=True, eq=False)
 class SwitchResult:
-    """Output of one switch construction (coordinates rescaled to [0,1))."""
+    """One switch construction on the IET it holds (coordinates rescaled to
+    [0,1)); rho, V_len, J, lambda_J and lambda_A are read from its circle."""
 
+    iet: Iet3
     a: int
     b: int
     epsilon: float
     n: int
     m: int
     r: int
-    rho: float
-    V_len: float
     n_steps: int
     window_W: int                     # B stays clear of the zones (3 + W) n_steps
-    J: tuple[float, float]
     J_cells: tuple[int, int]          # exact grid endpoints of J in the slit
-    lambda_J: float
-    lambda_A: float
     lambda_B: float
     lambda_B_exact: bool
     return_lo: int                    # certified lower bound on min return
@@ -108,6 +105,16 @@ class SwitchResult:
 
     status = property(lambda self: "verified" if (self.verification or {}).get("all_pass")
                       else "constructed-but-unverified")
+    _eng = functools.cached_property(lambda self: _SwitchEngine(self.iet))
+    # N ||N alpha|| and the closing length, as `section_record_exact` has them
+    rho = property(lambda self: abs(-self._eng.rc.signed_residue(self.n_steps)
+                                    * self.n_steps / self._eng.Q))
+    V_len = property(lambda self: (self.n_steps * (self._eng.Q - self._eng.C))
+                     % self._eng.Q / self._eng.Q)
+    J = property(lambda self: (self.J_cells[0] / self._eng.C, self.J_cells[1] / self._eng.C))
+    lambda_J = property(lambda self: (self.J_cells[1] - self.J_cells[0]) / self._eng.Q)
+    # the tower's r levels over J, as a fraction of the IET domain
+    lambda_A = property(lambda self: self.r * self.lambda_J / self._eng.kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +369,7 @@ def build_switch(iet: Iet3, spec: SwitchSpec,
             raise GeometryTooCoarse(f"p_hat = {p_hat} < 1 at return bound {return_lo}, N={N}")
         r = m * p_hat
     n = _exponent(spec.a, spec.b, m)
-    j_lo, j_hi = _find_J(eng, N, m, W, p_hat)
-    lam_J = (j_hi - j_lo) / eng.Q
-    lam_A = r * lam_J / eng.kappa          # fraction of the IET domain
+    J_cells = _find_J(eng, N, m, W, p_hat)
     B_iv = _materialize_B(eng, N, m, W)
     lam_B_exact = B_iv is not None
     if lam_B_exact:
@@ -373,11 +378,10 @@ def build_switch(iet: Iet3, spec: SwitchSpec,
         _, lam_B = _sample_B(eng, N, m, W, 64, (seed, "bfrac"))
 
     res = SwitchResult(
-        a=spec.a, b=spec.b, epsilon=spec.epsilon, n=n, m=m, r=r, rho=rec.rho,
-        V_len=rec.V_len, n_steps=N, window_W=W, J=(j_lo / eng.C, j_hi / eng.C),
-        J_cells=(j_lo, j_hi), lambda_J=lam_J, lambda_A=lam_A, lambda_B=lam_B,
-        lambda_B_exact=lam_B_exact, return_lo=return_lo)
-    return _verified(iet, res, verify_samples, seed)
+        iet=iet, a=spec.a, b=spec.b, epsilon=spec.epsilon, n=n, m=m, r=r, n_steps=N,
+        window_W=W, J_cells=J_cells, lambda_B=lam_B, lambda_B_exact=lam_B_exact,
+        return_lo=return_lo)
+    return _verified(res, verify_samples, seed)
 
 
 def _exponent(a: int, b: int, m: int) -> int:
@@ -385,12 +389,12 @@ def _exponent(a: int, b: int, m: int) -> int:
     return b + (m + 1) * (a - b)
 
 
-def _verified(iet: Iet3, res: SwitchResult, samples: int, seed) -> SwitchResult:
+def _verified(res: SwitchResult, samples: int, seed) -> SwitchResult:
     """The switch with its `verify_switch` report; with fewer than one
     sample it stays constructed-but-unverified."""
     if samples < 1:
         return res
-    return replace(res, verification=verify_switch(iet, res, samples, seed=seed))
+    return replace(res, verification=verify_switch(res, samples, seed=seed))
 
 
 def _sample_A_points(eng: _SwitchEngine, res: SwitchResult, n_samples: int,
@@ -420,9 +424,8 @@ def _canonical(v):
     return v
 
 
-def verify_switch(iet: Iet3, res: SwitchResult, samples: int,
-                  seed=5150) -> dict:
-    """Re-check the switch postconditions on fresh samples.
+def verify_switch(res: SwitchResult, samples: int, seed=5150) -> dict:
+    """Re-check the switch postconditions on fresh samples of its IET.
 
     The KR window check reads orbit joinings over the whole window [0, L),
     L = m, one index per stratum of `_index_strata` (every index when L <=
@@ -434,7 +437,7 @@ def verify_switch(iet: Iet3, res: SwitchResult, samples: int,
     check cannot fail there; ``checks["kr_vacuous"]`` says when that is so.
     It needs at least one sample (ValueError otherwise)."""
     _check_count("samples", samples)
-    eng = _SwitchEngine(iet)
+    eng = res._eng
     checks = {}
     # shadowing on A: d(T^n x, T^a x) < eps for sampled x in A
     uA = _sample_A_points(eng, res, samples, _mix_seed(seed, 1))
@@ -452,7 +455,7 @@ def verify_switch(iet: Iet3, res: SwitchResult, samples: int,
     # window) against one reference joining
     atoms = min(res.m, _ORBIT_ATOMS)
     for side, us, expo in (("A", uA[:6], res.a), ("B", uB[:6], res.b)):
-        ref = sample_power_joining(iet, expo, atoms, seed=_mix_seed(seed, ("ref", side)))
+        ref = sample_power_joining(res.iet, expo, atoms, seed=_mix_seed(seed, ("ref", side)))
         vals = [kr_upper_binned(_orbit_joining_at(eng, u, res.n, _index_strata(
                     np.random.default_rng(_mix_seed(seed, (side, u % 997))), atoms, res.m)),
                     ref, bins=128)
@@ -513,9 +516,10 @@ class ScheduleLevel:
 
 @dataclass(frozen=True, eq=False)
 class Schedule:
-    """The levels of a schedule and its level-K strands.  A planned schedule
-    (`_plan_schedule`) holds unverified switches and no measures yet."""
+    """A schedule on one IET: its levels and its level-K strands.  A planned
+    schedule (`_plan_schedule`) holds unverified switches and no measures yet."""
 
+    iet: Iet3
     initial_exponents: tuple
     eps: tuple                       # level k's epsilon eps[0] / 2^(k-1), k = 1..K
     levels: list
@@ -538,7 +542,7 @@ def run_schedule(iet: Iet3, exponents, eps: float, K_levels: int,
     largest pair), producing per-strand exponents n_k.  Returns the
     per-level records plus the level-K strand joinings sampled at N_atoms.
     """
-    return _finish_schedule(iet, _plan_schedule(iet, exponents, eps, K_levels, seed),
+    return _finish_schedule(_plan_schedule(iet, exponents, eps, K_levels, seed),
                             N_atoms, seed, verify_samples)
 
 
@@ -549,7 +553,7 @@ def _plan_schedule(iet: Iet3, exponents, eps: float, K_levels: int, seed) -> Sch
     d = len(exps)
     if d < 2:
         raise SwitchError("need at least two strands")
-    plan = Schedule(initial_exponents=tuple(exps), levels=[], strand_measures=None,
+    plan = Schedule(iet=iet, initial_exponents=tuple(exps), levels=[], strand_measures=None,
                     eps=tuple(float(eps) / 2 ** (k - 1) for k in range(1, K_levels + 1)))
     for k, eps_k in enumerate(plan.eps, start=1):
         pairs = [(exps[(l - 1) % d], exps[l]) for l in range(d)]
@@ -573,18 +577,16 @@ def _plan_schedule(iet: Iet3, exponents, eps: float, K_levels: int, seed) -> Sch
     return plan
 
 
-def _finish_schedule(iet: Iet3, plan: Schedule, N_atoms: int, seed,
-                     verify_samples: int = 1500) -> Schedule:
+def _finish_schedule(plan: Schedule, N_atoms: int, seed, verify_samples: int = 1500) -> Schedule:
     """Verify the planned levels in order, measure their exceptional sets
     and sample the strands on the shared grid.  A level whose verification
     raises ends the schedule there, as an aborted construction does."""
-    eng = _SwitchEngine(iet)
+    eng = _SwitchEngine(plan.iet)
     exps = plan.initial_exponents
     levels, reason = [], plan.abort_reason
     for lv in plan.levels:
         try:
-            sw = _verified(iet, lv.switch, verify_samples,
-                           _mix_seed(seed, ("lvl", lv.k)))
+            sw = _verified(lv.switch, verify_samples, _mix_seed(seed, ("lvl", lv.k)))
         except SwitchError as exc:
             reason = f"level {lv.k}: {exc}"
             break
@@ -597,7 +599,7 @@ def _finish_schedule(iet: Iet3, plan: Schedule, N_atoms: int, seed,
     # every strand on one shared stratified grid (common random numbers),
     # the grid the witness compares the base strands on
     gseed = _mix_seed(seed, "sharedgrid")
-    strand_measures = [sample_power_joining(iet, int(e), N_atoms, seed=gseed)
+    strand_measures = [sample_power_joining(plan.iet, int(e), N_atoms, seed=gseed)
                        for e in exps]
     return replace(plan, levels=levels, strand_measures=strand_measures, abort_reason=reason)
 
@@ -616,7 +618,7 @@ def _measured_U(eng: _SwitchEngine, lv: ScheduleLevel, prev: tuple, seed=0) -> f
     return float(np.mean(bad))
 
 
-def ksv_check(s: Schedule, iet: Iet3, seed=11) -> dict:
+def ksv_check(s: Schedule, seed=11) -> dict:
     """Margins for the abstract-criterion conditions (a)-(e), (A), (B).  (c),
     (A) and (B) judge each level by its own switch's epsilon; (c) and (e)
     report the schedule's planned epsilons."""
@@ -645,7 +647,7 @@ def ksv_check(s: Schedule, iet: Iet3, seed=11) -> dict:
     put("e", all(e2 <= e1 + 1e-15 for e1, e2 in zip(s.eps, s.eps[1:])),
         total=float(sum(s.eps)))
 
-    eng = _SwitchEngine(iet)
+    eng = _SwitchEngine(s.iet)
     # (A): fiber switching on sampled A_k and B_k
     margins_A = []
     for i, lv in enumerate(s.levels):
@@ -677,7 +679,7 @@ def ksv_check(s: Schedule, iet: Iet3, seed=11) -> dict:
             rng = np.random.default_rng(_mix_seed(seed, ("B", lv.k, l)))
             emp = _orbit_joining_at(eng, u0, lv.exponents[l],
                                     _index_strata(rng, min(L, _ORBIT_ATOMS), L))
-            ref = sample_power_joining(iet, lv.exponents[l], len(emp.ws),
+            ref = sample_power_joining(s.iet, lv.exponents[l], len(emp.ws),
                                        seed=_mix_seed(seed, ("Bref", lv.k, l)))
             null = _random_graph_sample(eng, lv.exponents[l], len(emp.ws),
                                         _mix_seed(seed, ("Bnull", lv.k, l)))
@@ -729,7 +731,7 @@ def non_simplicity_witness(iet: Iet3, K_levels: int = 3, N: int = 100_000,
     pilot = _plan_schedule(iet, _STRANDS, 0.025, K_levels, seed)
     sched = None
     if not pilot.aborted:
-        divs, gaps, rho_fit, C_fit = _decay_fit(iet, pilot, N, seed)
+        divs, gaps, rho_fit, C_fit = _decay_fit(pilot, N, seed)
         # the halving schedule continues past level K with tail sum eps_K, so
         # the displacement condition is enforced against the full series
         tail_factor = (sum(pilot.eps) + pilot.eps[-1]) / sum(pilot.eps)
@@ -739,7 +741,7 @@ def non_simplicity_witness(iet: Iet3, K_levels: int = 3, N: int = 100_000,
             sched = run_schedule(iet, _STRANDS, pilot.eps[0] * scale, K_levels,
                                  N_atoms=N, seed=seed)
     if sched is None:
-        sched = _finish_schedule(iet, pilot, N, seed)
+        sched = _finish_schedule(pilot, N, seed)
     if sched.aborted:
         return {"passed": False, "aborted": True, "reason": sched.abort_reason,
                 "schedule": sched, "median_displacement": med}
@@ -764,8 +766,7 @@ def non_simplicity_witness(iet: Iet3, K_levels: int = 3, N: int = 100_000,
     stats = fiber_diameter_stats(disintegrate(avg, 128), threshold=thresh)
     # (iv) Birkhoff agreement across starting atoms (long window, stratified
     # index subsample through the exact power kernel)
-    bk = _birkhoff_agreement(iet, sched, n_atoms=10,
-                             seed=_mix_seed(seed, "bk"))
+    bk = _birkhoff_agreement(sched, n_atoms=10, seed=_mix_seed(seed, "bk"))
     items = {
         "i_product_separation": {"value": float(d_prod), "threshold": 4 * budget,
                                  "pass": bool(d_prod > 4 * budget)},
@@ -789,7 +790,7 @@ def non_simplicity_witness(iet: Iet3, K_levels: int = 3, N: int = 100_000,
     }
 
 
-def _decay_fit(iet: Iet3, pilot: Schedule, N: int, seed):
+def _decay_fit(pilot: Schedule, N: int, seed):
     """Strand divergences from the base mixture (exact grid solves) and
     functional strand gaps (integrals of the 1-Lipschitz family -- the
     quantities the averaging recursion actually contracts) at each level of
@@ -799,14 +800,14 @@ def _decay_fit(iet: Iet3, pilot: Schedule, N: int, seed):
     # rather than truncate
     fit_N = min(N, 20000)
     stride = max(1, N // fit_N)
-    base = [sample_power_joining(iet, e, N, seed=_mix_seed(seed, f"b{e}"))
+    base = [sample_power_joining(pilot.iet, e, N, seed=_mix_seed(seed, f"b{e}"))
             for e in pilot.initial_exponents]
     base_small = mix(*(DiscreteMeasure2D.equal_weight(b.xs[::stride], b.ys[::stride])
                        for b in base))
     divs, gaps = [], []
     for k in range(len(pilot.levels) + 1):
         exps = pilot.initial_exponents if k == 0 else pilot.levels[k - 1].exponents
-        ms = [sample_power_joining(iet, e, fit_N, seed=_mix_seed(seed, ("div", k, i)))
+        ms = [sample_power_joining(pilot.iet, e, fit_N, seed=_mix_seed(seed, ("div", k, i)))
               for i, e in enumerate(exps)]
         divs.append(max(kr_distance_detailed(m_, base_small, method="grid", grid=96)["value"]
                         for m_ in ms))
@@ -828,7 +829,7 @@ def _functional_gap(m1: DiscreteMeasure2D, m2: DiscreteMeasure2D) -> float:
                for fn in TEST_FUNCTIONS_2D.values())
 
 
-def _birkhoff_agreement(iet: Iet3, sched: Schedule, n_atoms: int, seed) -> float:
+def _birkhoff_agreement(sched: Schedule, n_atoms: int, seed) -> float:
     """Max spread of long-window orbit averages of the 2-D test family over
     starting atoms of the final strand joinings.
 
@@ -838,9 +839,8 @@ def _birkhoff_agreement(iet: Iet3, sched: Schedule, n_atoms: int, seed) -> float
     agreement threshold.
     """
     rng = np.random.default_rng(seed)
-    exps = (sched.levels[-1].exponents if sched.levels
-            else sched.initial_exponents)
-    eng = _SwitchEngine(iet)
+    exps = sched.levels[-1].exponents if sched.levels else sched.initial_exponents
+    eng = _SwitchEngine(sched.iet)
     idx = _index_strata(rng, 12000, 10**12)
     avs = []                          # one row of test averages per atom
     for i, u0 in enumerate(_draw_cells(rng, n_atoms, eng.C)):

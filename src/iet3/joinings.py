@@ -46,12 +46,6 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import optimize
-# The HiGHS binding that `linprog(method="highs")` runs on from SciPy 1.15,
-# imported here alone: `_Network` drives it directly, which skips
-# `linprog`'s per-call Python work and keeps a model's basis between solves.
-from scipy.optimize._highspy._core import HighsModelStatus, _Highs
-from scipy.optimize._highspy._core.simplex_constants import SimplexStrategy
 
 from .arith import _check_count, _index
 from .iet_core import (Iet3, _check_domain, _power_on_circle, _step, _use_counting,
@@ -315,7 +309,11 @@ class _Network:
     peaks would stack on it."""
 
     def __init__(self, supply: np.ndarray, what: str):
-        self.what, self._highs = what, _Highs()
+        # The HiGHS binding that `linprog(method="highs")` runs on from SciPy
+        # 1.15, imported alone and at the first solve: driven directly, it skips
+        # `linprog`'s per-call Python work and keeps a model's basis between solves.
+        from scipy.optimize._highspy import _core
+        self.what, self._core, self._highs = what, _core, _core._Highs()
         self._highs.setOptionValue("output_flag", False)
         self._highs.setOptionValue("presolve", "off")
         n = len(supply)
@@ -345,10 +343,11 @@ class _Network:
         h = self._highs
         h.run()
         status = h.getModelStatus()
-        if status != HighsModelStatus.kOptimal:
+        if status != self._core.HighsModelStatus.kOptimal:
             raise RuntimeError(f"{self.what} failed: model status is "
                                f"{h.modelStatusToString(status)}")
-        h.setOptionValue("simplex_strategy", int(SimplexStrategy.kSimplexStrategyPrimal))
+        primal = self._core.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal
+        h.setOptionValue("simplex_strategy", int(primal))
         sol = h.getSolution()
         return np.array(sol.col_value), np.array(sol.row_dual), h.getInfo().objective_function_value
 
@@ -494,7 +493,8 @@ def _kr_assignment(mu, nu, metric) -> float:
     if seed:
         C -= u[:, None]
         C -= C.min(axis=0)
-    r, c = optimize.linear_sum_assignment(C)
+    from scipy.optimize import linear_sum_assignment
+    r, c = linear_sum_assignment(C)
     return float(_taxicab(mu.xs[r], mu.ys[r], nu.xs[c], nu.ys[c], metric).mean())
 
 

@@ -4,7 +4,10 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +25,31 @@ from iet3.towers import build_tower
 
 MODULES = [importlib.import_module(f"iet3.{info.name}")
            for info in pkgutil.iter_modules(iet3.__path__)]
+
+
+_IMPORT_BOUNDARY = """
+import sys
+import numpy as np
+import iet3.cli, iet3.construction, iet3.joinings, iet3.towers
+assert "scipy.optimize" not in sys.modules, "scipy.optimize loaded on import"
+from iet3.joinings import DiscreteMeasure2D, kr_distance_detailed
+rng = np.random.default_rng(5)
+mu, nu = (DiscreteMeasure2D.equal_weight(rng.random(7), rng.random(7)) for _ in "ab")
+print(*(kr_distance_detailed(mu, nu, method=m)["value"] for m in ("lp", "assignment")))
+"""
+
+
+def test_scipy_optimize_is_loaded_at_the_first_exact_solve():
+    # the library and its command line import no SciPy solver; the first
+    # exact KR solve loads it, and both solver routes still solve.  A fresh
+    # interpreter with PYTHONPATH set (pytest has loaded SciPy in this one)
+    path = [str(Path(iet3.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_BOUNDARY], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+    assert proc.returncode == 0, proc.stderr
+    lp, assignment = map(float, proc.stdout.split())
+    assert lp > 0 and lp == pytest.approx(assignment, abs=1e-12)
 
 
 def test_only_the_command_line_front_end_has_no_all():
@@ -215,8 +243,7 @@ _INTEGER_ARGUMENTS = [
      2, 1),
     ("transport steps", lambda fx, v: transport(fx("golden"), [(0.1, 0.2)], v), 3, 0),
     ("section_record_exact N", lambda fx, v: section_record_exact(55, 144, 89, v), 13, 1),
-    ("verify_switch samples",
-     lambda fx, v: verify_switch(fx("switch_iet"), fx("doc_switch"), v), 8, 1),
+    ("verify_switch samples", lambda fx, v: verify_switch(fx("doc_switch"), v), 8, 1),
     ("non_simplicity_witness K_levels",
      lambda fx, v: non_simplicity_witness(fx("golden"), K_levels=v, N=200), 2, 2),
     ("apply_pow n", lambda fx, v: apply_pow(fx("golden"), v, np.array([0.1, 0.7])), 3, None),

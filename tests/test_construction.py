@@ -1,6 +1,7 @@
 """Switch construction, schedule, condition checks, and degeneracy paths."""
 
 import dataclasses
+import inspect
 import math
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from iet3.construction import (GeometryTooCoarse, Schedule, ScheduleLevel, Searc
                                _materialize_B,
                                _mix_seed, build_switch, ksv_check, run_schedule,
                                verify_switch)
+from iet3.renorm import _SectionRecord, section_record_exact
 
 
 def test_n_formula_identity():
@@ -74,7 +76,7 @@ def test_kr_window_check_says_when_it_is_vacuous(doc_switch, doc_witness):
     assert sw.m <= 4 and checks["kr_vacuous"] is True
 
 
-def test_kr_window_check_reads_the_whole_window(switch_iet, doc_switch, monkeypatch):
+def test_kr_window_check_reads_the_whole_window(doc_switch, monkeypatch):
     # L = 28,000 steps in 20,000 strata: every sampled orbit joining reaches
     # the last stratum of the window, [L - L/20000, L)
     import iet3.construction as construction
@@ -82,7 +84,7 @@ def test_kr_window_check_reads_the_whole_window(switch_iet, doc_switch, monkeypa
     at = construction._orbit_joining_at
     monkeypatch.setattr(construction, "_orbit_joining_at",
                         lambda eng, u0, n, idx: seen.append(idx) or at(eng, u0, n, idx))
-    verify_switch(switch_iet, doc_switch, samples=50, seed=3)
+    verify_switch(doc_switch, samples=50, seed=3)
     L = doc_switch.m
     assert L == 28000 and len(seen) == 12
     assert all(int(idx[-1]) >= L - math.ceil(L / 20000) for idx in seen)
@@ -125,18 +127,18 @@ def test_orbit_joining_routes_agree(switch_iet, monkeypatch, n):
             assert np.array_equal(ys.view(np.int64), want[1].view(np.int64))
 
 
-def test_verify_corrupted_exponent(switch_iet, doc_switch):
+def test_verify_corrupted_exponent(doc_switch):
     bad = dataclasses.replace(doc_switch, n=doc_switch.n + 1)
-    rep = verify_switch(switch_iet, bad, samples=300, seed=99)
+    rep = verify_switch(bad, samples=300, seed=99)
     assert rep["checks"]["shadow_A_frac_ok"] < 0.95
     assert not rep["all_pass"]
 
 
-def test_verify_zero_samples(switch_iet, doc_switch):
+def test_verify_zero_samples(doc_switch):
     # with no sample nothing is checked: refused, where it passed vacuously
     for samples in (0, -1):
         with pytest.raises(ValueError, match="samples must be an integer >= 1"):
-            verify_switch(switch_iet, doc_switch, samples=samples)
+            verify_switch(doc_switch, samples=samples)
 
 
 def test_switch_without_samples_is_unverified(switch_iet):
@@ -156,7 +158,7 @@ def test_planned_levels_are_verified_only_when_finished(switch_iet, monkeypatch)
     assert not calls
     assert [lv.switch.status for lv in plan.levels] == ["constructed-but-unverified"]
     assert plan.levels[0].U_mass is None and plan.average is None
-    sched = construction._finish_schedule(switch_iet, plan, 500, seed=5, verify_samples=200)
+    sched = construction._finish_schedule(plan, 500, seed=5, verify_samples=200)
     assert calls == [_mix_seed(5, ("lvl", 1))]
     lv = sched.levels[0]
     report = lv.switch.verification
@@ -207,7 +209,7 @@ def test_schedule_base_case(switch_iet):
     assert np.allclose(m0.xs, m0.ys)  # exponent 0 strand is diagonal
     y = apply(switch_iet, m1.xs.copy())
     assert np.max(np.abs(np.asarray(y, dtype=float) - m1.ys)) < 1e-9
-    rep = ksv_check(sched, switch_iet)
+    rep = ksv_check(sched)
     assert rep["all_pass"]
     assert all(c.get("note", "").startswith("vacuous")
                for c in rep["conditions"].values())
@@ -249,10 +251,10 @@ def test_witness_average_is_the_certified_one(doc_witness, switch_iet):
             == doc_witness["items"]["ii_mixture_closeness"]["value"])
 
 
-def test_witness_schedule_conditions(doc_witness, switch_iet):
+def test_witness_schedule_conditions(doc_witness):
     sched = doc_witness["schedule"]
     assert len(sched.levels) == 3
-    rep = ksv_check(sched, switch_iet, seed=11)
+    rep = ksv_check(sched, seed=11)
     assert rep["all_pass"], rep["conditions"]
     # condition (d): the recorded products decrease
     vals = rep["conditions"]["d"]["values"]
@@ -269,15 +271,73 @@ def test_each_switch_fact_is_stored_once(doc_witness):
     assert (lv.n_steps, lv.m) == (lv.switch.n_steps, lv.switch.m)
 
 
-def test_derived_record_fields_are_properties(doc_witness):
+def test_derived_record_fields_are_properties(doc_witness, doc_switch):
     # a value read from another field is not settable beside it
     sched = doc_witness["schedule"]
-    assert "status" not in {f.name for f in dataclasses.fields(SwitchResult)}
-    assert not {"aborted", "average"} & {f.name for f in dataclasses.fields(Schedule)}
+    fields = {cls: {f.name for f in dataclasses.fields(cls)} for cls in (SwitchResult, Schedule)}
+    assert "iet" in fields[SwitchResult] and "iet" in fields[Schedule]
+    assert not {"status", "rho", "V_len", "J", "lambda_J", "lambda_A"} & fields[SwitchResult]
+    assert not {"aborted", "average"} & fields[Schedule]
+    # the circle-derived values are read from the switch's own IET's circle
+    res, circle = doc_switch, doc_switch.iet.rotation_counter()
+    rec = section_record_exact(circle.P, circle.Q, circle.C, res.n_steps)
+    assert (res.rho, res.V_len) == (rec.rho, rec.V_len)
+    assert res.J == tuple(j / circle.C for j in res.J_cells)
     assert sched.average is sched.average and not sched.aborted
     # the schedule plans level k at eps_1 / 2^(k-1), as its switches hold
     assert (list(sched.eps) == [lv.switch.epsilon for lv in sched.levels]
             == [sched.eps[0] / 2 ** k for k in range(3)])
+
+
+def test_no_function_takes_the_iet_beside_its_record():
+    # a switch or a schedule holds the IET it was built on: none is passed
+    # beside it, so none can be checked against another IET
+    import iet3.construction as construction
+    fns = [f for f in vars(construction).values()
+           if inspect.isfunction(f) and f.__module__ == construction.__name__]
+    both = [f.__name__ for f in fns
+            if "iet" in (ps := inspect.signature(f).parameters)
+            and any(p.annotation in ("SwitchResult", "Schedule") for p in ps.values())]
+    assert len(fns) > 20 and not both
+
+
+@pytest.mark.parametrize("rec, reason", [
+    (_SectionRecord(rho=1e-9, marked_term=0.0, dist_hat=0.5, V_len=0.5), "dist 0.500 >= delta"),
+    (_SectionRecord(rho=1e-9, marked_term=0.0, dist_hat=0.1, V_len=0.9), "V 0.900 unbalanced"),
+])
+def test_scale_rejections_name_their_reason(switch_iet, monkeypatch, rec, reason):
+    # every scale far from the half-marked torus, or with an unbalanced
+    # closing length: the search fails and says why
+    import iet3.construction as construction
+    monkeypatch.setattr(construction, "section_record_exact", lambda *a: rec)
+    with pytest.raises(SearchFailure, match="no admissible scale") as exc:
+        build_switch(switch_iet, SwitchSpec(a=0, b=1, epsilon=0.05), verify_samples=0)
+    assert reason in str(exc.value)
+
+
+def test_a_raising_verification_ends_the_schedule(switch_iet, monkeypatch):
+    # level 2's verification raises: the schedule keeps level 1, says why it
+    # stopped, and samples its strands at level 1's exponents
+    import iet3.construction as construction
+    from iet3.joinings import sample_power_joining
+    calls = []
+
+    def verify(res, samples, seed):
+        calls.append(seed)
+        if len(calls) == 2:
+            raise SearchFailure("no B-side points found")
+        return {"all_pass": True, "checks": {}}
+
+    monkeypatch.setattr(construction, "verify_switch", verify)
+    sched = run_schedule(switch_iet, (0, 1), 0.025, K_levels=2, N_atoms=500, seed=5,
+                         verify_samples=200)
+    assert calls == [_mix_seed(5, ("lvl", k)) for k in (1, 2)]
+    assert sched.abort_reason == "level 2: no B-side points found" and sched.aborted
+    assert [lv.k for lv in sched.levels] == [1] and sched.levels[0].U_mass is not None
+    gseed = _mix_seed(5, "sharedgrid")
+    for m, e in zip(sched.strand_measures, sched.levels[0].exponents, strict=True):
+        want = sample_power_joining(switch_iet, e, 500, seed=gseed)
+        assert np.array_equal(m.xs, want.xs) and np.array_equal(m.ys, want.ys)
 
 
 @pytest.mark.parametrize("laps", [1, 2, 4])
@@ -302,14 +362,14 @@ def test_a_shortened_tower_keeps_its_return_margin(switch_iet, monkeypatch, laps
     assert res.return_lo >= 1.5 * res.r
 
 
-def test_ksv_judges_each_level_by_its_own_epsilon(doc_witness, switch_iet):
+def test_ksv_judges_each_level_by_its_own_epsilon(doc_witness):
     # two levels asked for one epsilon: level 2 keeps its switch's own, here
     # set below its measured fibre gap (about 1e-9), so (A) fails at level 2
     sched = doc_witness["schedule"]
     lv = sched.levels[1]
     tight = dataclasses.replace(lv, switch=dataclasses.replace(lv.switch, epsilon=1e-12))
     two = dataclasses.replace(sched, levels=[sched.levels[0], tight], eps=sched.eps[:1])
-    rep = ksv_check(two, switch_iet, seed=11)["conditions"]
+    rep = ksv_check(two, seed=11)["conditions"]
     assert rep["A"]["worst_fiber_gaps"][1] > 1e-12 and not rep["A"]["pass"]
     # (c) lists the epsilons the schedule asked for, (B) level 1's d values
     assert rep["c"]["epsilons"] == [sched.eps[0]] and len(rep["B"]["values"]) == 2
