@@ -40,13 +40,15 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_ERROR)
 
 
-def _at_least(flag: str, low: int):
-    """The argparse type of an integer flag whose values below ``low`` are
-    a usage error."""
+def _at_least(flag: str, low: int, high: float = math.inf):
+    """The argparse type of an integer flag whose values below ``low``, or
+    above ``high``, are a usage error."""
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise UsageError(f"{flag} must be at least {low}, got {value}")
+        if value > high:
+            raise UsageError(f"{flag} must be at most {high}, got {value}")
         return value
     parse.__name__ = "int"            # argparse's name for a non-number
     return parse
@@ -305,6 +307,10 @@ def cmd_witness(args):
     return body, files, f"witness passed: {rep['passed']}", rep["passed"]
 
 
+# The maximum of each flag that sizes the arrays (`--length`, `--atoms`,
+# `--heatmap`) is the largest round count whose peak memory, at the bytes per
+# point, atom or heatmap cell measured for its command, stays within 4 GiB:
+# half of the documented 8 GB host (README, "Limits").
 def build_parser() -> _Parser:
     p = _Parser(prog="iet3", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -321,7 +327,8 @@ def build_parser() -> _Parser:
 
     add("iet-info", cmd_iet_info)
     add("orbit", cmd_orbit, lambda q: (q.add_argument("--x", type=float, default=0.1),
-                                       q.add_argument("--length", type=_at_least("--length", 1),
+                                       q.add_argument("--length",
+                                                      type=_at_least("--length", 1, 30_000_000),
                                                       default=100)))
     add("renorm-find", cmd_renorm_find,
         lambda q: (q.add_argument("--delta", type=_between("--delta", 0), default=0.3),
@@ -331,8 +338,9 @@ def build_parser() -> _Parser:
                    q.add_argument("--t-max", type=_between("--t-max", 0), default=11.0)))
     add("joining-sample", cmd_joining_sample,
         lambda q: (q.add_argument("--power", type=int, default=1),
-                   q.add_argument("--atoms", type=_at_least("--atoms", 1), default=10000),
-                   q.add_argument("--heatmap", type=_at_least("--heatmap", 0), default=0,
+                   q.add_argument("--atoms", type=_at_least("--atoms", 1, 20_000_000),
+                                  default=10000),
+                   q.add_argument("--heatmap", type=_at_least("--heatmap", 0, 20_000), default=0,
                                   help="also write a grid histogram CSV")),
         flags=_IET + ("--seed",))
     add("kr", cmd_kr, lambda q: (q.add_argument("--mu", required=True),
@@ -342,7 +350,8 @@ def build_parser() -> _Parser:
         flags=())
     add("approx-powers", cmd_approx_powers,
         lambda q: (q.add_argument("--power", type=int, default=None),
-                   q.add_argument("--atoms", type=_at_least("--atoms", 1), default=100000),
+                   q.add_argument("--atoms", type=_at_least("--atoms", 1, 60_000_000),
+                                  default=100000),
                    q.add_argument("--bins", type=_at_least("--bins", 2), default=128),
                    q.add_argument("--k-max", type=_at_least("--k-max", 1), default=20),
                    q.add_argument("--t-max", type=_between("--t-max", 0), default=11.0)),
@@ -350,7 +359,8 @@ def build_parser() -> _Parser:
     add("weak-closure", cmd_weak_closure,
         lambda q: (q.add_argument("--k", type=int, default=1),
                    q.add_argument("--horizon", type=_at_least("--horizon", 1), default=200),
-                   q.add_argument("--atoms", type=_at_least("--atoms", 1), default=20000)),
+                   q.add_argument("--atoms", type=_at_least("--atoms", 1, 8_000_000),
+                                  default=20000)),
         flags=_IET + ("--seed",))
     add("switch", cmd_switch,
         lambda q: (q.add_argument("--a", type=int, default=0),
@@ -358,11 +368,13 @@ def build_parser() -> _Parser:
         flags=_IET + ("--seed", "--eps", "--samples"))
     add("schedule", cmd_schedule,
         lambda q: (q.add_argument("--levels", type=_at_least("--levels", 1), default=2),
-                   q.add_argument("--atoms", type=_at_least("--atoms", 1), default=20000)),
+                   q.add_argument("--atoms", type=_at_least("--atoms", 1, 10_000_000),
+                                  default=20000)),
         flags=_IET + ("--seed", "--eps", "--samples"))
     add("witness", cmd_witness,
         lambda q: (q.add_argument("--levels", type=_at_least("--levels", 2), default=2),
-                   q.add_argument("--atoms", type=_at_least("--atoms", 1), default=100000)),
+                   q.add_argument("--atoms", type=_at_least("--atoms", 1, 5_000_000),
+                                  default=100000)),
         flags=_IET + ("--seed",))
     return p
 

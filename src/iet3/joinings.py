@@ -38,9 +38,13 @@ from __future__ import annotations
 
 import csv
 import ctypes
+import importlib.machinery
+import importlib.util
 import io
 import math
 import mmap
+import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -290,14 +294,37 @@ def _grid_supply(mu, nu, G: int) -> tuple[np.ndarray, float, Optional[float]]:
     return (supply if q is None else supply.astype(np.int64)), snap, q
 
 
+def _scipy_solver(name: str):
+    """SciPy's compiled module `scipy.optimize.<name>`, loaded alone: found
+    in the installed package's directory and run, so that
+    `scipy/optimize/__init__.py`, which imports the whole package (about
+    45 MB of resident memory and 0.4 s), never runs.  It is registered in
+    `sys.modules` under its own name, where a later `import scipy.optimize`
+    finds it; one already there is returned.  A missing one raises
+    ImportError naming it."""
+    full = f"scipy.optimize.{name}"
+    if full not in sys.modules:
+        import scipy
+        where = os.path.join(scipy.__path__[0], "optimize", *name.split(".")[:-1])
+        spec = importlib.machinery.PathFinder.find_spec(full, [where])
+        if spec is None:
+            raise ImportError(f"no module named {full!r}", name=full)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[full] = module
+    return sys.modules[full]
+
+
 class _Network:
     """A min-cost flow LP held by one HiGHS model: min cost.x over flows
     x >= 0 on the arcs added (`add`, each tail -> head at its cost) whose
     outflow minus inflow at each node is its supply.  The model is SciPy's
-    own HiGHS binding, the one `linprog(method="highs")` runs, driven
-    directly: each column's two entries go in row order, as `linprog`'s CSC
-    matrix holds them, and the optimum is HiGHS's objective value, so a
-    one-shot solve returns `linprog`'s flow, duals and optimum bit for bit.
+    own HiGHS binding, the one `linprog(method="highs")` runs, loaded alone
+    (`_scipy_solver`: the compiled module `scipy.optimize._highspy._core`,
+    never the `scipy.optimize` package) and driven directly: each column's
+    two entries go in row order, as `linprog`'s CSC matrix holds them, and
+    the optimum is HiGHS's objective value, so a one-shot solve returns
+    `linprog`'s flow, duals and optimum bit for bit.
 
     The first `solve` is HiGHS's dual simplex without presolve, which took
     about half the time of these network LPs.  Every later one re-optimises
@@ -310,10 +337,11 @@ class _Network:
 
     def __init__(self, supply: np.ndarray, what: str):
         # The HiGHS binding that `linprog(method="highs")` runs on from SciPy
-        # 1.15, imported alone and at the first solve: driven directly, it skips
-        # `linprog`'s per-call Python work and keeps a model's basis between solves.
-        from scipy.optimize._highspy import _core
-        self.what, self._core, self._highs = what, _core, _core._Highs()
+        # 1.15, loaded at the first solve and without the `scipy.optimize`
+        # package: driven directly, it skips `linprog`'s per-call Python work
+        # and keeps a model's basis between solves.
+        self.what, self._core = what, _scipy_solver("_highspy._core")
+        self._highs = self._core._Highs()
         self._highs.setOptionValue("output_flag", False)
         self._highs.setOptionValue("presolve", "off")
         n = len(supply)
@@ -461,7 +489,9 @@ def _seed_arcs(D: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _kr_assignment(mu, nu, metric) -> float:
     """The mean cost of an optimal assignment of mu's atoms to nu's (equal
-    counts; the weights are not read) by `linear_sum_assignment`, the mean
+    counts; the weights are not read) by `linear_sum_assignment`, loaded
+    alone from its compiled module `scipy.optimize._lsap` (`_scipy_solver`;
+    the `scipy.optimize` package is never imported), the mean
     taken over the chosen pairs' costs recomputed from their coordinates
     (`_taxicab`), so that no second n x n array is built.
 
@@ -493,8 +523,7 @@ def _kr_assignment(mu, nu, metric) -> float:
     if seed:
         C -= u[:, None]
         C -= C.min(axis=0)
-    from scipy.optimize import linear_sum_assignment
-    r, c = linear_sum_assignment(C)
+    r, c = _scipy_solver("_lsap").linear_sum_assignment(C)
     return float(_taxicab(mu.xs[r], mu.ys[r], nu.xs[c], nu.ys[c], metric).mean())
 
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import iet3
+from iet3 import joinings
 from iet3.arith import RotationCounter
 from iet3.construction import non_simplicity_witness, verify_switch
 from iet3.iet_core import apply_pow, apply_pow_many, orbit, transport
@@ -41,8 +42,9 @@ print(*(kr_distance_detailed(mu, nu, method=m)["value"] for m in ("lp", "assignm
 
 def test_scipy_optimize_is_loaded_at_the_first_exact_solve():
     # the library and its command line import no SciPy solver; the first
-    # exact KR solve loads it, and both solver routes still solve.  A fresh
-    # interpreter with PYTHONPATH set (pytest has loaded SciPy in this one)
+    # exact KR solve loads SciPy's compiled solver modules, and both solver
+    # routes still solve.  A fresh interpreter with PYTHONPATH set (pytest
+    # has loaded SciPy in this one)
     path = [str(Path(iet3.__file__).parent.parent), os.environ.get("PYTHONPATH")]
     proc = subprocess.run([sys.executable, "-c", _IMPORT_BOUNDARY], capture_output=True,
                           text=True, timeout=120,
@@ -50,6 +52,61 @@ def test_scipy_optimize_is_loaded_at_the_first_exact_solve():
     assert proc.returncode == 0, proc.stderr
     lp, assignment = map(float, proc.stdout.split())
     assert lp > 0 and lp == pytest.approx(assignment, abs=1e-12)
+
+
+_SOLVER_MODULES = """
+import sys
+import numpy as np
+from iet3 import joinings
+from iet3.joinings import DiscreteMeasure2D, kr_distance_detailed
+names = ("_lsap", "_highspy._core")
+scipy_first = sys.argv[1] == "scipy-first"
+if scipy_first:
+    import scipy.optimize
+    theirs = [sys.modules["scipy.optimize." + n] for n in names]
+rng = np.random.default_rng(5)
+mu, nu = (DiscreteMeasure2D.equal_weight(rng.random(7), rng.random(7)) for _ in "ab")
+value = {m: kr_distance_detailed(mu, nu, method=m, grid=8)
+         for m in ("lp", "assignment", "grid")}
+lp, assignment, grid = (value[m]["value"] for m in ("lp", "assignment", "grid"))
+assert abs(grid - lp) <= value["grid"]["bound"] + 1e-12
+ours = [joinings._scipy_solver(n) for n in names]
+assert all(sys.modules["scipy.optimize." + n] is m for n, m in zip(names, ours))
+if scipy_first:
+    assert ours == theirs, "the library loaded its own copies"
+else:
+    assert "scipy.optimize" not in sys.modules, "the solves imported scipy.optimize"
+    import scipy.optimize
+    assert [sys.modules["scipy.optimize." + n] for n in names] == ours
+assert scipy.optimize.linear_sum_assignment is ours[0].linear_sum_assignment
+n = len(mu)
+D = (np.abs(mu.xs[:, None] - nu.xs[None, :]) + np.abs(mu.ys[:, None] - nu.ys[None, :]))
+A = np.vstack([np.kron(np.eye(n), np.ones(n)), np.kron(np.ones(n), np.eye(n))])
+res = scipy.optimize.linprog(D.ravel(), A_eq=A, b_eq=np.concatenate([mu.ws, nu.ws]),
+                             method="highs")
+print(lp, assignment, res.fun)
+"""
+
+
+@pytest.mark.parametrize("order", ["library-first", "scipy-first"])
+def test_exact_solves_load_only_the_compiled_solver_modules(order):
+    # `lp`, `assignment` and `grid` solves load `scipy.optimize._lsap` and
+    # `scipy.optimize._highspy._core` and never the `scipy.optimize` package;
+    # imported later, the package reuses those modules, and imported first,
+    # its modules are the ones the library solves with
+    path = [str(Path(iet3.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    proc = subprocess.run([sys.executable, "-c", _SOLVER_MODULES, order], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))})
+    assert proc.returncode == 0, proc.stderr
+    lp, assignment, oracle = map(float, proc.stdout.split())
+    assert lp > 0 and lp == pytest.approx(oracle, abs=1e-12)
+    assert assignment == pytest.approx(lp, abs=1e-12)
+
+
+def test_a_missing_solver_module_is_named():
+    with pytest.raises(ImportError, match=r"scipy\.optimize\._absent"):
+        joinings._scipy_solver("_absent")
 
 
 def test_only_the_command_line_front_end_has_no_all():

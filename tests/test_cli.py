@@ -379,6 +379,33 @@ def test_bad_numeric_input_is_usage_error(tmp_path, capsys, args, names):
     assert names in err
 
 
+_HUGE = "1000000000000"
+
+
+@pytest.mark.parametrize("args", [
+    ["orbit", "--length", _HUGE],
+    ["joining-sample", "--atoms", _HUGE],
+    ["joining-sample", "--atoms", "3", "--heatmap", "100000"],
+    ["approx-powers", "--atoms", _HUGE],
+    ["weak-closure", "--horizon", "5", "--atoms", _HUGE],
+    ["schedule", "--atoms", _HUGE],
+    ["witness", "--atoms", _HUGE]],
+    ids=["orbit-length", "joining-sample-atoms", "joining-sample-heatmap",
+         "approx-powers-atoms", "weak-closure-atoms", "schedule-atoms", "witness-atoms"])
+def test_oversized_count_is_usage_error(tmp_path, capsys, args):
+    # a count whose arrays cannot fit the documented host is refused before
+    # anything is allocated, and the maximum it names is accepted
+    out = tmp_path / "out"
+    code = run_command(args + ["--alpha-cf", "golden", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and len(err.splitlines()) == 1
+    assert err.startswith(f"error: {args[-2]} must be at most ")
+    assert not out.exists()
+    high = err.split("at most ")[1].split(",")[0]
+    parsed = build_parser().parse_args(args[:-1] + [high])
+    assert getattr(parsed, args[-2][2:]) == int(high)
+
+
 @pytest.mark.parametrize("args, names", [
     (["schedule", "--alpha-cf", "doc-switch", "--eps", "0.5", "--levels", "1",
       "--atoms", "10", "--samples", "1"], "--eps"),

@@ -588,7 +588,7 @@ def test_assignment_seed_work_guard(monkeypatch):
     lps, solves = [], []
     real_lp, real_lsa = joinings._flow_lp, linear_sum_assignment
     monkeypatch.setattr(joinings, "_flow_lp", lambda *a: lps.append(1) or real_lp(*a))
-    monkeypatch.setattr("scipy.optimize.linear_sum_assignment",
+    monkeypatch.setattr(joinings._scipy_solver("_lsap"), "linear_sum_assignment",
                         lambda C: solves.append(len(lps)) or real_lsa(C))
     rng = np.random.default_rng(16)
     for n, seed_lps in ((2000, 1), (300, 0)):
