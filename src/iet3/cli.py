@@ -232,7 +232,12 @@ def cmd_approx_powers(args):
         m = sample_power_joining(iet, args.power, args.atoms, seed=args.seed)
     else:
         m = product_sample(args.atoms, seed=args.seed)
-    coeff, errs = approx_by_powers(iet, m, tower, bins=args.bins)
+    try:
+        coeff, errs = approx_by_powers(iet, m, tower, bins=args.bins)
+    except ValueError as exc:     # too few atoms over too many bins: bad input
+        if not str(exc).startswith("no usable base bin"):
+            raise
+        raise UsageError(f"--atoms {args.atoms} over --bins {args.bins} leaves {exc}") from None
     body = {"tower_height": tower.height, "coeff_total": coeff.total(),
             "errors": {k: v for k, v in errs.items()},
             "top_indices": [int(i) for i in

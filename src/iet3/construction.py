@@ -106,11 +106,11 @@ class SwitchResult:
     status = property(lambda self: "verified" if (self.verification or {}).get("all_pass")
                       else "constructed-but-unverified")
     _eng = functools.cached_property(lambda self: _SwitchEngine(self.iet))
-    # N ||N alpha|| and the closing length, as `section_record_exact` has them
-    rho = property(lambda self: abs(-self._eng.rc.signed_residue(self.n_steps)
-                                    * self.n_steps / self._eng.Q))
-    V_len = property(lambda self: (self.n_steps * (self._eng.Q - self._eng.C))
-                     % self._eng.Q / self._eng.Q)
+    # N ||N alpha|| and the closing length, read from the scale's section record
+    _record = functools.cached_property(
+        lambda self: section_record_exact(self._eng.P, self._eng.Q, self._eng.C, self.n_steps))
+    rho = property(lambda self: self._record.rho)
+    V_len = property(lambda self: self._record.V_len)
     J = property(lambda self: (self.J_cells[0] / self._eng.C, self.J_cells[1] / self._eng.C))
     lambda_J = property(lambda self: (self.J_cells[1] - self.J_cells[0]) / self._eng.Q)
     # the tower's r levels over J, as a fraction of the IET domain

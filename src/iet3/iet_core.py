@@ -153,8 +153,8 @@ class RotationRep:
 class OrbitSegment:
     """A finite forward orbit x, T x, ..., T^(L-1) x."""
 
-    start: float
     points: np.ndarray
+    start = property(lambda self: float(self.points[0]))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -311,7 +311,7 @@ def orbit(iet: Iet3, x: float, L: int) -> OrbitSegment:
     for i in range(L):
         pts[i] = float(cur)
         cur = apply(iet, cur)
-    return OrbitSegment(start=float(x), points=pts)
+    return OrbitSegment(points=pts)
 
 
 def to_rotation(iet: Iet3) -> RotationRep:

@@ -1059,12 +1059,12 @@ class Disintegration:
     sorted stably by bin, fiber b at positions bounds[b]:bounds[b+1], with
     the weights normalized within each fiber."""
 
-    bins: int
     bin_mass: np.ndarray            # mass of each bin
     bounds: np.ndarray              # fiber b is xs, ys, ws[bounds[b]:bounds[b+1]]
     xs: np.ndarray
     ys: np.ndarray
     ws: np.ndarray
+    bins = property(lambda self: len(self.bounds) - 1)
 
     @property
     def empty(self) -> np.ndarray:
@@ -1098,7 +1098,7 @@ def disintegrate(m: DiscreteMeasure2D, bins: int) -> Disintegration:
     ys, ws = m.ys[order], m.ws[order]
     mass = np.nan_to_num(_fiber_sums(bounds, ws))
     ws /= np.repeat(mass, np.diff(bounds))
-    return Disintegration(bins=bins, bin_mass=mass, bounds=bounds, xs=xs, ys=ys, ws=ws)
+    return Disintegration(bin_mass=mass, bounds=bounds, xs=xs, ys=ys, ws=ws)
 
 
 def fiber_diameter_stats(d: Disintegration, threshold: float = 0.0) -> dict:

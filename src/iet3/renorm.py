@@ -17,6 +17,7 @@ lattice residuals at deep scales).  The denominators are expanded once, in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -71,19 +72,6 @@ class MarkedTorus:
         object.__setattr__(self, "marked", m)
         if abs(abs(np.linalg.det(b)) - 1.0) > 1e-9:
             raise ValueError("basis must have |det| = 1")
-
-
-@dataclass(frozen=True)
-class RenormTime:
-    """An accepted renormalization time t = ln(n_steps) in the section."""
-
-    t: float
-    dist_hat: float
-    m: int
-    rho: float
-    V_len: float
-    n_steps: int
-    m_fractions: tuple[float, float] = (0.0, 0.0)  # sample fractions of m, m+1
 
 
 @dataclass(frozen=True)
@@ -215,6 +203,25 @@ class _SectionRecord:
     V_len: float
 
 
+@dataclass(frozen=True, eq=False)
+class RenormTime:
+    """An accepted renormalization time t = ln(n_steps) in the section: its
+    step count and its section record.  The dominant crossing pair (m, m+1)
+    and its sample fractions are sampled on the first read of either."""
+
+    iet: Iet3
+    n_steps: int
+    record: _SectionRecord
+    t = property(lambda self: math.log(self.n_steps))
+    rho = property(lambda self: self.record.rho)
+    dist_hat = property(lambda self: self.record.dist_hat)
+    V_len = property(lambda self: self.record.V_len)
+    _pair = functools.cached_property(
+        lambda self: _generic_crossing_pair(_crossing_samples(self.iet, self.n_steps)))
+    m = property(lambda self: self._pair[0])
+    m_fractions = property(lambda self: self._pair[1:])  # sample fractions of m, m+1
+
+
 def section_record_exact(P: int, Q: int, C: int, N: int) -> _SectionRecord:
     """Evaluate the flowed torus at t = ln N with integer arithmetic.
 
@@ -287,26 +294,20 @@ def _candidate_steps(iet: Iet3, t_max: float) -> list[int]:
                    if 2 <= k * q <= n_cap})
 
 
-def scan_renorm_times(iet: Iet3, delta: float, t_max: float,
-                      with_dichotomy: bool = True) -> RenormScan:
+def scan_renorm_times(iet: Iet3, delta: float, t_max: float) -> RenormScan:
     """Scan for renormalization times: near the half-marked square torus
-    (dist < delta) and in the section.  Returns accepted times ascending
-    plus the rejected times with their reasons."""
+    (dist < delta) and in the section.  Returns the accepted times, ascending
+    as the candidates are, plus the rejected times with their reasons."""
     rc = iet.rotation_counter()
     P, Q, C = rc.P, rc.Q, rc.C
     cands = _candidate_steps(iet, t_max)
-    rejections = []
     # cheap pre-filter on the exact unit-return displacement (one bigint
     # multiply per candidate); candidates far from the section cannot be
     # adjusted into it, and the full record evaluation is much costlier
-    kept = []
-    for N in cands:
-        if N * abs(rc.signed_residue(N)) > 0.75 * Q:
-            rejections.append((math.log(N), f"N={N} far from section"))
-            continue
-        kept.append(N)
+    near = [N * abs(rc.signed_residue(N)) <= 0.75 * Q for N in cands]
+    rejections = [(math.log(N), f"N={N} far from section") for N, ok in zip(cands, near) if not ok]
     times = []
-    for N in kept:
+    for N in [N for N, ok in zip(cands, near) if ok]:
         t = math.log(N)
         if t > t_max:
             rejections.append((t, f"N={N} beyond t_max"))
@@ -321,12 +322,5 @@ def scan_renorm_times(iet: Iet3, delta: float, t_max: float,
         if rec.dist_hat >= delta:
             rejections.append((t, f"N={N} dist_hat={rec.dist_hat:.3g} >= delta"))
             continue
-        if with_dichotomy:
-            m, f_m, f_m1 = _generic_crossing_pair(_crossing_samples(iet, N))
-        else:
-            m, f_m, f_m1 = 0, 0.0, 0.0
-        times.append(RenormTime(t=t, dist_hat=rec.dist_hat, m=m, rho=rec.rho,
-                                V_len=rec.V_len, n_steps=N,
-                                m_fractions=(f_m, f_m1)))
-    times.sort(key=lambda r: r.t)
+        times.append(RenormTime(iet=iet, n_steps=N, record=rec))
     return RenormScan(times=times, rejections=rejections)

@@ -45,13 +45,13 @@ class LevelOverlapError(TowerBuildError):
 
 @dataclass(frozen=True, eq=False)
 class Tower:
-    """Base interval, height, the transported level intervals, and the top
-    level as the walk left it."""
+    """Base interval, the transported level intervals, and the top level as
+    the walk left it; the height is the number of levels."""
 
     base: tuple
-    height: int
     level_lows: np.ndarray  # left endpoints of T^i I, float view
     top: tuple              # T^(n-1) I in the base's own arithmetic
+    height = property(lambda self: len(self.level_lows))
 
     @property
     def width(self):
@@ -97,7 +97,7 @@ def build_tower(iet: Iet3, I: tuple, n: int) -> Tower:
     lows, top, D, stop = _walk(iet, I, n)
     if stop is not None:
         raise stop
-    return Tower(base=(lo, hi), height=n,
+    return Tower(base=(lo, hi),
                  level_lows=np.array([v / D if D else float(v) for v in lows]),
                  top=tuple(Fraction(v, D) for v in top) if D else top)
 
@@ -174,7 +174,7 @@ def suggest_towers(iet: Iet3, k_max: int, t_max: float = 14.0) -> list[tuple[tup
     ascending scale (coverage and rigidity typically improve along the list).
     """
     kappa = to_rotation(iet).kappa
-    scan = scan_renorm_times(iet, delta=1.2, t_max=t_max, with_dichotomy=False)
+    scan = scan_renorm_times(iet, delta=1.2, t_max=t_max)
     out = []
     seen = set()
     best_cov = 0.0

@@ -21,7 +21,11 @@ def run(args, tmp):
 # and lists the values that moved
 PINS = {"switch.json": "af23d9933ef378ad956c0abea0a4eb9ead38d01abe6a4d4252614311a6834a49",
         "schedule.json": "2ee8246dfdb06596eec1e5bd01e69df97e8ccdec90c9afbfd28d38203f5f65bd",
-        "final_average.csv": "b53132f680ace8ae03c0d52b00c6bc6b0a2bd1ccee2276708f6fac2530bbe902"}
+        "final_average.csv": "b53132f680ace8ae03c0d52b00c6bc6b0a2bd1ccee2276708f6fac2530bbe902",
+        "renorm-find.json": "172aff726f998e04aa7b5e7857033feba6e633c68689116b2f8835cd0cc0187a",
+        "tower.json": "822dffee0ea9dd600bafc17d17c2f9a0d46b2fa8a0bd84f0466d7623a4c66afd",
+        "tower_levels.csv": "b62544c0f9fca27b8d487e259952dd858de24b7434fc0ece7d1f049837e73606",
+        "approx-powers.json": "7b6afb9876c93341cc8c1abd3b546880042e111d638f5bc15d1246e3e84399ea"}
 
 
 def _sha256(data: bytes) -> str:
@@ -77,6 +81,7 @@ def test_renorm_find_report(tmp_path):
     rep = json.loads((tmp_path / "renorm-find.json").read_text())
     steps = [r["n_steps"] for r in rep["times"]]
     assert 4 in steps and 32001 in steps
+    assert _sha256((tmp_path / "renorm-find.json").read_bytes()) == PINS["renorm-find.json"]
 
 
 def test_switch_report(tmp_path):
@@ -146,6 +151,8 @@ def test_command_files_byte_identical(tmp_path, args, files):
         runs.append({f: (out / f).read_bytes() for f in files})
     assert runs[0] == runs[1]
     first = runs[0]
+    pinned = [f for f in first if f in PINS]
+    assert {f: _sha256(first[f]) for f in pinned} == {f: PINS[f] for f in pinned}
     if "tower.json" in first:
         best = json.loads(first["tower.json"])["candidates"][-1]
         assert len(first["tower_levels.csv"].decode().splitlines()) == 1 + best["height"]
@@ -404,6 +411,19 @@ def test_oversized_count_is_usage_error(tmp_path, capsys, args):
     high = err.split("at most ")[1].split(",")[0]
     parsed = build_parser().parse_args(args[:-1] + [high])
     assert getattr(parsed, args[-2][2:]) == int(high)
+
+
+@pytest.mark.parametrize("atoms, bins", [("1", "2"), ("3", "128")])
+def test_too_few_atoms_for_the_bins_is_usage_error(tmp_path, capsys, atoms, bins):
+    # no in-tower bin with a measured neighbor to read the coefficients from:
+    # the input is too small, which is no failed verification
+    out = tmp_path / "out"
+    code = run_command(["approx-powers", "--alpha-cf", "doc-tower", "--atoms", atoms,
+                        "--bins", bins, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and len(err.splitlines()) == 1
+    assert err.startswith(f"error: --atoms {atoms} over --bins {bins} leaves no usable base bin")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args, names", [

@@ -343,3 +343,60 @@ def test_section_reduction_finds_a_shortest_vector():
             s = np.where(2 * r > Q, r - Q, r)
             best = min([N] + [norm((bi, si)) for bi, si in zip(b.tolist(), s.tolist()) if bi])
             assert norm(u) <= best * (1 + 1e-12), (P, Q, N)
+
+
+def _count_crossing_samples(monkeypatch):
+    import iet3.renorm as renorm
+    calls = []
+    real = renorm._crossing_samples
+
+    def counted(iet, n_steps, *args, **kwargs):
+        calls.append(n_steps)
+        return real(iet, n_steps, *args, **kwargs)
+
+    monkeypatch.setattr(renorm, "_crossing_samples", counted)
+    return calls
+
+
+def test_crossing_pair_is_sampled_on_first_read(switch_iet, tower_iet, monkeypatch):
+    # the scan and the tower search sample no crossing counts; an accepted
+    # time samples them once, on the first read of m or m_fractions
+    from iet3.towers import suggest_towers
+    calls = _count_crossing_samples(monkeypatch)
+    suggest_towers(tower_iet, k_max=2, t_max=11.0)
+    times = scan_renorm_times(switch_iet, 0.3, 11.0).times
+    assert calls == [] and len(times) == 2
+    for rt in times:
+        rt.m, rt.m_fractions
+    assert calls == [rt.n_steps for rt in times]
+
+
+def test_derived_scale_tower_measure_fields_are_properties(switch_iet, tower_iet):
+    # an accepted time is its step count and its section record; a tower's
+    # height, a disintegration's bin count and an orbit's start are read
+    # from the arrays they hold
+    import dataclasses
+    import inspect
+
+    from iet3.iet_core import OrbitSegment, orbit
+    from iet3.joinings import Disintegration, disintegrate, product_sample
+    from iet3.renorm import RenormTime
+    from iet3.towers import Tower, build_tower, suggest_towers
+    fields = {cls: {f.name for f in dataclasses.fields(cls)}
+              for cls in (RenormTime, Tower, Disintegration, OrbitSegment)}
+    assert fields[RenormTime] == {"iet", "n_steps", "record"}
+    assert "height" not in fields[Tower] and "bins" not in fields[Disintegration]
+    assert "start" not in fields[OrbitSegment]
+    assert list(inspect.signature(scan_renorm_times).parameters) == ["iet", "delta", "t_max"]
+    rc = switch_iet.rotation_counter()
+    for rt in scan_renorm_times(switch_iet, 0.3, 11.0).times:
+        rec = section_record_exact(rc.P, rc.Q, rc.C, rt.n_steps)
+        assert (rt.t, rt.rho, rt.dist_hat, rt.V_len) == (
+            math.log(rt.n_steps), rec.rho, rec.dist_hat, rec.V_len)
+    (I, n), = suggest_towers(tower_iet, k_max=1, t_max=11.0)
+    tower = build_tower(tower_iet, I, n)
+    assert tower.height == len(tower.level_lows) == n
+    d = disintegrate(product_sample(50, seed=1), 7)
+    assert d.bins == len(d.bounds) - 1 == 7
+    seg = orbit(IET, 0.1, 5)
+    assert seg.start == float(seg.points[0]) == 0.1
